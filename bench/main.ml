@@ -40,8 +40,8 @@
    trajectory.
 
    `--smoke` additionally gates on bench/perf_budget.json: scaled
-   fig2/fig4 medians must stay under the checked-in budgets (~2.5x a
-   healthy median); refresh with `--smoke --write-budget` after a
+   fig2/fig4/fig4-modern/beacon medians (wall clock and allocated bytes)
+   must stay under the checked-in budgets (~2.5x a healthy median); refresh with `--smoke --write-budget` after a
    deliberate performance change. *)
 
 module M = Metrics
@@ -952,8 +952,10 @@ let budget_file = "bench/perf_budget.json"
 let budget_headroom = 2.5
 
 (* CI-sized figure runs: a scaled fig2 (~35 ms), a small fig4
-   (~150 ms) and a small fig4-modern churn run, each exercising the
-   real experiment code end-to-end. *)
+   (~150 ms), a small fig4-modern churn run and a 56-domain lossy beacon
+   campaign, each exercising the real experiment code end-to-end.  The
+   beacon row's byte budget is the data plane's guard: per-delivery
+   accounting that turns quadratic again multiplies its allocation. *)
 let smoke_figures =
   [
     ( "fig2-smoke",
@@ -980,6 +982,18 @@ let smoke_figures =
         ignore
           (Modern_experiment.run
              { Modern_experiment.default_params with Modern_experiment.jobs = 1 }) );
+    ( "beacon-smoke",
+      fun () ->
+        ignore
+          (Beacon_campaign.run ~jobs:1
+             {
+               Beacon_campaign.default_params with
+               Beacon_campaign.domains = 56;
+               per_domain = 2;
+               probes = 5;
+               loss = 0.05;
+               churn = true;
+             }) );
   ]
 
 (* Each budget line carries a wall-clock budget and an allocated-bytes
@@ -1256,7 +1270,8 @@ let smoke_fingerprint () =
    event-stream hash is byte-identical at --jobs 1/4/8, the explorer
    canary runs a seeded 25-schedule campaign that must find, shrink and
    reproduce the partition canary with a jobs-invariant ledger, and the
-   perf gate above compares scaled fig2/fig4 medians against
+   perf gate above compares the scaled fig2/fig4/fig4-modern/beacon
+   medians (wall clock and allocated bytes) against
    bench/perf_budget.json.  With `--profile`, the
    canary run is profiled and sampled: profile.jsonl and
    timeseries.jsonl land in the working directory (CI uploads them as

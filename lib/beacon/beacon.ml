@@ -13,14 +13,28 @@ let default_config =
     stagger = Time.seconds 0.010;
   }
 
-(* A probe in its accounting window: sent, not yet harvested. *)
+(* A group's listeners in registration order, indexed by host so that
+   a delivery finds its listener without scanning. *)
+type roster = {
+  mutable hosts : Host_ref.t array;  (** the first [count] are live *)
+  mutable count : int;
+  index : Packed_map.t;  (** [Host_ref.key] -> registration index *)
+}
+
+(* A probe in its accounting window: sent, not yet harvested.  Its
+   expected receivers are the first [p_expected] listeners of the
+   group's roster (rosters only grow at the end). *)
 type pending = {
   p_src : Host_ref.t;
   p_group : Ipv4.t;
   p_seq : int;
   p_sent_at : Time.t;
   p_span : Span.t option;
-  mutable p_waiting : Host_ref.t list;  (** expected receivers not yet heard from *)
+  p_roster : roster;
+  p_expected : int;
+  p_slots : Beacon_matrix.slot array;  (** matrix cell per expected receiver *)
+  p_heard : Bytes.t;  (** bitset over registration indices *)
+  mutable p_missing : int;  (** expected receivers not yet heard from *)
 }
 
 type t = {
@@ -30,7 +44,7 @@ type t = {
   cfg : config;
   trace : Trace.t option;
   matrix : Beacon_matrix.t;
-  listeners : (Ipv4.t, Host_ref.t list ref) Hashtbl.t;  (** registration order *)
+  listeners : (Ipv4.t, roster) Hashtbl.t;
   mutable sources : (Ipv4.t * Host_ref.t) list;  (** reverse registration order *)
   pending : (int, pending) Hashtbl.t;  (** by payload id *)
   spf : (Domain.id, Spf.paths) Hashtbl.t;  (** BFS memo per source domain *)
@@ -44,13 +58,17 @@ type t = {
   m_outstanding : Metrics.gauge;
 }
 
+(* Lines are formatted only for an attached, enabled trace. *)
 let btrace t ?span tag fmt =
-  Format.kasprintf
-    (fun detail ->
-      match t.trace with
-      | Some tr -> Trace.record tr ~time:(Engine.now t.engine) ~actor:"beacon" ~tag ?span detail
-      | None -> ())
-    fmt
+  match t.trace with
+  | Some tr -> Trace.recordf tr ~time:(Engine.now t.engine) ~actor:"beacon" ~tag ?span fmt
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
+
+let heard p i = Char.code (Bytes.get p.p_heard (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let mark_heard p i =
+  let b = i lsr 3 in
+  Bytes.set p.p_heard b (Char.chr (Char.code (Bytes.get p.p_heard b) lor (1 lsl (i land 7))))
 
 let spf_dist t ~from ~to_ =
   if from = to_ then 0
@@ -67,15 +85,17 @@ let spf_dist t ~from ~to_ =
   end
 
 let on_delivery t ~group:_ ~source:_ ~payload ~host ~hops =
-  match Hashtbl.find_opt t.pending payload with
-  | None -> ()  (* not a probe, or already harvested: a straggler stays lost *)
-  | Some p ->
-      if List.exists (Host_ref.equal host) p.p_waiting then begin
-        p.p_waiting <- List.filter (fun h -> not (Host_ref.equal host h)) p.p_waiting;
+  match Hashtbl.find t.pending payload with
+  | exception Not_found -> ()  (* not a probe, or already harvested: a straggler stays lost *)
+  | p ->
+      let i = Packed_map.find p.p_roster.index (Host_ref.key host) in
+      if i >= 0 && i < p.p_expected && not (heard p i) then begin
+        mark_heard p i;
+        p.p_missing <- p.p_missing - 1;
         t.n_delivered <- t.n_delivered + 1;
         Metrics.incr t.m_delivered;
         let latency = Engine.now t.engine -. p.p_sent_at in
-        Beacon_matrix.deliver t.matrix ~src:p.p_src ~dst:host ~latency ~hops
+        Beacon_matrix.deliver_slot p.p_slots.(i) ~latency ~hops
           ~spf_dist:
             (spf_dist t ~from:p.p_src.Host_ref.host_domain ~to_:host.Host_ref.host_domain)
       end
@@ -107,17 +127,25 @@ let create ~engine ~topo ~fabric ?(config = default_config) ?trace () =
     (Some (fun ~group ~source ~payload ~host ~hops -> on_delivery t ~group ~source ~payload ~host ~hops));
   t
 
+let roster_of t group =
+  match Hashtbl.find_opt t.listeners group with
+  | Some r -> r
+  | None ->
+      let r = { hosts = [||]; count = 0; index = Packed_map.create () } in
+      Hashtbl.replace t.listeners group r;
+      r
+
 let add_listener t ~group ~host =
-  let l =
-    match Hashtbl.find_opt t.listeners group with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.listeners group l;
-        l
-  in
-  l := !l @ [ host ];
-  Bgmp_fabric.host_join t.fabric ~host ~group
+  Bgmp_fabric.host_join t.fabric ~host ~group;
+  let r = roster_of t group in
+  if r.count = Array.length r.hosts then begin
+    let grown = Array.make (max 8 (2 * r.count)) host in
+    Array.blit r.hosts 0 grown 0 r.count;
+    r.hosts <- grown
+  end;
+  r.hosts.(r.count) <- host;
+  Packed_map.set r.index (Host_ref.key host) r.count;
+  r.count <- r.count + 1
 
 let add_source t ~group ~host = t.sources <- (group, host) :: t.sources
 
@@ -125,16 +153,17 @@ let harvest t payload =
   match Hashtbl.find_opt t.pending payload with
   | None -> ()
   | Some p ->
-      let missing = List.length p.p_waiting in
+      let missing = p.p_missing in
       if missing > 0 then begin
         t.n_lost <- t.n_lost + missing;
         Metrics.add t.m_lost missing;
-        (* Lost pairs stay as (sent > got) cells; the trace names them. *)
-        List.iter
-          (fun dst ->
+        (* Lost pairs stay as (sent > got) cells; the trace names them,
+           in listener registration order. *)
+        for i = 0 to p.p_expected - 1 do
+          if not (heard p i) then
             btrace t ?span:p.p_span "probe-lost" "%a seq %d payload %d never reached %a"
-              Ipv4.pp p.p_group p.p_seq payload Host_ref.pp dst)
-          p.p_waiting
+              Ipv4.pp p.p_group p.p_seq payload Host_ref.pp p.p_roster.hosts.(i)
+        done
       end;
       Hashtbl.remove t.pending payload;
       Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
@@ -146,10 +175,15 @@ let fire_probe t ~group ~host ~seq =
     | Some _ -> Some (Bgmp_fabric.group_span t.fabric host.Host_ref.host_domain group)
     | None -> None
   in
-  let expected =
-    match Hashtbl.find_opt t.listeners group with Some l -> !l | None -> []
-  in
+  let r = roster_of t group in
+  let expected = r.count in
   let payload = Bgmp_fabric.next_payload_id t.fabric in
+  let slots =
+    Array.init expected (fun i ->
+        let s = Beacon_matrix.slot t.matrix ~src:host ~dst:r.hosts.(i) in
+        Beacon_matrix.expect_slot s;
+        s)
+  in
   let p =
     {
       p_src = host;
@@ -157,16 +191,19 @@ let fire_probe t ~group ~host ~seq =
       p_seq = seq;
       p_sent_at = Engine.now t.engine;
       p_span = span;
-      p_waiting = expected;
+      p_roster = r;
+      p_expected = expected;
+      p_slots = slots;
+      p_heard = Bytes.make ((expected + 7) / 8) '\000';
+      p_missing = expected;
     }
   in
-  List.iter (fun dst -> Beacon_matrix.expect t.matrix ~src:host ~dst) expected;
   Hashtbl.replace t.pending payload p;
   t.n_sent <- t.n_sent + 1;
   Metrics.incr t.m_sent;
   Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
   btrace t ?span "probe" "%a seq %d payload %d from %a (%d receivers)" Ipv4.pp group seq
-    payload Host_ref.pp host (List.length expected);
+    payload Host_ref.pp host expected;
   let sent = Bgmp_fabric.send ?span t.fabric ~source:host ~group in
   assert (sent = payload);
   ignore

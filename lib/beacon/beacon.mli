@@ -46,7 +46,10 @@ val create :
 
 val add_listener : t -> group:Ipv4.t -> host:Host_ref.t -> unit
 (** Join the host to the group (through the fabric) and expect probe
-    deliveries for it from now on. *)
+    deliveries for it from now on.  Lost probes are reported per
+    receiver in listener registration order.
+    @raise Invalid_argument if the host is already a member of the group
+    (the fleet is then unchanged). *)
 
 val add_source : t -> group:Ipv4.t -> host:Host_ref.t -> unit
 (** The host will source probes to the group.  Sources need not be

@@ -18,17 +18,23 @@ let acc_for t key =
       Hashtbl.replace t key a;
       a
 
-let expect t ~src ~dst =
-  let a = acc_for t (src, dst) in
-  a.sent <- a.sent + 1
+type slot = acc
 
-let deliver t ~src ~dst ~latency ~hops ~spf_dist =
-  let a = acc_for t (src, dst) in
+let slot t ~src ~dst = acc_for t (src, dst)
+
+let expect_slot a = a.sent <- a.sent + 1
+
+let deliver_slot a ~latency ~hops ~spf_dist =
   a.got <- a.got + 1;
   Stats.add a.lat latency;
   Stats.add a.hops (float_of_int hops);
   let stretch = if spf_dist <= 0 then 1.0 else float_of_int hops /. float_of_int spf_dist in
   Stats.add a.stretch stretch
+
+let expect t ~src ~dst = expect_slot (slot t ~src ~dst)
+
+let deliver t ~src ~dst ~latency ~hops ~spf_dist =
+  deliver_slot (slot t ~src ~dst) ~latency ~hops ~spf_dist
 
 let merge_into ~into src =
   Hashtbl.iter

@@ -30,6 +30,20 @@ val deliver :
     the same domain — the stretch observation is then 1.0, matching a
     zero-hop interior delivery). *)
 
+type slot
+(** One pair's cell, resolved once so that repeated updates skip the
+    pair lookup.  A slot stays valid until its matrix is the [into] of
+    a {!merge_into}, which replaces the merged cells. *)
+
+val slot : t -> src:Host_ref.t -> dst:Host_ref.t -> slot
+(** The pair's cell, created empty (no sends, no deliveries) if new. *)
+
+val expect_slot : slot -> unit
+(** {!expect} on a resolved cell. *)
+
+val deliver_slot : slot -> latency:float -> hops:int -> spf_dist:int -> unit
+(** {!deliver} on a resolved cell. *)
+
 val merge_into : into:t -> t -> unit
 (** Fold another matrix's cells into [into] (counts add, statistics
     merge).  Merging shard matrices in task order is deterministic. *)

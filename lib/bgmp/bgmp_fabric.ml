@@ -7,6 +7,13 @@ type config = { branching : bool }
 
 let default_config = { branching = true }
 
+(* One payload's deliveries: arrivals newest first, and the hosts
+   already served, keyed by [Host_ref.key]. *)
+type payload_log = {
+  mutable arrivals : (Host_ref.t * int) list;
+  served : Packed_map.t;
+}
+
 type t = {
   engine : Engine.t;
   topo : Topo.t;
@@ -25,8 +32,7 @@ type t = {
       (** router i's transport lane to its external peer across the link *)
   toward_tbl : (Domain.id * Domain.id, int) Hashtbl.t;  (** (dom, neighbor) -> router id *)
   ucast_cache : (Domain.id, Spf.paths) Hashtbl.t;  (** BFS from a target domain *)
-  delivered : (int, (Host_ref.t * int) list ref) Hashtbl.t;
-  seen : (int * Host_ref.t, unit) Hashtbl.t;
+  delivered : (int, payload_log) Hashtbl.t;
   payload_spans : (int, Span.t) Hashtbl.t;
       (** causal span a payload travels under, kept only for payloads
           sent with one (probes under an attached trace) *)
@@ -47,13 +53,16 @@ type t = {
 
 let peer_of rid = rid lxor 1
 
+(* A domain's root next hop as cached while distributing one packet:
+   a neighbour domain id, or one of these two sentinels. *)
+let via_unknown = -2
+let via_none = -1
+
+(* Lines are formatted only for an attached, enabled trace. *)
 let ftrace t actor tag ?span fmt =
-  Format.kasprintf
-    (fun detail ->
-      match t.trace with
-      | Some tr -> Trace.record tr ~time:(Engine.now t.engine) ~actor ~tag ?span detail
-      | None -> ())
-    fmt
+  match t.trace with
+  | Some tr -> Trace.recordf tr ~time:(Engine.now t.engine) ~actor ~tag ?span fmt
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
 
 (* The trace id a group's causal chain lives under: the originating
    claim's when a G-RIB route (with span) exists, else the group's own. *)
@@ -144,28 +153,65 @@ let classify_source_for t rid source_dom =
 (* ------------------------------------------------------------------ *)
 
 let record_delivery t ~group ~source ~payload ~host ~hops =
-  if Hashtbl.mem t.seen (payload, host) then begin
+  let log =
+    match Hashtbl.find t.delivered payload with
+    | log -> log
+    | exception Not_found ->
+        let log = { arrivals = []; served = Packed_map.create ~initial:4 () } in
+        Hashtbl.replace t.delivered payload log;
+        log
+  in
+  let key = Host_ref.key host in
+  if Packed_map.mem log.served key then begin
     t.dup_count <- t.dup_count + 1;
     Metrics.incr t.m_data_dup
   end
   else begin
-    Hashtbl.replace t.seen (payload, host) ();
+    Packed_map.set log.served key 0;
+    log.arrivals <- (host, hops) :: log.arrivals;
     Metrics.incr t.m_data_delivered;
-    let cell =
-      match Hashtbl.find_opt t.delivered payload with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace t.delivered payload c;
-          c
-    in
-    cell := !cell @ [ (host, hops) ];
     match t.on_delivery with
     | Some f -> f ~group ~source ~payload ~host ~hops
     | None -> ()
   end
 
-let rec exec_actions t rid actions = List.iter (exec_action t rid) actions
+let rec deliver_members t ~group ~source ~payload ~hops = function
+  | [] -> ()
+  | host :: rest ->
+      record_delivery t ~group ~source ~payload ~host ~hops;
+      deliver_members t ~group ~source ~payload ~hops rest
+
+(* The border routers in [rids], bar [entry_rid], that take a copy of a
+   packet from the domain's interior: those with state for it, and the
+   one whose link is the next hop toward the group's root.  That next
+   hop is the same for every router of the domain, so it is looked up
+   at most once per packet ([root_via] carries it once known), and only
+   when some router has no state. *)
+let rec interested_routers t ~dom ~group ~source ~entry_rid ~root_via = function
+  | [] -> []
+  | rid :: rest when rid = entry_rid ->
+      interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest
+  | rid :: rest ->
+      let r = t.routers.(rid) in
+      if Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group then
+        rid :: interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest
+      else begin
+        let root_via =
+          if root_via <> via_unknown then root_via
+          else
+            match t.route_to_root dom group with
+            | Via nd -> nd
+            | Root_here | Unroutable -> via_none
+        in
+        let others = interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest in
+        if t.router_neighbor.(rid) = root_via then rid :: others else others
+      end
+
+let rec exec_actions t rid = function
+  | [] -> ()
+  | action :: rest ->
+      exec_action t rid action;
+      exec_actions t rid rest
 
 and exec_action t rid action =
   match action with
@@ -209,21 +255,25 @@ and exec_action t rid action =
       (* Intra-domain hand-off between internal BGMP peers: immediate
          (interior latency is below our modelling grain) and addressed,
          not flooded. *)
-      dispatch_internal_msg t ~to_:peer_rid ~from_rid:rid msg
+      dispatch t ~to_:peer_rid ~from:(Bgmp_router.Internal_router rid) msg
   | Bgmp_router.Migp_data { group; source; payload; hops } ->
       internal_distribute t
         ~dom:(Bgmp_router.domain t.routers.(rid))
         ~entry:(Some rid) ~group ~source ~payload ~hops
 
-and dispatch_internal_msg t ~to_ ~from_rid msg =
+(* Deliver a BGMP message to router [to_].  [from] is the sending
+   router: its external peer across the link ([Peer]) or another border
+   router of the same domain ([Internal_router]). *)
+and dispatch t ~to_ ~from msg =
   let router = t.routers.(to_) in
-  let from = Bgmp_router.Internal_router from_rid in
   let actions =
     match msg with
     | Bgmp_msg.Join { group; span } ->
         Engine.note_activity t.engine "bgmp";
         ftrace t (Bgmp_router.name router) "join-hop" ?span "%a from %s" Ipv4.pp group
-          (Bgmp_router.name t.routers.(from_rid));
+          (match from with
+          | Bgmp_router.Peer r | Bgmp_router.Internal_router r -> Bgmp_router.name t.routers.(r)
+          | Bgmp_router.Migp_target -> "migp");
         Bgmp_router.handle_join router ~group ?span ~from
     | Bgmp_msg.Prune group ->
         Engine.note_activity t.engine "bgmp";
@@ -234,42 +284,23 @@ and dispatch_internal_msg t ~to_ ~from_rid msg =
     | Bgmp_msg.Prune_sg { source; group } ->
         Engine.note_activity t.engine "bgmp";
         Bgmp_router.handle_prune_sg router ~source ~group ~from
-    | Bgmp_msg.Data { group; source; payload; hops } ->
-        if Bgmp_router.sg_entry router source group = None && not (Bgmp_router.on_tree router group)
-        then
-          (* Stale chain: the receiver lost its state; tell the sender to
-             stop instead of default-forwarding source traffic. *)
-          [ Bgmp_router.To_internal (from_rid, Bgmp_msg.Prune_sg { source; group }) ]
-        else Bgmp_router.handle_data router ~group ~source ~payload ~hops ~from
-  in
-  exec_actions t to_ actions
-
-and dispatch_peer_msg t ~to_ ~from_rid msg =
-  let router = t.routers.(to_) in
-  let from = Bgmp_router.Peer from_rid in
-  let actions =
-    match msg with
-    | Bgmp_msg.Join { group; span } ->
-        Engine.note_activity t.engine "bgmp";
-        ftrace t (Bgmp_router.name router) "join-hop" ?span "%a from %s" Ipv4.pp group
-          (Bgmp_router.name t.routers.(from_rid));
-        Bgmp_router.handle_join router ~group ?span ~from
-    | Bgmp_msg.Prune group ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_prune router ~group ~from
-    | Bgmp_msg.Join_sg { source; group } ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_join_sg router ~source ~group ~from
-    | Bgmp_msg.Prune_sg { source; group } ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_prune_sg router ~source ~group ~from
-    | Bgmp_msg.Data { group; source; payload; hops } ->
-        (* The inter-domain hop count ticks here: a peer arrival is the
-           one place a packet crosses a domain boundary. *)
-        let forward () =
-          Bgmp_router.handle_data router ~group ~source ~payload ~hops:(hops + 1) ~from
-        in
-        if Prof.is_enabled () then Prof.span "bgmp.data.forward" forward else forward ()
+    | Bgmp_msg.Data { group; source; payload; hops } -> (
+        match from with
+        | Bgmp_router.Peer _ ->
+            (* The inter-domain hop count ticks here: a peer arrival is
+               the one place a packet crosses a domain boundary. *)
+            let forward () =
+              Bgmp_router.handle_data router ~group ~source ~payload ~hops:(hops + 1) ~from
+            in
+            if Prof.is_enabled () then Prof.span "bgmp.data.forward" forward else forward ()
+        | Bgmp_router.Internal_router from_rid
+          when (not (Bgmp_router.on_tree router group))
+               && not (Bgmp_router.has_sg router source group) ->
+            (* Stale chain: the receiver lost its state; tell the sender
+               to stop instead of default-forwarding source traffic. *)
+            [ Bgmp_router.To_internal (from_rid, Bgmp_msg.Prune_sg { source; group }) ]
+        | Bgmp_router.Internal_router _ | Bgmp_router.Migp_target ->
+            Bgmp_router.handle_data router ~group ~source ~payload ~hops ~from)
   in
   exec_actions t to_ actions
 
@@ -296,49 +327,52 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
      source domain would cycle tree and branch forever. *)
   if source_local && entry <> None then ()
   else begin
-  (* RPF handling for strict MIGPs: data that entered at the wrong
-     border router is tunnelled to the RPF router (counted), which may
-     then grow a source-specific branch to stop the encapsulation. *)
-  if
-    members <> [] && (not source_local) && Migp.strict_rpf style
-    && t.cfg.branching
-  then begin
-    match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
-    | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid ->
-        Migp.note_encapsulation migp;
-        exec_actions t rpf_rid
-          (Bgmp_router.initiate_branch t.routers.(rpf_rid) ~source ~group
-             ~shared_entry_router:entry_rid)
-    | (Some _ | None), (Some _ | None) -> ()
-  end
-  else if members <> [] && (not source_local) && Migp.strict_rpf style then begin
-    match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
-    | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid -> Migp.note_encapsulation migp
-    | (Some _ | None), (Some _ | None) -> ()
-  end;
-  List.iter (fun h -> record_delivery t ~group ~source ~payload ~host:h ~hops) members;
-  (* Which border routers get a copy from the interior. *)
-  let interested rid =
-    let r = t.routers.(rid) in
-    Bgmp_router.on_tree r group || Bgmp_router.sg_entry r source group <> None
-    || classify_root_for t rid group = Bgmp_router.External (peer_of rid)
-  in
-  let border_targets =
-    if Migp.floods_data style then begin
-      let all = List.filter (fun rid -> Some rid <> entry) t.domain_routers.(dom) in
-      Migp.note_flood_delivery migp (List.length all);
-      List.iter (fun rid -> if not (interested rid) then Migp.note_internal_prune migp) all;
-      all
+    (* RPF handling for strict MIGPs: data that entered at the wrong
+       border router is tunnelled to the RPF router (counted), which may
+       then grow a source-specific branch to stop the encapsulation. *)
+    if
+      members <> [] && (not source_local) && Migp.strict_rpf style
+      && t.cfg.branching
+    then begin
+      match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
+      | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid ->
+          Migp.note_encapsulation migp;
+          exec_actions t rpf_rid
+            (Bgmp_router.initiate_branch t.routers.(rpf_rid) ~source ~group
+               ~shared_entry_router:entry_rid)
+      | (Some _ | None), (Some _ | None) -> ()
     end
-    else List.filter (fun rid -> Some rid <> entry && interested rid) t.domain_routers.(dom)
-  in
-    List.iter
-      (fun rid ->
-        exec_actions t rid
-          (Bgmp_router.handle_data t.routers.(rid) ~group ~source ~payload ~hops
-             ~from:Bgmp_router.Migp_target))
-      border_targets
+    else if members <> [] && (not source_local) && Migp.strict_rpf style then begin
+      match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
+      | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid -> Migp.note_encapsulation migp
+      | (Some _ | None), (Some _ | None) -> ()
+    end;
+    deliver_members t ~group ~source ~payload ~hops members;
+    let entry_rid = match entry with Some rid -> rid | None -> -1 in
+    let routers = t.domain_routers.(dom) in
+    let wanted =
+      interested_routers t ~dom ~group ~source ~entry_rid ~root_via:via_unknown routers
+    in
+    if Migp.floods_data style then begin
+      (* The flood reaches every border router; those without interest
+         prune themselves off. *)
+      let all = List.filter (fun rid -> rid <> entry_rid) routers in
+      Migp.note_flood_delivery migp (List.length all);
+      for _ = 1 to List.length all - List.length wanted do
+        Migp.note_internal_prune migp
+      done;
+      hand_to_routers t ~group ~source ~payload ~hops all
+    end
+    else hand_to_routers t ~group ~source ~payload ~hops wanted
   end
+
+and hand_to_routers t ~group ~source ~payload ~hops = function
+  | [] -> ()
+  | rid :: rest ->
+      exec_actions t rid
+        (Bgmp_router.handle_data t.routers.(rid) ~group ~source ~payload ~hops
+           ~from:Bgmp_router.Migp_target);
+      hand_to_routers t ~group ~source ~payload ~hops rest
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -392,7 +426,6 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       toward_tbl;
       ucast_cache = Hashtbl.create 16;
       delivered = Hashtbl.create 64;
-      seen = Hashtbl.create 256;
       payload_spans = Hashtbl.create 16;
       on_delivery = None;
       dup_count = 0;
@@ -420,11 +453,12 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
   in
   t.peer_chan <-
     Array.init router_count (fun rid ->
+        let from = Bgmp_router.Peer rid in
         let ch =
           Net.channel net ~protocol:"bgmp"
             ~src:(Bgmp_router.domain routers.(rid))
             ~dst:router_neighbor.(rid) ~delay:router_delay.(rid)
-            ~recv:(fun msg -> dispatch_peer_msg t ~to_:(peer_of rid) ~from_rid:rid msg)
+            ~recv:(fun msg -> dispatch t ~to_:(peer_of rid) ~from msg)
         in
         Net.set_on_drop ch classify_drop;
         ch);
@@ -506,13 +540,10 @@ let group_span t dom group = join_root_span t dom group
 
 let deliveries t ~payload =
   match Hashtbl.find_opt t.delivered payload with
-  | Some cell -> !cell
+  | Some log -> List.rev log.arrivals
   | None -> []
 
 let forget_payload t ~payload =
-  (match Hashtbl.find_opt t.delivered payload with
-  | Some cell -> List.iter (fun (h, _) -> Hashtbl.remove t.seen (payload, h)) !cell
-  | None -> ());
   Hashtbl.remove t.delivered payload;
   Hashtbl.remove t.payload_spans payload
 

@@ -80,8 +80,8 @@ val next_payload_id : t -> int
 (** {1 Delivery observation} *)
 
 val deliveries : t -> payload:int -> (Host_ref.t * int) list
-(** Hosts that received the payload, with the inter-domain hop count of
-    the path each copy took. *)
+(** Hosts that received the payload, in arrival order, with the
+    inter-domain hop count of the path each copy took. *)
 
 val set_on_delivery :
   t ->

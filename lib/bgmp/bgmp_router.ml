@@ -120,6 +120,8 @@ let view_of t group st =
 let sg_entry t source group =
   Option.map (view_of t group) (Hashtbl.find_opt t.sg (source, group))
 
+let has_sg t source group = Hashtbl.mem t.sg (source, group)
+
 let sg_for_group t group =
   Hashtbl.fold
     (fun (s, g) st acc -> if Ipv4.equal g group then (s, view_of t group st) :: acc else acc)
@@ -372,121 +374,129 @@ let handle_prune_sg t ~source ~group ~from =
           note_entries t;
           propagate_if_empty st)
 
-let forward_data targets ~group ~source ~payload ~hops ~from =
-  List.filter_map
-    (fun tgt ->
-      if target_equal tgt from then None
-      else
-        match tgt with
-        | Peer p -> Some (To_peer (p, Bgmp_msg.Data { group; source; payload; hops }))
-        | Internal_router r -> Some (To_internal (r, Bgmp_msg.Data { group; source; payload; hops }))
-        | Migp_target -> Some (Migp_data { group; source; payload; hops }))
-    targets
+(* One copy of a packet toward a target.  [msg] is the packet as a peer
+   message, shared by all of its copies (messages are immutable). *)
+let data_action tgt msg ~group ~source ~payload ~hops =
+  match tgt with
+  | Peer p -> To_peer (p, msg)
+  | Internal_router r -> To_internal (r, msg)
+  | Migp_target -> Migp_data { group; source; payload; hops }
+
+(* Copies toward [targets] in order, skipping the arrival side. *)
+let rec forward_data targets msg ~group ~source ~payload ~hops ~from =
+  match targets with
+  | [] -> []
+  | tgt :: rest ->
+      let others = forward_data rest msg ~group ~source ~payload ~hops ~from in
+      if target_equal tgt from then others
+      else data_action tgt msg ~group ~source ~payload ~hops :: others
+
+(* A (star,G) entry forwards bidirectionally: parent first, then the
+   children, never back to the arrival side. *)
+let forward_tree e msg ~group ~source ~payload ~hops ~from =
+  let down = forward_data e.children msg ~group ~source ~payload ~hops ~from in
+  match e.parent with
+  | Some p when not (target_equal p from) -> data_action p msg ~group ~source ~payload ~hops :: down
+  | Some _ | None -> down
+
+(* The §5.2 default rule, used when no (star,G) entry applies: pass the
+   packet along toward the group's root domain. *)
+let default_toward_root t msg ~group ~source ~payload ~hops ~from =
+  match t.classify_root group with
+  | Root_here -> (
+      match from with
+      | Migp_target | Internal_router _ -> []  (* nowhere further to go *)
+      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
+  | External p ->
+      if (match from with Peer q -> q = p | Migp_target | Internal_router _ -> false) then []
+      else [ To_peer (p, msg) ]
+  | Internal _ -> (
+      match from with
+      | Migp_target | Internal_router _ -> []
+      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
+  | Unroutable -> []
+
+(* Forwarding under the packet's (S,G) entry.  Three flavours of (S,G)
+   state, distinguished live:
+   - a pure BRANCH (no (star,G) here): strictly RPF-gated — S's packets
+     are accepted only from the toward-source side and flow down the
+     grafted children; anything else is dropped (this is what makes
+     branch re-injections loop-free);
+   - NEGATIVE state on the shared tree (some tree target was pruned for
+     S): gated on the side S's shared-tree copies arrive from,
+     forwarding to the surviving children — its whole point is
+     suppression, so off-gate arrivals drop;
+   - a GRAFT on the shared tree (branch children added, nothing pruned):
+     behaves exactly like the bidirectional (star,G) entry plus the
+     extra children — gating it to one side would starve tree
+     neighbours whose copies flow through us. *)
+let forward_sg t st msg ~group ~source ~payload ~hops ~from =
+  match (Hashtbl.find_opt t.star group, st.removed) with
+  | None, _ -> (
+      match st.sg_rpf with
+      | Some r when not (target_equal from r) -> []
+      | Some _ | None ->
+          (* A branch hop at an off-tree router must not swallow the
+             packet: besides the grafted children, the data still flows
+             toward the root domain (the branch is an ADDITION to the
+             shared-tree distribution, §5.3).  Skip the default when it
+             duplicates a branch child. *)
+          let branch =
+            forward_data (minus st.added [ from ]) msg ~group ~source ~payload ~hops ~from
+          in
+          let defaults =
+            List.filter
+              (fun act ->
+                match act with
+                | To_peer (p, Bgmp_msg.Data _) ->
+                    not
+                      (List.exists
+                         (function Peer q -> q = p | Migp_target | Internal_router _ -> false)
+                         st.added)
+                | Migp_data _ -> not (List.exists (target_equal Migp_target) st.added)
+                | To_peer _ | To_internal _ | Migp_join _ | Migp_prune _ -> true)
+              (default_toward_root t msg ~group ~source ~payload ~hops ~from)
+          in
+          branch @ defaults)
+  | Some star_e, _ :: _ -> (
+      match st.sg_rpf with
+      | Some r when not (target_equal from r) -> []
+      | Some _ | None ->
+          let survivors = minus star_e.children st.removed @ minus st.added st.removed in
+          forward_data survivors msg ~group ~source ~payload ~hops ~from)
+  | Some star_e, [] ->
+      let tree = (match star_e.parent with Some p -> [ p ] | None -> []) @ star_e.children in
+      let acceptable =
+        List.exists (target_equal from) tree
+        || (match st.sg_rpf with Some r -> target_equal from r | None -> false)
+      in
+      if not acceptable then []
+      else forward_data (tree @ minus st.added tree) msg ~group ~source ~payload ~hops ~from
 
 let handle_data t ~group ~source ~payload ~hops ~from =
-  (* A branch we initiated becomes live when (S,G) data arrives from its
-     RPF side: time to prune the duplicate shared-tree copies (§5.3). *)
-  let branch_prunes =
-    match
-      (Hashtbl.find_opt t.sg (source, group), Hashtbl.find_opt t.pending_branch_prune (source, group))
-    with
-    | Some st, Some shared_router
-      when st.sg_rpf <> None && target_equal (Option.get st.sg_rpf) from ->
-        (* Deliberately NOT consumed: membership churn can lift the
-           shared-tree suppression while this branch lives on, and the
-           un-suppressed tree copy plus the branch would cycle; asserting
-           the prune on every branch arrival keeps the pair consistent
-           (the prune is idempotent and precedes the forwards below). *)
-        [ To_internal (shared_router, Bgmp_msg.Prune_sg { source; group }) ]
-    | Some _, Some _ | None, Some _ | Some _, None | None, None -> []
-  in
-  (* The §5.2 default rule, used when no (star,G) entry applies: pass
-     the packet along toward the group's root domain. *)
-  let default_toward_root () =
-    match t.classify_root group with
-    | Root_here -> (
-        match from with
-        | Migp_target | Internal_router _ -> []  (* nowhere further to go *)
-        | Peer _ -> [ Migp_data { group; source; payload; hops } ])
-    | External p ->
-        if (match from with Peer q -> q = p | Migp_target | Internal_router _ -> false) then []
-        else [ To_peer (p, Bgmp_msg.Data { group; source; payload; hops }) ]
-    | Internal _ -> (
-        match from with
-        | Migp_target | Internal_router _ -> []
-        | Peer _ -> [ Migp_data { group; source; payload; hops } ])
-    | Unroutable -> []
-  in
-  let forwards =
-    match Hashtbl.find_opt t.sg (source, group) with
-    | Some st -> (
-        (* Three flavours of (S,G) state, distinguished live:
-           - a pure BRANCH (no (star,G) here): strictly RPF-gated — S's
-             packets are accepted only from the toward-source side and
-             flow down the grafted children; anything else is dropped
-             (this is what makes branch re-injections loop-free);
-           - NEGATIVE state on the shared tree (some tree target was
-             pruned for S): gated on the side S's shared-tree copies
-             arrive from, forwarding to the surviving children — its
-             whole point is suppression, so off-gate arrivals drop;
-           - a GRAFT on the shared tree (branch children added, nothing
-             pruned): behaves exactly like the bidirectional (star,G)
-             entry plus the extra children — gating it to one side would
-             starve tree neighbours whose copies flow through us. *)
-        let star = Hashtbl.find_opt t.star group in
-        match (star, st.removed) with
-        | None, _ -> (
-            match st.sg_rpf with
-            | Some r when not (target_equal from r) -> []
-            | Some _ | None ->
-                (* A branch hop at an off-tree router must not swallow
-                   the packet: besides the grafted children, the data
-                   still flows toward the root domain (the branch is an
-                   ADDITION to the shared-tree distribution, §5.3).
-                   Skip the default when it duplicates a branch child. *)
-                let branch = forward_data (minus st.added [ from ]) ~group ~source ~payload ~hops ~from in
-                let defaults =
-                  List.filter
-                    (fun act ->
-                      match act with
-                      | To_peer (p, Bgmp_msg.Data _) ->
-                          not
-                            (List.exists
-                               (function Peer q -> q = p | Migp_target | Internal_router _ -> false)
-                               st.added)
-                      | Migp_data _ ->
-                          not (List.exists (target_equal Migp_target) st.added)
-                      | To_peer _ | To_internal _ | Migp_join _ | Migp_prune _ -> true)
-                    (default_toward_root ())
-                in
-                branch @ defaults)
-        | Some star_e, _ :: _ -> (
-            match st.sg_rpf with
-            | Some r when not (target_equal from r) -> []
-            | Some _ | None ->
-                let survivors = minus star_e.children st.removed @ minus st.added st.removed in
-                forward_data survivors ~group ~source ~payload ~hops ~from)
-        | Some star_e, [] ->
-            let tree =
-              (match star_e.parent with Some p -> [ p ] | None -> []) @ star_e.children
-            in
-            let acceptable =
-              List.exists (target_equal from) tree
-              || (match st.sg_rpf with Some r -> target_equal from r | None -> false)
-            in
-            if not acceptable then []
-            else
-              forward_data
-                (tree @ minus st.added tree)
-                ~group ~source ~payload ~hops ~from)
-    | None -> (
-        match Hashtbl.find_opt t.star group with
-        | Some e ->
-            let targets = (match e.parent with Some p -> [ p ] | None -> []) @ e.children in
-            forward_data targets ~group ~source ~payload ~hops ~from
-        | None -> default_toward_root ())
-  in
-  branch_prunes @ forwards
+  let msg = Bgmp_msg.Data { group; source; payload; hops } in
+  (* Most routers hold no (S,G) state at all: skip the keyed lookup. *)
+  match if Hashtbl.length t.sg = 0 then None else Hashtbl.find_opt t.sg (source, group) with
+  | None -> (
+      match Hashtbl.find t.star group with
+      | e -> forward_tree e msg ~group ~source ~payload ~hops ~from
+      | exception Not_found -> default_toward_root t msg ~group ~source ~payload ~hops ~from)
+  | Some st ->
+      (* A branch we initiated becomes live when (S,G) data arrives from
+         its RPF side: time to prune the duplicate shared-tree copies
+         (§5.3).  Deliberately NOT consumed: membership churn can lift
+         the shared-tree suppression while this branch lives on, and the
+         un-suppressed tree copy plus the branch would cycle; asserting
+         the prune on every branch arrival keeps the pair consistent
+         (the prune is idempotent and precedes the forwards). *)
+      let branch_prunes =
+        match Hashtbl.find_opt t.pending_branch_prune (source, group) with
+        | Some shared_router
+          when (match st.sg_rpf with Some r -> target_equal r from | None -> false) ->
+            [ To_internal (shared_router, Bgmp_msg.Prune_sg { source; group }) ]
+        | Some _ | None -> []
+      in
+      branch_prunes @ forward_sg t st msg ~group ~source ~payload ~hops ~from
 
 let clear_group t group =
   Hashtbl.remove t.star group;

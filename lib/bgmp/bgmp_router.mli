@@ -124,6 +124,10 @@ val star_entry : t -> Ipv4.t -> entry option
 
 val sg_entry : t -> Host_ref.t -> Ipv4.t -> sg_view option
 
+val has_sg : t -> Host_ref.t -> Ipv4.t -> bool
+(** [has_sg t s g] is [sg_entry t s g <> None], without building the
+    view — the data path's existence test. *)
+
 val star_groups : t -> Ipv4.t list
 
 val sg_for_group : t -> Ipv4.t -> (Host_ref.t * sg_view) list

@@ -8,4 +8,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let key_bits = 31
+
+let key t =
+  if t.host_domain lsr key_bits <> 0 || t.host_index lsr key_bits <> 0 then
+    invalid_arg "Host_ref.key: domain or index out of range";
+  (t.host_domain lsl key_bits) lor t.host_index
+
 let pp ppf t = Format.fprintf ppf "h%d.%d" t.host_domain t.host_index

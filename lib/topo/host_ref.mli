@@ -13,4 +13,10 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val key : t -> int
+(** A nonnegative int identifying the host, [domain lsl 31 lor index]:
+    injective, so hosts can key {!Packed_map} tables.
+    @raise Invalid_argument when the domain or index lies outside
+    \[0, 2{^31}). *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,43 +1,43 @@
+(* Every field is a float, so the record is stored flat and updates
+   box nothing.  [n] counts observations exactly (below 2^53). *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean_acc : float;
   mutable m2 : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
-let create () = { n = 0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
+let create () = { n = 0.0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
 
 let add t x =
-  t.n <- t.n + 1;
+  t.n <- t.n +. 1.0;
   let delta = x -. t.mean_acc in
-  t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
+  t.mean_acc <- t.mean_acc +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
-let count t = t.n
+let count t = int_of_float t.n
 
-let mean t = if t.n = 0 then 0.0 else t.mean_acc
+let mean t = if t.n = 0.0 then 0.0 else t.mean_acc
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
 
 let stddev t = sqrt (variance t)
 
-let min t = if t.n = 0 then invalid_arg "Stats.min: empty" else t.min_v
+let min t = if t.n = 0.0 then invalid_arg "Stats.min: empty" else t.min_v
 
-let max t = if t.n = 0 then invalid_arg "Stats.max: empty" else t.max_v
+let max t = if t.n = 0.0 then invalid_arg "Stats.max: empty" else t.max_v
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0.0 then { b with n = b.n }
+  else if b.n = 0.0 then { a with n = a.n }
   else begin
-    let n = a.n + b.n in
+    let n = a.n +. b.n in
     let delta = b.mean_acc -. a.mean_acc in
-    let mean_acc = a.mean_acc +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
+    let mean_acc = a.mean_acc +. (delta *. b.n /. n) in
+    let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
     {
       n;
       mean_acc;

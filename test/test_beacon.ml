@@ -175,6 +175,45 @@ let test_beacon_fleet_accounts_lost_probes () =
   check Alcotest.int "one unreachable pair" 1 s.Beacon_matrix.s_unreachable;
   check Alcotest.bool "not complete" false s.Beacon_matrix.s_complete
 
+let test_beacon_lost_in_registration_order () =
+  (* Listeners registered out of host order; cutting C-B strands C's
+     two hosts and G (C's customer).  Each harvest names the missing
+     receivers in registration order, and the totals equal a plain
+     list-based tally over the registrations. *)
+  let topo = Gen.figure1 () in
+  let engine, fabric = make_fabric topo ~root_name:"B" in
+  let trace = Trace.create () in
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config ~trace () in
+  let cdom = dom topo "C" in
+  let listeners = [ h cdom 3; h (dom topo "F") 0; h (dom topo "G") 0; h cdom 1 ] in
+  List.iter (fun host -> Beacon.add_listener beacon ~group:g ~host) listeners;
+  Beacon.add_source beacon ~group:g ~host:(h (dom topo "E") 9);
+  Engine.run_until_idle engine;
+  Bgmp_fabric.fail_link fabric cdom (dom topo "B");
+  Beacon.start beacon ~at:(Engine.now engine);
+  Engine.run_until_idle engine;
+  let stranded host = host.Host_ref.host_domain <> dom topo "F" in
+  let missing = List.filter stranded listeners in
+  let probes = fleet_config.Beacon.probes_per_source in
+  let receiver e =
+    let d = e.Trace.detail in
+    let marker = "never reached " in
+    let i = Str.search_forward (Str.regexp_string marker) d 0 + String.length marker in
+    String.sub d i (String.length d - i)
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "probe-lost entries in registration order, per probe"
+    (List.concat (List.init probes (fun _ -> List.map (Format.asprintf "%a" Host_ref.pp) missing)))
+    (List.map receiver (Trace.find trace ~tag:"probe-lost"));
+  let s = Beacon_matrix.summary (Beacon_matrix.cells (Beacon.matrix beacon)) in
+  check Alcotest.int "lost = list-based tally" (probes * List.length missing) (Beacon.lost beacon);
+  check Alcotest.int "matrix sent - got = lost" (Beacon.lost beacon)
+    (s.Beacon_matrix.s_sent - s.Beacon_matrix.s_got);
+  check Alcotest.int "delivered = list-based tally"
+    (probes * (List.length listeners - List.length missing))
+    (Beacon.deliveries beacon)
+
 (* --- Beacon_campaign --------------------------------------------------- *)
 
 let small p = { p with Beacon_campaign.domains = 8; per_domain = 1; probes = 2 }
@@ -274,6 +313,7 @@ let suite =
     ("matrix jsonl roundtrip", `Quick, test_matrix_jsonl_roundtrip);
     ("fleet complete at loss zero", `Quick, test_beacon_fleet_complete_at_loss_zero);
     ("fleet accounts lost probes", `Quick, test_beacon_fleet_accounts_lost_probes);
+    ("fleet lost in registration order", `Quick, test_beacon_lost_in_registration_order);
     ("campaign loss zero complete", `Quick, test_campaign_loss_zero_complete);
     ("campaign jobs invariant", `Quick, test_campaign_jobs_invariant);
     ("campaign seed determinism", `Quick, test_campaign_seed_determinism);

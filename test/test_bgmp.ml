@@ -543,6 +543,134 @@ let test_fabric_regression_seed_142759 () =
     [ 1; 2; 3 ];
   check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
 
+(* --- Delivery accounting -------------------------------------------------- *)
+
+let host_pp h = Format.asprintf "%a" Host_ref.pp h
+
+let test_router_has_sg_matches_sg_entry () =
+  let r = router_with_routes ~root_class:(Bgmp_router.External 55) ~source_class:(Bgmp_router.External 66) in
+  let s1 = Host_ref.make 1 0 and s2 = Host_ref.make 2 0 in
+  let agree step =
+    List.iter
+      (fun s ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: has_sg %s = (sg_entry <> None)" step (host_pp s))
+          (Bgmp_router.sg_entry r s g <> None)
+          (Bgmp_router.has_sg r s g))
+      [ s1; s2 ]
+  in
+  agree "fresh";
+  check Alcotest.bool "no entry yet" false (Bgmp_router.has_sg r s1 g);
+  ignore (Bgmp_router.handle_join r ~group:g ~from:(Bgmp_router.Peer 3));
+  ignore (Bgmp_router.handle_join_sg r ~source:s1 ~group:g ~from:(Bgmp_router.Peer 9));
+  agree "after join_sg";
+  check Alcotest.bool "graft installed" true (Bgmp_router.has_sg r s1 g);
+  (* Pruning the grafted child leaves the entry: the tree child remains. *)
+  ignore (Bgmp_router.handle_prune_sg r ~source:s1 ~group:g ~from:(Bgmp_router.Peer 9));
+  agree "after prune_sg of the graft";
+  (* A prune of S2's shared-tree copies installs negative state. *)
+  ignore (Bgmp_router.handle_prune_sg r ~source:s2 ~group:g ~from:(Bgmp_router.Peer 3));
+  agree "after negative prune_sg";
+  check Alcotest.bool "negative state installed" true (Bgmp_router.has_sg r s2 g);
+  Bgmp_router.clear_group r g;
+  agree "after clear_group";
+  check Alcotest.bool "cleared" false (Bgmp_router.has_sg r s1 g || Bgmp_router.has_sg r s2 g);
+  (* An off-tree branch torn down by its last child's prune. *)
+  let b = router_with_routes ~root_class:Bgmp_router.Unroutable ~source_class:(Bgmp_router.External 66) in
+  ignore (Bgmp_router.handle_join_sg b ~source:s1 ~group:g ~from:(Bgmp_router.Peer 9));
+  check Alcotest.bool "branch installed" true (Bgmp_router.has_sg b s1 g);
+  ignore (Bgmp_router.handle_prune_sg b ~source:s1 ~group:g ~from:(Bgmp_router.Peer 9));
+  check Alcotest.bool "branch torn down" false (Bgmp_router.has_sg b s1 g);
+  check Alcotest.bool "sg_entry agrees" true (Bgmp_router.sg_entry b s1 g = None)
+
+let test_fabric_deliveries_in_arrival_order () =
+  (* 300 members of one group in the root domain n1, joined in a
+     scrambled host order: the interior serves them in membership order,
+     so [deliveries] must list exactly that order, each copy with the
+     hops its path took. *)
+  let topo = Gen.line ~n:2 in
+  let engine, fabric = make_fabric ~migp_style:(fun _ -> Migp.Pim_sm) ~root_name:"n1" topo in
+  let n0 = dom topo "n0" and n1 = dom topo "n1" in
+  let members = List.init 300 (fun i -> Host_ref.make n1 (i * 7 mod 300)) in
+  List.iter (fun host -> Bgmp_fabric.host_join fabric ~host ~group:g) members;
+  Engine.run_until_idle engine;
+  let remote = Bgmp_fabric.send fabric ~source:(Host_ref.make n0 0) ~group:g in
+  let local = Bgmp_fabric.send fabric ~source:(Host_ref.make n1 999) ~group:g in
+  Engine.run_until_idle engine;
+  let show l = List.map (fun (h, hops) -> (host_pp h, hops)) l in
+  let expect hops = show (List.map (fun h -> (h, hops)) members) in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "remote source: one inter-domain hop, membership order" (expect 1)
+    (show (Bgmp_fabric.deliveries fabric ~payload:remote));
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "local source: zero hops, membership order" (expect 0)
+    (show (Bgmp_fabric.deliveries fabric ~payload:local));
+  check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
+
+(* A data loop: a G-RIB gone wrong points A toward C, C toward B and B
+   toward A, so default forwarding (which has no TTL) carries one copy of
+   the packet around the A-C-B cycle for ever, serving B's member once
+   per lap (every 30 ms with 10 ms links). *)
+let looping_fabric () =
+  let topo = Topo.create () in
+  let add name = Topo.add_domain topo ~name ~kind:Domain.Regional in
+  let d = add "D" and a = add "A" and b = add "B" and c = add "C" in
+  Topo.add_link topo d a Topo.Peer;
+  Topo.add_link topo a b Topo.Peer;
+  Topo.add_link topo b c Topo.Peer;
+  Topo.add_link topo c a Topo.Peer;
+  let engine = Engine.create () in
+  (* B claims the root while its member joins, so no join is sent. *)
+  let routes = Array.make 4 Bgmp_fabric.Unroutable in
+  routes.(b) <- Bgmp_fabric.Root_here;
+  let fabric =
+    Bgmp_fabric.create ~engine ~topo ~migp_style:(fun _ -> Migp.Pim_sm)
+      ~route_to_root:(fun dom _ -> routes.(dom))
+      ()
+  in
+  let member = Host_ref.make b 0 in
+  Bgmp_fabric.host_join fabric ~host:member ~group:g;
+  Engine.run_until_idle engine;
+  routes.(d) <- Bgmp_fabric.Via a;
+  routes.(a) <- Bgmp_fabric.Via c;
+  routes.(c) <- Bgmp_fabric.Via b;
+  routes.(b) <- Bgmp_fabric.Via a;
+  (engine, fabric, member, Host_ref.make d 0)
+
+let test_fabric_duplicate_not_relisted () =
+  let engine, fabric, member, source = looping_fabric () in
+  let p = Bgmp_fabric.send fabric ~source ~group:g in
+  (* First lap: D-A-C-B, three hops, arriving at 30 ms. *)
+  Engine.run ~until:(Time.seconds 0.045) engine;
+  check Alcotest.int "first copy is no duplicate" 0 (Bgmp_fabric.duplicate_deliveries fabric);
+  (* Second lap arrives at 60 ms. *)
+  Engine.run ~until:(Time.seconds 0.075) engine;
+  check Alcotest.int "second copy counted as a duplicate" 1
+    (Bgmp_fabric.duplicate_deliveries fabric);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "listed once, with the first copy's hops"
+    [ (host_pp member, 3) ]
+    (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p))
+
+let test_fabric_straggler_after_forget_is_fresh () =
+  let engine, fabric, member, source = looping_fabric () in
+  let p = Bgmp_fabric.send fabric ~source ~group:g in
+  Engine.run ~until:(Time.seconds 0.045) engine;
+  Bgmp_fabric.forget_payload fabric ~payload:p;
+  check Alcotest.int "forgotten" 0 (List.length (Bgmp_fabric.deliveries fabric ~payload:p));
+  (* The second lap's copy (six hops) lands after the forget: recorded
+     as a fresh delivery, as the interface documents. *)
+  Engine.run ~until:(Time.seconds 0.075) engine;
+  check Alcotest.int "straggler is no duplicate" 0 (Bgmp_fabric.duplicate_deliveries fabric);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "straggler listed afresh"
+    [ (host_pp member, 6) ]
+    (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p))
+
 let prop_fabric_delivers_to_exactly_members =
   (* On random transit-stub topologies with random membership, every
      member receives exactly once and non-members receive nothing. *)
@@ -613,5 +741,9 @@ let suite =
     ("fabric message counters", `Quick, test_fabric_message_counters);
     ("fabric router naming", `Quick, test_fabric_router_naming);
     ("fabric regression seed 142759", `Quick, test_fabric_regression_seed_142759);
+    ("router has_sg matches sg_entry", `Quick, test_router_has_sg_matches_sg_entry);
+    ("fabric deliveries in arrival order", `Quick, test_fabric_deliveries_in_arrival_order);
+    ("fabric duplicate not re-listed", `Quick, test_fabric_duplicate_not_relisted);
+    ("fabric straggler after forget is fresh", `Quick, test_fabric_straggler_after_forget_is_fresh);
     QCheck_alcotest.to_alcotest prop_fabric_delivers_to_exactly_members;
   ]
