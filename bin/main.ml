@@ -8,7 +8,7 @@
      ablate-root      root-domain placement sensitivity (A4)
      ablate-claim     claim-collide vs query-response robustness (A1)
      beacon           dbeacon-style active measurement: NxN delivery matrix
-     trace            inspect a JSONL trace: timelines, latencies, causal chains
+     trace            inspect a recording's narrative: timelines, latencies, causal chains
      report           summarize profile/telemetry/metrics artifacts of a run
      demo             end-to-end run on the Figure-1 topology
 
@@ -515,13 +515,12 @@ let net_total inet counter =
 (* A randomized long-run stress of the integrated stack: group churn,
    random senders, and occasional link failures/restores, checking the
    exact-delivery invariant continuously. *)
-let run_soak check trace_out steps seed loss sampling =
+let run_soak check steps seed loss sampling =
   Format.printf "# soak: %d randomized steps over a transit-stub internetwork (seed %d)@." steps
     seed;
   let rng = Rng.create seed in
   let topo = Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:3 ~stubs_per_regional:3 in
   let inet = Internet.create ~config:{ Internet.quick_config with Internet.loss } topo in
-  Option.iter (fun f -> Trace.set_sink (Internet.trace inet) (Trace.Jsonl f)) trace_out;
   (match sampling with
   | Some (ts, every) -> Internet.enable_sampling ~every:(Time.seconds every) inet ts
   | None -> ());
@@ -633,15 +632,13 @@ let run_soak check trace_out steps seed loss sampling =
        down (a partitioned member legitimately keeps local state). *)
     ignore (Internet.check_invariants ~quiescent:(!broken = None) inet);
     report_inet_violations "soak" inet
-  end;
-  if trace_out <> None then Trace.close (Internet.trace inet)
+  end
 
 (* ---------------- demo ----------------------------------------------- *)
 
-let run_demo check trace_out loss sampling () =
+let run_demo check loss sampling () =
   let topo = Gen.figure1 () in
   let inet = Internet.create ~config:{ Internet.quick_config with Internet.loss } topo in
-  Option.iter (fun f -> Trace.set_sink (Internet.trace inet) (Trace.Jsonl f)) trace_out;
   (match sampling with
   | Some (ts, every) -> Internet.enable_sampling ~every:(Time.seconds every) inet ts
   | None -> ());
@@ -685,8 +682,7 @@ let run_demo check trace_out loss sampling () =
   if check then begin
     ignore (Internet.check_invariants ~quiescent:true inet);
     report_inet_violations "demo" inet
-  end;
-  if trace_out <> None then Trace.close (Internet.trace inet)
+  end
 
 (* ---------------- beacon ---------------------------------------------- *)
 
@@ -787,275 +783,27 @@ let run_beacon check domains per_domain probes trials seed loss churn matrix_out
     fail_on_violations "beacon" !bad
   end
 
-(* ---------------- trace ----------------------------------------------- *)
-
-(* Offline viewer for JSONL traces (--metrics' sibling: any Trace.t can
-   be pointed at a Jsonl sink).  Default output: per-chain timelines and
-   end-to-end latency summaries; --id renders one causal chain. *)
-(* Truncated or corrupted artifacts (a run killed mid-write, a partial
-   download) should degrade loudly, not crash or silently shrink: every
-   loader reports how many non-blank lines it had to skip. *)
-let warn_skipped what file n =
-  if n > 0 then Format.eprintf "%s %s: %d malformed line(s) skipped@." what file n
-
-let run_trace file id =
-  let entries, bad = Trace.load_jsonl_counted file in
-  warn_skipped "trace" file bad;
-  match id with
-  | Some id -> Trace_report.pp_chain_for Format.std_formatter entries ~id
-  | None ->
-      Trace_report.pp_timelines Format.std_formatter entries;
-      Trace_report.pp_latencies Format.std_formatter entries
-
 (* ---------------- report ---------------------------------------------- *)
 
-(* Offline viewer for the other two observability artifacts: the
-   --profile JSONL (per-phase wall-clock/allocation tree) and the
-   --sample JSONL (sim-time telemetry series), plus a re-tabulation of a
-   --metrics=FILE snapshot. *)
+(* The offline views live in [Report]; a file they cannot read ends the
+   command with a one-line message and exit code 2. *)
+let reporting f =
+  try f () with
+  | Report.Unreadable msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
 
-(* Text between the first occurrence of [pre] and the next occurrence of
-   [post] after it — enough to re-read the flat one-object-per-line
-   metrics JSON without a JSON dependency. *)
-let extract_between s pre post =
-  let find_from sub from =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-    in
-    go from
-  in
-  match find_from pre 0 with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length pre in
-      match find_from post start with
-      | None -> None
-      | Some j -> Some (String.sub s start (j - start)))
-
-let report_profile ppf file fold =
-  let rows, bad = Prof.load_jsonl_counted file in
-  warn_skipped "profile" file bad;
-  if rows = [] then Format.fprintf ppf "profile %s: no rows@." file
-  else begin
-    Format.fprintf ppf "--- profile: %s ---@." file;
-    Prof.pp_rows ppf rows
-  end;
-  match fold with
-  | None -> ()
-  | Some out ->
-      let oc = open_out out in
-      output_string oc (Prof.folded rows);
-      close_out oc;
-      Format.fprintf ppf "folded stacks written to %s@." out
-
-let report_timeseries ppf file series =
-  let points, bad = Timeseries.load_jsonl_counted file in
-  warn_skipped "telemetry" file bad;
-  if points = [] then Format.fprintf ppf "telemetry %s: no rows@." file
-  else
-    let all = Timeseries.series_of points in
-    match series with
-    | Some name -> (
-        match List.assoc_opt name all with
-        | None -> Format.fprintf ppf "series %s: not present in %s@." name file
-        | Some pts ->
-            Format.fprintf ppf "--- series %s (%s) ---@." name file;
-            Array.iter (fun (t, v) -> Format.fprintf ppf "%14.1f %14g@." t v) pts)
-    | None ->
-        Format.fprintf ppf "--- telemetry: %s ---@." file;
-        Format.fprintf ppf "%-26s %5s %11s %11s %12s %12s %12s %12s@." "series" "n" "t-first"
-          "t-last" "first" "last" "min" "max";
-        List.iter
-          (fun (name, pts) ->
-            let n = Array.length pts in
-            let vmin = Array.fold_left (fun a (_, v) -> min a v) infinity pts in
-            let vmax = Array.fold_left (fun a (_, v) -> max a v) neg_infinity pts in
-            Format.fprintf ppf "%-26s %5d %11.1f %11.1f %12g %12g %12g %12g@." name n
-              (fst pts.(0))
-              (fst pts.(n - 1))
-              (snd pts.(0))
-              (snd pts.(n - 1))
-              vmin vmax)
-          all
-
-let report_metrics ppf file =
-  let ic = open_in file in
-  let n = ref 0 in
-  Format.fprintf ppf "--- metrics: %s ---@." file;
-  (try
-     while true do
-       let line = input_line ic in
-       match extract_between line "\"name\": \"" "\"" with
-       | None -> ()
-       | Some name ->
-           incr n;
-           let kind = Option.value ~default:"?" (extract_between line "\"kind\": \"" "\"") in
-           let detail =
-             match kind with
-             | "counter" | "gauge" ->
-                 Option.value ~default:"" (extract_between line "\"value\": " "}")
-             | "histogram" -> (
-                 match extract_between line "\"count\": " "," with
-                 | Some c -> c ^ " observations"
-                 | None -> "")
-             | _ -> ""
-           in
-           Format.fprintf ppf "%-36s %-10s %s@." name kind detail
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Format.fprintf ppf "%d instrument(s)@." !n
-
-(* The [beacon --matrix-out] view: measurement timeline from the meta
-   line, the aggregate matrix summary, and the dbeacon "who can't hear
-   whom" worst-pairs table. *)
-let report_matrix ppf file =
-  let meta, cells, bad = Beacon_matrix.load_jsonl_counted file in
-  warn_skipped "matrix" file bad;
-  if cells = [] then Format.fprintf ppf "matrix %s: no cells@." file
-  else begin
-    Format.fprintf ppf "--- delivery matrix: %s ---@." file;
-    (match
-       ( List.assoc_opt "converged_s" meta,
-         List.assoc_opt "first_probe_s" meta,
-         List.assoc_opt "last_harvest_s" meta )
-     with
-    | Some c, Some f, Some l ->
-        Format.fprintf ppf
-          "timeline: trees converged %.3fs, measured [%.3fs, %.3fs] (window %.3fs)@." c f l
-          (l -. f)
-    | _ -> ());
-    List.iter
-      (fun (k, v) ->
-        if not (List.mem k [ "converged_s"; "first_probe_s"; "last_harvest_s" ]) then
-          Format.fprintf ppf "%-14s %g@." k v)
-      meta;
-    let s = Beacon_matrix.summary cells in
-    Format.fprintf ppf "%a@." Beacon_matrix.pp_summary s;
-    let worst = Beacon_matrix.worst cells ~n:10 in
-    if List.exists (fun (c : Beacon_matrix.cell) -> c.Beacon_matrix.c_loss > 0.0) worst
-    then begin
-      Format.fprintf ppf "--- worst pairs ---@.";
-      Format.fprintf ppf "%a" Beacon_matrix.pp_cells worst
-    end
-    else Format.fprintf ppf "all pairs fully delivered@."
-  end
-
-(* --- recording diff --------------------------------------------------- *)
-
-(* [report --diff A B]: stream two flight recordings, find the first
-   record where they disagree (semantically — seq numbers are assigned
-   per stream and excluded), and show an aligned context window plus
-   the causal chain of both sides' divergent events.  This is the
-   oracle for "did these two runs execute the same event stream, and if
-   not, where did they first differ and why". *)
-
-let pp_record ppf (r : Recorder.record) =
-  Format.fprintf ppf "#%-6d %14.3f  %-24s %s" r.Recorder.seq r.Recorder.r_time r.Recorder.r_label
-    r.Recorder.r_subject;
-  match r.Recorder.r_trace_id with
-  | Some id ->
-      Format.fprintf ppf "  [%s%s]" id
-        (match r.Recorder.r_span with Some s -> Printf.sprintf " #%d" s | None -> "")
-  | None -> ()
-
-(* Semantic equality: everything but the seq. *)
-let same_record (a : Recorder.record) (b : Recorder.record) =
-  { a with Recorder.seq = 0 } = { b with Recorder.seq = 0 }
-
-let rec_to_entry (r : Recorder.record) =
-  {
-    Trace.time = r.Recorder.r_time;
-    actor = r.Recorder.r_subject;
-    tag = r.Recorder.r_label;
-    detail = "";
-    trace_id = r.Recorder.r_trace_id;
-    span = r.Recorder.r_span;
-    parent = r.Recorder.r_parent;
-  }
-
-(* The divergent record itself may carry no span (engine dispatch
-   records do not); anchor the chain on the nearest record that does —
-   backward first, then forward — so the reader still gets the causal
-   neighbourhood of the divergence. *)
-let pp_chain_near ppf name recs i =
-  let n = Array.length recs in
-  let rec scan d =
-    let back = i - d and fwd = i + d in
-    if back < 0 && fwd >= n then None
-    else if back >= 0 && recs.(back).Recorder.r_trace_id <> None then Some back
-    else if fwd < n && recs.(fwd).Recorder.r_trace_id <> None then Some fwd
-    else scan (d + 1)
-  in
-  match scan 0 with
-  | None -> Format.fprintf ppf "%s: no causal chain (no record carries a trace id)@." name
-  | Some k ->
-      let id = Option.get recs.(k).Recorder.r_trace_id in
-      if k = i then Format.fprintf ppf "--- causal chain, %s ---@." name
-      else
-        Format.fprintf ppf "--- causal chain, %s (anchored on nearest spanned record, %d) ---@."
-          name k;
-      Trace_report.pp_chain_for ppf (List.map rec_to_entry (Array.to_list recs)) ~id
-
-let run_diff ppf a b =
-  let load file =
-    match Recorder.load_jsonl file with
-    | exception Sys_error e ->
-        Format.eprintf "report --diff: %s@." e;
-        exit 2
-    | recs, bad ->
-        warn_skipped "recording" file bad;
-        Array.of_list recs
-  in
-  let ra = load a and rb = load b in
-  let na = Array.length ra and nb = Array.length rb in
-  Format.fprintf ppf "--- diff: %s (%d records) vs %s (%d records) ---@." a na b nb;
-  let common = min na nb in
-  let rec first_diff i = if i >= common then None else if same_record ra.(i) rb.(i) then first_diff (i + 1) else Some i in
-  match first_diff 0 with
-  | None when na = nb ->
-      Format.fprintf ppf "recordings identical (%d records)@." na;
-      0
-  | None ->
-      (* One stream is a strict prefix of the other: the divergence is
-         the first extra record. *)
-      let longer, extra, n_long = if na > nb then (a, ra, na) else (b, rb, nb) in
-      Format.fprintf ppf "streams agree for all %d common records;@." common;
-      Format.fprintf ppf "%s has %d extra record(s), first:@." longer (n_long - common);
-      Format.fprintf ppf "  %a@." pp_record extra.(common);
-      pp_chain_near ppf longer extra common;
-      1
-  | Some i ->
-      Format.fprintf ppf "first divergence at record %d@." i;
-      let ctx = 5 in
-      let lo = max 0 (i - ctx) in
-      if i > 0 then begin
-        Format.fprintf ppf "common context (last %d records):@." (i - lo);
-        for k = lo to i - 1 do
-          Format.fprintf ppf "    %a@." pp_record ra.(k)
-        done
-      end;
-      let follow = 3 in
-      let side name recs n =
-        for k = i to min (n - 1) (i + follow) do
-          Format.fprintf ppf "  %s %s %a@." name (if k = i then ">" else " ") pp_record recs.(k)
-        done
-      in
-      side "A" ra na;
-      side "B" rb nb;
-      pp_chain_near ppf ("A = " ^ a) ra i;
-      pp_chain_near ppf ("B = " ^ b) rb i;
-      1
+let run_trace file id = reporting (fun () -> Report.run_trace Format.std_formatter file id)
 
 let run_report profile timeseries metrics series fold matrix triage diff files =
+  reporting @@ fun () ->
   let ppf = Format.std_formatter in
   (match (diff, files) with
   | false, [] -> ()
   | false, _ :: _ ->
       Format.eprintf "report: positional recordings are only meaningful with --diff@.";
       exit 2
-  | true, [ fa; fb ] -> exit (run_diff ppf fa fb)
+  | true, [ fa; fb ] -> exit (Report.run_diff_files ppf fa fb)
   | true, _ ->
       Format.eprintf "report --diff: exactly two recording files required (got %d)@."
         (List.length files);
@@ -1064,7 +812,7 @@ let run_report profile timeseries metrics series fold matrix triage diff files =
   | None -> ()
   | Some file ->
       if Sys.file_exists file then begin
-        Explore.pp_triage ppf ~ledger:file;
+        Report.with_file "ledger" file (fun ledger -> Explore.pp_triage ppf ~ledger);
         exit 0
       end
       else begin
@@ -1072,20 +820,20 @@ let run_report profile timeseries metrics series fold matrix triage diff files =
           file;
         exit 2
       end);
-  if Sys.file_exists profile then report_profile ppf profile fold
+  if Sys.file_exists profile then Report.report_profile ppf profile fold
   else Format.fprintf ppf "profile %s: not found (produce it with --profile)@." profile;
-  if Sys.file_exists timeseries then report_timeseries ppf timeseries series
+  if Sys.file_exists timeseries then Report.report_timeseries ppf timeseries series
   else
     Format.fprintf ppf "telemetry %s: not found (produce it with --sample EVERY)@." timeseries;
   (match metrics with
   | None -> ()
   | Some file ->
-      if Sys.file_exists file then report_metrics ppf file
+      if Sys.file_exists file then Report.report_metrics ppf file
       else Format.fprintf ppf "metrics %s: not found (produce it with --metrics=FILE)@." file);
   match matrix with
   | None -> ()
   | Some file ->
-      if Sys.file_exists file then report_matrix ppf file
+      if Sys.file_exists file then Report.report_matrix ppf file
       else
         Format.fprintf ppf "matrix %s: not found (produce it with beacon --matrix-out)@." file
 
@@ -1144,10 +892,12 @@ let record_arg =
     & opt ~vopt:(Some "recording.jsonl") (some string) None
     & info [ "record" ] ~docv:"FILE"
         ~doc:
-          "Flight-record the run: one JSON line per fired engine event and per transport \
-           delivery/drop, each carrying its sim time, label, subject and causal span ids, \
-           written to $(docv) (default recording.jsonl when the option is given bare).  \
-           Compare two recordings with $(b,report --diff).  Standard output is unchanged.")
+          "Flight-record the run: one JSON line per fired engine event, per transport \
+           delivery/drop and per protocol step (claims, G-RIB updates, join hops, probes, \
+           violations — the narrative lines, which carry a detail), each with its sim time, \
+           label, subject and causal span ids, written to $(docv) (default recording.jsonl \
+           when the option is given bare).  Read the narrative with $(b,trace); compare two \
+           recordings with $(b,report --diff).  Standard output is unchanged.")
 
 let fingerprint_arg =
   Arg.(
@@ -1195,15 +945,6 @@ let jobs_arg =
           "Run independent work (fig4 trials, ablation simulations, baseline sweeps) on $(docv) \
            runtime domains.  Output is byte-identical at any value; 0 picks the machine's \
            recommended domain count.")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Stream the run's trace as JSON lines to $(docv); inspect it afterwards with the \
-           $(b,trace) subcommand.")
 
 let check_arg =
   Arg.(
@@ -1369,19 +1110,19 @@ let soak_cmd =
     (Cmd.info "soak"
        ~doc:"Randomized churn + failure soak of the integrated stack with invariant checking.")
     Term.(
-      const (fun obs jobs check tr steps seed loss ->
+      const (fun obs jobs check steps seed loss ->
           Par.set_jobs jobs;
-          with_obs obs (run_soak check tr steps seed loss))
-      $ obs_term $ jobs_arg $ check_arg $ trace_out_arg $ steps $ seed_arg $ loss_arg)
+          with_obs obs (run_soak check steps seed loss))
+      $ obs_term $ jobs_arg $ check_arg $ steps $ seed_arg $ loss_arg)
 
 let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"End-to-end MASC+BGP+BGMP run on the Figure-1 topology.")
     Term.(
-      const (fun obs jobs check tr loss () ->
+      const (fun obs jobs check loss () ->
           Par.set_jobs jobs;
-          with_obs obs (fun sampling -> run_demo check tr loss sampling ()))
-      $ obs_term $ jobs_arg $ check_arg $ trace_out_arg $ loss_arg $ const ())
+          with_obs obs (fun sampling -> run_demo check loss sampling ()))
+      $ obs_term $ jobs_arg $ check_arg $ loss_arg $ const ())
 
 let beacon_cmd =
   let domains =
@@ -1428,7 +1169,7 @@ let trace_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"TRACE.jsonl" ~doc:"JSONL trace file (from a Jsonl trace sink).")
+      & info [] ~docv:"RECORDING.jsonl" ~doc:"Flight recording (written by --record).")
   in
   let id =
     Arg.(
@@ -1442,8 +1183,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Inspect a JSONL trace: per-chain timelines, end-to-end claim/join latency summaries, \
-          and causal chains for a given trace id.")
+         "Inspect the protocol narrative of a flight recording: per-chain timelines, end-to-end \
+          claim/join latency summaries, and causal chains for a given trace id.")
     Term.(
       const (fun obs file id -> with_obs obs (fun _ -> run_trace file id))
       $ obs_basic_term $ file $ id)
@@ -1479,8 +1220,8 @@ let explore_cmd =
       & info [ "repro-dir" ] ~docv:"DIR"
           ~doc:
             "Re-run the smallest shrunk counterexamples sequentially with the flight recorder \
-             on, writing a replayable recording (compare with $(b,report --diff)) and a trace \
-             dump (inspect with $(b,trace)) per counterexample into $(docv).")
+             on, writing a replayable recording per counterexample into $(docv) (compare two \
+             with $(b,report --diff), read its narrative with $(b,trace)).")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -1550,8 +1291,8 @@ let report_cmd =
           ~doc:
             "Triage an explorer violation ledger (written by $(b,explore)): bucket outcomes by \
              verdict and by violated invariant, rank counterexamples by minimality, and print \
-             the blamed causal chain out of each top counterexample's repro trace.  Exclusive \
-             with the other report views.")
+             the blamed causal chain out of each top counterexample's repro recording.  \
+             Exclusive with the other report views.")
   in
   let diff =
     Arg.(

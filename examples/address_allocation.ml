@@ -9,7 +9,9 @@
 let () =
   let engine = Engine.create () in
   let rng = Rng.create 7 in
-  let trace = Trace.create () in
+  (* Keep the whole event log: the collision narrative printed below
+     comes from it. *)
+  Recorder.enable ~retain:Recorder.Keep_all ();
   let config =
     {
       Masc_node.default_config with
@@ -21,7 +23,7 @@ let () =
   (* Two backbone (top-level) domains 0 and 1, each with two customers. *)
   let parent_of = function 0 | 1 -> None | 2 | 3 -> Some 0 | _ -> Some 1 in
   let net =
-    Masc_network.create ~engine ~rng ~config ~trace ~parent_of ~ids:[ 0; 1; 2; 3; 4; 5 ] ()
+    Masc_network.create ~engine ~rng ~config ~parent_of ~ids:[ 0; 1; 2; 3; 4; 5 ] ()
   in
   Masc_network.start net;
 
@@ -71,11 +73,12 @@ let () =
   Format.printf "  collisions suffered in total: %d@." (Masc_network.total_collisions net);
 
   Format.printf "@.=== Collision-related trace events ===@.";
+  let narrative = Trace_report.narrative (Recorder.recent ()) in
   List.iter
     (fun tag ->
       List.iter
-        (fun e -> Format.printf "  %a@." Trace.pp_entry e)
-        (Trace.find trace ~tag))
+        (fun r -> if r.Recorder.r_label = tag then Format.printf "  %a@." Trace_report.pp_entry r)
+        narrative)
     [ "collision-sent"; "collision-lost"; "collision-yield" ];
 
   (* Verify the invariant the waiting period protects: after everything

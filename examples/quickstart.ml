@@ -12,6 +12,10 @@ let () =
   let topo = Gen.figure1 () in
   Format.printf "Topology: %a@." Topo.pp_summary topo;
 
+  (* Record the run's event log, keeping every record: the protocol
+     narrative printed at the end comes from it. *)
+  Recorder.enable ~retain:Recorder.Keep_all ();
+
   (* Bring the stack up with fast protocol timers (minutes, not the
      deployment-scale 48 h collision wait). *)
   let inet = Internet.create ~config:Internet.quick_config topo in
@@ -78,8 +82,8 @@ let () =
   Format.printf "Duplicates: %d@."
     (Bgmp_fabric.duplicate_deliveries (Internet.fabric inet));
 
-  (* 5. A short excerpt of the MASC protocol trace. *)
+  (* 5. A short excerpt of the protocol narrative from the recording. *)
   Format.printf "@.MASC activity (first 12 events):@.";
   List.iteri
-    (fun i e -> if i < 12 then Format.printf "  %a@." Trace.pp_entry e)
-    (Trace.entries (Internet.trace inet))
+    (fun i r -> if i < 12 then Format.printf "  %a@." Trace_report.pp_entry r)
+    (Trace_report.narrative (Recorder.recent ()))

@@ -42,7 +42,6 @@ type t = {
   topo : Topo.t;
   fabric : Bgmp_fabric.t;
   cfg : config;
-  trace : Trace.t option;
   matrix : Beacon_matrix.t;
   listeners : (Ipv4.t, roster) Hashtbl.t;
   mutable sources : (Ipv4.t * Host_ref.t) list;  (** reverse registration order *)
@@ -58,11 +57,12 @@ type t = {
   m_outstanding : Metrics.gauge;
 }
 
-(* Lines are formatted only for an attached, enabled trace. *)
+(* A narrative record in the ambient recorder; while it is off this is
+   one flag test and nothing is formatted. *)
 let btrace t ?span tag fmt =
-  match t.trace with
-  | Some tr -> Trace.recordf tr ~time:(Engine.now t.engine) ~actor:"beacon" ~tag ?span fmt
-  | None -> Format.ikfprintf ignore Format.str_formatter fmt
+  if Recorder.is_enabled () then
+    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag ~subject:"beacon" ?span fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let heard p i = Char.code (Bytes.get p.p_heard (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -100,14 +100,13 @@ let on_delivery t ~group:_ ~source:_ ~payload ~host ~hops =
             (spf_dist t ~from:p.p_src.Host_ref.host_domain ~to_:host.Host_ref.host_domain)
       end
 
-let create ~engine ~topo ~fabric ?(config = default_config) ?trace () =
+let create ~engine ~topo ~fabric ?(config = default_config) () =
   let t =
     {
       engine;
       topo;
       fabric;
       cfg = config;
-      trace;
       matrix = Beacon_matrix.create ();
       listeners = Hashtbl.create 16;
       sources = [];
@@ -157,8 +156,8 @@ let harvest t payload =
       if missing > 0 then begin
         t.n_lost <- t.n_lost + missing;
         Metrics.add t.m_lost missing;
-        (* Lost pairs stay as (sent > got) cells; the trace names them,
-           in listener registration order. *)
+        (* Lost pairs stay as (sent > got) cells; the recording names
+           them, in listener registration order. *)
         for i = 0 to p.p_expected - 1 do
           if not (heard p i) then
             btrace t ?span:p.p_span "probe-lost" "%a seq %d payload %d never reached %a"
@@ -171,9 +170,9 @@ let harvest t payload =
 
 let fire_probe t ~group ~host ~seq =
   let span =
-    match t.trace with
-    | Some _ -> Some (Bgmp_fabric.group_span t.fabric host.Host_ref.host_domain group)
-    | None -> None
+    if Recorder.is_enabled () then
+      Some (Bgmp_fabric.group_span t.fabric host.Host_ref.host_domain group)
+    else None
   in
   let r = roster_of t group in
   let expected = r.count in

@@ -13,11 +13,12 @@
 
     Scheduling is deterministic: sources probe in registration order,
     staggered by [stagger], each sending [probes_per_source] probes
-    [period] apart.  With a trace attached, each probe send records a
-    ["probe"] entry and travels under a span descending from the
-    group's covering join/G-RIB span ({!Bgmp_fabric.group_span}), so a
-    lost probe's [net-drop] entry — and the ["probe-lost"] harvest
-    entry — are attributable to the tree that should have carried it. *)
+    [period] apart.  While the {!Recorder} is on, each probe send
+    records a ["probe"] narrative record and travels under a span
+    descending from the group's covering join/G-RIB span
+    ({!Bgmp_fabric.group_span}), so a lost probe's [net.drop.bgmp]
+    record — and the ["probe-lost"] harvest record — are attributable
+    to the tree that should have carried it. *)
 
 type config = {
   period : Time.t;  (** inter-probe interval per source *)
@@ -38,7 +39,6 @@ val create :
   topo:Topo.t ->
   fabric:Bgmp_fabric.t ->
   ?config:config ->
-  ?trace:Trace.t ->
   unit ->
   t
 (** Installs the fleet as the fabric's delivery hook (replacing any

@@ -221,79 +221,54 @@ let write_jsonl ?(meta = []) file cs =
           output_char oc '\n')
         cs)
 
-(* Hand-rolled field scanning, like the rest of the repo: no JSON dep. *)
-let scan_float line key =
-  let re = Str.regexp ("\"" ^ Str.quote key ^ "\": \\(-?[0-9.eE+-]+\\)") in
-  try
-    ignore (Str.search_forward re line 0);
-    Some (float_of_string (Str.matched_group 1 line))
-  with Not_found | Failure _ -> None
-
-let scan_host line key =
-  let re = Str.regexp ("\"" ^ Str.quote key ^ "\": \\[\\([0-9]+\\), \\([0-9]+\\)\\]") in
-  try
-    ignore (Str.search_forward re line 0);
-    Some (Host_ref.make (int_of_string (Str.matched_group 1 line))
-            (int_of_string (Str.matched_group 2 line)))
-  with Not_found | Failure _ -> None
-
-let cell_of_json line =
-  match (scan_host line "src", scan_host line "dst") with
-  | Some src, Some dst ->
-      let f key d = match scan_float line key with Some v -> v | None -> d in
-      Some
-        {
-          c_src = src;
-          c_dst = dst;
-          c_sent = int_of_float (f "sent" 0.0);
-          c_got = int_of_float (f "got" 0.0);
-          c_loss = f "loss" 0.0;
-          c_lat_mean = f "lat_mean" 0.0;
-          c_lat_max = f "lat_max" 0.0;
-          c_hops_mean = f "hops_mean" 0.0;
-          c_hops_max = f "hops_max" 0.0;
-          c_stretch_mean = f "stretch_mean" 0.0;
-          c_stretch_max = f "stretch_max" 0.0;
-        }
+let host_of = function
+  | Jsonl.Array [ d; i ] -> (
+      match (Jsonl.to_int d, Jsonl.to_int i) with
+      | Some d, Some i -> Some (Host_ref.make d i)
+      | _ -> None)
   | _ -> None
 
-let meta_of_json line =
-  let pairs = ref [] in
-  let re = Str.regexp "\"\\([a-zA-Z0-9_.]+\\)\": \\(-?[0-9.eE+-]+\\)" in
-  let pos = ref 0 in
-  (try
-     while true do
-       pos := 1 + Str.search_forward re line !pos;
-       pairs :=
-         (Str.matched_group 1 line, float_of_string (Str.matched_group 2 line)) :: !pairs
-     done
-   with Not_found | Failure _ -> ());
-  List.rev !pairs
+let cell_of_value v =
+  let open Jsonl in
+  let ( let* ) = Option.bind in
+  let* c_src = field "src" host_of v in
+  let* c_dst = field "dst" host_of v in
+  let* c_sent = field "sent" to_int v in
+  let* c_got = field "got" to_int v in
+  let* c_loss = field "loss" to_float v in
+  let* c_lat_mean = field "lat_mean" to_float v in
+  let* c_lat_max = field "lat_max" to_float v in
+  let* c_hops_mean = field "hops_mean" to_float v in
+  let* c_hops_max = field "hops_max" to_float v in
+  let* c_stretch_mean = field "stretch_mean" to_float v in
+  let* c_stretch_max = field "stretch_max" to_float v in
+  Some
+    {
+      c_src;
+      c_dst;
+      c_sent;
+      c_got;
+      c_loss;
+      c_lat_mean;
+      c_lat_max;
+      c_hops_mean;
+      c_hops_max;
+      c_stretch_mean;
+      c_stretch_max;
+    }
+
+(* A file line: the meta object or one cell. *)
+let line_of_value v =
+  match Jsonl.member "meta" v with
+  | Some (Jsonl.Object kvs) ->
+      Some
+        (Either.Left
+           (List.filter_map (fun (k, x) -> Option.map (fun f -> (k, f)) (Jsonl.to_float x)) kvs))
+  | Some _ -> None
+  | None -> Option.map Either.right (cell_of_value v)
 
 let load_jsonl_counted file =
-  let ic = open_in file in
-  let meta = ref [] and cells = ref [] and bad = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             if
-               try
-                 ignore (Str.search_forward (Str.regexp_string "\"meta\"") line 0);
-                 true
-               with Not_found -> false
-             then meta := meta_of_json line
-             else
-               match cell_of_json line with
-               | Some c -> cells := c :: !cells
-               | None -> incr bad
-         done
-       with End_of_file -> ());
-      (!meta, List.rev !cells, !bad))
-
-let load_jsonl file =
-  let meta, cells, _ = load_jsonl_counted file in
-  (meta, cells)
+  let lines, bad = Jsonl.load_counted file line_of_value in
+  let metas, cells = List.partition_map Fun.id lines in
+  let meta = match List.rev metas with m :: _ -> m | [] -> [] in
+  (meta, cells, bad)

@@ -105,9 +105,7 @@ val pp_cells : Format.formatter -> cell list -> unit
 
 val write_jsonl : ?meta:(string * float) list -> string -> cell list -> unit
 
-val load_jsonl : string -> (string * float) list * cell list
-(** Returns (meta, cells); unparseable lines are skipped. *)
-
 val load_jsonl_counted : string -> (string * float) list * cell list * int
-(** Like {!load_jsonl}, also returning the count of malformed
-    non-blank cell lines skipped. *)
+(** (meta, cells, malformed): the last meta line's pairs, every cell in
+    file order, and the count of malformed non-blank lines skipped.
+    @raise Sys_error when the file cannot be read. *)

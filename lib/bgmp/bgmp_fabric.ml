@@ -20,7 +20,6 @@ type t = {
   net : Net.t;
   cfg : config;
   route_to_root : Domain.id -> Ipv4.t -> root_route;
-  trace : Trace.t option;
   span_of_group : Domain.id -> Ipv4.t -> Span.t option;
       (** causal span of the G-RIB route a domain uses for a group, so
           joins continue the originating claim's chain *)
@@ -35,7 +34,7 @@ type t = {
   delivered : (int, payload_log) Hashtbl.t;
   payload_spans : (int, Span.t) Hashtbl.t;
       (** causal span a payload travels under, kept only for payloads
-          sent with one (probes under an attached trace) *)
+          sent with one (probes while recording) *)
   mutable on_delivery :
     (group:Ipv4.t -> source:Host_ref.t -> payload:int -> host:Host_ref.t -> hops:int -> unit)
     option;
@@ -58,11 +57,20 @@ let peer_of rid = rid lxor 1
 let via_unknown = -2
 let via_none = -1
 
-(* Lines are formatted only for an attached, enabled trace. *)
-let ftrace t actor tag ?span fmt =
-  match t.trace with
-  | Some tr -> Trace.recordf tr ~time:(Engine.now t.engine) ~actor ~tag ?span fmt
-  | None -> Format.ikfprintf ignore Format.str_formatter fmt
+(* Narrative records in the ambient recorder, subject a border router
+   or a domain; while the recorder is off a call is one flag test — no
+   subject is built and nothing is formatted. *)
+let router_trace t rid tag ?span fmt =
+  if Recorder.is_enabled () then
+    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+      ~subject:(Bgmp_router.name t.routers.(rid)) ?span fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
+
+let domain_trace t dom tag ?span fmt =
+  if Recorder.is_enabled () then
+    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+      ~subject:(Printf.sprintf "bgmp-d%d" dom) ?span fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (* The trace id a group's causal chain lives under: the originating
    claim's when a G-RIB route (with span) exists, else the group's own. *)
@@ -239,8 +247,7 @@ and exec_action t rid action =
       match exit_router_for_group t dom group with
       | Some exit when exit <> rid ->
           Engine.note_activity t.engine "bgmp";
-          ftrace t (Bgmp_router.name t.routers.(exit)) "join-hop" ?span "%a via interior"
-            Ipv4.pp group;
+          router_trace t exit "join-hop" ?span "%a via interior" Ipv4.pp group;
           exec_actions t exit
             (Bgmp_router.handle_join t.routers.(exit) ~group ?span ~from:Bgmp_router.Migp_target)
       | Some _ | None -> ())
@@ -270,7 +277,7 @@ and dispatch t ~to_ ~from msg =
     match msg with
     | Bgmp_msg.Join { group; span } ->
         Engine.note_activity t.engine "bgmp";
-        ftrace t (Bgmp_router.name router) "join-hop" ?span "%a from %s" Ipv4.pp group
+        router_trace t to_ "join-hop" ?span "%a from %s" Ipv4.pp group
           (match from with
           | Bgmp_router.Peer r | Bgmp_router.Internal_router r -> Bgmp_router.name t.routers.(r)
           | Bgmp_router.Migp_target -> "migp");
@@ -379,8 +386,8 @@ and hand_to_routers t ~group ~source ~payload ~hops = function
 (* ------------------------------------------------------------------ *)
 
 let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ -> Migp.Dvmrp)
-    ?trace ?(span_of_group = fun _ _ -> None) ~route_to_root () =
-  let net = match net with Some n -> n | None -> Net.create ~engine ?trace () in
+    ?(span_of_group = fun _ _ -> None) ~route_to_root () =
+  let net = match net with Some n -> n | None -> Net.create ~engine () in
   let n = Topo.domain_count topo in
   let links = Topo.links topo in
   let router_count = 2 * List.length links in
@@ -416,7 +423,6 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       net;
       cfg = config;
       route_to_root;
-      trace;
       span_of_group;
       migps;
       routers;
@@ -476,9 +482,8 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
                    G-RIB route's causal chain when one is known. *)
                 let span = join_root_span t dom group in
                 Engine.note_activity t.engine "bgmp";
-                ftrace t
-                  (Printf.sprintf "bgmp-d%d" dom)
-                  "join" ~span "%a via %s" Ipv4.pp group (Bgmp_router.name router);
+                domain_trace t dom "join" ~span "%a via %s" Ipv4.pp group
+                  (Bgmp_router.name router);
                 exec_actions t exit
                   (Bgmp_router.handle_join router ~group ~span ~from:Bgmp_router.Migp_target)
               end
@@ -590,9 +595,7 @@ let rebuild_group t ~group =
         match exit_router_for_group t dom group with
         | Some exit ->
             let span = join_root_span t dom group in
-            ftrace t
-              (Printf.sprintf "bgmp-d%d" dom)
-              "join" ~span "%a rebuild via %s" Ipv4.pp group
+            domain_trace t dom "join" ~span "%a rebuild via %s" Ipv4.pp group
               (Bgmp_router.name t.routers.(exit));
             exec_actions t exit
               (Bgmp_router.handle_join t.routers.(exit) ~group ~span

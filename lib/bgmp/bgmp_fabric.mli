@@ -38,7 +38,6 @@ val create :
   ?net:Net.t ->
   ?config:config ->
   ?migp_style:(Domain.id -> Migp.style) ->
-  ?trace:Trace.t ->
   ?span_of_group:(Domain.id -> Ipv4.t -> Span.t option) ->
   route_to_root:(Domain.id -> Ipv4.t -> root_route) ->
   unit ->
@@ -49,12 +48,13 @@ val create :
     with BGP and MASC, or a [Net.t] whose config overrides delays or
     injects loss (the old [link_delay_override] lives in [Net.config]
     now).  By default the fabric gets a private [Net.t] on the same
-    engine.  [migp_style] defaults to DVMRP everywhere.  [trace] receives
-    join-chain entries ("join" at the originating domain, "join-hop"
-    per tree hop).  [span_of_group] supplies the causal span of the
-    G-RIB route a domain uses for a group (the integrated stack wires
-    it to the speakers' routes), so join chains continue the MASC
-    claim's trace id; without it, chains start fresh under
+    engine.  [migp_style] defaults to DVMRP everywhere.  While the
+    {!Recorder} is on, joins append narrative records ("join" at the
+    originating domain, "join-hop" per tree hop).  [span_of_group]
+    supplies the causal span of the G-RIB route a domain uses for a
+    group (the integrated stack wires it to the speakers' routes), so
+    join chains continue the MASC claim's trace id; without it, chains
+    start fresh under
     ["group:<addr>"]. *)
 
 (** {1 Host operations} *)
@@ -68,8 +68,9 @@ val send : ?span:Span.t -> t -> source:Host_ref.t -> group:Ipv4.t -> int
     payload id.  Senders need not be members (IP service model, §3).
     Run the engine to let it propagate.  [?span] is the packet's causal
     span: every inter-domain copy travels under it, so a transport drop
-    is blamed on the packet's chain in the trace.  Only pass one for
-    traced packets — the span is retained until {!forget_payload}. *)
+    is blamed on the packet's chain in the recording.  Only pass one
+    for recorded packets — the span is retained until
+    {!forget_payload}. *)
 
 val next_payload_id : t -> int
 (** The payload id the next {!send} will use.  Measurement layers

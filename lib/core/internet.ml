@@ -30,7 +30,6 @@ type t = {
   cfg : config;
   engine : Engine.t;
   net_topo : Topo.t;
-  net_trace : Trace.t;
   net : Net.t;
   bgp_net : Bgp_network.t;
   masc_net : Masc_network.t;
@@ -44,8 +43,6 @@ type t = {
 let engine t = t.engine
 
 let topo t = t.net_topo
-
-let trace t = t.net_trace
 
 let net t = t.net
 
@@ -243,9 +240,8 @@ let check_invariants ?(quiescent = true) t =
   List.iter
     (fun (v : Invariant.violation) ->
       t.seen_violations <- v :: t.seen_violations;
-      Trace.record t.net_trace ~time:(Engine.now t.engine) ~actor:"invariant" ~tag:"violation"
-        ?trace_id:v.Invariant.trace_id
-        (Printf.sprintf "%s: %s" v.Invariant.inv v.Invariant.detail))
+      Recorder.recordf ~time:(Engine.now t.engine) ~label:"violation" ~subject:"invariant"
+        ?trace_id:v.Invariant.trace_id "%s: %s" v.Invariant.inv v.Invariant.detail)
     vs;
   vs
 
@@ -292,7 +288,6 @@ let invariants t = t.invariants
 let create ?(config = default_config) ?migp_style net_topo =
   let engine = Engine.create () in
   let rng = Rng.create config.seed in
-  let net_trace = Trace.create () in
   (* The one transport under all three protocols: link state (failures,
      partitions, loss) has a single source of truth.  The loss seed is
      decorrelated from the MASC rng (same [config.seed]) so enabling
@@ -305,11 +300,11 @@ let create ?(config = default_config) ?migp_style net_topo =
           Net.loss_seed = config.seed lxor 0x6e6574;
           Net.delay_override = None;
         }
-      ~trace:net_trace ()
+      ()
   in
   let bgp_net = Bgp_network.create ~engine ~net ~topo:net_topo () in
   let masc_net =
-    Masc_network.of_topo ~engine ~rng ~config:config.masc ~trace:net_trace ~net net_topo
+    Masc_network.of_topo ~engine ~rng ~config:config.masc ~net net_topo
   in
   (* MASC -> BGP glue: acquired ranges become group routes injected at
      their root domain; lost ranges are withdrawn (§4.2).  The route
@@ -332,7 +327,7 @@ let create ?(config = default_config) ?migp_style net_topo =
   in
   let bgmp_fabric =
     Bgmp_fabric.create ~engine ~topo:net_topo ~net ~config:config.bgmp ?migp_style
-      ~trace:net_trace ~span_of_group ~route_to_root ()
+      ~span_of_group ~route_to_root ()
   in
   let maases =
     Array.init (Topo.domain_count net_topo) (fun d ->
@@ -359,14 +354,15 @@ let create ?(config = default_config) ?migp_style net_topo =
           (* This replaces the hook Bgp_network installed, so keep its
              convergence watermark. *)
           Engine.note_activity engine "bgp";
-          let route =
-            List.find_opt (fun (p, _) -> Prefix.equal p prefix) (Speaker.best_routes speaker)
-          in
-          let span = Option.bind route (fun (_, r) -> Option.map Span.child r.Route.span) in
-          Trace.recordf net_trace ~time:(Engine.now engine)
-            ~actor:(Printf.sprintf "bgp-%d" d.Domain.id) ~tag:"grib-update" ?span "%a %s"
-            Prefix.pp prefix
-            (if Option.is_none route then "withdrawn" else "installed");
+          if Recorder.is_enabled () then begin
+            let route =
+              List.find_opt (fun (p, _) -> Prefix.equal p prefix) (Speaker.best_routes speaker)
+            in
+            let span = Option.bind route (fun (_, r) -> Option.map Span.child r.Route.span) in
+            Recorder.recordf ~time:(Engine.now engine) ~label:"grib-update"
+              ~subject:(Printf.sprintf "bgp-%d" d.Domain.id) ?span "%a %s" Prefix.pp prefix
+              (if Option.is_none route then "withdrawn" else "installed")
+          end;
           List.iter
             (fun group -> if Prefix.mem group prefix then schedule_rebuild group)
             (Bgmp_fabric.active_groups bgmp_fabric)))
@@ -376,7 +372,6 @@ let create ?(config = default_config) ?migp_style net_topo =
       cfg = config;
       engine;
       net_topo;
-      net_trace;
       net;
       bgp_net;
       masc_net;
@@ -432,11 +427,11 @@ let request_address t dom = Maas.allocate t.maases.(dom) ()
 let request_address_in t ~initiator ~root =
   let alloc = Maas.allocate t.maases.(root) () in
   (match alloc with
-  | Some a ->
-      Trace.recordf t.net_trace ~time:(Engine.now t.engine)
-        ~actor:(Printf.sprintf "maas-%d" root) ~tag:"remote-alloc" "%a for initiator %d"
-        Ipv4.pp a.Maas.address initiator
-  | None -> ());
+  | Some a when Recorder.is_enabled () ->
+      Recorder.recordf ~time:(Engine.now t.engine) ~label:"remote-alloc"
+        ~subject:(Printf.sprintf "maas-%d" root) "%a for initiator %d" Ipv4.pp a.Maas.address
+        initiator
+  | Some _ | None -> ());
   alloc
 
 let request_address_with_fallback t dom =
@@ -448,9 +443,10 @@ let request_address_with_fallback t dom =
       | Masc_node.Child parent -> (
           match Maas.allocate t.maases.(parent) () with
           | Some a ->
-              Trace.recordf t.net_trace ~time:(Engine.now t.engine)
-                ~actor:(Printf.sprintf "maas-%d" dom) ~tag:"fallback-alloc"
-                "%a from parent %d" Ipv4.pp a.Maas.address parent;
+              if Recorder.is_enabled () then
+                Recorder.recordf ~time:(Engine.now t.engine) ~label:"fallback-alloc"
+                  ~subject:(Printf.sprintf "maas-%d" dom) "%a from parent %d" Ipv4.pp
+                  a.Maas.address parent;
               Some (a, parent)
           | None -> None))
 

@@ -99,11 +99,11 @@ let run_trial ~arena ~trial ~seed schedule =
         shrink_steps = Some r.Shrinker.steps;
       }
 
-(* Re-run a minimal counterexample with the flight recorder on, and
-   dump the stack's trace, so the violation is replayable ([report
-   --diff]) and attributable ([report --triage] / [trace]).  A fresh
-   span minter mirrors the Par shard the trial ran in, so the repro's
-   trace ids match the ledger's. *)
+(* Re-run a minimal counterexample with the flight recorder on, so the
+   violation is replayable ([report --diff]) and attributable ([report
+   --triage] / [trace]: the recording carries the protocol narrative).
+   A fresh span minter mirrors the Par shard the trial ran in, so the
+   repro's trace ids match the ledger's. *)
 let repro ~arena ~dir (e : Ledger.entry) =
   match e.Ledger.min_schedule with
   | None -> e
@@ -112,16 +112,15 @@ let repro ~arena ~dir (e : Ledger.entry) =
       | Error _ -> e
       | Ok schedule ->
           (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-          let rec_path = Filename.concat dir (Printf.sprintf "cex-%d.recording.jsonl" e.Ledger.trial)
-          and trace_path = Filename.concat dir (Printf.sprintf "cex-%d.trace.jsonl" e.Ledger.trial) in
-          Recorder.enable ~ring:4096 ~sink:rec_path ();
-          let outcome, inet =
+          let rec_path = Filename.concat dir (Printf.sprintf "cex-%d.recording.jsonl" e.Ledger.trial) in
+          Recorder.enable ~retain:(Recorder.Ring 4096) ~sink:rec_path ();
+          let outcome, _ =
             Span.with_minter (Span.create_minter ()) (fun () ->
                 Oracle.run ~arena ~seed:e.Ledger.seed schedule)
           in
           (* Close the recording with one synthetic record naming the
              violated invariant and its blamed chain, so the recording
-             itself — not just the trace — carries the verdict. *)
+             carries the verdict. *)
           List.iter
             (fun v ->
               match v.Invariant.trace_id with
@@ -137,14 +136,7 @@ let repro ~arena ~dir (e : Ledger.entry) =
                     ~label:"explore.violation" ~subject:v.Invariant.inv ())
             outcome.Oracle.violations;
           Recorder.disable ();
-          let oc = open_out trace_path in
-          List.iter
-            (fun entry ->
-              output_string oc (Trace.entry_to_json entry);
-              output_char oc '\n')
-            (Trace.entries (Internet.trace inet));
-          close_out oc;
-          { e with Ledger.repro_recording = Some rec_path; repro_trace = Some trace_path })
+          { e with Ledger.repro_recording = Some rec_path })
 
 let summarize entries =
   let count v =
@@ -290,11 +282,13 @@ let pp_triage ?(top = 3) ppf ~ledger =
         (match e.Ledger.repro_recording with
         | Some p -> Format.fprintf ppf "   recording: %s@." p
         | None -> ());
-        match (e.Ledger.repro_trace, blamed) with
-        | Some trace_file, (_, tid) :: _ when Sys.file_exists trace_file ->
-            let trace_entries, _ = Trace.load_jsonl_counted trace_file in
-            Format.fprintf ppf "   causal chain [%s]:@." tid;
-            Trace_report.pp_chain_for ppf trace_entries ~id:tid
+        match (e.Ledger.repro_recording, blamed) with
+        | Some file, (_, tid) :: _ when Sys.file_exists file -> (
+            match Recorder.load_jsonl file with
+            | records, _ ->
+                Format.fprintf ppf "   causal chain [%s]:@." tid;
+                Trace_report.pp_chain_for ppf records ~id:tid
+            | exception Sys_error _ -> ())
         | _ -> ())
       chosen
   end

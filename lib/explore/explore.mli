@@ -52,5 +52,6 @@ val pp_triage : ?top:int -> Format.formatter -> ledger:string -> unit
 (** The [report --triage] view: loads the ledger, buckets outcomes by
     verdict and by violated invariant, ranks counterexamples by
     minimality, and — for the [top] (default 3) smallest — prints the
-    blamed causal chain out of the repro trace when the ledger points
-    at a readable one. *)
+    blamed causal chain out of the repro recording when the ledger
+    points at a readable one.  @raise Sys_error when the ledger cannot
+    be read. *)

@@ -26,8 +26,12 @@ type entry = {
   min_schedule : string option;  (** shrunk counterexample (failures only) *)
   min_faults : int option;
   shrink_steps : int option;  (** oracle re-runs the shrinker spent *)
-  repro_recording : string option;  (** flight-recorder JSONL, when written *)
-  repro_trace : string option;  (** trace JSONL, when written *)
+  repro_recording : string option;
+      (** flight-recorder JSONL, when written; it carries the protocol
+          narrative [report --triage] renders *)
+  repro_trace : string option;
+      (** always [None] from current campaigns: the separate trace dump
+          folded into [repro_recording]; the key stays in the format *)
 }
 
 val to_json : entry -> string
@@ -39,4 +43,5 @@ val append : out_channel -> entry -> unit
 
 val load : string -> entry list * int
 (** [entries, malformed]: every parseable line in file order, plus the
-    count of lines that failed to parse. *)
+    count of lines that failed to parse.  @raise Sys_error when the file
+    cannot be read. *)

@@ -88,8 +88,8 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
     schedule;
   (* Cadence oracle: the transient-tolerant invariants, all run long.
      This goes through the registry, not [Internet.check_invariants],
-     so a violation that persists for days does not spam the trace
-     with one entry per cadence tick — the end-state check below
+     so a violation that persists for days does not spam the
+     recording with one record per cadence tick — the end-state check below
      records the blamed chain exactly once.  The quiescent hook is
      deliberately ignored: quiescent-only predicates are unsound while
      the schedule holds links down. *)

@@ -59,7 +59,6 @@ type t = {
   config : config;
   engine : Engine.t;
   rng : Rng.t;
-  trace : Trace.t;
   mutable transport : dst:Domain.id -> Masc_message.t -> unit;
   mutable children : Domain.id list;
   mutable top_siblings : Domain.id list;
@@ -84,14 +83,13 @@ type t = {
   mutable started : bool;
 }
 
-let create ~id ~role ~config ~engine ~rng ~trace =
+let create ~id ~role ~config ~engine ~rng =
   {
     self = id;
     node_role = role;
     config;
     engine;
     rng;
-    trace;
     transport = (fun ~dst:_ _ -> ());
     children = [];
     top_siblings = [];
@@ -145,12 +143,13 @@ let maas_arena t = if has_children t then Down else Up
 
 let own_in t arena = List.filter (fun c -> c.claim.claim_arena = arena) t.own
 
+(* A narrative record in the ambient recorder; while it is off this is
+   one flag test — no subject is built and nothing is formatted. *)
 let trace t tag ?span fmt =
-  Format.kasprintf
-    (fun detail ->
-      Trace.record t.trace ~time:(Engine.now t.engine)
-        ~actor:(Printf.sprintf "masc-%d" t.self) ~tag ?span detail)
-    fmt
+  if Recorder.is_enabled () then
+    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+      ~subject:(Printf.sprintf "masc-%d" t.self) ?span fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let send t dst msg = t.transport ~dst msg
 

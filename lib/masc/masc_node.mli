@@ -55,8 +55,7 @@ type own_claim = {
 
 type t
 
-val create :
-  id:Domain.id -> role:role -> config:config -> engine:Engine.t -> rng:Rng.t -> trace:Trace.t -> t
+val create : id:Domain.id -> role:role -> config:config -> engine:Engine.t -> rng:Rng.t -> t
 
 val id : t -> Domain.id
 

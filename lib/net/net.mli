@@ -24,12 +24,11 @@
       when the rate is zero, so loss-free runs are bit-identical to the
       pre-substrate stack;
     - {b observability} — [net.sent/delivered/dropped.<protocol>]
-      metrics, per-net counters, and (when a trace is attached) a
-      [net-drop] trace entry per lost message carrying the message's
-      causal span.  When the flight recorder is enabled, every landed
-      message appends a [net.recv.<protocol>] record and every lost one
-      a [net.drop.<protocol>] record (subject ["src->dst [reason]"]),
-      both carrying the message's span.
+      metrics and per-net counters.  When the flight recorder is
+      enabled, every landed message appends a [net.recv.<protocol>]
+      record and every lost one a [net.drop.<protocol>] record (subject
+      ["src->dst"], detail the reason: [loss], [link-down] or
+      [in-flight]), both carrying the message's causal span.
 
     Endpoints are plain ints.  Channels need not follow topology links:
     MASC's overlay (parent/child/top-sibling) pairs share the same state
@@ -50,8 +49,7 @@ val default_config : config
 
 type t
 
-val create : engine:Engine.t -> ?config:config -> ?trace:Trace.t -> unit -> t
-(** [trace] receives one [net-drop] entry per dropped message. *)
+val create : engine:Engine.t -> ?config:config -> unit -> t
 
 val engine : t -> Engine.t
 
@@ -83,7 +81,7 @@ val send : 'a channel -> ?span:Span.t -> 'a -> unit
 (** Queue a message.  It is dropped — at the source — if the [src]→[dst]
     direction is down or the loss draw fires, and — in flight — if the
     direction goes down before the delivery time.  [span] attributes a
-    drop to its causal chain in the trace. *)
+    drop to its causal chain in the recording. *)
 
 val channel_delay : 'a channel -> Time.t
 (** The effective delivery delay (after any override). *)

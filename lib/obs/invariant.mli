@@ -5,8 +5,8 @@
     [(detail, trace_id option)] pairs — empty when the invariant holds.
     Checks are counted in a metrics registry ([invariant.checks],
     [invariant.violations], [invariant.violations.<name>]); recording
-    violations into a trace is the caller's job, since the monitor is
-    deliberately ignorant of the simulator.
+    violations in the event log is the caller's job, since the monitor
+    is deliberately ignorant of the simulator.
 
     Predicates registered [~quiescent_only:true] are skipped while the
     event queue is still busy: they describe end states (e.g. tree

@@ -336,21 +336,6 @@ let json_float f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json snap =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"metrics\": [\n";
@@ -361,17 +346,17 @@ let to_json snap =
       | Counter_v c ->
           Buffer.add_string b
             (Printf.sprintf "    {\"name\": \"%s\", \"kind\": \"counter\", \"value\": %d}"
-               (json_escape name) c)
+               (Jsonl.json_escape name) c)
       | Gauge_v g ->
           Buffer.add_string b
             (Printf.sprintf "    {\"name\": \"%s\", \"kind\": \"gauge\", \"value\": %s}"
-               (json_escape name) (json_float g))
+               (Jsonl.json_escape name) (json_float g))
       | Histogram_v h ->
           Buffer.add_string b
             (Printf.sprintf
                "    {\"name\": \"%s\", \"kind\": \"histogram\", \"count\": %d, \"sum\": %s, \
                 \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s, \"buckets\": [%s]}"
-               (json_escape name) h.hcount (json_float h.hsum) (json_float h.hmean)
+               (Jsonl.json_escape name) h.hcount (json_float h.hsum) (json_float h.hmean)
                (json_float h.hstddev) (json_float h.hmin) (json_float h.hmax)
                (String.concat ", "
                   (List.map

@@ -1,18 +1,20 @@
-(* Flight recorder: a compact capture of the event stream a run
-   executed, cheap enough to leave on in CI.  One record per fired
-   engine event (plus net-level deliver/drop records), each carrying
-   the deterministic span ids from Span so any record is causally
-   attributable.  The recorder keeps a bounded ring of recent records,
-   optionally streams everything to a JSONL sink, and folds every
-   record into rolling 64-bit fingerprints — overall and per label
-   prefix — so two runs can be compared for identical behaviour
-   without retaining either stream. *)
+(* Flight recorder: the run's one event log, cheap enough to leave on
+   in CI.  One record per fired engine event, per net-level
+   delivery/drop, and per protocol narrative line (claims, G-RIB
+   updates, join hops, violations — the records that carry a detail),
+   each carrying the deterministic span ids from Span so any record is
+   causally attributable.  The recorder keeps a bounded ring of recent
+   records (or every record), optionally streams everything to a JSONL
+   sink, and folds every record into rolling 64-bit fingerprints —
+   overall and per label prefix — so two runs can be compared for
+   identical behaviour without retaining either stream. *)
 
 type record = {
   seq : int;  (** 0-based position in the merged stream *)
   r_time : float;
   r_label : string;
   r_subject : string;
+  r_detail : string option;
   r_trace_id : string option;
   r_span : int option;
   r_parent : int option;
@@ -21,9 +23,10 @@ type record = {
 (* --- fingerprint hashing --------------------------------------------- *)
 
 (* FNV-1a over the record's semantic fields (time, label, subject,
-   causality) — NOT the seq, which merge renumbers.  Records are folded
-   into the stream hash with a multiply-accumulate so both content and
-   order matter. *)
+   causality, detail) — NOT the seq, which merge renumbers.  A record
+   without a detail hashes exactly as it did before details existed.
+   Records are folded into the stream hash with a multiply-accumulate
+   so both content and order matter. *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
@@ -52,7 +55,8 @@ let record_hash r =
   let h = h_string h r.r_subject in
   let h = h_string h (match r.r_trace_id with Some id -> id | None -> "") in
   let h = h_int64 h (Int64.of_int (match r.r_span with Some s -> s | None -> -1)) in
-  h_int64 h (Int64.of_int (match r.r_parent with Some p -> p | None -> -1))
+  let h = h_int64 h (Int64.of_int (match r.r_parent with Some p -> p | None -> -1)) in
+  match r.r_detail with Some d -> h_string (h_byte h 1) d | None -> h
 
 type fp = { mutable fp_hash : int64; mutable fp_count : int }
 
@@ -64,31 +68,43 @@ let fp_add fp rhash =
 
 (* --- instances -------------------------------------------------------- *)
 
+type retention = Ring of int | Keep_all
+
 type t = {
   mutable count : int;  (* records accepted = next seq *)
-  ring : record option array;
+  ring : record option array;  (* empty when keeping every record *)
   mutable ring_next : int;
+  mutable kept : record list;  (* newest first: keep-all and shard instances *)
   mutable oc : out_channel option;
   overall : fp;
   prefixes : (string, fp) Hashtbl.t;
   prefix_memo : (string, string) Hashtbl.t;
   shard_mode : bool;
-  mutable buffered : record list;  (* newest first; shard mode only *)
 }
 
-let create ?(ring = 256) ~shard_mode () =
-  if ring <= 0 then invalid_arg "Recorder: ring capacity must be positive";
+let create ~retain ~shard_mode () =
+  let ring =
+    match retain with
+    | Ring n ->
+        if n <= 0 then invalid_arg "Recorder: ring capacity must be positive";
+        Array.make n None
+    | Keep_all -> [||]
+  in
   {
     count = 0;
-    ring = Array.make ring None;
+    ring;
     ring_next = 0;
+    kept = [];
     oc = None;
     overall = fp_create ();
     prefixes = Hashtbl.create 8;
     prefix_memo = Hashtbl.create 64;
     shard_mode;
-    buffered = [];
   }
+
+let keeps_all t = Array.length t.ring = 0
+
+let retention t = if keeps_all t then Keep_all else Ring (Array.length t.ring)
 
 (* The enabled flag is shared across domains (flipped from the main
    domain while no workers run, like Prof); the instance records land
@@ -99,8 +115,11 @@ let create ?(ring = 256) ~shard_mode () =
 let on = ref false
 let is_enabled () = !on
 
-let default = create ~shard_mode:false ()
-let current_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ~shard_mode:true ())
+let default = create ~retain:(Ring 256) ~shard_mode:false ()
+
+let current_key : t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> create ~retain:Keep_all ~shard_mode:true ())
+
 let () = Domain.DLS.set current_key default
 let current () = Domain.DLS.get current_key
 
@@ -126,183 +145,56 @@ let bucket t label =
 
 (* --- JSONL encoding --------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record_to_json r =
   let b = Buffer.create 96 in
+  let esc = Jsonl.json_escape in
   Printf.bprintf b "{\"seq\": %d, \"time\": %.17g, \"label\": \"%s\", \"subject\": \"%s\"" r.seq
-    r.r_time (json_escape r.r_label) (json_escape r.r_subject);
+    r.r_time (esc r.r_label) (esc r.r_subject);
+  (match r.r_detail with Some d -> Printf.bprintf b ", \"detail\": \"%s\"" (esc d) | None -> ());
   (match r.r_trace_id with
-  | Some id -> Printf.bprintf b ", \"trace_id\": \"%s\"" (json_escape id)
+  | Some id -> Printf.bprintf b ", \"trace_id\": \"%s\"" (esc id)
   | None -> ());
   (match r.r_span with Some s -> Printf.bprintf b ", \"span\": %d" s | None -> ());
   (match r.r_parent with Some p -> Printf.bprintf b ", \"parent\": %d" p | None -> ());
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* Scanner for the exact shape [record_to_json] emits; the causality
-   keys are optional.  Same hand-rolled approach as Trace.entry_of_json
-   — no JSON library in the dependency set. *)
-let record_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error = ref false in
-  let skip_ws () = while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else error := true
-  in
-  let parse_string () =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> '"' then begin
-      error := true;
-      ""
-    end
-    else begin
-      incr pos;
-      let b = Buffer.create 16 in
-      let fin = ref false in
-      while (not !fin) && not !error do
-        if !pos >= n then error := true
-        else begin
-          let c = line.[!pos] in
-          incr pos;
-          if c = '"' then fin := true
-          else if c = '\\' then begin
-            if !pos >= n then error := true
-            else begin
-              let e = line.[!pos] in
-              incr pos;
-              match e with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !pos + 4 <= n then begin
-                    (match int_of_string_opt ("0x" ^ String.sub line !pos 4) with
-                    | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
-                    | Some _ | None -> error := true);
-                    pos := !pos + 4
-                  end
-                  else error := true
-              | _ -> error := true
-            end
-          end
-          else Buffer.add_char b c
-        end
-      done;
-      Buffer.contents b
-    end
-  in
-  let parse_key key =
-    expect '"';
-    let k = String.length key in
-    if (not !error) && !pos + k + 1 <= n && String.sub line (!pos - 1) (k + 2) = "\"" ^ key ^ "\"" then
-      pos := !pos + k + 1
-    else error := true;
-    expect ':'
-  in
-  let parse_float () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None ->
-        error := true;
-        0.0
-  in
-  let attempt f =
-    let saved = !pos in
-    let v = f () in
-    if !error then begin
-      pos := saved;
-      error := false;
-      None
-    end
-    else Some v
-  in
-  expect '{';
-  parse_key "seq";
-  let seq = int_of_float (parse_float ()) in
-  expect ',';
-  parse_key "time";
-  let r_time = parse_float () in
-  expect ',';
-  parse_key "label";
-  let r_label = parse_string () in
-  expect ',';
-  parse_key "subject";
-  let r_subject = parse_string () in
-  let r_trace_id =
-    attempt (fun () ->
-        expect ',';
-        parse_key "trace_id";
-        parse_string ())
-  in
-  let parse_int key =
-    attempt (fun () ->
-        expect ',';
-        parse_key key;
-        int_of_float (parse_float ()))
-  in
-  let r_span = if r_trace_id = None then None else parse_int "span" in
-  let r_parent = if r_span = None then None else parse_int "parent" in
-  expect '}';
-  if !error then None else Some { seq; r_time; r_label; r_subject; r_trace_id; r_span; r_parent }
+let record_of_value v =
+  let open Jsonl in
+  let ( let* ) = Option.bind in
+  let* seq = field "seq" to_int v in
+  let* r_time = field "time" to_float v in
+  let* r_label = field "label" to_string v in
+  let* r_subject = field "subject" to_string v in
+  let* r_detail = opt_field "detail" to_string v in
+  let* r_trace_id = opt_field "trace_id" to_string v in
+  let* r_span = opt_field "span" to_int v in
+  let* r_parent = opt_field "parent" to_int v in
+  Some { seq; r_time; r_label; r_subject; r_detail; r_trace_id; r_span; r_parent }
 
-let load_jsonl path =
-  let ic = open_in path in
-  let rec loop acc bad =
-    match input_line ic with
-    | line ->
-        if String.trim line = "" then loop acc bad
-        else (
-          match record_of_json line with
-          | Some r -> loop (r :: acc) bad
-          | None -> loop acc (bad + 1))
-    | exception End_of_file -> (List.rev acc, bad)
-  in
-  let res = loop [] 0 in
-  close_in ic;
-  res
+let record_of_json line = Option.bind (Jsonl.parse line) record_of_value
+
+let load_jsonl path = Jsonl.load_counted path record_of_value
 
 (* --- recording -------------------------------------------------------- *)
 
 (* [add] assigns the instance's next seq — shard replay renumbers, so a
    merged stream is indistinguishable from a sequential one. *)
-let add t ~time ~label ~subject ~trace_id ~span ~parent =
+let add t ~time ~label ~subject ~detail ~trace_id ~span ~parent =
   let r =
-    { seq = t.count; r_time = time; r_label = label; r_subject = subject; r_trace_id = trace_id;
-      r_span = span; r_parent = parent }
+    { seq = t.count; r_time = time; r_label = label; r_subject = subject; r_detail = detail;
+      r_trace_id = trace_id; r_span = span; r_parent = parent }
   in
   t.count <- t.count + 1;
-  if t.shard_mode then t.buffered <- r :: t.buffered
+  if t.shard_mode then t.kept <- r :: t.kept
   else begin
     fp_add t.overall (record_hash r);
     fp_add (bucket t label) (record_hash r);
-    t.ring.(t.ring_next) <- Some r;
-    t.ring_next <- (t.ring_next + 1) mod Array.length t.ring;
+    if keeps_all t then t.kept <- r :: t.kept
+    else begin
+      t.ring.(t.ring_next) <- Some r;
+      t.ring_next <- (t.ring_next + 1) mod Array.length t.ring
+    end;
     match t.oc with
     | Some oc ->
         output_string oc (record_to_json r);
@@ -310,15 +202,20 @@ let add t ~time ~label ~subject ~trace_id ~span ~parent =
     | None -> ()
   end
 
-let record ~time ~label ?(subject = "") ?span () =
+let record ~time ~label ?(subject = "") ?span ?trace_id ?detail () =
   if !on then begin
     let trace_id, sp, parent =
       match span with
       | Some s -> (Some s.Span.trace_id, Some s.Span.span, s.Span.parent)
-      | None -> (None, None, None)
+      | None -> (trace_id, None, None)
     in
-    add (current ()) ~time ~label ~subject ~trace_id ~span:sp ~parent
+    add (current ()) ~time ~label ~subject ~detail ~trace_id ~span:sp ~parent
   end
+
+let recordf ~time ~label ~subject ?span ?trace_id fmt =
+  if !on then
+    Format.kasprintf (fun detail -> record ~time ~label ~subject ?span ?trace_id ~detail ()) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (* --- lifecycle --------------------------------------------------------- *)
 
@@ -326,20 +223,18 @@ let reset_instance t ?sink () =
   t.count <- 0;
   Array.fill t.ring 0 (Array.length t.ring) None;
   t.ring_next <- 0;
+  t.kept <- [];
   (match t.oc with Some oc -> close_out oc | None -> ());
   t.oc <- (match sink with Some path -> Some (open_out path) | None -> None);
   t.overall.fp_hash <- fnv_offset;
   t.overall.fp_count <- 0;
-  Hashtbl.reset t.prefixes;
-  t.buffered <- []
+  Hashtbl.reset t.prefixes
 
-let enable ?ring ?sink () =
-  (* A custom ring size needs a fresh instance; the common path reuses
+let enable ?(retain = Ring 256) ?sink () =
+  (* A different retention needs a fresh instance; the common path reuses
      the domain's existing one so repeated enable/disable is cheap. *)
-  (match ring with
-  | Some n when n <> Array.length (current ()).ring ->
-      Domain.DLS.set current_key (create ~ring:n ~shard_mode:false ())
-  | _ -> ());
+  if retain <> retention (current ()) then
+    Domain.DLS.set current_key (create ~retain ~shard_mode:false ());
   reset_instance (current ()) ?sink ();
   on := true
 
@@ -354,12 +249,15 @@ let disable () =
 
 let recent () =
   let t = current () in
-  let cap = Array.length t.ring in
-  let acc = ref [] in
-  for i = cap - 1 downto 0 do
-    match t.ring.((t.ring_next + i) mod cap) with Some r -> acc := r :: !acc | None -> ()
-  done;
-  !acc
+  if keeps_all t then List.rev t.kept
+  else begin
+    let cap = Array.length t.ring in
+    let acc = ref [] in
+    for i = cap - 1 downto 0 do
+      match t.ring.((t.ring_next + i) mod cap) with Some r -> acc := r :: !acc | None -> ()
+    done;
+    !acc
+  end
 
 let records () = (current ()).count
 
@@ -393,13 +291,13 @@ let capture f =
   if not !on then (f (), { srecs = [] })
   else begin
     let prev = current () in
-    let buf = create ~ring:1 ~shard_mode:true () in
+    let buf = create ~retain:Keep_all ~shard_mode:true () in
     Domain.DLS.set current_key buf;
     Fun.protect
       ~finally:(fun () -> Domain.DLS.set current_key prev)
       (fun () ->
         let x = f () in
-        (x, { srecs = List.rev buf.buffered }))
+        (x, { srecs = List.rev buf.kept }))
   end
 
 let merge shard =
@@ -407,6 +305,6 @@ let merge shard =
     let t = current () in
     List.iter
       (fun r ->
-        add t ~time:r.r_time ~label:r.r_label ~subject:r.r_subject ~trace_id:r.r_trace_id
-          ~span:r.r_span ~parent:r.r_parent)
+        add t ~time:r.r_time ~label:r.r_label ~subject:r.r_subject ~detail:r.r_detail
+          ~trace_id:r.r_trace_id ~span:r.r_span ~parent:r.r_parent)
       shard.srecs

@@ -1,20 +1,26 @@
-(** Flight recorder: deterministic event-stream capture and run
-    fingerprints.
+(** Flight recorder: the run's one event log, deterministic
+    event-stream capture and run fingerprints.
 
     When enabled, the engine's dispatch point and the transport's
-    deliver/drop paths append one {!record} per observed event.  Each
-    record carries the event's sim time, label, a short subject string
-    and the deterministic span ids from {!Span}, so any record is
-    causally attributable with [Trace_report].  The recorder keeps a
-    bounded ring of recent records, optionally streams every record to
-    a JSONL file, and folds each one into rolling 64-bit fingerprints
-    — overall and per label prefix ([masc.*], [bgp.*], [bgmp.*],
-    [net.*], ...) — so two runs can be compared for behavioural
-    identity without retaining either stream.
+    deliver/drop paths append one {!record} per observed event, and the
+    protocol layers append one {e narrative} record per protocol step
+    (MASC claims and collisions, G-RIB updates, BGMP join hops, beacon
+    probes, invariant violations).  Each record carries the event's sim
+    time, label, a short subject string and the deterministic span ids
+    from {!Span}, so any record is causally attributable with
+    [Trace_report]; narrative records also carry a human-readable
+    [detail] — the line the [trace] subcommand prints.  The recorder
+    keeps a bounded ring of recent records (or every record), optionally
+    streams every record to a JSONL file, and folds each one into
+    rolling 64-bit fingerprints — overall and per label prefix
+    ([masc.*], [bgp.*], [bgmp.*], [net.*], [claim], [join-hop], ...) —
+    so two runs can be compared for behavioural identity without
+    retaining either stream.
 
     Disabled-path cost is one flag test ({!is_enabled} guards the call
-    sites, the same pattern as the profiler and the sampler), so the
-    instrumented hot paths are unchanged when recording is off.
+    sites, the same pattern as the profiler and the sampler; {!recordf}
+    does the test itself and formats nothing), so the instrumented hot
+    paths are unchanged when recording is off.
 
     The enabled flag is shared across domains (flip it from the main
     domain while no workers run); the instance records land in is
@@ -27,34 +33,64 @@
 type record = {
   seq : int;  (** 0-based position in the (merged) stream *)
   r_time : float;  (** sim time the event fired *)
-  r_label : string;  (** event label, e.g. [net.deliver.bgp] *)
-  r_subject : string;  (** short free-form subject, e.g. ["3->4"] *)
+  r_label : string;  (** event label, e.g. [net.recv.bgp] or [claim] *)
+  r_subject : string;  (** short free-form subject, e.g. ["3->4"] or ["masc-2"] *)
+  r_detail : string option;  (** the narrative line; [None] for engine and net records *)
   r_trace_id : string option;
   r_span : int option;
   r_parent : int option;
 }
 
+type retention =
+  | Ring of int  (** keep only the newest [n] records; [n > 0] *)
+  | Keep_all  (** keep every record in memory *)
+
 val is_enabled : unit -> bool
 
-val enable : ?ring:int -> ?sink:string -> unit -> unit
-(** Start recording on this domain with fresh state: empty ring
-    (capacity [ring], default 256), zeroed fingerprints, and — when
+val enable : ?retain:retention -> ?sink:string -> unit -> unit
+(** Start recording on this domain with fresh state: nothing retained
+    (default retention [Ring 256]), zeroed fingerprints, and — when
     [sink] is given — a JSONL file (truncated) receiving every record.
-    @raise Invalid_argument on [ring <= 0]. *)
+    @raise Invalid_argument on [Ring n] with [n <= 0]. *)
 
 val disable : unit -> unit
-(** Stop recording and close the sink.  Ring and fingerprints remain
-    readable until the next {!enable}. *)
+(** Stop recording and close the sink.  Retained records and
+    fingerprints remain readable until the next {!enable}. *)
 
-val record : time:float -> label:string -> ?subject:string -> ?span:Span.t -> unit -> unit
+val record :
+  time:float ->
+  label:string ->
+  ?subject:string ->
+  ?span:Span.t ->
+  ?trace_id:string ->
+  ?detail:string ->
+  unit ->
+  unit
 (** Append one record (no-op when disabled — but guard call sites with
-    {!is_enabled} so argument construction is skipped too). *)
+    {!is_enabled} so argument construction is skipped too).  [?span]
+    stamps the record with the span's trace id, span id and parent;
+    [?trace_id] alone links a record to a chain without a span of its
+    own (invariant violations do this).  [?span] wins when both are
+    given. *)
+
+val recordf :
+  time:float ->
+  label:string ->
+  subject:string ->
+  ?span:Span.t ->
+  ?trace_id:string ->
+  ('a, Format.formatter, unit, unit) format4 ->
+  'a
+(** A narrative record whose detail is the formatted line.  When the
+    recorder is disabled this is one flag test: the arguments are
+    consumed without any formatting work. *)
 
 val recent : unit -> record list
-(** The ring's contents, oldest first. *)
+(** The retained records, oldest first: the ring's window, or every
+    record since {!enable} under [Keep_all]. *)
 
 val records : unit -> int
-(** Records accepted since {!enable}, independent of ring capacity. *)
+(** Records accepted since {!enable}, independent of retention. *)
 
 (** {1 Fingerprints} *)
 
@@ -68,8 +104,8 @@ type fingerprint = {
 
 val fingerprint : unit -> fingerprint
 (** Rolling FNV-1a/multiply-accumulate hash of every record so far.
-    Covers each record's time, label, subject and causality fields —
-    not its seq — and is order-sensitive. *)
+    Covers each record's time, label, subject, causality fields and
+    detail — not its seq — and is order-sensitive. *)
 
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 (** Overall line plus one indented line per prefix, hashes as 16-digit
@@ -99,4 +135,4 @@ val record_of_json : string -> record option
 
 val load_jsonl : string -> record list * int
 (** Records (file order) plus the count of malformed non-blank lines
-    skipped. *)
+    skipped.  @raise Sys_error when the file cannot be read. *)

@@ -5,7 +5,7 @@
     optional parent span id.  Threading spans through the protocol
     messages lets a MASC claim, the collisions it provokes, the G-RIB
     routes it becomes, and the BGMP joins that consume those routes all
-    be stitched back into one causal chain from a flat trace.
+    be stitched back into one causal chain from a flat recording.
 
     Span ids come from a {!minter}: a monotone counter per trace id.
     There is no wall clock anywhere, so identical seeded runs mint

@@ -33,18 +33,6 @@ let register_counter t name c = register t name (fun () -> float_of_int (Metrics
 
 let sources t = List.rev_map fst t.srcs
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit t ~time row =
   t.n <- t.n + 1;
   match t.store with
@@ -64,7 +52,7 @@ let emit t ~time row =
       List.iter
         (fun (name, v) ->
           Printf.fprintf oc "{\"at\": %.17g, \"series\": \"%s\", \"value\": %.17g}\n" time
-            (json_escape name) v)
+            (Jsonl.json_escape name) v)
         row
 
 let sample t ~time = emit t ~time (List.rev_map (fun (name, read) -> (name, !read ())) t.srcs)
@@ -105,100 +93,15 @@ let close t =
 
 type point = { at : float; series : string; value : float }
 
-(* Scanner for exactly the shape [sample] writes. *)
-let point_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error = ref false in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else error := true
-  in
-  let literal s =
-    skip_ws ();
-    let k = String.length s in
-    if !pos + k <= n && String.sub line !pos k = s then pos := !pos + k else error := true
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 24 in
-    let fin = ref false in
-    while (not !fin) && not !error do
-      if !pos >= n then error := true
-      else begin
-        let c = line.[!pos] in
-        incr pos;
-        if c = '"' then fin := true
-        else if c = '\\' then begin
-          if !pos >= n then error := true
-          else begin
-            let e = line.[!pos] in
-            incr pos;
-            match e with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | _ -> error := true
-          end
-        end
-        else Buffer.add_char b c
-      end
-    done;
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None ->
-        error := true;
-        0.0
-  in
-  let field key =
-    literal ("\"" ^ key ^ "\"");
-    expect ':'
-  in
-  expect '{';
-  field "at";
-  let at = parse_number () in
-  expect ',';
-  field "series";
-  let series = parse_string () in
-  expect ',';
-  field "value";
-  let value = parse_number () in
-  expect '}';
-  if !error then None else Some { at; series; value }
+let point_of_value v =
+  let open Jsonl in
+  let ( let* ) = Option.bind in
+  let* at = field "at" to_float v in
+  let* series = field "series" to_string v in
+  let* value = field "value" to_float v in
+  Some { at; series; value }
 
-let load_jsonl_counted file =
-  let ic = open_in file in
-  let acc = ref [] in
-  let bad = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match point_of_json line with Some p -> acc := p :: !acc | None -> incr bad
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !acc, !bad)
-
-let load_jsonl file = fst (load_jsonl_counted file)
+let load_jsonl_counted file = Jsonl.load_counted file point_of_value
 
 let series_of points =
   let order = ref [] in

@@ -13,9 +13,7 @@
     and run flat-array kernels over it with a shared preallocated
     workspace.  For hot loops, freeze once and call the [_csr] kernels
     with an explicit {!workspace}; for repeated same-source queries, use
-    a {!cache}.  The [_list] variants are the straightforward
-    adjacency-list reference implementations kept for differential
-    testing. *)
+    a {!cache}. *)
 
 type paths = {
   src : Domain.id;
@@ -161,16 +159,3 @@ val cache_repair_stats : cache -> int * int
 (** [(repairs, touched)]: link transitions that repaired at least one
     maintained tree, and total labels rewritten doing so.  Mirrored by
     the [spf.inc_repairs] / [spf.inc_touched] counters. *)
-
-(** {2 List-based reference kernels}
-
-    The original adjacency-list implementations, kept as differential
-    oracles for the CSR kernels (see [test/test_spf_equiv.ml]).  They
-    visit edges in the same (link-insertion) order as the CSR kernels,
-    so results — including tie-breaks — match exactly. *)
-
-val bfs_list : Topo.t -> Domain.id -> paths
-
-val dijkstra_list : Topo.t -> Domain.id -> weighted
-
-val valley_free_dist_list : Topo.t -> Domain.id -> int array

@@ -101,7 +101,8 @@ let test_matrix_jsonl_roundtrip () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Beacon_matrix.write_jsonl ~meta:[ ("loss", 0.5); ("trials", 1.0) ] path cells;
-      let meta, loaded = Beacon_matrix.load_jsonl path in
+      let meta, loaded, bad = Beacon_matrix.load_jsonl_counted path in
+      check Alcotest.int "no malformed lines" 0 bad;
       check Alcotest.int "cells survive" (List.length cells) (List.length loaded);
       check Alcotest.bool "summaries equal" true
         (Beacon_matrix.summary loaded = Beacon_matrix.summary cells);
@@ -182,8 +183,10 @@ let test_beacon_lost_in_registration_order () =
      list-based tally over the registrations. *)
   let topo = Gen.figure1 () in
   let engine, fabric = make_fabric topo ~root_name:"B" in
-  let trace = Trace.create () in
-  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config ~trace () in
+  (* The probe-lost narrative is read back from the flight recorder. *)
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  Fun.protect ~finally:Recorder.disable @@ fun () ->
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config () in
   let cdom = dom topo "C" in
   let listeners = [ h cdom 3; h (dom topo "F") 0; h (dom topo "G") 0; h cdom 1 ] in
   List.iter (fun host -> Beacon.add_listener beacon ~group:g ~host) listeners;
@@ -195,8 +198,8 @@ let test_beacon_lost_in_registration_order () =
   let stranded host = host.Host_ref.host_domain <> dom topo "F" in
   let missing = List.filter stranded listeners in
   let probes = fleet_config.Beacon.probes_per_source in
-  let receiver e =
-    let d = e.Trace.detail in
+  let receiver r =
+    let d = Option.get r.Recorder.r_detail in
     let marker = "never reached " in
     let i = Str.search_forward (Str.regexp_string marker) d 0 + String.length marker in
     String.sub d i (String.length d - i)
@@ -205,7 +208,8 @@ let test_beacon_lost_in_registration_order () =
     (Alcotest.list Alcotest.string)
     "probe-lost entries in registration order, per probe"
     (List.concat (List.init probes (fun _ -> List.map (Format.asprintf "%a" Host_ref.pp) missing)))
-    (List.map receiver (Trace.find trace ~tag:"probe-lost"));
+    (List.map receiver
+       (List.filter (fun r -> r.Recorder.r_label = "probe-lost") (Recorder.recent ())));
   let s = Beacon_matrix.summary (Beacon_matrix.cells (Beacon.matrix beacon)) in
   check Alcotest.int "lost = list-based tally" (probes * List.length missing) (Beacon.lost beacon);
   check Alcotest.int "matrix sent - got = lost" (Beacon.lost beacon)

@@ -163,13 +163,23 @@ let test_stack_on_generated_topology () =
   check Alcotest.int "all stubs received" (List.length stubs) (List.length got);
   check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries (Internet.fabric inet))
 
+(* The protocol narrative lives in the flight recorder: [recorded] runs
+   [f] with it on, keeping every record, and [narrated] reads back the
+   narrative records with one label. *)
+let recorded f =
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  Fun.protect ~finally:Recorder.disable f
+
+let narrated label =
+  List.filter (fun r -> r.Recorder.r_label = label) (Trace_report.narrative (Recorder.recent ()))
+
 let test_trace_records_protocol_activity () =
-  let topo = Gen.figure1 () in
-  let inet = setup topo in
-  ignore (get_address inet (dom topo "B"));
-  let tr = Internet.trace inet in
-  check Alcotest.bool "claims traced" true (Trace.find tr ~tag:"claim" <> []);
-  check Alcotest.bool "acquisitions traced" true (Trace.find tr ~tag:"acquired" <> [])
+  recorded (fun () ->
+      let topo = Gen.figure1 () in
+      let inet = setup topo in
+      ignore (get_address inet (dom topo "B")));
+  check Alcotest.bool "claims recorded" true (narrated "claim" <> []);
+  check Alcotest.bool "acquisitions recorded" true (narrated "acquired" <> [])
 
 let test_masc_bgp_glue_withdraw_on_expiry () =
   (* A claim that lapses must disappear from every G-RIB. *)
@@ -322,7 +332,7 @@ let test_seeded_overlap_violation_detected () =
   in
   let before = Metrics.snapshot Metrics.default in
   Address_space.register (Masc_node.space_view node) ~owner:9999 forged;
-  let vs = Internet.check_invariants ~quiescent:false inet in
+  let vs = recorded (fun () -> Internet.check_invariants ~quiescent:false inet) in
   let v =
     match List.filter (fun v -> v.Invariant.inv = "masc-sibling-overlap") vs with
     | v :: _ -> v
@@ -338,10 +348,10 @@ let test_seeded_overlap_violation_detected () =
   check Alcotest.bool "counted in invariant.violations" true (delta "invariant.violations" >= 1);
   check Alcotest.bool "counted under the predicate's name" true
     (delta "invariant.violations.masc-sibling-overlap" >= 1);
-  check Alcotest.bool "recorded as a trace entry on the same chain" true
+  check Alcotest.bool "recorded as a narrative record on the same chain" true
     (List.exists
-       (fun e -> e.Trace.trace_id = Some claim.Masc_node.claim_span.Span.trace_id)
-       (Trace.find (Internet.trace inet) ~tag:"violation"));
+       (fun r -> r.Recorder.r_trace_id = Some claim.Masc_node.claim_span.Span.trace_id)
+       (narrated "violation"));
   (* Removing the forged claim repairs the stack. *)
   Address_space.unregister (Masc_node.space_view node) forged;
   check Alcotest.int "clean after repair" 0
@@ -373,6 +383,8 @@ let test_partition_collision_resolves_with_full_chain () =
         };
     }
   in
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  Fun.protect ~finally:Recorder.disable @@ fun () ->
   let inet = Internet.create ~config topo in
   Masc_network.partition (Internet.masc_network inet) p0 p1;
   Internet.start inet;
@@ -390,9 +402,8 @@ let test_partition_collision_resolves_with_full_chain () =
     (List.exists (fun v -> v.Invariant.inv = "masc-sibling-overlap") during);
   Masc_network.heal (Internet.masc_network inet) p0 p1;
   Internet.run_for inet (Time.days 2.0);
-  let tr = Internet.trace inet in
-  check Alcotest.bool "a collision was fought" true (Trace.find tr ~tag:"collision-sent" <> []);
-  check Alcotest.bool "the loser yielded" true (Trace.find tr ~tag:"collision-yield" <> []);
+  check Alcotest.bool "a collision was fought" true (narrated "collision-sent" <> []);
+  check Alcotest.bool "the loser yielded" true (narrated "collision-yield" <> []);
   check Alcotest.int "overlap resolved after healing" 0
     (List.length
        (List.filter
@@ -413,15 +424,16 @@ let test_partition_collision_resolves_with_full_chain () =
         | None -> Alcotest.fail "covering route carries no span")
     | None -> Alcotest.fail "no covering route for the group"
   in
-  let chain = Trace_report.chain (Trace.entries tr) ~id in
-  let tags = List.map (fun e -> e.Trace.tag) chain in
+  let records = Recorder.recent () in
+  let chain = Trace_report.chain records ~id in
+  let tags = List.map (fun r -> r.Recorder.r_label) chain in
   List.iter
     (fun t -> check Alcotest.bool (t ^ " on the chain") true (List.mem t tags))
     [ "claim"; "acquired"; "collision-sent"; "grib-update"; "join" ];
   (* And the [trace] subcommand's renderer reconstructs the same story. *)
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  Trace_report.pp_chain_for ppf (Trace.entries tr) ~id;
+  Trace_report.pp_chain_for ppf records ~id;
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let mem needle =

@@ -187,11 +187,12 @@ let test_remote_address_allocation () =
           get (tries + 1)
         end
   in
-  let alloc = get 0 in
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  let alloc = Fun.protect ~finally:Recorder.disable (fun () -> get 0) in
   check (Alcotest.option Alcotest.int) "rooted at B, not at the initiator" (Some (dom "B"))
     (Internet.root_domain_of inet alloc.Maas.address);
-  check Alcotest.bool "traced" true
-    (Trace.find (Internet.trace inet) ~tag:"remote-alloc" <> [])
+  check Alcotest.bool "recorded" true
+    (List.exists (fun r -> r.Recorder.r_label = "remote-alloc") (Recorder.recent ()))
 
 (* --- multi-provider reparenting ------------------------------------------ *)
 

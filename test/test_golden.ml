@@ -293,7 +293,68 @@ let check_record_diff () =
       check Alcotest.int "divergent recordings: exit 1" 1 (diff rec_a rec_b);
       let report = read_file out in
       check Alcotest.bool "first divergence located" true (has "first divergence" report);
-      check Alcotest.bool "loss shows up as a drop record" true (has "net.drop." report))
+      check Alcotest.bool "loss shows up as a drop record" true (has "net.drop." report);
+      (* Protocol records share the stream, so the causal-chain section
+         explains the divergence in protocol terms. *)
+      let chains =
+        let i = Str.search_forward (Str.regexp_string "--- causal chain") report 0 in
+        String.sub report i (String.length report - i)
+      in
+      check Alcotest.bool "causal chain shows protocol detail" true
+        (List.exists
+           (fun tag -> has (" " ^ tag ^ " ") chains)
+           [ "claim"; "grib-update"; "join-hop" ]))
+
+(* [trace] over a demo recording renders the protocol narrative the
+   pre-recorder trace sink produced, byte for byte. *)
+let check_recording_trace () =
+  let recording = Filename.temp_file "demo" ".jsonl" in
+  let out = Filename.temp_file "trace" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ recording; out ])
+    (fun () ->
+      let run args =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe) args (Filename.quote out))
+      in
+      check Alcotest.int "demo --record: exit code" 0
+        (run ("demo --record=" ^ Filename.quote recording));
+      check Alcotest.int "trace: exit code" 0 (run ("trace " ^ Filename.quote recording));
+      check Alcotest.string "trace output identical to golden/fig1_trace.txt"
+        (read_file (Filename.concat "golden" "fig1_trace.txt"))
+        (read_file out);
+      check Alcotest.int "trace --id: exit code" 0
+        (run ("trace --id claim:0:224.0.0.0/24 " ^ Filename.quote recording));
+      check Alcotest.bool "claim chain has its nine records" true
+        (contains "trace claim:0:224.0.0.0/24 (9 entries)" (read_file out)))
+
+(* Unreadable inputs end the command with a message and exit code 2,
+   never an uncaught exception. *)
+let check_unreadable_inputs () =
+  let dir = Filename.get_temp_dir_name () in
+  let err = Filename.temp_file "unreadable" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (args, message) ->
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
+                 (Filename.quote err))
+          in
+          check Alcotest.int (args ^ ": exit code") 2 rc;
+          check Alcotest.string (args ^ ": message") message (read_file err))
+        [
+          ("trace " ^ Filename.quote dir, Printf.sprintf "trace %s: Is a directory\n" dir);
+          ( "report --profile " ^ Filename.quote dir,
+            Printf.sprintf "profile %s: Is a directory\n" dir );
+          ( "report --matrix " ^ Filename.quote dir,
+            Printf.sprintf "matrix %s: Is a directory\n" dir );
+          ( "report --triage " ^ Filename.quote dir,
+            Printf.sprintf "ledger %s: Is a directory\n" dir );
+        ])
 
 let suite =
   [
@@ -375,6 +436,8 @@ let suite =
         ~args:"beacon --domains 8 --per-domain 1 --probes 2 --trials 3 --loss 0.05"
         ~jobs:[ 1; 4; 8 ] );
     ("report --diff on demo recordings", `Quick, check_record_diff);
+    ("trace over a demo recording", `Quick, check_recording_trace);
+    ("unreadable inputs exit 2", `Quick, check_unreadable_inputs);
     ( "fig4-modern --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant

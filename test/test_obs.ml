@@ -169,46 +169,54 @@ let test_registry_determinism_across_runs () =
     | Some (Metrics.Counter_v n) -> n > 0
     | _ -> false)
 
-(* The trace-sink half of the observability work lives in [Sim.Trace];
-   the retention-policy tests sit here with the rest of it. *)
+(* Retention and the JSONL sink of the one event log; the flight
+   recorder's enabled flag is process state, so each test runs under a
+   protect that disables it again. *)
+let with_recorder ?retain ?sink f =
+  Recorder.enable ?retain ?sink ();
+  Fun.protect ~finally:Recorder.disable f
+
+let narrate ?span ?trace_id time label detail =
+  Recorder.record ~time ~label ~subject:"a" ?span ?trace_id ~detail ()
 
 let test_trace_ring_eviction () =
   check Alcotest.bool "ring capacity must be positive" true
     (try
-       ignore (Trace.create ~sink:(Trace.Ring 0) ());
+       Recorder.enable ~retain:(Recorder.Ring 0) ();
        false
      with Invalid_argument _ -> true);
-  let tr = Trace.create ~sink:(Trace.Ring 3) () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~actor:"a" ~tag:"t" (string_of_int i)
-  done;
-  check Alcotest.int "all five counted" 5 (Trace.length tr);
-  check (Alcotest.list Alcotest.string) "newest three retained, oldest first"
-    [ "3"; "4"; "5" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.entries tr));
-  Trace.clear tr;
-  check Alcotest.int "cleared count" 0 (Trace.length tr);
-  check Alcotest.int "cleared entries" 0 (List.length (Trace.entries tr))
+  with_recorder ~retain:(Recorder.Ring 3) (fun () ->
+      for i = 1 to 5 do
+        narrate (float_of_int i) "t" (string_of_int i)
+      done;
+      check Alcotest.int "all five counted" 5 (Recorder.records ());
+      check (Alcotest.list Alcotest.string) "newest three retained, oldest first"
+        [ "3"; "4"; "5" ]
+        (List.filter_map (fun r -> r.Recorder.r_detail) (Recorder.recent ()));
+      Recorder.enable ~retain:(Recorder.Ring 3) ();
+      check Alcotest.int "cleared count" 0 (Recorder.records ());
+      check Alcotest.int "cleared records" 0 (List.length (Recorder.recent ())))
 
 let test_trace_jsonl_roundtrip () =
   let path = Filename.temp_file "trace" ".jsonl" in
-  let tr = Trace.create ~sink:(Trace.Jsonl path) () in
   (* Quotes, backslashes, newlines and a control byte all survive. *)
-  Trace.record tr ~time:1.5 ~actor:"node-1" ~tag:"claim" "a\"b\\c";
-  Trace.record tr ~time:2.25 ~actor:"node-2" ~tag:"join" "line1\nline2\tend";
-  Trace.record tr ~time:3.0 ~actor:"x" ~tag:"esc" "ctl\x01byte";
-  Trace.close tr;
-  let entries = Trace.load_jsonl path in
+  with_recorder ~sink:path (fun () ->
+      Recorder.record ~time:1.5 ~label:"claim" ~subject:"node-1" ~detail:"a\"b\\c" ();
+      Recorder.record ~time:2.25 ~label:"join" ~subject:"node-2" ~detail:"line1\nline2\tend" ();
+      Recorder.record ~time:3.0 ~label:"esc" ~subject:"x" ~detail:"ctl\x01byte" ());
+  let records, _ = Recorder.load_jsonl path in
   Sys.remove path;
-  check Alcotest.int "three entries" 3 (List.length entries);
-  let e1 = List.nth entries 0 and e2 = List.nth entries 1 and e3 = List.nth entries 2 in
-  check (Alcotest.float 1e-12) "time survives" 1.5 e1.Trace.time;
-  check Alcotest.string "actor survives" "node-1" e1.Trace.actor;
-  check Alcotest.string "quotes/backslash survive" "a\"b\\c" e1.Trace.detail;
-  check Alcotest.string "newline/tab survive" "line1\nline2\tend" e2.Trace.detail;
-  check Alcotest.string "control byte survives" "ctl\x01byte" e3.Trace.detail;
-  check Alcotest.bool "garbage line skipped" true
-    (Trace.entry_of_json "not json at all" = None)
+  check Alcotest.int "three records" 3 (List.length records);
+  let r1 = List.nth records 0 and r2 = List.nth records 1 and r3 = List.nth records 2 in
+  check (Alcotest.float 1e-12) "time survives" 1.5 r1.Recorder.r_time;
+  check Alcotest.string "subject survives" "node-1" r1.Recorder.r_subject;
+  check (Alcotest.option Alcotest.string) "quotes/backslash survive" (Some "a\"b\\c")
+    r1.Recorder.r_detail;
+  check (Alcotest.option Alcotest.string) "newline/tab survive" (Some "line1\nline2\tend")
+    r2.Recorder.r_detail;
+  check (Alcotest.option Alcotest.string) "control byte survives" (Some "ctl\x01byte")
+    r3.Recorder.r_detail;
+  check Alcotest.bool "garbage line skipped" true (Recorder.record_of_json "not json at all" = None)
 
 (* Spans: the causal identities threaded through protocol messages. *)
 
@@ -237,80 +245,78 @@ let test_span_minting () =
 
 let test_trace_span_jsonl_roundtrip () =
   let path = Filename.temp_file "trace" ".jsonl" in
-  let tr = Trace.create ~sink:(Trace.Jsonl path) () in
   let m = Span.create_minter () in
   let s0 = Span.root ~minter:m "claim:2:224.0.4.0/24" in
   let s1 = Span.child ~minter:m s0 in
-  Trace.record tr ~time:1.0 ~actor:"masc-2" ~tag:"claim" ~span:s0 "224.0.4.0/24 (new)";
-  Trace.record tr ~time:2.0 ~actor:"masc-2" ~tag:"acquired" ~span:s1 "224.0.4.0/24";
-  (* A bare [?trace_id] links without a span (how violations are recorded). *)
-  Trace.record tr ~time:3.0 ~actor:"invariant" ~tag:"violation"
-    ~trace_id:"claim:2:224.0.4.0/24" "overlap";
-  Trace.record tr ~time:4.0 ~actor:"x" ~tag:"plain" "no chain";
-  Trace.close tr;
-  let entries = Trace.load_jsonl path in
+  with_recorder ~sink:path (fun () ->
+      narrate 1.0 "claim" ~span:s0 "224.0.4.0/24 (new)";
+      narrate 2.0 "acquired" ~span:s1 "224.0.4.0/24";
+      (* A bare [?trace_id] links without a span (how violations are
+         recorded). *)
+      narrate 3.0 "violation" ~trace_id:"claim:2:224.0.4.0/24" "overlap";
+      narrate 4.0 "plain" "no chain");
+  let records, _ = Recorder.load_jsonl path in
   Sys.remove path;
-  check Alcotest.int "four entries" 4 (List.length entries);
-  let e0 = List.nth entries 0
-  and e1 = List.nth entries 1
-  and e2 = List.nth entries 2
-  and e3 = List.nth entries 3 in
+  check Alcotest.int "four records" 4 (List.length records);
+  let e0 = List.nth records 0
+  and e1 = List.nth records 1
+  and e2 = List.nth records 2
+  and e3 = List.nth records 3 in
   check (Alcotest.option Alcotest.string) "span stamps the trace id"
-    (Some "claim:2:224.0.4.0/24") e0.Trace.trace_id;
-  check (Alcotest.option Alcotest.int) "root span id" (Some 0) e0.Trace.span;
-  check (Alcotest.option Alcotest.int) "root parent absent" None e0.Trace.parent;
-  check (Alcotest.option Alcotest.int) "child span id" (Some 1) e1.Trace.span;
-  check (Alcotest.option Alcotest.int) "child parent" (Some 0) e1.Trace.parent;
+    (Some "claim:2:224.0.4.0/24") e0.Recorder.r_trace_id;
+  check (Alcotest.option Alcotest.int) "root span id" (Some 0) e0.Recorder.r_span;
+  check (Alcotest.option Alcotest.int) "root parent absent" None e0.Recorder.r_parent;
+  check (Alcotest.option Alcotest.int) "child span id" (Some 1) e1.Recorder.r_span;
+  check (Alcotest.option Alcotest.int) "child parent" (Some 0) e1.Recorder.r_parent;
   check (Alcotest.option Alcotest.string) "bare trace id survives"
-    (Some "claim:2:224.0.4.0/24") e2.Trace.trace_id;
-  check (Alcotest.option Alcotest.int) "bare trace id has no span" None e2.Trace.span;
-  check (Alcotest.option Alcotest.string) "unchained entry stays unchained" None
-    e3.Trace.trace_id;
-  (* A line written before the causality fields existed still parses. *)
-  match Trace.entry_of_json {|{"time": 1.5, "actor": "a", "tag": "t", "detail": "old"}|} with
-  | Some e ->
-      check Alcotest.string "legacy detail" "old" e.Trace.detail;
-      check (Alcotest.option Alcotest.string) "legacy trace id absent" None e.Trace.trace_id;
-      check (Alcotest.option Alcotest.int) "legacy span absent" None e.Trace.span;
-      check (Alcotest.option Alcotest.int) "legacy parent absent" None e.Trace.parent
-  | None -> Alcotest.fail "legacy 4-key line did not parse"
+    (Some "claim:2:224.0.4.0/24") e2.Recorder.r_trace_id;
+  check (Alcotest.option Alcotest.int) "bare trace id has no span" None e2.Recorder.r_span;
+  check (Alcotest.option Alcotest.string) "unchained record stays unchained" None
+    e3.Recorder.r_trace_id;
+  (* A line written before records carried a detail still parses. *)
+  match Recorder.record_of_json {|{"seq": 0, "time": 1.5, "label": "ev", "subject": ""}|} with
+  | Some r ->
+      check (Alcotest.option Alcotest.string) "legacy detail absent" None r.Recorder.r_detail;
+      check (Alcotest.option Alcotest.string) "legacy trace id absent" None r.Recorder.r_trace_id;
+      check (Alcotest.option Alcotest.int) "legacy span absent" None r.Recorder.r_span;
+      check (Alcotest.option Alcotest.int) "legacy parent absent" None r.Recorder.r_parent
+  | None -> Alcotest.fail "detail-less line did not parse"
 
 let test_trace_jsonl_sink_replacement () =
   let p1 = Filename.temp_file "trace1" ".jsonl" in
   let p2 = Filename.temp_file "trace2" ".jsonl" in
-  let tr = Trace.create ~sink:(Trace.Jsonl p1) () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "one";
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "two";
-  (* Replacing the sink must flush and close the old channel: the file
-     is complete and immediately re-openable. *)
-  Trace.set_sink tr (Trace.Jsonl p2);
-  let old = Trace.load_jsonl p1 in
-  check Alcotest.int "replaced file is complete" 2 (List.length old);
-  check Alcotest.string "last record flushed" "two" (List.nth old 1).Trace.detail;
-  let oc = open_out p1 in
-  output_string oc "reopenable\n";
-  close_out oc;
-  Trace.record tr ~time:3.0 ~actor:"a" ~tag:"t" "three";
-  Trace.close tr;
-  let fresh = Trace.load_jsonl p2 in
+  with_recorder ~sink:p1 (fun () ->
+      narrate 1.0 "t" "one";
+      narrate 2.0 "t" "two";
+      (* Re-enabling onto a new sink must flush and close the old
+         channel: the file is complete and immediately re-openable. *)
+      Recorder.enable ~sink:p2 ();
+      let old, _ = Recorder.load_jsonl p1 in
+      check Alcotest.int "replaced file is complete" 2 (List.length old);
+      check (Alcotest.option Alcotest.string) "last record flushed" (Some "two")
+        (List.nth old 1).Recorder.r_detail;
+      let oc = open_out p1 in
+      output_string oc "reopenable\n";
+      close_out oc;
+      narrate 3.0 "t" "three");
+  let fresh, _ = Recorder.load_jsonl p2 in
   check Alcotest.int "new sink receives later records" 1 (List.length fresh);
-  check Alcotest.string "routed to the new file" "three" (List.hd fresh).Trace.detail;
+  check (Alcotest.option Alcotest.string) "routed to the new file" (Some "three")
+    (List.hd fresh).Recorder.r_detail;
   Sys.remove p1;
   Sys.remove p2
 
 let test_trace_set_sink_after_close () =
   let path = Filename.temp_file "trace" ".jsonl" in
-  let tr = Trace.create ~sink:(Trace.Jsonl path) () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "x";
-  Trace.close tr;
-  (* The channel is already closed; switching sinks must not raise by
-     closing it a second time, and the trace stays usable. *)
-  Trace.set_sink tr (Trace.Ring 1);
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "y";
-  check Alcotest.int "usable after the switch" 1 (List.length (Trace.entries tr));
-  (* Close after close is equally harmless. *)
-  Trace.close tr;
-  Trace.close tr;
+  with_recorder ~sink:path (fun () -> narrate 1.0 "t" "x");
+  (* The channel is already closed; enabling again must not raise by
+     closing it a second time, and the recorder stays usable. *)
+  with_recorder ~retain:(Recorder.Ring 1) (fun () ->
+      narrate 2.0 "t" "y";
+      check Alcotest.int "usable after the switch" 1 (List.length (Recorder.recent ())));
+  (* Disable after disable is equally harmless. *)
+  Recorder.disable ();
+  Recorder.disable ();
   Sys.remove path
 
 (* The invariant monitor: named predicates, quiescent gating, counters. *)
@@ -411,7 +417,7 @@ let test_prof_jsonl_roundtrip () =
   let rows = Prof.rows () in
   let path = Filename.temp_file "prof" ".jsonl" in
   Prof.write_jsonl path;
-  let loaded = Prof.load_jsonl path in
+  let loaded, _ = Prof.load_jsonl_counted path in
   Sys.remove path;
   check Alcotest.int "row count survives" (List.length rows) (List.length loaded);
   List.iter2
@@ -490,7 +496,7 @@ let test_timeseries_jsonl_roundtrip () =
   Metrics.incr c;
   Timeseries.sample ts ~time:20.0;
   Timeseries.close ts;
-  let points = Timeseries.load_jsonl path in
+  let points, _ = Timeseries.load_jsonl_counted path in
   Sys.remove path;
   check Alcotest.int "four points" 4 (List.length points);
   let by_series = Timeseries.series_of points in
@@ -550,20 +556,13 @@ let test_json_shape () =
 
 (* --- flight recorder -------------------------------------------------- *)
 
-(* The recorder's enabled flag and per-domain instance are process
-   state, like the profiler's: each test runs under a protect that
-   disables it again. *)
-let with_recorder ?ring ?sink f =
-  Recorder.enable ?ring ?sink ();
-  Fun.protect ~finally:Recorder.disable f
-
 let test_recorder_disabled_is_noop () =
   check Alcotest.bool "disabled by default" false (Recorder.is_enabled ());
   Recorder.record ~time:1.0 ~label:"x" ();
   check Alcotest.bool "still disabled" false (Recorder.is_enabled ())
 
 let test_recorder_ring_and_counts () =
-  with_recorder ~ring:4 (fun () ->
+  with_recorder ~retain:(Recorder.Ring 4) (fun () ->
       for i = 1 to 6 do
         Recorder.record ~time:(float_of_int i) ~label:"ev" ()
       done;
@@ -686,21 +685,19 @@ let test_span_with_minter_scoping () =
   check Alcotest.int "ambient minter restored and advanced" 1 after.Span.span
 
 let test_counted_loaders_report_malformed () =
-  (* Trace, Prof and Timeseries share the skip-and-count contract the
+  (* Recorder, Prof and Timeseries share the skip-and-count contract the
      report subcommand surfaces as a warning. *)
   let file = Filename.temp_file "counted" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      let tr = Trace.create ~sink:(Trace.Jsonl file) () in
-      Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "ok";
-      Trace.close tr;
+      with_recorder ~sink:file (fun () -> narrate 1.0 "t" "ok");
       let oc = open_out_gen [ Open_append ] 0o644 file in
-      output_string oc "not json\n\n{\"time\": 2.0, \"actor\": \"b\", \"tag\"\n";
+      output_string oc "not json\n\n{\"seq\": 1, \"time\": 2.0, \"label\"\n";
       close_out oc;
-      let entries, bad = Trace.load_jsonl_counted file in
-      check Alcotest.int "trace entries" 1 (List.length entries);
-      check Alcotest.int "trace bad lines" 2 bad;
+      let records, bad = Recorder.load_jsonl file in
+      check Alcotest.int "recorded lines" 1 (List.length records);
+      check Alcotest.int "recording bad lines" 2 bad;
       let pts, bad_ts =
         let oc = open_out file in
         output_string oc "{\"at\": 1.0, \"series\": \"s\", \"value\": 2.0}\ngarbage\n";

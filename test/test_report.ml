@@ -1,0 +1,149 @@
+(* The offline views ([Report]) over in-memory records, and the shared
+   JSONL reader every artifact loader uses. *)
+
+let check = Alcotest.check
+
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let rec_ ?detail ?trace_id ?span seq time label =
+  {
+    Recorder.seq;
+    r_time = time;
+    r_label = label;
+    r_subject = "s";
+    r_detail = detail;
+    r_trace_id = trace_id;
+    r_span = span;
+    r_parent = None;
+  }
+
+(* A short stream: a claim narrated on its chain, an engine record,
+   then a net delivery on the same chain. *)
+let stream =
+  [
+    rec_ 0 1.0 "claim" ~detail:"224.0.0.0/24 (new)" ~trace_id:"claim:1:224.0.0.0/24" ~span:0;
+    rec_ 1 2.0 "masc.claim_wait";
+    rec_ 2 3.0 "net.recv.masc" ~trace_id:"claim:1:224.0.0.0/24" ~span:0;
+  ]
+
+let diff a b =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let code = Report.run_diff ppf ("A", a) ("B", b) in
+  Format.pp_print_flush ppf ();
+  (code, Buffer.contents buf)
+
+let test_diff_identical () =
+  (* seq numbers are per stream: renumbered copies are still identical. *)
+  let renumbered = List.map (fun r -> { r with Recorder.seq = r.Recorder.seq + 10 }) stream in
+  let code, out = diff stream renumbered in
+  check Alcotest.int "exit 0" 0 code;
+  check Alcotest.bool "reported identical" true (contains "recordings identical (3 records)" out)
+
+let test_diff_strict_prefix () =
+  let extra = rec_ 3 4.0 "net.drop.masc" ~detail:"loss" ~trace_id:"claim:1:224.0.0.0/24" in
+  let code, out = diff stream (stream @ [ extra ]) in
+  check Alcotest.int "exit 1" 1 code;
+  check Alcotest.bool "names the longer stream" true (contains "B has 1 extra record(s), first:" out);
+  check Alcotest.bool "prints the first extra record" true (contains "net.drop.masc" out);
+  check Alcotest.bool "chain of the extra record" true (contains "--- causal chain, B ---" out)
+
+let test_diff_divergence_anchors_on_spanned_record () =
+  (* The records diverge at the engine record (no trace id); the chain is
+     anchored on the nearest spanned record, and renders its narrative. *)
+  let b = List.mapi (fun i r -> if i = 1 then { r with Recorder.r_time = 2.5 } else r) stream in
+  let code, out = diff stream b in
+  check Alcotest.int "exit 1" 1 code;
+  check Alcotest.bool "locates the divergence" true (contains "first divergence at record 1" out);
+  check Alcotest.bool "both sides shown" true (contains "  A > #1" out && contains "  B > #1" out);
+  check Alcotest.bool "anchored on the nearest spanned record" true
+    (contains "--- causal chain, A = A (anchored on nearest spanned record, 0) ---" out);
+  check Alcotest.bool "chain renders the protocol detail" true (contains "224.0.0.0/24 (new)" out);
+  check Alcotest.bool "engine records stay out of the chain" false
+    (contains "(2 entries)" out)
+
+(* --- malformed input -------------------------------------------------- *)
+
+let expect_unreadable what f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ ": expected Report.Unreadable")
+  | exception Report.Unreadable msg -> msg
+
+let test_unreadable_files () =
+  let dir = Filename.get_temp_dir_name () in
+  let msg = expect_unreadable "trace" (fun () -> Report.run_trace Format.str_formatter dir None) in
+  check Alcotest.string "trace of a directory" ("trace " ^ dir ^ ": Is a directory") msg;
+  ignore
+    (expect_unreadable "profile" (fun () -> Report.report_profile Format.str_formatter dir None));
+  ignore (expect_unreadable "matrix" (fun () -> Report.report_matrix Format.str_formatter dir));
+  let missing = Filename.concat dir "no-such-recording.jsonl" in
+  let msg =
+    expect_unreadable "diff" (fun () -> Report.run_diff_files Format.str_formatter missing missing)
+  in
+  check Alcotest.string "missing file: reason without a repeated path"
+    ("recording " ^ missing ^ ": No such file or directory")
+    msg
+
+let test_non_finite_time_is_malformed () =
+  let file = Filename.temp_file "recording" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      output_string oc
+        "{\"seq\": 0, \"time\": 1e999999, \"label\": \"claim\", \"subject\": \"masc-0\", \
+         \"detail\": \"x\"}\n\
+         {\"seq\": 1.5, \"time\": 1.0, \"label\": \"ev\", \"subject\": \"\"}\n\
+         {\"seq\": 1e30, \"time\": 1.0, \"label\": \"ev\", \"subject\": \"\"}\n\
+         {\"seq\": 3, \"time\": 2.0, \"label\": \"ev\", \"subject\": \"\"}\n";
+      close_out oc;
+      let records, bad = Recorder.load_jsonl file in
+      check Alcotest.int "only the sound line loads" 1 (List.length records);
+      check Alcotest.int "infinite time and bad ints counted" 3 bad)
+
+(* --- the shared reader ------------------------------------------------- *)
+
+let test_jsonl_values () =
+  let doc = "{\n  \"a\": [1, -2.5e3, null, null],\n  \"s\": \"q\\\"\\\\\\n\\u0001\",\n  \"o\": {}\n}\n" in
+  match Jsonl.parse doc with
+  | None -> Alcotest.fail "multi-line document did not parse"
+  | Some v ->
+      check (Alcotest.option (Alcotest.list (Alcotest.option (Alcotest.float 0.0))))
+        "array of numbers and null"
+        (Some [ Some 1.0; Some (-2500.0); None; None ])
+        (Jsonl.field "a" (Jsonl.to_list (fun x -> Some (Jsonl.to_float x))) v);
+      check (Alcotest.option Alcotest.string) "escapes decode" (Some "q\"\\\n\001")
+        (Jsonl.field "s" Jsonl.to_string v);
+      check Alcotest.bool "empty object" true (Jsonl.member "o" v = Some (Jsonl.Object []));
+      check (Alcotest.option (Alcotest.option Alcotest.int)) "absent nullable field" (Some None)
+        (Jsonl.opt_field "missing" Jsonl.to_int v)
+
+let test_jsonl_rejects () =
+  List.iter
+    (fun s -> check Alcotest.bool (Printf.sprintf "%S rejected" s) true (Jsonl.parse s = None))
+    [ "{\"a\": 1"; "{\"a\": 1} x"; "[1, 2,]"; "1e999999"; "-1e400"; "\"\\q\""; "nope" ];
+  check (Alcotest.option Alcotest.int) "integral" (Some 42) (Jsonl.to_int (Jsonl.Number 42.0));
+  check (Alcotest.option Alcotest.int) "fractional" None (Jsonl.to_int (Jsonl.Number 1.5));
+  check (Alcotest.option Alcotest.int) "out of range" None (Jsonl.to_int (Jsonl.Number 1e30))
+
+let test_jsonl_escape_roundtrip () =
+  let s = "tab\there \"quoted\" back\\slash\nnew\rline \001" in
+  check (Alcotest.option Alcotest.string) "escape then parse" (Some s)
+    (Option.bind (Jsonl.parse ("\"" ^ Jsonl.json_escape s ^ "\"")) Jsonl.to_string)
+
+let suite =
+  [
+    ("diff identical streams", `Quick, test_diff_identical);
+    ("diff strict prefix", `Quick, test_diff_strict_prefix);
+    ( "diff divergence anchors on spanned record",
+      `Quick,
+      test_diff_divergence_anchors_on_spanned_record );
+    ("unreadable files raise Unreadable", `Quick, test_unreadable_files);
+    ("non-finite numbers are malformed lines", `Quick, test_non_finite_time_is_malformed);
+    ("jsonl values", `Quick, test_jsonl_values);
+    ("jsonl rejects", `Quick, test_jsonl_rejects);
+    ("jsonl escape roundtrip", `Quick, test_jsonl_escape_roundtrip);
+  ]

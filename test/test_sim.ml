@@ -256,30 +256,37 @@ let test_engine_monitor () =
   check Alcotest.int "no further quiescent fires" 1 !quiesces
 
 let test_trace_report_chains_and_latencies () =
-  let entry time tag span parent =
+  let record time label span parent =
     {
-      Trace.time;
-      actor = "a";
-      tag;
-      detail = tag;
-      trace_id = Some "claim:1:224.0.0.0/24";
-      span = Some span;
-      parent;
+      Recorder.seq = 0;
+      r_time = time;
+      r_label = label;
+      r_subject = "a";
+      r_detail = Some label;
+      r_trace_id = Some "claim:1:224.0.0.0/24";
+      r_span = Some span;
+      r_parent = parent;
     }
   in
-  let other = { (entry 5.0 "grib-update" 0 None) with Trace.trace_id = Some "group:224.0.0.1" } in
-  let unchained = { (entry 6.0 "noise" 0 None) with Trace.trace_id = None; span = None } in
-  let entries =
-    [ entry 1.0 "claim" 0 None; other; entry 4.0 "acquired" 1 (Some 0); unchained ]
+  let other =
+    { (record 5.0 "grib-update" 0 None) with Recorder.r_trace_id = Some "group:224.0.0.1" }
+  in
+  let unchained = { (record 6.0 "noise" 0 None) with Recorder.r_trace_id = None; r_span = None } in
+  (* An engine/net record on the claim chain: not narrative, so never
+     rendered, never counted, and never a latency endpoint. *)
+  let engine = { (record 9.0 "net.recv.bgp" 2 (Some 0)) with Recorder.r_detail = None } in
+  let records =
+    [ record 1.0 "claim" 0 None; other; record 4.0 "acquired" 1 (Some 0); unchained; engine ]
   in
   check (Alcotest.list Alcotest.string) "chain ids in first-appearance order"
     [ "claim:1:224.0.0.0/24"; "group:224.0.0.1" ]
-    (Trace_report.chain_ids entries);
-  let chain = Trace_report.chain entries ~id:"claim:1:224.0.0.0/24" in
-  check (Alcotest.list Alcotest.string) "chain selects and time-orders" [ "claim"; "acquired" ]
-    (List.map (fun e -> e.Trace.tag) chain);
+    (Trace_report.chain_ids records);
+  let chain = Trace_report.chain records ~id:"claim:1:224.0.0.0/24" in
+  check (Alcotest.list Alcotest.string) "chain selects narrative and time-orders"
+    [ "claim"; "acquired" ]
+    (List.map (fun r -> r.Recorder.r_label) chain);
   check Alcotest.string "kind of id" "claim" (Trace_report.kind_of_id "claim:1:224.0.0.0/24");
-  (match Trace_report.latencies entries with
+  (match Trace_report.latencies records with
   | [ c; g ] ->
       check Alcotest.string "claim kind first" "claim" c.Trace_report.kind;
       check Alcotest.int "one claim chain" 1 c.Trace_report.chains;
@@ -290,7 +297,7 @@ let test_trace_report_chains_and_latencies () =
   (* The renderer indents children under parents and keeps span refs. *)
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Trace_report.pp_chain_for ppf entries ~id:"claim:1:224.0.0.0/24";
+  Trace_report.pp_chain_for ppf records ~id:"claim:1:224.0.0.0/24";
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let mem needle =
@@ -298,70 +305,75 @@ let test_trace_report_chains_and_latencies () =
     let rec go i = i + nl <= ol && (String.sub out i nl = needle || go (i + 1)) in
     go 0
   in
-  check Alcotest.bool "header names the chain" true (mem "claim:1:224.0.0.0/24");
+  check Alcotest.bool "header names the chain" true (mem "claim:1:224.0.0.0/24 (2 entries)");
   check Alcotest.bool "root span rendered" true (mem "(#0)");
-  check Alcotest.bool "child span ref rendered" true (mem "(#1<-0)")
+  check Alcotest.bool "child span ref rendered" true (mem "(#1<-0)");
+  check Alcotest.bool "engine record not rendered" false (mem "net.recv.bgp")
+
+(* The protocol narrative lives in the flight recorder: each test runs
+   under a protect that disables it again. *)
+let recording ?retain f =
+  Recorder.enable ?retain ();
+  Fun.protect ~finally:Recorder.disable f
+
+let details () = List.filter_map (fun r -> r.Recorder.r_detail) (Recorder.recent ())
 
 let test_trace_basics () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"x" ~tag:"join" "detail-1";
-  Trace.record tr ~time:2.0 ~actor:"y" ~tag:"claim" "detail-2";
-  Trace.record tr ~time:3.0 ~actor:"x" ~tag:"join" "detail-3";
-  check Alcotest.int "length" 3 (Trace.length tr);
-  check Alcotest.int "find by tag" 2 (List.length (Trace.find tr ~tag:"join"));
-  let entries = Trace.entries tr in
-  check Alcotest.string "oldest first" "detail-1" (List.hd entries).Trace.detail
+  recording ~retain:Recorder.Keep_all (fun () ->
+      Recorder.record ~time:1.0 ~label:"join" ~subject:"x" ~detail:"detail-1" ();
+      Recorder.record ~time:2.0 ~label:"claim" ~subject:"y" ~detail:"detail-2" ();
+      Recorder.record ~time:3.0 ~label:"join" ~subject:"x" ~detail:"detail-3" ();
+      check Alcotest.int "length" 3 (Recorder.records ());
+      check Alcotest.int "find by label" 2
+        (List.length (List.filter (fun r -> r.Recorder.r_label = "join") (Recorder.recent ())));
+      check Alcotest.string "oldest first" "detail-1" (List.hd (details ())))
 
 let test_trace_disabled_drops () =
-  let tr = Trace.create () in
-  Trace.set_enabled tr false;
-  Trace.record tr ~time:1.0 ~actor:"x" ~tag:"t" "dropped";
-  check Alcotest.int "nothing recorded" 0 (Trace.length tr);
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:2.0 ~actor:"x" ~tag:"t" "kept %d" 42;
-  check Alcotest.int "recorded again" 1 (Trace.length tr);
-  check Alcotest.string "formatted" "kept 42" (List.hd (Trace.entries tr)).Trace.detail
+  Recorder.recordf ~time:1.0 ~label:"t" ~subject:"x" "dropped";
+  recording (fun () ->
+      check Alcotest.int "nothing recorded while disabled" 0 (Recorder.records ());
+      Recorder.recordf ~time:2.0 ~label:"t" ~subject:"x" "kept %d" 42;
+      check Alcotest.int "recorded again" 1 (Recorder.records ());
+      check (Alcotest.list Alcotest.string) "formatted" [ "kept 42" ] (details ()))
 
 let test_trace_disabled_skips_formatting () =
   (* The disabled path must consume the format arguments without running
      any user formatting code: a %t printer acts as the witness. *)
-  let tr = Trace.create () in
   let formatted = ref false in
   let witness ppf =
     formatted := true;
     Format.pp_print_string ppf "boom"
   in
-  Trace.set_enabled tr false;
-  Trace.recordf tr ~time:1.0 ~actor:"x" ~tag:"t" "value %t" witness;
+  Recorder.recordf ~time:1.0 ~label:"t" ~subject:"x" "value %t" witness;
   check Alcotest.bool "formatter not invoked while disabled" false !formatted;
-  check Alcotest.int "nothing recorded" 0 (Trace.length tr);
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:2.0 ~actor:"x" ~tag:"t" "value %t" witness;
-  check Alcotest.bool "formatter invoked when enabled" true !formatted;
-  check Alcotest.string "formatted detail" "value boom"
-    (List.hd (Trace.entries tr)).Trace.detail
+  recording (fun () ->
+      Recorder.recordf ~time:2.0 ~label:"t" ~subject:"x" "value %t" witness;
+      check Alcotest.bool "formatter invoked when enabled" true !formatted;
+      check (Alcotest.list Alcotest.string) "formatted detail" [ "value boom" ] (details ()))
 
 let test_trace_null_sink_counts () =
-  let tr = Trace.create ~sink:Trace.Null () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "x";
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "y";
-  check Alcotest.int "records counted" 2 (Trace.length tr);
-  check Alcotest.int "nothing retained" 0 (List.length (Trace.entries tr))
+  (* Counting is independent of retention: the smallest ring still
+     counts (and fingerprints) every record. *)
+  recording ~retain:(Recorder.Ring 1) (fun () ->
+      Recorder.record ~time:1.0 ~label:"t" ~subject:"a" ~detail:"x" ();
+      Recorder.record ~time:2.0 ~label:"t" ~subject:"a" ~detail:"y" ();
+      check Alcotest.int "records counted" 2 (Recorder.records ());
+      check Alcotest.int "fingerprinted" 2 (Recorder.fingerprint ()).Recorder.fpr_records;
+      check (Alcotest.list Alcotest.string) "only the newest retained" [ "y" ] (details ()))
 
 let test_trace_set_sink_switches () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "kept-nowhere";
-  Trace.set_sink tr (Trace.Ring 2);
-  check Alcotest.bool "sink reports ring" true (Trace.sink tr = Trace.Ring 2);
-  check Alcotest.int "old entries dropped" 0 (List.length (Trace.entries tr));
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "in-ring";
-  check Alcotest.int "ring records" 1 (List.length (Trace.entries tr))
+  recording ~retain:Recorder.Keep_all (fun () ->
+      Recorder.record ~time:1.0 ~label:"t" ~subject:"a" ~detail:"kept-nowhere" ();
+      Recorder.enable ~retain:(Recorder.Ring 2) ();
+      check Alcotest.int "old records dropped" 0 (List.length (Recorder.recent ()));
+      Recorder.record ~time:2.0 ~label:"t" ~subject:"a" ~detail:"in-ring" ();
+      check (Alcotest.list Alcotest.string) "ring records" [ "in-ring" ] (details ()))
 
 let test_trace_clear () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "x";
-  Trace.clear tr;
-  check Alcotest.int "cleared" 0 (Trace.length tr)
+  recording (fun () ->
+      Recorder.record ~time:1.0 ~label:"t" ~subject:"a" ~detail:"x" ();
+      Recorder.enable ();
+      check Alcotest.int "re-enabling clears" 0 (Recorder.records ()))
 
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
