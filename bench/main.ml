@@ -1,1368 +1,164 @@
-(* Benchmark harness.
+(* Allocation gate.
 
-   Part 1 — Bechamel micro-benchmarks of the hot paths: routing-table
-   lookups, the claim algorithm's free-space search, shortest-path and
-   tree construction at the paper's topology scale, and BGMP
-   join/data-plane processing.
+   A table of CI-sized runs, each one public entry point at jobs 1 with
+   pinned parameters.  Every row runs once to warm lazily built state,
+   then once more while the bytes the OCaml GC allocates are counted;
+   the count must stay within the row's budget in
+   bench/perf_budget.json.  Allocated bytes are a function of the input,
+   so unlike a wall-clock budget the gate does not flake on a busy host,
+   and it trips on what multiplies bytes: an arena reverting to
+   per-entry boxing, per-delivery accounting turning quadratic, the
+   flight recorder working while it is off.  Wall clock is printed for
+   reference only; timing is the workload benchmark's job (perfbench/),
+   and jobs-invariance is pinned by the golden tests.  Budgets are
+   measured in the release profile.
 
-   Part 2 — figure regeneration: runs the Figure-2 and Figure-4
-   experiments end-to-end and prints the same series the paper plots
-   (also available individually via bin/main.exe).
+     dune exec --profile release bench/main.exe -- [--profile] [--write-budget]
 
-   Methodology: every reported number is the median of [repeat_runs]
-   independent measurements taken after [warmup_runs] discarded ones,
-   with the min/max and spread printed alongside — a single noisy run
-   can neither hide nor fake a regression.  The Bechamel session is
-   repeated whole; for the figures, the printed regeneration doubles as
-   the warmup and the timed repeats run silently.
+   --profile       after measuring, run each row once more under the
+                   profiler inside a smoke.<row> span and write
+                   profile.jsonl, which says where a row's bytes went
+                   (read it with `main.exe report --profile`)
+   --write-budget  rewrite bench/perf_budget.json as [headroom] times
+                   the measured bytes, after a deliberate change
 
-   Besides the human-readable report, the harness writes BENCH_10.json
-   (per-benchmark ns/run medians with min/max/spread, wall-clock
-   medians for the figure regenerations, the micro-benchmark trajectory
-   against the BENCH_9.json baseline, the live invariant-check overhead
-   measured by running the Figure-4 experiment and a scaled Figure-2
-   run with the checks off and on, the profiler's disabled- and
-   enabled-path cost on the Figure-4 experiment with the per-kernel
-   span breakdown of the profiled run, a parallel section timing the
-   Figure-4 experiment at --jobs 1 vs --jobs 8 with the machine's core
-   count, the flight recorder's disabled- and enabled-path cost on the
-   Figure-4 experiment together with the event-stream fingerprints of
-   recorder-enabled reference runs, the beacon measurement soak —
-   hundreds of domains, millions
-   of probe messages through the BGMP data path under seeded loss and
-   mid-window link churn, with probe throughput, the aggregate delivery
-   matrix, and the data-path profile rows — the fault-scenario
-   explorer's campaign throughput at --jobs 1 vs 8 with its shrink-run
-   counts and the invariant-oracle monitor's monitored-vs-plain cost,
-   the convergence times the watermarks report, and the
-   metrics-registry counters accumulated across the regenerations) into
-   the working directory so successive PRs can track the performance
-   trajectory.
+   Exit status: 0 within budget, 1 over budget or a row and the budget
+   file disagree, 2 on a usage error or an unreadable budget file. *)
 
-   `--smoke` additionally gates on bench/perf_budget.json: scaled
-   fig2/fig4/fig4-modern/beacon medians (wall clock and allocated bytes)
-   must stay under the checked-in budgets (~2.5x a healthy median); refresh with `--smoke --write-budget` after a
-   deliberate performance change. *)
+type row = { name : string; run : unit -> unit }
 
-module M = Metrics
-module Sim_time = Time
-(* [Bechamel]/[Toolkit] shadow some of our module names (e.g. [Time]);
-   the registry and simulated time are reached through these aliases
-   below the opens. *)
+let row name f = { name; run = (fun () -> ignore (f ())) }
 
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Fixtures                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rng = Rng.create 42
-
-let routing_table =
-  (* A G-RIB-like trie with 1000 group routes of mixed specificity. *)
-  let trie = Prefix_trie.create () in
-  for i = 0 to 999 do
-    let base = 0xE0000000 lor (Rng.int rng 0x0FFFFFFF land 0x0FFFFF00) in
-    Prefix_trie.add trie (Prefix.make base (16 + (i mod 12))) i
-  done;
-  trie
-
-let lookup_addr () = 0xE0000000 lor Rng.int rng 0x0FFFFFFF
-
-let claim_arena =
-  let space = Address_space.create () in
-  Address_space.add_cover space Prefix.class_d;
-  for i = 0 to 99 do
-    let base = 0xE0000000 lor (Rng.int rng 0x0FFFFFFF land 0x0FFFF000) in
-    let candidate = Prefix.make base 22 in
-    if Address_space.is_free space candidate then Address_space.register space ~owner:i candidate
-  done;
-  space
-
-let big_topo = Gen.power_law ~rng:(Rng.create 7) ~n:3326 ~m:2
-
-let tree_members = Array.to_list (Rng.sample_without_replacement (Rng.create 9) 1000 3326)
-
-let fig3_fabric () =
-  let topo = Gen.figure3 () in
-  let engine = Engine.create () in
-  let b = Option.get (Topo.find_by_name topo "B") in
-  let paths = Spf.bfs topo b in
-  let route_to_root d _g =
-    if d = b then Bgmp_fabric.Root_here
-    else
-      match Spf.next_hop_toward topo paths d with
-      | Some nh -> Bgmp_fabric.Via nh
-      | None -> Bgmp_fabric.Unroutable
-  in
-  (engine, topo, Bgmp_fabric.create ~engine ~topo ~route_to_root ())
-
-let benchmarks =
-  Test.make_grouped ~name:"masc-bgmp"
-    [
-      Test.make ~name:"trie-longest-match-1k-routes"
-        (Staged.stage (fun () -> ignore (Prefix_trie.longest_match routing_table (lookup_addr ()))));
-      Test.make ~name:"free-space-choose-claim-100-claims"
-        (Staged.stage (fun () -> ignore (Address_space.choose_claim claim_arena ~rng ~want_len:24)));
-      Test.make ~name:"claim-policy-decision"
-        (Staged.stage (fun () ->
-             ignore
-               (Claim_policy.decide ~params:Claim_policy.default_params ~space:claim_arena
-                  ~claims:
-                    [
-                      {
-                        Claim_policy.prefix = Prefix.of_string "224.0.0.0/22";
-                        active = true;
-                        used = 1024;
-                      };
-                    ]
-                  ~need:256)));
-      Test.make ~name:"bfs-3326-node-graph"
-        (Staged.stage (fun () -> ignore (Spf.bfs big_topo (Rng.int rng 3326))));
-      Test.make ~name:"shared-tree-build-1000-members"
-        (Staged.stage (fun () -> ignore (Shared_tree.build big_topo ~root:0 ~members:tree_members)));
-      Test.make ~name:"path-eval-100-receivers"
-        (Staged.stage (fun () ->
-             let receivers = Rng.sample_without_replacement rng 100 3326 in
-             ignore
-               (Path_eval.evaluate big_topo
-                  { Path_eval.source = Rng.int rng 3326; root = receivers.(0); receivers })));
-      Test.make ~name:"bgmp-join-leave-cycle"
-        (Staged.stage (fun () ->
-             let engine, topo, fabric = fig3_fabric () in
-             let g = Ipv4.of_string "224.0.128.1" in
-             let dom n = Option.get (Topo.find_by_name topo n) in
-             List.iter
-               (fun n -> Bgmp_fabric.host_join fabric ~host:(Host_ref.make (dom n) 0) ~group:g)
-               [ "C"; "D"; "F"; "H" ];
-             Engine.run_until_idle engine;
-             List.iter
-               (fun n -> Bgmp_fabric.host_leave fabric ~host:(Host_ref.make (dom n) 0) ~group:g)
-               [ "C"; "D"; "F"; "H" ];
-             Engine.run_until_idle engine));
-      Test.make ~name:"kampai-grow-12-blocks"
-        (Staged.stage (fun () ->
-             let blocks =
-               List.init 12 (fun i -> Kampai.block_of_prefix (Prefix.make (0xE0000000 lor (i lsl 10)) 24))
-             in
-             match blocks with
-             | b :: others -> ignore (Kampai.grow b ~others)
-             | [] -> ()));
-      Test.make ~name:"aggregated-entry-count-64-groups"
-        (Staged.stage
-           (let r = Bgmp_router.create ~id:0 ~domain:0 ~name:"bench" in
-            Bgmp_router.set_classify_root r (fun _ -> Bgmp_router.External 9);
-            for i = 0 to 63 do
-              ignore (Bgmp_router.handle_join r ~group:(0xE0010000 lor i) ~from:(Bgmp_router.Peer 3))
-            done;
-            fun () -> ignore (Bgmp_router.aggregated_entry_count r)));
-      Test.make ~name:"bgmp-data-fanout-5-members"
-        (Staged.stage (fun () ->
-             let engine, topo, fabric = fig3_fabric () in
-             let g = Ipv4.of_string "224.0.128.1" in
-             let dom n = Option.get (Topo.find_by_name topo n) in
-             List.iter
-               (fun n -> Bgmp_fabric.host_join fabric ~host:(Host_ref.make (dom n) 0) ~group:g)
-               [ "B"; "C"; "D"; "F"; "H" ];
-             Engine.run_until_idle engine;
-             ignore (Bgmp_fabric.send fabric ~source:(Host_ref.make (dom "E") 0) ~group:g);
-             Engine.run_until_idle engine));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Measurement methodology                                             *)
-(* ------------------------------------------------------------------ *)
-
-let warmup_runs = 1
-let repeat_runs = 3
-
-(* Median with the spread of the repeats around it. *)
-type mstat = { med : float; mn : float; mx : float; spread_pct : float }
-
-let mstat_of samples =
-  let a = Array.of_list samples in
-  if Array.length a = 0 then invalid_arg "mstat_of: no samples";
-  Array.sort compare a;
-  let n = Array.length a in
-  let med = if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2)) in
-  let mn = a.(0) and mx = a.(n - 1) in
-  let spread_pct = if med > 0.0 then (mx -. mn) /. med *. 100.0 else 0.0 in
-  { med; mn; mx; spread_pct }
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Wall-clock median of [repeat_runs] calls (the caller is responsible
-   for any warmup — for the figures the printed regeneration is it). *)
-let timed_median f =
-  let samples = ref [] in
-  for _ = 1 to repeat_runs do
-    let _, s = timed f in
-    samples := s :: !samples
-  done;
-  mstat_of !samples
-
-let run_benchmarks_once () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] benchmarks in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name result acc ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> (name, est) :: acc
-      | Some _ | None -> acc)
-    results []
-
-let run_benchmarks () =
-  for _ = 1 to warmup_runs do
-    ignore (run_benchmarks_once ())
-  done;
-  let sessions = ref [] in
-  for _ = 1 to repeat_runs do
-    sessions := run_benchmarks_once () :: !sessions
-  done;
-  let names =
-    List.sort_uniq compare (List.concat_map (fun s -> List.map fst s) !sessions)
-  in
-  List.filter_map
-    (fun name ->
-      match List.filter_map (List.assoc_opt name) !sessions with
-      | [] ->
-          Format.printf "%-44s (no estimate)@." name;
-          None
-      | samples ->
-          let s = mstat_of samples in
-          Format.printf "%-44s %14.1f ns/run  [%.1f .. %.1f, %.1f%% spread]@." name s.med s.mn
-            s.mx s.spread_pct;
-          Some (name, s))
-    names
-
-(* ------------------------------------------------------------------ *)
-(* Figure regeneration                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let fig2_result = ref None
-
-let run_fig2 () =
-  Format.printf "@.=== Figure 2: MASC utilization and G-RIB size (50x50, 800 days) ===@.";
-  let r = Allocation_sim.run Allocation_sim.default_params in
-  fig2_result := Some r;
-  let steady = Allocation_sim.steady_state r ~from_day:400.0 in
-  let avg f = Stats.mean_of (Array.of_list (List.map f steady)) in
-  Format.printf "#   day  utilization  grib-avg  grib-max@.";
-  Array.iter
-    (fun (s : Allocation_sim.sample) ->
-      if int_of_float s.Allocation_sim.day mod 25 = 0 then
-        Format.printf "%7.0f %10.3f %9.1f %8d@." s.Allocation_sim.day s.Allocation_sim.utilization
-          s.Allocation_sim.grib_avg s.Allocation_sim.grib_max)
-    r.Allocation_sim.samples;
-  Format.printf
-    "steady state: utilization %.3f (paper ~0.50), G-RIB avg %.1f (paper ~175), max %.1f (paper \
-     <=180), blocks %.0f (paper 37500)@."
-    (avg (fun s -> s.Allocation_sim.utilization))
-    (avg (fun s -> s.Allocation_sim.grib_avg))
-    (avg (fun s -> float_of_int s.Allocation_sim.grib_max))
-    (avg (fun s -> float_of_int s.Allocation_sim.outstanding_blocks));
-  Format.printf "globally advertised prefix set converged on day %.1f@."
-    r.Allocation_sim.top_converged_day
-
-let run_fig4 () =
-  Format.printf "@.=== Figure 4: path-length overhead vs SPT (3326 nodes) ===@.";
-  let r = Tree_experiment.run Tree_experiment.default_params in
-  Format.printf "# size  uni-avg uni-max  bi-avg bi-max  hy-avg hy-max@.";
-  List.iter
-    (fun (pt : Tree_experiment.point) ->
-      Format.printf "%6d %8.2f %7.2f %7.2f %6.2f %7.2f %6.2f@." pt.Tree_experiment.group_size
-        pt.Tree_experiment.uni_avg pt.Tree_experiment.uni_max pt.Tree_experiment.bi_avg
-        pt.Tree_experiment.bi_max pt.Tree_experiment.hy_avg pt.Tree_experiment.hy_max)
-    r.Tree_experiment.points;
-  Format.printf
-    "paper, in-text: uni avg ~2x / max up to 6x; bi avg <1.3x / max 4.5x; hy avg <1.2x / max 4x@."
-
-(* Silent timed repeats of a figure regeneration; the printed run above
-   served as the warmup. *)
-let figure_stat name f =
-  let s = timed_median f in
-  Format.printf "%-20s %7.3f s median  [%.3f .. %.3f, %.1f%% spread]@." name s.med s.mn s.mx
-    s.spread_pct;
-  (name, s)
-
-(* The Figure-4 experiment through the Par pool at --jobs 1 vs
-   --jobs 8.  On a single-core machine the pool degrades to pinned
-   round-robin over one core and the speedup hovers around 1.0x — the
-   point of recording the core count next to the ratio. *)
-let parallel_report () =
-  Format.printf "@.=== Parallel fig4 (--jobs 1 vs --jobs 8) ===@.";
-  let run jobs () =
-    ignore (Tree_experiment.run { Tree_experiment.default_params with Tree_experiment.jobs })
-  in
-  ignore (timed (run 8));
-  (* warm the worker pool and both code paths *)
-  let j1 = timed_median (run 1) in
-  let j8 = timed_median (run 8) in
-  let cores = Stdlib.Domain.recommended_domain_count () in
-  let speedup = if j8.med > 0.0 then j1.med /. j8.med else 0.0 in
-  Format.printf "fig4 --jobs 1: %.3f s, --jobs 8: %.3f s — %.2fx speedup on %d core(s)@." j1.med
-    j8.med speedup cores;
-  (j1, j8, speedup, cores)
-
-(* ------------------------------------------------------------------ *)
-(* fig4-modern: incremental vs from-scratch route maintenance          *)
-(* ------------------------------------------------------------------ *)
-
-(* The ROADMAP-scale state study: a ~75k-domain transit-stub topology,
-   10^5 dense group ids, 2 * 10^5 membership events with a peer-link
-   failure/restore every 2000 — and the same run twice, once with the
-   maintained SPF cache repairing its trees in place on every link
-   event, once recomputing every in-use tree from scratch (the retired
-   pattern).  [spf_seconds]/[spf_bytes] isolate exactly the maintenance
-   work, so the speedup and the GC-pressure ratio are direct.  Each
-   mode is the median of [repeat_runs] after one warmup. *)
-
-let fig4_modern_params =
-  {
-    Modern_experiment.default_params with
-    Modern_experiment.domains = 75000;
-    groups = 100_000;
-    roots = 32;
-    events = 200_000;
-    link_every = 2000;
-    trials = 1;
-    jobs = 1;
-  }
-
-let fig4_modern_report () =
-  Format.printf "@.=== fig4-modern: route maintenance under churn (75k domains, 100k groups) ===@.";
-  let p = fig4_modern_params in
-  let run mode () = Modern_experiment.run { p with Modern_experiment.mode } in
-  let printed = run Modern_experiment.Incremental () in
-  Format.printf "%a" Modern_experiment.pp_summary printed;
-  Format.printf "topology: %d domains, %d links@." printed.Modern_experiment.r_domains
-    printed.Modern_experiment.r_links;
-  let measure name mode =
-    (* warmup is the printed run for Incremental; Scratch warms itself *)
-    let runs = ref [] in
-    for _ = 1 to repeat_runs do
-      let r, wall = timed (run mode) in
-      runs := (r, wall) :: !runs
-    done;
-    let med f = (mstat_of (List.map f !runs)).med in
-    let spf_s = med (fun (r, _) -> r.Modern_experiment.spf_seconds) in
-    let spf_b = med (fun (r, _) -> r.Modern_experiment.spf_bytes) in
-    let wall_s = med snd in
-    let link_events =
-      match !runs with (r, _) :: _ -> r.Modern_experiment.link_events | [] -> 0
-    in
-    let events_per_s = if spf_s > 0.0 then float_of_int link_events /. spf_s else 0.0 in
-    Format.printf
-      "%-12s %8.3f s maintaining routes (%.0f link events/s), %12.0f bytes allocated, %7.3f s \
-       whole trial@."
-      name spf_s events_per_s spf_b wall_s;
-    (spf_s, spf_b, events_per_s, wall_s)
-  in
-  let inc = measure "incremental" Modern_experiment.Incremental in
-  ignore (run Modern_experiment.Scratch ());
-  let scr = measure "from-scratch" Modern_experiment.Scratch in
-  let inc_s, inc_b, _, _ = inc and scr_s, scr_b, _, _ = scr in
-  let speedup = if inc_s > 0.0 then scr_s /. inc_s else 0.0 in
-  let bytes_ratio = if inc_b > 0.0 then scr_b /. inc_b else 0.0 in
-  Format.printf "incremental repair: %.1fx faster, %.1fx fewer GC bytes than from-scratch@."
-    speedup bytes_ratio;
-  (printed, inc, scr, speedup, bytes_ratio)
-
-(* ------------------------------------------------------------------ *)
-(* Beacon measurement soak                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The active-measurement soak: 200 domains, 600 beacon sources, 25
-   probes each, millions of data messages through the BGMP data path,
-   under seeded loss and a mid-window uplink failure, with the trials
-   fanned out over the Par pool (shard-merge discipline, so the matrix
-   is byte-identical at any job count).  Probe throughput counts the
-   engine-visible probe events — inter-domain data messages plus
-   end-host deliveries — per wall-clock second.  The data-path profile
-   rows come from a profiled single-trial rerun. *)
-
-let beacon_soak_params =
-  {
-    Beacon_campaign.default_params with
-    Beacon_campaign.domains = 200;
-    per_domain = 2;
-    probes = 25;
-    trials = 4;
-    loss = 0.05;
-    churn = true;
-  }
-
-let data_path_buckets =
-  [ "net.deliver.bgmp"; "bgmp.data.forward"; "bgmp.data.distribute"; "beacon.probe"; "beacon.harvest" ]
-
-let beacon_soak () =
-  Format.printf "@.=== Beacon soak: 200 domains, 4 trials, loss 0.05, churn (--jobs 4) ===@.";
-  let p = beacon_soak_params in
-  let r, wall_s = timed (fun () -> Beacon_campaign.run ~jobs:4 p) in
-  let sum f = List.fold_left (fun acc t -> acc + f t) 0 r.Beacon_campaign.trials in
-  let data_msgs = sum (fun t -> t.Beacon_campaign.r_data_msgs) in
-  let delivered = sum (fun t -> t.Beacon_campaign.r_deliveries) in
-  let probes = sum (fun t -> t.Beacon_campaign.r_probes_sent) in
-  let events = data_msgs + delivered in
-  let throughput = if wall_s > 0.0 then float_of_int events /. wall_s else 0.0 in
-  let agg = r.Beacon_campaign.agg in
-  Format.printf
-    "%d probes -> %d inter-domain data messages, %d deliveries: %.2f s wall, %.0f probe \
-     events/s@."
-    probes data_msgs delivered wall_s throughput;
-  Format.printf "%a@." Beacon_matrix.pp_summary agg;
-  (* Where the data path spends its time: a profiled single-trial
-     rerun, filtered to the probe/forward/distribute/harvest buckets. *)
-  Prof.enable ();
-  ignore (Beacon_campaign.run ~jobs:1 { p with Beacon_campaign.trials = 1 });
-  let rows =
-    List.filter
-      (fun (row : Prof.row) ->
-        match List.rev row.Prof.path with
-        | leaf :: _ -> List.mem leaf data_path_buckets
-        | [] -> false)
-      (Prof.rows ())
-  in
-  Prof.disable ();
-  List.iter
-    (fun (row : Prof.row) ->
-      Format.printf "%-44s %9d calls %9.3f ms self@."
-        (String.concat ";" row.Prof.path)
-        row.Prof.count (row.Prof.self_s *. 1e3))
-    rows;
-  (r, wall_s, throughput, rows)
-
-(* ------------------------------------------------------------------ *)
-(* Fault-scenario explorer                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Campaign throughput of the schedule explorer at --jobs 1 vs 8 —
-   each trial is a full protocol-stack run judged by the invariant
-   oracle, so schedules/s is the number that bounds how much fault
-   space a CI budget can cover — plus the oracle's own price: the same
-   empty-schedule run with the cadence invariant monitor off and on. *)
-
-let explore_budget = 24
-
-let explore_report () =
-  Format.printf "@.=== Fault-scenario explorer (%d schedules, --jobs 1 vs 8) ===@." explore_budget;
-  let ledger = Filename.temp_file "bench_explore" ".jsonl" in
-  let campaign jobs =
-    Explore.run_campaign
-      {
-        Explore.default_config with
-        Explore.budget = explore_budget;
-        seed = 7;
-        jobs = Some jobs;
-        ledger;
-      }
-  in
-  let s0 = campaign 1 in
-  (* the summary we report; doubles as the warmup *)
-  let j1 = timed_median (fun () -> ignore (campaign 1)) in
-  let j8 = timed_median (fun () -> ignore (campaign 8)) in
-  (try Sys.remove ledger with Sys_error _ -> ());
-  let tput (m : mstat) = if m.med > 0.0 then float_of_int explore_budget /. m.med else 0.0 in
-  let speedup = if j8.med > 0.0 then j1.med /. j8.med else 0.0 in
-  Format.printf
-    "campaign: --jobs 1 %.3f s (%.1f schedules/s), --jobs 8 %.3f s (%.1f schedules/s) — %.2fx@."
-    j1.med (tput j1) j8.med (tput j8) speedup;
-  Format.printf
-    "verdicts: %d pass, %d violation, %d non-convergence; %d shrink runs over %d \
-     counterexamples@."
-    s0.Explore.passed s0.Explore.violation s0.Explore.non_convergence s0.Explore.shrink_steps
-    (List.length (Explore.counterexamples s0.Explore.entries));
-  let orun monitor () = ignore (Oracle.run ~monitor ~seed:7 []) in
-  orun true ();
-  let on = timed_median (orun true) in
-  let off = timed_median (orun false) in
-  let pct = if off.med > 0.0 then (on.med -. off.med) /. off.med *. 100.0 else 0.0 in
-  Format.printf "oracle (empty schedule): %.3f s plain, %.3f s monitored: %+.1f%%@." off.med
-    on.med pct;
-  (s0, j1, j8, speedup, (off.med, on.med, pct))
-
-(* ------------------------------------------------------------------ *)
-(* Invariant-check overhead and convergence                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock cost of running an experiment with the live invariant
-   monitor off and on.  Figure 4 runs at full scale (the issue bounds
-   its overhead); Figure 2 uses a scaled run — the O(claims^2) overlap
-   sweep on the full 50x50 topology is exactly the cost the flag exists
-   to keep out of the big regenerations. *)
-let invariant_overhead () =
-  Format.printf "@.=== Invariant-check overhead (off vs on) ===@.";
-  let pair name run =
-    let _, off_s = timed (fun () -> run false) in
-    let violations, on_s = timed (fun () -> run true) in
-    let pct = if off_s > 0.0 then (on_s -. off_s) /. off_s *. 100.0 else 0.0 in
-    Format.printf "%-12s %7.3f s off, %7.3f s on: %+.1f%% (%d violations)@." name off_s on_s pct
-      violations;
-    (name, off_s, on_s, pct)
-  in
-  let fig4 check =
-    let r =
-      Tree_experiment.run { Tree_experiment.default_params with Tree_experiment.check_invariants = check }
-    in
-    r.Tree_experiment.invariant_violations
-  in
-  let fig2_scaled check =
-    let r =
-      Allocation_sim.run
-        {
-          Allocation_sim.default_params with
-          Allocation_sim.tops = 10;
-          children_per_top = 10;
-          horizon = Sim_time.days 120.0;
-          check_invariants = check;
-        }
-    in
-    r.Allocation_sim.invariant_violations
-  in
-  let fig4_pair = pair "fig4" fig4 in
-  let fig2_pair = pair "fig2-scaled" fig2_scaled in
-  [ fig4_pair; fig2_pair ]
-
-(* Convergence times from the engine watermarks: when the globally
-   advertised prefix set last changed in the Figure-2 run, and when the
-   Figure-3 walkthrough's join fabric went quiet. *)
-let convergence_report () =
-  Format.printf "@.=== Convergence ===@.";
-  let fig2_day =
-    match !fig2_result with Some r -> r.Allocation_sim.top_converged_day | None -> 0.0
-  in
-  let w = Scenario.figure3 () in
-  let walkthrough_s =
-    match Engine.converged_at w.Scenario.engine with
-    | Some t -> Sim_time.to_seconds t
-    | None -> 0.0
-  in
-  Format.printf "fig2 top-level prefixes converged on day %.1f@." fig2_day;
-  Format.printf "walkthrough tree converged after %.3f s of simulated time@." walkthrough_s;
-  [ ("fig2-top-converged-day", fig2_day); ("walkthrough-converged-s", walkthrough_s) ]
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable results                                            *)
-(* ------------------------------------------------------------------ *)
-
-let json_file = "BENCH_10.json"
-
-let baseline_file = "BENCH_9.json"
-
-(* Entries of a results file, scanned with Str (no JSON dependency in
-   the image). *)
-let scan_json_file file re =
-  if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let rec loop acc =
-      match input_line ic with
-      | line ->
-          loop
-            (try
-               ignore (Str.search_forward re line 0);
-               (Str.matched_group 1 line, float_of_string (Str.matched_group 2 line)) :: acc
-             with Not_found -> acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let entries = loop [] in
-    close_in ic;
-    entries
-  end
-
-(* The trailing brace is left off the patterns: BENCH_6-format entries
-   carry min/max/spread fields after the headline number. *)
-let load_baseline () =
-  scan_json_file baseline_file
-    (Str.regexp "{\"name\": \"\\([^\"]+\\)\", \"ns_per_run\": \\([0-9.]+\\)")
-
-let load_baseline_figures () =
-  scan_json_file baseline_file
-    (Str.regexp "{\"name\": \"\\([^\"]+\\)\", \"wall_clock_s\": \\([0-9.]+\\)")
-
-let load_baseline_profile () =
-  scan_json_file baseline_file
-    (Str.regexp
-       "{\"path\": \"\\([^\"]+\\)\", \"count\": [0-9]+, \"total_s\": [0-9.]+, \"self_s\": \
-        [0-9.]+, \"self_bytes\": \\([0-9.]+\\)")
-
-(* Allocation trajectory of the figure-4 pipeline vs the baseline
-   file's profile rows: the PR's representation work (int-packed
-   arenas, lazily allocated cache slots, maintained trees instead of
-   per-trial recomputes) must show up as an allocated-bytes drop in
-   the same profiled fig4 regeneration, not just feel faster.  Rows
-   are matched by span path against the current run's profile. *)
-let alloc_reduction_report prof_kernels =
-  Format.printf "@.=== fig4 allocated bytes vs %s ===@." baseline_file;
-  let baseline = load_baseline_profile () in
-  let current =
-    List.map
-      (fun (r : Prof.row) -> (String.concat ";" r.Prof.path, r.Prof.self_bytes))
-      prof_kernels
-  in
-  let rows =
-    List.filter_map
-      (fun (path, base) ->
-        match List.assoc_opt path current with
-        | Some cur when base > 0.0 ->
-            let ratio = if cur > 0.0 then base /. cur else infinity in
-            Format.printf "%-44s %12.0f -> %12.0f bytes (%.2fx)@." path base cur ratio;
-            Some (path, base, cur, ratio)
-        | _ -> None)
-      baseline
-  in
-  let total_base = List.fold_left (fun acc (_, b, _, _) -> acc +. b) 0.0 rows in
-  let total_cur = List.fold_left (fun acc (_, _, c, _) -> acc +. c) 0.0 rows in
-  let total_ratio = if total_cur > 0.0 then total_base /. total_cur else 0.0 in
-  if rows <> [] then
-    Format.printf "%-44s %12.0f -> %12.0f bytes (%.2fx)@." "total" total_base total_cur
-      total_ratio
-  else Format.printf "no overlapping profile rows in %s; comparison skipped@." baseline_file;
-  (rows, total_base, total_cur, total_ratio)
-
-(* Wall-clock cost of the hierarchical profiler on the Figure-4
-   experiment: disabled (the shipping default — every span is one flag
-   test plus a tail call) and enabled (two clock and two allocation
-   reads per span).  The disabled run is also compared against the
-   baseline file's fig4 regeneration so the flag test itself stays
-   visible in the trajectory; the enabled cost is reported, not
-   bounded.  Returns the profiled run's span tree as the per-kernel
-   breakdown. *)
-let profiling_overhead () =
-  Format.printf "@.=== Profiling overhead (disabled vs enabled) ===@.";
-  let run () = ignore (Tree_experiment.run Tree_experiment.default_params) in
-  let _, off_s = timed run in
-  Prof.enable ();
-  let _, on_s = timed run in
-  let kernels = Prof.rows () in
-  Prof.disable ();
-  let enabled_pct = if off_s > 0.0 then (on_s -. off_s) /. off_s *. 100.0 else 0.0 in
-  Format.printf "fig4         %7.3f s disabled, %7.3f s enabled: %+.1f%% enabled-path@." off_s
-    on_s enabled_pct;
-  let baseline_s = List.assoc_opt "fig4-regeneration" (load_baseline_figures ()) in
-  (match baseline_s with
-  | Some b when b > 0.0 ->
-      Format.printf "fig4         disabled-path vs %s: %+.1f%% (%.3f -> %.3f s)@." baseline_file
-        ((off_s -. b) /. b *. 100.0)
-        b off_s
-  | _ -> ());
-  ((off_s, on_s, enabled_pct, baseline_s), kernels)
-
-(* Wall-clock cost of the flight recorder on the Figure-4 experiment:
-   disabled (one flag test at the engine dispatch point, the shipping
-   default) and enabled fingerprint-only — every fired event and
-   net-level delivery hashed into the rolling fingerprint, ring
-   retention, no sink.  The issue bounds the enabled cost at 5%.  The
-   enabled run's fingerprint is returned for the fingerprints
-   section. *)
-let recorder_overhead () =
-  Format.printf "@.=== Flight-recorder overhead (disabled vs enabled) ===@.";
-  let run () =
-    Span.reset ();
-    ignore (Tree_experiment.run Tree_experiment.default_params)
-  in
-  (* The 5%-bound comparison uses the session methodology — warmup then
-     median of [repeat_runs] — for both paths; a single timed pair is
-     too noisy to bound a hook this cheap. *)
-  run ();
-  let off = timed_median run in
-  Recorder.enable ();
-  run ();
-  let on = timed_median run in
-  let fp = Recorder.fingerprint () in
-  Recorder.disable ();
-  let pct = if off.med > 0.0 then (on.med -. off.med) /. off.med *. 100.0 else 0.0 in
-  Format.printf "fig4         %7.3f s disabled, %7.3f s enabled: %+.1f%% enabled-path@." off.med
-    on.med pct;
-  Format.printf "fig4         enabled-run %a@." Recorder.pp_fingerprint fp;
-  ((off.med, on.med, pct), fp)
-
-(* Event-stream fingerprints of recorder-enabled reference runs,
-   pinned into the results file: a PR that reorders or reshapes the
-   event stream shows up as a hash change even when the printed
-   figures agree.  [Span.reset] before each run keeps the minted span
-   ids — part of the hash — a function of the run alone. *)
-let fingerprint_report ~fig4_fp =
-  Format.printf "@.=== Run fingerprints ===@.";
-  let capture name f =
-    Span.reset ();
-    Recorder.enable ();
-    f ();
-    let fp = Recorder.fingerprint () in
-    Recorder.disable ();
-    (name, fp)
-  in
-  let fig2 =
-    capture "fig2-scaled" (fun () ->
-        ignore
-          (Allocation_sim.run
-             {
-               Allocation_sim.default_params with
-               Allocation_sim.tops = 10;
-               children_per_top = 10;
-               horizon = Sim_time.days 120.0;
-             }))
-  in
-  let beacon =
-    capture "beacon" (fun () ->
-        ignore
-          (Beacon_campaign.run ~jobs:4
-             { Beacon_campaign.default_params with Beacon_campaign.trials = 2 }))
-  in
-  let all = [ fig2; ("fig4", fig4_fp); beacon ] in
-  List.iter
-    (fun (name, fp) -> Format.printf "%-12s %a@." name Recorder.pp_fingerprint fp)
-    all;
-  all
-
-(* The instrumented hot kernels whose overhead vs the pre-metrics
-   baseline the issue bounds at 5%. *)
-let overhead_watchlist =
-  [ "masc-bgmp/bfs-3326-node-graph"; "masc-bgmp/shared-tree-build-1000-members" ]
-
-let overhead_report micro =
-  let baseline = load_baseline () in
-  List.filter_map
-    (fun name ->
-      match (List.assoc_opt name baseline, List.assoc_opt name micro) with
-      | Some base, Some cur when base > 0.0 ->
-          let pct = (cur -. base) /. base *. 100.0 in
-          Format.printf "%-44s %+.1f%% vs %s (%.1f -> %.1f ns/run)@." name pct baseline_file
-            base cur;
-          Some (name, base, cur, pct)
-      | _ -> None)
-    overhead_watchlist
-
-let write_json ~micro ~figures ~parallel ~overhead ~inv_overhead ~prof_overhead ~prof_kernels
-    ~alloc ~fig4_modern ~rec_overhead ~fingerprints ~beacon ~explore ~convergence ~counters =
-  let oc = open_out json_file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out
-    "  \"methodology\": {\"warmup_runs\": %d, \"repeat_runs\": %d, \"statistic\": \"median\"},\n"
-    warmup_runs repeat_runs;
-  out "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, s) ->
-      out
-        "    {\"name\": %S, \"ns_per_run\": %.1f, \"min_ns\": %.1f, \"max_ns\": %.1f, \
-         \"spread_pct\": %.1f}%s\n"
-        name s.med s.mn s.mx s.spread_pct
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n  \"figures\": [\n";
-  List.iteri
-    (fun i (name, s) ->
-      out
-        "    {\"name\": %S, \"wall_clock_s\": %.3f, \"min_s\": %.3f, \"max_s\": %.3f, \
-         \"spread_pct\": %.1f}%s\n"
-        name s.med s.mn s.mx s.spread_pct
-        (if i = List.length figures - 1 then "" else ","))
-    figures;
-  out "  ],\n";
-  let j1, j8, speedup, cores = parallel in
-  out
-    "  \"parallel\": {\"fig4_jobs1_s\": %.3f, \"fig4_jobs8_s\": %.3f, \"speedup\": %.2f, \
-     \"cores\": %d},\n"
-    j1.med j8.med speedup cores;
-  out "  \"metrics_overhead\": [\n";
-  List.iteri
-    (fun i (name, base, cur, pct) ->
-      out "    {\"name\": %S, \"baseline_ns\": %.1f, \"current_ns\": %.1f, \"overhead_pct\": %.1f}%s\n"
-        name base cur pct
-        (if i = List.length overhead - 1 then "" else ","))
-    overhead;
-  out "  ],\n  \"invariant_overhead\": [\n";
-  List.iteri
-    (fun i (name, off_s, on_s, pct) ->
-      out "    {\"name\": %S, \"checks_off_s\": %.3f, \"checks_on_s\": %.3f, \"overhead_pct\": %.1f}%s\n"
-        name off_s on_s pct
-        (if i = List.length inv_overhead - 1 then "" else ","))
-    inv_overhead;
-  out "  ],\n";
-  let off_s, on_s, enabled_pct, baseline_s = prof_overhead in
-  out
-    "  \"profiling_overhead\": {\"fig4_disabled_s\": %.3f, \"fig4_enabled_s\": %.3f, \
-     \"enabled_pct\": %.1f, \"fig4_baseline_s\": %s, \"disabled_vs_baseline_pct\": %s},\n"
-    off_s on_s enabled_pct
-    (match baseline_s with Some b -> Printf.sprintf "%.3f" b | None -> "null")
-    (match baseline_s with
-    | Some b when b > 0.0 -> Printf.sprintf "%.1f" ((off_s -. b) /. b *. 100.0)
-    | _ -> "null");
-  out "  \"profile_kernels\": [\n";
-  List.iteri
-    (fun i (r : Prof.row) ->
-      out
-        "    {\"path\": %S, \"count\": %d, \"total_s\": %.6f, \"self_s\": %.6f, \"self_bytes\": \
-         %.0f}%s\n"
-        (String.concat ";" r.Prof.path)
-        r.Prof.count r.Prof.total_s r.Prof.self_s r.Prof.self_bytes
-        (if i = List.length prof_kernels - 1 then "" else ","))
-    prof_kernels;
-  out "  ],\n";
-  let alloc_rows, alloc_base, alloc_cur, alloc_ratio = alloc in
-  out "  \"alloc_reduction\": {\"baseline\": %S, \"rows\": [\n" baseline_file;
-  List.iteri
-    (fun i (path, base, cur, ratio) ->
-      out
-        "    {\"path\": %S, \"baseline_bytes\": %.0f, \"current_bytes\": %.0f, \"ratio\": %.2f}%s\n"
-        path base cur ratio
-        (if i = List.length alloc_rows - 1 then "" else ","))
-    alloc_rows;
-  out
-    "  ], \"total_baseline_bytes\": %.0f, \"total_current_bytes\": %.0f, \"total_ratio\": %.2f},\n"
-    alloc_base alloc_cur alloc_ratio;
-  let mres, inc, scr, speedup, bytes_ratio = fig4_modern in
-  let inc_s, inc_b, inc_eps, inc_w = inc and scr_s, scr_b, scr_eps, scr_w = scr in
-  let mp = fig4_modern_params in
-  out "  \"fig4_modern\": {\n";
-  out
-    "    \"domains\": %d, \"links\": %d, \"groups\": %d, \"roots\": %d, \"events\": %d, \
-     \"link_every\": %d, \"trials\": %d, \"seed\": %d,\n"
-    mres.Modern_experiment.r_domains mres.Modern_experiment.r_links mp.Modern_experiment.groups
-    mp.Modern_experiment.roots mp.Modern_experiment.events mp.Modern_experiment.link_every
-    mp.Modern_experiment.trials mp.Modern_experiment.seed;
-  out
-    "    \"joins\": %d, \"leaves\": %d, \"skipped\": %d, \"link_events\": %d, \"repairs\": %d, \
-     \"touched\": %d,\n"
-    mres.Modern_experiment.joins mres.Modern_experiment.leaves mres.Modern_experiment.skipped
-    mres.Modern_experiment.link_events mres.Modern_experiment.repairs
-    mres.Modern_experiment.touched;
-  out "    \"state_vs_members\": [\n";
-  let cks = mres.Modern_experiment.checkpoints in
-  List.iteri
-    (fun i (ck : Modern_experiment.checkpoint) ->
-      out
-        "      {\"events\": %d, \"members\": %.1f, \"entries\": %.1f, \"max_router\": %.1f, \
-         \"stateful_routers\": %.1f, \"grib_entries\": %.1f}%s\n"
-        ck.Modern_experiment.ck_events ck.Modern_experiment.ck_members
-        ck.Modern_experiment.ck_entries ck.Modern_experiment.ck_max_router
-        ck.Modern_experiment.ck_stateful ck.Modern_experiment.ck_grib
-        (if i = List.length cks - 1 then "" else ","))
-    cks;
-  out "    ],\n";
-  out
-    "    \"incremental\": {\"spf_s\": %.6f, \"spf_bytes\": %.0f, \"link_events_per_s\": %.0f, \
-     \"wall_s\": %.3f},\n"
-    inc_s inc_b inc_eps inc_w;
-  out
-    "    \"scratch\": {\"spf_s\": %.6f, \"spf_bytes\": %.0f, \"link_events_per_s\": %.0f, \
-     \"wall_s\": %.3f},\n"
-    scr_s scr_b scr_eps scr_w;
-  out "    \"speedup\": %.2f, \"bytes_ratio\": %.2f\n  },\n" speedup bytes_ratio;
-  let rec_off_s, rec_on_s, rec_pct = rec_overhead in
-  out
-    "  \"recorder_overhead\": {\"fig4_disabled_s\": %.3f, \"fig4_enabled_s\": %.3f, \
-     \"enabled_pct\": %.1f},\n"
-    rec_off_s rec_on_s rec_pct;
-  out "  \"fingerprints\": [\n";
-  List.iteri
-    (fun i (name, (fp : Recorder.fingerprint)) ->
-      out "    {\"name\": %S, \"hash\": \"%016Lx\", \"records\": %d}%s\n" name
-        fp.Recorder.fpr_hash fp.Recorder.fpr_records
-        (if i = List.length fingerprints - 1 then "" else ","))
-    fingerprints;
-  out "  ],\n";
-  let soak_r, soak_wall, soak_tput, soak_rows = beacon in
-  let soak_sum f = List.fold_left (fun acc t -> acc + f t) 0 soak_r.Beacon_campaign.trials in
-  let agg = soak_r.Beacon_campaign.agg in
-  let bp = beacon_soak_params in
-  out "  \"beacon_soak\": {\n";
-  out
-    "    \"domains\": %d, \"per_domain\": %d, \"probes_per_source\": %d, \"trials\": %d, \
-     \"loss\": %.2f, \"churn\": true,\n"
-    bp.Beacon_campaign.domains bp.Beacon_campaign.per_domain bp.Beacon_campaign.probes
-    bp.Beacon_campaign.trials bp.Beacon_campaign.loss;
-  out
-    "    \"probes_sent\": %d, \"bgmp_data_msgs_sent\": %d, \"expected_deliveries\": %d, \
-     \"delivered\": %d, \"lost\": %d, \"duplicates\": %d,\n"
-    (soak_sum (fun t -> t.Beacon_campaign.r_probes_sent))
-    (soak_sum (fun t -> t.Beacon_campaign.r_data_msgs))
-    agg.Beacon_matrix.s_sent agg.Beacon_matrix.s_got agg.Beacon_matrix.s_lost
-    (soak_sum (fun t -> t.Beacon_campaign.r_duplicates));
-  out "    \"wall_s\": %.3f, \"probe_events_per_s\": %.0f,\n" soak_wall soak_tput;
-  out
-    "    \"matrix\": {\"pairs\": %d, \"loss_fraction\": %.4f, \"unreachable\": %d, \
-     \"asymmetric\": %d, \"complete\": %b, \"latency_mean_s\": %.6f, \"latency_max_s\": %.6f, \
-     \"stretch_mean\": %.4f, \"stretch_max\": %.4f},\n"
-    agg.Beacon_matrix.s_pairs agg.Beacon_matrix.s_loss agg.Beacon_matrix.s_unreachable
-    agg.Beacon_matrix.s_asymmetric agg.Beacon_matrix.s_complete agg.Beacon_matrix.s_lat_mean
-    agg.Beacon_matrix.s_lat_max agg.Beacon_matrix.s_stretch_mean
-    agg.Beacon_matrix.s_stretch_max;
-  out "    \"data_path_profile\": [\n";
-  List.iteri
-    (fun i (r : Prof.row) ->
-      out
-        "      {\"path\": %S, \"count\": %d, \"total_s\": %.6f, \"self_s\": %.6f, \
-         \"self_bytes\": %.0f}%s\n"
-        (String.concat ";" r.Prof.path)
-        r.Prof.count r.Prof.total_s r.Prof.self_s r.Prof.self_bytes
-        (if i = List.length soak_rows - 1 then "" else ","))
-    soak_rows;
-  out "    ]\n  },\n";
-  let xs, xj1, xj8, xspeedup, (xoff, xon, xpct) = explore in
-  let xtput (m : mstat) = if m.med > 0.0 then float_of_int explore_budget /. m.med else 0.0 in
-  out "  \"explore\": {\n";
-  out
-    "    \"budget\": %d, \"pass\": %d, \"violation\": %d, \"non_convergence\": %d, \
-     \"counterexamples\": %d, \"shrink_runs\": %d,\n"
-    explore_budget xs.Explore.passed xs.Explore.violation xs.Explore.non_convergence
-    (List.length (Explore.counterexamples xs.Explore.entries))
-    xs.Explore.shrink_steps;
-  out
-    "    \"jobs1_s\": %.3f, \"jobs8_s\": %.3f, \"speedup\": %.2f, \"schedules_per_s_jobs1\": \
-     %.2f, \"schedules_per_s_jobs8\": %.2f,\n"
-    xj1.med xj8.med xspeedup (xtput xj1) (xtput xj8);
-  out
-    "    \"oracle_plain_s\": %.3f, \"oracle_monitored_s\": %.3f, \"monitor_overhead_pct\": \
-     %.1f\n  },\n"
-    xoff xon xpct;
-  out "  \"convergence\": [\n";
-  List.iteri
-    (fun i (name, v) ->
-      out "    {\"name\": %S, \"value\": %.3f}%s\n" name v
-        (if i = List.length convergence - 1 then "" else ","))
-    convergence;
-  out "  ],\n  \"counters\": [\n";
-  List.iteri
-    (fun i (name, v) ->
-      out "    {\"name\": %S, \"value\": %d}%s\n" name v
-        (if i = List.length counters - 1 then "" else ","))
-    counters;
-  out "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.wrote %s@." json_file
-
-(* ------------------------------------------------------------------ *)
-(* Smoke mode                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* ---- perf-regression gate ---------------------------------------- *)
+let rows =
+  [
+    row "fig2-smoke" (fun () ->
+        Allocation_sim.run
+          {
+            Allocation_sim.default_params with
+            Allocation_sim.tops = 10;
+            children_per_top = 10;
+            horizon = Time.days 120.0;
+          });
+    row "fig4-smoke" (fun () ->
+        Tree_experiment.run
+          { Tree_experiment.default_params with Tree_experiment.nodes = 1000; trials = 5; jobs = 1 });
+    row "fig4-modern-smoke" (fun () ->
+        Modern_experiment.run { Modern_experiment.default_params with Modern_experiment.jobs = 1 });
+    row "beacon-smoke" (fun () ->
+        Beacon_campaign.run ~jobs:1
+          {
+            Beacon_campaign.default_params with
+            Beacon_campaign.domains = 56;
+            per_domain = 2;
+            probes = 5;
+            loss = 0.05;
+            churn = true;
+          });
+    row "explore-smoke" (fun () ->
+        let ledger = Filename.temp_file "bench-explore" ".jsonl" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove ledger)
+          (fun () ->
+            Explore.run_campaign
+              { Explore.default_config with Explore.budget = 25; seed = 7; jobs = Some 1; ledger }));
+  ]
 
 let budget_file = "bench/perf_budget.json"
 
-(* Budget headroom over a healthy median: generous enough that CI-host
-   jitter never trips the gate, tight enough that a 2x slowdown does. *)
-let budget_headroom = 2.5
+(* Budgets sit this far above the measured bytes.  Bytes do not jitter
+   and CI builds with the same compiler, so the headroom only absorbs
+   small growth; more than that calls for a deliberate --write-budget. *)
+let headroom = 1.25
 
-(* CI-sized figure runs: a scaled fig2 (~35 ms), a small fig4
-   (~150 ms), a small fig4-modern churn run and a 56-domain lossy beacon
-   campaign, each exercising the real experiment code end-to-end.  The
-   beacon row's byte budget is the data plane's guard: per-delivery
-   accounting that turns quadratic again multiplies its allocation. *)
-let smoke_figures =
-  [
-    ( "fig2-smoke",
-      fun () ->
-        ignore
-          (Allocation_sim.run
-             {
-               Allocation_sim.default_params with
-               Allocation_sim.tops = 10;
-               children_per_top = 10;
-               horizon = Sim_time.days 120.0;
-             }) );
-    ( "fig4-smoke",
-      fun () ->
-        ignore
-          (Tree_experiment.run
-             {
-               Tree_experiment.default_params with
-               Tree_experiment.nodes = 1000;
-               trials = 5;
-             }) );
-    ( "fig4-modern-smoke",
-      fun () ->
-        ignore
-          (Modern_experiment.run
-             { Modern_experiment.default_params with Modern_experiment.jobs = 1 }) );
-    ( "beacon-smoke",
-      fun () ->
-        ignore
-          (Beacon_campaign.run ~jobs:1
-             {
-               Beacon_campaign.default_params with
-               Beacon_campaign.domains = 56;
-               per_domain = 2;
-               probes = 5;
-               loss = 0.05;
-               churn = true;
-             }) );
-  ]
+(* Allocated bytes and wall seconds of one run, after a warm-up run has
+   built any lazily initialised state.  A minor collection on either
+   side brings the GC's counters up to date, so the byte count is exact:
+   the same in every process, whatever ran before. *)
+let measure r =
+  r.run ();
+  Gc.minor ();
+  let t0 = Unix.gettimeofday () and b0 = Gc.allocated_bytes () in
+  r.run ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. b0, Unix.gettimeofday () -. t0)
 
-(* Each budget line carries a wall-clock budget and an allocated-bytes
-   budget; both are gated.  The bytes column catches representation
-   regressions (an arena quietly reverting to per-entry boxing) that
-   hide inside wall-clock jitter on a busy CI host. *)
+let die fmt = Format.kasprintf (fun m -> Format.eprintf "bench: %s@." m; exit 2) fmt
+
+(* name -> budget bytes. *)
 let load_budgets () =
-  scan_json_file budget_file
-    (Str.regexp "{\"name\": \"\\([^\"]+\\)\", \"budget_s\": \\([0-9.]+\\)")
-
-let load_byte_budgets () =
-  scan_json_file budget_file
-    (Str.regexp
-       "{\"name\": \"\\([^\"]+\\)\", \"budget_s\": [0-9.]+, \"measured_s\": [0-9.]+, \
-        \"budget_bytes\": \\([0-9.]+\\)")
+  let text =
+    try In_channel.with_open_bin budget_file In_channel.input_all
+    with Sys_error e -> die "%s (create it with --write-budget)" e
+  in
+  let budget v =
+    match (Jsonl.field "name" Jsonl.to_string v, Jsonl.field "budget_bytes" Jsonl.to_float v) with
+    | Some n, Some b -> Some (n, b)
+    | _ -> None
+  in
+  match Option.bind (Jsonl.parse text) (Jsonl.field "budgets" (Jsonl.to_list budget)) with
+  | Some l -> l
+  | None -> die "%s: not a budget file" budget_file
 
 let write_budgets measured =
-  let oc = open_out budget_file in
-  Printf.fprintf oc "{\n  \"headroom\": %.1f,\n  \"budgets\": [\n" budget_headroom;
-  List.iteri
-    (fun i (name, med, bytes) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"budget_s\": %.3f, \"measured_s\": %.3f, \"budget_bytes\": %.0f, \
-         \"measured_bytes\": %.0f}%s\n"
-        name (med *. budget_headroom) med
-        (bytes *. budget_headroom)
-        bytes
-        (if i = List.length measured - 1 then "" else ","))
+  Out_channel.with_open_bin budget_file (fun oc ->
+      Printf.fprintf oc "{\n  \"headroom\": %.2f,\n  \"budgets\": [\n" headroom;
+      List.iteri
+        (fun i (name, bytes, _) ->
+          Printf.fprintf oc
+            "    {\"name\": %S, \"budget_bytes\": %.0f, \"measured_bytes\": %.0f}%s\n" name
+            (bytes *. headroom) bytes
+            (if i = List.length measured - 1 then "" else ","))
+        measured;
+      Printf.fprintf oc "  ]\n}\n");
+  Format.printf "bench: wrote %s (budgets = %.2fx measured bytes)@." budget_file headroom
+
+(* Verdict lines for every row and every budget; true when all pass. *)
+let gate measured budgets =
+  let ok = ref true in
+  let fail fmt = Format.kasprintf (fun m -> ok := false; Format.printf "%s@." m) fmt in
+  List.iter
+    (fun (name, bytes, wall) ->
+      match List.assoc_opt name budgets with
+      | None -> fail "%-18s %12.0f bytes, no budget  FAIL" name bytes
+      | Some budget ->
+          let line =
+            Format.asprintf "%-18s %12.0f bytes / %12.0f budget (%4.2fx)  %7.3f s" name bytes
+              budget (bytes /. budget) wall
+          in
+          if bytes > budget then fail "%s  FAIL" line else Format.printf "%s  ok@." line)
     measured;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "bench smoke: wrote %s (budgets = %.1fx measured medians)@." budget_file
-    budget_headroom
-
-(* Gate the scaled figure medians — wall-clock AND allocated bytes —
-   against the checked-in budgets.  Missing budget file (e.g. running
-   outside the repo root) warns and skips rather than failing — the
-   gate is only meaningful where bench/perf_budget.json is visible. *)
-let perf_gate () =
-  let write_budget = Array.exists (( = ) "--write-budget") Sys.argv in
-  let measured =
-    List.map
-      (fun (name, f) ->
-        for _ = 1 to warmup_runs do
-          f ()
-        done;
-        let bytes = ref [] in
-        let timed_counting () =
-          let b0 = Gc.allocated_bytes () in
-          f ();
-          bytes := (Gc.allocated_bytes () -. b0) :: !bytes
-        in
-        let s = timed_median timed_counting in
-        let b = mstat_of !bytes in
-        Format.printf
-          "bench smoke: %-16s %.3f s median  [%.3f .. %.3f, %.1f%% spread], %.0f bytes median@."
-          name s.med s.mn s.mx s.spread_pct b.med;
-        (name, s.med, b.med))
-      smoke_figures
-  in
-  if write_budget then write_budgets measured
-  else
-    match load_budgets () with
-    | [] ->
-        Format.printf "bench smoke: %s not found; perf gate skipped (create with --write-budget)@."
-          budget_file
-    | budgets ->
-        let byte_budgets = load_byte_budgets () in
-        let failed = ref false in
-        List.iter
-          (fun (name, med, med_bytes) ->
-            (match List.assoc_opt name budgets with
-            | None -> Format.printf "bench smoke: no budget for %s; skipped@." name
-            | Some budget ->
-                let verdict = if med > budget then "FAIL" else "ok" in
-                Format.printf "bench smoke: %-16s %.3f s vs budget %.3f s — %s@." name med budget
-                  verdict;
-                if med > budget then failed := true);
-            match List.assoc_opt name byte_budgets with
-            | None -> ()
-            | Some budget ->
-                let verdict = if med_bytes > budget then "FAIL" else "ok" in
-                Format.printf "bench smoke: %-16s %.0f bytes vs budget %.0f bytes — %s@." name
-                  med_bytes budget verdict;
-                if med_bytes > budget then failed := true)
-          measured;
-        if !failed then begin
-          Format.eprintf
-            "bench smoke: perf budget exceeded (refresh %s with --write-budget after a \
-             deliberate change)@."
-            budget_file;
-          exit 1
-        end
-
-(* Beacon measurement canary for `--smoke`: a small lossless campaign
-   must move data across the fabric (bgmp.data_msgs_sent > 0), produce
-   a fully reachable COMPLETE matrix, and snapshot byte-identically at
-   --jobs 1/4/8.  Writes beacon_matrix.jsonl (CI uploads it as an
-   artifact). *)
-let smoke_beacon () =
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "bench smoke: %s@." m; exit 1) fmt in
-  let p = { Beacon_campaign.default_params with Beacon_campaign.trials = 4 } in
-  let run jobs = Beacon_campaign.run ~jobs p in
-  let r1, wall_s = timed (fun () -> run 1) in
-  let data_msgs =
-    List.fold_left
-      (fun acc t -> acc + t.Beacon_campaign.r_data_msgs)
-      0 r1.Beacon_campaign.trials
-  in
-  let agg = r1.Beacon_campaign.agg in
-  Format.printf "bench smoke: beacon %d pairs, %d probes, %d data messages, %.2f s@."
-    agg.Beacon_matrix.s_pairs agg.Beacon_matrix.s_sent data_msgs wall_s;
-  if data_msgs = 0 then fail "beacon: no data crossed the fabric (bgmp.data_msgs_sent = 0)";
-  if agg.Beacon_matrix.s_unreachable > 0 then
-    fail "beacon: %d unreachable pairs at loss 0" agg.Beacon_matrix.s_unreachable;
-  if not agg.Beacon_matrix.s_complete then fail "beacon: matrix incomplete at loss 0";
-  let show (r : Beacon_campaign.result) =
-    Format.asprintf "%a%a" Beacon_matrix.pp_cells r.Beacon_campaign.cells
-      Beacon_matrix.pp_summary r.Beacon_campaign.agg
-  in
-  let want = show r1 in
   List.iter
-    (fun jobs -> if show (run jobs) <> want then fail "beacon: matrix differs at --jobs %d" jobs)
-    [ 4; 8 ];
-  Beacon_matrix.write_jsonl
-    ~meta:
-      [
-        ("trials", float_of_int p.Beacon_campaign.trials);
-        ("loss", p.Beacon_campaign.loss);
-        ("domains", float_of_int p.Beacon_campaign.domains);
-      ]
-    "beacon_matrix.jsonl" r1.Beacon_campaign.cells;
-  Format.printf
-    "bench smoke: beacon matrix byte-identical at --jobs 1/4/8; wrote beacon_matrix.jsonl@."
+    (fun (name, _) ->
+      if not (List.exists (fun (n, _, _) -> n = name) measured) then
+        fail "%-18s budget for a row that no longer exists  FAIL" name)
+    budgets;
+  !ok
 
-(* Explorer canary for `--smoke`: a seeded 25-schedule campaign over
-   the default 2x2 arena must find the partition canary (both top-level
-   MASC nodes first-fit-claiming 224.0.0.0/24 blind to each other),
-   shrink it to a single fault, and write a repro recording that names
-   the violated invariant and its blamed trace id; the ledger must be
-   byte-identical at --jobs 1/4/8.  explore_ledger.jsonl and
-   explore_repro/ land in the working directory (CI uploads them as
-   artifacts). *)
-let smoke_explore () =
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "bench smoke: %s@." m; exit 1) fmt in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let mem needle hay =
-    try
-      ignore (Str.search_forward (Str.regexp_string needle) hay 0);
-      true
-    with Not_found -> false
-  in
-  let run jobs ledger repro_dir =
-    Explore.run_campaign
-      {
-        Explore.default_config with
-        Explore.budget = 25;
-        seed = 7;
-        jobs = Some jobs;
-        ledger;
-        repro_dir;
-      }
-  in
-  let s, wall_s = timed (fun () -> run 1 "explore_ledger.jsonl" (Some "explore_repro")) in
-  Format.printf
-    "bench smoke: explore %d schedules, %d violations, %d non-convergence, %d shrink runs, %.2f \
-     s@."
-    s.Explore.total s.Explore.violation s.Explore.non_convergence s.Explore.shrink_steps wall_s;
-  if s.Explore.violation = 0 then fail "explore: the seeded partition canary was not found";
-  (match Explore.counterexamples s.Explore.entries with
-  | [] -> fail "explore: violations recorded but no counterexample ranked"
-  | (e : Ledger.entry) :: _ -> (
-      if not (List.mem "masc-sibling-overlap" e.Ledger.invariants) then
-        fail "explore: smallest counterexample does not blame masc-sibling-overlap";
-      if e.Ledger.min_faults <> Some 1 then
-        fail "explore: canary did not shrink to a single fault (min_faults = %s)"
-          (match e.Ledger.min_faults with Some n -> string_of_int n | None -> "none");
-      match e.Ledger.repro_recording with
-      | Some p when Sys.file_exists p ->
-          let recording = read_file p in
-          if not (mem "explore.violation" recording && mem "masc-sibling-overlap" recording) then
-            fail "explore: repro recording does not name the violated invariant";
-          if not (mem "claim:" recording) then
-            fail "explore: repro recording carries no blamed trace id"
-      | _ -> fail "explore: no repro recording written for the smallest counterexample"));
-  let want = read_file "explore_ledger.jsonl" in
-  List.iter
-    (fun jobs ->
-      let ledger = Printf.sprintf "explore_ledger_j%d.jsonl" jobs in
-      ignore (run jobs ledger (Some "explore_repro"));
-      let got = read_file ledger in
-      Sys.remove ledger;
-      if got <> want then fail "explore: ledger differs at --jobs %d" jobs)
-    [ 4; 8 ];
-  Format.printf
-    "bench smoke: explore ledger byte-identical at --jobs 1/4/8; wrote explore_ledger.jsonl and \
-     explore_repro/@."
-
-(* Cross-jobs fingerprint canary for `--smoke`: a scaled fig2, a small
-   fig4 and a lossless beacon campaign must hash to the same
-   event-stream fingerprint at --jobs 1/4/8 — shard records fold back
-   in task order and every Par task mints spans from a fresh minter, so
-   the worker count must be unobservable in the recorder too.  The
-   fig4 --jobs 1 recording lands in recording.jsonl (CI uploads it as
-   an artifact). *)
-let smoke_fingerprint () =
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "bench smoke: %s@." m; exit 1) fmt in
-  let fp_of ?sink jobs f =
-    Span.reset ();
-    Recorder.enable ?sink ();
-    Par.set_jobs jobs;
-    f jobs;
-    Par.set_jobs 1;
-    let s = Format.asprintf "%a" Recorder.pp_fingerprint (Recorder.fingerprint ()) in
-    Recorder.disable ();
-    s
-  in
-  let cases =
-    [
-      ( "fig2-scaled",
-        None,
-        fun _jobs ->
-          ignore
-            (Allocation_sim.run
-               {
-                 Allocation_sim.default_params with
-                 Allocation_sim.tops = 10;
-                 children_per_top = 10;
-                 horizon = Sim_time.days 120.0;
-               }) );
-      ( "fig4-small",
-        Some "recording.jsonl",
-        fun jobs ->
-          ignore
-            (Tree_experiment.run
-               {
-                 Tree_experiment.default_params with
-                 Tree_experiment.nodes = 1000;
-                 trials = 5;
-                 jobs;
-               }) );
-      ( "beacon",
-        None,
-        fun jobs ->
-          ignore
-            (Beacon_campaign.run ~jobs
-               { Beacon_campaign.default_params with Beacon_campaign.trials = 4 }) );
-    ]
-  in
-  List.iter
-    (fun (name, sink, f) ->
-      let want = fp_of ?sink 1 f in
-      List.iter
-        (fun jobs ->
-          if fp_of jobs f <> want then fail "%s: fingerprint differs at --jobs %d" name jobs)
-        [ 4; 8 ];
-      Format.printf "bench smoke: %s fingerprint identical at --jobs 1/4/8@." name)
-    cases;
-  Format.printf "bench smoke: wrote recording.jsonl (fig4-small, --jobs 1)@."
-
-(* `bench/main.exe --smoke`: a CI-sized canary on the transport hot
-   path.  Runs the Figure-1 stack end-to-end — every inter-domain
-   message crossing the Net substrate — asserts the expected
-   deliveries, and fails if the run blows a generous wall-clock budget,
-   catching pathological slowdowns in the channel layer without the
-   full Bechamel session.  The beacon canary then runs a lossless
-   measurement campaign and checks the matrix is complete and
-   jobs-invariant, the fingerprint canary asserts the flight recorder's
-   event-stream hash is byte-identical at --jobs 1/4/8, the explorer
-   canary runs a seeded 25-schedule campaign that must find, shrink and
-   reproduce the partition canary with a jobs-invariant ledger, and the
-   perf gate above compares the scaled fig2/fig4/fig4-modern/beacon
-   medians (wall clock and allocated bytes) against
-   bench/perf_budget.json.  With `--profile`, the
-   canary run is profiled and sampled: profile.jsonl and
-   timeseries.jsonl land in the working directory (CI uploads them as
-   artifacts). *)
-let run_smoke () =
-  let profile = Array.exists (( = ) "--profile") Sys.argv in
-  if profile then Prof.enable ();
-  let ts =
-    if profile then Some (Timeseries.create ~sink:(Timeseries.Jsonl "timeseries.jsonl") ())
-    else None
-  in
-  let budget_s = 60.0 in
-  let (deliveries, transported), wall_s =
-    timed (fun () ->
-        let s = Scenario.figure1 () in
-        Option.iter
-          (fun ts -> Internet.enable_sampling ~every:(Sim_time.minutes 1.0) s.Scenario.inet ts)
-          ts;
-        let topo = Internet.topo s.Scenario.inet in
-        let e = Option.get (Topo.find_by_name topo "E") in
-        let got = Scenario.send s ~source:(Host_ref.make e 1) in
-        let net = Internet.net s.Scenario.inet in
-        let delivered =
-          List.fold_left
-            (fun acc p -> acc + Net.delivered net ~protocol:p)
-            0 [ "masc"; "bgp"; "bgmp" ]
-        in
-        (List.length got, delivered))
-  in
-  if profile then begin
-    Prof.write_jsonl "profile.jsonl";
-    Prof.disable ();
-    Option.iter Timeseries.close ts;
-    Format.printf "bench smoke: wrote profile.jsonl and timeseries.jsonl@."
-  end;
-  Format.printf "bench smoke: %d deliveries, %d transport messages, %.2f s wall@." deliveries
-    transported wall_s;
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "bench smoke: %s@." m; exit 1) fmt in
-  if deliveries <> 4 then fail "expected 4 member deliveries, got %d" deliveries;
-  if transported = 0 then fail "no messages crossed the transport";
-  if wall_s > budget_s then fail "took %.1f s (budget %.0f s)" wall_s budget_s;
-  (* The perf gate runs before the beacon canary: the canary's --jobs 8
-     pass spawns pool domains, and the multi-domain runtime's GC makes
-     the single-threaded figure medians incomparable to budgets
-     measured on a one-domain process. *)
-  perf_gate ();
-  smoke_beacon ();
-  smoke_fingerprint ();
-  smoke_explore ()
+let profile () =
+  Prof.enable ();
+  List.iter (fun r -> Prof.span ("smoke." ^ r.name) r.run) rows;
+  Prof.write_jsonl "profile.jsonl";
+  Prof.disable ();
+  Format.printf "bench: wrote profile.jsonl@."
 
 let () =
-  if Array.exists (( = ) "--smoke") Sys.argv then begin
-    run_smoke ();
-    exit 0
-  end;
-  Format.printf "=== Micro-benchmarks (Bechamel; median of %d sessions after %d warmup) ===@."
-    repeat_runs warmup_runs;
-  let micro = run_benchmarks () in
-  Format.printf "@.=== Instrumentation overhead vs baseline ===@.";
-  let overhead = overhead_report (List.map (fun (name, s) -> (name, s.med)) micro) in
-  (* Count only what the single printed regenerations themselves do;
-     the timed repeats below run after the snapshot. *)
-  M.reset M.default;
-  run_fig2 ();
-  run_fig4 ();
-  let counters =
-    List.filter_map
-      (fun (name, v) -> match v with M.Counter_v c -> Some (name, c) | _ -> None)
-      (M.snapshot M.default)
+  let args = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun a ->
+      if not (List.mem a [ "--profile"; "--write-budget" ]) then
+        die "unknown argument %s (usage: main.exe [--profile] [--write-budget])" a)
+    args;
+  let measured =
+    List.map
+      (fun r ->
+        let bytes, wall = measure r in
+        (r.name, bytes, wall))
+      rows
   in
-  Format.printf "@.=== Figure wall-clock (median of %d; printed run above = warmup) ===@."
-    repeat_runs;
-  let fig2_stat =
-    figure_stat "fig2-regeneration" (fun () ->
-        ignore (Allocation_sim.run Allocation_sim.default_params))
-  in
-  let fig4_stat =
-    figure_stat "fig4-regeneration" (fun () ->
-        ignore (Tree_experiment.run Tree_experiment.default_params))
-  in
-  let inv_overhead = invariant_overhead () in
-  let prof_overhead, prof_kernels = profiling_overhead () in
-  let alloc = alloc_reduction_report prof_kernels in
-  let fig4_modern = fig4_modern_report () in
-  let rec_overhead, fig4_fp = recorder_overhead () in
-  let fingerprints = fingerprint_report ~fig4_fp in
-  let parallel = parallel_report () in
-  let beacon = beacon_soak () in
-  let explore = explore_report () in
-  let convergence = convergence_report () in
-  write_json ~micro
-    ~figures:[ fig2_stat; fig4_stat ]
-    ~parallel ~overhead ~inv_overhead ~prof_overhead ~prof_kernels ~alloc ~fig4_modern
-    ~rec_overhead ~fingerprints ~beacon ~explore ~convergence ~counters
+  if List.mem "--profile" args then profile ();
+  if List.mem "--write-budget" args then write_budgets measured
+  else if not (gate measured (load_budgets ())) then begin
+    Format.eprintf
+      "bench: allocation gate failed (rerun with --write-budget after a deliberate change)@.";
+    exit 1
+  end

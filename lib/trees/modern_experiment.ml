@@ -51,8 +51,6 @@ type result = {
   repairs : int;
   touched : int;
   invariant_violations : int;
-  spf_seconds : float;
-  spf_bytes : float;
 }
 
 (* The same transit-stub shape solver as [Tree_experiment]: 8 backbones,
@@ -64,8 +62,7 @@ let make_topology ~rng ~domains =
 
 (* What one trial reports back.  Everything is an int (or a sum of
    ints) drawn from the trial's own (seed, trial) streams, so the
-   reduce is byte-identical at any job count; the two float fields are
-   timing/allocation telemetry that never reaches stdout. *)
+   reduce is byte-identical at any job count. *)
 type trial_out = {
   o_live : int array;  (* per checkpoint *)
   o_entries : int array;
@@ -79,8 +76,6 @@ type trial_out = {
   o_repairs : int;
   o_touched : int;
   o_violations : int;
-  o_spf_s : float;
-  o_spf_b : float;
 }
 
 let run p =
@@ -139,11 +134,8 @@ let run p =
               scratch_trees.(root) <- Some t;
               t)
     in
-    let spf_s = ref 0.0 and spf_b = ref 0.0 in
     let apply_toggle lid a b up =
-      let t0 = Sys.time () in
-      let b0 = Gc.allocated_bytes () in
-      (match p.mode with
+      match p.mode with
       | Incremental -> Spf.cache_note_link cache ~a ~b ~up
       | Scratch ->
           scratch_alive.(lid) <- up;
@@ -154,9 +146,7 @@ let run p =
               match t with
               | Some _ -> scratch_trees.(r) <- Some (Spf.bfs_csr ~ws ~alive:scratch_alive csr r)
               | None -> ())
-            scratch_trees);
-      spf_s := !spf_s +. (Sys.time () -. t0);
-      spf_b := !spf_b +. (Gc.allocated_bytes () -. b0)
+            scratch_trees
     in
     let cand_up = Array.make (max 1 (Array.length cands)) true in
     let joins = ref 0 and leaves = ref 0 and skipped = ref 0 and linkev = ref 0 in
@@ -276,8 +266,6 @@ let run p =
       o_repairs = repairs;
       o_touched = touched;
       o_violations = violations;
-      o_spf_s = !spf_s;
-      o_spf_b = !spf_b;
     }
   in
   let jobs = if p.jobs = 0 then None else Some p.jobs in
@@ -298,7 +286,6 @@ let run p =
   and repairs = ref 0
   and touched = ref 0
   and violations = ref 0 in
-  let spf_s = ref 0.0 and spf_b = ref 0.0 in
   let sum_live = Array.make ncks 0
   and sum_entries = Array.make ncks 0
   and sum_maxr = Array.make ncks 0
@@ -314,8 +301,6 @@ let run p =
       repairs := !repairs + o.o_repairs;
       touched := !touched + o.o_touched;
       violations := !violations + o.o_violations;
-      spf_s := !spf_s +. o.o_spf_s;
-      spf_b := !spf_b +. o.o_spf_b;
       for k = 0 to ncks - 1 do
         sum_live.(k) <- sum_live.(k) + o.o_live.(k);
         sum_entries.(k) <- sum_entries.(k) + o.o_entries.(k);
@@ -366,8 +351,6 @@ let run p =
     repairs = !repairs;
     touched = !touched;
     invariant_violations = !violations;
-    spf_seconds = !spf_s;
-    spf_bytes = !spf_b;
   }
 
 let pp_summary ppf r =

@@ -75,15 +75,9 @@ type result = {
   invariant_violations : int;
       (** state-accounting violations across all trials ([0] unless
           [check_invariants]) *)
-  spf_seconds : float;
-      (** wall time spent keeping root trees valid under link churn —
-          repairs ({!Incremental}) or full recomputes ({!Scratch}).
-          Timing, not printed by the CLI: goldens stay deterministic. *)
-  spf_bytes : float;  (** GC bytes allocated doing the same *)
 }
 
 val run : params -> result
 
 val pp_summary : Format.formatter -> result -> unit
-(** The deterministic state-vs-members table ([spf_seconds]/[spf_bytes]
-    excluded). *)
+(** The state-vs-members table. *)

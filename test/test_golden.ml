@@ -425,8 +425,8 @@ let suite =
         ~golden:"fig4_metrics_keys.txt" );
     ( "fig4 fingerprint identical across jobs",
       `Quick,
-      check_fingerprint_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 3"
-        ~jobs:[ 1; 4 ] );
+      check_fingerprint_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 8"
+        ~jobs:[ 1; 4; 8 ] );
     ( "fig2 fingerprint identical across jobs",
       `Quick,
       check_fingerprint_jobs_invariant ~args:"fig2 --summary --days 60" ~jobs:[ 1; 4 ] );

@@ -270,9 +270,36 @@ let test_csr_rebuild_counter () =
   ignore (Topo.freeze topo);
   check Alcotest.int "mutation forces one more rebuild" (before + 2) (Metrics.count c)
 
+(* fig4-modern end to end under both route-maintenance modes.  Without
+   link churn both serve the same trees, so the tables are identical.
+   Under churn, repaired trees may break distance ties differently from
+   recomputed ones, so forwarding-entry and G-RIB counts can differ;
+   reachability cannot, so every join is installed or skipped alike and
+   live membership agrees at each checkpoint. *)
+let test_modern_scratch_agrees () =
+  let open Modern_experiment in
+  let run ~mode ~link_every =
+    run { default_params with domains = 600; groups = 50; events = 1500; link_every; mode; jobs = 1 }
+  in
+  let table r = Format.asprintf "%a" pp_summary r in
+  check Alcotest.string "no churn: identical tables"
+    (table (run ~mode:Incremental ~link_every:0))
+    (table (run ~mode:Scratch ~link_every:0));
+  let inc = run ~mode:Incremental ~link_every:100 and scr = run ~mode:Scratch ~link_every:100 in
+  let members r = List.map (fun ck -> (ck.ck_events, ck.ck_members)) r.checkpoints in
+  check Alcotest.(list (pair int (float 0.0))) "live members per checkpoint" (members inc) (members scr);
+  let counts r = [ r.joins; r.leaves; r.skipped; r.link_events ] in
+  check Alcotest.(list int) "joins, leaves, unreachable, link events" (counts inc) (counts scr);
+  check Alcotest.bool "incremental repairs" true (inc.repairs > 0);
+  check Alcotest.(pair int int) "scratch repairs nothing" (0, 0) (scr.repairs, scr.touched);
+  let entries r = List.map (fun ck -> ck.ck_entries) r.checkpoints in
+  check Alcotest.bool "scratch reroutes around toggled links" false
+    (entries scr = entries (run ~mode:Scratch ~link_every:0))
+
 let suite =
   [
     ("incremental matches from-scratch", `Quick, test_incremental_matches_scratch);
+    ("fig4-modern scratch agrees", `Quick, test_modern_scratch_agrees);
     ("note_link no-ops", `Quick, test_note_link_noops);
     ("cache adopts appended links", `Quick, test_cache_adopt_appended_links);
     ("cache adopt incompatible drops", `Quick, test_cache_adopt_incompatible_drops);
