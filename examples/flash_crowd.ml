@@ -24,15 +24,8 @@ let () =
   let f = dom "F" in
 
   (* Warm-up: one session so F holds its initial (small) range. *)
-  let rec warm tries =
-    match Internet.request_address inet f with
-    | Some a -> a
-    | None ->
-        if tries > 30 then failwith "warm-up allocation never settled";
-        Internet.run_for inet (Time.hours 1.0);
-        warm (tries + 1)
-  in
-  ignore (warm 0);
+  if Internet.request_address_retry inet f ~every:(Time.hours 1.0) ~attempts:32 = None then
+    failwith "warm-up allocation never settled";
   Format.printf "F's initial MASC ranges: %s@."
     (String.concat " "
        (List.map

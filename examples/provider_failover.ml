@@ -33,15 +33,12 @@ let () =
 
   (* CU allocates a group; its MASC parent is its first provider, P1,
      so the range is carved from P1's space. *)
-  let rec get tries =
-    match Internet.request_address inet cu with
+  let get ~attempts what =
+    match Internet.request_address_retry inet cu ~every:(Time.hours 1.0) ~attempts with
     | Some a -> a
-    | None ->
-        if tries > 30 then failwith "allocation did not settle";
-        Internet.run_for inet (Time.hours 1.0);
-        get (tries + 1)
+    | None -> failwith (what ^ " did not settle")
   in
-  let alloc = get 0 in
+  let alloc = get ~attempts:32 "allocation" in
   let group = alloc.Maas.address in
   Format.printf "Group %a allocated by CU (MASC parent: P1)@." Ipv4.pp group;
   Format.printf "CU's ranges: %s@."
@@ -80,24 +77,17 @@ let () =
   Masc_network.reparent (Internet.masc_network inet) ~child:cu ~new_parent:p2;
   Internet.run_for inet (Time.days 1.0);
   (* New demand claims from the new parent. *)
-  let rec get2 tries =
-    match Internet.request_address inet cu with
-    | Some a -> a
-    | None ->
-        if tries > 60 then failwith "post-failover allocation did not settle";
-        Internet.run_for inet (Time.hours 1.0);
-        get2 (tries + 1)
-  in
+  let get2 () = get ~attempts:62 "post-failover allocation" in
   (* Addresses from the old (P1-derived) range stay valid until its
      lifetime lapses — sessions are not renumbered by the failover. *)
-  let recycled = get2 0 in
+  let recycled = get2 () in
   Format.printf "Allocation right after reparenting: %a — still from the draining old range %a@."
     Ipv4.pp recycled.Maas.address Prefix.pp recycled.Maas.from_range;
   (* Exhaust the old pool to force allocation from P2-derived space. *)
   let fresh = ref recycled in
   (try
      for _ = 1 to 600 do
-       let a = get2 0 in
+       let a = get2 () in
        if not (Prefix.equal a.Maas.from_range recycled.Maas.from_range) then begin
          fresh := a;
          raise Exit

@@ -28,15 +28,11 @@ let () =
   (* 1. A session initiator in domain B asks its MAAS for an address.
      The MAAS pulls space from B's MASC node, which claims a sub-range
      of its provider A's allocation — so the group is rooted at B. *)
-  let rec get_address tries =
-    match Internet.request_address inet (dom "B") with
+  let alloc =
+    match Internet.request_address_retry inet (dom "B") ~every:(Time.hours 1.0) ~attempts:32 with
     | Some a -> a
-    | None ->
-        if tries > 30 then failwith "allocation did not settle";
-        Internet.run_for inet (Time.hours 1.0);
-        get_address (tries + 1)
+    | None -> failwith "allocation did not settle"
   in
-  let alloc = get_address 0 in
   let group = alloc.Maas.address in
   Format.printf "@.Initiator in B obtained group address %a (from MASC range %a)@." Ipv4.pp group
     Prefix.pp alloc.Maas.from_range;

@@ -24,15 +24,11 @@ let () =
   let nasa =
     (List.find (fun d -> d.Domain.kind = Domain.Stub) (Topo.domains topo)).Domain.id
   in
-  let rec get_address tries =
-    match Internet.request_address inet nasa with
+  let alloc =
+    match Internet.request_address_retry inet nasa ~every:(Time.hours 1.0) ~attempts:32 with
     | Some a -> a
-    | None ->
-        if tries > 30 then failwith "allocation did not settle";
-        Internet.run_for inet (Time.hours 1.0);
-        get_address (tries + 1)
+    | None -> failwith "allocation did not settle"
   in
-  let alloc = get_address 0 in
   let group = alloc.Maas.address in
   Format.printf "Broadcast group %a rooted at domain %d (the sender's own domain)@.@." Ipv4.pp
     group nasa;

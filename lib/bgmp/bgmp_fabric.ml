@@ -558,6 +558,8 @@ let migp_of t dom = t.migps.(dom)
 
 let routers_of t dom = List.map (fun rid -> t.routers.(rid)) t.domain_routers.(dom)
 
+let router t rid = t.routers.(rid)
+
 let router_toward t dom neighbor =
   Option.map (fun rid -> t.routers.(rid)) (router_toward_id t dom neighbor)
 

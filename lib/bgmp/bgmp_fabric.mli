@@ -148,6 +148,9 @@ val migp_of : t -> Domain.id -> Migp.t
 
 val routers_of : t -> Domain.id -> Bgmp_router.t list
 
+val router : t -> int -> Bgmp_router.t
+(** The border router with this id (a {!Bgmp_router.Peer} target). *)
+
 val router_toward : t -> Domain.id -> Domain.id -> Bgmp_router.t option
 (** [router_toward t d e]: d's border router on the d–e link. *)
 

@@ -424,6 +424,14 @@ let settle ?(quiet_for = Time.days 7.0) t = Engine.run_until_quiescent ~grace:qu
 
 let request_address t dom = Maas.allocate t.maases.(dom) ()
 
+let rec request_address_retry t dom ~every ~attempts =
+  match request_address t dom with
+  | Some _ as alloc -> alloc
+  | None when attempts <= 1 -> None
+  | None ->
+      run_for t every;
+      request_address_retry t dom ~every ~attempts:(attempts - 1)
+
 let request_address_in t ~initiator ~root =
   let alloc = Maas.allocate t.maases.(root) () in
   (match alloc with

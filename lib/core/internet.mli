@@ -85,6 +85,12 @@ val request_address : t -> Domain.id -> Maas.allocation option
 (** Ask the domain's MAAS for a group address.  [None] when the domain
     has no usable MASC range yet — run the simulation and retry. *)
 
+val request_address_retry :
+  t -> Domain.id -> every:Time.t -> attempts:int -> Maas.allocation option
+(** {!request_address}, retried: while it returns [None], advance the
+    simulation by [every] and ask again, making at most [attempts]
+    requests in all.  [None] when the last one still fails. *)
+
 val request_address_in : t -> initiator:Domain.id -> root:Domain.id -> Maas.allocation option
 (** The §7 "address allocation interface" extension: a group initiator
     obtains an address from {e another} domain's MAAS so the resulting

@@ -14,17 +14,11 @@ let figure1 ?(seed = 1998) ?(loss = 0.0) ?(check_invariants = true) () =
   Internet.run_for inet (Time.hours 2.0);
   let dom name = Option.get (Topo.find_by_name topo name) in
   let b = dom "B" in
-  let rec get tries =
-    match Internet.request_address inet b with
+  let alloc =
+    match Internet.request_address_retry inet b ~every:(Time.hours 1.0) ~attempts:52 with
     | Some a -> a
-    | None ->
-        if tries > 50 then failwith "Scenario.figure1: allocation did not settle"
-        else begin
-          Internet.run_for inet (Time.hours 1.0);
-          get (tries + 1)
-        end
+    | None -> failwith "Scenario.figure1: allocation did not settle"
   in
-  let alloc = get 0 in
   let group = alloc.Maas.address in
   let members = List.map dom [ "C"; "D"; "F"; "G" ] in
   List.iter (fun d -> Internet.join inet ~host:(Host_ref.make d 0) ~group) members;

@@ -65,16 +65,6 @@ let validate topo (s : Schedule.step) =
   | Schedule.Partition (a, b) | Schedule.Heal (a, b) -> link a b
   | Schedule.Set_loss _ -> ()
 
-let rec request_with_retry inet d tries =
-  match Internet.request_address inet d with
-  | Some a -> Some a
-  | None ->
-      if tries <= 0 then None
-      else begin
-        Internet.run_for inet (Time.minutes 30.0);
-        request_with_retry inet d (tries - 1)
-      end
-
 let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true) ~seed schedule =
   let topo = Gen.masc_hierarchy ~tops:arena.tops ~children_per_top:arena.children_per_top in
   List.iter (validate topo) schedule;
@@ -115,9 +105,9 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
   let groups =
     List.filter_map
       (fun d ->
-        match request_with_retry inet d 8 with
-        | Some a -> Some a.Maas.address
-        | None -> None)
+        Option.map
+          (fun a -> a.Maas.address)
+          (Internet.request_address_retry inet d ~every:(Time.minutes 30.0) ~attempts:9))
       tops
     (* Partitioned tops can allocate the *same* address (that is the
        collision the oracle exists to catch) — join each group once. *)

@@ -87,6 +87,9 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
   let rng = Rng.create seed in
   let topo = Gen.power_law ~rng ~n:nodes ~m:2 in
   let csr = Topo.freeze topo in
+  (* A trial draws a source plus [size] receivers: skip sizes that do
+     not fit the topology. *)
+  let sizes = List.filter (fun s -> s < nodes) sizes in
   let specs = ref [] in
   List.iter
     (fun size ->

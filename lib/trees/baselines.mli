@@ -70,7 +70,8 @@ val compare_hpim :
   unit ->
   comparison_point list
 (** Path-quality comparison of HPIM vs BGMP hybrid trees on the same
-    groups over the same power-law topology.  [?jobs] fans the trials
+    groups over the same power-law topology; group sizes of [nodes] or
+    more do not fit it and are skipped.  [?jobs] fans the trials
     out over the {!Par} pool (default: the pool's job count); all
     randomness is drawn up front and Obs shards fold back in trial
     order, so output is byte-identical at any job count. *)

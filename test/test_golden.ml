@@ -16,20 +16,27 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let check_figure ~args ~golden () =
+(* Run [cmd] (a quoted executable and its arguments) with stdout and
+   stderr captured together, and compare against [golden/<golden>]. *)
+let check_output ~cmd ~golden () =
   let out = Filename.temp_file "golden" ".out" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
-      let cmd =
-        Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe) args (Filename.quote out)
-      in
-      let rc = Sys.command cmd in
-      check Alcotest.int (args ^ ": exit code") 0 rc;
+      let rc = Sys.command (Printf.sprintf "%s > %s 2>&1" cmd (Filename.quote out)) in
+      check Alcotest.int (cmd ^ ": exit code") 0 rc;
       check Alcotest.string
-        (args ^ ": output identical to golden/" ^ golden)
+        (cmd ^ ": output identical to golden/" ^ golden)
         (read_file (Filename.concat "golden" golden))
         (read_file out))
+
+let check_figure ~args ~golden = check_output ~cmd:(Filename.quote exe ^ " " ^ args) ~golden
+
+(* The examples take no arguments; each one's stdout is pinned. *)
+let check_example name =
+  check_output
+    ~cmd:(Filename.quote (Filename.concat ".." (Filename.concat "examples" (name ^ ".exe"))))
+    ~golden:("example_" ^ name ^ ".txt")
 
 (* The --metrics key set: which instruments a figure run registers is
    part of the observable contract.  Pinning the (sorted) names — not
@@ -169,6 +176,81 @@ let contains needle hay =
     ignore (Str.search_forward (Str.regexp_string needle) hay 0);
     true
   with Not_found -> false
+
+(* A run that takes no --jobs still prints its fingerprint. *)
+let check_fingerprint_printed ~args () =
+  let err = Filename.temp_file "fp" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      let cmd =
+        Printf.sprintf "%s %s --fingerprint > /dev/null 2> %s" (Filename.quote exe) args
+          (Filename.quote err)
+      in
+      check Alcotest.int (args ^ ": exit code") 0 (Sys.command cmd);
+      check Alcotest.bool (args ^ ": stderr carries a fingerprint") true
+        (contains "fingerprint " (read_file err)))
+
+(* Malformed arguments are command-line errors: a message and a
+   non-zero exit from the argument parser, never an uncaught exception
+   from inside a run, and never a silent fallback. *)
+let check_malformed_arguments () =
+  let err = Filename.temp_file "malformed" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun args ->
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
+                 (Filename.quote err))
+          in
+          let msg = read_file err in
+          check Alcotest.bool (args ^ ": exit code non-zero") true (rc <> 0);
+          check Alcotest.bool (args ^ ": no uncaught exception") false
+            (contains "uncaught exception" msg);
+          check Alcotest.bool (args ^ ": the parser names the option") true
+            (String.starts_with ~prefix:"masc-bgmp: option '--" msg))
+        [
+          "fig4 --jobs=-1";
+          "beacon --trials 0";
+          "fig4-modern --trials 0";
+          "fig4-modern --roots 0";
+          "demo --loss 2";
+          "dot --loss 1.5";
+          "demo --sample 0";
+          "fig4 --topology foo";
+          "beacon --per-domain 0";
+          "fig4-modern --groups 0";
+          "fig2 --hetero=-5";
+        ])
+
+(* Group sizes that do not fit a small topology are skipped, not fatal. *)
+let check_baselines_small_topology () =
+  let out = Filename.temp_file "baselines" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s baselines --nodes 300 --trials 1 > %s 2>&1" (Filename.quote exe)
+             (Filename.quote out))
+      in
+      check Alcotest.int "baselines --nodes 300: exit code" 0 rc;
+      let got = read_file out in
+      List.iter
+        (fun (row, present) ->
+          check Alcotest.bool (row ^ (if present then " printed" else " skipped")) present
+            (contains row got))
+        [
+          ("size=  10", true);
+          ("size= 100", true);
+          ("size= 500", false);
+          ("members=  10", true);
+          ("members= 100", true);
+          ("members= 500", false);
+        ])
 
 (* --check-invariants must leave stdout byte-identical: the verdict is
    stderr-only, per the CLI header contract. *)
@@ -359,15 +441,10 @@ let check_unreadable_inputs () =
 let suite =
   [
     ("fig1 demo", `Quick, check_figure ~args:"demo" ~golden:"fig1_demo.txt");
-    ("fig1 demo --jobs 4", `Quick, check_figure ~args:"demo --jobs 4" ~golden:"fig1_demo.txt");
     ("fig3 dot", `Quick, check_figure ~args:"dot" ~golden:"fig3_dot.txt");
-    ("fig3 dot --jobs 4", `Quick, check_figure ~args:"dot --jobs 4" ~golden:"fig3_dot.txt");
     ( "fig2 summary",
       `Quick,
       check_figure ~args:"fig2 --summary --days 450" ~golden:"fig2_summary.txt" );
-    ( "fig2 summary --jobs 4",
-      `Quick,
-      check_figure ~args:"fig2 --summary --days 450 --jobs 4" ~golden:"fig2_summary.txt" );
     ( "fig4 summary",
       `Quick,
       check_figure ~args:"fig4 --summary --nodes 1000 --trials 5" ~golden:"fig4_summary.txt" );
@@ -427,9 +504,7 @@ let suite =
       `Quick,
       check_fingerprint_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 8"
         ~jobs:[ 1; 4; 8 ] );
-    ( "fig2 fingerprint identical across jobs",
-      `Quick,
-      check_fingerprint_jobs_invariant ~args:"fig2 --summary --days 60" ~jobs:[ 1; 4 ] );
+    ("fig2 fingerprint", `Quick, check_fingerprint_printed ~args:"fig2 --summary --days 60");
     ( "beacon fingerprint identical across jobs",
       `Quick,
       check_fingerprint_jobs_invariant
@@ -443,4 +518,33 @@ let suite =
       check_invariants_stdout_invariant
         ~args:"fig4-modern --domains 600 --groups 50 --events 1500 --trials 2" );
     ("explore finds, shrinks, reproduces; ledger jobs-invariant", `Quick, check_explore_cli);
+    ( "ablate-placement",
+      `Quick,
+      check_figure ~args:"ablate-placement --days 10" ~golden:"ablate_placement.txt" );
+    ( "ablate-threshold",
+      `Quick,
+      check_figure ~args:"ablate-threshold --days 10" ~golden:"ablate_threshold.txt" );
+    ( "ablate-root",
+      `Quick,
+      check_figure ~args:"ablate-root --nodes 200 --trials 3" ~golden:"ablate_root.txt" );
+    ("ablate-kampai", `Quick, check_figure ~args:"ablate-kampai --days 60" ~golden:"ablate_kampai.txt");
+    ("ablate-claim", `Quick, check_figure ~args:"ablate-claim" ~golden:"ablate_claim.txt");
+    ( "baselines",
+      `Quick,
+      check_figure ~args:"baselines --nodes 600 --trials 1" ~golden:"baselines.txt" );
+    ("baselines on a small topology", `Quick, check_baselines_small_topology);
+    ("soak", `Quick, check_figure ~args:"soak --steps 40" ~golden:"soak.txt");
+    ("soak lossy", `Quick, check_figure ~args:"soak --steps 40 --loss 0.05" ~golden:"soak_loss.txt");
+    ("malformed arguments exit non-zero", `Quick, check_malformed_arguments);
   ]
+  @ List.map
+      (fun name -> ("example " ^ name, `Quick, check_example name))
+      [
+        "quickstart";
+        "shared_tree_walkthrough";
+        "teleconference";
+        "policy_routing";
+        "address_allocation";
+        "flash_crowd";
+        "provider_failover";
+      ]
