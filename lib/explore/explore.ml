@@ -91,7 +91,11 @@ let run_trial ~arena ~trial ~seed schedule =
         | None -> true
         | Some p -> List.exists (fun v -> v.Invariant.inv = p) o.Oracle.violations
       in
-      let r = Shrinker.shrink ~still_fails schedule in
+      let r =
+        if Prof.is_enabled () then
+          Prof.span "explore.shrink" (fun () -> Shrinker.shrink ~still_fails schedule)
+        else Shrinker.shrink ~still_fails schedule
+      in
       {
         base with
         Ledger.min_schedule = Some (Schedule.to_string r.Shrinker.shrunk);

@@ -65,10 +65,17 @@ let validate topo (s : Schedule.step) =
   | Schedule.Partition (a, b) | Schedule.Heal (a, b) -> link a b
   | Schedule.Set_loss _ -> ()
 
-let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true) ~seed schedule =
+let setup ~arena ~seed schedule =
   let topo = Gen.masc_hierarchy ~tops:arena.tops ~children_per_top:arena.children_per_top in
   List.iter (validate topo) schedule;
-  let inet = Internet.create ~config:(config ~seed) topo in
+  Internet.create ~config:(config ~seed) topo
+
+let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true) ~seed schedule =
+  let inet =
+    if Prof.is_enabled () then
+      Prof.span "explore.oracle.setup" (fun () -> setup ~arena ~seed schedule)
+    else setup ~arena ~seed schedule
+  in
   let eng = Internet.engine inet in
   List.iter
     (fun (s : Schedule.step) ->
@@ -84,11 +91,13 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
      deliberately ignored: quiescent-only predicates are unsound while
      the schedule holds links down. *)
   let transient = ref 0 in
+  let check () =
+    transient := !transient + List.length (Invariant.check ~quiescent:false (Internet.invariants inet))
+  in
   if monitor then
     Engine.set_monitor eng ~cadence:(Time.minutes 30.0) (fun ~quiescent ->
         if not quiescent then
-          transient :=
-            !transient + List.length (Invariant.check ~quiescent:false (Internet.invariants inet)));
+          if Prof.is_enabled () then Prof.span "explore.monitor" check else check ());
   (* Fixed workload: demand-driven allocation at every top (this is
      what makes partitioned tops claim out of 224/4 blind to each
      other), then every stub joins every allocated group so BGMP trees

@@ -242,8 +242,8 @@ let signal_space_changed t =
 (* ------------------------------------------------------------------ *)
 
 let remove_own t ctl ~release ~lost =
-  (match ctl.wait_timer with Some h -> Engine.cancel h | None -> ());
-  (match ctl.renew_timer with Some h -> Engine.cancel h | None -> ());
+  (match ctl.wait_timer with Some h -> Engine.cancel t.engine h | None -> ());
+  (match ctl.renew_timer with Some h -> Engine.cancel t.engine h | None -> ());
   (* The registry slot for this prefix may already have been handed to a
      collision winner; only drop it when it is still ours. *)
   (let space = arena_space t ctl.claim.claim_arena in

@@ -25,6 +25,14 @@ type stats = {
   drop_label : string;
 }
 
+(* The state of one direction of an endpoint pair.  [epoch] counts
+   down-transitions, so an in-flight message (which remembers the epoch
+   at send time) is lost exactly when its direction failed before
+   delivery — even if it was restored again in between.  Every channel
+   on the pair, whatever its protocol, shares the one cell, so send and
+   deliver read link state without a lookup. *)
+type link = { mutable down : bool; mutable epoch : int }
+
 type t = {
   engine : Engine.t;
   mutable cfg : config;
@@ -33,47 +41,49 @@ type t = {
      stack draw-for-draw. *)
   loss_rng : Rng.t;
   by_protocol : (string, stats) Hashtbl.t;
-  (* Directed link state.  [down] holds the directions currently down;
-     [epoch] counts down-transitions per direction, so an in-flight
-     message (which remembers the epoch at send time) is lost exactly
-     when its direction failed before delivery — even if it was
-     restored again in between. *)
-  down : (int * int, unit) Hashtbl.t;
-  epoch : (int * int, int) Hashtbl.t;
+  (* Directed link cells, created on first touch. *)
+  links : (int * int, link) Hashtbl.t;
   mutable listeners : (int -> int -> up:bool -> unit) list;
 }
+
+(* A message on the wire: its queue slot is the only allocation a
+   lossless send makes. *)
+type 'a wire = Empty | Slot of { msg : 'a; span : Span.t option; sent_epoch : int; mutable next : 'a wire }
 
 type 'a channel = {
   net : t;
   stats : stats;
-  src : int;
-  dst : int;
+  link : link;
   delay : Time.t;
   recv : 'a -> unit;
   mutable on_drop : ('a -> unit) option;
-  queue : ('a * Span.t option * int) Queue.t;
-  mutable last_delivery : Time.t;
+  mutable head : 'a wire;
+  mutable tail : 'a wire;
+  (* Delivers the head of the queue; armed once per message sent. *)
+  mutable arrival : Engine.handle;
   (* Recorder subject, built once per channel. *)
   subj : string;
 }
 
+let check_rate fn rate =
+  if not (rate >= 0.0 && rate < 1.0) then
+    invalid_arg (Printf.sprintf "Net.%s: loss_rate outside [0, 1)" fn)
+
 let create ~engine ?(config = default_config) () =
-  if config.loss_rate < 0.0 || config.loss_rate >= 1.0 then
-    invalid_arg "Net.create: loss_rate outside [0, 1)";
+  check_rate "create" config.loss_rate;
   {
     engine;
     cfg = config;
     loss_rng = Rng.create config.loss_seed;
     by_protocol = Hashtbl.create 4;
-    down = Hashtbl.create 16;
-    epoch = Hashtbl.create 16;
+    links = Hashtbl.create 16;
     listeners = [];
   }
 
 let engine t = t.engine
 
 let set_loss_rate t rate =
-  if rate < 0.0 || rate >= 1.0 then invalid_arg "Net.set_loss_rate: rate outside [0, 1)";
+  check_rate "set_loss_rate" rate;
   t.cfg <- { t.cfg with loss_rate = rate }
 
 let stats_for t protocol =
@@ -98,31 +108,13 @@ let stats_for t protocol =
       Hashtbl.add t.by_protocol protocol s;
       s
 
-let channel t ~protocol ~src ~dst ~delay ~recv =
-  let delay = match t.cfg.delay_override with Some d -> d | None -> delay in
-  if delay < 0.0 then invalid_arg "Net.channel: negative delay";
-  {
-    net = t;
-    stats = stats_for t protocol;
-    src;
-    dst;
-    delay;
-    recv;
-    on_drop = None;
-    queue = Queue.create ();
-    last_delivery = Time.zero;
-    subj = string_of_int src ^ "->" ^ string_of_int dst;
-  }
-
-let set_on_drop ch f = ch.on_drop <- Some f
-
-let channel_delay ch = ch.delay
-
-let direction_up t ~from_ ~to_ = not (Hashtbl.mem t.down (from_, to_))
-
-let link_up t a b = direction_up t ~from_:a ~to_:b && direction_up t ~from_:b ~to_:a
-
-let epoch_of t from_ to_ = try Hashtbl.find t.epoch (from_, to_) with Not_found -> 0
+let link t from_ to_ =
+  match Hashtbl.find_opt t.links (from_, to_) with
+  | Some l -> l
+  | None ->
+      let l = { down = false; epoch = 0 } in
+      Hashtbl.add t.links (from_, to_) l;
+      l
 
 let drop ch ?span msg reason =
   let st = ch.stats in
@@ -135,54 +127,94 @@ let drop ch ?span msg reason =
   match ch.on_drop with Some f -> f msg | None -> ()
 
 let deliver ch =
-  let msg, span, sent_epoch = Queue.pop ch.queue in
-  let st = ch.stats in
-  (* The message left the wire whether it lands or was caught by a
-     down-transition: the in-flight gauge drops on both paths. *)
-  st.n_inflight <- st.n_inflight - 1;
-  Metrics.set st.m_inflight (float_of_int st.n_inflight);
-  if epoch_of ch.net ch.src ch.dst <> sent_epoch then drop ch ?span msg "in-flight"
-  else begin
-    st.n_delivered <- st.n_delivered + 1;
-    Metrics.incr st.m_delivered;
-    if Recorder.is_enabled () then
-      Recorder.record ~time:(Engine.now ch.net.engine) ~label:st.recv_label ~subject:ch.subj ?span ();
-    ch.recv msg
-  end
+  match ch.head with
+  | Empty -> assert false
+  | Slot s ->
+      ch.head <- s.next;
+      if s.next == Empty then ch.tail <- Empty;
+      let st = ch.stats in
+      (* The message left the wire whether it lands or was caught by a
+         down-transition: the in-flight gauge drops on both paths. *)
+      st.n_inflight <- st.n_inflight - 1;
+      Metrics.set_int st.m_inflight st.n_inflight;
+      if ch.link.epoch <> s.sent_epoch then drop ch ?span:s.span s.msg "in-flight"
+      else begin
+        st.n_delivered <- st.n_delivered + 1;
+        Metrics.incr st.m_delivered;
+        if Recorder.is_enabled () then
+          Recorder.record ~time:(Engine.now ch.net.engine) ~label:st.recv_label ~subject:ch.subj
+            ?span:s.span ();
+        ch.recv s.msg
+      end
 
+(* Placeholder until [channel] builds the channel's own arrival event;
+   never armed. *)
+let unbuilt = Engine.event ignore
+
+let channel t ~protocol ~src ~dst ~delay ~recv =
+  let delay = match t.cfg.delay_override with Some d -> d | None -> delay in
+  if not (delay >= 0.0) then invalid_arg "Net.channel: negative or NaN delay";
+  let stats = stats_for t protocol in
+  let ch =
+    {
+      net = t;
+      stats;
+      link = link t src dst;
+      delay;
+      recv;
+      on_drop = None;
+      head = Empty;
+      tail = Empty;
+      arrival = unbuilt;
+      subj = string_of_int src ^ "->" ^ string_of_int dst;
+    }
+  in
+  ch.arrival <- Engine.event ~label:stats.ev_label (fun () -> deliver ch);
+  ch
+
+let set_on_drop ch f = ch.on_drop <- Some f
+
+let channel_delay ch = ch.delay
+
+let direction_up t ~from_ ~to_ = not (link t from_ to_).down
+
+let link_up t a b = direction_up t ~from_:a ~to_:b && direction_up t ~from_:b ~to_:a
+
+(* Every delivery of a channel is [delay] after its send and the clock
+   never runs backwards, so arrivals stay FIFO and the queue head is
+   always the message whose arrival fires. *)
 let send ch ?span msg =
   let n = ch.net in
   let st = ch.stats in
   st.n_sent <- st.n_sent + 1;
   Metrics.incr st.m_sent;
-  if not (direction_up n ~from_:ch.src ~to_:ch.dst) then drop ch ?span msg "link-down"
+  if ch.link.down then drop ch ?span msg "link-down"
   else if n.cfg.loss_rate > 0.0 && Rng.float n.loss_rng 1.0 < n.cfg.loss_rate then
     drop ch ?span msg "loss"
   else begin
-    Queue.push (msg, span, epoch_of n ch.src ch.dst) ch.queue;
+    let s = Slot { msg; span; sent_epoch = ch.link.epoch; next = Empty } in
+    (match ch.tail with Empty -> ch.head <- s | Slot last -> last.next <- s);
+    ch.tail <- s;
     st.n_inflight <- st.n_inflight + 1;
-    Metrics.set st.m_inflight (float_of_int st.n_inflight);
-    (* The clamp keeps delivery FIFO even if a future channel variant
-       gets a per-message delay; with a constant delay it is a no-op,
-       so schedule times are exactly [now + delay]. *)
-    let at = Float.max (Engine.now n.engine +. ch.delay) ch.last_delivery in
-    ch.last_delivery <- at;
-    ignore (Engine.schedule_at ~label:st.ev_label n.engine at (fun () -> deliver ch))
+    Metrics.set_int st.m_inflight st.n_inflight;
+    Engine.arm_after n.engine ch.arrival ch.delay
   end
 
 (* Returns whether the direction changed state, so fail/restore notify
    listeners only on an actual transition. *)
 let take_down t from_ to_ =
-  if Hashtbl.mem t.down (from_, to_) then false
+  let l = link t from_ to_ in
+  if l.down then false
   else begin
-    Hashtbl.replace t.down (from_, to_) ();
-    Hashtbl.replace t.epoch (from_, to_) (1 + epoch_of t from_ to_);
+    l.down <- true;
+    l.epoch <- l.epoch + 1;
     true
   end
 
 let bring_up t from_ to_ =
-  if Hashtbl.mem t.down (from_, to_) then begin
-    Hashtbl.remove t.down (from_, to_);
+  let l = link t from_ to_ in
+  if l.down then begin
+    l.down <- false;
     true
   end
   else false

@@ -12,7 +12,7 @@
     - {b delay} — each channel delivers [delay] after the send (or the
       net-wide [delay_override]); delivery order per channel is FIFO,
       and equal-time deliveries across channels fire in send order (the
-      engine's heap breaks ties by scheduling sequence), so runs are
+      engine's queue breaks ties by scheduling sequence), so runs are
       fully deterministic;
     - {b up/down state} — {!fail_link} takes both directions of an
       endpoint pair down: subsequent sends are dropped at the source and
@@ -50,6 +50,8 @@ val default_config : config
 type t
 
 val create : engine:Engine.t -> ?config:config -> unit -> t
+(** @raise Invalid_argument if [config.loss_rate] is outside [0, 1) or
+    NaN. *)
 
 val engine : t -> Engine.t
 
@@ -58,7 +60,8 @@ val set_loss_rate : t -> float -> unit
     The loss RNG's draw sequence is unchanged for past sends (it is
     only ever drawn while the rate is positive), so a run that builds
     state losslessly and then turns loss on for a measurement phase
-    stays deterministic.  @raise Invalid_argument outside [0, 1). *)
+    stays deterministic.  @raise Invalid_argument outside [0, 1) or
+    NaN. *)
 
 (** {1 Channels} *)
 
@@ -69,7 +72,8 @@ val channel :
   t -> protocol:string -> src:int -> dst:int -> delay:Time.t -> recv:('a -> unit) -> 'a channel
 (** A fresh channel; [recv] runs at delivery time, [delay] later than
     the send (unless overridden net-wide).  [protocol] labels the
-    accounting ("masc", "bgp", "bgmp"). *)
+    accounting ("masc", "bgp", "bgmp").
+    @raise Invalid_argument if the effective delay is negative or NaN. *)
 
 val set_on_drop : 'a channel -> ('a -> unit) -> unit
 (** Install a drop observer: it runs — with the lost message — whenever
@@ -88,9 +92,12 @@ val channel_delay : 'a channel -> Time.t
 
 (** {1 Link state}
 
-    State is per {e direction} of an endpoint pair; the pair needs no
-    prior channel — blocking a pair that never communicates is a
-    no-op. *)
+    State is per {e direction} of an endpoint pair: one cell, created on
+    the pair's first touch (a channel, a failure, a block or a query)
+    and shared by every channel on that direction whatever its
+    protocol.  The pair needs no prior channel — blocking a pair that
+    never communicates is a no-op, and a channel created later sees the
+    state. *)
 
 val fail_link : t -> int -> int -> unit
 (** Take both directions down: future sends drop at the source,

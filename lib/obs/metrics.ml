@@ -161,6 +161,13 @@ let set_max g v =
   let g = gcell g in
   if v > g.g then g.g <- v
 
+let set_int g n = (gcell g).g <- float_of_int n
+
+let set_max_int g n =
+  let g = gcell g in
+  let v = float_of_int n in
+  if v > g.g then g.g <- v
+
 let value g = (gcell g).g
 
 let observe h x =

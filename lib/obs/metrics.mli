@@ -81,6 +81,13 @@ val set_max : gauge -> float -> unit
 (** Keep the running maximum: [set_max g v] is [set g v] when [v]
     exceeds the current value (high-water marks like queue depth). *)
 
+val set_int : gauge -> int -> unit
+(** [set g (float_of_int n)], with no float crossing the call, so a
+    per-message gauge update allocates nothing even uninlined. *)
+
+val set_max_int : gauge -> int -> unit
+(** [set_max g (float_of_int n)], allocation-free like {!set_int}. *)
+
 val value : gauge -> float
 
 val observe : histogram -> float -> unit

@@ -1,14 +1,20 @@
-(* An event's [cancelled] flag doubles as "consumed": it is set when the
-   event is cancelled AND when it fires, so the live-event accounting
-   below decrements exactly once per scheduled event. *)
-(* [label] buckets the event for the profiler ("net.deliver.bgp",
-   "masc.sweep", ...); the default "event" keeps unlabelled call sites
-   free of per-schedule string building. *)
-type event = { time : Time.t; mutable cancelled : bool; label : string; action : unit -> unit }
+(* An event is one record that can be armed any number of times: a
+   one-shot schedule arms its record once, a periodic schedule re-arms
+   its one record after each firing, and a Net channel arms its
+   delivery record once per message.  [queued] counts the record's
+   occurrences in the queue; [cancel] takes them all out of the live
+   count at once and they drain lazily.  [label] buckets the event for
+   the profiler ("net.deliver.bgp", "masc.sweep", ...); the default
+   "event" keeps unlabelled call sites free of per-schedule string
+   building. *)
+type event = {
+  label : string;
+  action : unit -> unit;
+  mutable queued : int;
+  mutable cancelled : bool;
+}
 
-(* A handle owns a cancellation closure: for a plain event it flips the
-   event's flag; for a periodic schedule it also stops re-arming. *)
-type handle = { mutable stop : unit -> unit }
+type handle = event
 
 (* A monitor runs a hook (invariant checks, in practice) at most once
    per [cadence] of virtual time, and once more with [~quiescent:true]
@@ -20,9 +26,21 @@ type monitor = { cadence : Time.t; mutable last_check : Time.t; hook : quiescent
    once per [every] of virtual time plus once at quiescence. *)
 type sampler = { every : Time.t; mutable last_sample : Time.t; s_hook : Time.t -> unit }
 
+(* A float-only record is stored flat, so advancing the clock does not
+   box. *)
+type clock = { mutable now : Time.t }
+
+(* The queue is a binary min-heap over three parallel arrays ordered by
+   (time, seq), seq being the push count: equal-time events fire in
+   scheduling order.  Pushing and popping allocate nothing once the
+   arrays have grown to the run's peak depth. *)
 type t = {
-  mutable clock : Time.t;
-  queue : event Heap.t;
+  clk : clock;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable evs : event array;
+  mutable size : int;
+  mutable next_seq : int;
   mutable live : int;
   (* Last state-changing event per actor class, self-reported via
      [note_activity]; the max is the convergence time of the run. *)
@@ -41,19 +59,169 @@ let m_queue_max = Metrics.gauge "sim.queue_depth_max"
 
 let m_virtual = Metrics.gauge "sim.virtual_seconds"
 
+(* Fills dead queue slots so a fired event's closure is not retained. *)
+let vacant = { label = ""; action = ignore; queued = 0; cancelled = true }
+
+let initial_capacity = 16
+
 let create () =
   {
-    clock = Time.zero;
-    queue = Heap.create ~cmp:(fun a b -> Float.compare a.time b.time);
+    clk = { now = Time.zero };
+    times = Float.Array.make initial_capacity 0.0;
+    seqs = Array.make initial_capacity 0;
+    evs = Array.make initial_capacity vacant;
+    size = 0;
+    next_seq = 0;
     live = 0;
     watermarks = Hashtbl.create 8;
     monitor = None;
     sampler = None;
   }
 
-let now t = t.clock
+let now t = t.clk.now
 
-let note_activity t cls = Hashtbl.replace t.watermarks cls t.clock
+(* --- The queue ------------------------------------------------------- *)
+
+let before t i j =
+  let ti = Float.Array.unsafe_get t.times i and tj = Float.Array.unsafe_get t.times j in
+  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
+
+let move t ~from_ ~to_ =
+  Float.Array.unsafe_set t.times to_ (Float.Array.unsafe_get t.times from_);
+  t.seqs.(to_) <- t.seqs.(from_);
+  t.evs.(to_) <- t.evs.(from_)
+
+let grow t =
+  let cap = Array.length t.evs in
+  let times = Float.Array.make (2 * cap) 0.0 in
+  let seqs = Array.make (2 * cap) 0 in
+  let evs = Array.make (2 * cap) vacant in
+  Float.Array.blit t.times 0 times 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.evs 0 evs 0 cap;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.evs <- evs
+
+(* Inserting is split so that no float crosses a call: the caller
+   writes the entry's time into [times.(size)] (after [reserve]) and
+   [insert] sifts it up.  The new entry carries the largest seq so far,
+   so it rises only past strictly later times. *)
+let reserve t = if t.size = Array.length t.evs then grow t
+
+let insert t e =
+  let time = Float.Array.unsafe_get t.times t.size in
+  let i = ref t.size in
+  while !i > 0 && time < Float.Array.unsafe_get t.times ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    move t ~from_:parent ~to_:!i;
+    i := parent
+  done;
+  Float.Array.unsafe_set t.times !i time;
+  t.seqs.(!i) <- t.next_seq;
+  t.evs.(!i) <- e;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- t.size + 1;
+  e.queued <- e.queued + 1;
+  t.live <- t.live + 1;
+  Metrics.incr m_scheduled;
+  Metrics.set_max_int m_queue_max t.live
+
+(* Remove the root: sift the last entry down from the top, moving the
+   hole with it, then park it in the hole. *)
+let remove_min t =
+  let e = t.evs.(0) in
+  e.queued <- e.queued - 1;
+  let last = t.size - 1 in
+  t.size <- last;
+  let i = ref 0 in
+  let continue = ref (last > 0) in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= last then continue := false
+    else begin
+      let c = if l + 1 < last && before t (l + 1) l then l + 1 else l in
+      if before t c last then begin
+        move t ~from_:c ~to_:!i;
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  if last > 0 then move t ~from_:last ~to_:!i;
+  t.evs.(last) <- vacant
+
+(* --- Scheduling ------------------------------------------------------ *)
+
+let event ?(label = "event") action = { label; action; queued = 0; cancelled = false }
+
+(* Queue [e] at [clock + delay]. *)
+let arm t e delay =
+  reserve t;
+  Float.Array.unsafe_set t.times t.size (t.clk.now +. delay);
+  insert t e
+
+let check_time t fn time =
+  if Float.is_nan time then invalid_arg (Printf.sprintf "Engine.%s: time is NaN" fn);
+  if time < t.clk.now then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: time %g before now %g" fn (Time.to_seconds time)
+         (Time.to_seconds t.clk.now))
+
+let check_delay fn delay =
+  if not (delay >= 0.0) then invalid_arg (Printf.sprintf "Engine.%s: negative or NaN delay" fn)
+
+let schedule_at ?label t time action =
+  check_time t "schedule_at" time;
+  let e = event ?label action in
+  reserve t;
+  Float.Array.unsafe_set t.times t.size time;
+  insert t e;
+  e
+
+let schedule_after ?label t delay action =
+  check_delay "schedule_after" delay;
+  let e = event ?label action in
+  arm t e delay;
+  e
+
+let arm_after t e delay =
+  check_delay "arm_after" delay;
+  if e.cancelled then invalid_arg "Engine.arm_after: event was cancelled";
+  arm t e delay
+
+let periodic ?(label = "event") t ~interval action =
+  if not (interval > 0.0) then invalid_arg "Engine.periodic: non-positive or NaN interval";
+  let rec e =
+    {
+      label;
+      action =
+        (fun () ->
+          action ();
+          if not e.cancelled then arm t e interval);
+      queued = 0;
+      cancelled = false;
+    }
+  in
+  arm t e interval;
+  e
+
+(* An event that already fired has no queued occurrence left, so
+   cancelling it changes no count. *)
+let cancel t e =
+  if not e.cancelled then begin
+    e.cancelled <- true;
+    if e.queued > 0 then begin
+      t.live <- t.live - e.queued;
+      Metrics.add m_cancelled e.queued
+    end
+  end
+
+let pending t = t.live
+
+(* --- Hooks ----------------------------------------------------------- *)
+
+let note_activity t cls = Hashtbl.replace t.watermarks cls t.clk.now
 
 let watermarks t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.watermarks []
@@ -63,118 +231,68 @@ let converged_at t =
   Hashtbl.fold (fun _ v acc -> match acc with None -> Some v | Some m -> Some (max m v)) t.watermarks None
 
 let set_monitor t ~cadence hook =
-  if cadence <= 0.0 then invalid_arg "Engine.set_monitor: non-positive cadence";
-  t.monitor <- Some { cadence; last_check = t.clock; hook }
+  if not (cadence > 0.0) then invalid_arg "Engine.set_monitor: non-positive or NaN cadence";
+  t.monitor <- Some { cadence; last_check = t.clk.now; hook }
 
 let clear_monitor t = t.monitor <- None
 
 let monitor_tick t =
   match t.monitor with
-  | Some m when t.clock -. m.last_check >= m.cadence ->
-      m.last_check <- t.clock;
+  | Some m when t.clk.now -. m.last_check >= m.cadence ->
+      m.last_check <- t.clk.now;
       m.hook ~quiescent:false
   | Some _ | None -> ()
 
 let monitor_quiescent t =
   match t.monitor with
   | Some m ->
-      m.last_check <- t.clock;
+      m.last_check <- t.clk.now;
       m.hook ~quiescent:true
   | None -> ()
 
 let set_sampler t ~every s_hook =
-  if every <= 0.0 then invalid_arg "Engine.set_sampler: non-positive cadence";
-  t.sampler <- Some { every; last_sample = t.clock; s_hook }
+  if not (every > 0.0) then invalid_arg "Engine.set_sampler: non-positive or NaN cadence";
+  t.sampler <- Some { every; last_sample = t.clk.now; s_hook }
 
 let clear_sampler t = t.sampler <- None
 
 let sampler_tick t =
   match t.sampler with
-  | Some s when t.clock -. s.last_sample >= s.every ->
-      s.last_sample <- t.clock;
-      s.s_hook t.clock
+  | Some s when t.clk.now -. s.last_sample >= s.every ->
+      s.last_sample <- t.clk.now;
+      s.s_hook t.clk.now
   | Some _ | None -> ()
 
 let sampler_final t =
   match t.sampler with
   | Some s ->
-      s.last_sample <- t.clock;
-      s.s_hook t.clock
+      s.last_sample <- t.clk.now;
+      s.s_hook t.clk.now
   | None -> ()
 
-let schedule_event t time label action =
-  let e = { time; cancelled = false; label; action } in
-  Heap.push t.queue e;
-  t.live <- t.live + 1;
-  Metrics.incr m_scheduled;
-  Metrics.set_max m_queue_max (float_of_int t.live);
-  e
+(* --- Dispatch -------------------------------------------------------- *)
 
-let cancel_event t e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
-    t.live <- t.live - 1;
-    Metrics.incr m_cancelled
+let rec step t =
+  if t.size = 0 then false
+  else begin
+    let e = t.evs.(0) in
+    if e.cancelled then begin
+      remove_min t;
+      step t
+    end
+    else begin
+      t.clk.now <- Float.Array.unsafe_get t.times 0;
+      remove_min t;
+      t.live <- t.live - 1;
+      Metrics.incr m_fired;
+      Metrics.set m_virtual t.clk.now;
+      if Recorder.is_enabled () then Recorder.record ~time:t.clk.now ~label:e.label ();
+      if Prof.is_enabled () then Prof.span e.label e.action else e.action ();
+      monitor_tick t;
+      sampler_tick t;
+      true
+    end
   end
-
-let schedule_at ?(label = "event") t time action =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g before now %g" (Time.to_seconds time)
-         (Time.to_seconds t.clock));
-  let e = schedule_event t time label action in
-  { stop = (fun () -> cancel_event t e) }
-
-let schedule_after ?(label = "event") t delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
-  schedule_at ~label t (t.clock +. delay) action
-
-let periodic ?(label = "event") t ~interval action =
-  if interval <= 0.0 then invalid_arg "Engine.periodic: non-positive interval";
-  let handle = { stop = (fun () -> ()) } in
-  let stopped = ref false in
-  let rec arm () =
-    let e =
-      schedule_event t (t.clock +. interval) label (fun () ->
-          if not !stopped then begin
-            action ();
-            if not !stopped then arm ()
-          end)
-    in
-    handle.stop <-
-      (fun () ->
-        stopped := true;
-        cancel_event t e)
-  in
-  arm ();
-  handle
-
-let cancel h = h.stop ()
-
-let pending t = t.live
-
-let step t =
-  let rec loop () =
-    match Heap.pop t.queue with
-    | None -> false
-    | Some e ->
-        if e.cancelled then loop ()
-        else begin
-          (* Consume before firing so a cancel from inside the action
-             (periodic self-cancel) cannot double-decrement. *)
-          e.cancelled <- true;
-          t.live <- t.live - 1;
-          Metrics.incr m_fired;
-          t.clock <- e.time;
-          Metrics.set m_virtual t.clock;
-          if Recorder.is_enabled () then Recorder.record ~time:t.clock ~label:e.label ();
-          if Prof.is_enabled () then Prof.span e.label e.action else e.action ();
-          monitor_tick t;
-          sampler_tick t;
-          true
-        end
-  in
-  loop ()
 
 let run ?until t =
   match until with
@@ -185,43 +303,46 @@ let run ?until t =
       sampler_final t
   | Some horizon ->
       let rec drain () =
-        match Heap.peek t.queue with
-        | None ->
-            monitor_quiescent t;
-            sampler_final t
-        | Some e when e.time > horizon ->
-            t.clock <- max t.clock horizon;
-            Metrics.set m_virtual t.clock;
-            sampler_final t
-        | Some _ ->
-            ignore (step t);
-            drain ()
+        if t.size = 0 then begin
+          monitor_quiescent t;
+          sampler_final t
+        end
+        else if Float.Array.get t.times 0 > horizon then begin
+          t.clk.now <- Float.max t.clk.now horizon;
+          Metrics.set m_virtual t.clk.now;
+          sampler_final t
+        end
+        else begin
+          ignore (step t);
+          drain ()
+        end
       in
       drain ()
 
 let run_until_idle t = run t
 
 let run_until_quiescent ~grace t =
-  if grace <= 0.0 then invalid_arg "Engine.run_until_quiescent: non-positive grace";
+  if not (grace > 0.0) then invalid_arg "Engine.run_until_quiescent: non-positive grace";
   let quiet_until () =
-    (match converged_at t with Some w -> w | None -> t.clock) +. grace
+    (match converged_at t with Some w -> w | None -> t.clk.now) +. grace
   in
   let rec drain () =
-    match Heap.peek t.queue with
-    | None -> ()
-    | Some e when e.cancelled ->
-        (* Cancelled events drain lazily; skip them here so a stale
-           timestamp cannot end the run early. *)
-        ignore (Heap.pop t.queue);
-        drain ()
-    | Some e when e.time > quiet_until () ->
-        (* Everything still queued lies beyond the quiet window: no
-           actor has reported a state change for [grace] of virtual
-           time, so what remains is periodic housekeeping. *)
-        ()
-    | Some _ ->
-        ignore (step t);
-        drain ()
+    if t.size = 0 then ()
+    else if t.evs.(0).cancelled then begin
+      (* Cancelled events drain lazily; skip them here so a stale
+         timestamp cannot end the run early. *)
+      remove_min t;
+      drain ()
+    end
+    else if Float.Array.get t.times 0 > quiet_until () then
+      (* Everything still queued lies beyond the quiet window: no actor
+         has reported a state change for [grace] of virtual time, so
+         what remains is periodic housekeeping. *)
+      ()
+    else begin
+      ignore (step t);
+      drain ()
+    end
   in
   drain ();
   monitor_quiescent t;

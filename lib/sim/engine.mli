@@ -9,30 +9,45 @@
 type t
 
 type handle
-(** A cancellation token for a scheduled event. *)
+(** A scheduled event.  The same record can be queued more than once
+    (see {!event}); cancelling it removes every queued occurrence. *)
 
 val create : unit -> t
 
 val now : t -> Time.t
 
 val schedule_at : ?label:string -> t -> Time.t -> (unit -> unit) -> handle
-(** Schedule a closure at an absolute time.  Scheduling in the past
-    raises [Invalid_argument].  [label] names the event kind for the
-    profiler: when {!Prof} is enabled, the action fires inside
+(** Schedule a closure at an absolute time.  Scheduling in the past or
+    at NaN raises [Invalid_argument].  [label] names the event kind for
+    the profiler: when {!Prof} is enabled, the action fires inside
     [Prof.span label], bucketing dispatch time per kind (default
     ["event"]). *)
 
 val schedule_after : ?label:string -> t -> Time.t -> (unit -> unit) -> handle
-(** Schedule a closure [delay] after the current time (delay must be
-    non-negative). *)
+(** Schedule a closure [delay] after the current time.
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val periodic : ?label:string -> t -> interval:Time.t -> (unit -> unit) -> handle
 (** Run the closure every [interval], starting one interval from now,
-    until cancelled.  @raise Invalid_argument if [interval <= 0]. *)
+    until cancelled.  The one event record is re-armed after each
+    firing.  @raise Invalid_argument if [interval <= 0] or NaN. *)
 
-val cancel : handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op.
-    Cancelling a periodic event stops all future firings. *)
+val event : ?label:string -> (unit -> unit) -> handle
+(** An unarmed, reusable event: {!arm_after} queues one more occurrence
+    of it per call, each firing [action] once.  A transport lane builds
+    one and arms it per message, so the per-message path allocates no
+    event. *)
+
+val arm_after : t -> handle -> Time.t -> unit
+(** Queue one occurrence of the event [delay] after the current time,
+    ordered like a fresh {!schedule_after}.
+    @raise Invalid_argument if [delay] is negative or NaN, or the event
+    was cancelled. *)
+
+val cancel : t -> handle -> unit
+(** Withdraw every queued occurrence of the event; a periodic event
+    stops for good.  Cancelling an already-fired or already-cancelled
+    event is a no-op.  The handle must belong to [t]. *)
 
 val pending : t -> int
 (** Number of live (scheduled, not yet fired, not cancelled) events.
@@ -92,7 +107,7 @@ val converged_at : t -> Time.t option
 
 val set_monitor : t -> cadence:Time.t -> (quiescent:bool -> unit) -> unit
 (** Replaces any previous monitor.
-    @raise Invalid_argument if [cadence <= 0]. *)
+    @raise Invalid_argument if [cadence <= 0] or NaN. *)
 
 val clear_monitor : t -> unit
 
@@ -107,6 +122,6 @@ val clear_monitor : t -> unit
 
 val set_sampler : t -> every:Time.t -> (Time.t -> unit) -> unit
 (** Replaces any previous sampler.
-    @raise Invalid_argument if [every <= 0]. *)
+    @raise Invalid_argument if [every <= 0] or NaN. *)
 
 val clear_sampler : t -> unit

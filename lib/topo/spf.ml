@@ -59,7 +59,7 @@ let resolve_ws ws csr =
   | None -> make_workspace csr
 
 (* Heap ordering is (key, seq) lexicographic — the same FIFO tie-break
-   as Util.Heap, so CSR Dijkstra settles equal-distance nodes in the
+   as the list-based reference's heap, so CSR Dijkstra settles equal-distance nodes in the
    same order as the list-based reference. *)
 
 let heap_less ws i j =

@@ -238,6 +238,100 @@ let test_set_loss_rate_phases () =
          with Invalid_argument _ -> true))
     [ -0.1; 1.0; 1.5 ]
 
+(* One lane per protocol on the same pair: they share the pair's link
+   cell, so link state acts on all of them alike. *)
+let protocol_lanes net ~src ~dst ~delay got =
+  List.map
+    (fun p -> Net.channel net ~protocol:p ~src ~dst ~delay ~recv:(fun m -> got := (p, m) :: !got))
+    [ "masc"; "bgp"; "bgmp" ]
+
+let test_fail_link_drops_every_protocol () =
+  let engine, net = make () in
+  let got = ref [] in
+  let lanes = protocol_lanes net ~src:4 ~dst:7 ~delay:2.0 got in
+  List.iter (fun ch -> Net.send ch 1) lanes;
+  ignore (Engine.schedule_at engine 1.0 (fun () -> Net.fail_link net 7 4));
+  Engine.run_until_idle engine;
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "nothing lands" [] !got;
+  List.iter
+    (fun p ->
+      check Alcotest.int (p ^ " lost in flight") 1 (Net.dropped net ~protocol:p);
+      check Alcotest.int (p ^ " off the wire") 0 (Net.in_flight net ~protocol:p))
+    [ "masc"; "bgp"; "bgmp" ]
+
+let test_late_channel_sees_link_state () =
+  let engine, net = make () in
+  Net.fail_link net 0 1;
+  Net.block net ~from_:2 ~to_:3;
+  let got = ref [] in
+  let lanes =
+    List.map
+      (fun (src, dst) ->
+        Net.channel net ~protocol:"t" ~src ~dst ~delay:1.0 ~recv:(fun m -> got := m :: !got))
+      [ (0, 1); (1, 0); (2, 3); (3, 2) ]
+  in
+  List.iteri (fun i ch -> Net.send ch i) lanes;
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.int) "only the unblocked reverse lane delivers" [ 3 ] !got;
+  check Alcotest.int "three dropped at the source" 3 (Net.dropped net ~protocol:"t")
+
+let test_block_leaves_reverse_cell () =
+  (* A message in flight on the reverse direction survives a block of
+     the forward one: the two directions are separate cells. *)
+  let engine, net = make () in
+  let got = ref [] in
+  let ab = Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:2.0 ~recv:(fun m -> got := m :: !got) in
+  let ba = Net.channel net ~protocol:"t" ~src:1 ~dst:0 ~delay:2.0 ~recv:(fun m -> got := m :: !got) in
+  Net.send ab 1;
+  Net.send ba 2;
+  ignore (Engine.schedule_at engine 1.0 (fun () -> Net.block net ~from_:0 ~to_:1));
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.int) "reverse message lands" [ 2 ] !got;
+  check Alcotest.bool "reverse direction up" true (Net.direction_up net ~from_:1 ~to_:0);
+  check Alcotest.bool "blocked direction down" false (Net.direction_up net ~from_:0 ~to_:1)
+
+let test_fail_restore_within_flight () =
+  (* The epoch, not the up/down bit, decides: a message sent before a
+     fail and delivered after the restore is still lost, on every lane
+     of the pair, while one sent after the restore lands. *)
+  let engine, net = make () in
+  let got = ref [] in
+  let lanes = protocol_lanes net ~src:0 ~dst:1 ~delay:4.0 got in
+  List.iter (fun ch -> Net.send ch 1) lanes;
+  ignore
+    (Engine.schedule_at engine 1.0 (fun () ->
+         Net.fail_link net 0 1;
+         Net.restore_link net 0 1;
+         List.iter (fun ch -> Net.send ch 2) lanes));
+  Engine.run_until_idle engine;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "only post-restore sends land"
+    [ ("masc", 2); ("bgp", 2); ("bgmp", 2) ]
+    (List.rev !got)
+
+let test_rejects_nan () =
+  let _, net = make () in
+  Test_sim.rejects "create with NaN loss" (fun () ->
+      ignore (make ~config:{ Net.default_config with Net.loss_rate = Float.nan } ()));
+  Test_sim.rejects "set_loss_rate NaN" (fun () -> Net.set_loss_rate net Float.nan);
+  Test_sim.rejects "channel with NaN delay" (fun () ->
+      ignore (Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:Float.nan ~recv:ignore))
+
+let test_send_allocation () =
+  let engine, net = make () in
+  let ch = Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:1.0 ~recv:ignore in
+  let bytes =
+    Test_sim.minor_bytes_per ~n:1000 (fun n ->
+        for i = 1 to n do
+          Net.send ch i
+        done;
+        Engine.run_until_idle engine)
+  in
+  Printf.printf "net send: %.1f B\n" bytes;
+  check Alcotest.bool (Printf.sprintf "send + delivery allocates %.1f B <= 96 B" bytes) true
+    (bytes <= 96.0)
+
 let suite =
   [
     ("channel fifo per link", `Quick, test_channel_fifo_per_link);
@@ -249,5 +343,11 @@ let suite =
     ("fail_link drops in-flight", `Quick, test_fail_link_drops_in_flight);
     ("fail/restore notify on transition only", `Quick, test_fail_restore_notify_on_transition_only);
     ("net-wide delay override", `Quick, test_delay_override);
+    ("fail_link drops every protocol's lane", `Quick, test_fail_link_drops_every_protocol);
+    ("late channel sees link state", `Quick, test_late_channel_sees_link_state);
+    ("block leaves the reverse cell", `Quick, test_block_leaves_reverse_cell);
+    ("fail+restore within one flight", `Quick, test_fail_restore_within_flight);
+    ("rejects NaN", `Quick, test_rejects_nan);
+    ("send allocation", `Quick, test_send_allocation);
     ("run_until_quiescent outlives housekeeping", `Quick, test_run_until_quiescent_outlives_housekeeping);
   ]

@@ -50,11 +50,11 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule_at e 1.0 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run_until_idle e;
   check Alcotest.bool "cancelled event does not fire" false !fired;
   (* double cancel is a no-op *)
-  Engine.cancel h
+  Engine.cancel e h
 
 let test_engine_nested_scheduling () =
   let e = Engine.create () in
@@ -83,7 +83,7 @@ let test_engine_periodic () =
   let h = Engine.periodic e ~interval:1.0 (fun () -> incr count) in
   Engine.run ~until:5.5 e;
   check Alcotest.int "five firings by 5.5" 5 !count;
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run ~until:10.0 e;
   check Alcotest.int "no firings after cancel" 5 !count
 
@@ -94,7 +94,7 @@ let test_engine_periodic_self_cancel () =
   let h =
     Engine.periodic e ~interval:1.0 (fun () ->
         incr count;
-        if !count = 3 then Engine.cancel (Option.get !handle))
+        if !count = 3 then Engine.cancel e (Option.get !handle))
   in
   handle := Some h;
   Engine.run ~until:10.0 e;
@@ -116,11 +116,11 @@ let test_engine_pending_counts_live_events () =
   ignore (Engine.schedule_at e 2.0 (fun () -> ()));
   ignore (Engine.schedule_at e 3.0 (fun () -> ()));
   check Alcotest.int "three scheduled" 3 (Engine.pending e);
-  Engine.cancel h1;
+  Engine.cancel e h1;
   (* The cancelled event is still in the internal queue (drained lazily)
      but must not be counted. *)
   check Alcotest.int "cancel leaves immediately" 2 (Engine.pending e);
-  Engine.cancel h1;
+  Engine.cancel e h1;
   check Alcotest.int "double cancel no-op" 2 (Engine.pending e);
   ignore (Engine.step e);
   check Alcotest.int "fired event leaves" 1 (Engine.pending e);
@@ -134,7 +134,7 @@ let test_engine_pending_periodic () =
   Engine.run ~until:3.5 e;
   (* Each firing schedules the next occurrence. *)
   check Alcotest.int "still one pending occurrence" 1 (Engine.pending e);
-  Engine.cancel h;
+  Engine.cancel e h;
   check Alcotest.int "stop clears it" 0 (Engine.pending e);
   Engine.run_until_idle e;
   check Alcotest.int "stays empty" 0 (Engine.pending e)
@@ -148,7 +148,7 @@ let test_engine_pending_periodic_self_cancel () =
   let h =
     Engine.periodic e ~interval:1.0 (fun () ->
         incr count;
-        if !count = 2 then Engine.cancel (Option.get !handle))
+        if !count = 2 then Engine.cancel e (Option.get !handle))
   in
   handle := Some h;
   Engine.run ~until:10.0 e;
@@ -375,6 +375,54 @@ let test_trace_clear () =
       Recorder.enable ();
       check Alcotest.int "re-enabling clears" 0 (Recorder.records ()))
 
+let rejects name f =
+  check Alcotest.bool (name ^ " raises Invalid_argument") true
+    (try
+       f ();
+       false
+     with Invalid_argument _ -> true)
+
+(* NaN fails every comparison, so a range check written as "reject if
+   below the bound" lets it through; each entry point must refuse it. *)
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  rejects "schedule_at nan" (fun () -> ignore (Engine.schedule_at e Float.nan ignore));
+  rejects "schedule_after nan" (fun () -> ignore (Engine.schedule_after e Float.nan ignore));
+  rejects "periodic nan" (fun () -> ignore (Engine.periodic e ~interval:Float.nan ignore));
+  rejects "set_monitor nan" (fun () -> Engine.set_monitor e ~cadence:Float.nan (fun ~quiescent:_ -> ()));
+  rejects "set_sampler nan" (fun () -> Engine.set_sampler e ~every:Float.nan ignore);
+  check Alcotest.int "nothing was queued" 0 (Engine.pending e);
+  Engine.run_until_idle e;
+  check (Alcotest.float 0.0) "clock untouched" 0.0 (Engine.now e)
+
+(* Bytes of minor-heap allocation per unit of [batch n], which does [n]
+   units of work; a first batch warms lazily grown state (queue arrays)
+   first.  Shared with the net tests. *)
+let minor_bytes_per ~n batch =
+  batch n;
+  let w0 = Gc.minor_words () in
+  batch n;
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) *. float_of_int (Sys.word_size / 8) /. float_of_int n
+
+let noop () = ()
+
+let test_engine_one_shot_allocation () =
+  (* All at the literal time 1.0, so the caller boxes no float: the
+     count is the engine's own — the event record, nothing per push or
+     per pop. *)
+  let e = Engine.create () in
+  let bytes =
+    minor_bytes_per ~n:1000 (fun n ->
+        for _ = 1 to n do
+          ignore (Engine.schedule_at e 1.0 noop)
+        done;
+        Engine.run_until_idle e)
+  in
+  Printf.printf "engine one-shot: %.1f B\n" bytes;
+  check Alcotest.bool (Printf.sprintf "schedule_at + fire allocates %.1f B <= 64 B" bytes) true
+    (bytes <= 64.0)
+
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
     QCheck.(list_of_size Gen.(1 -- 30) (float_range 0.0 100.0))
@@ -385,6 +433,180 @@ let prop_engine_any_schedule_order_fires_sorted =
       Engine.run_until_idle e;
       let fired = List.rev !fired in
       fired = List.stable_sort compare times)
+
+(* --- Differential: the engine against a reference on Heap ------------ *)
+
+(* A reference engine with the same contract, built the simple way:
+   one record per queued occurrence in the generic [Heap], a periodic
+   schedule creating a fresh record at each firing, and a handle that
+   holds a stop closure.  It covers only what the programs below use. *)
+module Ref_engine = struct
+  type ev = { time : float; mutable dead : bool; action : unit -> unit }
+
+  type t = { mutable now : float; q : ev Heap.t; mutable live : int }
+
+  type handle = { mutable stop : unit -> unit }
+
+  let create () = { now = 0.0; q = Heap.create ~cmp:(fun a b -> Float.compare a.time b.time); live = 0 }
+
+  let now t = t.now
+
+  let push t time action =
+    let ev = { time; dead = false; action } in
+    Heap.push t.q ev;
+    t.live <- t.live + 1;
+    ev
+
+  let kill t ev =
+    if not ev.dead then begin
+      ev.dead <- true;
+      t.live <- t.live - 1
+    end
+
+  let schedule_at ?label:_ t time action =
+    let ev = push t time action in
+    { stop = (fun () -> kill t ev) }
+
+  let schedule_after ?label:_ t delay action = schedule_at t (t.now +. delay) action
+
+  let periodic ?label:_ t ~interval action =
+    let h = { stop = ignore } and stopped = ref false in
+    let rec arm () =
+      let ev =
+        push t (t.now +. interval) (fun () ->
+            action ();
+            if not !stopped then arm ())
+      in
+      h.stop <-
+        (fun () ->
+          stopped := true;
+          kill t ev)
+    in
+    arm ();
+    h
+
+  let cancel _ h = h.stop ()
+
+  let pending t = t.live
+
+  let rec step t =
+    match Heap.pop t.q with
+    | None -> false
+    | Some ev when ev.dead -> step t
+    | Some ev ->
+        ev.dead <- true;
+        t.live <- t.live - 1;
+        t.now <- ev.time;
+        ev.action ();
+        true
+end
+
+module type ENGINE = sig
+  type t
+
+  type handle
+
+  val create : unit -> t
+
+  val now : t -> float
+
+  val schedule_at : ?label:string -> t -> float -> (unit -> unit) -> handle
+
+  val schedule_after : ?label:string -> t -> float -> (unit -> unit) -> handle
+
+  val periodic : ?label:string -> t -> interval:float -> (unit -> unit) -> handle
+
+  val cancel : t -> handle -> unit
+
+  val pending : t -> int
+
+  val step : t -> bool
+end
+
+(* What a fired event does besides logging (time, label). *)
+type effect = Log | Cancel_handle of int | Spawn of float
+
+type op =
+  | At of float * effect  (* schedule_at, [dt] past now *)
+  | After of float * effect
+  | Every of float * effect
+  | Cancel of int  (* the handle with this index, modulo the count *)
+  | Steps of int
+
+let pp_effect = function
+  | Log -> "log"
+  | Cancel_handle k -> Printf.sprintf "cancel#%d" k
+  | Spawn d -> Printf.sprintf "spawn+%g" d
+
+let pp_op = function
+  | At (d, f) -> Printf.sprintf "at+%g/%s" d (pp_effect f)
+  | After (d, f) -> Printf.sprintf "after+%g/%s" d (pp_effect f)
+  | Every (d, f) -> Printf.sprintf "every %g/%s" d (pp_effect f)
+  | Cancel k -> Printf.sprintf "cancel#%d" k
+  | Steps n -> Printf.sprintf "steps %d" n
+
+(* Runs a program and returns the (time, label) of every firing and
+   [pending] after every op.  Small, coarse delays make equal-time ties
+   common, so the FIFO tie-break is exercised. *)
+module Interp (E : ENGINE) = struct
+  let run prog =
+    let e = E.create () in
+    let handles = ref [||] and fired = ref [] and counts = ref [] in
+    let add h = handles := Array.append !handles [| h |] in
+    let rec action label eff () =
+      fired := (E.now e, label) :: !fired;
+      match eff with
+      | Log -> ()
+      | Cancel_handle k ->
+          let n = Array.length !handles in
+          if n > 0 then E.cancel e !handles.(k mod n)
+      | Spawn d -> add (E.schedule_after e d (action (label ^ "'") Log))
+    in
+    List.iteri
+      (fun i op ->
+        let label = string_of_int i in
+        (match op with
+        | At (d, eff) -> add (E.schedule_at e (E.now e +. d) (action label eff))
+        | After (d, eff) -> add (E.schedule_after e d (action label eff))
+        | Every (d, eff) -> add (E.periodic e ~interval:d (action label eff))
+        | Cancel k ->
+            let n = Array.length !handles in
+            if n > 0 then E.cancel e !handles.(k mod n)
+        | Steps n ->
+            let rec go n = if n > 0 && E.step e then go (n - 1) in
+            go n);
+        counts := E.pending e :: !counts)
+      (prog @ [ Steps 200 ]);
+    (List.rev !fired, List.rev !counts)
+end
+
+module Run_engine = Interp (Engine)
+
+module Run_ref = Interp (Ref_engine)
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.0; 0.5; 1.0; 1.5; 3.0 ] in
+  let effect =
+    frequency
+      [ (6, return Log); (2, map (fun k -> Cancel_handle k) (0 -- 20)); (1, map (fun d -> Spawn d) delay) ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (fun d f -> At (d, f)) delay effect);
+        (4, map2 (fun d f -> After (d, f)) delay effect);
+        (1, map2 (fun d f -> Every (d, f)) (oneofl [ 0.5; 1.0; 2.0 ]) effect);
+        (2, map (fun k -> Cancel k) (0 -- 20));
+        (3, map (fun n -> Steps n) (0 -- 6));
+      ]
+  in
+  list_size (1 -- 40) op
+
+let prop_engine_matches_heap_reference =
+  QCheck.Test.make ~name:"engine fires like the Heap reference engine" ~count:500
+    (QCheck.make ~print:(fun p -> String.concat "; " (List.map pp_op p)) gen_program)
+    (fun prog -> Run_engine.run prog = Run_ref.run prog)
 
 let suite =
   [
@@ -407,6 +629,8 @@ let suite =
     ("engine quiescence grace boundary", `Quick, test_engine_quiescence_grace_boundary);
     ("engine watermark ordering determinism", `Quick, test_engine_watermark_ordering);
     ("engine monitor hook", `Quick, test_engine_monitor);
+    ("engine rejects NaN", `Quick, test_engine_rejects_nan);
+    ("engine one-shot allocation", `Quick, test_engine_one_shot_allocation);
     ("trace report chains and latencies", `Quick, test_trace_report_chains_and_latencies);
     ("trace basics", `Quick, test_trace_basics);
     ("trace disabled drops", `Quick, test_trace_disabled_drops);
@@ -415,4 +639,5 @@ let suite =
     ("trace set_sink switches", `Quick, test_trace_set_sink_switches);
     ("trace clear", `Quick, test_trace_clear);
     QCheck_alcotest.to_alcotest prop_engine_any_schedule_order_fires_sorted;
+    QCheck_alcotest.to_alcotest prop_engine_matches_heap_reference;
   ]
