@@ -142,15 +142,19 @@ let heap_remove_min ws =
 
 let mask_of = function Some a when Array.length a > 0 -> a | Some _ | None -> [||]
 
-let bfs_kernel ?ws ?alive (csr : Topo.csr) src =
+(* The one BFS kernel: it writes into caller-owned [dist]/[via] arrays
+   (reset here, O(n) stores) so a caller that keeps a pair per worker
+   allocates only the 4-word [paths] record per run. *)
+let bfs_kernel ~ws ~alive (csr : Topo.csr) ~dist ~via src =
   let n = csr.Topo.csr_nodes in
-  if src < 0 || src >= n then invalid_arg "Spf.bfs_csr: unknown source id";
+  if src < 0 || src >= n then invalid_arg "Spf.bfs_into: unknown source id";
+  if Array.length dist <> n || Array.length via <> n then
+    invalid_arg "Spf.bfs_into: dist/via arrays sized for another topology";
   Metrics.incr m_bfs;
-  let ws = resolve_ws ws csr in
-  let mask = mask_of alive in
-  let masked = Array.length mask > 0 in
-  let dist = Array.make n max_int in
-  let via = Array.make n (-1) in
+  fit_workspace ws csr;
+  let masked = Array.length alive > 0 in
+  Array.fill dist 0 n max_int;
+  Array.fill via 0 n (-1);
   dist.(src) <- 0;
   let q = ws.q in
   let head = ref 0 and tail = ref 0 in
@@ -162,7 +166,7 @@ let bfs_kernel ?ws ?alive (csr : Topo.csr) src =
     incr head;
     let du1 = dist.(u) + 1 in
     for k = row.(u) to row.(u + 1) - 1 do
-      if (not masked) || mask.(eid.(k)) then begin
+      if (not masked) || alive.(eid.(k)) then begin
         let v = nbr.(k) in
         if dist.(v) = max_int then begin
           dist.(v) <- du1;
@@ -335,9 +339,16 @@ let vf_tree_kernel ?ws ?alive (csr : Topo.csr) src =
 (* The exported kernels carry a profiler section each; the disabled
    path is one flag test, keeping the kernels bench-clean. *)
 
+let bfs_into ~ws ?alive csr ~dist ~via src =
+  let alive = mask_of alive in
+  if Prof.is_enabled () then
+    Prof.span "spf.bfs" (fun () -> bfs_kernel ~ws ~alive csr ~dist ~via src)
+  else bfs_kernel ~ws ~alive csr ~dist ~via src
+
 let bfs_csr ?ws ?alive csr src =
-  if Prof.is_enabled () then Prof.span "spf.bfs" (fun () -> bfs_kernel ?ws ?alive csr src)
-  else bfs_kernel ?ws ?alive csr src
+  let n = csr.Topo.csr_nodes in
+  bfs_into ~ws:(resolve_ws ws csr) ?alive csr ~dist:(Array.make n max_int)
+    ~via:(Array.make n (-1)) src
 
 let dijkstra_csr ?ws ?alive csr src =
   if Prof.is_enabled () then

@@ -72,7 +72,25 @@ val make_workspace : Topo.csr -> workspace
 (** Scratch sized for the given snapshot.  A workspace may be reused
     across snapshots; it grows as needed and is never shrunk. *)
 
+val bfs_into :
+  ws:workspace ->
+  ?alive:bool array ->
+  Topo.csr ->
+  dist:int array ->
+  via:Domain.id array ->
+  Domain.id ->
+  paths
+(** The BFS kernel over caller-owned result arrays: [dist] and [via] are
+    overwritten (every entry, so they may hold a previous run) and
+    returned in a fresh 4-word [paths] record, the run's only
+    allocation.  A caller that reuses one pair per worker therefore
+    allocates nothing proportional to the graph; the returned [paths]
+    is a view that the next run into the same arrays overwrites.
+    @raise Invalid_argument when [dist] or [via] is not sized for the
+    snapshot, or the source is out of range. *)
+
 val bfs_csr : ?ws:workspace -> ?alive:bool array -> Topo.csr -> Domain.id -> paths
+(** {!bfs_into} over freshly allocated result arrays. *)
 
 val dijkstra_csr : ?ws:workspace -> ?alive:bool array -> Topo.csr -> Domain.id -> weighted
 

@@ -95,13 +95,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
     (fun size ->
       for _ = 1 to trials do
         let source = Rng.int rng nodes in
-        let receivers =
-          Array.of_list
-            (List.filter
-               (fun d -> d <> source)
-               (Array.to_list (Rng.sample_without_replacement rng (size + 1) nodes)))
-        in
-        let receivers = Array.sub receivers 0 (min size (Array.length receivers)) in
+        let receivers = Path_eval.draw_receivers rng ~n:nodes ~source size in
         let rps = Array.init levels (fun _ -> Rng.int rng nodes) in
         specs := { hs_source = source; hs_receivers = receivers; hs_rps = rps } :: !specs
       done)

@@ -83,7 +83,7 @@ let run p =
   let n = Topo.domain_count topo in
   (* Freeze on the main domain: the memoized snapshot must exist before
      worker domains share the topology read-only. *)
-  let csr = Topo.freeze topo in
+  ignore (Topo.freeze topo : Topo.csr);
   let worst_uni = ref 0.0 and worst_bi = ref 0.0 and worst_hy = ref 0.0 in
   (match p.telemetry with
   | Some ts ->
@@ -99,12 +99,8 @@ let run p =
   let sizes = List.filter (fun s -> s <= n - 2) p.group_sizes in
   let draw_trial size =
     let source = Rng.int rng n in
-    let receivers =
-      (* Receivers are distinct domains other than the source. *)
-      let draws = Rng.sample_without_replacement rng (size + 1) n in
-      let filtered = Array.of_list (List.filter (fun d -> d <> source) (Array.to_list draws)) in
-      Array.sub filtered 0 size
-    in
+    (* Receivers are distinct domains other than the source. *)
+    let receivers = Path_eval.draw_receivers rng ~n ~source size in
     let root =
       match p.root_placement with
       | Root_at_initiator -> receivers.(0)
@@ -116,10 +112,11 @@ let run p =
   let specs = ref [] in
   List.iter (fun size -> for _ = 1 to p.trials do specs := draw_trial size :: !specs done) sizes;
   let specs = List.rev !specs in
-  (* One trial = one task.  Each task gets its own SPF cache (over its
-     worker slot's reusable workspace) so [spf.cache_*] counts do not
-     depend on which domain ran which trial; each task gets its own
-     invariant monitor counting into its shard for the same reason. *)
+  (* One trial = one task, evaluated in its worker slot's reusable
+     workspace (BFS pairs and shared tree), so a trial allocates nothing
+     sized by the graph.  Each task gets its own invariant monitor
+     counting into its shard, so counts do not depend on which domain
+     ran which trial. *)
   let run_trial ws spec =
     Metrics.incr m_trials;
     let size = Array.length spec.sp_receivers in
@@ -130,11 +127,8 @@ let run p =
       Recorder.record ~time:0.0 ~label:"fig4.trial"
         ~subject:(Printf.sprintf "src=%d root=%d size=%d" spec.sp_source spec.sp_root size)
         ();
-    let spf = Spf.make_cache_csr ~ws csr in
     let paths =
-      Path_eval.evaluate
-        ~from_source:(Spf.bfs_cached spf spec.sp_source)
-        ~from_root:(Spf.bfs_cached spf spec.sp_root) topo
+      Path_eval.evaluate_with ws topo
         { Path_eval.source = spec.sp_source; root = spec.sp_root; receivers = spec.sp_receivers }
     in
     (* Per-trial sanity predicates: a tree path can never beat the
@@ -176,7 +170,7 @@ let run p =
   let jobs = if p.jobs = 0 then None else Some p.jobs in
   let outs =
     Par.map_with ?jobs
-      ~init:(fun () -> Spf.make_workspace csr)
+      ~init:(fun () -> Path_eval.make_workspace topo)
       (fun ws spec -> Par.with_shard (fun () -> Prof.span "fig4.trial" (fun () -> run_trial ws spec)))
       specs
   in

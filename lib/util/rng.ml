@@ -77,22 +77,35 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+(* Membership stamps for the sparse branch of [sample_without_replacement]:
+   [v] was drawn in the current call iff [stamps.(v) = generation].  One
+   array per runtime domain, grown to the largest [n] seen and never
+   cleared, so a call allocates only its result. *)
+type stamps = { mutable stamps : int array; mutable generation : int }
+
+let stamps_key : stamps Stdlib.Domain.DLS.key =
+  Stdlib.Domain.DLS.new_key (fun () -> { stamps = [||]; generation = 0 })
+
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
-  (* For small k relative to n use a hash-set of draws; otherwise shuffle a
-     full index array.  Both are O(k) expected beyond the O(n) shuffle. *)
+  (* For small k relative to n draw until k distinct values are stamped;
+     otherwise shuffle a full index array.  Both are O(k) expected beyond
+     the O(n) shuffle. *)
   if 2 * k >= n then begin
     let a = Array.init n (fun i -> i) in
     shuffle t a;
     Array.sub a 0 k
   end else begin
-    let seen = Hashtbl.create (2 * k) in
+    let s = Stdlib.Domain.DLS.get stamps_key in
+    if Array.length s.stamps < n then s.stamps <- Array.make n 0;
+    s.generation <- s.generation + 1;
+    let generation = s.generation and stamps = s.stamps in
     let out = Array.make k 0 in
     let filled = ref 0 in
     while !filled < k do
       let v = int t n in
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
+      if stamps.(v) <> generation then begin
+        stamps.(v) <- generation;
         out.(!filled) <- v;
         incr filled
       end

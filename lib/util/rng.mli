@@ -62,5 +62,7 @@ val shuffle : t -> 'a array -> unit
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct integers from
-    [\[0, n)], in random order.  @raise Invalid_argument if [k > n] or
-    [k < 0]. *)
+    [\[0, n)], in random order.  When [2k < n] draws are marked in a
+    stamp array of [n] ints, one per runtime domain, kept at the largest
+    [n] seen so later calls allocate only their result.
+    @raise Invalid_argument if [k > n] or [k < 0]. *)

@@ -186,6 +186,50 @@ let test_explicit_workspace_reuse () =
         (Spf.valley_free_dist_csr ~ws csr src))
     [ 0; 17; 49; 149 ]
 
+let test_bfs_into_reused_arrays () =
+  (* One dist/via pair reused across sources, masked and unmasked runs:
+     every run must overwrite all of the previous one. *)
+  let topo = Gen.power_law ~rng:(Rng.create 6) ~n:150 ~m:2 in
+  let csr = Topo.freeze topo in
+  let ws = Spf.make_workspace csr in
+  let n = csr.Topo.csr_nodes in
+  let dist = Array.make n 0 and via = Array.make n 0 in
+  let alive = Array.init (Array.length csr.Topo.linkv) (fun i -> i mod 3 <> 0) in
+  List.iter
+    (fun src ->
+      let p = Spf.bfs_into ~ws ~alive csr ~dist ~via src in
+      let q = Spf.bfs_csr ~alive csr src in
+      check int_array "masked dist" q.Spf.dist p.Spf.dist;
+      check int_array "masked via" q.Spf.via p.Spf.via;
+      let p = Spf.bfs_into ~ws csr ~dist ~via src in
+      let q = bfs_list topo src in
+      check Alcotest.bool "result is the caller's arrays" true
+        (p.Spf.dist == dist && p.Spf.via == via);
+      check int_array "dist" q.Spf.dist p.Spf.dist;
+      check int_array "via" q.Spf.via p.Spf.via)
+    [ 0; 17; 49; 149 ];
+  Alcotest.check_raises "foreign-size arrays"
+    (Invalid_argument "Spf.bfs_into: dist/via arrays sized for another topology") (fun () ->
+      ignore (Spf.bfs_into ~ws csr ~dist:(Array.make (n + 1) 0) ~via 0))
+
+let test_bfs_into_allocation () =
+  (* The into-array kernel allocates its 4-word [paths] record and
+     nothing else: the queue is the workspace's, the result arrays the
+     caller's. *)
+  let topo = Gen.power_law ~rng:(Rng.create 1998) ~n:3326 ~m:2 in
+  let csr = Topo.freeze topo in
+  let ws = Spf.make_workspace csr in
+  let n = csr.Topo.csr_nodes in
+  let dist = Array.make n 0 and via = Array.make n 0 in
+  ignore (Spf.bfs_into ~ws csr ~dist ~via 0);
+  let w0 = Gc.minor_words () in
+  ignore (Spf.bfs_into ~ws csr ~dist ~via 1234);
+  let w1 = Gc.minor_words () in
+  check Alcotest.bool
+    (Printf.sprintf "bfs_into allocated %.0f words (at most 4)" (w1 -. w0))
+    true
+    (w1 -. w0 <= 4.0)
+
 let test_freeze_memoized_and_invalidated () =
   let topo = Gen.line ~n:4 in
   let c1 = Topo.freeze topo in
@@ -266,8 +310,9 @@ let test_mismatched_precomputed_paths_rejected () =
            { Path_eval.source = 0; root = 1; receivers = [| 4 |] }))
 
 let test_experiment_unchanged_by_cache () =
-  (* The experiment driver now routes every BFS through its SPF cache;
-     its points must be exactly what uncached evaluation produces. *)
+  (* The experiment driver evaluates every trial in a reused per-worker
+     workspace; its points must be exactly what fresh, uncached
+     evaluation produces. *)
   let p =
     {
       Tree_experiment.default_params with
@@ -317,6 +362,8 @@ let suite =
     ("dijkstra matches reference", `Quick, test_dijkstra_matches_reference);
     ("valley free matches reference", `Quick, test_valley_free_matches_reference);
     ("explicit workspace reuse", `Quick, test_explicit_workspace_reuse);
+    ("bfs into reused arrays", `Quick, test_bfs_into_reused_arrays);
+    ("bfs into allocation", `Quick, test_bfs_into_allocation);
     ("freeze memoized and invalidated", `Quick, test_freeze_memoized_and_invalidated);
     ("cache transparent", `Quick, test_cache_transparent);
     ("precomputed paths change nothing", `Quick, test_precomputed_paths_do_not_change_results);

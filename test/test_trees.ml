@@ -47,13 +47,10 @@ let test_tree_distance_off_tree_raises () =
 let test_tree_entry_point () =
   let topo = Gen.star ~n:6 in
   let tree = Shared_tree.build topo ~root:1 ~members:[ 2 ] in
-  let paths = Spf.bfs topo 1 in
-  let toward_root n = Spf.next_hop_toward topo paths n in
   (* Leaf 5 is off-tree; its data walks to the hub, which is on-tree. *)
-  check (Alcotest.option Alcotest.int) "entry at hub" (Some 0)
-    (Shared_tree.entry_point tree ~walk_toward_root:toward_root 5);
+  check (Alcotest.option Alcotest.int) "entry at hub" (Some 0) (Shared_tree.entry_point tree 5);
   check (Alcotest.option Alcotest.int) "on-tree sender is its own entry" (Some 2)
-    (Shared_tree.entry_point tree ~walk_toward_root:toward_root 2)
+    (Shared_tree.entry_point tree 2)
 
 (* --- Path_eval ---------------------------------------------------------- *)
 
@@ -170,6 +167,160 @@ let prop_paths_finite =
         && Array.for_all (fun x -> x >= 0 && x < 4 * n) paths.Path_eval.hybrid
       end)
 
+(* --- Paths from a topology of another size ------------------------------- *)
+
+let foreign_paths () = Spf.bfs (Gen.line ~n:7) 0
+
+let test_tree_build_rejects_foreign_paths () =
+  Alcotest.check_raises "build"
+    (Invalid_argument "Shared_tree.build: to_root paths sized for another topology") (fun () ->
+      ignore (Shared_tree.build ~to_root:(foreign_paths ()) (Gen.line ~n:4) ~root:0 ~members:[ 3 ]))
+
+let test_tree_reset_rejects_foreign_paths () =
+  let tree = Shared_tree.create (Gen.line ~n:4) in
+  Alcotest.check_raises "reset"
+    (Invalid_argument "Shared_tree.reset: to_root paths sized for another topology") (fun () ->
+      Shared_tree.reset tree ~to_root:(foreign_paths ()) ~root:0)
+
+let test_path_eval_rejects_foreign_paths () =
+  let topo = Gen.line ~n:4 in
+  let group = { Path_eval.source = 0; root = 0; receivers = [| 3 |] } in
+  Alcotest.check_raises "from_source"
+    (Invalid_argument "Path_eval.evaluate: from_source paths sized for another topology")
+    (fun () -> ignore (Path_eval.evaluate ~from_source:(foreign_paths ()) topo group));
+  Alcotest.check_raises "from_root"
+    (Invalid_argument "Path_eval.evaluate: from_root paths sized for another topology")
+    (fun () -> ignore (Path_eval.evaluate ~from_root:(foreign_paths ()) topo group))
+
+let test_path_eval_workspace_rejects_other_topology () =
+  let ws = Path_eval.make_workspace (Gen.line ~n:4) in
+  let group = { Path_eval.source = 0; root = 0; receivers = [| 3 |] } in
+  List.iter
+    (fun other ->
+      Alcotest.check_raises "evaluate_with"
+        (Invalid_argument "Path_eval.evaluate_with: workspace built for another topology")
+        (fun () -> ignore (Path_eval.evaluate_with ws other group)))
+    [ Gen.line ~n:7; Gen.line ~n:4 ]
+
+(* --- Reused workspace against fresh evaluation --------------------------- *)
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Power-law, transit-stub, or a disconnected graph: a power-law core
+   plus an island pair and isolated domains, so some receivers cannot
+   reach some roots. *)
+let random_graph rng =
+  match Rng.int rng 3 with
+  | 0 -> Gen.power_law ~rng ~n:(10 + Rng.int rng 60) ~m:(1 + Rng.int rng 2)
+  | 1 ->
+      Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:(1 + Rng.int rng 2)
+        ~stubs_per_regional:(1 + Rng.int rng 3)
+  | _ ->
+      let topo = Gen.power_law ~rng ~n:(10 + Rng.int rng 40) ~m:2 in
+      let add name = Topo.add_domain topo ~name ~kind:Domain.Stub in
+      let a = add "island-a" and b = add "island-b" in
+      Topo.add_link topo a b Topo.Peer;
+      for i = 1 to 1 + Rng.int rng 3 do
+        ignore (add (Printf.sprintf "isolated-%d" i))
+      done;
+      topo
+
+(* Size 1, a handful, or at least n/2; receivers drawn with replacement
+   (duplicates join twice); the root is the source, the first receiver,
+   or any domain. *)
+let random_group rng n =
+  let source = Rng.int rng n in
+  let size =
+    match Rng.int rng 4 with
+    | 0 -> 1
+    | 1 -> (n / 2) + Rng.int rng (n - (n / 2))
+    | _ -> 1 + Rng.int rng 8
+  in
+  let receivers = Array.init size (fun _ -> Rng.int rng n) in
+  let root =
+    match Rng.int rng 3 with 0 -> source | 1 -> receivers.(0) | _ -> Rng.int rng n
+  in
+  { Path_eval.source; root; receivers }
+
+let same_tree n reused fresh =
+  let anchors = [ Shared_tree.root fresh ] @ Shared_tree.members fresh in
+  Shared_tree.node_count reused = Shared_tree.node_count fresh
+  && Shared_tree.members reused = Shared_tree.members fresh
+  && List.for_all
+       (fun v ->
+         Shared_tree.on_tree reused v = Shared_tree.on_tree fresh v
+         && Shared_tree.parent reused v = Shared_tree.parent fresh v
+         && (not (Shared_tree.on_tree fresh v)
+            || Shared_tree.depth reused v = Shared_tree.depth fresh v
+               && List.for_all
+                    (fun a ->
+                      outcome (fun () -> Shared_tree.tree_distance reused v a)
+                      = outcome (fun () -> Shared_tree.tree_distance fresh v a))
+                    anchors))
+       (List.init n Fun.id)
+
+let prop_workspace_matches_fresh =
+  QCheck.Test.make ~name:"reused workspace = fresh evaluate and build" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = random_graph rng in
+      let n = Topo.domain_count topo in
+      let ws = Path_eval.make_workspace topo in
+      List.for_all
+        (fun _ ->
+          let group = random_group rng n in
+          let reused = outcome (fun () -> Path_eval.evaluate_with ws topo group) in
+          let fresh = outcome (fun () -> Path_eval.evaluate topo group) in
+          let tree =
+            Shared_tree.build topo ~root:group.Path_eval.root
+              ~members:(Array.to_list group.Path_eval.receivers)
+          in
+          reused = fresh && same_tree n (Path_eval.workspace_tree ws) tree)
+        (List.init (1 + Rng.int rng 6) Fun.id))
+
+(* --- Allocation of a Figure 4 trial -------------------------------------- *)
+
+(* A size-100 trial in a warmed workspace on the Figure 4 graph: no
+   array sized by the graph, so nothing goes straight to the major heap
+   ([major_words - promoted_words] counts only direct major allocation),
+   and the minor bytes are the group-sized results: four 100-entry path
+   arrays, three ratio summaries and the records around them.  Measured
+   at 3704 bytes on 64-bit (with the two [Gc.counters] results); the
+   bound is 1.25x that. *)
+let trial_minor_bytes_bound = 4_630.0
+
+let test_trial_allocation () =
+  let topo = Gen.power_law ~rng:(Rng.create 1998) ~n:3326 ~m:2 in
+  let n = Topo.domain_count topo in
+  let rng = Rng.create 4 in
+  let source = Rng.int rng n in
+  let receivers = Path_eval.draw_receivers rng ~n ~source 100 in
+  let group = { Path_eval.source; root = receivers.(0); receivers } in
+  let ws = Path_eval.make_workspace topo in
+  let trial () =
+    let paths = Path_eval.evaluate_with ws topo group in
+    let baseline = paths.Path_eval.spt in
+    ignore (Path_eval.ratios ~baseline paths.Path_eval.unidirectional);
+    ignore (Path_eval.ratios ~baseline paths.Path_eval.bidirectional);
+    ignore (Path_eval.ratios ~baseline paths.Path_eval.hybrid)
+  in
+  trial ();
+  (* [Gc.counters] reports major and promoted words exactly but lags on
+     the minor heap, so minor words come from [Gc.minor_words]. *)
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  trial ();
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let minor_bytes = (minor1 -. minor0) *. float_of_int (Sys.word_size / 8) in
+  check (Alcotest.float 0.0) "direct major-heap words" 0.0 direct_major;
+  check Alcotest.bool
+    (Printf.sprintf "minor bytes %.0f within %.0f" minor_bytes trial_minor_bytes_bound)
+    true
+    (minor_bytes <= trial_minor_bytes_bound)
+
 (* --- Tree_experiment ----------------------------------------------------- *)
 
 let tiny_params =
@@ -274,6 +425,14 @@ let suite =
     ("ratios length mismatch", `Quick, test_ratios_length_mismatch);
     QCheck_alcotest.to_alcotest prop_path_orderings;
     QCheck_alcotest.to_alcotest prop_paths_finite;
+    ("tree build rejects foreign-size paths", `Quick, test_tree_build_rejects_foreign_paths);
+    ("tree reset rejects foreign-size paths", `Quick, test_tree_reset_rejects_foreign_paths);
+    ("path eval rejects foreign-size paths", `Quick, test_path_eval_rejects_foreign_paths);
+    ( "path eval workspace rejects another topology",
+      `Quick,
+      test_path_eval_workspace_rejects_other_topology );
+    QCheck_alcotest.to_alcotest prop_workspace_matches_fresh;
+    ("trial allocation", `Quick, test_trial_allocation);
     ("experiment shape", `Quick, test_experiment_shape);
     ("experiment deterministic", `Quick, test_experiment_deterministic);
     ("experiment paper shape (medium)", `Slow, test_experiment_paper_shape_medium);

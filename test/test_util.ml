@@ -92,6 +92,42 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The hash-set implementation the stamp array replaced, kept as the
+   oracle for the draw sequence: same draws, same order. *)
+let sample_reference t k n =
+  if 2 * k >= n then begin
+    let a = Array.init n (fun i -> i) in
+    Rng.shuffle t a;
+    Array.sub a 0 k
+  end else begin
+    let seen = Hashtbl.create (2 * k) in
+    let out = Array.make k 0 in
+    let filled = ref 0 in
+    while !filled < k do
+      let v = Rng.int t n in
+      if not (Hashtbl.mem seen v) then begin
+        Hashtbl.add seen v ();
+        out.(!filled) <- v;
+        incr filled
+      end
+    done;
+    out
+  end
+
+let test_rng_sample_matches_reference () =
+  (* Interleaved sizes, so the stamp array is reused across calls and
+     grown mid-sequence; both branches are exercised. *)
+  let a = Rng.create 31 and b = Rng.create 31 in
+  List.iter
+    (fun (k, n) ->
+      check (Alcotest.array Alcotest.int)
+        (Printf.sprintf "k=%d n=%d" k n)
+        (sample_reference b k n)
+        (Rng.sample_without_replacement a k n))
+    [ (10, 100); (3, 7); (40, 100); (0, 5); (101, 3326); (1, 2); (501, 1000); (10, 100);
+      (200, 75000); (1001, 3326); (5, 10); (2, 100) ];
+  check Alcotest.int "streams stay in step" (Rng.bits b) (Rng.bits a)
+
 let test_rng_sample_without_replacement () =
   let r = Rng.create 29 in
   let s = Rng.sample_without_replacement r 10 100 in
@@ -294,6 +330,7 @@ let suite =
     ("rng pick", `Quick, test_rng_pick);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     ("rng sample without replacement", `Quick, test_rng_sample_without_replacement);
+    ("rng sample matches hash-set reference", `Quick, test_rng_sample_matches_reference);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap peek", `Quick, test_heap_peek);
