@@ -82,50 +82,97 @@ let find_exact t prefix =
   in
   descend t.root 0
 
-let matches t addr =
-  let rec descend node d acc =
-    let acc =
-      match node.value with
-      | Some v -> (Prefix.make addr d, v) :: acc
-      | None -> acc
-    in
-    if d = 32 then acc
-    else
-      let b = bit_at addr d in
-      match if b = 0 then node.zero else node.one with
-      | None -> acc
-      | Some child -> descend child (d + 1) acc
-  in
-  descend t.root 0 []
+(* Depth of the deepest bound prefix on [addr]'s path, or [best] when
+   there is none below [node].  Top-level so a lookup builds no
+   closure. *)
+let rec deepest_depth node addr d best =
+  let best = match node.value with Some _ -> d | None -> best in
+  if d = 32 then best
+  else
+    match if bit_at addr d = 0 then node.zero else node.one with
+    | None -> best
+    | Some child -> deepest_depth child addr (d + 1) best
+
+(* The deepest stored value on [addr]'s path: the node's own [value]
+   field is returned, so nothing is allocated. *)
+let rec deepest_value node addr d best =
+  let best = match node.value with Some _ -> node.value | None -> best in
+  if d = 32 then best
+  else
+    match if bit_at addr d = 0 then node.zero else node.one with
+    | None -> best
+    | Some child -> deepest_value child addr (d + 1) best
+
+let find_longest t addr = deepest_value t.root addr 0 None
 
 let longest_match t addr =
-  match matches t addr with
-  | [] -> None
-  | best :: _ -> Some best
+  let d = deepest_depth t.root addr 0 (-1) in
+  if d < 0 then None
+  else
+    let p = Prefix.make addr d in
+    Option.map (fun v -> (p, v)) (find_exact t p)
 
-let fold t ~init ~f =
-  (* In-order walk (zero before one) yields increasing prefix order with
-     shorter prefixes before their sub-prefixes. *)
-  let rec walk node base d acc =
-    let acc =
-      match node.value with
-      | Some v -> f (Prefix.make base d) v acc
-      | None -> acc
-    in
-    let acc =
-      match node.zero with
-      | Some child -> walk child base (d + 1) acc
-      | None -> acc
-    in
-    match node.one with
-    | Some child -> walk child (base lor (1 lsl (31 - d))) (d + 1) acc
+(* In-order walk (zero before one) of the subtree at [node], which sits
+   at ([base], [d]): increasing prefix order, shorter prefixes before
+   their sub-prefixes. *)
+let rec fold_below node base d acc ~f =
+  let acc =
+    match node.value with
+    | Some v -> f (Prefix.make base d) v acc
     | None -> acc
   in
-  walk t.root 0 0 init
+  let acc =
+    match node.zero with
+    | Some child -> fold_below child base (d + 1) acc ~f
+    | None -> acc
+  in
+  match node.one with
+  | Some child -> fold_below child (base lor (1 lsl (31 - d))) (d + 1) acc ~f
+  | None -> acc
+
+let fold t ~init ~f = fold_below t.root 0 0 init ~f
 
 let iter t ~f = fold t ~init:() ~f:(fun p v () -> f p v)
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun p v acc -> (p, v) :: acc))
 
-let covered_by t prefix =
-  List.filter (fun (p, _) -> Prefix.subsumes prefix p) (to_list t)
+(* The bindings overlapping a prefix are the ones on the path down to
+   its node (shorter prefixes covering it) followed by that node's
+   subtree (the prefix itself and its sub-prefixes): in in-order
+   position every ancestor precedes its subtree, so visiting the path
+   top-down and then the subtree keeps increasing prefix order.  Only
+   that path and subtree are visited. *)
+let rec fold_overlapping_from node prefix d acc ~path ~f =
+  if d = Prefix.len prefix then fold_below node (Prefix.base prefix) d acc ~f
+  else
+    let acc =
+      match node.value with
+      | Some v when path -> f (Prefix.make (Prefix.base prefix) d) v acc
+      | Some _ | None -> acc
+    in
+    match if bit_at (Prefix.base prefix) d = 0 then node.zero else node.one with
+    | None -> acc
+    | Some child -> fold_overlapping_from child prefix (d + 1) acc ~path ~f
+
+let rev_bindings t prefix ~path =
+  fold_overlapping_from t.root prefix 0 [] ~path ~f:(fun p v acc -> (p, v) :: acc)
+
+let overlapping t prefix = List.rev (rev_bindings t prefix ~path:true)
+
+let covered_by t prefix = List.rev (rev_bindings t prefix ~path:false)
+
+let rec exists_below node f arg =
+  (match node.value with Some v -> f v arg | None -> false)
+  || (match node.zero with Some child -> exists_below child f arg | None -> false)
+  || match node.one with Some child -> exists_below child f arg | None -> false
+
+let rec exists_overlapping_from node prefix d f arg =
+  if d = Prefix.len prefix then exists_below node f arg
+  else
+    (match node.value with Some v -> f v arg | None -> false)
+    ||
+    match if bit_at (Prefix.base prefix) d = 0 then node.zero else node.one with
+    | None -> false
+    | Some child -> exists_overlapping_from child prefix (d + 1) f arg
+
+let exists_overlapping t prefix f arg = exists_overlapping_from t.root prefix 0 f arg

@@ -26,8 +26,22 @@ val find_exact : 'a t -> Prefix.t -> 'a option
 val longest_match : 'a t -> Ipv4.t -> (Prefix.t * 'a) option
 (** The most specific bound prefix covering the address. *)
 
-val matches : 'a t -> Ipv4.t -> (Prefix.t * 'a) list
-(** All bound prefixes covering the address, most specific first. *)
+val find_longest : 'a t -> Ipv4.t -> 'a option
+(** The value of {!longest_match}, found in one descent that allocates
+    nothing: the result is the stored binding itself. *)
+
+val overlapping : 'a t -> Prefix.t -> (Prefix.t * 'a) list
+(** All bindings whose prefix overlaps the argument (covers it or is
+    covered by it), in increasing prefix order.  Visits only the path
+    down to the prefix and the subtree below it. *)
+
+val exists_overlapping : 'a t -> Prefix.t -> ('a -> 'b -> bool) -> 'b -> bool
+(** [exists_overlapping t p f arg]: does [f v arg] hold for the value [v]
+    of some binding overlapping [p]?  Visits what {!overlapping} visits
+    and stops at the first hit.  [arg] is handed to [f] so that a
+    predicate with no free variables (a constant closure) can still
+    compare against a per-call value: the query then allocates
+    nothing. *)
 
 val covered_by : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All bindings whose prefix is subsumed by the argument (including an

@@ -14,6 +14,36 @@ type payload_log = {
   served : Packed_map.t;
 }
 
+(* Scratch of the acyclicity pass, created on the first check and reused
+   by every later one: a colour per router, the routers of the current
+   walk, and the groups to check, kept sorted without duplicates. *)
+type cycle_scratch = {
+  colour : Bytes.t;
+  walk : int array;
+  mutable groups : Ipv4.t array;
+  mutable ngroups : int;
+  mutable add_group : Ipv4.t -> Bgmp_router.entry -> unit;
+      (** [insert_group] on this scratch, built once *)
+}
+
+let insert_group cs g =
+  let lo = ref 0 and hi = ref cs.ngroups in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cs.groups.(mid) < g then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo in
+  if i = cs.ngroups || cs.groups.(i) <> g then begin
+    if cs.ngroups = Array.length cs.groups then begin
+      let grown = Array.make (max 8 (2 * cs.ngroups)) 0 in
+      Array.blit cs.groups 0 grown 0 cs.ngroups;
+      cs.groups <- grown
+    end;
+    Array.blit cs.groups i cs.groups (i + 1) (cs.ngroups - i);
+    cs.groups.(i) <- g;
+    cs.ngroups <- cs.ngroups + 1
+  end
+
 type t = {
   engine : Engine.t;
   topo : Topo.t;
@@ -48,6 +78,7 @@ type t = {
   m_data_dup : Metrics.counter;
   m_data_dropped : Metrics.counter;
   m_ctl_dropped : Metrics.counter;
+  mutable cycles : cycle_scratch option;  (** see [cycle_scratch] *)
 }
 
 let peer_of rid = rid lxor 1
@@ -442,6 +473,7 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       m_data_dup = Metrics.counter "bgmp.data.duplicates";
       m_data_dropped = Metrics.counter "bgmp.data.dropped";
       m_ctl_dropped = Metrics.counter "bgmp.ctl.dropped";
+      cycles = None;
     }
   in
   Array.iteri
@@ -613,83 +645,160 @@ let data_messages t = t.data_msgs
 (* Live invariants                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The next router a (star,G) parent pointer leads to; [None] when the
+let rec router_across t nd = function
+  | [] -> -1
+  | rid :: rest -> if t.router_neighbor.(rid) = nd then rid else router_across t nd rest
+
+(* The next router a (star,G) parent pointer leads to; -1 when the
    pointer terminates inside this domain (root reached, or nothing
    further to forward to). *)
 let parent_hop t rid group =
-  match Bgmp_router.star_entry t.routers.(rid) group with
-  | None -> None
-  | Some e -> (
-      match e.Bgmp_router.parent with
-      | None -> None
-      | Some (Bgmp_router.Peer p) -> Some p
-      | Some (Bgmp_router.Internal_router r) -> Some r
-      | Some Bgmp_router.Migp_target -> (
-          let dom = Bgmp_router.domain t.routers.(rid) in
-          match exit_router_for_group t dom group with
-          | Some exit when exit <> rid -> Some exit
-          | Some _ | None -> None))
+  match Bgmp_router.star_parent t.routers.(rid) group with
+  | None -> -1
+  | Some (Bgmp_router.Peer p) -> p
+  | Some (Bgmp_router.Internal_router r) -> r
+  | Some Bgmp_router.Migp_target -> (
+      let dom = Bgmp_router.domain t.routers.(rid) in
+      match t.route_to_root dom group with
+      | Root_here | Unroutable -> -1
+      | Via nd ->
+          (* [exit_router_for_group]'s router, found without building
+             the (domain, neighbour) key: links are unique, so it is the
+             one router of [dom] across from [nd]. *)
+          let exit = router_across t nd t.domain_routers.(dom) in
+          if exit <> rid then exit else -1)
+
+let report t group acc fmt =
+  Format.kasprintf (fun detail -> (detail, Some (group_trace_id t 0 group)) :: acc) fmt
+
+(* Router colours of the acyclicity pass. *)
+let unseen = '\000'
+let on_walk = '\001'
+let reaches_root = '\002'
+let reaches_cycle = '\003'
+
+let cycle_scratch t =
+  match t.cycles with
+  | Some cs -> cs
+  | None ->
+      let n = Array.length t.routers in
+      let cs =
+        {
+          colour = Bytes.make n unseen;
+          walk = Array.make n 0;
+          groups = [||];
+          ngroups = 0;
+          add_group = (fun _ _ -> ());
+        }
+      in
+      cs.add_group <- (fun g _ -> insert_group cs g);
+      t.cycles <- Some cs;
+      cs
+
+(* Acyclicity of one group's parent pointers: every on-tree router's
+   chain must reach a router with no further hop.  One walk per router
+   not yet coloured follows the chain until it ends (reaches a root),
+   meets a router coloured by an earlier walk (inherits its colour), or
+   meets a router of this walk (a cycle); every router on the walk then
+   gets the result.  So each router is walked at most once, and a router
+   is reported exactly when following its pointers never terminates. *)
+let group_cycles t cs group acc =
+  Bytes.fill cs.colour 0 (Bytes.length cs.colour) unseen;
+  let acc = ref acc in
+  for rid = 0 to Array.length t.routers - 1 do
+    if Bgmp_router.on_tree t.routers.(rid) group then begin
+      if Bytes.get cs.colour rid = unseen then begin
+        let len = ref 0 and cur = ref rid and result = ref unseen in
+        while !result = unseen do
+          if !cur < 0 then result := reaches_root
+          else
+            let c = Bytes.get cs.colour !cur in
+            if c = on_walk then result := reaches_cycle
+            else if c <> unseen then result := c
+            else begin
+              Bytes.set cs.colour !cur on_walk;
+              cs.walk.(!len) <- !cur;
+              incr len;
+              cur := parent_hop t !cur group
+            end
+        done;
+        for i = 0 to !len - 1 do
+          Bytes.set cs.colour cs.walk.(i) !result
+        done
+      end;
+      if Bytes.get cs.colour rid = reaches_cycle then
+        acc :=
+          report t group !acc "tree cycle for %a via parent pointers from %s" Ipv4.pp group
+            (Bgmp_router.name t.routers.(rid))
+    end
+  done;
+  !acc
+
+(* The quiescent-only checks of one group. *)
+let group_settle t group acc =
+  let acc = ref acc in
+  (* Parent/child symmetry across peer links: a join sent upstream
+     must have been installed as a child at the upstream peer. *)
+  for rid = 0 to Array.length t.routers - 1 do
+    match Bgmp_router.star_parent t.routers.(rid) group with
+    | Some (Bgmp_router.Peer p) -> (
+        match Bgmp_router.star_entry t.routers.(p) group with
+        | Some up
+          when List.exists
+                 (Bgmp_router.target_equal (Bgmp_router.Peer rid))
+                 up.Bgmp_router.children ->
+            ()
+        | Some _ | None ->
+            acc :=
+              report t group !acc "%s's parent %s lacks the matching child entry for %a"
+                (Bgmp_router.name t.routers.(rid))
+                (Bgmp_router.name t.routers.(p))
+                Ipv4.pp group)
+    | Some _ | None -> ()
+  done;
+  (* Join state subset of tree membership: a non-root domain with
+     members must sit on the group's tree. *)
+  Array.iteri
+    (fun dom migp ->
+      if
+        Migp.has_members migp ~group
+        && t.route_to_root dom group <> Root_here
+        && not
+             (List.exists
+                (fun rid -> Bgmp_router.on_tree t.routers.(rid) group)
+                t.domain_routers.(dom))
+      then
+        acc :=
+          report t group !acc "domain %d has members of %a but no tree state" dom Ipv4.pp group)
+    t.migps;
+  !acc
+
+(* A group with no on-tree router has no parent pointers, so the cycle
+   pass only needs the groups of the routers' (star,G) tables: gathered
+   sorted and deduplicated into the scratch. *)
+let cycle_violations t =
+  let cs = cycle_scratch t in
+  cs.ngroups <- 0;
+  for rid = 0 to Array.length t.routers - 1 do
+    Bgmp_router.iter_star t.routers.(rid) cs.add_group
+  done;
+  let acc = ref [] in
+  for i = 0 to cs.ngroups - 1 do
+    acc := group_cycles t cs cs.groups.(i) !acc
+  done;
+  List.rev !acc
+
+let settle_violations t =
+  List.rev (List.fold_left (fun acc group -> group_settle t group acc) [] (active_groups t))
 
 let tree_violations t ~quiescent =
-  let violations = ref [] in
-  let add group fmt =
-    Format.kasprintf
-      (fun detail -> violations := (detail, Some (group_trace_id t 0 group)) :: !violations)
-      fmt
-  in
-  let router_count = Array.length t.routers in
-  List.iter
-    (fun group ->
-      let on_tree rid = Bgmp_router.on_tree t.routers.(rid) group in
-      (* Acyclicity: following parent pointers from any on-tree router
-         must terminate within [router_count] hops. *)
-      Array.iteri
-        (fun rid _ ->
-          if on_tree rid then begin
-            let steps = ref 0 and cur = ref (Some rid) in
-            while !cur <> None && !steps <= router_count do
-              incr steps;
-              cur := parent_hop t (Option.get !cur) group
-            done;
-            if !cur <> None then
-              add group "tree cycle for %a via parent pointers from %s" Ipv4.pp group
-                (Bgmp_router.name t.routers.(rid))
-          end)
-        t.routers;
-      if quiescent then begin
-        (* Parent/child symmetry across peer links: a join sent upstream
-           must have been installed as a child at the upstream peer. *)
-        Array.iteri
-          (fun rid _ ->
-            match Bgmp_router.star_entry t.routers.(rid) group with
-            | Some { Bgmp_router.parent = Some (Bgmp_router.Peer p); _ } -> (
-                match Bgmp_router.star_entry t.routers.(p) group with
-                | Some up
-                  when List.exists
-                         (Bgmp_router.target_equal (Bgmp_router.Peer rid))
-                         up.Bgmp_router.children ->
-                    ()
-                | Some _ | None ->
-                    add group "%s's parent %s lacks the matching child entry for %a"
-                      (Bgmp_router.name t.routers.(rid))
-                      (Bgmp_router.name t.routers.(p))
-                      Ipv4.pp group)
-            | Some _ | None -> ())
-          t.routers;
-        (* Join state subset of tree membership: a non-root domain with
-           members must sit on the group's tree. *)
-        Array.iteri
-          (fun dom migp ->
-            if
-              Migp.has_members migp ~group
-              && t.route_to_root dom group <> Root_here
-              && not (List.exists on_tree t.domain_routers.(dom))
-            then
-              add group "domain %d has members of %a but no tree state" dom Ipv4.pp group)
-          t.migps
-      end)
-    (active_groups t);
-  List.rev !violations
+  let cs = cycle_scratch t in
+  List.rev
+    (List.fold_left
+       (fun acc group ->
+         let acc = group_cycles t cs group acc in
+         if quiescent then group_settle t group acc else acc)
+       [] (active_groups t))
 
 let total_entries t =
   Array.fold_left (fun acc r -> acc + Bgmp_router.entry_count r) 0 t.routers

@@ -166,10 +166,20 @@ val data_messages : t -> int
 val total_entries : t -> int
 (** Forwarding entries across all border routers. *)
 
-val tree_violations : t -> quiescent:bool -> (string * string option) list
-(** Live invariant sweep over every active group, as
+val cycle_violations : t -> (string * string option) list
+(** Parent-pointer acyclicity over every group with tree state, as
     [(detail, trace_id)] pairs suitable for {!Invariant.register}
-    predicates: parent-pointer acyclicity (always), and — only when
-    [quiescent], since in-flight joins legitimately violate them —
-    parent/child symmetry across peer links and members-implies-tree
-    membership. *)
+    predicates, in group then router order: an on-tree router is
+    reported when following (star,G) parent pointers from it never
+    terminates.  One colouring pass per group walks each router at most
+    once, in scratch kept by the fabric; while the invariant holds,
+    nothing is allocated beyond the parent lookups. *)
+
+val settle_violations : t -> (string * string option) list
+(** The checks that in-flight joins legitimately violate, so meaningful
+    only at quiescence, over every active group: parent/child symmetry
+    across peer links, and members-implies-tree-membership. *)
+
+val tree_violations : t -> quiescent:bool -> (string * string option) list
+(** Both sweeps composed per active group: its {!cycle_violations},
+    then, only when [quiescent], its {!settle_violations}. *)

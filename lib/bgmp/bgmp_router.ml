@@ -131,6 +131,11 @@ let star_groups t = Hashtbl.fold (fun g _ acc -> g :: acc) t.star []
 
 let on_tree t group = Hashtbl.mem t.star group
 
+let star_parent t group =
+  if Hashtbl.mem t.star group then (Hashtbl.find t.star group).parent else None
+
+let iter_star t f = Hashtbl.iter f t.star
+
 let entry_count t = Hashtbl.length t.star + Hashtbl.length t.sg
 
 (* High-water mark of tree state held by any single router. *)

@@ -135,6 +135,13 @@ val sg_for_group : t -> Ipv4.t -> (Host_ref.t * sg_view) list
 
 val on_tree : t -> Ipv4.t -> bool
 
+val star_parent : t -> Ipv4.t -> target option
+(** The (star,G) entry's parent, [None] also when there is no entry:
+    the stored field itself, so nothing is allocated. *)
+
+val iter_star : t -> (Ipv4.t -> entry -> unit) -> unit
+(** Every (star,G) entry, in no particular order. *)
+
 val entry_count : t -> int
 (** Total forwarding entries, (star,G) plus (S,G) — the state-scaling
     metric of §7. *)

@@ -250,7 +250,7 @@ let receive t ~from_ update =
         reconsider t p
       end
 
-let lookup t addr = Option.map snd (Prefix_trie.longest_match t.grib addr)
+let lookup t addr = Prefix_trie.find_longest t.grib addr
 
 let next_hop_to_root t addr =
   match lookup t addr with

@@ -62,10 +62,8 @@ let masc_network t = t.masc_net
 let root_route_via bgp_net dom group =
   match Speaker.lookup (Bgp_network.speaker bgp_net dom) group with
   | None -> Bgmp_fabric.Unroutable
-  | Some route -> (
-      match Route.next_hop route with
-      | None -> Bgmp_fabric.Root_here
-      | Some nh -> Bgmp_fabric.Via nh)
+  | Some { Route.as_path = []; _ } -> Bgmp_fabric.Root_here
+  | Some { Route.as_path = nh :: _; _ } -> Bgmp_fabric.Via nh
 
 (* The trace id a group's causal chain runs under: the span of the
    covering G-RIB route (any vantage), else a fresh group id — the same
@@ -92,79 +90,170 @@ let domain_of_router t =
 
 (* §4: sibling MASC allocations must not overlap once acquired.  An
    arena is one parent's space (its children's Up claims plus its own
-   Down reservations) or the top-level mesh. *)
-let masc_overlap_violations t () =
-  let arenas = Hashtbl.create 8 in
-  let add key entry =
-    Hashtbl.replace arenas key (entry :: Option.value ~default:[] (Hashtbl.find_opt arenas key))
+   Down reservations) or the top-level mesh; its key is the parent's
+   domain id, or -1 for the mesh.  A sweep visits the domains in id-list
+   order and each node's claims in [all_claims] order, numbers the
+   acquired ones, and chains each arena's claims forward: [ov_first] and
+   [ov_last] per arena (indexed by key + 1), [ov_next] per claim.  The
+   arrays are scratch reused by every check of one stack, so while the
+   invariant holds a check allocates nothing: details are formatted only
+   for a pair that overlaps. *)
+type overlap_scratch = {
+  ov_nodes : Masc_node.t array;  (** in id-list order *)
+  mutable ov_n : int;  (** acquired claims numbered so far *)
+  mutable ov_owner : Domain.id array;
+  mutable ov_key : int array;
+  mutable ov_claim : Masc_node.own_claim array;
+  mutable ov_next : int array;  (** next claim of the same arena, or -1 *)
+  ov_first : int array;  (** -1: no claim in the arena *)
+  ov_last : int array;
+  mutable ov_arenas : int;  (** distinct arena keys *)
+  mutable ov_dom : Domain.id;  (** the domain being swept *)
+  mutable ov_up_key : int;  (** its Up arena *)
+  mutable ov_view : Address_space.t;  (** its registry *)
+  mutable ov_pairs : (int * int) list;  (** overlapping pairs (later, earlier), newest first *)
+  mutable ov_in_view : (string * string option) list;  (** newest first *)
+}
+
+let overlap_scratch masc_net =
+  let ids = Masc_network.ids masc_net in
+  let keys = 2 + List.fold_left max (-1) ids in
+  {
+    ov_nodes = Array.map (Masc_network.node masc_net) (Array.of_list ids);
+    ov_n = 0;
+    ov_owner = [||];
+    ov_key = [||];
+    ov_claim = [||];
+    ov_next = [||];
+    ov_first = Array.make keys (-1);
+    ov_last = Array.make keys (-1);
+    ov_arenas = 0;
+    ov_dom = -1;
+    ov_up_key = -1;
+    ov_view = Address_space.create ();
+    ov_pairs = [];
+    ov_in_view = [];
+  }
+
+let grow_overlap_scratch sc (c : Masc_node.own_claim) =
+  let cap = max 16 (2 * sc.ov_n) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 sc.ov_n;
+    b
   in
-  List.iter
-    (fun id ->
-      let node = Masc_network.node t.masc_net id in
-      let sibling_key =
-        match Masc_node.role node with Masc_node.Top -> None | Masc_node.Child p -> Some p
-      in
+  sc.ov_owner <- extend sc.ov_owner 0;
+  sc.ov_key <- extend sc.ov_key 0;
+  sc.ov_claim <- extend sc.ov_claim c;
+  sc.ov_next <- extend sc.ov_next (-1)
+
+(* One claim of the domain being swept: number it into its arena's
+   chain, and check the domain's own registry against it (a registered
+   sibling claim overlapping one of our acquired ranges means collision
+   resolution failed to protect it). *)
+let sweep_claim sc (c : Masc_node.own_claim) =
+  if c.Masc_node.claim_state = Masc_node.Acquired then begin
+    let key =
+      match c.Masc_node.claim_arena with Masc_node.Up -> sc.ov_up_key | Masc_node.Down -> sc.ov_dom
+    in
+    let i = sc.ov_n in
+    if i = Array.length sc.ov_owner then grow_overlap_scratch sc c;
+    sc.ov_owner.(i) <- sc.ov_dom;
+    sc.ov_key.(i) <- key;
+    sc.ov_claim.(i) <- c;
+    sc.ov_next.(i) <- -1;
+    if sc.ov_first.(key + 1) < 0 then begin
+      sc.ov_first.(key + 1) <- i;
+      sc.ov_arenas <- sc.ov_arenas + 1
+    end
+    else sc.ov_next.(sc.ov_last.(key + 1)) <- i;
+    sc.ov_last.(key + 1) <- i;
+    sc.ov_n <- i + 1;
+    let id = sc.ov_dom in
+    if
+      c.Masc_node.claim_arena = Masc_node.Up
+      && Address_space.foreign_conflict sc.ov_view ~owner:id c.Masc_node.claim_prefix
+    then
       List.iter
-        (fun (c : Masc_node.own_claim) ->
-          if c.Masc_node.claim_state = Masc_node.Acquired then
-            match c.Masc_node.claim_arena with
-            | Masc_node.Up -> add sibling_key (id, c)
-            | Masc_node.Down -> add (Some id) (id, c))
-        (Masc_node.all_claims node))
-    (Masc_network.ids t.masc_net);
-  let cross_node =
-    Hashtbl.fold
-      (fun _ entries acc ->
-        let rec pairs acc = function
-          | [] -> acc
-          | (a, (ca : Masc_node.own_claim)) :: rest ->
-              let acc =
-                List.fold_left
-                  (fun acc (b, (cb : Masc_node.own_claim)) ->
-                    if
-                      a <> b && Prefix.overlaps ca.Masc_node.claim_prefix cb.Masc_node.claim_prefix
-                    then
-                      ( Printf.sprintf
-                          "domains %d and %d hold overlapping acquired ranges %s and %s" a b
-                          (Prefix.to_string ca.Masc_node.claim_prefix)
-                          (Prefix.to_string cb.Masc_node.claim_prefix),
-                        Some ca.Masc_node.claim_span.Span.trace_id )
-                      :: acc
-                    else acc)
-                  acc rest
-              in
-              pairs acc rest
-        in
-        pairs acc entries)
-      arenas []
+        (fun (p, owner) ->
+          if owner <> id then
+            sc.ov_in_view <-
+              ( Printf.sprintf "domain %d's acquired range %s overlaps %s registered to domain %d"
+                  id
+                  (Prefix.to_string c.Masc_node.claim_prefix)
+                  (Prefix.to_string p) owner,
+                Some c.Masc_node.claim_span.Span.trace_id )
+              :: sc.ov_in_view)
+        (Address_space.conflicting sc.ov_view c.Masc_node.claim_prefix)
+  end
+
+(* Claim [x] against every earlier claim [y] of its arena. *)
+let rec overlaps_before sc x y =
+  if y <> x then begin
+    if
+      sc.ov_owner.(x) <> sc.ov_owner.(y)
+      && Prefix.overlaps sc.ov_claim.(x).Masc_node.claim_prefix
+           sc.ov_claim.(y).Masc_node.claim_prefix
+    then sc.ov_pairs <- (x, y) :: sc.ov_pairs;
+    overlaps_before sc x sc.ov_next.(y)
+  end
+
+let rec overlaps_in_arena sc first x =
+  if x >= 0 then begin
+    overlaps_before sc x first;
+    overlaps_in_arena sc first sc.ov_next.(x)
+  end
+
+(* The pairs in report order, which ledgers and recordings carry and so
+   must not change.  Arenas come in the reversed fold order of a stdlib
+   [Hashtbl] created with size 8 and keyed by [Domain.id option] (the
+   mesh is [None]): bucket index descending, then first claim
+   ascending.  Within an arena: later claim ascending, then earlier
+   claim ascending. *)
+let overlap_reports sc =
+  let buckets =
+    (* 16 buckets, doubled whenever the table holds more than twice as
+       many keys *)
+    let rec size b = if sc.ov_arenas > 2 * b then size (2 * b) else b in
+    size 16
   in
-  (* Each node's own registry must agree: a registered sibling claim
-     overlapping one of our acquired ranges means collision resolution
-     failed to protect it. *)
-  let in_view =
-    List.concat_map
-      (fun id ->
-        let node = Masc_network.node t.masc_net id in
-        let view = Masc_node.space_view node in
-        List.concat_map
-          (fun (c : Masc_node.own_claim) ->
-            if c.Masc_node.claim_state = Masc_node.Acquired && c.Masc_node.claim_arena = Masc_node.Up
-            then
-              List.filter_map
-                (fun (p, owner) ->
-                  if owner <> id then
-                    Some
-                      ( Printf.sprintf
-                          "domain %d's acquired range %s overlaps %s registered to domain %d" id
-                          (Prefix.to_string c.Masc_node.claim_prefix) (Prefix.to_string p) owner,
-                        Some c.Masc_node.claim_span.Span.trace_id )
-                  else None)
-                (Address_space.conflicting view c.Masc_node.claim_prefix)
-            else [])
-          (Masc_node.all_claims node))
-      (Masc_network.ids t.masc_net)
+  let bucket key = Hashtbl.hash (if key < 0 then None else Some key) land (buckets - 1) in
+  let rank (x, _) =
+    let key = sc.ov_key.(x) in
+    (-bucket key, sc.ov_first.(key + 1))
   in
-  cross_node @ in_view
+  List.stable_sort (fun a b -> compare (rank a) (rank b)) (List.rev sc.ov_pairs)
+  |> List.map (fun (x, y) ->
+         let ca = sc.ov_claim.(x) and cb = sc.ov_claim.(y) in
+         ( Printf.sprintf "domains %d and %d hold overlapping acquired ranges %s and %s"
+             sc.ov_owner.(x) sc.ov_owner.(y)
+             (Prefix.to_string ca.Masc_node.claim_prefix)
+             (Prefix.to_string cb.Masc_node.claim_prefix),
+           Some ca.Masc_node.claim_span.Span.trace_id ))
+
+let masc_overlap_violations t =
+  let sc = overlap_scratch t.masc_net in
+  let visit = sweep_claim sc in
+  fun () ->
+    sc.ov_n <- 0;
+    sc.ov_arenas <- 0;
+    sc.ov_pairs <- [];
+    sc.ov_in_view <- [];
+    Array.fill sc.ov_first 0 (Array.length sc.ov_first) (-1);
+    for k = 0 to Array.length sc.ov_nodes - 1 do
+      let node = sc.ov_nodes.(k) in
+      sc.ov_dom <- Masc_node.id node;
+      sc.ov_up_key <- (match Masc_node.role node with Masc_node.Top -> -1 | Masc_node.Child p -> p);
+      sc.ov_view <- Masc_node.space_view node;
+      Masc_node.iter_claims node visit
+    done;
+    for k = 0 to Array.length sc.ov_first - 1 do
+      let first = sc.ov_first.(k) in
+      if first >= 0 then overlaps_in_arena sc first sc.ov_next.(first)
+    done;
+    match (sc.ov_pairs, sc.ov_in_view) with
+    | [], [] -> []
+    | _ -> overlap_reports sc @ List.rev sc.ov_in_view
 
 (* Every router's (star,G) upstream must agree with the current G-RIB:
    the root domain has no upstream peer, everyone else's upstream peer
@@ -225,14 +314,9 @@ let install_invariants t =
   let inv = t.invariants in
   Invariant.register inv ~name:"masc-sibling-overlap" (masc_overlap_violations t);
   Invariant.register inv ~name:"bgmp-acyclic" (fun () ->
-      Bgmp_fabric.tree_violations t.bgmp_fabric ~quiescent:false);
+      Bgmp_fabric.cycle_violations t.bgmp_fabric);
   Invariant.register inv ~quiescent_only:true ~name:"bgmp-tree-settled" (fun () ->
-      (* tree_violations ~quiescent:true repeats the acyclicity sweep;
-         report only the quiescent-only findings under this name. *)
-      let base = Bgmp_fabric.tree_violations t.bgmp_fabric ~quiescent:false in
-      List.filter
-        (fun v -> not (List.mem v base))
-        (Bgmp_fabric.tree_violations t.bgmp_fabric ~quiescent:true));
+      Bgmp_fabric.settle_violations t.bgmp_fabric);
   Invariant.register inv ~quiescent_only:true ~name:"grib-nexthop" (grib_nexthop_violations t)
 
 let check_invariants ?(quiescent = true) t =

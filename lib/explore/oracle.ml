@@ -70,7 +70,7 @@ let setup ~arena ~seed schedule =
   List.iter (validate topo) schedule;
   Internet.create ~config:(config ~seed) topo
 
-let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true) ~seed schedule =
+let run_oracle ~arena ~conv_grace ~on_check ~seed schedule =
   let inet =
     if Prof.is_enabled () then
       Prof.span "explore.oracle.setup" (fun () -> setup ~arena ~seed schedule)
@@ -92,12 +92,13 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
      the schedule holds links down. *)
   let transient = ref 0 in
   let check () =
-    transient := !transient + List.length (Invariant.check ~quiescent:false (Internet.invariants inet))
+    let vs = Invariant.check ~quiescent:false (Internet.invariants inet) in
+    transient := !transient + List.length vs;
+    match on_check with Some f -> f inet vs | None -> ()
   in
-  if monitor then
-    Engine.set_monitor eng ~cadence:(Time.minutes 30.0) (fun ~quiescent ->
-        if not quiescent then
-          if Prof.is_enabled () then Prof.span "explore.monitor" check else check ());
+  Engine.set_monitor eng ~cadence:(Time.minutes 30.0) (fun ~quiescent ->
+      if not quiescent then
+        if Prof.is_enabled () then Prof.span "explore.monitor" check else check ());
   (* Fixed workload: demand-driven allocation at every top (this is
      what makes partitioned tops claim out of 224/4 blind to each
      other), then every stub joins every allocated group so BGMP trees
@@ -141,7 +142,12 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
   in
   let horizon = deadline +. conv_grace in
   Internet.run_for inet (horizon -. Engine.now eng);
-  let violations = Internet.check_invariants ~quiescent:(Schedule.ends_all_up schedule) inet in
+  let quiescent = Schedule.ends_all_up schedule in
+  let violations =
+    if Prof.is_enabled () then
+      Prof.span "explore.oracle.check" (fun () -> Internet.check_invariants ~quiescent inet)
+    else Internet.check_invariants ~quiescent inet
+  in
   Engine.clear_monitor eng;
   let converged_at = Engine.converged_at eng in
   let outcome =
@@ -155,3 +161,11 @@ let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?(monitor = true
     }
   in
   (outcome, inet)
+
+(* Under the profiler the whole run is one span, so the engine loop and
+   the workload's direct calls (time no event or check span covers)
+   land in its self time. *)
+let run ?(arena = default_arena) ?(conv_grace = Time.hours 2.0) ?on_check ~seed schedule =
+  if Prof.is_enabled () then
+    Prof.span "explore.oracle" (fun () -> run_oracle ~arena ~conv_grace ~on_check ~seed schedule)
+  else run_oracle ~arena ~conv_grace ~on_check ~seed schedule

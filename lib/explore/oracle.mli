@@ -55,13 +55,18 @@ val verdict_of :
     watermark test.  Exposed for unit tests. *)
 
 val run :
-  ?arena:arena -> ?conv_grace:Time.t -> ?monitor:bool -> seed:int -> Schedule.t -> outcome * Internet.t
+  ?arena:arena ->
+  ?conv_grace:Time.t ->
+  ?on_check:(Internet.t -> Invariant.violation list -> unit) ->
+  seed:int ->
+  Schedule.t ->
+  outcome * Internet.t
 (** Deterministic in [(arena, conv_grace, seed, schedule)].  The
     returned stack is final-state: its trace carries the ["violation"]
     entries (with blamed trace ids) of every check, for repro dumps.
     [conv_grace] (default 2 h) pads the convergence deadline.
-    [~monitor:false] skips the cadence invariant monitor ([transient]
-    stays 0; the end-state check still runs) — the bench uses it to
-    price the monitor; the explorer always runs monitored.
+    [on_check] sees the live stack and the violations of each cadence
+    check right after it runs: the observation point for comparing the
+    predicates against an independent implementation.
     @raise Invalid_argument if a schedule step names a link absent from
     the arena's topology. *)

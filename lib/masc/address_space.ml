@@ -29,8 +29,10 @@ let claim_count t = Prefix_trie.cardinal t.claim_trie
 
 let claim_prefixes t = List.map fst (claims t)
 
-let conflicting t candidate =
-  List.filter (fun (p, _) -> Prefix.overlaps p candidate) (claims t)
+let conflicting t candidate = Prefix_trie.overlapping t.claim_trie candidate
+
+let foreign_conflict t ~owner candidate =
+  Prefix_trie.exists_overlapping t.claim_trie candidate (fun o owner -> o <> owner) owner
 
 let in_some_cover t candidate = List.exists (fun c -> Prefix.subsumes c candidate) t.cover_list
 

@@ -40,7 +40,11 @@ val claims_of : t -> owner:int -> Prefix.t list
 val claim_count : t -> int
 
 val conflicting : t -> Prefix.t -> (Prefix.t * int) list
-(** Registered claims overlapping the candidate. *)
+(** Registered claims overlapping the candidate, in prefix order. *)
+
+val foreign_conflict : t -> owner:int -> Prefix.t -> bool
+(** Does a claim registered to someone other than [owner] overlap the
+    candidate?  Allocates nothing. *)
 
 val is_free : t -> Prefix.t -> bool
 (** Inside some cover and overlapping no registered claim. *)

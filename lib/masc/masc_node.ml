@@ -205,6 +205,16 @@ let bgp_ranges t =
 
 let all_claims t = List.rev_map (fun c -> c.claim) t.own
 
+(* [t.own] is newest first; visiting the tail before the head gives
+   [all_claims] order without building the list. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | c :: rest ->
+      iter_oldest_first f rest;
+      f c.claim
+
+let iter_claims t f = iter_oldest_first f t.own
+
 let space_view t = t.up_space
 
 let children_view t = t.down_space

@@ -131,6 +131,9 @@ val bgp_ranges : t -> own_claim list
 
 val all_claims : t -> own_claim list
 
+val iter_claims : t -> (own_claim -> unit) -> unit
+(** Visit {!all_claims} in order without building the list. *)
+
 val assigned_in : t -> Prefix.t -> int
 
 val space_view : t -> Address_space.t

@@ -249,6 +249,51 @@ let prop_trie_matches_naive_longest_match =
       in
       Option.map fst (Prefix_trie.longest_match t addr) = naive)
 
+(* The path-and-subtree queries against a filter over [to_list]: same
+   bindings, same order.  Prefixes are drawn from a /16's worth of bases
+   with lengths 8-24, so overlaps are common. *)
+let prop_trie_queries_match_naive_filter =
+  let prefix =
+    QCheck.Gen.(
+      map2
+        (fun base len -> Prefix.make (0xE0000000 lor ((base land 0xFFFF) lsl 8)) (8 + (len mod 17)))
+        (int_bound 0xFFFF) (int_bound 16))
+  in
+  let gen =
+    QCheck.make
+      ~print:(fun (l, q, a) ->
+        Printf.sprintf "[%s] %s %s"
+          (String.concat " " (List.map Prefix.to_string l))
+          (Prefix.to_string q) (Ipv4.to_string a))
+      QCheck.Gen.(
+        triple (list_size (0 -- 16) prefix) prefix
+          (map
+             (fun a -> 0xE0000000 lor ((a land 0xFFFF) lsl 8) lor (a land 0xFF))
+             (int_bound 0xFFFFFF)))
+  in
+  QCheck.Test.make ~name:"trie overlap and longest-match queries equal naive filters" ~count:500 gen
+    (fun (l, q, addr) ->
+      let t = Prefix_trie.create () in
+      List.iteri (fun i pre -> Prefix_trie.add t pre i) l;
+      let all = Prefix_trie.to_list t in
+      let naive_longest =
+        List.fold_left
+          (fun acc (pre, v) ->
+            if Prefix.mem addr pre then
+              match acc with
+              | Some (best, _) when Prefix.len best >= Prefix.len pre -> acc
+              | Some _ | None -> Some (pre, v)
+            else acc)
+          None all
+      in
+      let odd v () = v mod 2 = 1 in
+      Prefix_trie.overlapping t q = List.filter (fun (p, _) -> Prefix.overlaps p q) all
+      && Prefix_trie.covered_by t q = List.filter (fun (p, _) -> Prefix.subsumes q p) all
+      && Prefix_trie.exists_overlapping t q odd ()
+         = List.exists (fun (p, v) -> Prefix.overlaps p q && odd v ()) all
+      && Prefix_trie.longest_match t addr = naive_longest
+      && Prefix_trie.find_longest t addr = Option.map snd naive_longest)
+
 (* --- Free_space ------------------------------------------------------ *)
 
 let test_free_blocks_paper_example () =
@@ -364,6 +409,7 @@ let suite =
     ("trie to_list order", `Quick, test_trie_to_list_order);
     ("trie covered_by", `Quick, test_trie_covered_by);
     QCheck_alcotest.to_alcotest prop_trie_matches_naive_longest_match;
+    QCheck_alcotest.to_alcotest prop_trie_queries_match_naive_filter;
     ("free blocks paper example", `Quick, test_free_blocks_paper_example);
     ("free blocks empty/full", `Quick, test_free_blocks_empty_and_full);
     ("free blocks ignores outside", `Quick, test_free_blocks_ignores_outside);

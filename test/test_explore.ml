@@ -97,12 +97,7 @@ let test_nonconvergence_from_watermarks () =
 let test_oracle_pass_on_empty_schedule () =
   let outcome, _ = Oracle.run ~arena ~seed:7 [] in
   check Alcotest.bool "no faults, no violations" true (outcome.Oracle.violations = []);
-  check Alcotest.bool "verdict pass" true (outcome.Oracle.verdict = Oracle.Pass);
-  (* The bench's monitored-vs-plain knob: same verdict without the
-     cadence monitor, and no transient checks counted. *)
-  let plain, _ = Oracle.run ~arena ~seed:7 ~monitor:false [] in
-  check Alcotest.bool "unmonitored verdict pass" true (plain.Oracle.verdict = Oracle.Pass);
-  check Alcotest.int "unmonitored transient count" 0 plain.Oracle.transient
+  check Alcotest.bool "verdict pass" true (outcome.Oracle.verdict = Oracle.Pass)
 
 let test_oracle_finds_partition_canary () =
   (* The seeded known-violation scenario: a permanent partition of the

@@ -26,6 +26,7 @@ let () =
       ("failures", Test_failures.suite);
       ("conformance", Test_conformance.suite);
       ("explore", Test_explore.suite);
+      ("monitor", Test_monitor.suite);
       ("report", Test_report.suite);
       ("golden", Test_golden.suite);
       ("artifacts", Test_artifacts.suite);
