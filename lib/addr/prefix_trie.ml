@@ -161,6 +161,8 @@ let overlapping t prefix = List.rev (rev_bindings t prefix ~path:true)
 
 let covered_by t prefix = List.rev (rev_bindings t prefix ~path:false)
 
+let fold_covered_by t prefix ~init ~f = fold_overlapping_from t.root prefix 0 init ~path:false ~f
+
 let rec exists_below node f arg =
   (match node.value with Some v -> f v arg | None -> false)
   || (match node.zero with Some child -> exists_below child f arg | None -> false)
@@ -176,3 +178,37 @@ let rec exists_overlapping_from node prefix d f arg =
     | Some child -> exists_overlapping_from child prefix (d + 1) f arg
 
 let exists_overlapping t prefix f arg = exists_overlapping_from t.root prefix 0 f arg
+
+(* The free space below an unbound node at ([base], [d]) whose subtree
+   holds a binding: each half is either absent (a whole free block), or
+   bound (taken), or split again.  A node with no children only occurs
+   as the root of an empty trie, where the whole block is free.  Halves
+   are visited zero first, so blocks come in increasing order. *)
+let rec fold_free_below node base d acc ~f =
+  match (node.zero, node.one) with
+  | None, None -> f base d acc
+  | zero, one ->
+      let hi = base lor (1 lsl (31 - d)) in
+      let acc = fold_free_half zero base (d + 1) acc ~f in
+      fold_free_half one hi (d + 1) acc ~f
+
+and fold_free_half child base d acc ~f =
+  match child with
+  | None -> f base d acc
+  | Some { value = Some _; _ } -> acc
+  | Some node -> fold_free_below node base d acc ~f
+
+(* Down the path to the cover at ([base], [len]): a binding on it covers
+   the whole cover, a missing child leaves all of it free. *)
+let rec fold_free_from node base len d acc ~f =
+  match node.value with
+  | Some _ -> acc
+  | None -> (
+      if d = len then fold_free_below node base d acc ~f
+      else
+        match if bit_at base d = 0 then node.zero else node.one with
+        | None -> f base len acc
+        | Some child -> fold_free_from child base len (d + 1) acc ~f)
+
+let fold_free t cover ~init ~f =
+  fold_free_from t.root (Prefix.base cover) (Prefix.len cover) 0 init ~f

@@ -47,6 +47,19 @@ val covered_by : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All bindings whose prefix is subsumed by the argument (including an
     exact binding), in increasing prefix order. *)
 
+val fold_covered_by : 'a t -> Prefix.t -> init:'b -> f:(Prefix.t -> 'a -> 'b -> 'b) -> 'b
+(** Fold over the bindings of {!covered_by}, in the same order, without
+    building the list. *)
+
+val fold_free : 'a t -> Prefix.t -> init:'b -> f:(Ipv4.t -> int -> 'b -> 'b) -> 'b
+(** [fold_free t cover ~init ~f] calls [f base len acc] for each maximal
+    unbound block inside [cover] (the buddy decomposition of the cover
+    minus every binding overlapping it), in increasing address order.
+    A binding covering [cover] leaves nothing free; no binding inside it
+    leaves the whole cover free.  Visits only the path down to [cover]
+    and the subtree below it, and allocates nothing of its own: this is
+    the free-block search of the MASC claim algorithm (§4.3.3). *)
+
 val fold : 'a t -> init:'b -> f:(Prefix.t -> 'a -> 'b -> 'b) -> 'b
 (** Fold over all bindings in increasing prefix order. *)
 

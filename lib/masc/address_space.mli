@@ -18,6 +18,11 @@ val add_cover : t -> Prefix.t -> unit
     logically); an exact duplicate is a no-op. *)
 
 val remove_cover : t -> Prefix.t -> unit
+(** Shrink the space by exactly the addresses of the prefix.  A cover
+    inside it is dropped; a cover strictly containing it (for instance
+    one that {!add_cover} merged from it and its buddy) is split, and
+    what remains of it stays in the space.  Removing a prefix outside
+    every cover is a no-op. *)
 
 val covers : t -> Prefix.t list
 (** In prefix order. *)
@@ -42,18 +47,32 @@ val claim_count : t -> int
 val conflicting : t -> Prefix.t -> (Prefix.t * int) list
 (** Registered claims overlapping the candidate, in prefix order. *)
 
+val claimed_addresses : t -> int
+(** Total size of the registered claims.  Allocates nothing beyond the
+    fold. *)
+
+val claimed_within : t -> Prefix.t -> int
+(** Total size of the registered claims inside the prefix (including the
+    prefix itself). *)
+
 val foreign_conflict : t -> owner:int -> Prefix.t -> bool
 (** Does a claim registered to someone other than [owner] overlap the
     candidate?  Allocates nothing. *)
+
+val in_some_cover : t -> Prefix.t -> bool
+(** Is the prefix inside one of the covers? *)
 
 val is_free : t -> Prefix.t -> bool
 (** Inside some cover and overlapping no registered claim. *)
 
 val choose_claim : t -> rng:Rng.t -> want_len:int -> Prefix.t option
 (** One step of the §4.3.3 claim algorithm: compute the free blocks of
-    every cover, keep those of the shortest mask length overall, pick one
-    uniformly at random, and return its first sub-prefix of length
-    [want_len].  [None] when no free block can hold a /[want_len]. *)
+    every cover, keep the usable ones (those that can hold a
+    /[want_len]), then keep those of the shortest mask length among
+    them, pick one uniformly at random, and return its first sub-prefix
+    of length [want_len].  [None] when no free block can hold a
+    /[want_len].  Reads the free blocks straight off the claim trie and
+    builds no list. *)
 
 val choose_claim_placed :
   t -> rng:Rng.t -> want_len:int -> placement:[ `First | `Random ] -> Prefix.t option
@@ -66,7 +85,7 @@ val choose_claim_placed :
 val can_double : t -> Prefix.t -> bool
 (** Is the buddy of this claimed prefix entirely free and the doubled
     prefix still inside a single cover?  (The doubling expansion of
-    §4.3.3.) *)
+    §4.3.3.)  One trie descent; builds no list. *)
 
 val free_addresses : t -> int
 (** Total unclaimed addresses across the covers. *)

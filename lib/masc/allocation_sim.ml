@@ -114,11 +114,15 @@ let policy_view claims =
 
 let live_claims claims = List.filter (fun c -> c.alive) claims
 
+let count_live claims = List.fold_left (fun n c -> if c.alive then n + 1 else n) 0 claims
+
 (* --- top-level (parent) expansion ---------------------------------- *)
 
-let top_total top = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 (live_claims top.t_claims)
+let top_total top =
+  List.fold_left (fun acc c -> if c.alive then acc + Prefix.size c.prefix else acc) 0 top.t_claims
 
-let top_used top = List.fold_left (fun acc c -> acc + c.used) 0 (live_claims top.t_claims)
+let top_used top =
+  List.fold_left (fun acc c -> if c.alive then acc + c.used else acc) 0 top.t_claims
 
 (* Lifetime machinery (§4.3.1): a claim still in use is renewed at
    expiry, but only while [may_renew] holds — a child claim may not
@@ -494,15 +498,15 @@ let overlap_violations sim () =
 let take_sample sim =
   let p = sim.p in
   let global_prefixes =
-    Array.fold_left (fun acc top -> acc + List.length (live_claims top.t_claims)) 0 sim.top_doms
+    Array.fold_left (fun acc top -> acc + count_live top.t_claims) 0 sim.top_doms
   in
   let child_prefix_total =
-    Array.fold_left (fun acc c -> acc + List.length (live_claims c.c_claims)) 0 sim.child_doms
+    Array.fold_left (fun acc c -> acc + count_live c.c_claims) 0 sim.child_doms
   in
   (* Per-top counts of children prefixes. *)
   let per_top = Array.make p.tops 0 in
   Array.iter
-    (fun c -> per_top.(c.c_top) <- per_top.(c.c_top) + List.length (live_claims c.c_claims))
+    (fun c -> per_top.(c.c_top) <- per_top.(c.c_top) + count_live c.c_claims)
     sim.child_doms;
   let sum_grib = ref 0 and max_grib = ref 0 in
   Array.iter
@@ -513,7 +517,7 @@ let take_sample sim =
     sim.top_doms;
   Array.iter
     (fun c ->
-      let own = List.length (live_claims c.c_claims) in
+      let own = count_live c.c_claims in
       let g = global_prefixes + per_top.(c.c_top) - own in
       sum_grib := !sum_grib + g;
       if g > !max_grib then max_grib := g)

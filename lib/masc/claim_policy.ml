@@ -18,19 +18,23 @@ let pp_decision ppf = function
   | Consolidate l -> Format.fprintf ppf "consolidate into /%d" l
   | Blocked -> Format.fprintf ppf "blocked"
 
+(* Best-fit assignment: the fullest active prefix that still has room,
+   keeping utilization dense so draining prefixes empty faster.  Ties go
+   to the earliest such claim. *)
+let rec best_fit ~need best best_slack = function
+  | [] -> best
+  | c :: rest ->
+      let slack = Prefix.size c.prefix - c.used in
+      if c.active && slack >= need && slack < best_slack then
+        best_fit ~need (Some c.prefix) slack rest
+      else best_fit ~need best best_slack rest
+
 let decide ~params ~space ~claims ~need =
   if need <= 0 then invalid_arg "Claim_policy.decide: non-positive need";
-  let active = List.filter (fun c -> c.active) claims in
-  (* Best-fit assignment: the fullest active prefix that still has room,
-     keeping utilization dense so draining prefixes empty faster. *)
-  let fitting =
-    List.filter (fun c -> Prefix.size c.prefix - c.used >= need) active
-    |> List.sort (fun a b ->
-           compare (Prefix.size a.prefix - a.used) (Prefix.size b.prefix - b.used))
-  in
-  match fitting with
-  | c :: _ -> Assign c.prefix
-  | [] ->
+  match best_fit ~need None max_int claims with
+  | Some p -> Assign p
+  | None ->
+      let active = List.filter (fun c -> c.active) claims in
       let total_size = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 claims in
       let total_used = need + List.fold_left (fun acc c -> acc + c.used) 0 claims in
       let doubling_candidates =

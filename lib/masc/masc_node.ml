@@ -168,12 +168,7 @@ let used_in t c =
   | Down -> direct
   | Up ->
       if has_children t then
-        direct
-        + List.fold_left
-            (fun acc (p, _) ->
-              if Prefix.subsumes c.claim.claim_prefix p then acc + Prefix.size p else acc)
-            0
-            (Address_space.claims t.down_space)
+        direct + Address_space.claimed_within t.down_space c.claim.claim_prefix
       else direct
 
 let policy_claims t arena =
@@ -541,9 +536,7 @@ let note_assigned t prefix n =
 let check_children_pressure t =
   if has_children t then begin
     let total = Address_space.total_addresses t.down_space in
-    let used =
-      List.fold_left (fun acc (p, _) -> acc + Prefix.size p) 0 (Address_space.claims t.down_space)
-    in
+    let used = Address_space.claimed_addresses t.down_space in
     if total = 0 then ignore (try_grow t Up ~need:256)
     else begin
       let headroom = t.config.child_expand_headroom in
@@ -757,12 +750,7 @@ let receive t ~from_ msg =
       if List.mem from_ t.children then begin
         trace t "child-needs" "%d addresses for %d" need from_;
         let total = Address_space.total_addresses t.down_space in
-        let used =
-          List.fold_left
-            (fun acc (p, _) -> acc + Prefix.size p)
-            0
-            (Address_space.claims t.down_space)
-        in
+        let used = Address_space.claimed_addresses t.down_space in
         let need_up = max need (used + need - (total - used)) in
         if not (List.mem need t.child_needs) then t.child_needs <- t.child_needs @ [ need ];
         ignore (try_grow t Up ~need:(max 256 need_up));

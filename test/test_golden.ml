@@ -517,6 +517,9 @@ let suite =
       `Quick,
       check_invariants_stdout_invariant
         ~args:"fig4-modern --domains 600 --groups 50 --events 1500 --trials 2" );
+    ( "fig2 --check-invariants leaves stdout unchanged",
+      `Quick,
+      check_invariants_stdout_invariant ~args:"fig2 --summary --days 30" );
     ("explore finds, shrinks, reproduces; ledger jobs-invariant", `Quick, check_explore_cli);
     ( "ablate-placement",
       `Quick,

@@ -14,6 +14,7 @@ let () =
       ("spf_inc", Test_spf_inc.suite);
       ("bgp", Test_bgp.suite);
       ("masc", Test_masc.suite);
+      ("claim_equiv", Test_claim_equiv.suite);
       ("migp", Test_migp.suite);
       ("bgmp", Test_bgmp.suite);
       ("beacon", Test_beacon.suite);

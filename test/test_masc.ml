@@ -597,6 +597,17 @@ let test_allocation_sim_random_placement_runs () =
   check Alcotest.bool "grib settles" true
     (List.for_all (fun (s : Allocation_sim.sample) -> s.Allocation_sim.grib_avg > 0.0) steady)
 
+(* The allocation-overlap invariant, checked at every sample: claims
+   stay disjoint and inside their parent ranges under both placement
+   rules. *)
+let test_allocation_sim_invariants_hold placement () =
+  let r =
+    Allocation_sim.run
+      { small_sim_params with Allocation_sim.placement; check_invariants = true }
+  in
+  check Alcotest.bool "samples taken" true (Array.length r.Allocation_sim.samples > 0);
+  check Alcotest.int "no invariant violations" 0 r.Allocation_sim.invariant_violations
+
 let prop_masc_claims_never_overlap =
   (* Protocol-level invariant under random small hierarchies and random
      demand order: acquired ranges never overlap across domains. *)
@@ -672,5 +683,7 @@ let suite =
     ("allocation sim heterogeneous", `Slow, test_allocation_sim_heterogeneous);
     ("allocation sim deterministic", `Slow, test_allocation_sim_deterministic);
     ("allocation sim placement variant runs", `Slow, test_allocation_sim_random_placement_runs);
+    ("allocation sim invariants hold (first)", `Slow, test_allocation_sim_invariants_hold `First);
+    ("allocation sim invariants hold (random)", `Slow, test_allocation_sim_invariants_hold `Random);
     QCheck_alcotest.to_alcotest prop_masc_claims_never_overlap;
   ]
