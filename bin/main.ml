@@ -912,7 +912,9 @@ let experiment ?(jobs = false) ?(sample = false) ?(check = false) name ~doc run 
 
 let seed_arg = opt Arg.int 1998 "seed" "Random seed."
 let days_arg n = opt Arg.int n "days" "Simulated days."
-let nodes_arg n = opt Arg.int n "nodes" "Topology size."
+let nodes_arg n =
+  opt (bounded Arg.int (fun n -> n >= 3) "an integer >= 3") n "nodes"
+    "Topology size (the power-law generator needs at least 3 nodes)."
 
 let loss_arg =
   opt ~docv:"P"

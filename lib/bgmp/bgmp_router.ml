@@ -66,6 +66,7 @@ type t = {
           copies to prune once (S,G) data arrives from the branch parent *)
   mutable classify_root : Ipv4.t -> route_class;
   mutable classify_source : Domain.id -> route_class;
+  mutable version : int;  (** bumped when a (star,G) entry or its children change *)
 }
 
 let create ~id ~domain ~name =
@@ -78,6 +79,7 @@ let create ~id ~domain ~name =
     pending_branch_prune = Hashtbl.create 2;
     classify_root = (fun _ -> Unroutable);
     classify_source = (fun _ -> Unroutable);
+    version = 0;
   }
 
 let id t = t.rid
@@ -85,6 +87,10 @@ let id t = t.rid
 let domain t = t.rdomain
 
 let name t = t.rname
+
+let version t = t.version
+
+let bump t = t.version <- t.version + 1
 
 let set_classify_root t f = t.classify_root <- f
 
@@ -196,11 +202,17 @@ let sg_upstream_of_class cls ~peer_msg =
   | Internal r -> (Some (Internal_router r), [ To_internal (r, peer_msg) ])
   | Unroutable -> (None, [])
 
-let add_child e target =
-  if not (List.exists (target_equal target) e.children) then e.children <- e.children @ [ target ]
+let add_child t e target =
+  if not (List.exists (target_equal target) e.children) then begin
+    e.children <- e.children @ [ target ];
+    bump t
+  end
 
-let remove_child e target =
-  e.children <- List.filter (fun c -> not (target_equal c target)) e.children
+let remove_child t e target =
+  if List.exists (target_equal target) e.children then begin
+    e.children <- List.filter (fun c -> not (target_equal c target)) e.children;
+    bump t
+  end
 
 let handle_join_impl ?span t ~group ~from =
   Metrics.incr m_joins;
@@ -210,7 +222,7 @@ let handle_join_impl ?span t ~group ~from =
          own parent would be a routing anomaly; ignore it. *)
       if e.parent <> None && target_equal (Option.get e.parent) from then []
       else begin
-        add_child e from;
+        add_child t e from;
         []
       end
   | None ->
@@ -222,6 +234,7 @@ let handle_join_impl ?span t ~group ~from =
       in
       let e = { parent; children = [ from ] } in
       Hashtbl.replace t.star group e;
+      bump t;
       note_entries t;
       upstream
 
@@ -234,8 +247,9 @@ let handle_prune_impl t ~group ~from =
   match Hashtbl.find_opt t.star group with
   | None -> []
   | Some e ->
-      remove_child e from;
+      remove_child t e from;
       if e.children = [] then begin
+        (* [remove_child] just bumped: the last child went. *)
         Hashtbl.remove t.star group;
         (* Also drop dependent (S,G) state for this group. *)
         let dead =
@@ -504,7 +518,10 @@ let handle_data t ~group ~source ~payload ~hops ~from =
       branch_prunes @ forward_sg t st msg ~group ~source ~payload ~hops ~from
 
 let clear_group t group =
-  Hashtbl.remove t.star group;
+  if Hashtbl.mem t.star group then begin
+    Hashtbl.remove t.star group;
+    bump t
+  end;
   let dead_sg =
     Hashtbl.fold (fun (s, g) _ acc -> if Ipv4.equal g group then (s, g) :: acc else acc) t.sg []
   in

@@ -49,7 +49,7 @@ type action =
   | Migp_data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
       (** hand a packet to the domain's internal distribution *)
 
-type entry = {
+type entry = private {
   mutable parent : target option;
       (** toward the root domain; join/prune propagation goes here *)
   mutable children : target list;  (** downstream targets *)
@@ -79,6 +79,12 @@ val id : t -> int
 val domain : t -> Domain.id
 
 val name : t -> string
+
+val version : t -> int
+(** A mutation counter over the (star,G) table: it grows when an entry
+    is added or removed (including by {!clear_group}) and when an
+    entry's children change.  (S,G) state, data forwarding and lookups
+    leave it alone. *)
 
 val set_classify_root : t -> (Ipv4.t -> route_class) -> unit
 (** How to reach the root domain of a group (G-RIB longest match). *)

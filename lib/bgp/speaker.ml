@@ -19,6 +19,7 @@ type t = {
   mutable send : dst:Domain.id -> Update.t -> unit;
   mutable extra_filter : dst:Domain.id -> Route.t -> bool;
   mutable on_grib_change : Prefix.t -> unit;
+  mutable version : int;  (** bumped whenever a best route changes *)
 }
 
 let create ~id =
@@ -34,9 +35,12 @@ let create ~id =
     send = (fun ~dst:_ _ -> ());
     extra_filter = (fun ~dst:_ _ -> true);
     on_grib_change = (fun _ -> ());
+    version = 0;
   }
 
 let id t = t.self
+
+let version t = t.version
 
 let add_peer t peer rel =
   if Hashtbl.mem t.peers peer then invalid_arg "Speaker.add_peer: duplicate peer";
@@ -125,6 +129,7 @@ let reconsider_impl t prefix =
     | None, Some _ | Some _, None -> true
   in
   if changed then begin
+    t.version <- t.version + 1;
     Metrics.set_max m_grib_max (float_of_int (Prefix_trie.cardinal t.grib));
     t.on_grib_change prefix
   end;

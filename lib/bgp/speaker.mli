@@ -27,6 +27,12 @@ val create : id:Domain.id -> t
 
 val id : t -> Domain.id
 
+val version : t -> int
+(** A mutation counter over the G-RIB: it grows exactly when the best
+    route for some prefix changes, under the same condition that fires
+    the {!set_on_grib_change} listener.  A re-decision that keeps an
+    equal route (same path, new lifetime or span) leaves it alone. *)
+
 val add_peer : t -> Domain.id -> peer_relation -> unit
 (** Declare a peering.  @raise Invalid_argument on duplicates. *)
 

@@ -310,11 +310,43 @@ let grib_nexthop_violations t () =
           (Bgmp_fabric.tree_domains t.bgmp_fabric ~group))
       (Bgmp_fabric.active_groups t.bgmp_fabric)
 
+(* [f] summed over an array, without a closure or a ref. *)
+let rec sum_over f a i acc = if i < 0 then acc else sum_over f a (i - 1) (acc + f a.(i))
+
+let sum_versions f a () = sum_over f a (Array.length a - 1) 0
+
+let masc_version node = Masc_node.version node + Address_space.version (Masc_node.space_view node)
+
+(* The two cadence predicates are gated on the versions of the state
+   they read (see DESIGN.md): the overlap sweep reads each node's own
+   claims, role and registry; the cycle pass reads the (star,G) tables
+   and, through [parent_hop]'s root route, every G-RIB.  Every counter
+   only grows, so each sum moves exactly when one of its counters
+   does. *)
 let install_invariants t =
   let inv = t.invariants in
-  Invariant.register inv ~name:"masc-sibling-overlap" (masc_overlap_violations t);
-  Invariant.register inv ~name:"bgmp-acyclic" (fun () ->
-      Bgmp_fabric.cycle_violations t.bgmp_fabric);
+  let domains = Topo.domains t.net_topo in
+  let nodes =
+    Array.of_list (List.map (Masc_network.node t.masc_net) (Masc_network.ids t.masc_net))
+  in
+  let routers =
+    Array.of_list
+      (List.concat_map
+         (fun (d : Domain.t) -> Bgmp_fabric.routers_of t.bgmp_fabric d.Domain.id)
+         domains)
+  in
+  let speakers =
+    Array.of_list
+      (List.map (fun (d : Domain.t) -> Bgp_network.speaker t.bgp_net d.Domain.id) domains)
+  in
+  let router_versions = sum_versions Bgmp_router.version routers in
+  let speaker_versions = sum_versions Speaker.version speakers in
+  Invariant.register inv ~name:"masc-sibling-overlap"
+    ~depends:(sum_versions masc_version nodes)
+    (masc_overlap_violations t);
+  Invariant.register inv ~name:"bgmp-acyclic"
+    ~depends:(fun () -> router_versions () + speaker_versions ())
+    (fun () -> Bgmp_fabric.cycle_violations t.bgmp_fabric);
   Invariant.register inv ~quiescent_only:true ~name:"bgmp-tree-settled" (fun () ->
       Bgmp_fabric.settle_violations t.bgmp_fabric);
   Invariant.register inv ~quiescent_only:true ~name:"grib-nexthop" (grib_nexthop_violations t)

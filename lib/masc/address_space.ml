@@ -1,9 +1,12 @@
 type t = {
   mutable cover_list : Prefix.t list;  (** kept aggregated & sorted *)
   claim_trie : int Prefix_trie.t;  (** prefix -> owner *)
+  mutable version : int;  (** bumped when a claim binding comes or goes *)
 }
 
-let create () = { cover_list = []; claim_trie = Prefix_trie.create () }
+let create () = { cover_list = []; claim_trie = Prefix_trie.create (); version = 0 }
+
+let version t = t.version
 
 let add_cover t p = t.cover_list <- Prefix.aggregate (p :: t.cover_list)
 
@@ -29,9 +32,14 @@ let covers t = t.cover_list
 let register t ~owner p =
   match Prefix_trie.find_exact t.claim_trie p with
   | Some _ -> invalid_arg "Address_space.register: prefix already claimed"
-  | None -> Prefix_trie.add t.claim_trie p owner
+  | None ->
+      Prefix_trie.add t.claim_trie p owner;
+      t.version <- t.version + 1
 
-let unregister t p = Prefix_trie.remove t.claim_trie p
+let unregister t p =
+  let before = Prefix_trie.cardinal t.claim_trie in
+  Prefix_trie.remove t.claim_trie p;
+  if Prefix_trie.cardinal t.claim_trie <> before then t.version <- t.version + 1
 
 let owner_of t p = Prefix_trie.find_exact t.claim_trie p
 

@@ -37,6 +37,12 @@ val unregister : t -> Prefix.t -> unit
 
 val owner_of : t -> Prefix.t -> int option
 
+val version : t -> int
+(** A mutation counter over the claims: it grows by one whenever
+    {!register} adds a claim or {!unregister} removes one, and never
+    moves otherwise (cover changes, lookups, an [unregister] of an
+    unclaimed prefix).  Two equal readings mean the same claims. *)
+
 val claims : t -> (Prefix.t * int) list
 (** All (prefix, owner) claims, in prefix order. *)
 

@@ -81,6 +81,9 @@ type t = {
   mutable collisions_suffered : int;
   mutable claims_made : int;
   mutable started : bool;
+  mutable version : int;
+      (** bumped when an own claim comes, goes or is acquired, and on a
+          reparent *)
 }
 
 let create ~id ~role ~config ~engine ~rng =
@@ -108,11 +111,16 @@ let create ~id ~role ~config ~engine ~rng =
     collisions_suffered = 0;
     claims_made = 0;
     started = false;
+    version = 0;
   }
 
 let id t = t.self
 
 let role t = t.node_role
+
+let version t = t.version
+
+let bump t = t.version <- t.version + 1
 
 let set_transport t f = t.transport <- f
 
@@ -256,6 +264,7 @@ let remove_own t ctl ~release ~lost =
    | Some owner when owner = t.self -> Address_space.unregister space ctl.claim.claim_prefix
    | Some _ | None -> ());
   t.own <- List.filter (fun c -> c != ctl) t.own;
+  bump t;
   if release then
     List.iter
       (fun dst ->
@@ -343,6 +352,7 @@ and renewal_decision t ctl =
 let rec finish_wait t ctl =
   if List.memq ctl t.own && ctl.claim.claim_state = Waiting then begin
     ctl.claim.claim_state <- Acquired;
+    bump t;
     let acquired_span = Span.child ctl.claim.claim_span in
     trace t "acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
     Engine.note_activity t.engine "masc";
@@ -420,6 +430,7 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
       in
       let ctl = { claim; absorbing; consolidating; wait_timer = None; renew_timer = None } in
       t.own <- ctl :: t.own;
+      bump t;
       t.claims_made <- t.claims_made + 1;
       Metrics.incr m_claims;
       Engine.note_activity t.engine "masc";
@@ -764,6 +775,7 @@ let reparent t ~new_parent =
       if old_parent <> new_parent then begin
         trace t "reparent" "%d -> %d" old_parent new_parent;
         t.node_role <- Child new_parent;
+        bump t;
         (* Forget the old parent's space and sibling registry; the new
            parent's Space_advertise repopulates the covers and its relays
            repopulate the registry. *)

@@ -44,7 +44,7 @@ type arena_kind =
       (** ranges a transit domain reserves out of its own space for its
           local MAAS, claimed against its children like a sibling *)
 
-type own_claim = {
+type own_claim = private {
   claim_arena : arena_kind;
   claim_prefix : Prefix.t;
   mutable claim_lifetime_end : Time.t;
@@ -60,6 +60,14 @@ val create : id:Domain.id -> role:role -> config:config -> engine:Engine.t -> rn
 val id : t -> Domain.id
 
 val role : t -> role
+
+val version : t -> int
+(** A mutation counter over the node's own claims and role: it grows
+    when an own claim is added or removed, when a claim goes from
+    [Waiting] to [Acquired], and when the node reparents.  Lifetime
+    renewals, [claim_active] changes, foreign-claim bookkeeping and
+    lookups leave it alone; the registries have their own counters
+    ({!Address_space.version} of {!space_view} and {!children_view}). *)
 
 val set_transport : t -> (dst:Domain.id -> Masc_message.t -> unit) -> unit
 

@@ -2,6 +2,14 @@ type violation = { inv : string; detail : string; trace_id : string option }
 
 type check = unit -> (string * string option) list
 
+(* A predicate registered with [~depends]. *)
+type gate = {
+  depends : unit -> int;
+  mutable clean : bool;  (** the last run returned no violation *)
+  mutable clean_at : int;  (** [depends ()] read before that run *)
+  mutable skipped : Metrics.counter option;  (** [invariant.skipped] *)
+}
+
 (* Counter handles are resolved once, on first use, and cached here.
    Resolving them at register time would put zero-valued keys into the
    metrics snapshot of every run that never checks. *)
@@ -9,6 +17,7 @@ type pred = {
   name : string;
   quiescent_only : bool;
   run : check;
+  gate : gate option;  (** [None]: runs at every check *)
   mutable violations_of : Metrics.counter option;  (** [invariant.violations.<name>] *)
 }
 
@@ -31,10 +40,13 @@ let create ?registry () =
   let registry = match registry with Some r -> r | None -> Metrics.current () in
   { registry; checks = None; violations = None; preds = []; seen = []; n_seen = 0 }
 
-let register ?(quiescent_only = false) t ~name run =
+let register ?(quiescent_only = false) ?depends t ~name run =
   if List.exists (fun p -> p.name = name) t.preds then
     invalid_arg (Printf.sprintf "Invariant.register: duplicate %S" name);
-  t.preds <- t.preds @ [ { name; quiescent_only; run; violations_of = None } ]
+  let gate =
+    Option.map (fun depends -> { depends; clean = false; clean_at = 0; skipped = None }) depends
+  in
+  t.preds <- t.preds @ [ { name; quiescent_only; run; gate; violations_of = None } ]
 
 let names t = List.map (fun p -> p.name) t.preds
 
@@ -54,6 +66,14 @@ let violations_counter t =
       t.violations <- Some c;
       c
 
+let skipped_counter t g =
+  match g.skipped with
+  | Some c -> c
+  | None ->
+      let c = Metrics.counter ~registry:t.registry "invariant.skipped" in
+      g.skipped <- Some c;
+      c
+
 let pred_counter t p =
   match p.violations_of with
   | Some c -> c
@@ -62,16 +82,39 @@ let pred_counter t p =
       p.violations_of <- Some c;
       c
 
+(* Whether a check runs a predicate that applies.  A gated one is
+   skipped when its dependency reads what it read before its last run
+   and that run was clean: its state has not moved, so neither has its
+   verdict.  Otherwise the value is kept for the run about to happen. *)
+let due t p =
+  match p.gate with
+  | None -> true
+  | Some g ->
+      let version = g.depends () in
+      if g.clean && version = g.clean_at then begin
+        Metrics.incr (skipped_counter t g);
+        false
+      end
+      else begin
+        g.clean_at <- version;
+        true
+      end
+
+let set_clean p clean = match p.gate with Some g -> g.clean <- clean | None -> ()
+
 (* Top-level recursions rather than closures, so a check whose
    predicates all hold allocates nothing here. *)
 let rec run_preds t ~quiescent = function
   | [] -> []
   | p :: rest -> (
-      if p.quiescent_only && not quiescent then run_preds t ~quiescent rest
+      if (p.quiescent_only && not quiescent) || not (due t p) then run_preds t ~quiescent rest
       else
         match p.run () with
-        | [] -> run_preds t ~quiescent rest
+        | [] ->
+            set_clean p true;
+            run_preds t ~quiescent rest
         | vs ->
+            set_clean p false;
             let n = List.length vs in
             Metrics.add (violations_counter t) n;
             Metrics.add (pred_counter t p) n;

@@ -11,7 +11,11 @@
     Predicates registered [~quiescent_only:true] are skipped while the
     event queue is still busy: they describe end states (e.g. tree
     connectivity) that transient in-flight messages legitimately
-    violate. *)
+    violate.
+
+    Predicates registered with [~depends] are {e gated}: a check skips
+    one whose dependency reads the same as before its last run when
+    that run was clean (see {!register}). *)
 
 type violation = { inv : string; detail : string; trace_id : string option }
 
@@ -24,8 +28,25 @@ val create : ?registry:Metrics.registry -> unit -> t
     at call time, so monitors created inside a [Par] task count into
     that task's shard. *)
 
-val register : ?quiescent_only:bool -> t -> name:string -> check -> unit
-(** Raises [Invalid_argument] on a duplicate name. *)
+val register :
+  ?quiescent_only:bool -> ?depends:(unit -> int) -> t -> name:string -> check -> unit
+(** Raises [Invalid_argument] on a duplicate name.
+
+    [depends] gates the predicate on a version of the state it reads.
+    Each check reads [depends ()] before it would run the predicate; if
+    the value equals the one read before the predicate's last run, and
+    that run returned no violation, the predicate is skipped and
+    reports nothing.  Only clean results are cached: a predicate that
+    reported violations runs again at the next check, so the violations
+    (and their counters) are exactly those of an ungated predicate.
+    Skips count in [invariant.skipped], a counter created by the first
+    skip.
+
+    The contract on [depends]: it must move whenever anything the
+    predicate reads changes, and it must be non-decreasing, so that it
+    can never come back to a value it had at some earlier clean run.
+    A sum of per-structure mutation counters that only grow meets
+    both. *)
 
 val names : t -> string list
 (** Registered predicate names, in registration order. *)

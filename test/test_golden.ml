@@ -224,6 +224,9 @@ let check_malformed_arguments () =
           "beacon --per-domain 0";
           "fig4-modern --groups 0";
           "fig2 --hetero=-5";
+          "fig4 --nodes 2";
+          "ablate-root --nodes 1";
+          "baselines --nodes 0";
         ])
 
 (* Group sizes that do not fit a small topology are skipped, not fatal. *)
@@ -520,6 +523,9 @@ let suite =
     ( "fig2 --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant ~args:"fig2 --summary --days 30" );
+    ( "soak --check-invariants leaves stdout unchanged",
+      `Quick,
+      check_invariants_stdout_invariant ~args:"soak --steps 40" );
     ("explore finds, shrinks, reproduces; ledger jobs-invariant", `Quick, check_explore_cli);
     ( "ablate-placement",
       `Quick,

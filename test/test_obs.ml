@@ -362,6 +362,46 @@ let test_invariant_monitor () =
   check Alcotest.int "per-invariant counter" 1 (count "invariant.violations.settled");
   check Alcotest.int "per-invariant counter (other)" 1 (count "invariant.violations.always")
 
+(* [~depends] gating: a clean verdict is cached against the dependency
+   value read before the run; a violating one never is. *)
+let test_invariant_depends () =
+  let r = Metrics.create () in
+  let inv = Invariant.create ~registry:r () in
+  let version = ref 0 and runs = ref 0 and found = ref [] in
+  Invariant.register inv ~depends:(fun () -> !version) ~name:"gated" (fun () ->
+      incr runs;
+      !found);
+  let ungated_runs = ref 0 in
+  Invariant.register inv ~name:"ungated" (fun () ->
+      incr ungated_runs;
+      []);
+  let count name =
+    match Metrics.find (Metrics.snapshot r) name with Some (Metrics.Counter_v n) -> n | _ -> -1
+  in
+  let step what ~expect_runs ~expect_violations =
+    let vs = Invariant.check ~quiescent:false inv in
+    check Alcotest.int (what ^ ": violations") expect_violations (List.length vs);
+    check Alcotest.int (what ^ ": predicate runs") expect_runs !runs
+  in
+  step "first check runs" ~expect_runs:1 ~expect_violations:0;
+  check Alcotest.int "no skip yet, so no skipped counter" (-1) (count "invariant.skipped");
+  step "unchanged version skips" ~expect_runs:1 ~expect_violations:0;
+  check Alcotest.int "skip counted" 1 (count "invariant.skipped");
+  (* State the predicate reads changed without a bump: the contract is
+     broken, and the stale clean verdict is what a check returns. *)
+  found := [ ("boom", None) ];
+  step "no bump, cached clean verdict" ~expect_runs:1 ~expect_violations:0;
+  incr version;
+  step "bump reruns" ~expect_runs:2 ~expect_violations:1;
+  step "a violation is never cached" ~expect_runs:3 ~expect_violations:1;
+  found := [];
+  step "clean again at the same version" ~expect_runs:4 ~expect_violations:0;
+  step "and cached again" ~expect_runs:4 ~expect_violations:0;
+  check Alcotest.int "ungated predicate ran every time" 7 !ungated_runs;
+  check Alcotest.int "skips still count as checks" 7 (count "invariant.checks");
+  check Alcotest.int "skipped" 3 (count "invariant.skipped");
+  check Alcotest.int "violations" 2 (count "invariant.violations.gated")
+
 (* The hierarchical profiler.  Prof is process-global: every test
    leaves it disabled. *)
 
@@ -733,6 +773,7 @@ let suite =
     ("trace jsonl sink replacement", `Quick, test_trace_jsonl_sink_replacement);
     ("trace set_sink after close", `Quick, test_trace_set_sink_after_close);
     ("invariant monitor", `Quick, test_invariant_monitor);
+    ("invariant depends gating", `Quick, test_invariant_depends);
     ("prof disabled passthrough", `Quick, test_prof_disabled_is_passthrough);
     ("prof tree", `Quick, test_prof_tree);
     ("prof exception closes span", `Quick, test_prof_exception_closes_span);
