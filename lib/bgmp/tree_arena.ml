@@ -1,11 +1,24 @@
 type handle = int
 
+(* A handle packs a block offset (low 32 bits) with the generation the
+   block had when the join was recorded.  [leave] bumps the block's
+   generation, so a spent handle, or one whose block was recycled for a
+   later join, no longer matches. *)
+let offset_bits = 32
+let offset_mask = (1 lsl offset_bits) - 1
+let gen_mask = (1 lsl 30) - 1
+
 type t = {
   n : int;
   refs : Packed_map.t;  (* (group * n + node) -> refcount *)
   counts : int array;  (* per-router live entry count *)
-  mutable pool : int array;  (* recorded paths: [group; len; nodes...] *)
+  mutable pool : int array;
+      (* path blocks [generation; group; len; nodes...]; a free block
+         keeps its len and links to the next free block of that len in
+         its group slot *)
   mutable pool_len : int;
+  mutable free : int array;  (* len -> first free block, or -1 *)
+  mutable live : int;
 }
 
 let create ?(initial = 16) ~domains () =
@@ -16,6 +29,8 @@ let create ?(initial = 16) ~domains () =
     counts = Array.make domains 0;
     pool = Array.make 1024 0;
     pool_len = 0;
+    free = [||];
+    live = 0;
   }
 
 let domains t = t.n
@@ -25,6 +40,7 @@ let key t group node = (group * t.n) + node
 let pool_reserve t extra =
   let need = t.pool_len + extra in
   if need > Array.length t.pool then begin
+    if need > offset_mask then invalid_arg "Tree_arena: path pool exhausted";
     let cap = ref (2 * Array.length t.pool) in
     while !cap < need do
       cap := 2 * !cap
@@ -33,6 +49,33 @@ let pool_reserve t extra =
     Array.blit t.pool 0 grown 0 t.pool_len;
     t.pool <- grown
   end
+
+(* A block of [len] nodes: the first free one of that length, else a
+   fresh one at the end of the pool (generation 0). *)
+let alloc_block t len =
+  if len < Array.length t.free && t.free.(len) >= 0 then begin
+    let b = t.free.(len) in
+    t.free.(len) <- t.pool.(b + 1);
+    b
+  end
+  else begin
+    pool_reserve t (len + 3);
+    let b = t.pool_len in
+    t.pool.(b) <- 0;
+    t.pool.(b + 2) <- len;
+    t.pool_len <- t.pool_len + len + 3;
+    b
+  end
+
+let free_block t b len =
+  if len >= Array.length t.free then begin
+    let grown = Array.make (max (len + 1) (2 * Array.length t.free)) (-1) in
+    Array.blit t.free 0 grown 0 (Array.length t.free);
+    t.free <- grown
+  end;
+  t.pool.(b) <- (t.pool.(b) + 1) land gen_mask;
+  t.pool.(b + 1) <- t.free.(len);
+  t.free.(len) <- b
 
 let incr_ref t group node =
   let k = key t group node in
@@ -52,37 +95,38 @@ let decr_ref t group node =
   end
   else Packed_map.set t.refs k (r - 1)
 
-let join t ~group ~path =
+let join t ~group ~path ~len =
   if group < 0 then invalid_arg "Tree_arena.join: negative group";
-  let len = Array.length path in
-  if len = 0 then invalid_arg "Tree_arena.join: empty path";
-  Array.iter
-    (fun v -> if v < 0 || v >= t.n then invalid_arg "Tree_arena.join: node out of range")
-    path;
-  pool_reserve t (len + 2);
-  let h = t.pool_len in
-  t.pool.(h) <- group;
-  t.pool.(h + 1) <- len;
-  Array.blit path 0 t.pool (h + 2) len;
-  t.pool_len <- t.pool_len + len + 2;
+  if len <= 0 then invalid_arg "Tree_arena.join: empty path";
+  if len > Array.length path then invalid_arg "Tree_arena.join: len exceeds path";
+  for i = 0 to len - 1 do
+    let v = path.(i) in
+    if v < 0 || v >= t.n then invalid_arg "Tree_arena.join: node out of range"
+  done;
+  let b = alloc_block t len in
+  t.pool.(b + 1) <- group;
+  Array.blit path 0 t.pool (b + 3) len;
   for i = 0 to len - 1 do
     incr_ref t group path.(i)
   done;
-  h
+  t.live <- t.live + 1;
+  (t.pool.(b) lsl offset_bits) lor b
 
 let leave t ~group (h : handle) =
-  if h < 0 || h + 2 > t.pool_len then invalid_arg "Tree_arena.leave: bad handle";
-  if t.pool.(h) <> group || t.pool.(h + 1) <= 0 then
+  let b = h land offset_mask in
+  if h < 0 || b + 3 > t.pool_len then invalid_arg "Tree_arena.leave: bad handle";
+  if t.pool.(b) <> h lsr offset_bits || t.pool.(b + 1) <> group then
     invalid_arg "Tree_arena.leave: handle spent or group mismatch";
-  let len = t.pool.(h + 1) in
+  let len = t.pool.(b + 2) in
   for i = 0 to len - 1 do
-    decr_ref t group t.pool.(h + 2 + i)
+    decr_ref t group t.pool.(b + 3 + i)
   done;
-  (* spend the handle: a second leave of the same receipt must not
-     corrupt refcounts silently *)
-  t.pool.(h + 1) <- -len
+  free_block t b len;
+  t.live <- t.live - 1
 
 let entries t = Packed_map.length t.refs
+
+let live_paths t = t.live
 
 let node_entries t node =
   if node < 0 || node >= t.n then invalid_arg "Tree_arena: unknown node id";
@@ -92,4 +136,5 @@ let refs t ~group ~node =
   if node < 0 || node >= t.n then invalid_arg "Tree_arena: unknown node id";
   match Packed_map.find t.refs (key t group node) with -1 -> 0 | r -> r
 
-let storage_words t = (2 * Packed_map.capacity t.refs) + t.n + Array.length t.pool
+let storage_words t =
+  (2 * Packed_map.capacity t.refs) + t.n + Array.length t.pool + Array.length t.free

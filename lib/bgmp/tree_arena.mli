@@ -8,38 +8,52 @@
     group root holds one packed refcount; a node's entry count is the
     classic "multicast forwarding entries per router" state axis.
 
-    Joins record the exact path they installed (as a segment in a flat
+    Joins record the exact path they installed (as a block in a flat
     int pool) and {!leave} tears down that recorded path, so membership
     stays balanced even when SPF trees were repaired between the join
     and the leave — the incremental-routing analogue of BGMP's rule
-    that a prune must retrace the join it cancels. *)
+    that a prune must retrace the join it cancels.  A left block goes
+    on a free list for its path length and the next join of that length
+    reuses it, so the pool tracks the live members, not the number of
+    joins ever made. *)
 
 type t
 
 type handle = int
-(** Receipt for one {!join}, to be passed to {!leave} exactly once. *)
+(** Receipt for one {!join}, to be passed to {!leave} exactly once.
+    Non-negative.  It carries the path block's offset and the block's
+    generation at the join; {!leave} bumps the generation, so a spent
+    receipt stays invalid even after its block is recycled. *)
 
 val create : ?initial:int -> domains:int -> unit -> t
 (** [initial] hints the expected live (group, node) entry count. *)
 
 val domains : t -> int
 
-val join : t -> group:int -> path:Domain.id array -> handle
-(** Install one member whose packets travel [path] (member end to tree
-    end, inclusive; order is irrelevant): every node on the path gains
-    a reference to [group], creating the forwarding entry where the
-    count was zero.  The path is copied into the arena's pool.
-    @raise Invalid_argument on an empty path, a node out of range, or a
-    negative group. *)
+val join : t -> group:int -> path:Domain.id array -> len:int -> handle
+(** Install one member whose packets travel [path.(0) .. path.(len-1)]
+    (member end to tree end, inclusive; order is irrelevant): every node
+    on the path gains a reference to [group], creating the forwarding
+    entry where the count was zero.  Entries past [len] are ignored, so
+    [path] may be a caller-owned buffer reused across joins: the arena
+    copies the [len] nodes into a pool block — a recycled block of the
+    same length when one is free — and keeps no reference to [path].
+    @raise Invalid_argument when [len <= 0] or [len > Array.length path],
+    on a node out of range, or a negative group. *)
 
 val leave : t -> group:int -> handle -> unit
 (** Remove the member installed by the matching {!join}, decrementing
     along the path recorded then (not the path SPF would give now).
-    Entries reaching zero references are freed.
-    @raise Invalid_argument when the handle was already spent. *)
+    Entries reaching zero references are freed, and the path block is
+    recycled for a later join of the same length.
+    @raise Invalid_argument when the handle was already spent (its
+    block possibly recycled since) or names another group. *)
 
 val entries : t -> int
 (** Live (group, node) forwarding entries across all routers. *)
+
+val live_paths : t -> int
+(** Joins not yet left: the live members installed in the arena. *)
 
 val node_entries : t -> int -> int
 (** Forwarding entries at this router. *)
@@ -49,4 +63,5 @@ val refs : t -> group:int -> node:int -> int
 
 val storage_words : t -> int
 (** Words held by the arena's flat arrays (entry table + per-router
-    counts + path pool). *)
+    counts + path pool + free-list heads).  Bounded by the live state:
+    the pool holds at most the peak number of live paths of each length. *)

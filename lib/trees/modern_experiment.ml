@@ -108,10 +108,6 @@ let run p =
   in
   let ncks = Array.length cks in
   let run_trial ws trial =
-    let churn =
-      Membership.group_churn ~seed:p.seed ~shard:trial ~domains:n ~groups:p.groups
-        ~join_bias:p.join_bias ~events:p.events ()
-    in
     let lrng = Rng.create (p.seed lxor ((trial + 1) * 0x51ED2705)) in
     let arena = Tree_arena.create ~initial:1024 ~domains:n () in
     let grib = Grib_arena.create ~initial:256 ~domains:n () in
@@ -161,9 +157,10 @@ let run p =
     (* Per-trial sanity predicates over the arena state, counted into
        the trial's shard (same reason each trial owns its SPF cache):
        the arena's global entry counter must agree with the per-router
-       sum, live memberships must balance joins minus leaves, and the
-       G-RIB can only grow (this experiment never withdraws a
-       group-range route) up to its (root-range x router) ceiling. *)
+       sum, live memberships must balance joins minus leaves and match
+       the arena's live paths, and the G-RIB can only grow (this
+       experiment never withdraws a group-range route) up to its
+       (root-range x router) ceiling. *)
     let invariants = Invariant.create () in
     let pending = ref [] in
     Invariant.register invariants ~name:"state-accounting" (fun () -> !pending);
@@ -189,6 +186,9 @@ let run p =
         if !live <> !joins - !leaves then
           flag "checkpoint %d: %d live members <> %d joins - %d leaves" cks.(k) !live !joins
             !leaves;
+        if Tree_arena.live_paths arena <> !live then
+          flag "checkpoint %d: arena holds %d live paths <> %d live members" cks.(k)
+            (Tree_arena.live_paths arena) !live;
         if !live = 0 && o_entries.(k) <> 0 then
           flag "checkpoint %d: %d forwarding entries left with no live member" cks.(k)
             o_entries.(k);
@@ -202,13 +202,12 @@ let run p =
       end;
       next_ck := k + 1
     in
-    Array.iteri
-      (fun i ev ->
-        (if ev.Membership.join then begin
-           let ri = ev.Membership.group mod nroots in
+    Membership.iter_group_churn ~seed:p.seed ~shard:trial ~domains:n ~groups:p.groups
+      ~join_bias:p.join_bias ~events:p.events (fun i group m join_ref ->
+        (if join_ref < 0 then begin
+           let ri = group mod nroots in
            let root = roots_arr.(ri) in
            let tree = get_tree root in
-           let m = ev.Membership.node in
            if tree.Spf.dist.(m) = max_int then incr skipped
            else begin
              let len = tree.Spf.dist.(m) + 1 in
@@ -222,17 +221,16 @@ let run p =
                  Grib_arena.set grib ~group:ri ~node:!v tree.Spf.via.(!v);
                v := tree.Spf.via.(!v)
              done;
-             let path = Array.sub !buf 0 len in
-             handles.(ev.Membership.seq) <- Tree_arena.join arena ~group:ev.Membership.group ~path;
+             handles.(i) <- Tree_arena.join arena ~group ~path:!buf ~len;
              incr joins;
              incr live
            end
          end
          else begin
-           let h = handles.(ev.Membership.join_ref) in
+           let h = handles.(join_ref) in
            if h >= 0 then begin
-             Tree_arena.leave arena ~group:ev.Membership.group h;
-             handles.(ev.Membership.join_ref) <- -1;
+             Tree_arena.leave arena ~group h;
+             handles.(join_ref) <- -1;
              incr leaves;
              decr live
            end
@@ -245,8 +243,7 @@ let run p =
            apply_toggle lid a b up;
            incr linkev
          end);
-        if !next_ck < ncks && i + 1 = cks.(!next_ck) then sample ())
-      churn;
+        if !next_ck < ncks && i + 1 = cks.(!next_ck) then sample ());
     let repairs, touched =
       match p.mode with Incremental -> Spf.cache_repair_stats cache | Scratch -> (0, 0)
     in

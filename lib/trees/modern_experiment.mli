@@ -4,7 +4,7 @@
     Figure 4 measured tree quality on a 3326-node 1998 snapshot; ROADMAP
     item 2 asks what per-router state looks like at ~75k domains and
     10⁵ groups.  Each trial drives a deterministic join/leave stream
-    ({!Membership.group_churn}) plus periodic link failures/restores
+    ({!Membership.iter_group_churn}) plus periodic link failures/restores
     over a transit-stub topology, installs member paths into
     arena-backed state ({!Tree_arena} forwarding entries, {!Grib_arena}
     group-range next hops), and samples per-router state at fixed
@@ -37,9 +37,9 @@ type params = {
   check_invariants : bool;
       (** evaluate the per-trial state-accounting predicates at every
           checkpoint (arena counter vs per-router sum, join/leave
-          balance, G-RIB monotonicity and ceiling); violations are
-          counted into each trial's shard and summed into
-          [invariant_violations] *)
+          balance, live members vs the arena's live paths, G-RIB
+          monotonicity and ceiling); violations are counted into each
+          trial's shard and summed into [invariant_violations] *)
   telemetry : Timeseries.t option;
       (** when set, one telemetry row per checkpoint (members, entries,
           max/router, stateful routers, G-RIB) is sampled on the main

@@ -1,50 +1,56 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 counter lives unboxed in 8 bytes: reading and writing
+   it through [Bytes.get_int64_le]/[set_int64_le] keeps the int64 in a
+   register, so a draw allocates nothing.  [int64] and [float] are
+   [@inline] because without flambda a non-inlined int64 or float
+   return is boxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: advance the counter by the golden-ratio
    increment, then scramble with two xor-shift-multiply rounds. *)
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
+(* 30 uniform bits for bounds up to 2^30, 62 above. *)
+let[@inline] draw_for t ~small =
+  if small then bits t else Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+
+(* Rejection sampling to avoid modulo bias: redraw while [r] falls in
+   the incomplete last block of [bound] values. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound <= 1 lsl 30 then begin
-    (* Rejection sampling to avoid modulo bias. *)
-    let rec draw () =
-      let r = bits t in
-      let v = r mod bound in
-      if r - v + (bound - 1) < 0 then draw () else v
-    in
-    draw ()
-  end else begin
-    let rec draw () =
-      let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-      let v = r mod bound in
-      if r - v + (bound - 1) < 0 then draw () else v
-    in
-    draw ()
-  end
+  let small = bound <= 1 lsl 30 in
+  let r = ref (draw_for t ~small) in
+  let v = ref (!r mod bound) in
+  while !r - !v + (bound - 1) < 0 do
+    r := draw_for t ~small;
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform bits into the mantissa. *)
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   r /. 9007199254740992.0 *. bound

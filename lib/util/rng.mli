@@ -8,9 +8,14 @@
     cheap [split], and no global state. *)
 
 type t
-(** A mutable generator.  Generators are cheap (one [int64] of state); give
-    every independent simulation component its own [split] generator so
-    that adding draws to one component does not perturb another. *)
+(** A mutable generator.  Its state is 8 unboxed bytes holding the
+    64-bit counter, so generators are cheap and a draw allocates
+    nothing: int-valued draws never do, and [int64] and [float] are
+    inlined into their callers, so their results stay unboxed too
+    (except where cross-module inlining is off, e.g. an [-opaque]
+    build, which boxes the returned value).  Give every independent
+    simulation component its own [split] generator so that adding
+    draws to one component does not perturb another. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal

@@ -68,20 +68,12 @@ let beacon_plan topo ~per_domain =
     session_beacons = List.init n (fun d -> Host_ref.make d 0);
   }
 
-type group_event = {
-  seq : int;
-  group : int;
-  node : Domain.id;
-  join : bool;
-  join_ref : int;  (* a leave names the join it cancels; -1 on joins *)
-}
-
-let group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events () =
-  if domains < 1 then invalid_arg "Membership.group_churn: need at least one domain";
-  if groups < 1 then invalid_arg "Membership.group_churn: need at least one group";
-  if events < 0 then invalid_arg "Membership.group_churn: negative event count";
+let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events f =
+  if domains < 1 then invalid_arg "Membership.iter_group_churn: need at least one domain";
+  if groups < 1 then invalid_arg "Membership.iter_group_churn: need at least one group";
+  if events < 0 then invalid_arg "Membership.iter_group_churn: negative event count";
   if not (join_bias > 0.0 && join_bias <= 1.0) then
-    invalid_arg "Membership.group_churn: join_bias must be in (0, 1]";
+    invalid_arg "Membership.iter_group_churn: join_bias must be in (0, 1]";
   (* One generator per (seed, shard): shards draw independent streams,
      so trial-parallel consumers are deterministic at any job count.
      Group ids live in the shard's own block, keeping shard state
@@ -90,41 +82,38 @@ let group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events () =
   let base = shard * groups in
   (* Active memberships, swap-removable in O(1): parallel arrays of
      group, member and the join's event index. *)
-  let cap = ref 16 in
-  let ag = ref (Array.make !cap 0) in
-  let am = ref (Array.make !cap 0) in
-  let ar = ref (Array.make !cap 0) in
+  let ag = ref (Array.make 16 0) and am = ref (Array.make 16 0) and ar = ref (Array.make 16 0) in
   let live = ref 0 in
-  let push g m r =
-    if !live = !cap then begin
-      let grown_cap = 2 * !cap in
-      let grow a = let b = Array.make grown_cap 0 in Array.blit a 0 b 0 !live; b in
-      ag := grow !ag;
-      am := grow !am;
-      ar := grow !ar;
-      cap := grown_cap
-    end;
-    !ag.(!live) <- g;
-    !am.(!live) <- m;
-    !ar.(!live) <- r;
-    incr live
-  in
-  Array.init events (fun i ->
-      if !live = 0 || Rng.float rng 1.0 < join_bias then begin
-        let g = base + Rng.int rng groups in
-        let m = Rng.int rng domains in
-        push g m i;
-        { seq = i; group = g; node = m; join = true; join_ref = -1 }
-      end
-      else begin
-        let j = Rng.int rng !live in
-        let g = !ag.(j) and m = !am.(j) and r = !ar.(j) in
-        decr live;
-        !ag.(j) <- !ag.(!live);
-        !am.(j) <- !am.(!live);
-        !ar.(j) <- !ar.(!live);
-        { seq = i; group = g; node = m; join = false; join_ref = r }
-      end)
+  for i = 0 to events - 1 do
+    if !live = 0 || Rng.float rng 1.0 < join_bias then begin
+      let g = base + Rng.int rng groups in
+      let m = Rng.int rng domains in
+      if !live = Array.length !ag then begin
+        let grow a =
+          let b = Array.make (2 * Array.length a) 0 in
+          Array.blit a 0 b 0 (Array.length a);
+          b
+        in
+        ag := grow !ag;
+        am := grow !am;
+        ar := grow !ar
+      end;
+      !ag.(!live) <- g;
+      !am.(!live) <- m;
+      !ar.(!live) <- i;
+      incr live;
+      f i g m (-1)
+    end
+    else begin
+      let j = Rng.int rng !live in
+      let g = !ag.(j) and m = !am.(j) and r = !ar.(j) in
+      decr live;
+      !ag.(j) <- !ag.(!live);
+      !am.(j) <- !am.(!live);
+      !ar.(j) <- !ar.(!live);
+      f i g m r
+    end
+  done
 
 type churn_event = { when_ : Time.t; member : Domain.id; joins : bool }
 

@@ -32,36 +32,30 @@ val beacon_plan : Topo.t -> per_domain:int -> beacon_plan
     shared interdomain session.  Deterministic — placement is by
     domain/host index, no RNG. *)
 
-type group_event = {
-  seq : int;  (** position in the stream *)
-  group : int;  (** dense group id, within the shard's own block *)
-  node : Domain.id;  (** the member's domain *)
-  join : bool;
-  join_ref : int;
-      (** for a leave, the [seq] of the join it cancels (members leave
-          uniformly at random among the currently joined); [-1] on
-          joins.  Consumers keyed by join receipts — e.g.
-          [Tree_arena.handle]s — tear down exactly the state that join
-          installed. *)
-}
-
-val group_churn :
+val iter_group_churn :
   seed:int ->
   shard:int ->
   domains:int ->
   groups:int ->
   ?join_bias:float ->
   events:int ->
-  unit ->
-  group_event array
-(** A deterministic join/leave stream over [groups] dense group ids and
-    [domains] member domains: each event is a join with probability
-    [join_bias] (default 0.55, forced when nothing is joined), else a
-    leave of a uniformly random active membership.  Streams are keyed
-    by [(seed, shard)] — equal pairs reproduce the exact stream, and a
-    shard's group ids live in block [shard * groups .. (shard+1) *
-    groups - 1], so shards running in parallel touch disjoint state at
-    any [--jobs]. *)
+  (int -> int -> Domain.id -> int -> unit) ->
+  unit
+(** [iter_group_churn ... f] streams a deterministic join/leave sequence
+    over [groups] dense group ids and [domains] member domains, calling
+    [f seq group node join_ref] once per event in order.  Each event is
+    a join with probability [join_bias] (default 0.55, forced when
+    nothing is joined), else a leave of a uniformly random active
+    membership.  [seq] is the event's position in the stream; [node] is
+    the member's domain; [join_ref] is [-1] on a join and, on a leave,
+    the [seq] of the join it cancels, so consumers keyed by join
+    receipts — e.g. [Tree_arena.handle]s — tear down exactly the state
+    that join installed.  Streams are keyed by [(seed, shard)] — equal
+    pairs reproduce the exact stream, and a shard's group ids live in
+    block [shard * groups .. (shard+1) * groups - 1], so shards running
+    in parallel touch disjoint state at any [--jobs].  Nothing is
+    materialised: beyond [f]'s own work, memory is the active
+    memberships (three int arrays). *)
 
 type churn_event = { when_ : Time.t; member : Domain.id; joins : bool }
 

@@ -237,10 +237,13 @@ let test_grib_arena () =
   check Alcotest.int "count decremented" 1 (Grib_arena.node_entries g 3);
   check Alcotest.bool "storage is flat words" true (Grib_arena.storage_words g > 0)
 
+let spent = Invalid_argument "Tree_arena.leave: handle spent or group mismatch"
+
 let test_tree_arena_refcounts () =
   let t = Tree_arena.create ~domains:6 () in
-  let h1 = Tree_arena.join t ~group:4 ~path:[| 0; 1; 2 |] in
-  let h2 = Tree_arena.join t ~group:4 ~path:[| 0; 1; 3 |] in
+  let join group path = Tree_arena.join t ~group ~path ~len:(Array.length path) in
+  let h1 = join 4 [| 0; 1; 2 |] in
+  let h2 = join 4 [| 0; 1; 3 |] in
   check Alcotest.int "shared prefix refcount" 2 (Tree_arena.refs t ~group:4 ~node:1);
   check Alcotest.int "leaf refcount" 1 (Tree_arena.refs t ~group:4 ~node:3);
   check Alcotest.int "entries are distinct (group,node)" 4 (Tree_arena.entries t);
@@ -249,15 +252,66 @@ let test_tree_arena_refcounts () =
   check Alcotest.int "prefix survives the other member" 1 (Tree_arena.refs t ~group:4 ~node:1);
   check Alcotest.int "branch torn down" 0 (Tree_arena.refs t ~group:4 ~node:2);
   check Alcotest.int "entries after leave" 3 (Tree_arena.entries t);
-  Alcotest.check_raises "handle spent"
-    (Invalid_argument "Tree_arena.leave: handle spent or group mismatch") (fun () ->
-      Tree_arena.leave t ~group:4 h1);
-  Alcotest.check_raises "group mismatch"
-    (Invalid_argument "Tree_arena.leave: handle spent or group mismatch") (fun () ->
-      Tree_arena.leave t ~group:5 h2);
+  Alcotest.check_raises "handle spent" spent (fun () -> Tree_arena.leave t ~group:4 h1);
+  Alcotest.check_raises "group mismatch" spent (fun () -> Tree_arena.leave t ~group:5 h2);
   Tree_arena.leave t ~group:4 h2;
   check Alcotest.int "empty again" 0 (Tree_arena.entries t);
   check Alcotest.int "router count drained" 0 (Tree_arena.node_entries t 1)
+
+let test_tree_arena_recycles_blocks () =
+  let t = Tree_arena.create ~domains:8 () in
+  (* [len] reads a prefix of a caller-owned buffer; what lies past it
+     (here an out-of-range node) is never looked at. *)
+  let buf = [| 0; 1; 2; 99 |] in
+  let h1 = Tree_arena.join t ~group:3 ~path:buf ~len:3 in
+  check Alcotest.int "only the prefix installed" 3 (Tree_arena.entries t);
+  Alcotest.check_raises "len past the buffer" (Invalid_argument "Tree_arena.join: len exceeds path")
+    (fun () -> ignore (Tree_arena.join t ~group:3 ~path:buf ~len:5));
+  Tree_arena.leave t ~group:3 h1;
+  check Alcotest.int "no live paths" 0 (Tree_arena.live_paths t);
+  let words = Tree_arena.storage_words t in
+  buf.(0) <- 5;
+  buf.(1) <- 6;
+  buf.(2) <- 7;
+  let h2 = Tree_arena.join t ~group:3 ~path:buf ~len:3 in
+  check Alcotest.int "same-length join reuses the block" words (Tree_arena.storage_words t);
+  check Alcotest.int "one live path" 1 (Tree_arena.live_paths t);
+  Alcotest.check_raises "stale handle of the reused block" spent (fun () ->
+      Tree_arena.leave t ~group:3 h1);
+  Alcotest.check_raises "group mismatch on the reused block" spent (fun () ->
+      Tree_arena.leave t ~group:4 h2);
+  check Alcotest.int "refused leaves changed nothing" 1 (Tree_arena.refs t ~group:3 ~node:6);
+  Tree_arena.leave t ~group:3 h2;
+  check Alcotest.int "recycled path torn down" 0 (Tree_arena.entries t);
+  Alcotest.check_raises "second leave of the recycled receipt" spent (fun () ->
+      Tree_arena.leave t ~group:3 h2)
+
+let test_tree_arena_storage_tracks_live () =
+  (* 100k join/leave pairs with at most 50 members live: an append-only
+     pool would hold ~750k words; a recycled one holds a few blocks per
+     path length. *)
+  let domains = 64 in
+  let t = Tree_arena.create ~domains () in
+  let rng = Rng.create 22 in
+  let live = Array.make 50 (-1, -1) in
+  let buf = Array.make 10 0 in
+  for _ = 1 to 100_000 do
+    let slot = Rng.int rng (Array.length live) in
+    (match live.(slot) with
+    | -1, _ -> ()
+    | group, h -> Tree_arena.leave t ~group h);
+    let len = 1 + Rng.int rng (Array.length buf) in
+    for j = 0 to len - 1 do
+      buf.(j) <- Rng.int rng domains
+    done;
+    let group = Rng.int rng 20 in
+    live.(slot) <- (group, Tree_arena.join t ~group ~path:buf ~len)
+  done;
+  check Alcotest.int "live paths" 50 (Tree_arena.live_paths t);
+  let words = Tree_arena.storage_words t in
+  check Alcotest.bool (Printf.sprintf "storage %d words <= 8192" words) true (words <= 8192);
+  Array.iter (fun (group, h) -> Tree_arena.leave t ~group h) live;
+  check Alcotest.int "drained" 0 (Tree_arena.entries t)
 
 let test_csr_rebuild_counter () =
   let c = Metrics.counter "topo.csr_rebuilds" in
@@ -307,5 +361,7 @@ let suite =
     ("packed map rejects negatives", `Quick, test_packed_map_rejects_negative);
     ("grib arena", `Quick, test_grib_arena);
     ("tree arena refcounts", `Quick, test_tree_arena_refcounts);
+    ("tree arena recycles blocks", `Quick, test_tree_arena_recycles_blocks);
+    ("tree arena storage tracks live paths", `Quick, test_tree_arena_storage_tracks_live);
     ("csr rebuild counter", `Quick, test_csr_rebuild_counter);
   ]

@@ -145,6 +145,115 @@ let test_rng_sample_without_replacement () =
   Array.iter (fun v -> Hashtbl.replace tbl2 v ()) s2;
   check Alcotest.int "99 distinct" 99 (Hashtbl.length tbl2)
 
+(* Known answers pinned from the record-of-int64 implementation that the
+   unboxed [Bytes.t] state replaced: every stream below must stay
+   bit-identical, or every seeded golden in the repository moves. *)
+let test_rng_known_answers () =
+  let int64s seed =
+    let r = Rng.create seed in
+    List.init 8 (fun _ -> Rng.int64 r)
+  in
+  let i64 = Alcotest.list Alcotest.int64 and ints = Alcotest.list Alcotest.int in
+  check i64 "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L;
+      1961750202426094747L; 6038094601263162090L; 3207296026000306913L; -4214222208109204676L ]
+    (int64s 0);
+  check i64 "seed 1"
+    [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L; 8196980753821780235L;
+      8195237237126968761L; -4373826470845021568L; -2262517385565684571L; -8797857673641491083L ]
+    (int64s 1);
+  check i64 "seed -1"
+    [ -1956407806741107680L; -1612297016619662647L; 4048727598324417001L; 7862637804313477842L;
+      -5431262886246717010L; -3234237927366542541L; -1058577943711170651L; 4638043754431676516L ]
+    (int64s (-1));
+  check i64 "seed 1998"
+    [ 5567058890921189101L; -137370543221680689L; 6007817606710371584L; -9159970951653373374L;
+      -7064121691524713516L; 9152707762013613526L; 9081896967753428997L; 8288258297904453007L ]
+    (int64s 1998);
+  (* Bounds up to 2^30 reject on 30-bit draws, larger ones on 62-bit
+     draws: both branches. *)
+  let ints_at bound =
+    let r = Rng.create 5 in
+    List.init 8 (fun _ -> Rng.int r bound)
+  in
+  check ints "int 1" [ 0; 0; 0; 0; 0; 0; 0; 0 ] (ints_at 1);
+  check ints "int 7" [ 6; 6; 0; 0; 3; 2; 4; 4 ] (ints_at 7);
+  check ints "int 2^30"
+    [ 415289027; 807783507; 249869564; 106664880; 201820643; 408675724; 1058240775; 548791044 ]
+    (ints_at (1 lsl 30));
+  check ints "int 2^30+1"
+    [ 98514379; 609131636; 143137890; 487792527; 979513315; 177355234; 178594477; 1053749178 ]
+    (ints_at ((1 lsl 30) + 1));
+  let r = Rng.create 3 in
+  check ints "bits"
+    [ 121816377; 751934434; 658176553; 78240062; 232399723; 683138509 ]
+    (List.init 6 (fun _ -> Rng.bits r));
+  let r = Rng.create 9 in
+  check (Alcotest.list (Alcotest.float 0.0)) "float"
+    [ 0x1.5d5ea5fd7ce0cp-1; 0x1.805b14bd0f5fdp-1; 0x1.0fb0af9512d62p-2; 0x1.91d319ad2e62cp-1;
+      0x1.0cdacde0bd62p-2; 0x1.d56f4a5808e68p-4 ]
+    (List.init 6 (fun _ -> Rng.float r 1.0));
+  let r = Rng.create 9 in
+  check (Alcotest.list (Alcotest.float 0.0)) "float 2.5"
+    [ 0x1.b4b64f7cdc18fp+0; 0x1.e071d9ec5337cp+0; 0x1.539cdb7a578bap-1; 0x1.f647e01879fb7p+0 ]
+    (List.init 4 (fun _ -> Rng.float r 2.5));
+  let r = Rng.create 13 in
+  check (Alcotest.list Alcotest.bool) "bool"
+    [ true; true; false; true; true; false; true; false; true; true; true; false; false; true;
+      false; false ]
+    (List.init 16 (fun _ -> Rng.bool r));
+  let a = Rng.create 11 in
+  let b = Rng.split a in
+  check i64 "split child"
+    [ -7926430521640997682L; 4919299050227587188L; 3598333411332322078L; -3267917560502510965L ]
+    (List.init 4 (fun _ -> Rng.int64 b));
+  check i64 "split parent"
+    [ 4839782808629744545L; -6676940282306817427L; -9138258183961285136L; 3047264704176347588L ]
+    (List.init 4 (fun _ -> Rng.int64 a));
+  let a = Rng.create 7 in
+  ignore (Rng.int64 a);
+  let c = Rng.copy a in
+  let copied =
+    [ 309689372594955804L; -1830642326893942270L; -7693578145408079413L; 8346079845500723674L ]
+  in
+  check i64 "copy" copied (List.init 4 (fun _ -> Rng.int64 c));
+  check i64 "original unaffected by the copy" copied (List.init 4 (fun _ -> Rng.int64 a))
+
+(* Draws allocate nothing.  [Rng.float] returns a float, which a call
+   the compiler does not inline boxes: dev builds compile libraries with
+   [-opaque], so there the boxed result (16 B) is all a float draw may
+   cost; other profiles inline it and must show 0. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 1998 in
+  let per_draw f = Test_sim.minor_bytes_per ~n:10_000 f in
+  let sink = ref 0 in
+  let ints =
+    per_draw (fun n ->
+        for _ = 1 to n do
+          sink := !sink + Rng.int r 1000 + Rng.int r ((1 lsl 30) + 1)
+        done)
+  in
+  let bits =
+    per_draw (fun n ->
+        for _ = 1 to n do
+          sink := !sink + Rng.bits r
+        done)
+  in
+  let floats =
+    per_draw (fun n ->
+        for _ = 1 to n do
+          if Rng.float r 1.0 < 0.5 then incr sink
+        done)
+  in
+  ignore (Sys.opaque_identity !sink);
+  check (Alcotest.float 0.0) "Rng.int bytes per draw" 0.0 ints;
+  check (Alcotest.float 0.0) "Rng.bits bytes per draw" 0.0 bits;
+  let float_budget = if Build_profile.name = "dev" then 16.0 else 0.0 in
+  check Alcotest.bool
+    (Printf.sprintf "Rng.float allocates %.1f B per draw <= %.0f B (%s build)" floats float_budget
+       Build_profile.name)
+    true (floats <= float_budget)
+
 (* --- Heap ----------------------------------------------------------- *)
 
 let test_heap_ordering () =
@@ -331,6 +440,8 @@ let suite =
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     ("rng sample without replacement", `Quick, test_rng_sample_without_replacement);
     ("rng sample matches hash-set reference", `Quick, test_rng_sample_matches_reference);
+    ("rng known answers", `Quick, test_rng_known_answers);
+    ("rng draws allocate nothing", `Quick, test_rng_draws_allocate_nothing);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap peek", `Quick, test_heap_peek);

@@ -164,21 +164,27 @@ let test_scenario_figure3_pim_sm () =
   check Alcotest.bool "no branch under PIM-SM" true
     (Scenario.figure3_branch_demo w ~before:[ 3 ] ~after:[ 3 ])
 
+(* The churn stream's array form, for the tests only: one record per
+   event, collected from [Membership.iter_group_churn]. *)
+type group_event = { seq : int; group : int; node : Domain.id; join : bool; join_ref : int }
+
+let group_churn ~seed ~shard ~domains ~groups ?join_bias ~events () =
+  let out = ref [] in
+  Membership.iter_group_churn ~seed ~shard ~domains ~groups ?join_bias ~events
+    (fun seq group node join_ref ->
+      out := { seq; group; node; join = join_ref < 0; join_ref } :: !out);
+  Array.of_list (List.rev !out)
+
 let test_group_churn_deterministic () =
-  let gen shard =
-    Membership.group_churn ~seed:424242 ~shard ~domains:500 ~groups:40 ~events:2000 ()
-  in
+  let gen shard = group_churn ~seed:424242 ~shard ~domains:500 ~groups:40 ~events:2000 () in
   let a = gen 3 and b = gen 3 in
   Alcotest.(check int) "same length" (Array.length a) (Array.length b);
   Array.iteri
     (fun i ev ->
       let ev' = b.(i) in
       Alcotest.(check bool) "same event" true
-        (ev.Membership.seq = ev'.Membership.seq
-        && ev.Membership.group = ev'.Membership.group
-        && ev.Membership.node = ev'.Membership.node
-        && ev.Membership.join = ev'.Membership.join
-        && ev.Membership.join_ref = ev'.Membership.join_ref))
+        (ev.seq = ev'.seq && ev.group = ev'.group && ev.node = ev'.node && ev.join = ev'.join
+        && ev.join_ref = ev'.join_ref))
     a
 
 let test_group_churn_shards_disjoint () =
@@ -187,54 +193,62 @@ let test_group_churn_shards_disjoint () =
   let groups = 40 in
   List.iter
     (fun shard ->
-      let evs =
-        Membership.group_churn ~seed:7 ~shard ~domains:300 ~groups ~events:1500 ()
-      in
+      let evs = group_churn ~seed:7 ~shard ~domains:300 ~groups ~events:1500 () in
       Array.iter
         (fun ev ->
-          if ev.Membership.group < shard * groups || ev.Membership.group >= (shard + 1) * groups
-          then
-            Alcotest.failf "shard %d drew group %d outside its block" shard ev.Membership.group)
+          if ev.group < shard * groups || ev.group >= (shard + 1) * groups then
+            Alcotest.failf "shard %d drew group %d outside its block" shard ev.group)
         evs)
     [ 0; 1; 2; 5 ];
   (* And different shards draw genuinely different streams. *)
-  let a = Membership.group_churn ~seed:7 ~shard:0 ~domains:300 ~groups ~events:1500 () in
-  let b = Membership.group_churn ~seed:7 ~shard:1 ~domains:300 ~groups ~events:1500 () in
+  let a = group_churn ~seed:7 ~shard:0 ~domains:300 ~groups ~events:1500 () in
+  let b = group_churn ~seed:7 ~shard:1 ~domains:300 ~groups ~events:1500 () in
   let same = ref true in
   Array.iteri
     (fun i ev ->
-      if
-        ev.Membership.node <> b.(i).Membership.node
-        || ev.Membership.join <> b.(i).Membership.join
-      then same := false)
+      if ev.node <> b.(i).node || ev.join <> b.(i).join then same := false)
     a;
   Alcotest.(check bool) "shards are independent streams" false !same
 
 let test_group_churn_leaves_reference_live_joins () =
-  let evs = Membership.group_churn ~seed:99 ~shard:2 ~domains:200 ~groups:25 ~events:3000 () in
+  let evs = group_churn ~seed:99 ~shard:2 ~domains:200 ~groups:25 ~events:3000 () in
   let live = Hashtbl.create 256 in
   Array.iter
     (fun ev ->
-      if ev.Membership.join then begin
-        Alcotest.(check int) "joins carry no back-reference" (-1) ev.Membership.join_ref;
-        Hashtbl.replace live ev.Membership.seq ev
+      if ev.join then begin
+        Alcotest.(check int) "joins carry no back-reference" (-1) ev.join_ref;
+        Hashtbl.replace live ev.seq ev
       end
       else begin
-        match Hashtbl.find_opt live ev.Membership.join_ref with
+        match Hashtbl.find_opt live ev.join_ref with
         | None ->
-            Alcotest.failf "leave %d references %d, which is not a live join" ev.Membership.seq
-              ev.Membership.join_ref
+            Alcotest.failf "leave %d references %d, which is not a live join" ev.seq ev.join_ref
         | Some j ->
-            Alcotest.(check int) "leave cancels the join's group" j.Membership.group
-              ev.Membership.group;
-            Alcotest.(check int) "leave cancels the join's member" j.Membership.node
-              ev.Membership.node;
-            Hashtbl.remove live ev.Membership.join_ref
+            Alcotest.(check int) "leave cancels the join's group" j.group ev.group;
+            Alcotest.(check int) "leave cancels the join's member" j.node ev.node;
+            Hashtbl.remove live ev.join_ref
       end)
     evs;
   (* Some churn actually happened. *)
-  let leaves = Array.fold_left (fun n ev -> if ev.Membership.join then n else n + 1) 0 evs in
+  let leaves = Array.fold_left (fun n ev -> if ev.join then n else n + 1) 0 evs in
   Alcotest.(check bool) "stream contains leaves" true (leaves > 0)
+
+let test_group_churn_collector_matches_stream () =
+  (* The collector is a plain fold over the stream: consuming the
+     events one by one, as fig4-modern does, sees the same sequence. *)
+  let seed = 1998 and shard = 1 and domains = 400 and groups = 30 and events = 2500 in
+  let collected = group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events () in
+  let count = ref 0 in
+  Membership.iter_group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events
+    (fun seq group node join_ref ->
+      Alcotest.(check int) "events arrive in order" !count seq;
+      let ev = collected.(seq) in
+      Alcotest.(check (list int)) (Printf.sprintf "event %d" seq)
+        [ ev.seq; ev.group; ev.node; ev.join_ref ]
+        [ seq; group; node; join_ref ];
+      incr count);
+  Alcotest.(check int) "same length" (Array.length collected) !count;
+  Alcotest.(check int) "every event streamed" events !count
 
 let suite =
   [
@@ -249,6 +263,7 @@ let suite =
     ("group churn deterministic", `Quick, test_group_churn_deterministic);
     ("group churn shards disjoint", `Quick, test_group_churn_shards_disjoint);
     ("group churn leaves reference live joins", `Quick, test_group_churn_leaves_reference_live_joins);
+    ("group churn collector matches stream", `Quick, test_group_churn_collector_matches_stream);
     ("scenario figure1", `Quick, test_scenario_figure1);
     ("scenario figure3 branch", `Quick, test_scenario_figure3_branch);
     ("scenario figure3 under pim-sm", `Quick, test_scenario_figure3_pim_sm);
