@@ -92,15 +92,19 @@ let evaluate ?from_source ?from_root topo group =
   in
   evaluate_over (Shared_tree.create topo) ~from_source ~from_root group
 
+(* The two dist/via pairs are a two-slot BFS cache keyed by source
+   node: a slot's [paths.src] names the node its arrays were computed
+   from, [-1] when the slot is empty.  The arrays never move; a BFS
+   overwrites them and the slot takes the fresh [paths] view. *)
 type workspace = {
   csr : Topo.csr;
   bfs : Spf.workspace;
-  source_dist : int array;
-  source_via : int array;
-  root_dist : int array;
-  root_via : int array;
+  mutable slot_a : Spf.paths;
+  mutable slot_b : Spf.paths;
   tree : Shared_tree.t;
 }
+
+let empty_slot n = { Spf.src = -1; dist = Array.make n max_int; via = Array.make n (-1) }
 
 let make_workspace topo =
   let csr = Topo.freeze topo in
@@ -108,24 +112,38 @@ let make_workspace topo =
   {
     csr;
     bfs = Spf.make_workspace csr;
-    source_dist = Array.make n max_int;
-    source_via = Array.make n (-1);
-    root_dist = Array.make n max_int;
-    root_via = Array.make n (-1);
+    slot_a = empty_slot n;
+    slot_b = empty_slot n;
     tree = Shared_tree.create topo;
   }
+
+let forget ws =
+  ws.slot_a <- { ws.slot_a with Spf.src = -1 };
+  ws.slot_b <- { ws.slot_b with Spf.src = -1 }
+
+(* [v]'s BFS tree: a slot that holds it, else a fresh BFS into the slot
+   that does not hold [keep], the group's other endpoint.  A negative
+   [v] never hits an empty slot: it reaches the BFS, which rejects it. *)
+let slot_for ws v ~keep =
+  if v >= 0 && ws.slot_a.Spf.src = v then ws.slot_a
+  else if v >= 0 && ws.slot_b.Spf.src = v then ws.slot_b
+  else if ws.slot_a.Spf.src = keep then begin
+    let { Spf.dist; via; _ } = ws.slot_b in
+    ws.slot_b <- Spf.bfs_into ~ws:ws.bfs ws.csr ~dist ~via v;
+    ws.slot_b
+  end
+  else begin
+    let { Spf.dist; via; _ } = ws.slot_a in
+    ws.slot_a <- Spf.bfs_into ~ws:ws.bfs ws.csr ~dist ~via v;
+    ws.slot_a
+  end
 
 let evaluate_with ws topo group =
   if Topo.freeze topo != ws.csr then
     invalid_arg "Path_eval.evaluate_with: workspace built for another topology";
   let { source; root; _ } = group in
-  let from_source =
-    Spf.bfs_into ~ws:ws.bfs ws.csr ~dist:ws.source_dist ~via:ws.source_via source
-  in
-  let from_root =
-    if root = source then from_source
-    else Spf.bfs_into ~ws:ws.bfs ws.csr ~dist:ws.root_dist ~via:ws.root_via root
-  in
+  let from_source = slot_for ws source ~keep:root in
+  let from_root = slot_for ws root ~keep:source in
   evaluate_over ws.tree ~from_source ~from_root group
 
 let workspace_tree ws = ws.tree

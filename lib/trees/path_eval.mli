@@ -49,23 +49,39 @@ val draw_receivers : Rng.t -> n:int -> source:Domain.id -> int -> Domain.id arra
 (** {2 Reusable workspace}
 
     Everything one evaluation needs that is sized by the graph: a BFS
-    queue, a dist/via pair for the source and one for the root, and a
-    resettable {!Shared_tree.t}.  A harness running many groups over
-    one topology keeps one workspace per worker (e.g. from
-    {!Par.map_with}'s [~init]); an evaluation then allocates only its
-    result arrays, sized by the group. *)
+    queue, two dist/via pairs and a resettable {!Shared_tree.t}.  The
+    two pairs are a two-slot BFS cache keyed by source node: each holds
+    the BFS tree of the node it was last computed from, and one BFS tree
+    serves a node as a group's source and as a group's root alike.  A
+    harness running many groups over one topology keeps one workspace
+    per worker (e.g. from {!Par.map_with}'s [~init]); an evaluation then
+    allocates only its result arrays, sized by the group.  Ordering
+    groups so that consecutive ones share an endpoint makes each group
+    after the first cost one BFS instead of two. *)
 
 type workspace
 
 val make_workspace : Topo.t -> workspace
-(** A workspace for the topology's current snapshot ({!Topo.freeze}). *)
+(** A workspace for the topology's current snapshot ({!Topo.freeze}),
+    with both slots empty. *)
 
 val evaluate_with : workspace -> Topo.t -> group -> paths
-(** The same paths as [evaluate topo group], computed in the workspace:
-    one BFS from the source and one from the root (none extra when the
-    root is the source).
+(** The same paths as [evaluate topo group], computed in the workspace.
+    A BFS runs only for an endpoint (source or root) whose tree is in
+    neither slot, and it overwrites the slot the group does not need;
+    so a group whose endpoints are both cached runs no BFS, and a chain
+    of [k] groups in which each shares an endpoint with the one before
+    runs at most [k + 1] (exactly that when the chain walks through
+    [k + 1] distinct nodes).  Which BFS runs
+    depends only on the groups evaluated since {!make_workspace} or the
+    last {!forget}, never on the result.
     @raise Invalid_argument when the topology is not the one (or has
     changed since) the workspace was made for. *)
+
+val forget : workspace -> unit
+(** Empty both slots: the next evaluation runs the BFS of each of its
+    endpoints.  A harness calls it at the start of a unit of work whose
+    BFS count must not depend on what the worker ran before. *)
 
 val workspace_tree : workspace -> Shared_tree.t
 (** The shared tree of the workspace's last evaluation; the next

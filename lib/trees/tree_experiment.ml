@@ -77,6 +77,77 @@ type trial_out = {
   t_violations : int;
 }
 
+(* Trials per scheduled task.  A chunk starts with empty BFS slots, so
+   it costs one BFS per trial plus one; 64 keeps that extra run under
+   2% while leaving hundreds of tasks to balance across workers. *)
+let chunk_trials = 64
+
+let schedule ~nodes ends =
+  let m = Array.length ends in
+  (* Incidence lists, CSR-style: a trial is listed under each of its two
+     endpoints, a self-loop once.  [deg] is the degree over unused
+     trials, a self-loop counting 2, so its parity is the usual one. *)
+  let deg = Array.make nodes 0 and row = Array.make (nodes + 1) 0 in
+  Array.iter
+    (fun (s, r) ->
+      deg.(s) <- deg.(s) + 1;
+      deg.(r) <- deg.(r) + 1;
+      row.(s + 1) <- row.(s + 1) + 1;
+      if r <> s then row.(r + 1) <- row.(r + 1) + 1)
+    ends;
+  for v = 1 to nodes do
+    row.(v) <- row.(v) + row.(v - 1)
+  done;
+  let inc = Array.make row.(nodes) 0 and next = Array.sub row 0 nodes in
+  Array.iteri
+    (fun i (s, r) ->
+      inc.(next.(s)) <- i;
+      next.(s) <- next.(s) + 1;
+      if r <> s then begin
+        inc.(next.(r)) <- i;
+        next.(r) <- next.(r) + 1
+      end)
+    ends;
+  Array.blit row 0 next 0 nodes;
+  let used = Array.make m false and order = Array.make m 0 and filled = ref 0 in
+  let chunks = ref [] in
+  (* Follow unused trials from [v] until stuck, then cut the trail into
+     chunks.  [next.(v)] only moves past used entries, so the scan over
+     a node's list is linear over the whole schedule. *)
+  let walk v =
+    let start = !filled and v = ref v in
+    while deg.(!v) > 0 do
+      while used.(inc.(next.(!v))) do
+        next.(!v) <- next.(!v) + 1
+      done;
+      let i = inc.(next.(!v)) in
+      let s, r = ends.(i) in
+      used.(i) <- true;
+      deg.(s) <- deg.(s) - 1;
+      deg.(r) <- deg.(r) - 1;
+      order.(!filled) <- i;
+      incr filled;
+      v := if s = !v then r else s
+    done;
+    let pos = ref start in
+    while !pos < !filled do
+      let len = min chunk_trials (!filled - !pos) in
+      chunks := Array.sub order !pos len :: !chunks;
+      pos := !pos + len
+    done
+  in
+  (* A walk from an odd node ends at another odd one, leaving both even;
+     once every degree is even, a walk ends where it started. *)
+  for v = 0 to nodes - 1 do
+    if deg.(v) land 1 = 1 then walk v
+  done;
+  for v = 0 to nodes - 1 do
+    while deg.(v) > 0 do
+      walk v
+    done
+  done;
+  List.rev !chunks
+
 let run p =
   let rng = Rng.create p.seed in
   let topo = Prof.span "fig4.topology" (fun () -> make_topology p rng) in
@@ -111,12 +182,7 @@ let run p =
   in
   let specs = ref [] in
   List.iter (fun size -> for _ = 1 to p.trials do specs := draw_trial size :: !specs done) sizes;
-  let specs = List.rev !specs in
-  (* One trial = one task, evaluated in its worker slot's reusable
-     workspace (BFS pairs and shared tree), so a trial allocates nothing
-     sized by the graph.  Each task gets its own invariant monitor
-     counting into its shard, so counts do not depend on which domain
-     ran which trial. *)
+  let specs = Array.of_list (List.rev !specs) in
   let run_trial ws spec =
     Metrics.incr m_trials;
     let size = Array.length spec.sp_receivers in
@@ -167,14 +233,32 @@ let run p =
     in
     { t_uni; t_bi; t_hy; t_violations }
   in
-  let jobs = if p.jobs = 0 then None else Some p.jobs in
-  let outs =
-    Par.map_with ?jobs
-      ~init:(fun () -> Path_eval.make_workspace topo)
-      (fun ws spec -> Par.with_shard (fun () -> Prof.span "fig4.trial" (fun () -> run_trial ws spec)))
-      specs
+  (* One task = one chunk of a trail through the trials' (source, root)
+     pairs, so consecutive trials share an endpoint and its BFS tree
+     stays in the worker's reusable workspace (BFS slots and shared
+     tree); a trial allocates nothing sized by the graph.  The task
+     empties the slots first, so the BFS count depends only on the
+     spec list, not on which worker ran which chunk.  Each trial still
+     runs in its own Obs shard with its own invariant monitor. *)
+  let chunks =
+    schedule ~nodes:n (Array.map (fun spec -> (spec.sp_source, spec.sp_root)) specs)
   in
-  let outs = Array.of_list outs in
+  let run_chunk ws chunk =
+    Path_eval.forget ws;
+    Array.map
+      (fun i ->
+        Par.with_shard (fun () -> Prof.span "fig4.trial" (fun () -> run_trial ws specs.(i))))
+      chunk
+  in
+  let jobs = if p.jobs = 0 then None else Some p.jobs in
+  let chunk_outs =
+    Par.map_with ?jobs ~init:(fun () -> Path_eval.make_workspace topo) run_chunk chunks
+  in
+  (* Each trial's output back at its index. *)
+  let outs = Array.make (Array.length specs) None in
+  List.iter2
+    (fun chunk results -> Array.iteri (fun j i -> outs.(i) <- Some results.(j)) chunk)
+    chunks chunk_outs;
   (* Sequential reduce, in trial order: Obs shards fold back and the
      per-point statistics accumulate exactly as the sequential loop
      did, so every output — stdout, --metrics, --profile, telemetry —
@@ -189,7 +273,7 @@ let run p =
         let ha = Stats.create () and hm = Stats.create () in
         Prof.span "fig4.point" @@ fun () ->
         for _ = 1 to p.trials do
-          let out, shard = outs.(!idx) in
+          let out, shard = Option.get outs.(!idx) in
           incr idx;
           Par.merge_shard shard;
           let fold o sa sm worst =

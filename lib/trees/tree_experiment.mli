@@ -34,11 +34,12 @@ type params = {
           each group-size point (worst ratios so far, trials run), with
           the group size as the time axis; default [None] *)
   jobs : int;
-      (** domains running trials concurrently (one task per trial); [0]
-          means the {!Par} pool default.  Every trial's randomness is
-          drawn up front on the calling domain and every Obs shard is
-          folded back in trial order, so results, metrics, profiles and
-          telemetry are byte-identical at any job count; default [0] *)
+      (** domains running trials concurrently (one task per chunk of
+          trials, see {!schedule}); [0] means the {!Par} pool default.
+          Every trial's randomness is drawn up front on the calling
+          domain and every Obs shard is folded back in trial order, so
+          results, metrics, profiles and telemetry are byte-identical
+          at any job count; default [0] *)
 }
 
 val default_params : params
@@ -68,6 +69,19 @@ type result = {
 }
 
 val run : params -> result
+
+val schedule : nodes:int -> (Domain.id * Domain.id) array -> int array list
+(** The order {!run} evaluates its trials in.  Trial [i] is the edge
+    [ends.(i) = (source, root)] of a multigraph on [\[0, nodes)] (a
+    self-loop when the root is the source); the multigraph is cut
+    greedily into trails, each walk starting at a node of odd remaining
+    degree while one is left, then at any node with unused edges, and
+    following unused edges until it is stuck.  Each trail is cut into
+    chunks of at most 64 trials: the result lists every trial index
+    exactly once, and consecutive trials in a chunk share an endpoint.
+    [run] evaluates one chunk per {!Par} task, emptying the worker's
+    BFS slots ({!Path_eval.forget}) first, so a chunk of [k] trials
+    costs at most [k + 1] BFS runs at any job count. *)
 
 val series_of_result : result -> Stats.series list
 (** Six printable series, labelled like the paper's legend. *)

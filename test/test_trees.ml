@@ -202,6 +202,20 @@ let test_path_eval_workspace_rejects_other_topology () =
         (fun () -> ignore (Path_eval.evaluate_with ws other group)))
     [ Gen.line ~n:7; Gen.line ~n:4 ]
 
+(* An empty BFS slot must not pass for a negative node's tree: unknown
+   endpoints reach the BFS, which rejects them as [evaluate] does. *)
+let test_path_eval_workspace_rejects_unknown_endpoints () =
+  let topo = Gen.line ~n:4 in
+  let ws = Path_eval.make_workspace topo in
+  List.iter
+    (fun (source, root) ->
+      let group = { Path_eval.source; root; receivers = [| 3 |] } in
+      Alcotest.check_raises
+        (Printf.sprintf "source %d root %d" source root)
+        (Invalid_argument "Spf.bfs_into: unknown source id")
+        (fun () -> ignore (Path_eval.evaluate_with ws topo group)))
+    [ (-1, 0); (0, -1); (-1, -1); (4, 0); (0, 4) ]
+
 (* --- Reused workspace against fresh evaluation --------------------------- *)
 
 let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
@@ -259,6 +273,36 @@ let same_tree n reused fresh =
                     anchors))
        (List.init n Fun.id)
 
+(* A BFS-run counter in a registry made current for the test's span. *)
+let with_bfs_counter f =
+  let registry = Metrics.create () in
+  Metrics.with_current registry (fun () ->
+      f (fun () -> Metrics.count (Metrics.counter ~registry "spf.bfs_runs")))
+
+(* How a group follows the previous one in a sequence, and the BFS runs
+   the slot cache may spend on it: [Exactly k] or [At_most k]. *)
+type bound = Exactly of int | At_most of int
+
+(* The next group of a sequence: a fresh one, or one chained to the
+   previous group through a shared endpoint, the same group again, a
+   source-rooted group, or a fresh group after [forget] (which then
+   pays for each distinct endpoint). *)
+let next_group rng n ws prev =
+  let g = random_group rng n in
+  let endpoints g = if g.Path_eval.source = g.Path_eval.root then 1 else 2 in
+  match prev with
+  | None -> (g, At_most 2)
+  | Some prev -> (
+      match Rng.int rng 6 with
+      | 0 -> (g, At_most 2)
+      | 1 -> ({ g with Path_eval.source = prev.Path_eval.root }, At_most 1)
+      | 2 -> ({ g with Path_eval.root = prev.Path_eval.source }, At_most 1)
+      | 3 -> ({ g with Path_eval.root = g.Path_eval.source }, At_most 1)
+      | 4 -> (prev, Exactly 0)
+      | _ ->
+          Path_eval.forget ws;
+          (g, Exactly (endpoints g)))
+
 let prop_workspace_matches_fresh =
   QCheck.Test.make ~name:"reused workspace = fresh evaluate and build" ~count:300
     QCheck.(int_range 1 1_000_000)
@@ -267,17 +311,54 @@ let prop_workspace_matches_fresh =
       let topo = random_graph rng in
       let n = Topo.domain_count topo in
       let ws = Path_eval.make_workspace topo in
+      with_bfs_counter @@ fun bfs_runs ->
+      let prev = ref None in
       List.for_all
         (fun _ ->
-          let group = random_group rng n in
+          let group, bound = next_group rng n ws !prev in
+          prev := Some group;
+          let before = bfs_runs () in
           let reused = outcome (fun () -> Path_eval.evaluate_with ws topo group) in
+          let ran = bfs_runs () - before in
           let fresh = outcome (fun () -> Path_eval.evaluate topo group) in
           let tree =
             Shared_tree.build topo ~root:group.Path_eval.root
               ~members:(Array.to_list group.Path_eval.receivers)
           in
-          reused = fresh && same_tree n (Path_eval.workspace_tree ws) tree)
-        (List.init (1 + Rng.int rng 6) Fun.id))
+          let within = match bound with Exactly k -> ran = k | At_most k -> ran <= k in
+          within && reused = fresh && same_tree n (Path_eval.workspace_tree ws) tree)
+        (List.init (1 + Rng.int rng 12) Fun.id))
+
+(* A chain of k groups along a trail of k + 1 distinct nodes: group i
+   joins nodes i and i + 1, rooted at i + 1 when [i mod 4 < 2] and at i
+   otherwise, so the shared node passes from root to source, root to
+   root, source to root and source to source in turn.  After [forget]
+   the chain costs exactly k + 1 BFS. *)
+let test_workspace_chain_bfs_count () =
+  let topo = Gen.power_law ~rng:(Rng.create 11) ~n:200 ~m:2 in
+  let ws = Path_eval.make_workspace topo in
+  let rng = Rng.create 12 in
+  let k = 12 in
+  let trail = Rng.sample_without_replacement rng (k + 1) 200 in
+  with_bfs_counter @@ fun bfs_runs ->
+  (* Leave the slots holding other nodes first, so [forget] matters. *)
+  ignore
+    (Path_eval.evaluate_with ws topo
+       { Path_eval.source = trail.(0); root = trail.(1); receivers = [| 5 |] });
+  Path_eval.forget ws;
+  let ran = ref 0 in
+  for i = 0 to k - 1 do
+    let a = trail.(i) and b = trail.(i + 1) in
+    let source, root = if i mod 4 < 2 then (a, b) else (b, a) in
+    let receivers = Path_eval.draw_receivers rng ~n:200 ~source 8 in
+    let group = { Path_eval.source; root; receivers } in
+    let before = bfs_runs () in
+    let reused = Path_eval.evaluate_with ws topo group in
+    ran := !ran + (bfs_runs () - before);
+    check Alcotest.bool (Printf.sprintf "group %d matches evaluate" i) true
+      (reused = Path_eval.evaluate topo group)
+  done;
+  check Alcotest.int "k groups along a trail cost k + 1 BFS" (k + 1) !ran
 
 (* --- Allocation of a Figure 4 trial -------------------------------------- *)
 
@@ -286,8 +367,8 @@ let prop_workspace_matches_fresh =
    ([major_words - promoted_words] counts only direct major allocation),
    and the minor bytes are the group-sized results: four 100-entry path
    arrays, three ratio summaries and the records around them.  Measured
-   at 3704 bytes on 64-bit (with the two [Gc.counters] results); the
-   bound is 1.25x that. *)
+   at 3768 bytes on 64-bit (with the two [Gc.counters] results and the
+   two 4-word slot records [forget] writes); the bound is 1.23x that. *)
 let trial_minor_bytes_bound = 4_630.0
 
 let test_trial_allocation () =
@@ -298,7 +379,10 @@ let test_trial_allocation () =
   let receivers = Path_eval.draw_receivers rng ~n ~source 100 in
   let group = { Path_eval.source; root = receivers.(0); receivers } in
   let ws = Path_eval.make_workspace topo in
+  (* Emptying the BFS slots makes each measured trial run both BFS, as
+     the first trial of a schedule chunk does. *)
   let trial () =
+    Path_eval.forget ws;
     let paths = Path_eval.evaluate_with ws topo group in
     let baseline = paths.Path_eval.spt in
     ignore (Path_eval.ratios ~baseline paths.Path_eval.unidirectional);
@@ -401,6 +485,122 @@ let test_experiment_root_placement_ablation () =
   check Alcotest.bool "source-rooted trees shorter than random-rooted" true
     (at_source <= random +. 1e-9)
 
+(* --- Trail schedule -------------------------------------------------- *)
+
+let shares_endpoint (a, b) (c, d) = a = c || a = d || b = c || b = d
+
+(* Random trial multigraphs: few or many nodes (some with no trials),
+   repeated pairs and self-loops, up to several hundred trials so long
+   trails are cut into chunks. *)
+let prop_schedule_covers_trials =
+  QCheck.Test.make ~name:"schedule lists every trial once, in short trails" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 1 + Rng.int rng 40 in
+      let m = Rng.int rng 400 in
+      let ends = Array.make m (0, 0) in
+      for i = 0 to m - 1 do
+        let s = Rng.int rng nodes in
+        ends.(i) <-
+          (match Rng.int rng 4 with
+          | 0 -> (s, s)
+          | 1 when i > 0 -> ends.(Rng.int rng i)
+          | _ -> (s, Rng.int rng nodes))
+      done;
+      let chunks = Tree_experiment.schedule ~nodes ends in
+      let seen = Array.make m 0 in
+      List.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) chunks;
+      Array.for_all (( = ) 1) seen
+      && List.for_all
+           (fun chunk ->
+             let len = Array.length chunk in
+             len >= 1 && len <= 64
+             && List.for_all
+                  (fun j -> shares_endpoint ends.(chunk.(j)) ends.(chunk.(j + 1)))
+                  (List.init (len - 1) Fun.id))
+           chunks)
+
+(* A simple path through 40 nodes in random id order, its trials in
+   random order and orientation: starting at an odd (end) node, the
+   greedy walks it as one trail, so one chunk.  A walk started at an
+   inner node would stop at one end and leave the other side over. *)
+let test_schedule_walks_a_path_whole () =
+  let rng = Rng.create 5 in
+  let nodes = 40 in
+  let route = Rng.sample_without_replacement rng nodes nodes in
+  let ends =
+    Array.map
+      (fun i ->
+        let a = route.(i) and b = route.(i + 1) in
+        if Rng.bool rng then (a, b) else (b, a))
+      (Rng.sample_without_replacement rng (nodes - 1) (nodes - 1))
+  in
+  check Alcotest.int "one chunk" 1 (List.length (Tree_experiment.schedule ~nodes ends))
+
+(* A Figure 4 run's BFS runs and trials at the given job count. *)
+let bfs_and_trials params ~jobs =
+  let registry = Metrics.create () in
+  Metrics.with_current registry (fun () ->
+      ignore (Tree_experiment.run { params with Tree_experiment.jobs }));
+  let count name = Metrics.count (Metrics.counter ~registry name) in
+  (count "spf.bfs_runs", count "trees.trials_run")
+
+(* 1,800 trials (sizes 1..500) on 1,000 nodes cut into 266 chunks: 2,065
+   BFS runs, 1.15 per trial, against 2 per trial without the schedule.
+   The greedy is within one trail of the minimum here (one per pair of
+   odd-degree nodes in each component); at 100 trials per size that
+   minimum alone is 1.27 runs per trial, so the bound needs 200. *)
+let test_experiment_bfs_count () =
+  let params =
+    { Tree_experiment.default_params with Tree_experiment.nodes = 1000; trials = 200 }
+  in
+  let bfs, trials = bfs_and_trials params ~jobs:1 in
+  check Alcotest.bool
+    (Printf.sprintf "%d BFS runs within 1.25 x %d trials" bfs trials)
+    true
+    (float_of_int bfs <= 1.25 *. float_of_int trials);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "same counts at 4 jobs" (bfs, trials)
+    (bfs_and_trials params ~jobs:4)
+
+(* Root at the source: every trial is a self-loop, so a chunk runs one
+   BFS per distinct source in it.  The trials' (source, root) pairs are
+   read back from their flight-recorder records. *)
+let test_experiment_bfs_count_root_at_source () =
+  let params =
+    {
+      tiny_params with
+      Tree_experiment.nodes = 300;
+      group_sizes = [ 1; 5; 20; 50 ];
+      trials = 60;
+      root_placement = Tree_experiment.Root_at_source;
+    }
+  in
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  let bfs, trials =
+    Fun.protect ~finally:Recorder.disable (fun () -> bfs_and_trials params ~jobs:1)
+  in
+  let ends =
+    Recorder.recent ()
+    |> List.filter (fun r -> r.Recorder.r_label = "fig4.trial")
+    |> List.map (fun r ->
+           Scanf.sscanf r.Recorder.r_subject "src=%d root=%d size=%d" (fun s r _ -> (s, r)))
+    |> Array.of_list
+  in
+  check Alcotest.int "one record per trial" trials (Array.length ends);
+  Array.iter (fun (s, r) -> check Alcotest.int "root is the source" s r) ends;
+  let distinct_sources chunk =
+    List.length (List.sort_uniq compare (List.map (fun i -> fst ends.(i)) (Array.to_list chunk)))
+  in
+  let expected =
+    List.fold_left
+      (fun acc chunk -> acc + distinct_sources chunk)
+      0
+      (Tree_experiment.schedule ~nodes:params.Tree_experiment.nodes ends)
+  in
+  check Alcotest.int "one BFS per distinct source per chunk" expected bfs;
+  check Alcotest.int "same BFS count at 4 jobs" bfs (fst (bfs_and_trials params ~jobs:4))
+
 let test_series_output () =
   let r = Tree_experiment.run tiny_params in
   let series = Tree_experiment.series_of_result r in
@@ -431,11 +631,19 @@ let suite =
     ( "path eval workspace rejects another topology",
       `Quick,
       test_path_eval_workspace_rejects_other_topology );
+    ( "path eval workspace rejects unknown endpoints",
+      `Quick,
+      test_path_eval_workspace_rejects_unknown_endpoints );
     QCheck_alcotest.to_alcotest prop_workspace_matches_fresh;
+    ("path eval workspace chain BFS count", `Quick, test_workspace_chain_bfs_count);
     ("trial allocation", `Quick, test_trial_allocation);
     ("experiment shape", `Quick, test_experiment_shape);
     ("experiment deterministic", `Quick, test_experiment_deterministic);
     ("experiment paper shape (medium)", `Slow, test_experiment_paper_shape_medium);
     ("experiment root placement ablation", `Slow, test_experiment_root_placement_ablation);
     ("series output", `Quick, test_series_output);
+    QCheck_alcotest.to_alcotest prop_schedule_covers_trials;
+    ("schedule walks a path whole", `Quick, test_schedule_walks_a_path_whole);
+    ("experiment BFS count", `Quick, test_experiment_bfs_count);
+    ("experiment BFS count, root at source", `Quick, test_experiment_bfs_count_root_at_source);
   ]
