@@ -692,30 +692,9 @@ let run_beacon domains per_domain probes trials seed loss churn matrix_out ctx =
       Format.printf "matrix written to %s@." file);
   if not ctx.check then 0
   else begin
-    (* The measurement layer's own invariants: accounting closes, trees
-       never duplicate, and a lossless churn-free run delivers
-       everything. *)
-    let bad = ref 0 in
-    let agg = r.Beacon_campaign.agg in
-    if agg.Beacon_matrix.s_sent <> agg.Beacon_matrix.s_got + agg.Beacon_matrix.s_lost
-    then begin
-      incr bad;
-      Format.eprintf "beacon: %d probes expected but %d+%d accounted@."
-        agg.Beacon_matrix.s_sent agg.Beacon_matrix.s_got agg.Beacon_matrix.s_lost
-    end;
-    List.iter
-      (fun (t : Beacon_campaign.trial_result) ->
-        if t.Beacon_campaign.r_duplicates > 0 then begin
-          incr bad;
-          Format.eprintf "beacon: trial %d delivered %d duplicate copies@."
-            t.Beacon_campaign.r_trial t.Beacon_campaign.r_duplicates
-        end)
-      r.Beacon_campaign.trials;
-    if loss = 0.0 && (not churn) && not agg.Beacon_matrix.s_complete then begin
-      incr bad;
-      Format.eprintf "beacon: incomplete matrix despite loss=0 and no churn@."
-    end;
-    !bad
+    let vs = Invariant.check (Beacon_campaign.invariants p r) in
+    List.iter (fun v -> Format.eprintf "%a@." Invariant.pp_violation v) vs;
+    List.length vs
   end
 
 (* ---------------- explore -------------------------------------------- *)

@@ -134,6 +134,13 @@ let fold t ~init ~f = fold_below t.root 0 0 init ~f
 
 let iter t ~f = fold t ~init:() ~f:(fun p v () -> f p v)
 
+let rec iter_values_below node f =
+  (match node.value with Some v -> f v | None -> ());
+  (match node.zero with Some child -> iter_values_below child f | None -> ());
+  match node.one with Some child -> iter_values_below child f | None -> ()
+
+let iter_values t f = iter_values_below t.root f
+
 let to_list t = List.rev (fold t ~init:[] ~f:(fun p v acc -> (p, v) :: acc))
 
 (* The bindings overlapping a prefix are the ones on the path down to

@@ -65,5 +65,9 @@ val fold : 'a t -> init:'b -> f:(Prefix.t -> 'a -> 'b -> 'b) -> 'b
 
 val iter : 'a t -> f:(Prefix.t -> 'a -> unit) -> unit
 
+val iter_values : 'a t -> ('a -> unit) -> unit
+(** The bound values in increasing prefix order.  Builds no prefix, so
+    the walk itself allocates nothing. *)
+
 val to_list : 'a t -> (Prefix.t * 'a) list
 (** Bindings in increasing prefix order. *)

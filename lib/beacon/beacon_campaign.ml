@@ -203,3 +203,29 @@ let run ?jobs (p : params) =
   List.iter (fun r -> Beacon_matrix.merge_into ~into:agg_matrix r.r_matrix) trials;
   let cells = Beacon_matrix.cells agg_matrix in
   { trials; cells; agg = Beacon_matrix.summary cells }
+
+let invariants p r =
+  let inv = Invariant.create () in
+  let agg = r.agg in
+  Invariant.register inv ~name:"beacon-conservation" (fun () ->
+      if agg.Beacon_matrix.s_sent = agg.Beacon_matrix.s_got + agg.Beacon_matrix.s_lost then []
+      else
+        [
+          ( Printf.sprintf "%d probes expected but %d+%d accounted" agg.Beacon_matrix.s_sent
+              agg.Beacon_matrix.s_got agg.Beacon_matrix.s_lost,
+            None );
+        ]);
+  Invariant.register inv ~name:"bgmp-no-duplicates" (fun () ->
+      List.filter_map
+        (fun t ->
+          if t.r_duplicates = 0 then None
+          else
+            Some
+              ( Printf.sprintf "trial %d delivered %d duplicate copies" t.r_trial t.r_duplicates,
+                None ))
+        r.trials);
+  Invariant.register inv ~name:"beacon-complete-after-heal" (fun () ->
+      if p.loss = 0.0 && (not p.churn) && not agg.Beacon_matrix.s_complete then
+        [ ("incomplete matrix despite loss=0 and no churn", None) ]
+      else []);
+  inv

@@ -62,3 +62,15 @@ type result = {
 
 val run : ?jobs:int -> params -> result
 (** @raise Invalid_argument on telemetry with [trials > 1]. *)
+
+val invariants : params -> result -> Invariant.t
+(** The measurement layer's own verdict over a finished campaign, as
+    three registered predicates (counted in the creating domain's
+    {!Metrics.current}):
+
+    - ["beacon-conservation"] — every probe copy expected is either
+      delivered or lost ([sent = got + lost]);
+    - ["bgmp-no-duplicates"] — no trial delivered a duplicate copy
+      (one violation per offending trial);
+    - ["beacon-complete-after-heal"] — a lossless, churn-free campaign
+      has a complete matrix (vacuous under loss or churn). *)

@@ -265,3 +265,5 @@ let next_hop_to_root t addr =
 let best_routes t = Prefix_trie.to_list t.grib
 
 let grib_size t = Prefix_trie.cardinal t.grib
+
+let iter_routes t f = Prefix_trie.iter_values t.grib f

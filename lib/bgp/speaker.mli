@@ -89,4 +89,8 @@ val best_routes : t -> (Prefix.t * Route.t) list
 
 val grib_size : t -> int
 
+val iter_routes : t -> (Route.t -> unit) -> unit
+(** The G-RIB's routes in prefix order, without building a list: the
+    walk allocates nothing of its own. *)
+
 val originated : t -> Prefix.t list

@@ -310,6 +310,83 @@ let grib_nexthop_violations t () =
           (Bgmp_fabric.tree_domains t.bgmp_fabric ~group))
       (Bgmp_fabric.active_groups t.bgmp_fabric)
 
+(* §2 policy, checked in the protocol rather than by a path kernel: the
+   advertisement path origin -> ... -> self of every G-RIB route climbs
+   customer->provider hops, crosses at most one peer link, then
+   descends provider->customer hops (the Gao–Rexford rule
+   [Speaker.exportable] implements), and every hop is a link.
+   [as_path] lists that path nearest first, so the walk runs from self
+   back to the origin and accepts the reversed pattern: descents, at
+   most one peer hop, then ascents.  A hop X -> Y is an ascent when Y
+   is X's provider, a descent when Y is X's customer, and a peering on
+   a peer link.  The link table and the visitor are built
+   once, so while every route is valley-free a sweep allocates nothing:
+   details are formatted only for a route that breaks the rule. *)
+type hop = Ascent | Peering | Descent
+
+type valley_scratch = {
+  vf_n : int;
+  vf_hops : (int, hop) Hashtbl.t;  (** [x * n + y] -> the hop x -> y *)
+  mutable vf_self : Domain.id;  (** the speaker being swept *)
+  mutable vf_bad : (string * string option) list;  (** newest first *)
+}
+
+(* The first hop of [path] (nearest first, ending at the origin) that
+   breaks the pattern, as (sender, receiver); (-1, -1) when the path is
+   valley-free.  [descending]: no peer or ascent seen yet. *)
+let rec valley_hop sc receiver descending = function
+  | [] -> (-1, -1)
+  | sender :: rest -> (
+      match Hashtbl.find sc.vf_hops ((sender * sc.vf_n) + receiver) with
+      | exception Not_found -> (sender, receiver)
+      | Ascent -> valley_hop sc sender false rest
+      | Descent when descending -> valley_hop sc sender true rest
+      | Peering when descending -> valley_hop sc sender false rest
+      | Descent | Peering -> (sender, receiver))
+
+let visit_route sc (r : Route.t) =
+  match valley_hop sc sc.vf_self true r.Route.as_path with
+  | -1, _ -> ()
+  | sender, receiver ->
+      let path =
+        String.concat " -> " (List.rev_map string_of_int (sc.vf_self :: r.Route.as_path))
+      in
+      let why =
+        if Hashtbl.mem sc.vf_hops ((sender * sc.vf_n) + receiver) then
+          "breaks the valley-free order"
+        else "is not a link"
+      in
+      sc.vf_bad <-
+        ( Printf.sprintf "domain %d's route for %s has path %s: hop %d -> %d %s" sc.vf_self
+            (Prefix.to_string r.Route.prefix) path sender receiver why,
+          Option.map (fun s -> s.Span.trace_id) r.Route.span )
+        :: sc.vf_bad
+
+let grib_valley_free t =
+  let n = Topo.domain_count t.net_topo in
+  let hops = Hashtbl.create (4 * Topo.link_count t.net_topo) in
+  List.iter
+    (fun (l : Topo.link) ->
+      let a = l.Topo.a and b = l.Topo.b in
+      match l.Topo.rel with
+      | Topo.Peer ->
+          Hashtbl.replace hops ((a * n) + b) Peering;
+          Hashtbl.replace hops ((b * n) + a) Peering
+      | Topo.Provider_customer ->
+          Hashtbl.replace hops ((a * n) + b) Descent;
+          Hashtbl.replace hops ((b * n) + a) Ascent)
+    (Topo.links t.net_topo);
+  let speakers = Array.init n (Bgp_network.speaker t.bgp_net) in
+  let sc = { vf_n = n; vf_hops = hops; vf_self = -1; vf_bad = [] } in
+  let visit = visit_route sc in
+  fun () ->
+    sc.vf_bad <- [];
+    for d = 0 to n - 1 do
+      sc.vf_self <- d;
+      Speaker.iter_routes speakers.(d) visit
+    done;
+    List.rev sc.vf_bad
+
 (* [f] summed over an array, without a closure or a ref. *)
 let rec sum_over f a i acc = if i < 0 then acc else sum_over f a (i - 1) (acc + f a.(i))
 
@@ -349,7 +426,9 @@ let install_invariants t =
     (fun () -> Bgmp_fabric.cycle_violations t.bgmp_fabric);
   Invariant.register inv ~quiescent_only:true ~name:"bgmp-tree-settled" (fun () ->
       Bgmp_fabric.settle_violations t.bgmp_fabric);
-  Invariant.register inv ~quiescent_only:true ~name:"grib-nexthop" (grib_nexthop_violations t)
+  Invariant.register inv ~quiescent_only:true ~name:"grib-nexthop" (grib_nexthop_violations t);
+  Invariant.register inv ~quiescent_only:true ~name:"grib-valley-free" ~depends:speaker_versions
+    (grib_valley_free t)
 
 let check_invariants ?(quiescent = true) t =
   let vs = Invariant.check ~quiescent t.invariants in

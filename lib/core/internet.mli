@@ -116,7 +116,7 @@ val root_domain_of : t -> Ipv4.t -> Domain.id option
 
 (** {1 Invariants and convergence}
 
-    Four named predicates over the live stack (registered at {!create}
+    Five named predicates over the live stack (registered at {!create}
     into an {!Invariant.t}, counted in {!Metrics.default}):
 
     - ["masc-sibling-overlap"] — no two sibling domains hold
@@ -127,7 +127,12 @@ val root_domain_of : t -> Ipv4.t -> Domain.id option
     - ["bgmp-tree-settled"] (quiescent only) — parent/child symmetry
       across peer links and member domains actually on the tree;
     - ["grib-nexthop"] (quiescent only) — each domain's upstream tree
-      edge agrees with its G-RIB next hop toward the root.
+      edge agrees with its G-RIB next hop toward the root;
+    - ["grib-valley-free"] (quiescent only) — every G-RIB route's
+      advertisement path crosses only links, climbing
+      customer→provider, then at most one peer link, then descending
+      provider→customer (§2's export policy, as the speakers enforce
+      it).
 
     While the {!Recorder} is on, each violation found is also recorded
     as a ["violation"] narrative record carrying the trace id of the
@@ -146,6 +151,11 @@ val invariant_violations : t -> Invariant.violation list
 (** Every violation seen so far, oldest first. *)
 
 val invariants : t -> Invariant.t
+
+val grib_valley_free : t -> Invariant.check
+(** A fresh, ungated instance of the ["grib-valley-free"] predicate.
+    Once built, a pass that finds every route valley-free allocates
+    nothing. *)
 
 val enable_sampling : ?every:Time.t -> t -> Timeseries.t -> unit
 (** Register the stack's convergence-curve sources on the sink —

@@ -1,7 +1,7 @@
 (** Hierarchical scoped profiler.
 
-    [span "spf.dijkstra" f] times [f ()] (wall clock and GC-allocated
-    bytes) and charges it to the node ["spf.dijkstra"] under whatever
+    [span "spf.bfs" f] times [f ()] (wall clock and GC-allocated
+    bytes) and charges it to the node ["spf.bfs"] under whatever
     span is currently open, building a call tree per domain.  The
     profiler is off by default: when disabled, [span] is a single flag
     test plus a tail call — no clock reads, no allocation, no table

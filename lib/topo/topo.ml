@@ -7,8 +7,6 @@ type csr = {
   row : int array;
   nbr : int array;
   eid : int array;
-  edelay : float array;
-  edir : int array;
   linkv : link array;
 }
 
@@ -144,10 +142,6 @@ let peers_of t id =
 
 let links t = Array.to_list (Array.sub t.linkv_dyn 0 t.link_n)
 
-let edge_up = 0
-let edge_peer = 1
-let edge_down = 2
-
 let freeze t =
   match t.frozen with
   | Some c -> c
@@ -168,8 +162,6 @@ let freeze t =
       let fill = Array.sub row 0 (max 1 n) in
       let nbr = Array.make m (-1) in
       let eid = Array.make m (-1) in
-      let edelay = Array.make m 0.0 in
-      let edir = Array.make m 0 in
       (* Per-node slots fill in global link-insertion order, which equals
          per-node insertion order (a link is appended to both endpoints'
          adjacency the moment it is created). *)
@@ -179,17 +171,12 @@ let freeze t =
             let k = fill.(u) in
             fill.(u) <- k + 1;
             nbr.(k) <- v;
-            eid.(k) <- i;
-            edelay.(k) <- Time.to_seconds l.delay;
-            edir.(k) <-
-              (match l.rel with
-              | Peer -> edge_peer
-              | Provider_customer -> if l.a = v then edge_up else edge_down)
+            eid.(k) <- i
           in
           put l.a l.b;
           put l.b l.a)
         linkv;
-      let c = { csr_nodes = n; row; nbr; eid; edelay; edir; linkv } in
+      let c = { csr_nodes = n; row; nbr; eid; linkv } in
       t.frozen <- Some c;
       c
 

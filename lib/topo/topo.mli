@@ -18,11 +18,6 @@ type csr = {
                         indices [row.(u) .. row.(u+1) - 1] *)
   nbr : int array;  (** directed edge -> neighbor id *)
   eid : int array;  (** directed edge -> index into [linkv] *)
-  edelay : float array;  (** directed edge -> link delay in seconds *)
-  edir : int array;
-      (** directed edge [u -> v]: {!edge_up} when [v] is [u]'s provider,
-          {!edge_peer} on a peering link, {!edge_down} when [v] is [u]'s
-          customer *)
   linkv : link array;  (** flat link table, in insertion order *)
 }
 (** A frozen compressed-sparse-row snapshot of the graph.  Snapshots are
@@ -31,10 +26,6 @@ type csr = {
     fresh one.  Edges of each node appear in link-insertion order, so
     kernels iterating a snapshot break ties exactly like the list-based
     accessors. *)
-
-val edge_up : int
-val edge_peer : int
-val edge_down : int
 
 type t
 

@@ -307,6 +307,82 @@ let test_campaign_telemetry_series () =
     (r.Beacon_campaign.agg.Beacon_matrix.s_sent > 0);
   check Alcotest.bool "sampler drove the series" true (Timeseries.samples ts > 0)
 
+(* --- Campaign verdict --------------------------------------------------- *)
+
+(* A hand-built campaign result: one trial per entry of [dups] (its
+   duplicate count), and an aggregate summary with the given counts. *)
+let fake_result ?(dups = [ 0 ]) ~sent ~got ~lost ~complete () =
+  let trial i d =
+    {
+      Beacon_campaign.r_trial = i;
+      r_seed = 0;
+      r_domains = 14;
+      r_sources = 28;
+      r_probes_sent = 56;
+      r_deliveries = got;
+      r_lost = lost;
+      r_duplicates = d;
+      r_data_msgs = 0;
+      r_net_sent = 0;
+      r_net_dropped = 0;
+      r_converged_s = 0.0;
+      r_first_probe_s = 0.0;
+      r_last_harvest_s = 0.0;
+      r_matrix = Beacon_matrix.create ();
+    }
+  in
+  {
+    Beacon_campaign.trials = List.mapi trial dups;
+    cells = [];
+    agg =
+      {
+        (Beacon_matrix.summary []) with
+        Beacon_matrix.s_sent = sent;
+        s_got = got;
+        s_lost = lost;
+        s_complete = complete;
+      };
+  }
+
+let verdict ?(p = Beacon_campaign.default_params) r =
+  List.map
+    (fun (v : Invariant.violation) -> (v.Invariant.inv, v.Invariant.detail))
+    (Invariant.check (Beacon_campaign.invariants p r))
+
+let violations = Alcotest.(list (pair string string))
+
+let test_verdict_clean () =
+  check violations "consistent complete result" []
+    (verdict (fake_result ~sent:10 ~got:10 ~lost:0 ~complete:true ()));
+  check (Alcotest.list Alcotest.string) "three predicates"
+    [ "beacon-conservation"; "bgmp-no-duplicates"; "beacon-complete-after-heal" ]
+    (Invariant.names
+       (Beacon_campaign.invariants Beacon_campaign.default_params
+          (fake_result ~sent:0 ~got:0 ~lost:0 ~complete:true ())))
+
+let test_verdict_conservation () =
+  check violations "sent <> got + lost"
+    [ ("beacon-conservation", "10 probes expected but 7+2 accounted") ]
+    (verdict (fake_result ~sent:10 ~got:7 ~lost:2 ~complete:true ()))
+
+let test_verdict_duplicates () =
+  check violations "one violation per duplicating trial"
+    [
+      ("bgmp-no-duplicates", "trial 1 delivered 3 duplicate copies");
+      ("bgmp-no-duplicates", "trial 2 delivered 1 duplicate copies");
+    ]
+    (verdict (fake_result ~dups:[ 0; 3; 1 ] ~sent:10 ~got:10 ~lost:0 ~complete:true ()))
+
+let test_verdict_complete_after_heal () =
+  let incomplete = fake_result ~sent:10 ~got:8 ~lost:2 ~complete:false () in
+  check violations "lossless, churn-free, incomplete"
+    [ ("beacon-complete-after-heal", "incomplete matrix despite loss=0 and no churn") ]
+    (verdict incomplete);
+  check violations "vacuous under loss" []
+    (verdict ~p:{ Beacon_campaign.default_params with Beacon_campaign.loss = 0.05 } incomplete);
+  check violations "vacuous under churn" []
+    (verdict ~p:{ Beacon_campaign.default_params with Beacon_campaign.churn = true } incomplete)
+
 let suite =
   [
     ("matrix expect/deliver cell", `Quick, test_matrix_expect_deliver_cell);
@@ -324,4 +400,8 @@ let suite =
     ("campaign churn loses probes", `Quick, test_campaign_churn_loses_probes);
     ("campaign rejects bad params", `Quick, test_campaign_rejects_bad_params);
     ("campaign telemetry series", `Quick, test_campaign_telemetry_series);
+    ("verdict clean", `Quick, test_verdict_clean);
+    ("verdict conservation", `Quick, test_verdict_conservation);
+    ("verdict duplicates", `Quick, test_verdict_duplicates);
+    ("verdict complete after heal", `Quick, test_verdict_complete_after_heal);
   ]

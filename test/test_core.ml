@@ -294,8 +294,14 @@ let test_invariants_clean_and_converged () =
   let inet = s.Scenario.inet in
   check Alcotest.int "no violations across the whole run" 0
     (List.length (Internet.invariant_violations inet));
-  check (Alcotest.list Alcotest.string) "all four predicates installed"
-    [ "masc-sibling-overlap"; "bgmp-acyclic"; "bgmp-tree-settled"; "grib-nexthop" ]
+  check (Alcotest.list Alcotest.string) "all five predicates installed"
+    [
+      "masc-sibling-overlap";
+      "bgmp-acyclic";
+      "bgmp-tree-settled";
+      "grib-nexthop";
+      "grib-valley-free";
+    ]
     (Invariant.names (Internet.invariants inet));
   check Alcotest.int "an explicit full check is also clean" 0
     (List.length (Internet.check_invariants ~quiescent:false inet));
@@ -308,6 +314,131 @@ let test_invariants_clean_and_converged () =
       check Alcotest.bool "convergence time within the run" true
         (t > 0.0 && t <= Engine.now (Internet.engine inet))
   | None -> Alcotest.fail "stack never reported convergence"
+
+let valley_free_of vs =
+  List.filter_map
+    (fun (v : Invariant.violation) ->
+      if v.Invariant.inv = "grib-valley-free" then Some v.Invariant.detail else None)
+    vs
+
+(* The G-RIBs the predicate sweeps: how many routes, and the longest
+   advertisement path among them. *)
+let grib_shape inet =
+  let routes = ref 0 and longest = ref 0 in
+  List.iter
+    (fun (d : Domain.t) ->
+      Speaker.iter_routes (Internet.speaker inet d.Domain.id) (fun r ->
+          incr routes;
+          longest := max !longest (Route.path_length r)))
+    (Topo.domains (Internet.topo inet));
+  (!routes, !longest)
+
+(* A clean pass of a built predicate allocates nothing. *)
+let assert_valley_free_clean what inet =
+  check (Alcotest.list Alcotest.string) (what ^ ": monitor saw no valley") []
+    (valley_free_of (Internet.invariant_violations inet));
+  check (Alcotest.list Alcotest.string) (what ^ ": final check clean") []
+    (valley_free_of (Internet.check_invariants inet));
+  let routes, longest = grib_shape inet in
+  check Alcotest.bool (what ^ ": G-RIBs hold multi-hop routes") true (routes > 0 && longest >= 2);
+  let pred = Internet.grib_valley_free inet in
+  check Alcotest.int (what ^ ": fresh predicate clean") 0 (List.length (pred ()));
+  let w0 = Gc.minor_words () in
+  let vs = pred () in
+  let w1 = Gc.minor_words () in
+  check Alcotest.int (what ^ ": still clean") 0 (List.length vs);
+  check (Alcotest.float 0.0) (what ^ ": a clean pass allocates nothing") 0.0 (w1 -. w0)
+
+(* The Figure-1 demo, then a shortened copy of the CLI soak over a
+   56-domain transit-stub internet (2 backbones x 3 regionals x 8
+   stubs): group churn, random senders and stub-link failures, healed
+   before the end.  Every route the speakers install is valley-free. *)
+let test_grib_valley_free_clean () =
+  let s = Scenario.figure1 () in
+  assert_valley_free_clean "figure 1" s.Scenario.inet;
+  let rng = Rng.create 1998 in
+  let topo = Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:3 ~stubs_per_regional:8 in
+  check Alcotest.int "56 domains" 56 (Topo.domain_count topo);
+  let inet = Internet.create ~config:Internet.quick_config topo in
+  Internet.enable_invariant_checks inet;
+  Internet.start inet;
+  Internet.run_for inet (Time.hours 2.0);
+  let group =
+    match Internet.request_address_retry inet 5 ~every:(Time.hours 1.0) ~attempts:52 with
+    | Some a -> a.Maas.address
+    | None -> Alcotest.fail "soak: allocation did not settle"
+  in
+  let n = Topo.domain_count topo in
+  let links = Array.of_list (Topo.links topo) in
+  let members = Array.make n false and broken = ref None in
+  for _ = 1 to 30 do
+    (match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let d = Rng.int rng n in
+        let host = Host_ref.make d 0 in
+        if members.(d) then Internet.leave inet ~host ~group else Internet.join inet ~host ~group;
+        members.(d) <- not members.(d)
+    | 4 | 5 -> (
+        match !broken with
+        | Some (a, b) ->
+            Internet.restore_link inet a b;
+            broken := None
+        | None ->
+            let l = Rng.pick rng links in
+            if (Topo.domain topo l.Topo.b).Domain.kind = Domain.Stub && l.Topo.b <> 5 then begin
+              Internet.fail_link inet l.Topo.a l.Topo.b;
+              broken := Some (l.Topo.a, l.Topo.b)
+            end)
+    | _ -> ());
+    Internet.run_for inet (Time.minutes 10.0);
+    ignore (Internet.send inet ~source:(Host_ref.make (Rng.int rng n) 42) ~group);
+    Internet.run_for inet (Time.minutes 10.0)
+  done;
+  Option.iter (fun (a, b) -> Internet.restore_link inet a b) !broken;
+  Internet.run_for inet (Time.hours 1.0);
+  assert_valley_free_clean "56-domain soak" inet
+
+(* P1 and P2 are providers of the multi-homed customer CU, and X is
+   P1's other customer.  CU re-advertises P1's route to P2 — a
+   provider -> customer -> provider valley that CU's export policy
+   would never send — so P2's G-RIB holds exactly one route the
+   predicate must reject.  A second crafted route crosses X -> CU,
+   which is not a link. *)
+let test_grib_valley_route_detected () =
+  let topo = Topo.create () in
+  let add name kind = Topo.add_domain topo ~name ~kind in
+  let p1 = add "P1" Domain.Backbone in
+  let p2 = add "P2" Domain.Backbone in
+  let cu = add "CU" Domain.Stub in
+  let x = add "X" Domain.Stub in
+  Topo.add_link topo p1 cu Topo.Provider_customer;
+  Topo.add_link topo p2 cu Topo.Provider_customer;
+  Topo.add_link topo p1 x Topo.Provider_customer;
+  let inet = Internet.create topo in
+  let deliver ~origin ~via prefix =
+    let route =
+      List.fold_left Route.through (Route.originate origin (Prefix.of_string prefix)) via
+    in
+    Speaker.receive (Internet.speaker inet p2) ~from_:cu (Update.Advertise route)
+  in
+  check Alcotest.int "clean before the crafted update" 0
+    (List.length (Internet.check_invariants inet));
+  deliver ~origin:p1 ~via:[ p1; cu ] "232.0.0.0/8";
+  let valley =
+    "domain 1's route for 232.0.0.0/8 has path 0 -> 2 -> 1: hop 0 -> 2 breaks the valley-free \
+     order"
+  in
+  let vs = Internet.check_invariants inet in
+  check (Alcotest.list Alcotest.string) "exactly one violation: the valley" [ valley ]
+    (valley_free_of vs);
+  check Alcotest.int "and nothing else" 1 (List.length vs);
+  deliver ~origin:x ~via:[ x; cu ] "233.0.0.0/8";
+  check (Alcotest.list Alcotest.string) "a hop that is not a link"
+    [
+      valley;
+      "domain 1's route for 233.0.0.0/8 has path 3 -> 2 -> 1: hop 3 -> 2 is not a link";
+    ]
+    (valley_free_of (Internet.check_invariants inet))
 
 let test_seeded_overlap_violation_detected () =
   let s = Scenario.figure1 ~check_invariants:false () in
@@ -461,6 +592,8 @@ let suite =
     ("churn sequence invariant", `Quick, test_churn_sequence_invariant);
     ("invariants clean and converged on figure 1", `Quick, test_invariants_clean_and_converged);
     ("seeded overlap violation detected", `Quick, test_seeded_overlap_violation_detected);
+    ("grib valley-free clean on demo and soak", `Quick, test_grib_valley_free_clean);
+    ("grib valley route detected", `Quick, test_grib_valley_route_detected);
     ( "partition collision resolves with full chain",
       `Quick,
       test_partition_collision_resolves_with_full_chain );

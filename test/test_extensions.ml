@@ -1,81 +1,12 @@
 (* Tests for the paper's §4.4 start-up scheme and §7 extensions:
-   topology dumps, exchange-seeded top-level spaces, forwarding-state
+   topology rendering, exchange-seeded top-level spaces, forwarding-state
    aggregation, remote address allocation, and MASC reparenting. *)
 
 let check = Alcotest.check
 
 let prefix_testable = Alcotest.testable Prefix.pp Prefix.equal
 
-(* --- Topo_dump ---------------------------------------------------------- *)
-
-let test_dump_roundtrip () =
-  let topo = Gen.figure3 () in
-  let text = Topo_dump.to_string topo in
-  match Topo_dump.of_string text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok reloaded ->
-      check Alcotest.int "same domain count" (Topo.domain_count topo)
-        (Topo.domain_count reloaded);
-      check Alcotest.int "same link count" (Topo.link_count topo) (Topo.link_count reloaded);
-      List.iter2
-        (fun (a : Domain.t) (b : Domain.t) ->
-          check Alcotest.string "same name" a.Domain.name b.Domain.name;
-          check Alcotest.bool "same kind" true (a.Domain.kind = b.Domain.kind))
-        (Topo.domains topo) (Topo.domains reloaded);
-      List.iter2
-        (fun (la : Topo.link) (lb : Topo.link) ->
-          check Alcotest.int "same a" la.Topo.a lb.Topo.a;
-          check Alcotest.int "same b" la.Topo.b lb.Topo.b;
-          check Alcotest.bool "same rel" true (la.Topo.rel = lb.Topo.rel);
-          check (Alcotest.float 1e-9) "same delay" la.Topo.delay lb.Topo.delay)
-        (Topo.links topo) (Topo.links reloaded)
-
-let test_dump_parse_basics () =
-  let text = "# comment\ndomain X backbone\ndomain Y stub # inline comment\nlink X Y provider 0.02\n" in
-  match Topo_dump.of_string text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok topo ->
-      check Alcotest.int "two domains" 2 (Topo.domain_count topo);
-      check Alcotest.int "one link" 1 (Topo.link_count topo);
-      let l = List.hd (Topo.links topo) in
-      check (Alcotest.float 1e-9) "delay parsed" 0.02 (Time.to_seconds l.Topo.delay)
-
-let test_dump_parse_errors () =
-  let cases =
-    [
-      ("domain X nonsense\n", "unknown domain kind");
-      ("link A B peer\n", "unknown domain");
-      ("domain X stub\ndomain X stub\n", "duplicate domain");
-      ("domain X stub\ndomain Y stub\nlink X Y friendship\n", "unknown relationship");
-      ("domain X stub\ndomain Y stub\nlink X Y peer -1\n", "bad delay");
-      ("frobnicate\n", "unknown record");
-    ]
-  in
-  List.iter
-    (fun (text, expected) ->
-      match Topo_dump.of_string text with
-      | Ok _ -> Alcotest.failf "expected failure for %S" text
-      | Error e ->
-          check Alcotest.bool
-            (Printf.sprintf "error mentions %S (got %S)" expected e)
-            true
-            (let re = Str.regexp_string expected in
-             try
-               ignore (Str.search_forward re e 0);
-               true
-             with Not_found -> false))
-    cases
-
-let test_dump_file_io () =
-  let topo = Gen.figure1 () in
-  let path = Filename.temp_file "topo" ".dump" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Topo_dump.save topo ~path;
-      match Topo_dump.load ~path with
-      | Ok t -> check Alcotest.int "roundtrip via file" 7 (Topo.domain_count t)
-      | Error e -> Alcotest.failf "load failed: %s" e)
+(* --- Topo_dot ----------------------------------------------------------- *)
 
 let test_dot_rendering () =
   let topo = Gen.figure1 () in
@@ -291,10 +222,6 @@ let test_reparent_rejects_top_level () =
 
 let suite =
   [
-    ("dump roundtrip", `Quick, test_dump_roundtrip);
-    ("dump parse basics", `Quick, test_dump_parse_basics);
-    ("dump parse errors", `Quick, test_dump_parse_errors);
-    ("dump file io", `Quick, test_dump_file_io);
     ("dot rendering", `Quick, test_dot_rendering);
     ("exchange partition assignment", `Quick, test_exchange_partition_assignment);
     ("exchange-seeded claims stay continental", `Quick, test_exchange_seeded_claims_stay_in_continent);

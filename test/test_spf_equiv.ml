@@ -1,7 +1,7 @@
-(* Differential tests: the CSR kernels (Spf.bfs/dijkstra/valley_free_dist
-   and their _csr forms) against the list-based reference kernels, and
-   the SPF cache / precomputed-paths plumbing against the uncached
-   results, on seeded random topologies. *)
+(* Differential tests: the CSR BFS kernel (Spf.bfs and its _csr/_into
+   forms) against a list-based reference BFS, and the SPF cache /
+   precomputed-paths plumbing against the uncached results, on seeded
+   random topologies. *)
 
 let check = Alcotest.check
 
@@ -17,9 +17,9 @@ let sources rng n k = List.init k (fun _ -> Rng.int rng n)
 
 let int_array = Alcotest.array Alcotest.int
 
-(* List-based reference kernels: the original adjacency-list
-   implementations, kept here as differential oracles for the CSR
-   kernels.  They visit edges in the same (link-insertion) order, so
+(* List-based reference kernel: the original adjacency-list
+   implementation, kept here as the differential oracle for the CSR
+   kernel.  It visits edges in the same (link-insertion) order, so
    results — including tie-breaks — match exactly. *)
 
 let bfs_list topo src =
@@ -42,73 +42,6 @@ let bfs_list topo src =
   done;
   { Spf.src; dist; via }
 
-let dijkstra_list topo src =
-  let n = Topo.domain_count topo in
-  let wdist = Array.make n infinity in
-  let wvia = Array.make n (-1) in
-  wdist.(src) <- 0.0;
-  let heap = Heap.create ~cmp:(fun (d1, _) (d2, _) -> Float.compare d1 d2) in
-  Heap.push heap (0.0, src);
-  let finished = Array.make n false in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if not finished.(u) then begin
-          finished.(u) <- true;
-          List.iter
-            (fun (v, l) ->
-              let nd = d +. Time.to_seconds l.Topo.delay in
-              if nd < wdist.(v) then begin
-                wdist.(v) <- nd;
-                wvia.(v) <- u;
-                Heap.push heap (nd, v)
-              end)
-            (Topo.adjacency topo u)
-        end;
-        drain ()
-  in
-  drain ();
-  { Spf.wsrc = src; wdist; wvia }
-
-type phase = Up | Peered | Down
-
-let phase_index = function Up -> 0 | Peered -> 1 | Down -> 2
-
-let valley_free_dist_list topo src =
-  let n = Topo.domain_count topo in
-  let dist = Array.make_matrix n 3 max_int in
-  let best = Array.make n max_int in
-  let queue = Queue.create () in
-  dist.(src).(phase_index Up) <- 0;
-  best.(src) <- 0;
-  Queue.add (src, Up) queue;
-  let relax v phase d =
-    let pi = phase_index phase in
-    if d < dist.(v).(pi) then begin
-      dist.(v).(pi) <- d;
-      if d < best.(v) then best.(v) <- d;
-      Queue.add (v, phase) queue
-    end
-  in
-  while not (Queue.is_empty queue) do
-    let u, phase = Queue.pop queue in
-    let d = dist.(u).(phase_index phase) + 1 in
-    List.iter
-      (fun (v, l) ->
-        let going_up = l.Topo.rel = Topo.Provider_customer && l.Topo.a = v in
-        let going_down = l.Topo.rel = Topo.Provider_customer && l.Topo.a = u in
-        let peer_edge = l.Topo.rel = Topo.Peer in
-        match phase with
-        | Up ->
-            if going_up then relax v Up d;
-            if peer_edge then relax v Peered d;
-            if going_down then relax v Down d
-        | Peered | Down -> if going_down then relax v Down d)
-      (Topo.adjacency topo u)
-  done;
-  best
-
 let test_bfs_matches_reference () =
   List.iter
     (fun seed ->
@@ -128,62 +61,18 @@ let test_bfs_matches_reference () =
         (topologies seed))
     [ 11; 42; 1998 ]
 
-let test_dijkstra_matches_reference () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun (name, topo) ->
-          let rng = Rng.create (seed * 7 + 2) in
-          let n = Topo.domain_count topo in
-          List.iter
-            (fun src ->
-              let fast = Spf.dijkstra topo src in
-              let slow = dijkstra_list topo src in
-              (* Both kernels add the same link delays in the same order
-                 and break heap ties FIFO, so even the floats and the
-                 predecessor choices are bitwise identical. *)
-              check (Alcotest.array (Alcotest.float 0.0))
-                (Printf.sprintf "%s/%d/%d wdist" name seed src)
-                slow.Spf.wdist fast.Spf.wdist;
-              check int_array (Printf.sprintf "%s/%d/%d wvia" name seed src) slow.Spf.wvia
-                fast.Spf.wvia)
-            (sources rng n 5))
-        (topologies seed))
-    [ 11; 42; 1998 ]
-
-let test_valley_free_matches_reference () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun (name, topo) ->
-          let rng = Rng.create (seed * 7 + 3) in
-          let n = Topo.domain_count topo in
-          List.iter
-            (fun src ->
-              check int_array
-                (Printf.sprintf "%s/%d/%d valley-free" name seed src)
-                (valley_free_dist_list topo src)
-                (Spf.valley_free_dist topo src))
-            (sources rng n 5))
-        (topologies seed))
-    [ 11; 42; 1998 ]
-
 let test_explicit_workspace_reuse () =
   let topo = Gen.power_law ~rng:(Rng.create 5) ~n:150 ~m:2 in
   let csr = Topo.freeze topo in
   let ws = Spf.make_workspace csr in
-  (* Reusing one workspace across sources and kernels must not leak
-     state between calls. *)
+  (* Reusing one workspace across sources must not leak state between
+     calls. *)
   List.iter
     (fun src ->
       let a = Spf.bfs_csr ~ws csr src in
       let b = Spf.bfs_csr csr src in
       check int_array "ws bfs dist" b.Spf.dist a.Spf.dist;
-      let wa = Spf.dijkstra_csr ~ws csr src in
-      let wb = Spf.dijkstra_csr csr src in
-      check (Alcotest.array (Alcotest.float 0.0)) "ws dijkstra wdist" wb.Spf.wdist wa.Spf.wdist;
-      check int_array "ws valley free" (Spf.valley_free_dist_csr csr src)
-        (Spf.valley_free_dist_csr ~ws csr src))
+      check int_array "ws bfs via" b.Spf.via a.Spf.via)
     [ 0; 17; 49; 149 ]
 
 let test_bfs_into_reused_arrays () =
@@ -359,8 +248,6 @@ let test_experiment_unchanged_by_cache () =
 let suite =
   [
     ("bfs matches reference", `Quick, test_bfs_matches_reference);
-    ("dijkstra matches reference", `Quick, test_dijkstra_matches_reference);
-    ("valley free matches reference", `Quick, test_valley_free_matches_reference);
     ("explicit workspace reuse", `Quick, test_explicit_workspace_reuse);
     ("bfs into reused arrays", `Quick, test_bfs_into_reused_arrays);
     ("bfs into allocation", `Quick, test_bfs_into_allocation);

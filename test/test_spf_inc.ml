@@ -1,6 +1,6 @@
 (* Differential tests for the maintained SPF cache — randomized seeded
    fail/restore schedules, asserting after every delta that the
-   in-place-repaired trees match the from-scratch masked kernels — plus
+   in-place-repaired BFS trees match the from-scratch masked kernel — plus
    the arena-backed state representations (Packed_map, Grib_arena,
    Tree_arena) against naive oracles. *)
 
@@ -42,54 +42,32 @@ let assert_bfs name csr alive (oracle : Spf.paths) (p : Spf.paths) =
     end
   done
 
-let assert_dijkstra name csr alive (oracle : Spf.weighted) (w : Spf.weighted) =
-  for v = 0 to csr.Topo.csr_nodes - 1 do
-    let ov = oracle.Spf.wdist.(v) and wv = w.Spf.wdist.(v) in
-    if ov = infinity || wv = infinity then begin
-      if ov <> wv then Alcotest.failf "%s: wdist(%d) reachability differs" name v
-    end
-    else if abs_float (ov -. wv) > 1e-9 then
-      Alcotest.failf "%s: wdist(%d) %.12g vs oracle %.12g" name v wv ov;
-    if v <> w.Spf.wsrc && wv <> infinity then begin
-      let u = w.Spf.wvia.(v) in
-      if u < 0 || not (edge_alive csr alive u v) then
-        Alcotest.failf "%s: wvia(%d)=%d is not an alive edge" name v u
-    end
-  done
-
-(* Warm every kind of tree for [srcs], then walk a seeded
-   fail/restore schedule; after every transition the maintained trees
-   must match from-scratch kernels run under the cache's own mask. *)
+(* Warm the trees of [srcs], then walk a seeded fail/restore schedule;
+   after every transition the maintained trees must match the
+   from-scratch kernel run under the mask the schedule has applied so
+   far, which the test tracks itself rather than reading the cache's. *)
 let run_schedule ~name ~seed ~topo ~steps =
   let csr = Topo.freeze topo in
   let cache = Spf.make_cache_csr csr in
   let n = csr.Topo.csr_nodes in
   let nlinks = Array.length csr.Topo.linkv in
+  let alive = Array.make nlinks true in
   let rng = Rng.create seed in
   let srcs = ref (List.init 3 (fun _ -> Rng.int rng n)) in
-  let warm s =
-    ignore (Spf.bfs_cached cache s);
-    ignore (Spf.dijkstra_cached cache s);
-    ignore (Spf.valley_free_cached cache s)
-  in
+  let warm s = ignore (Spf.bfs_cached cache s) in
   List.iter warm !srcs;
   let verify step =
-    let alive = Spf.cache_alive_mask cache in
     List.iter
       (fun s ->
-        let tag k = Printf.sprintf "%s/step%d/src%d %s" name step s k in
-        assert_bfs (tag "bfs") csr alive (Spf.bfs_csr ~alive csr s) (Spf.bfs_cached cache s);
-        assert_dijkstra (tag "dijkstra") csr alive
-          (Spf.dijkstra_csr ~alive csr s)
-          (Spf.dijkstra_cached cache s);
-        check int_array (tag "valley-free")
-          (Spf.valley_free_dist_csr ~alive csr s)
-          (Spf.valley_free_cached cache s))
+        let tag = Printf.sprintf "%s/step%d/src%d bfs" name step s in
+        assert_bfs tag csr alive (Spf.bfs_csr ~alive csr s) (Spf.bfs_cached cache s))
       !srcs
   in
   for step = 1 to steps do
-    let l = csr.Topo.linkv.(Rng.int rng nlinks) in
-    let up = not (Spf.cache_link_alive cache ~a:l.Topo.a ~b:l.Topo.b) in
+    let lid = Rng.int rng nlinks in
+    let l = csr.Topo.linkv.(lid) in
+    let up = not alive.(lid) in
+    alive.(lid) <- up;
     Spf.cache_note_link cache ~a:l.Topo.a ~b:l.Topo.b ~up;
     (* Halfway through, demand a tree the cache has never seen: cold
        builds under a partially failed mask must agree too. *)
@@ -132,52 +110,6 @@ let test_note_link_noops () =
   let repairs, touched = Spf.cache_repair_stats cache in
   check Alcotest.int "no repairs recorded" 0 repairs;
   check Alcotest.int "no labels touched" 0 touched
-
-let test_cache_adopt_appended_links () =
-  let rng = Rng.create 11 in
-  let topo = Gen.power_law ~rng ~n:120 ~m:2 in
-  let csr0 = Topo.freeze topo in
-  let cache = Spf.make_cache_csr csr0 in
-  List.iter (fun s -> ignore (Spf.bfs_cached cache s)) [ 0; 17; 60 ];
-  (* Fail one link first so adoption composes with a live mask. *)
-  let l = csr0.Topo.linkv.(5) in
-  Spf.cache_note_link cache ~a:l.Topo.a ~b:l.Topo.b ~up:false;
-  (* Append shortcut links (skipping pairs already linked) and adopt
-     the refrozen snapshot. *)
-  let seen = Hashtbl.create 256 in
-  let key a b = (min a b * 1024) + max a b in
-  List.iter (fun l -> Hashtbl.replace seen (key l.Topo.a l.Topo.b) ()) (Topo.links topo);
-  for _ = 1 to 6 do
-    let a = Rng.int rng 120 and b = Rng.int rng 120 in
-    if a <> b && not (Hashtbl.mem seen (key a b)) then begin
-      Hashtbl.replace seen (key a b) ();
-      Topo.add_link topo a b Topo.Peer
-    end
-  done;
-  let csr1 = Topo.freeze topo in
-  Spf.cache_adopt cache csr1;
-  check Alcotest.bool "cache moved onto the new snapshot" true (Spf.cache_csr cache == csr1);
-  check Alcotest.bool "failed link still down" false
-    (Spf.cache_link_alive cache ~a:l.Topo.a ~b:l.Topo.b);
-  let alive = Spf.cache_alive_mask cache in
-  List.iter
-    (fun s ->
-      assert_bfs
-        (Printf.sprintf "adopt src%d" s)
-        csr1 alive (Spf.bfs_csr ~alive csr1 s) (Spf.bfs_cached cache s))
-    [ 0; 17; 60 ]
-
-let test_cache_adopt_incompatible_drops () =
-  let topo = Gen.power_law ~rng:(Rng.create 19) ~n:80 ~m:2 in
-  let cache = Spf.make_cache topo in
-  ignore (Spf.bfs_cached cache 3);
-  (* A different graph entirely: adoption must fall back to dropping
-     every maintained tree, not mis-repair. *)
-  let other = Gen.power_law ~rng:(Rng.create 20) ~n:80 ~m:3 in
-  let csr = Topo.freeze other in
-  Spf.cache_adopt cache csr;
-  let p = Spf.bfs_cached cache 3 in
-  check int_array "rebuilt over the new graph" (Spf.bfs_csr csr 3).Spf.dist p.Spf.dist
 
 (* ---------------- arenas --------------------------------------------- *)
 
@@ -355,8 +287,6 @@ let suite =
     ("incremental matches from-scratch", `Quick, test_incremental_matches_scratch);
     ("fig4-modern scratch agrees", `Quick, test_modern_scratch_agrees);
     ("note_link no-ops", `Quick, test_note_link_noops);
-    ("cache adopts appended links", `Quick, test_cache_adopt_appended_links);
-    ("cache adopt incompatible drops", `Quick, test_cache_adopt_incompatible_drops);
     ("packed map vs hashtbl oracle", `Quick, test_packed_map_oracle);
     ("packed map rejects negatives", `Quick, test_packed_map_rejects_negative);
     ("grib arena", `Quick, test_grib_arena);

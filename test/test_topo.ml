@@ -54,49 +54,6 @@ let test_bfs_unreachable () =
   check Alcotest.int "unreachable" max_int (Spf.dist paths b);
   check (Alcotest.list Alcotest.int) "empty path" [] (Spf.path paths b)
 
-let test_dijkstra_prefers_low_delay () =
-  (* Triangle where the direct link is slow and the two-hop path fast. *)
-  let t = Topo.create () in
-  let a = Topo.add_domain t ~name:"A" ~kind:Domain.Stub in
-  let b = Topo.add_domain t ~name:"B" ~kind:Domain.Stub in
-  let c = Topo.add_domain t ~name:"C" ~kind:Domain.Stub in
-  Topo.add_link ~delay:(Time.seconds 1.0) t a c Topo.Peer;
-  Topo.add_link ~delay:(Time.seconds 0.1) t a b Topo.Peer;
-  Topo.add_link ~delay:(Time.seconds 0.1) t b c Topo.Peer;
-  let w = Spf.dijkstra t a in
-  check (Alcotest.float 1e-9) "via b" 0.2 w.Spf.wdist.(c);
-  check (Alcotest.list Alcotest.int) "weighted path" [ a; b; c ] (Spf.wpath w c)
-
-let test_valley_free () =
-  (* A provider chain with a peer shortcut:
-       P1 -- peer -- P2
-       |             |
-       C1            C2
-     C1 to C2 must go up, across the single peer link, and down (3 hops).
-     C1-C2 also have a *direct* peer link in the second topology. *)
-  let t = Topo.create () in
-  let p1 = Topo.add_domain t ~name:"P1" ~kind:Domain.Backbone in
-  let p2 = Topo.add_domain t ~name:"P2" ~kind:Domain.Backbone in
-  let c1 = Topo.add_domain t ~name:"C1" ~kind:Domain.Stub in
-  let c2 = Topo.add_domain t ~name:"C2" ~kind:Domain.Stub in
-  Topo.add_link t p1 p2 Topo.Peer;
-  Topo.add_link t p1 c1 Topo.Provider_customer;
-  Topo.add_link t p2 c2 Topo.Provider_customer;
-  let d = Spf.valley_free_dist t c1 in
-  check Alcotest.int "up-peer-down" 3 d.(c2);
-  check Alcotest.int "to own provider" 1 d.(p1);
-  (* A customer must not provide transit: two providers of the same
-     customer cannot reach each other through it. *)
-  let t2 = Topo.create () in
-  let pa = Topo.add_domain t2 ~name:"PA" ~kind:Domain.Backbone in
-  let pb = Topo.add_domain t2 ~name:"PB" ~kind:Domain.Backbone in
-  let cu = Topo.add_domain t2 ~name:"CU" ~kind:Domain.Stub in
-  Topo.add_link t2 pa cu Topo.Provider_customer;
-  Topo.add_link t2 pb cu Topo.Provider_customer;
-  let d2 = Spf.valley_free_dist t2 pa in
-  check Alcotest.int "customer reached" 1 d2.(cu);
-  check Alcotest.int "no valley transit" max_int d2.(pb)
-
 (* --- Generators ------------------------------------------------------ *)
 
 let test_power_law_shape () =
@@ -193,8 +150,6 @@ let suite =
     ("disconnected detected", `Quick, test_disconnected_detected);
     ("bfs line", `Quick, test_bfs_line);
     ("bfs unreachable", `Quick, test_bfs_unreachable);
-    ("dijkstra prefers low delay", `Quick, test_dijkstra_prefers_low_delay);
-    ("valley free", `Quick, test_valley_free);
     ("power law shape", `Quick, test_power_law_shape);
     ("power law rejects bad params", `Quick, test_power_law_rejects_bad_params);
     ("transit stub shape", `Quick, test_transit_stub_shape);
