@@ -21,6 +21,16 @@ type roster = {
   index : Packed_map.t;  (** [Host_ref.key] -> registration index *)
 }
 
+(* One source's matrix cells toward its group's listeners, in roster
+   order, resolved once per (source, group) and extended only when the
+   roster grows.  Rosters only grow at the end, so the cells of a
+   probe's expected receivers are a prefix of the row. *)
+type row = {
+  r_src : Host_ref.t;
+  r_group : Ipv4.t;
+  mutable r_slots : Beacon_matrix.slot array;
+}
+
 (* A probe in its accounting window: sent, not yet harvested.  Its
    expected receivers are the first [p_expected] listeners of the
    group's roster (rosters only grow at the end). *)
@@ -32,7 +42,9 @@ type pending = {
   p_span : Span.t option;
   p_roster : roster;
   p_expected : int;
-  p_slots : Beacon_matrix.slot array;  (** matrix cell per expected receiver *)
+  p_slots : Beacon_matrix.slot array;
+      (** matrix cell per expected receiver: its source's row, at
+          least [p_expected] long *)
   p_heard : Bytes.t;  (** bitset over registration indices *)
   mutable p_missing : int;  (** expected receivers not yet heard from *)
 }
@@ -74,9 +86,9 @@ let spf_dist t ~from ~to_ =
   if from = to_ then 0
   else begin
     let paths =
-      match Hashtbl.find_opt t.spf from with
-      | Some p -> p
-      | None ->
+      match Hashtbl.find t.spf from with
+      | p -> p
+      | exception Not_found ->
           let p = Spf.bfs t.topo from in
           Hashtbl.replace t.spf from p;
           p
@@ -168,7 +180,17 @@ let harvest t payload =
       Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
       Bgmp_fabric.forget_payload t.fabric ~payload
 
-let fire_probe t ~group ~host ~seq =
+(* The row's cells toward the first [count] listeners of [r]. *)
+let extend_row t row r =
+  let have = Array.length row.r_slots in
+  if have < r.count then
+    row.r_slots <-
+      Array.init r.count (fun i ->
+          if i < have then row.r_slots.(i)
+          else Beacon_matrix.slot t.matrix ~src:row.r_src ~dst:r.hosts.(i))
+
+let fire_probe t row ~seq =
+  let group = row.r_group and host = row.r_src in
   let span =
     if Recorder.is_enabled () then
       Some (Bgmp_fabric.group_span t.fabric host.Host_ref.host_domain group)
@@ -177,12 +199,11 @@ let fire_probe t ~group ~host ~seq =
   let r = roster_of t group in
   let expected = r.count in
   let payload = Bgmp_fabric.next_payload_id t.fabric in
-  let slots =
-    Array.init expected (fun i ->
-        let s = Beacon_matrix.slot t.matrix ~src:host ~dst:r.hosts.(i) in
-        Beacon_matrix.expect_slot s;
-        s)
-  in
+  extend_row t row r;
+  let slots = row.r_slots in
+  for i = 0 to expected - 1 do
+    Beacon_matrix.expect_slot slots.(i)
+  done;
   let p =
     {
       p_src = host;
@@ -214,6 +235,7 @@ let start t ~at =
   let sources = List.rev t.sources in
   List.iteri
     (fun i (group, host) ->
+      let row = { r_src = host; r_group = group; r_slots = [||] } in
       for k = 0 to t.cfg.probes_per_source - 1 do
         let when_ =
           at +. (float_of_int i *. t.cfg.stagger) +. (float_of_int k *. t.cfg.period)
@@ -222,7 +244,7 @@ let start t ~at =
         if harvest_done > t.last_harvest then t.last_harvest <- harvest_done;
         ignore
           (Engine.schedule_at ~label:"beacon.probe" t.engine when_ (fun () ->
-               fire_probe t ~group ~host ~seq:k))
+               fire_probe t row ~seq:k))
       done)
     sources
 

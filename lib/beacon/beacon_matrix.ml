@@ -24,7 +24,7 @@ let slot t ~src ~dst = acc_for t (src, dst)
 
 let expect_slot a = a.sent <- a.sent + 1
 
-let deliver_slot a ~latency ~hops ~spf_dist =
+let[@inline] deliver_slot a ~latency ~hops ~spf_dist =
   a.got <- a.got + 1;
   Stats.add a.lat latency;
   Stats.add a.hops (float_of_int hops);

@@ -7,10 +7,14 @@ type config = { branching : bool }
 
 let default_config = { branching = true }
 
-(* One payload's deliveries: arrivals newest first, and the hosts
-   already served, keyed by [Host_ref.key]. *)
+(* One payload's deliveries: the first arrival at each host in arrival
+   order, as ([Host_ref.key], hops) pairs flattened into one int array,
+   and the hosts already served, keyed by [Host_ref.key].  Logs are
+   pooled: a forgotten payload's log is cleared and kept for the next
+   payload, so a long soak allocates logs only for its widest window. *)
 type payload_log = {
-  mutable arrivals : (Host_ref.t * int) list;
+  mutable arrivals : int array;  (** key, hops, key, hops, ... *)
+  mutable n_arrivals : int;
   served : Packed_map.t;
 }
 
@@ -62,6 +66,8 @@ type t = {
   toward_tbl : (Domain.id * Domain.id, int) Hashtbl.t;  (** (dom, neighbor) -> router id *)
   ucast_cache : (Domain.id, Spf.paths) Hashtbl.t;  (** BFS from a target domain *)
   delivered : (int, payload_log) Hashtbl.t;
+  mutable spare_logs : payload_log array;  (** the first [n_spare] are cleared, for reuse *)
+  mutable n_spare : int;
   payload_spans : (int, Span.t) Hashtbl.t;
       (** causal span a payload travels under, kept only for payloads
           sent with one (probes while recording) *)
@@ -79,6 +85,11 @@ type t = {
   m_data_dropped : Metrics.counter;
   m_ctl_dropped : Metrics.counter;
   mutable cycles : cycle_scratch option;  (** see [cycle_scratch] *)
+  mutable sink : Bgmp_router.sink;  (** where routers forward data; built once *)
+  mutable picks : int array array;
+      (** per nesting level of interior distribution, the border routers
+          taking a copy; see [internal_distribute] *)
+  mutable depth : int;  (** interior distributions in progress *)
 }
 
 let peer_of rid = rid lxor 1
@@ -191,12 +202,32 @@ let classify_source_for t rid source_dom =
 (* Action execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A cleared log: a spare one when the pool has one. *)
+let fresh_log t =
+  if t.n_spare = 0 then
+    { arrivals = Array.make 8 0; n_arrivals = 0; served = Packed_map.create ~initial:4 () }
+  else begin
+    t.n_spare <- t.n_spare - 1;
+    t.spare_logs.(t.n_spare)
+  end
+
+let log_arrival log key hops =
+  let i = 2 * log.n_arrivals in
+  if i = Array.length log.arrivals then begin
+    let grown = Array.make (2 * i) 0 in
+    Array.blit log.arrivals 0 grown 0 i;
+    log.arrivals <- grown
+  end;
+  log.arrivals.(i) <- key;
+  log.arrivals.(i + 1) <- hops;
+  log.n_arrivals <- log.n_arrivals + 1
+
 let record_delivery t ~group ~source ~payload ~host ~hops =
   let log =
     match Hashtbl.find t.delivered payload with
     | log -> log
     | exception Not_found ->
-        let log = { arrivals = []; served = Packed_map.create ~initial:4 () } in
+        let log = fresh_log t in
         Hashtbl.replace t.delivered payload log;
         log
   in
@@ -207,7 +238,7 @@ let record_delivery t ~group ~source ~payload ~host ~hops =
   end
   else begin
     Packed_map.set log.served key 0;
-    log.arrivals <- (host, hops) :: log.arrivals;
+    log_arrival log key hops;
     Metrics.incr t.m_data_delivered;
     match t.on_delivery with
     | Some f -> f ~group ~source ~payload ~host ~hops
@@ -220,20 +251,35 @@ let rec deliver_members t ~group ~source ~payload ~hops = function
       record_delivery t ~group ~source ~payload ~host ~hops;
       deliver_members t ~group ~source ~payload ~hops rest
 
-(* The border routers in [rids], bar [entry_rid], that take a copy of a
-   packet from the domain's interior: those with state for it, and the
-   one whose link is the next hop toward the group's root.  That next
-   hop is the same for every router of the domain, so it is looked up
-   at most once per packet ([root_via] carries it once known), and only
-   when some router has no state. *)
-let rec interested_routers t ~dom ~group ~source ~entry_rid ~root_via = function
-  | [] -> []
-  | rid :: rest when rid = entry_rid ->
-      interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest
+(* The scratch of interior distributions nested [level] deep: one
+   level's picks must survive the hand-offs, which may distribute into
+   the same domain again. *)
+let picks_at t level =
+  if level = Array.length t.picks then begin
+    let width = Array.fold_left (fun m rids -> max m (List.length rids)) 0 t.domain_routers in
+    let grown = Array.make (level + 1) [||] in
+    Array.blit t.picks 0 grown 0 level;
+    grown.(level) <- Array.make width 0;
+    t.picks <- grown
+  end;
+  t.picks.(level)
+
+(* Write into [picks], from index [n] on, the border routers in [rids],
+   bar [entry], that take a copy of a packet from the domain's interior,
+   and return how many [picks] then holds: those with state for it, and
+   the one whose link is the next hop toward the group's root.  That
+   next hop is the same for every router of the domain, so it is looked
+   up at most once per packet ([root_via] carries it once known), and
+   only when some router has no state. *)
+let rec pick_routers t picks ~dom ~group ~source ~entry ~root_via n = function
+  | [] -> n
+  | rid :: rest when rid = entry -> pick_routers t picks ~dom ~group ~source ~entry ~root_via n rest
   | rid :: rest ->
       let r = t.routers.(rid) in
-      if Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group then
-        rid :: interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest
+      if Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group then begin
+        picks.(n) <- rid;
+        pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
+      end
       else begin
         let root_via =
           if root_via <> via_unknown then root_via
@@ -242,8 +288,11 @@ let rec interested_routers t ~dom ~group ~source ~entry_rid ~root_via = function
             | Via nd -> nd
             | Root_here | Unroutable -> via_none
         in
-        let others = interested_routers t ~dom ~group ~source ~entry_rid ~root_via rest in
-        if t.router_neighbor.(rid) = root_via then rid :: others else others
+        if t.router_neighbor.(rid) = root_via then begin
+          picks.(n) <- rid;
+          pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
+        end
+        else pick_routers t picks ~dom ~group ~source ~entry ~root_via n rest
       end
 
 let rec exec_actions t rid = function
@@ -255,22 +304,14 @@ let rec exec_actions t rid = function
 and exec_action t rid action =
   match action with
   | Bgmp_router.To_peer (_, msg) ->
-      (match msg with
-      | Bgmp_msg.Data _ ->
-          t.data_msgs <- t.data_msgs + 1;
-          Metrics.incr m_data_msgs
-      | Bgmp_msg.Join _ | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ ->
-          t.ctl_msgs <- t.ctl_msgs + 1;
-          Metrics.incr m_ctl_msgs);
+      t.ctl_msgs <- t.ctl_msgs + 1;
+      Metrics.incr m_ctl_msgs;
       (* The peer target is always the external peer across router
          [rid]'s link — exactly where its fixed transport lane goes. *)
       let span =
         match msg with
         | Bgmp_msg.Join { span; _ } -> span
-        | Bgmp_msg.Data { payload; _ } ->
-            if Hashtbl.length t.payload_spans = 0 then None
-            else Hashtbl.find_opt t.payload_spans payload
-        | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ -> None
+        | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> None
       in
       Net.send t.peer_chan.(rid) ?span msg
   | Bgmp_router.Migp_join { group; span } -> (
@@ -294,58 +335,75 @@ and exec_action t rid action =
          (interior latency is below our modelling grain) and addressed,
          not flooded. *)
       dispatch t ~to_:peer_rid ~from:(Bgmp_router.Internal_router rid) msg
-  | Bgmp_router.Migp_data { group; source; payload; hops } ->
-      internal_distribute t
-        ~dom:(Bgmp_router.domain t.routers.(rid))
-        ~entry:(Some rid) ~group ~source ~payload ~hops
 
 (* Deliver a BGMP message to router [to_].  [from] is the sending
    router: its external peer across the link ([Peer]) or another border
    router of the same domain ([Internal_router]). *)
 and dispatch t ~to_ ~from msg =
   let router = t.routers.(to_) in
-  let actions =
-    match msg with
-    | Bgmp_msg.Join { group; span } ->
-        Engine.note_activity t.engine "bgmp";
-        router_trace t to_ "join-hop" ?span "%a from %s" Ipv4.pp group
-          (match from with
-          | Bgmp_router.Peer r | Bgmp_router.Internal_router r -> Bgmp_router.name t.routers.(r)
-          | Bgmp_router.Migp_target -> "migp");
-        Bgmp_router.handle_join router ~group ?span ~from
-    | Bgmp_msg.Prune group ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_prune router ~group ~from
-    | Bgmp_msg.Join_sg { source; group } ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_join_sg router ~source ~group ~from
-    | Bgmp_msg.Prune_sg { source; group } ->
-        Engine.note_activity t.engine "bgmp";
-        Bgmp_router.handle_prune_sg router ~source ~group ~from
-    | Bgmp_msg.Data { group; source; payload; hops } -> (
-        match from with
-        | Bgmp_router.Peer _ ->
-            (* The inter-domain hop count ticks here: a peer arrival is
-               the one place a packet crosses a domain boundary. *)
-            let forward () =
-              Bgmp_router.handle_data router ~group ~source ~payload ~hops:(hops + 1) ~from
-            in
-            if Prof.is_enabled () then Prof.span "bgmp.data.forward" forward else forward ()
-        | Bgmp_router.Internal_router from_rid
-          when (not (Bgmp_router.on_tree router group))
-               && not (Bgmp_router.has_sg router source group) ->
-            (* Stale chain: the receiver lost its state; tell the sender
-               to stop instead of default-forwarding source traffic. *)
-            [ Bgmp_router.To_internal (from_rid, Bgmp_msg.Prune_sg { source; group }) ]
-        | Bgmp_router.Internal_router _ | Bgmp_router.Migp_target ->
-            Bgmp_router.handle_data router ~group ~source ~payload ~hops ~from)
-  in
-  exec_actions t to_ actions
+  match msg with
+  | Bgmp_msg.Join { group; span } ->
+      Engine.note_activity t.engine "bgmp";
+      router_trace t to_ "join-hop" ?span "%a from %s" Ipv4.pp group
+        (match from with
+        | Bgmp_router.Peer r | Bgmp_router.Internal_router r -> Bgmp_router.name t.routers.(r)
+        | Bgmp_router.Migp_target -> "migp");
+      exec_actions t to_ (Bgmp_router.handle_join router ~group ?span ~from)
+  | Bgmp_msg.Prune group ->
+      Engine.note_activity t.engine "bgmp";
+      exec_actions t to_ (Bgmp_router.handle_prune router ~group ~from)
+  | Bgmp_msg.Join_sg { source; group } ->
+      Engine.note_activity t.engine "bgmp";
+      exec_actions t to_ (Bgmp_router.handle_join_sg router ~source ~group ~from)
+  | Bgmp_msg.Prune_sg { source; group } ->
+      Engine.note_activity t.engine "bgmp";
+      exec_actions t to_ (Bgmp_router.handle_prune_sg router ~source ~group ~from)
+  | Bgmp_msg.Data { group; source; payload; hops } ->
+      arrive_data t ~to_ ~from ~group ~source ~payload ~hops
+
+(* A packet reaching router [to_] from [from]. *)
+and arrive_data t ~to_ ~from ~group ~source ~payload ~hops =
+  let router = t.routers.(to_) in
+  match from with
+  | Bgmp_router.Peer _ ->
+      (* The inter-domain hop count ticks here: a peer arrival is the
+         one place a packet crosses a domain boundary. *)
+      if Prof.is_enabled () then
+        Prof.span "bgmp.data.forward" (fun () ->
+            Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from)
+      else Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from
+  | Bgmp_router.Internal_router from_rid
+    when (not (Bgmp_router.on_tree router group)) && not (Bgmp_router.has_sg router source group)
+    ->
+      (* Stale chain: the receiver lost its state; tell the sender to
+         stop instead of default-forwarding source traffic. *)
+      exec_action t to_ (Bgmp_router.To_internal (from_rid, Bgmp_msg.Prune_sg { source; group }))
+  | Bgmp_router.Internal_router _ | Bgmp_router.Migp_target ->
+      Bgmp_router.forward t.sink router ~group ~source ~payload ~hops ~from
+
+(* [sink.copy]: router [rid] sends one copy of a packet toward [target].
+   A peer copy is the one thing the data path allocates: the message
+   its transport lane carries. *)
+and copy t rid target ~group ~source ~payload ~hops =
+  match target with
+  | Bgmp_router.Peer _ ->
+      t.data_msgs <- t.data_msgs + 1;
+      Metrics.incr m_data_msgs;
+      let span =
+        if Hashtbl.length t.payload_spans = 0 then None
+        else Hashtbl.find_opt t.payload_spans payload
+      in
+      Net.send t.peer_chan.(rid) ?span (Bgmp_msg.Data { group; source; payload; hops })
+  | Bgmp_router.Internal_router r ->
+      arrive_data t ~to_:r ~from:(Bgmp_router.Internal_router rid) ~group ~source ~payload ~hops
+  | Bgmp_router.Migp_target ->
+      internal_distribute t ~dom:(Bgmp_router.domain t.routers.(rid)) ~entry:rid ~group ~source
+        ~payload ~hops
 
 (* Distribute a packet inside a domain: deliver to local members, apply
    the MIGP's RPF/encapsulation behaviour, and hand copies to the border
-   routers that need them (§5.2).  [entry = None] means the packet
-   originates at a local host. *)
+   routers that need them (§5.2).  [entry] is the border router the
+   packet came in by, [-1] when it originates at a local host. *)
 and internal_distribute t ~dom ~entry ~group ~source ~payload ~hops =
   if Prof.is_enabled () then
     Prof.span "bgmp.data.distribute" (fun () ->
@@ -363,58 +421,69 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
      everything inside was already served at the original injection.
      Without this, a source-specific branch crossing back into the
      source domain would cycle tree and branch forever. *)
-  if source_local && entry <> None then ()
+  if source_local && entry >= 0 then ()
   else begin
     (* RPF handling for strict MIGPs: data that entered at the wrong
        border router is tunnelled to the RPF router (counted), which may
        then grow a source-specific branch to stop the encapsulation. *)
-    if
-      members <> [] && (not source_local) && Migp.strict_rpf style
-      && t.cfg.branching
-    then begin
-      match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
-      | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid ->
+    if members <> [] && (not source_local) && entry >= 0 && Migp.strict_rpf style then begin
+      match exit_router_for_domain t dom source.Host_ref.host_domain with
+      | Some rpf_rid when entry <> rpf_rid ->
           Migp.note_encapsulation migp;
-          exec_actions t rpf_rid
-            (Bgmp_router.initiate_branch t.routers.(rpf_rid) ~source ~group
-               ~shared_entry_router:entry_rid)
-      | (Some _ | None), (Some _ | None) -> ()
-    end
-    else if members <> [] && (not source_local) && Migp.strict_rpf style then begin
-      match (entry, exit_router_for_domain t dom source.Host_ref.host_domain) with
-      | Some entry_rid, Some rpf_rid when entry_rid <> rpf_rid -> Migp.note_encapsulation migp
-      | (Some _ | None), (Some _ | None) -> ()
+          if t.cfg.branching then
+            exec_actions t rpf_rid
+              (Bgmp_router.initiate_branch t.routers.(rpf_rid) ~source ~group
+                 ~shared_entry_router:entry)
+      | Some _ | None -> ()
     end;
     deliver_members t ~group ~source ~payload ~hops members;
-    let entry_rid = match entry with Some rid -> rid | None -> -1 in
-    let routers = t.domain_routers.(dom) in
-    let wanted =
-      interested_routers t ~dom ~group ~source ~entry_rid ~root_via:via_unknown routers
-    in
-    if Migp.floods_data style then begin
+    (* The routers taking a copy are fixed before the first hand-off:
+       a hand-off can change another router's (S,G) state. *)
+    let level = t.depth in
+    let picks = picks_at t level in
+    let rids = t.domain_routers.(dom) in
+    let n = pick_routers t picks ~dom ~group ~source ~entry ~root_via:via_unknown 0 rids in
+    let floods = Migp.floods_data style in
+    if floods then begin
       (* The flood reaches every border router; those without interest
          prune themselves off. *)
-      let all = List.filter (fun rid -> rid <> entry_rid) routers in
-      Migp.note_flood_delivery migp (List.length all);
-      for _ = 1 to List.length all - List.length wanted do
+      let all = if entry >= 0 then List.length rids - 1 else List.length rids in
+      Migp.note_flood_delivery migp all;
+      for _ = 1 to all - n do
         Migp.note_internal_prune migp
+      done
+    end;
+    (* An exception out of a hand-off leaves [depth] one too high,
+       which costs only an unused scratch level. *)
+    t.depth <- level + 1;
+    if floods then flood t ~entry ~group ~source ~payload ~hops rids
+    else
+      for i = 0 to n - 1 do
+        hand_off t picks.(i) ~group ~source ~payload ~hops
       done;
-      hand_to_routers t ~group ~source ~payload ~hops all
-    end
-    else hand_to_routers t ~group ~source ~payload ~hops wanted
+    t.depth <- level
   end
 
-and hand_to_routers t ~group ~source ~payload ~hops = function
+and hand_off t rid ~group ~source ~payload ~hops =
+  Bgmp_router.forward t.sink t.routers.(rid) ~group ~source ~payload ~hops
+    ~from:Bgmp_router.Migp_target
+
+and flood t ~entry ~group ~source ~payload ~hops = function
   | [] -> ()
   | rid :: rest ->
-      exec_actions t rid
-        (Bgmp_router.handle_data t.routers.(rid) ~group ~source ~payload ~hops
-           ~from:Bgmp_router.Migp_target);
-      hand_to_routers t ~group ~source ~payload ~hops rest
+      if rid <> entry then hand_off t rid ~group ~source ~payload ~hops;
+      flood t ~entry ~group ~source ~payload ~hops rest
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Placeholder until [create] builds the fabric's own sink. *)
+let unbuilt_sink =
+  {
+    Bgmp_router.copy = (fun _ _ ~group:_ ~source:_ ~payload:_ ~hops:_ -> ());
+    control = (fun _ _ -> ());
+  }
 
 let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ -> Migp.Dvmrp)
     ?(span_of_group = fun _ _ -> None) ~route_to_root () =
@@ -462,7 +531,9 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       peer_chan = [||];
       toward_tbl;
       ucast_cache = Hashtbl.create 16;
-      delivered = Hashtbl.create 64;
+      delivered = Hashtbl.create 16;
+      spare_logs = [||];
+      n_spare = 0;
       payload_spans = Hashtbl.create 16;
       on_delivery = None;
       dup_count = 0;
@@ -474,8 +545,18 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       m_data_dropped = Metrics.counter "bgmp.data.dropped";
       m_ctl_dropped = Metrics.counter "bgmp.ctl.dropped";
       cycles = None;
+      sink = unbuilt_sink;
+      picks = [||];
+      depth = 0;
     }
   in
+  t.sink <-
+    {
+      Bgmp_router.copy =
+        (fun rid target ~group ~source ~payload ~hops ->
+          copy t rid target ~group ~source ~payload ~hops);
+      control = (fun rid action -> exec_action t rid action);
+    };
   Array.iteri
     (fun rid router ->
       Bgmp_router.set_classify_root router (fun group -> classify_root_for t rid group);
@@ -567,7 +648,7 @@ let send ?span t ~source ~group =
   let payload = t.next_payload in
   t.next_payload <- t.next_payload + 1;
   (match span with Some s -> Hashtbl.replace t.payload_spans payload s | None -> ());
-  internal_distribute t ~dom:source.Host_ref.host_domain ~entry:None ~group ~source ~payload
+  internal_distribute t ~dom:source.Host_ref.host_domain ~entry:(-1) ~group ~source ~payload
     ~hops:0;
   payload
 
@@ -577,11 +658,28 @@ let group_span t dom group = join_root_span t dom group
 
 let deliveries t ~payload =
   match Hashtbl.find_opt t.delivered payload with
-  | Some log -> List.rev log.arrivals
+  | Some log ->
+      let acc = ref [] in
+      for i = log.n_arrivals - 1 downto 0 do
+        acc := (Host_ref.of_key log.arrivals.(2 * i), log.arrivals.((2 * i) + 1)) :: !acc
+      done;
+      !acc
   | None -> []
 
 let forget_payload t ~payload =
-  Hashtbl.remove t.delivered payload;
+  (match Hashtbl.find_opt t.delivered payload with
+  | Some log ->
+      Hashtbl.remove t.delivered payload;
+      Packed_map.clear log.served;
+      log.n_arrivals <- 0;
+      if t.n_spare = Array.length t.spare_logs then begin
+        let grown = Array.make (max 8 (2 * t.n_spare)) log in
+        Array.blit t.spare_logs 0 grown 0 t.n_spare;
+        t.spare_logs <- grown
+      end;
+      t.spare_logs.(t.n_spare) <- log;
+      t.n_spare <- t.n_spare + 1
+  | None -> ());
   Hashtbl.remove t.payload_spans payload
 
 let duplicate_deliveries t = t.dup_count

@@ -30,7 +30,6 @@ type action =
           between the two routers instead of flooding the interior *)
   | Migp_join of { group : Ipv4.t; span : Span.t option }
   | Migp_prune of Ipv4.t
-  | Migp_data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
 
 type entry = { mutable parent : target option; mutable children : target list }
 
@@ -67,6 +66,7 @@ type t = {
   mutable classify_root : Ipv4.t -> route_class;
   mutable classify_source : Domain.id -> route_class;
   mutable version : int;  (** bumped when a (star,G) entry or its children change *)
+  mutable toward_peer : target option;  (** see [toward_peer] *)
 }
 
 let create ~id ~domain ~name =
@@ -80,6 +80,7 @@ let create ~id ~domain ~name =
     classify_root = (fun _ -> Unroutable);
     classify_source = (fun _ -> Unroutable);
     version = 0;
+    toward_peer = None;
   }
 
 let id t = t.rid
@@ -126,7 +127,7 @@ let view_of t group st =
 let sg_entry t source group =
   Option.map (view_of t group) (Hashtbl.find_opt t.sg (source, group))
 
-let has_sg t source group = Hashtbl.mem t.sg (source, group)
+let has_sg t source group = Hashtbl.length t.sg > 0 && Hashtbl.mem t.sg (source, group)
 
 let sg_for_group t group =
   Hashtbl.fold
@@ -393,50 +394,55 @@ let handle_prune_sg t ~source ~group ~from =
           note_entries t;
           propagate_if_empty st)
 
-(* One copy of a packet toward a target.  [msg] is the packet as a peer
-   message, shared by all of its copies (messages are immutable). *)
-let data_action tgt msg ~group ~source ~payload ~hops =
-  match tgt with
-  | Peer p -> To_peer (p, msg)
-  | Internal_router r -> To_internal (r, msg)
-  | Migp_target -> Migp_data { group; source; payload; hops }
+type sink = {
+  copy : int -> target -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> unit;
+  control : int -> action -> unit;
+}
 
 (* Copies toward [targets] in order, skipping the arrival side. *)
-let rec forward_data targets msg ~group ~source ~payload ~hops ~from =
+let rec copy_all sink rid targets ~group ~source ~payload ~hops ~from =
   match targets with
-  | [] -> []
+  | [] -> ()
   | tgt :: rest ->
-      let others = forward_data rest msg ~group ~source ~payload ~hops ~from in
-      if target_equal tgt from then others
-      else data_action tgt msg ~group ~source ~payload ~hops :: others
+      if not (target_equal tgt from) then sink.copy rid tgt ~group ~source ~payload ~hops;
+      copy_all sink rid rest ~group ~source ~payload ~hops ~from
 
 (* A (star,G) entry forwards bidirectionally: parent first, then the
-   children, never back to the arrival side. *)
-let forward_tree e msg ~group ~source ~payload ~hops ~from =
-  let down = forward_data e.children msg ~group ~source ~payload ~hops ~from in
-  match e.parent with
-  | Some p when not (target_equal p from) -> data_action p msg ~group ~source ~payload ~hops :: down
-  | Some _ | None -> down
+   children, never back to the arrival side.  Both are read before the
+   first copy goes out. *)
+let forward_tree sink t e ~group ~source ~payload ~hops ~from =
+  let children = e.children in
+  (match e.parent with
+  | Some p when not (target_equal p from) -> sink.copy t.rid p ~group ~source ~payload ~hops
+  | Some _ | None -> ());
+  copy_all sink t.rid children ~group ~source ~payload ~hops ~from
 
-(* The §5.2 default rule, used when no (star,G) entry applies: pass the
-   packet along toward the group's root domain. *)
-let default_toward_root t msg ~group ~source ~payload ~hops ~from =
+(* [Some (Peer p)], reusing the last one this router built: a router
+   has one external peer, so the default rule allocates it once. *)
+let toward_peer t p =
+  match t.toward_peer with
+  | Some (Peer q) as tgt when q = p -> tgt
+  | Some (Peer _ | Migp_target | Internal_router _) | None ->
+      let tgt = Some (Peer p) in
+      t.toward_peer <- tgt;
+      tgt
+
+(* The §5.2 default rule, used when no (star,G) entry applies: the next
+   target toward the group's root domain, if the packet goes on. *)
+let default_target t ~group ~from =
   match t.classify_root group with
-  | Root_here -> (
+  | Root_here | Internal _ -> (
       match from with
-      | Migp_target | Internal_router _ -> []  (* nowhere further to go *)
-      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
-  | External p ->
-      if (match from with Peer q -> q = p | Migp_target | Internal_router _ -> false) then []
-      else [ To_peer (p, msg) ]
-  | Internal _ -> (
+      | Migp_target | Internal_router _ -> None  (* nowhere further to go *)
+      | Peer _ -> Some Migp_target)
+  | External p -> (
       match from with
-      | Migp_target | Internal_router _ -> []
-      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
-  | Unroutable -> []
+      | Peer q when q = p -> None
+      | Peer _ | Migp_target | Internal_router _ -> toward_peer t p)
+  | Unroutable -> None
 
-(* Forwarding under the packet's (S,G) entry.  Three flavours of (S,G)
-   state, distinguished live:
+(* The targets of a packet under its (S,G) entry, in order; [copy_all]
+   skips the arrival side among them.  Three flavours of (S,G) state, distinguished live:
    - a pure BRANCH (no (star,G) here): strictly RPF-gated — S's packets
      are accepted only from the toward-source side and flow down the
      grafted children; anything else is dropped (this is what makes
@@ -449,57 +455,43 @@ let default_toward_root t msg ~group ~source ~payload ~hops ~from =
      behaves exactly like the bidirectional (star,G) entry plus the
      extra children — gating it to one side would starve tree
      neighbours whose copies flow through us. *)
-let forward_sg t st msg ~group ~source ~payload ~hops ~from =
+let sg_targets t st ~group ~from =
   match (Hashtbl.find_opt t.star group, st.removed) with
   | None, _ -> (
       match st.sg_rpf with
       | Some r when not (target_equal from r) -> []
-      | Some _ | None ->
+      | Some _ | None -> (
           (* A branch hop at an off-tree router must not swallow the
              packet: besides the grafted children, the data still flows
              toward the root domain (the branch is an ADDITION to the
              shared-tree distribution, §5.3).  Skip the default when it
              duplicates a branch child. *)
-          let branch =
-            forward_data (minus st.added [ from ]) msg ~group ~source ~payload ~hops ~from
-          in
-          let defaults =
-            List.filter
-              (fun act ->
-                match act with
-                | To_peer (p, Bgmp_msg.Data _) ->
-                    not
-                      (List.exists
-                         (function Peer q -> q = p | Migp_target | Internal_router _ -> false)
-                         st.added)
-                | Migp_data _ -> not (List.exists (target_equal Migp_target) st.added)
-                | To_peer _ | To_internal _ | Migp_join _ | Migp_prune _ -> true)
-              (default_toward_root t msg ~group ~source ~payload ~hops ~from)
-          in
-          branch @ defaults)
+          match default_target t ~group ~from with
+          | Some d when not (List.exists (target_equal d) st.added) -> st.added @ [ d ]
+          | Some _ | None -> st.added))
   | Some star_e, _ :: _ -> (
       match st.sg_rpf with
       | Some r when not (target_equal from r) -> []
       | Some _ | None ->
-          let survivors = minus star_e.children st.removed @ minus st.added st.removed in
-          forward_data survivors msg ~group ~source ~payload ~hops ~from)
+          minus star_e.children st.removed @ minus st.added st.removed)
   | Some star_e, [] ->
       let tree = (match star_e.parent with Some p -> [ p ] | None -> []) @ star_e.children in
       let acceptable =
         List.exists (target_equal from) tree
         || (match st.sg_rpf with Some r -> target_equal from r | None -> false)
       in
-      if not acceptable then []
-      else forward_data (tree @ minus st.added tree) msg ~group ~source ~payload ~hops ~from
+      if not acceptable then [] else tree @ minus st.added tree
 
-let handle_data t ~group ~source ~payload ~hops ~from =
-  let msg = Bgmp_msg.Data { group; source; payload; hops } in
+let forward sink t ~group ~source ~payload ~hops ~from =
   (* Most routers hold no (S,G) state at all: skip the keyed lookup. *)
   match if Hashtbl.length t.sg = 0 then None else Hashtbl.find_opt t.sg (source, group) with
   | None -> (
       match Hashtbl.find t.star group with
-      | e -> forward_tree e msg ~group ~source ~payload ~hops ~from
-      | exception Not_found -> default_toward_root t msg ~group ~source ~payload ~hops ~from)
+      | e -> forward_tree sink t e ~group ~source ~payload ~hops ~from
+      | exception Not_found -> (
+          match default_target t ~group ~from with
+          | Some tgt -> sink.copy t.rid tgt ~group ~source ~payload ~hops
+          | None -> ()))
   | Some st ->
       (* A branch we initiated becomes live when (S,G) data arrives from
          its RPF side: time to prune the duplicate shared-tree copies
@@ -507,15 +499,22 @@ let handle_data t ~group ~source ~payload ~hops ~from =
          the shared-tree suppression while this branch lives on, and the
          un-suppressed tree copy plus the branch would cycle; asserting
          the prune on every branch arrival keeps the pair consistent
-         (the prune is idempotent and precedes the forwards). *)
-      let branch_prunes =
+         (the prune is idempotent and precedes the forwards).  The
+         prune and the targets are both settled before anything goes
+         out, since the prune can change this router's (S,G) state. *)
+      let prune =
         match Hashtbl.find_opt t.pending_branch_prune (source, group) with
         | Some shared_router
           when (match st.sg_rpf with Some r -> target_equal r from | None -> false) ->
-            [ To_internal (shared_router, Bgmp_msg.Prune_sg { source; group }) ]
-        | Some _ | None -> []
+            shared_router
+        | Some _ | None -> -1
       in
-      branch_prunes @ forward_sg t st msg ~group ~source ~payload ~hops ~from
+      let targets = sg_targets t st ~group ~from in
+      if prune >= 0 then
+        sink.control t.rid (To_internal (prune, Bgmp_msg.Prune_sg { source; group }));
+      copy_all sink t.rid targets ~group ~source ~payload ~hops ~from
+
+let branch_prune t ~source ~group = Hashtbl.find_opt t.pending_branch_prune (source, group)
 
 let clear_group t group =
   if Hashtbl.mem t.star group then begin

@@ -6,11 +6,14 @@
     an external BGMP peer (the border router across one of this
     router's inter-domain links) or the domain's MIGP component.
 
-    The state machine is transport-agnostic: every handler returns the
-    list of {!action}s to perform, and the enclosing fabric interprets
-    them (sending peer messages with link delay, routing MIGP-side
-    actions to the right border router of the domain, distributing data
-    internally per the MIGP style). *)
+    The state machine is transport-agnostic.  The control-plane handlers
+    return the list of {!action}s to perform, and the enclosing fabric
+    interprets them (sending peer messages with link delay, routing
+    MIGP-side actions to the right border router of the domain).  Data
+    never becomes an action: {!forward} hands each copy of a packet to a
+    {!sink} the fabric builds once, which sends it to a peer, hands it
+    to an internal peer, or distributes it inside the domain per the
+    MIGP style. *)
 
 type target =
   | Peer of int  (** global router id of an external BGMP peer *)
@@ -46,8 +49,6 @@ type action =
           router toward the root, or just graft local members when this
           domain is the root); [span] carries the join's causal chain *)
   | Migp_prune of Ipv4.t
-  | Migp_data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
-      (** hand a packet to the domain's internal distribution *)
 
 type entry = private {
   mutable parent : target option;
@@ -105,8 +106,29 @@ val handle_join_sg : t -> source:Host_ref.t -> group:Ipv4.t -> from:target -> ac
 
 val handle_prune_sg : t -> source:Host_ref.t -> group:Ipv4.t -> from:target -> action list
 
-val handle_data :
-  t -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> from:target -> action list
+(** {1 Data forwarding} *)
+
+type sink = {
+  copy : int -> target -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> unit;
+      (** [copy rid target ...]: router [rid] sends one copy of the
+          packet toward [target] *)
+  control : int -> action -> unit;
+      (** router [rid] performs a control action the data path emits
+          (the §5.3 branch prune) *)
+}
+(** Where {!forward} puts its output.  The fabric builds one per
+    fabric, so forwarding a packet allocates nothing here. *)
+
+val forward :
+  sink -> t -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> from:target -> unit
+(** Forward a packet that arrived from [from]: one [sink.copy] per
+    target, never back to [from], in table order — under a (star,G)
+    entry the parent first, then the children; under an (S,G) entry its
+    effective targets; with neither, the §5.2 default toward the
+    group's root domain.  An (S,G) branch this router initiated emits
+    its shared-tree prune through [sink.control] before the copies.
+    Every target is settled before the first output, so the sink may
+    change router state. *)
 
 val initiate_branch : t -> source:Host_ref.t -> group:Ipv4.t -> shared_entry_router:int -> action list
 (** Begin a source-specific branch at this (decapsulating) router: set
@@ -129,6 +151,10 @@ val clear_group : t -> Ipv4.t -> unit
 val star_entry : t -> Ipv4.t -> entry option
 
 val sg_entry : t -> Host_ref.t -> Ipv4.t -> sg_view option
+
+val branch_prune : t -> source:Host_ref.t -> group:Ipv4.t -> int option
+(** The same-domain router whose shared-tree copies this router prunes
+    once data arrives on the (S,G) branch it initiated. *)
 
 val has_sg : t -> Host_ref.t -> Ipv4.t -> bool
 (** [has_sg t s g] is [sg_entry t s g <> None], without building the

@@ -62,9 +62,7 @@ let host_leave t ~group ~host =
       end
 
 let members t ~group =
-  match Hashtbl.find_opt t.membership group with
-  | None -> []
-  | Some cell -> !cell
+  match Hashtbl.find t.membership group with cell -> !cell | exception Not_found -> []
 
 let has_members t ~group = Hashtbl.mem t.membership group
 

@@ -46,10 +46,13 @@ type t = {
   mutable listeners : (int -> int -> up:bool -> unit) list;
 }
 
-(* A message on the wire: its queue slot is the only allocation a
-   lossless send makes. *)
-type 'a wire = Empty | Slot of { msg : 'a; span : Span.t option; sent_epoch : int; mutable next : 'a wire }
-
+(* The messages on the wire, oldest first, live in a growable ring of
+   parallel arrays: message, span and the link epoch at send time.  The
+   capacity is a power of two, and a send allocates only when the ring
+   grows.  Messages are stored as [Obj.t] so that a delivered slot can
+   be cleared to an immediate and keep nothing alive without a
+   placeholder message; an array built from an immediate is never a
+   flat float array, so the stores and loads are sound for any ['a]. *)
 type 'a channel = {
   net : t;
   stats : stats;
@@ -57,13 +60,36 @@ type 'a channel = {
   delay : Time.t;
   recv : 'a -> unit;
   mutable on_drop : ('a -> unit) option;
-  mutable head : 'a wire;
-  mutable tail : 'a wire;
+  mutable q_msg : Obj.t array;
+  mutable q_span : Span.t option array;
+  mutable q_epoch : int array;
+  mutable q_head : int;  (** slot of the oldest message *)
+  mutable q_len : int;
   (* Delivers the head of the queue; armed once per message sent. *)
   mutable arrival : Engine.handle;
   (* Recorder subject, built once per channel. *)
   subj : string;
 }
+
+let vacant = Obj.repr 0
+
+(* Double the ring (one slot at first), unrolling the queue to start at
+   slot 0. *)
+let grow ch =
+  let cap = Array.length ch.q_msg in
+  let cap' = max 1 (2 * cap) in
+  let msg = Array.make cap' vacant and span = Array.make cap' None in
+  let epoch = Array.make cap' 0 in
+  for k = 0 to ch.q_len - 1 do
+    let i = (ch.q_head + k) land (cap - 1) in
+    msg.(k) <- ch.q_msg.(i);
+    span.(k) <- ch.q_span.(i);
+    epoch.(k) <- ch.q_epoch.(i)
+  done;
+  ch.q_msg <- msg;
+  ch.q_span <- span;
+  ch.q_epoch <- epoch;
+  ch.q_head <- 0
 
 let check_rate fn rate =
   if not (rate >= 0.0 && rate < 1.0) then
@@ -127,25 +153,27 @@ let drop ch ?span msg reason =
   match ch.on_drop with Some f -> f msg | None -> ()
 
 let deliver ch =
-  match ch.head with
-  | Empty -> assert false
-  | Slot s ->
-      ch.head <- s.next;
-      if s.next == Empty then ch.tail <- Empty;
-      let st = ch.stats in
-      (* The message left the wire whether it lands or was caught by a
-         down-transition: the in-flight gauge drops on both paths. *)
-      st.n_inflight <- st.n_inflight - 1;
-      Metrics.set_int st.m_inflight st.n_inflight;
-      if ch.link.epoch <> s.sent_epoch then drop ch ?span:s.span s.msg "in-flight"
-      else begin
-        st.n_delivered <- st.n_delivered + 1;
-        Metrics.incr st.m_delivered;
-        if Recorder.is_enabled () then
-          Recorder.record ~time:(Engine.now ch.net.engine) ~label:st.recv_label ~subject:ch.subj
-            ?span:s.span ();
-        ch.recv s.msg
-      end
+  assert (ch.q_len > 0);
+  let i = ch.q_head in
+  let msg = Obj.obj ch.q_msg.(i) and span = ch.q_span.(i) and sent_epoch = ch.q_epoch.(i) in
+  ch.q_msg.(i) <- vacant;
+  ch.q_span.(i) <- None;
+  ch.q_head <- (i + 1) land (Array.length ch.q_msg - 1);
+  ch.q_len <- ch.q_len - 1;
+  let st = ch.stats in
+  (* The message left the wire whether it lands or was caught by a
+     down-transition: the in-flight gauge drops on both paths. *)
+  st.n_inflight <- st.n_inflight - 1;
+  Metrics.set_int st.m_inflight st.n_inflight;
+  if ch.link.epoch <> sent_epoch then drop ch ?span msg "in-flight"
+  else begin
+    st.n_delivered <- st.n_delivered + 1;
+    Metrics.incr st.m_delivered;
+    if Recorder.is_enabled () then
+      Recorder.record ~time:(Engine.now ch.net.engine) ~label:st.recv_label ~subject:ch.subj
+        ?span ();
+    ch.recv msg
+  end
 
 (* Placeholder until [channel] builds the channel's own arrival event;
    never armed. *)
@@ -163,8 +191,11 @@ let channel t ~protocol ~src ~dst ~delay ~recv =
       delay;
       recv;
       on_drop = None;
-      head = Empty;
-      tail = Empty;
+      q_msg = [||];
+      q_span = [||];
+      q_epoch = [||];
+      q_head = 0;
+      q_len = 0;
       arrival = unbuilt;
       subj = string_of_int src ^ "->" ^ string_of_int dst;
     }
@@ -192,9 +223,12 @@ let send ch ?span msg =
   else if n.cfg.loss_rate > 0.0 && Rng.float n.loss_rng 1.0 < n.cfg.loss_rate then
     drop ch ?span msg "loss"
   else begin
-    let s = Slot { msg; span; sent_epoch = ch.link.epoch; next = Empty } in
-    (match ch.tail with Empty -> ch.head <- s | Slot last -> last.next <- s);
-    ch.tail <- s;
+    if ch.q_len = Array.length ch.q_msg then grow ch;
+    let i = (ch.q_head + ch.q_len) land (Array.length ch.q_msg - 1) in
+    ch.q_msg.(i) <- Obj.repr msg;
+    ch.q_span.(i) <- span;
+    ch.q_epoch.(i) <- ch.link.epoch;
+    ch.q_len <- ch.q_len + 1;
     st.n_inflight <- st.n_inflight + 1;
     Metrics.set_int st.m_inflight st.n_inflight;
     Engine.arm_after n.engine ch.arrival ch.delay

@@ -128,9 +128,13 @@ let rec retain t = function
       retain t rest
   | _ -> ()
 
-let check ?(quiescent = true) t =
+let check ?(quiescent = true) ?only t =
   Metrics.incr (checks_counter t);
-  let vs = run_preds t ~quiescent t.preds in
+  let vs =
+    match only with
+    | None -> run_preds t ~quiescent t.preds
+    | Some name -> run_preds t ~quiescent:true (List.filter (fun p -> p.name = name) t.preds)
+  in
   retain t vs;
   vs
 

@@ -51,10 +51,12 @@ val register :
 val names : t -> string list
 (** Registered predicate names, in registration order. *)
 
-val check : ?quiescent:bool -> t -> violation list
+val check : ?quiescent:bool -> ?only:string -> t -> violation list
 (** Run every applicable predicate; [~quiescent:false] (a mid-run
     cadence check) skips [quiescent_only] predicates.  Default is
-    [true]: check everything. *)
+    [true]: check everything.  [~only] runs just the predicate of that
+    name (subject to its gate, whatever [quiescent]) — for a driver
+    that knows the moment its predicate's state is due. *)
 
 val violations_seen : t -> violation list
 (** Violations returned by every {!check} so far, oldest first, capped

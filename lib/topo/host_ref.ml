@@ -15,4 +15,6 @@ let key t =
     invalid_arg "Host_ref.key: domain or index out of range";
   (t.host_domain lsl key_bits) lor t.host_index
 
+let of_key k = { host_domain = k lsr key_bits; host_index = k land ((1 lsl key_bits) - 1) }
+
 let pp ppf t = Format.fprintf ppf "h%d.%d" t.host_domain t.host_index

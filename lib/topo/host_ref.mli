@@ -19,4 +19,7 @@ val key : t -> int
     @raise Invalid_argument when the domain or index lies outside
     \[0, 2{^31}). *)
 
+val of_key : int -> t
+(** The host a {!key} identifies: [of_key (key h)] equals [h]. *)
+
 val pp : Format.formatter -> t -> unit

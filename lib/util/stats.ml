@@ -10,7 +10,7 @@ type t = {
 
 let create () = { n = 0.0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
 
-let add t x =
+let[@inline] add t x =
   t.n <- t.n +. 1.0;
   let delta = x -. t.mean_acc in
   t.mean_acc <- t.mean_acc +. (delta /. t.n);

@@ -1,0 +1,145 @@
+(* The BGMP router's data forwarding seen as lists: [handle_data]
+   collects what [Bgmp_router.forward] emits through its sink, and
+   [reference] is the list implementation forwarding had before the
+   sink, kept as the differential oracle for it. *)
+
+open Bgmp_router
+
+(* One output of a forwarded packet: a copy toward a target (a peer
+   message, a hand-off to an internal peer, or the domain's interior),
+   or the control message the (S,G) branch prune sends. *)
+type out =
+  | To_peer of int * Bgmp_msg.t
+  | To_internal of int * Bgmp_msg.t
+  | Migp_data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
+
+let pp_out ppf = function
+  | To_peer (p, m) -> Format.fprintf ppf "peer-%d %a" p Bgmp_msg.pp m
+  | To_internal (r, m) -> Format.fprintf ppf "internal-%d %a" r Bgmp_msg.pp m
+  | Migp_data { payload; hops; _ } -> Format.fprintf ppf "migp payload %d hops %d" payload hops
+
+(* One copy of a packet toward a target.  [msg] is the packet as a peer
+   message, shared by all of its copies. *)
+let data_action tgt msg ~group ~source ~payload ~hops =
+  match tgt with
+  | Peer p -> To_peer (p, msg)
+  | Internal_router r -> To_internal (r, msg)
+  | Migp_target -> Migp_data { group; source; payload; hops }
+
+let handle_data r ~group ~source ~payload ~hops ~from =
+  let outs = ref [] in
+  let sink =
+    {
+      copy =
+        (fun _ tgt ~group ~source ~payload ~hops ->
+          outs :=
+            data_action tgt (Bgmp_msg.Data { group; source; payload; hops }) ~group ~source
+              ~payload ~hops
+            :: !outs);
+      control =
+        (fun _ action ->
+          match action with
+          | Bgmp_router.To_internal (rid, msg) -> outs := To_internal (rid, msg) :: !outs
+          | Bgmp_router.To_peer (p, msg) -> outs := To_peer (p, msg) :: !outs
+          | Migp_join _ | Migp_prune _ -> Alcotest.fail "forward emitted a tree control action");
+    }
+  in
+  forward sink r ~group ~source ~payload ~hops ~from;
+  List.rev !outs
+
+(* ---- the list implementation ---------------------------------------- *)
+
+let minus l r = List.filter (fun x -> not (List.exists (target_equal x) r)) l
+
+(* Copies toward [targets] in order, skipping the arrival side. *)
+let rec forward_data targets msg ~group ~source ~payload ~hops ~from =
+  match targets with
+  | [] -> []
+  | tgt :: rest ->
+      let others = forward_data rest msg ~group ~source ~payload ~hops ~from in
+      if target_equal tgt from then others
+      else data_action tgt msg ~group ~source ~payload ~hops :: others
+
+(* A (star,G) entry forwards bidirectionally: parent first, then the
+   children, never back to the arrival side. *)
+let forward_tree (e : entry) msg ~group ~source ~payload ~hops ~from =
+  let down = forward_data e.children msg ~group ~source ~payload ~hops ~from in
+  match e.parent with
+  | Some p when not (target_equal p from) -> data_action p msg ~group ~source ~payload ~hops :: down
+  | Some _ | None -> down
+
+(* The §5.2 default rule, used when no (star,G) entry applies. *)
+let default_toward_root ~classify_root msg ~group ~source ~payload ~hops ~from =
+  match classify_root group with
+  | Root_here -> (
+      match from with
+      | Migp_target | Internal_router _ -> []
+      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
+  | External p ->
+      if (match from with Peer q -> q = p | Migp_target | Internal_router _ -> false) then []
+      else [ To_peer (p, msg) ]
+  | Internal _ -> (
+      match from with
+      | Migp_target | Internal_router _ -> []
+      | Peer _ -> [ Migp_data { group; source; payload; hops } ])
+  | Unroutable -> []
+
+(* Forwarding under the packet's (S,G) entry: a pure branch, negative
+   state or a graft on the shared tree. *)
+let forward_sg r ~classify_root (v : sg_view) msg ~group ~source ~payload ~hops ~from =
+  match (star_entry r group, v.view_removed) with
+  | None, _ -> (
+      match v.view_rpf with
+      | Some rpf when not (target_equal from rpf) -> []
+      | Some _ | None ->
+          let branch =
+            forward_data (minus v.view_added [ from ]) msg ~group ~source ~payload ~hops ~from
+          in
+          let defaults =
+            List.filter
+              (fun out ->
+                match out with
+                | To_peer (p, _) ->
+                    not
+                      (List.exists
+                         (function Peer q -> q = p | Migp_target | Internal_router _ -> false)
+                         v.view_added)
+                | Migp_data _ -> not (List.exists (target_equal Migp_target) v.view_added)
+                | To_internal _ -> true)
+              (default_toward_root ~classify_root msg ~group ~source ~payload ~hops ~from)
+          in
+          branch @ defaults)
+  | Some star_e, _ :: _ -> (
+      match v.view_rpf with
+      | Some rpf when not (target_equal from rpf) -> []
+      | Some _ | None ->
+          let survivors =
+            minus star_e.children v.view_removed @ minus v.view_added v.view_removed
+          in
+          forward_data survivors msg ~group ~source ~payload ~hops ~from)
+  | Some star_e, [] ->
+      let tree = (match star_e.parent with Some p -> [ p ] | None -> []) @ star_e.children in
+      let acceptable =
+        List.exists (target_equal from) tree
+        || (match v.view_rpf with Some rpf -> target_equal from rpf | None -> false)
+      in
+      if not acceptable then []
+      else forward_data (tree @ minus v.view_added tree) msg ~group ~source ~payload ~hops ~from
+
+(* [classify_root] must be the classifier installed on [r]. *)
+let reference r ~classify_root ~group ~source ~payload ~hops ~from =
+  let msg = Bgmp_msg.Data { group; source; payload; hops } in
+  match sg_entry r source group with
+  | None -> (
+      match star_entry r group with
+      | Some e -> forward_tree e msg ~group ~source ~payload ~hops ~from
+      | None -> default_toward_root ~classify_root msg ~group ~source ~payload ~hops ~from)
+  | Some v ->
+      let branch_prunes =
+        match branch_prune r ~source ~group with
+        | Some shared_router
+          when (match v.view_rpf with Some rpf -> target_equal rpf from | None -> false) ->
+            [ To_internal (shared_router, Bgmp_msg.Prune_sg { source; group }) ]
+        | Some _ | None -> []
+      in
+      branch_prunes @ forward_sg r ~classify_root v msg ~group ~source ~payload ~hops ~from

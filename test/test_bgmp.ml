@@ -66,30 +66,30 @@ let test_router_data_bidirectional () =
   ignore (Bgmp_router.handle_join r ~group:g ~from:(Bgmp_router.Peer 3));
   let src = Host_ref.make 1 0 in
   (* Data from the child flows to the parent (up) but not back. *)
-  let up = Bgmp_router.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:(Bgmp_router.Peer 3) in
+  let up = Data_oracle.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:(Bgmp_router.Peer 3) in
   (match up with
-  | [ Bgmp_router.To_peer (55, Bgmp_msg.Data _) ] -> ()
+  | [ Data_oracle.To_peer (55, Bgmp_msg.Data _) ] -> ()
   | _ -> Alcotest.fail "expected upward forwarding");
   (* Data from the parent flows to the child. *)
   let down =
-    Bgmp_router.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 55)
+    Data_oracle.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 55)
   in
   match down with
-  | [ Bgmp_router.To_peer (3, Bgmp_msg.Data _) ] -> ()
+  | [ Data_oracle.To_peer (3, Bgmp_msg.Data _) ] -> ()
   | _ -> Alcotest.fail "expected downward forwarding"
 
 let test_router_off_tree_default_forwarding () =
   let r = router_with_routes ~root_class:(Bgmp_router.External 55) ~source_class:Bgmp_router.Unroutable in
   let src = Host_ref.make 1 0 in
   (* Off-tree router forwards toward the root (§5.2)... *)
-  let acts = Bgmp_router.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:Bgmp_router.Migp_target in
+  let acts = Data_oracle.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:Bgmp_router.Migp_target in
   (match acts with
-  | [ Bgmp_router.To_peer (55, Bgmp_msg.Data _) ] -> ()
+  | [ Data_oracle.To_peer (55, Bgmp_msg.Data _) ] -> ()
   | _ -> Alcotest.fail "expected default forwarding toward root");
   (* ...data arriving FROM the root direction at an off-tree router has
      no interested party here: dropped, never echoed. *)
   let acts2 =
-    Bgmp_router.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 55)
+    Data_oracle.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 55)
   in
   check Alcotest.int "dropped, not echoed" 0 (List.length acts2);
   (* An off-tree router whose exit lies via another border router hands
@@ -98,14 +98,14 @@ let test_router_off_tree_default_forwarding () =
   let r_int =
     router_with_routes ~root_class:(Bgmp_router.Internal 77) ~source_class:Bgmp_router.Unroutable
   in
-  (match Bgmp_router.handle_data r_int ~group:g ~source:src ~payload:3 ~hops:0 ~from:(Bgmp_router.Peer 7) with
-  | [ Bgmp_router.Migp_data _ ] -> ()
+  (match Data_oracle.handle_data r_int ~group:g ~source:src ~payload:3 ~hops:0 ~from:(Bgmp_router.Peer 7) with
+  | [ Data_oracle.Migp_data _ ] -> ()
   | _ -> Alcotest.fail "expected hand-off to the MIGP (internal next hop)");
   (* Unroutable groups are dropped. *)
   let r2 = router_with_routes ~root_class:Bgmp_router.Unroutable ~source_class:Bgmp_router.Unroutable in
   check Alcotest.int "unroutable dropped" 0
     (List.length
-       (Bgmp_router.handle_data r2 ~group:g ~source:src ~payload:4 ~hops:0
+       (Data_oracle.handle_data r2 ~group:g ~source:src ~payload:4 ~hops:0
           ~from:(Bgmp_router.Peer 1)))
 
 let test_router_data_after_teardown_reverts_to_default () =
@@ -117,13 +117,13 @@ let test_router_data_after_teardown_reverts_to_default () =
   ignore (Bgmp_router.handle_prune r ~group:g ~from:(Bgmp_router.Peer 3));
   check Alcotest.bool "entry gone" true (Bgmp_router.star_entry r g = None);
   let src = Host_ref.make 1 0 in
-  (match Bgmp_router.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:Bgmp_router.Migp_target with
-  | [ Bgmp_router.To_peer (55, Bgmp_msg.Data _) ] -> ()
+  (match Data_oracle.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:Bgmp_router.Migp_target with
+  | [ Data_oracle.To_peer (55, Bgmp_msg.Data _) ] -> ()
   | _ -> Alcotest.fail "expected default forwarding toward root, not to former child");
   (* Data arriving from the root side finds nobody interested. *)
   check Alcotest.int "nothing echoed to former child" 0
     (List.length
-       (Bgmp_router.handle_data r ~group:g ~source:src ~payload:2 ~hops:0
+       (Data_oracle.handle_data r ~group:g ~source:src ~payload:2 ~hops:0
           ~from:(Bgmp_router.Peer 55)))
 
 let test_router_data_during_prune_in_flight () =
@@ -137,10 +137,10 @@ let test_router_data_during_prune_in_flight () =
   ignore (Bgmp_router.handle_join r ~group:g ~from:(Bgmp_router.Peer 4));
   ignore (Bgmp_router.handle_prune r ~group:g ~from:(Bgmp_router.Peer 3));
   let src = Host_ref.make 1 0 in
-  let acts = Bgmp_router.handle_data r ~group:g ~source:src ~payload:1 ~hops:2 ~from:(Bgmp_router.Peer 3) in
+  let acts = Data_oracle.handle_data r ~group:g ~source:src ~payload:1 ~hops:2 ~from:(Bgmp_router.Peer 3) in
   let to_ids =
     List.filter_map
-      (function Bgmp_router.To_peer (p, Bgmp_msg.Data _) -> Some p | _ -> None)
+      (function Data_oracle.To_peer (p, Bgmp_msg.Data _) -> Some p | _ -> None)
       acts
   in
   check (Alcotest.list Alcotest.int) "late data goes up and to the live child only" [ 4; 55 ]
@@ -174,13 +174,13 @@ let test_router_sg_data_rpf_gated () =
   let src = Host_ref.make 1 0 in
   ignore (Bgmp_router.handle_join_sg r ~source:src ~group:g ~from:(Bgmp_router.Peer 9));
   (* Data from the RPF side flows down the branch... *)
-  let ok = Bgmp_router.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:(Bgmp_router.Peer 66) in
+  let ok = Data_oracle.handle_data r ~group:g ~source:src ~payload:1 ~hops:0 ~from:(Bgmp_router.Peer 66) in
   (match ok with
-  | [ Bgmp_router.To_peer (9, Bgmp_msg.Data _) ] -> ()
+  | [ Data_oracle.To_peer (9, Bgmp_msg.Data _) ] -> ()
   | _ -> Alcotest.fail "expected forwarding down the branch");
   (* ...data from anywhere else is dropped (no loops through branches). *)
   let dropped =
-    Bgmp_router.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 9)
+    Data_oracle.handle_data r ~group:g ~source:src ~payload:2 ~hops:0 ~from:(Bgmp_router.Peer 9)
   in
   check Alcotest.int "non-RPF data dropped" 0 (List.length dropped)
 
@@ -189,6 +189,73 @@ let test_router_entry_count () =
   ignore (Bgmp_router.handle_join r ~group:g ~from:(Bgmp_router.Peer 3));
   ignore (Bgmp_router.handle_join_sg r ~source:(Host_ref.make 1 0) ~group:g ~from:(Bgmp_router.Peer 9));
   check Alcotest.int "one star one sg" 2 (Bgmp_router.entry_count r)
+
+(* --- Sink forwarding against the list oracle ---------------------------- *)
+
+let test_forward_matches_list_oracle () =
+  (* Random router states, built through the handlers, then every
+     (group, source, arrival side): [forward] must emit exactly the
+     outputs of the list implementation, in the same order. *)
+  let rng = Rng.create 1998 in
+  let targets =
+    Bgmp_router.
+      [|
+        Peer 1; Peer 2; Peer 3; Peer 4; Migp_target; Internal_router 7; Internal_router 8;
+      |]
+  in
+  let classes =
+    Bgmp_router.[| Root_here; External 1; External 2; Internal 7; Internal 8; Unroutable |]
+  in
+  let groups = [| g; Ipv4.of_string "224.0.128.2" |] in
+  let sources = [| Host_ref.make 1 0; Host_ref.make 2 0 |] in
+  let branch = ref 0 and negative = ref 0 and graft = ref 0 in
+  for trial = 1 to 400 do
+    let root_class = Rng.pick rng classes and source_class = Rng.pick rng classes in
+    let classify_root _ = root_class in
+    let r = Bgmp_router.create ~id:100 ~domain:9 ~name:"R" in
+    Bgmp_router.set_classify_root r classify_root;
+    Bgmp_router.set_classify_source r (fun _ -> source_class);
+    for _ = 1 to Rng.int rng 14 do
+      let group = Rng.pick rng groups and source = Rng.pick rng sources in
+      let from = Rng.pick rng targets in
+      ignore
+        (match Rng.int rng 7 with
+        | 0 | 1 -> Bgmp_router.handle_join r ~group ~from
+        | 2 -> Bgmp_router.handle_prune r ~group ~from
+        | 3 -> Bgmp_router.handle_join_sg r ~source ~group ~from
+        | 4 -> Bgmp_router.handle_prune_sg r ~source ~group ~from
+        | 5 ->
+            Bgmp_router.initiate_branch r ~source ~group
+              ~shared_entry_router:(Rng.pick rng [| 7; 8 |])
+        | _ -> Bgmp_router.cancel_suppression r ~source ~group)
+    done;
+    Array.iter
+      (fun group ->
+        Array.iter
+          (fun source ->
+            (match (Bgmp_router.sg_entry r source group, Bgmp_router.star_entry r group) with
+            | Some _, None -> incr branch
+            | Some v, Some _ when v.Bgmp_router.view_removed <> [] -> incr negative
+            | Some v, Some _ when v.Bgmp_router.view_added <> [] -> incr graft
+            | _ -> ());
+            Array.iter
+              (fun from ->
+                let got = Data_oracle.handle_data r ~group ~source ~payload:5 ~hops:2 ~from in
+                let want =
+                  Data_oracle.reference r ~classify_root ~group ~source ~payload:5 ~hops:2 ~from
+                in
+                if got <> want then
+                  let pp = Format.pp_print_list ~pp_sep:Format.pp_print_space Data_oracle.pp_out in
+                  Alcotest.failf "trial %d, %a from %a: sink [%a], oracle [%a]" trial Host_ref.pp
+                    source Bgmp_router.pp_target from pp got pp want)
+              targets)
+          sources)
+      groups
+  done;
+  (* The states must cover every (S,G) flavour. *)
+  check Alcotest.bool (Printf.sprintf "branch states (%d)" !branch) true (!branch >= 20);
+  check Alcotest.bool (Printf.sprintf "negative states (%d)" !negative) true (!negative >= 20);
+  check Alcotest.bool (Printf.sprintf "graft states (%d)" !graft) true (!graft >= 20)
 
 (* --- Fabric ------------------------------------------------------------- *)
 
@@ -609,6 +676,42 @@ let test_fabric_deliveries_in_arrival_order () =
     (show (Bgmp_fabric.deliveries fabric ~payload:local));
   check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
 
+let test_fabric_pooled_delivery_logs () =
+  (* A forgotten payload's log is cleared and handed to the next
+     payload: hosts the old payload served must not read as duplicates,
+     and [deliveries] lists each payload's own arrivals in order with
+     their hops — also while another payload's log is still live, and
+     after a reused log has grown. *)
+  let topo = Gen.line ~n:2 in
+  let engine, fabric = make_fabric ~migp_style:(fun _ -> Migp.Pim_sm) ~root_name:"n1" topo in
+  let n0 = dom topo "n0" and n1 = dom topo "n1" in
+  let members = List.init 20 (fun i -> Host_ref.make n1 (i * 3 mod 20)) in
+  List.iter (fun host -> Bgmp_fabric.host_join fabric ~host ~group:g) members;
+  Engine.run_until_idle engine;
+  let show l = List.map (fun (h, hops) -> (host_pp h, hops)) l in
+  let expect hops = show (List.map (fun h -> (h, hops)) members) in
+  let arrivals what hops payload =
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+      what (expect hops)
+      (show (Bgmp_fabric.deliveries fabric ~payload))
+  in
+  let first = Bgmp_fabric.send fabric ~source:(Host_ref.make n0 0) ~group:g in
+  Engine.run_until_idle engine;
+  arrivals "first payload" 1 first;
+  let live = Bgmp_fabric.send fabric ~source:(Host_ref.make n1 99) ~group:g in
+  Bgmp_fabric.forget_payload fabric ~payload:first;
+  check Alcotest.int "a forgotten payload has no deliveries" 0
+    (List.length (Bgmp_fabric.deliveries fabric ~payload:first));
+  for round = 1 to 3 do
+    let p = Bgmp_fabric.send fabric ~source:(Host_ref.make n0 round) ~group:g in
+    Engine.run_until_idle engine;
+    arrivals (Printf.sprintf "reused log, round %d" round) 1 p;
+    Bgmp_fabric.forget_payload fabric ~payload:p
+  done;
+  arrivals "the live payload's log is untouched" 0 live;
+  check Alcotest.int "no stale duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
+
 (* A data loop: a G-RIB gone wrong points A toward C, C toward B and B
    toward A, so default forwarding (which has no TTL) carries one copy of
    the packet around the A-C-B cycle for ever, serving B's member once
@@ -712,6 +815,8 @@ let prop_fabric_delivers_to_exactly_members =
 
 let suite =
   [
+    ("forward matches the list oracle", `Quick, test_forward_matches_list_oracle);
+    ("pooled delivery logs", `Quick, test_fabric_pooled_delivery_logs);
     ("router join creates entry", `Quick, test_router_join_creates_entry_and_propagates);
     ("router second join silent", `Quick, test_router_second_join_no_propagation);
     ("router root parent is migp", `Quick, test_router_root_domain_parent_is_migp);

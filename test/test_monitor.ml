@@ -497,7 +497,7 @@ let bgmp_router_rows () =
     row "a join from an existing child" false (join g (Peer 2));
     row "a prune from a non-child" false (prune g (Peer 5));
     row "data forwarding" false (fun () ->
-        ignore (Bgmp_router.handle_data r ~group:g ~source ~payload:1 ~hops:0 ~from:(Peer 1)));
+        ignore (Data_oracle.handle_data r ~group:g ~source ~payload:1 ~hops:0 ~from:(Peer 1)));
     row "(S,G) state" false (fun () ->
         ignore (Bgmp_router.handle_join_sg r ~source ~group:g ~from:(Peer 3)));
     row "lookups" false (fun () ->

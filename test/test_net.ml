@@ -328,9 +328,93 @@ let test_send_allocation () =
         done;
         Engine.run_until_idle engine)
   in
-  Printf.printf "net send: %.1f B\n" bytes;
-  check Alcotest.bool (Printf.sprintf "send + delivery allocates %.1f B <= 96 B" bytes) true
-    (bytes <= 96.0)
+  Printf.printf "net send: %.3f B\n" bytes;
+  (* A warmed ring allocates nothing per message; a dev build (no
+     cross-module inlining) boxes one gauge float per message, and the
+     run itself adds a few words per batch (under 1 B per message). *)
+  let budget = if Build_profile.name = "dev" then 17.0 else 1.0 in
+  check Alcotest.bool
+    (Printf.sprintf "send + delivery allocates %.1f B <= %.0f B" bytes budget)
+    true (bytes <= budget)
+
+let test_ring_fifo_across_wrap_and_growth () =
+  (* Seeded bursts every 0.1 s over a 1 s lane: deliveries interleave
+     with sends, so the ring wraps and grows with its head mid-array,
+     and every message must still land exactly once, in send order. *)
+  let engine, net = make () in
+  let got = ref [] in
+  let ch =
+    Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:1.0 ~recv:(fun m -> got := m :: !got)
+  in
+  let rng = Rng.create 11 in
+  let next = ref 0 in
+  for step = 0 to 199 do
+    let burst = if step mod 50 < 25 then Rng.int rng 4 else Rng.int rng 2 in
+    ignore
+      (Engine.schedule_at engine (0.1 *. float_of_int step) (fun () ->
+           for _ = 1 to burst do
+             incr next;
+             Net.send ch !next
+           done))
+  done;
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.int) "every message, in send order" (List.init !next succ)
+    (List.rev !got);
+  check Alcotest.int "nothing left in flight" 0 (Net.in_flight net ~protocol:"t")
+
+let test_ring_epoch_drop_after_wrap () =
+  (* a goes out at 0 and b at 0.5; a lands at 1, so c (sent at 1.1)
+     wraps to the ring's first slot.  A fail+restore at 1.4 loses b and
+     c in flight — the observer sees them in queue order — and d, sent
+     after, lands. *)
+  let engine, net = make () in
+  let got = ref [] and dropped = ref [] in
+  let ch =
+    Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:1.0 ~recv:(fun m -> got := m :: !got)
+  in
+  Net.set_on_drop ch (fun m -> dropped := m :: !dropped);
+  let at time f = ignore (Engine.schedule_at engine time f) in
+  Net.send ch "a";
+  at 0.5 (fun () -> Net.send ch "b");
+  at 1.1 (fun () -> Net.send ch "c");
+  at 1.4 (fun () ->
+      Net.fail_link net 0 1;
+      Net.restore_link net 0 1);
+  at 1.6 (fun () -> Net.send ch "d");
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.string) "delivered" [ "a"; "d" ] (List.rev !got);
+  check (Alcotest.list Alcotest.string) "lost in flight, in queue order" [ "b"; "c" ]
+    (List.rev !dropped);
+  check Alcotest.int "in flight" 0 (Net.in_flight net ~protocol:"t")
+
+(* Sends a fresh message and span, remembered only weakly. *)
+let[@inline never] send_tracked ch refs i =
+  let msg = Bytes.make 64 'm' and span = Span.root "ring" in
+  Weak.set refs (2 * i) (Some (Obj.repr msg));
+  Weak.set refs ((2 * i) + 1) (Some (Obj.repr span));
+  Net.send ch ~span msg
+
+let test_ring_releases_delivered () =
+  (* A delivered or dropped message leaves nothing reachable behind in
+     its ring slot: neither the message nor its span. *)
+  let engine, net = make () in
+  let ch = Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:1.0 ~recv:ignore in
+  let refs = Weak.create 6 in
+  for i = 0 to 2 do
+    send_tracked ch refs i
+  done;
+  let alive () = List.filter (fun i -> Weak.check refs i) (List.init 6 Fun.id) in
+  Gc.full_major ();
+  check (Alcotest.list Alcotest.int) "queued: all held" [ 0; 1; 2; 3; 4; 5 ] (alive ());
+  ignore (Engine.schedule_at engine 0.5 (fun () -> Net.fail_link net 0 1));
+  Engine.run_until_idle engine;
+  Gc.full_major ();
+  check (Alcotest.list Alcotest.int) "dropped: none held" [] (alive ());
+  Net.restore_link net 0 1;
+  send_tracked ch refs 0;
+  Engine.run_until_idle engine;
+  Gc.full_major ();
+  check (Alcotest.list Alcotest.int) "delivered: none held" [] (alive ())
 
 let suite =
   [
@@ -349,5 +433,8 @@ let suite =
     ("fail+restore within one flight", `Quick, test_fail_restore_within_flight);
     ("rejects NaN", `Quick, test_rejects_nan);
     ("send allocation", `Quick, test_send_allocation);
+    ("ring FIFO across wrap and growth", `Quick, test_ring_fifo_across_wrap_and_growth);
+    ("ring epoch drop after a wrap", `Quick, test_ring_epoch_drop_after_wrap);
+    ("ring releases delivered slots", `Quick, test_ring_releases_delivered);
     ("run_until_quiescent outlives housekeeping", `Quick, test_run_until_quiescent_outlives_housekeeping);
   ]
