@@ -62,16 +62,50 @@ type result = {
 
 (* One claimed prefix held by a domain (child or top).  [used] counts
    addresses of live blocks (child) or of children's claims (top,
-   maintained incrementally). *)
+   maintained incrementally).  A claim is in its domain's list exactly
+   while [alive]: the handler that kills it also takes it out.
+   [expiry] is the claim's one lifetime event, armed at the claim and
+   re-armed on each renewal or drain re-check. *)
 type dom_claim = {
   mutable prefix : Prefix.t;
   mutable active : bool;
   mutable used : int;
-  mutable expires : Time.t;
   mutable alive : bool;
+  mutable expiry : Engine.handle;
 }
 
-type child = { c_owner : int; c_top : int; mutable c_claims : dom_claim list; c_rng : Rng.t }
+(* The policy reads the claims in place and answers with one of them. *)
+module Policy = Claim_policy.Make (struct
+  type t = dom_claim
+
+  let prefix c = c.prefix
+  let active c = c.active
+  let used c = c.used
+end)
+
+(* Fills the event fields until their owner exists (never armed), and
+   the empty slots of the block rings. *)
+let unarmed = Engine.event ignore
+
+let vacant = { prefix = Prefix.class_d; active = false; used = 0; alive = false; expiry = unarmed }
+
+(* A child domain.  [c_request] is its one request event, re-armed
+   after every request.  Its outstanding blocks wait in [c_blocks], a
+   growable ring (capacity a power of two, [c_len] entries from
+   [c_head]) of the claims they were granted from, oldest first;
+   [c_block_expiry] is armed once per grant and retires the ring's head
+   (see [grant_block]). *)
+type child = {
+  c_owner : int;
+  c_top : int;
+  mutable c_claims : dom_claim list;
+  c_rng : Rng.t;
+  mutable c_request : Engine.handle;
+  mutable c_block_expiry : Engine.handle;
+  mutable c_blocks : dom_claim array;
+  mutable c_head : int;
+  mutable c_len : int;
+}
 
 type top = {
   t_owner : int;
@@ -107,56 +141,43 @@ let m_outstanding = Metrics.gauge "allocation.outstanding_blocks"
 let m_utilization = Metrics.gauge "allocation.utilization"
 let m_converged = Metrics.gauge "allocation.top_converged_day"
 
-let policy_view claims =
-  List.map
-    (fun c -> { Claim_policy.prefix = c.prefix; active = c.active; used = c.used })
-    (List.filter (fun c -> c.alive) claims)
-
-let live_claims claims = List.filter (fun c -> c.alive) claims
-
-let count_live claims = List.fold_left (fun n c -> if c.alive then n + 1 else n) 0 claims
-
 (* --- top-level (parent) expansion ---------------------------------- *)
 
-let top_total top =
-  List.fold_left (fun acc c -> if c.alive then acc + Prefix.size c.prefix else acc) 0 top.t_claims
+let top_total top = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 top.t_claims
 
-let top_used top =
-  List.fold_left (fun acc c -> if c.alive then acc + c.used else acc) 0 top.t_claims
+let top_used top = List.fold_left (fun acc c -> acc + c.used) 0 top.t_claims
 
 (* Lifetime machinery (§4.3.1): a claim still in use is renewed at
    expiry, but only while [may_renew] holds — a child claim may not
    outlive its covering parent range, so once the parent range is
    deactivated the child claim switches to draining (no new assignments)
    and is recycled when its addresses time out. *)
-let rec schedule_claim_expiry sim ~(arena : Address_space.t) ~(holder : dom_claim)
-    ~(may_renew : unit -> bool) ?(on_renew = fun () -> ()) ~(on_release : unit -> unit) () =
-  ignore
-    (Engine.schedule_at ~label:"alloc.claim_expiry" sim.engine holder.expires (fun () ->
-         if holder.alive then begin
-           if holder.used > 0 && may_renew () then begin
-             holder.expires <- Engine.now sim.engine +. sim.p.claim_lifetime;
-             schedule_claim_expiry sim ~arena ~holder ~may_renew ~on_renew ~on_release ();
-             on_renew ()
-           end
-           else if holder.used > 0 then begin
-             (* Cannot renew: drain and re-check one lifetime later. *)
-             holder.active <- false;
-             holder.expires <- Engine.now sim.engine +. sim.p.claim_lifetime;
-             schedule_claim_expiry sim ~arena ~holder ~may_renew ~on_renew ~on_release ()
-           end
-           else begin
-             holder.alive <- false;
-             Address_space.unregister arena holder.prefix;
-             on_release ()
-           end
-         end))
+let start_lifetime sim ~arena holder ~may_renew ~on_renew ~on_release =
+  holder.expiry <-
+    Engine.event ~label:"alloc.claim_expiry" (fun () ->
+        if holder.alive then begin
+          if holder.used > 0 && may_renew () then begin
+            Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime;
+            on_renew ()
+          end
+          else if holder.used > 0 then begin
+            (* Cannot renew: drain and re-check one lifetime later. *)
+            holder.active <- false;
+            Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime
+          end
+          else begin
+            holder.alive <- false;
+            Address_space.unregister arena holder.prefix;
+            on_release ()
+          end
+        end);
+  Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime
 
 (* The set of top-level (globally advertised) prefixes changed: advance
    the convergence watermark. *)
 let note_top_change sim = Engine.note_activity sim.engine "masc"
 
-let top_release sim top holder () =
+let top_release sim top holder =
   note_top_change sim;
   top.t_claims <- List.filter (fun c -> c != holder) top.t_claims;
   Address_space.remove_cover top.t_arena holder.prefix;
@@ -165,24 +186,16 @@ let top_release sim top holder () =
 let top_add_claim sim top prefix =
   Address_space.register sim.global ~owner:top.t_owner prefix;
   Address_space.add_cover top.t_arena prefix;
-  let holder =
-    {
-      prefix;
-      active = true;
-      used = 0;
-      expires = Engine.now sim.engine +. sim.p.claim_lifetime;
-      alive = true;
-    }
-  in
+  let holder = { prefix; active = true; used = 0; alive = true; expiry = unarmed } in
   note_top_change sim;
   top.t_claims <- holder :: top.t_claims;
   sim.claimed_top <- sim.claimed_top + Prefix.size prefix;
   sim.claims_made <- sim.claims_made + 1;
   Metrics.incr m_claims_made;
-  schedule_claim_expiry sim ~arena:sim.global ~holder
+  start_lifetime sim ~arena:sim.global holder
     ~may_renew:(fun () -> holder.active)
     ~on_renew:(fun () -> sim.right_size_top sim top)
-    ~on_release:(top_release sim top holder) ();
+    ~on_release:(fun () -> top_release sim top holder);
   holder
 
 let top_double sim top holder =
@@ -218,10 +231,7 @@ let top_expand sim top ~need ~force =
     max 0 (int_of_float (ceil (float_of_int (used + need) /. threshold)) - total)
   in
   let need = max need to_target in
-  let decision =
-    Claim_policy.decide ~params:sim.p.policy ~space:sim.global
-      ~claims:(policy_view top.t_claims) ~need
-  in
+  let decision = Policy.decide ~params:sim.p.policy ~space:sim.global ~claims:top.t_claims ~need in
   let claim_new len =
     match
       Address_space.choose_claim_placed sim.global ~rng:top.t_rng ~want_len:len
@@ -233,7 +243,7 @@ let top_expand sim top ~need ~force =
   let consolidate len =
     match claim_new len with
     | Some fresh ->
-        List.iter (fun c -> if c.alive && c != fresh then top_deactivate sim top c) top.t_claims;
+        List.iter (fun c -> if c != fresh then top_deactivate sim top c) top.t_claims;
         true
     | None -> false
   in
@@ -241,19 +251,16 @@ let top_expand sim top ~need ~force =
      at the limit, consolidate into one block big enough for everything
      instead of littering 224/4 with per-incident slivers. *)
   let forced_growth () =
-    let active = List.filter (fun c -> c.alive && c.active) top.t_claims in
+    let active = List.filter (fun c -> c.active) top.t_claims in
     if List.length active < sim.p.policy.Claim_policy.max_prefixes then
       claim_new (Prefix.mask_for_count need) <> None
     else consolidate (Prefix.mask_for_count (used + need))
   in
   match decision with
   | Claim_policy.Assign _ -> if force then forced_growth () else true
-  | Claim_policy.Double p -> (
-      match List.find_opt (fun c -> c.alive && Prefix.equal c.prefix p) top.t_claims with
-      | Some holder ->
-          top_double sim top holder;
-          true
-      | None -> false)
+  | Claim_policy.Double holder ->
+      top_double sim top holder;
+      true
   | Claim_policy.Claim_new len -> claim_new len <> None
   | Claim_policy.Consolidate len -> consolidate len
   | Claim_policy.Blocked -> forced_growth ()
@@ -263,7 +270,7 @@ let top_expand sim top ~need ~force =
    continually to usage patterns"): a domain whose active space is badly
    under-used at renewal consolidates down to a right-sized block. *)
 let right_size_top sim top =
-  let active = List.filter (fun c -> c.alive && c.active) top.t_claims in
+  let active = List.filter (fun c -> c.active) top.t_claims in
   let size = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 active in
   let used = List.fold_left (fun acc c -> acc + c.used) 0 active in
   let threshold = sim.p.policy.Claim_policy.threshold in
@@ -276,7 +283,7 @@ let right_size_top sim top =
       with
       | Some prefix ->
           let fresh = top_add_claim sim top prefix in
-          List.iter (fun c -> if c.alive && c != fresh then top_deactivate sim top c) top.t_claims
+          List.iter (fun c -> if c != fresh then top_deactivate sim top c) top.t_claims
       | None -> ()
     end
   end
@@ -297,7 +304,7 @@ let top_pressure_check sim top =
 (* --- child claims --------------------------------------------------- *)
 
 let top_claim_covering top prefix =
-  List.find_opt (fun c -> c.alive && Prefix.subsumes c.prefix prefix) top.t_claims
+  List.find_opt (fun c -> Prefix.subsumes c.prefix prefix) top.t_claims
 
 let note_child_claimed sim child prefix delta =
   let top = sim.top_doms.(child.c_top) in
@@ -305,34 +312,26 @@ let note_child_claimed sim child prefix delta =
   | Some holder -> holder.used <- holder.used + delta
   | None -> ()
 
-let child_release sim child holder () =
+let child_release sim child holder =
   child.c_claims <- List.filter (fun c -> c != holder) child.c_claims;
   note_child_claimed sim child holder.prefix (-(Prefix.size holder.prefix))
 
 let child_add_claim sim child prefix =
   let top = sim.top_doms.(child.c_top) in
   Address_space.register top.t_arena ~owner:child.c_owner prefix;
-  let holder =
-    {
-      prefix;
-      active = true;
-      used = 0;
-      expires = Engine.now sim.engine +. sim.p.claim_lifetime;
-      alive = true;
-    }
-  in
+  let holder = { prefix; active = true; used = 0; alive = true; expiry = unarmed } in
   child.c_claims <- holder :: child.c_claims;
   sim.claims_made <- sim.claims_made + 1;
   Metrics.incr m_claims_made;
   note_child_claimed sim child prefix (Prefix.size prefix);
-  schedule_claim_expiry sim ~arena:top.t_arena ~holder
+  start_lifetime sim ~arena:top.t_arena holder
     ~may_renew:(fun () ->
       holder.active
       && (match top_claim_covering top holder.prefix with
          | Some cover -> cover.active
          | None -> false))
     ~on_renew:(fun () -> sim.right_size_child sim child)
-    ~on_release:(child_release sim child holder) ();
+    ~on_release:(fun () -> child_release sim child holder);
   top_pressure_check sim top;
   holder
 
@@ -355,37 +354,17 @@ let rec child_satisfy sim child ~attempts =
   if attempts <= 0 then None
   else begin
     let top = sim.top_doms.(child.c_top) in
-    let decision =
-      Claim_policy.decide ~params:sim.p.policy ~space:top.t_arena
-        ~claims:(policy_view child.c_claims) ~need:sim.p.block_size
-    in
-    let place len =
-      match
-        Address_space.choose_claim_placed top.t_arena ~rng:child.c_rng ~want_len:len
-          ~placement:sim.p.placement
-      with
-      | Some prefix -> Some (child_add_claim sim child prefix)
-      | None ->
-          if top_expand sim top ~need:(1 lsl (32 - len)) ~force:true then
-            child_satisfy sim child ~attempts:(attempts - 1)
-          else None
-    in
-    match decision with
-    | Claim_policy.Assign p ->
-        List.find_opt
-          (fun c -> c.alive && c.active && Prefix.equal c.prefix p)
-          child.c_claims
-    | Claim_policy.Double p -> (
-        match
-          List.find_opt (fun c -> c.alive && Prefix.equal c.prefix p) child.c_claims
-        with
-        | Some holder ->
-            child_double sim child holder;
-            Some holder
-        | None -> None)
-    | Claim_policy.Claim_new len -> place len
+    match
+      Policy.decide ~params:sim.p.policy ~space:top.t_arena ~claims:child.c_claims
+        ~need:sim.p.block_size
+    with
+    | Claim_policy.Assign holder -> Some holder
+    | Claim_policy.Double holder ->
+        child_double sim child holder;
+        Some holder
+    | Claim_policy.Claim_new len -> child_place sim child top len ~attempts
     | Claim_policy.Consolidate len -> (
-        match place len with
+        match child_place sim child top len ~attempts with
         | Some holder ->
             List.iter (fun c -> if c != holder then c.active <- false) child.c_claims;
             Some holder
@@ -393,14 +372,27 @@ let rec child_satisfy sim child ~attempts =
     | Claim_policy.Blocked ->
         let need =
           sim.p.block_size
-          + List.fold_left (fun acc c -> if c.alive then acc + c.used else acc) 0 child.c_claims
+          + List.fold_left (fun acc c -> acc + c.used) 0 child.c_claims
         in
         if top_expand sim top ~need ~force:true then child_satisfy sim child ~attempts:(attempts - 1)
         else None
   end
 
+(* Claim a fresh /[len] for the child, growing its top's space when the
+   arena has no room. *)
+and child_place sim child top len ~attempts =
+  match
+    Address_space.choose_claim_placed top.t_arena ~rng:child.c_rng ~want_len:len
+      ~placement:sim.p.placement
+  with
+  | Some prefix -> Some (child_add_claim sim child prefix)
+  | None ->
+      if top_expand sim top ~need:(1 lsl (32 - len)) ~force:true then
+        child_satisfy sim child ~attempts:(attempts - 1)
+      else None
+
 let right_size_child sim child =
-  let active = List.filter (fun c -> c.alive && c.active) child.c_claims in
+  let active = List.filter (fun c -> c.active) child.c_claims in
   let size = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 active in
   let used = List.fold_left (fun acc c -> acc + c.used) 0 active in
   let threshold = sim.p.policy.Claim_policy.threshold in
@@ -414,12 +406,12 @@ let right_size_child sim child =
       with
       | Some prefix ->
           let fresh = child_add_claim sim child prefix in
-          List.iter (fun c -> if c.alive && c != fresh then c.active <- false) child.c_claims
+          List.iter (fun c -> if c != fresh then c.active <- false) child.c_claims
       | None -> ()
     end
   end
 
-let expire_block sim child holder () =
+let expire_block sim child holder =
   holder.used <- holder.used - sim.p.block_size;
   sim.demanded <- sim.demanded - sim.p.block_size;
   sim.blocks <- sim.blocks - 1;
@@ -430,27 +422,57 @@ let expire_block sim child holder () =
     holder.alive <- false;
     let top = sim.top_doms.(child.c_top) in
     Address_space.unregister top.t_arena holder.prefix;
-    child_release sim child holder ()
+    child_release sim child holder
   end
 
-let rec child_request_loop sim child =
-  let delay = Rng.float_in child.c_rng sim.p.request_min sim.p.request_max in
-  ignore
-    (Engine.schedule_after ~label:"alloc.request" sim.engine delay (fun () ->
-         sim.requests <- sim.requests + 1;
-         Metrics.incr m_requests;
-         (match child_satisfy sim child ~attempts:3 with
-         | Some holder ->
-             holder.used <- holder.used + sim.p.block_size;
-             sim.demanded <- sim.demanded + sim.p.block_size;
-             sim.blocks <- sim.blocks + 1;
-             ignore
-               (Engine.schedule_after ~label:"alloc.block_expiry" sim.engine sim.p.block_lifetime
-                  (fun () -> expire_block sim child holder ()))
-         | None ->
-             sim.failed <- sim.failed + 1;
-             Metrics.incr m_failed);
-         child_request_loop sim child))
+(* Every block lives [block_lifetime] and a child's grants come at
+   nondecreasing times, so its blocks expire in grant order.  Each
+   grant arms [c_block_expiry] once (one seq each, in grant order), and
+   each occurrence retires the ring's head: the block granted by the
+   arm it belongs to. *)
+let grant_block sim child holder =
+  holder.used <- holder.used + sim.p.block_size;
+  sim.demanded <- sim.demanded + sim.p.block_size;
+  sim.blocks <- sim.blocks + 1;
+  let cap = Array.length child.c_blocks in
+  if child.c_len = cap then begin
+    let blocks = Array.make (max 16 (2 * cap)) vacant in
+    for k = 0 to child.c_len - 1 do
+      blocks.(k) <- child.c_blocks.((child.c_head + k) land (cap - 1))
+    done;
+    child.c_blocks <- blocks;
+    child.c_head <- 0
+  end;
+  child.c_blocks.((child.c_head + child.c_len) land (Array.length child.c_blocks - 1)) <- holder;
+  child.c_len <- child.c_len + 1;
+  Engine.arm_after sim.engine child.c_block_expiry sim.p.block_lifetime
+
+let expire_oldest_block sim child =
+  let holder = child.c_blocks.(child.c_head) in
+  child.c_blocks.(child.c_head) <- vacant;
+  child.c_head <- (child.c_head + 1) land (Array.length child.c_blocks - 1);
+  child.c_len <- child.c_len - 1;
+  expire_block sim child holder
+
+(* The draw order is fixed: [child_satisfy] may draw placements from the
+   child's rng, then the delay to its next request is drawn. *)
+let request sim child =
+  sim.requests <- sim.requests + 1;
+  Metrics.incr m_requests;
+  (match child_satisfy sim child ~attempts:3 with
+  | Some holder -> grant_block sim child holder
+  | None ->
+      sim.failed <- sim.failed + 1;
+      Metrics.incr m_failed);
+  Engine.arm_after sim.engine child.c_request
+    (Rng.float_in child.c_rng sim.p.request_min sim.p.request_max)
+
+let start_requests sim child =
+  child.c_request <- Engine.event ~label:"alloc.request" (fun () -> request sim child);
+  child.c_block_expiry <-
+    Engine.event ~label:"alloc.block_expiry" (fun () -> expire_oldest_block sim child);
+  Engine.arm_after sim.engine child.c_request
+    (Rng.float_in child.c_rng sim.p.request_min sim.p.request_max)
 
 (* --- invariants ------------------------------------------------------ *)
 
@@ -481,32 +503,57 @@ let overlap_violations sim () =
   let tops =
     Array.to_list sim.top_doms
     |> List.concat_map (fun top ->
-           List.map (fun c -> (top.t_owner, c.prefix)) (live_claims top.t_claims))
+           List.map (fun c -> (top.t_owner, c.prefix)) top.t_claims)
   in
   let acc = pair_check tops [] in
   let per_top = Hashtbl.create 16 in
   Array.iter
     (fun child ->
-      let entries = List.map (fun c -> (child.c_owner, c.prefix)) (live_claims child.c_claims) in
+      let entries = List.map (fun c -> (child.c_owner, c.prefix)) child.c_claims in
       Hashtbl.replace per_top child.c_top
         (entries @ Option.value ~default:[] (Hashtbl.find_opt per_top child.c_top)))
     sim.child_doms;
   Hashtbl.fold (fun _ claims acc -> pair_check claims acc) per_top acc
+
+(* What lets the policy read a domain's claim list unfiltered: every
+   claim listed is alive and registered to that domain in its arena —
+   a claim leaves its list in the handler that kills it. *)
+let live_list_violations sim () =
+  let check kind ~owner ~arena acc c =
+    if c.alive && Address_space.owner_of arena c.prefix = Some owner then acc
+    else
+      ( Printf.sprintf "%s %d lists %s claim %s" kind owner
+          (if c.alive then "unregistered" else "dead")
+          (Prefix.to_string c.prefix),
+        None )
+      :: acc
+  in
+  let acc =
+    Array.fold_left
+      (fun acc top ->
+        List.fold_left (check "top" ~owner:top.t_owner ~arena:sim.global) acc top.t_claims)
+      [] sim.top_doms
+  in
+  Array.fold_left
+    (fun acc child ->
+      let arena = sim.top_doms.(child.c_top).t_arena in
+      List.fold_left (check "child" ~owner:child.c_owner ~arena) acc child.c_claims)
+    acc sim.child_doms
 
 (* --- sampling ------------------------------------------------------- *)
 
 let take_sample sim =
   let p = sim.p in
   let global_prefixes =
-    Array.fold_left (fun acc top -> acc + count_live top.t_claims) 0 sim.top_doms
+    Array.fold_left (fun acc top -> acc + List.length top.t_claims) 0 sim.top_doms
   in
   let child_prefix_total =
-    Array.fold_left (fun acc c -> acc + count_live c.c_claims) 0 sim.child_doms
+    Array.fold_left (fun acc c -> acc + List.length c.c_claims) 0 sim.child_doms
   in
   (* Per-top counts of children prefixes. *)
   let per_top = Array.make p.tops 0 in
   Array.iter
-    (fun c -> per_top.(c.c_top) <- per_top.(c.c_top) + count_live c.c_claims)
+    (fun c -> per_top.(c.c_top) <- per_top.(c.c_top) + List.length c.c_claims)
     sim.child_doms;
   let sum_grib = ref 0 and max_grib = ref 0 in
   Array.iter
@@ -517,7 +564,7 @@ let take_sample sim =
     sim.top_doms;
   Array.iter
     (fun c ->
-      let own = count_live c.c_claims in
+      let own = List.length c.c_claims in
       let g = global_prefixes + per_top.(c.c_top) - own in
       sum_grib := !sum_grib + g;
       if g > !max_grib then max_grib := g)
@@ -565,7 +612,17 @@ let run p =
     Array.of_list
       (List.mapi
          (fun i top ->
-           { c_owner = p.tops + i; c_top = top; c_claims = []; c_rng = Rng.split rng })
+           {
+             c_owner = p.tops + i;
+             c_top = top;
+             c_claims = [];
+             c_rng = Rng.split rng;
+             c_request = unarmed;
+             c_block_expiry = unarmed;
+             c_blocks = [||];
+             c_head = 0;
+             c_len = 0;
+           })
          specs)
   in
   let sim =
@@ -592,6 +649,7 @@ let run p =
   sim.right_size_top <- right_size_top;
   sim.right_size_child <- right_size_child;
   Invariant.register sim.invariants ~name:"allocation-overlap" (overlap_violations sim);
+  Invariant.register sim.invariants ~name:"allocation-live-lists" (live_list_violations sim);
   (* Telemetry sources read the sim's running tallies plus the latest
      figure sample, so the series ride the existing sampling cadence
      with no extra events. *)
@@ -611,7 +669,7 @@ let run p =
           of_last (fun s -> float_of_int s.top_prefixes))
   | None -> ());
   Prof.span "fig2.populate" (fun () ->
-      Array.iter (fun c -> child_request_loop sim c) child_doms);
+      Array.iter (start_requests sim) child_doms);
   let rec sampling () =
     ignore
       (Engine.schedule_after ~label:"alloc.sample" engine p.sample_interval (fun () ->
@@ -629,7 +687,7 @@ let run p =
       let snapshot claims =
         List.map
           (fun c -> { h_prefix = c.prefix; h_active = c.active; h_used = c.used })
-          (live_claims claims)
+          claims
       in
       let top_converged_day =
         Option.value ~default:0.0

@@ -41,8 +41,10 @@ type params = {
           more heterogeneous topologies with similar results") *)
   check_invariants : bool;
       (** evaluate the ["allocation-overlap"] invariant (no two domains
-          hold overlapping live claims) at every sample; default [false]
-          — the O(claims²) sweep is measurable on the full 50×50 run *)
+          hold overlapping live claims) and the ["allocation-live-lists"]
+          invariant (every claim a domain lists is alive and registered
+          to it in its arena) at every sample; default [false] — the
+          O(claims²) sweep is measurable on the full 50×50 run *)
   seed : int;
   telemetry : Timeseries.t option;
       (** when set, every figure sample also lands one [alloc.*] row per
@@ -79,7 +81,7 @@ type result = {
   final_tops : holding list array;  (** per top-level domain *)
   final_children : holding list array;  (** per child domain *)
   invariant_violations : int;
-      (** overlap violations seen across all samples (0 unless
+      (** invariant violations seen across all samples (0 unless
           [check_invariants]; also counted in {!Metrics.default}) *)
   top_converged_day : float;
       (** when the set of globally advertised (top-level) prefixes last

@@ -23,10 +23,15 @@ type claim = {
   active : bool;  (** new assignments allowed (inactive = draining) *)
   used : int;  (** addresses currently assigned out of this prefix *)
 }
+(** A plain snapshot of one claim, for callers that keep no claim
+    record of their own. *)
 
-type decision =
-  | Assign of Prefix.t  (** room exists in this active claimed prefix *)
-  | Double of Prefix.t  (** grow this active claim into its buddy *)
+(** What to do about a demand, over the caller's claim type ['c]: the
+    claim to assign from or to double is the caller's own value, taken
+    from the list it passed, so no lookup by prefix follows. *)
+type 'c decision =
+  | Assign of 'c  (** room exists in this active claim *)
+  | Double of 'c  (** grow this active claim into its buddy *)
   | Claim_new of int  (** claim a fresh prefix with this mask length *)
   | Consolidate of int
       (** claim a fresh prefix with this mask length; deactivate all
@@ -38,9 +43,28 @@ type params = { threshold : float; max_prefixes : int }
 val default_params : params
 (** 75 % occupancy, two prefixes — the paper's simulation settings. *)
 
-val decide : params:params -> space:Address_space.t -> claims:claim list -> need:int -> decision
-(** [need] is the number of addresses requested (e.g. a block of 256).
-    [space] is the arena the domain claims from; [claims] the domain's
-    own claims with their usage. *)
+(** How the policy reads a caller's claim record in place. *)
+module type CLAIM = sig
+  type t
 
-val pp_decision : Format.formatter -> decision -> unit
+  val prefix : t -> Prefix.t
+  val active : t -> bool
+  val used : t -> int
+end
+
+(** The policy over the caller's claim type.  Every caller goes through
+    this one [decide]: the top-level {!decide} is its instance at
+    {!claim}. *)
+module Make (C : CLAIM) : sig
+  val decide :
+    params:params -> space:Address_space.t -> claims:C.t list -> need:int -> C.t decision
+  (** [need] is the number of addresses requested (e.g. a block of 256).
+      [space] is the arena the domain claims from; [claims] the domain's
+      own live claims with their usage.  The best-fit scan that settles
+      most demands allocates nothing but the [Assign]. *)
+end
+
+val decide : params:params -> space:Address_space.t -> claims:claim list -> need:int -> claim decision
+(** {!Make}[.decide] over plain {!claim} snapshots. *)
+
+val pp_decision : Format.formatter -> claim decision -> unit

@@ -170,6 +170,14 @@ module Sim = struct
 
   type cdom = { cid : int; mutable claims : cclaim list }
 
+  module Policy = Claim_policy.Make (struct
+    type t = cclaim
+
+    let prefix c = c.cpfx
+    let active c = c.cactive
+    let used c = c.cused
+  end)
+
   let run_contiguous p =
     let engine = Engine.create () in
     let rng = Rng.create p.seed in
@@ -179,11 +187,6 @@ module Sim = struct
     let failures = ref 0 and renumberings = ref 0 in
     let util_acc = Stats.create () and entries_acc = Stats.create () in
     let policy = Claim_policy.default_params in
-    let policy_view d =
-      List.map
-        (fun c -> { Claim_policy.prefix = c.cpfx; active = c.cactive; used = c.cused })
-        d.claims
-    in
     let add_claim d prefix =
       Address_space.register arena ~owner:d.cid prefix;
       let c = { cpfx = prefix; cused = 0; cactive = true } in
@@ -199,17 +202,14 @@ module Sim = struct
     let rec satisfy d attempts =
       if attempts = 0 then None
       else
-        match Claim_policy.decide ~params:policy ~space:arena ~claims:(policy_view d) ~need:p.block_size with
-        | Claim_policy.Assign pre -> List.find_opt (fun c -> Prefix.equal c.cpfx pre) d.claims
-        | Claim_policy.Double pre -> (
-            match List.find_opt (fun c -> Prefix.equal c.cpfx pre) d.claims with
-            | Some c ->
-                Address_space.unregister arena c.cpfx;
-                let doubled = Prefix.double c.cpfx in
-                Address_space.register arena ~owner:d.cid doubled;
-                c.cpfx <- doubled;
-                Some c
-            | None -> None)
+        match Policy.decide ~params:policy ~space:arena ~claims:d.claims ~need:p.block_size with
+        | Claim_policy.Assign c -> Some c
+        | Claim_policy.Double c ->
+            Address_space.unregister arena c.cpfx;
+            let doubled = Prefix.double c.cpfx in
+            Address_space.register arena ~owner:d.cid doubled;
+            c.cpfx <- doubled;
+            Some c
         | Claim_policy.Claim_new len -> (
             match Address_space.choose_claim arena ~rng ~want_len:len with
             | Some pre -> Some (add_claim d pre)

@@ -469,8 +469,9 @@ and try_grow t arena ~need =
     in
     match decision with
     | Claim_policy.Assign _ -> true
-    | Claim_policy.Double p ->
-        if not (start_claim t arena ~want_len:(Prefix.len p - 1) ~absorbing:(Some p) ()) then
+    | Claim_policy.Double { prefix; _ } ->
+        if not (start_claim t arena ~want_len:(Prefix.len prefix - 1) ~absorbing:(Some prefix) ())
+        then
           grow_or_escalate t arena ~need ~want_len:(Prefix.mask_for_count need);
         false
     | Claim_policy.Claim_new len ->

@@ -155,8 +155,10 @@ let remove_min t =
 
 let event ?(label = "event") action = { label; action; queued = 0; cancelled = false }
 
-(* Queue [e] at [clock + delay]. *)
-let arm t e delay =
+(* Queue [e] at [clock + delay].  [arm], [check_delay] and [arm_after]
+   are inlined into their callers, so a delay the caller computed
+   reaches the queue's float array unboxed. *)
+let[@inline] arm t e delay =
   reserve t;
   Float.Array.unsafe_set t.times t.size (t.clk.now +. delay);
   insert t e
@@ -168,7 +170,7 @@ let check_time t fn time =
       (Printf.sprintf "Engine.%s: time %g before now %g" fn (Time.to_seconds time)
          (Time.to_seconds t.clk.now))
 
-let check_delay fn delay =
+let[@inline] check_delay fn delay =
   if not (delay >= 0.0) then invalid_arg (Printf.sprintf "Engine.%s: negative or NaN delay" fn)
 
 let schedule_at ?label t time action =
@@ -185,7 +187,7 @@ let schedule_after ?label t delay action =
   arm t e delay;
   e
 
-let arm_after t e delay =
+let[@inline] arm_after t e delay =
   check_delay "arm_after" delay;
   if e.cancelled then invalid_arg "Engine.arm_after: event was cancelled";
   arm t e delay

@@ -1,8 +1,8 @@
 (* The SplitMix64 counter lives unboxed in 8 bytes: reading and writing
    it through [Bytes.get_int64_le]/[set_int64_le] keeps the int64 in a
-   register, so a draw allocates nothing.  [int64] and [float] are
-   [@inline] because without flambda a non-inlined int64 or float
-   return is boxed. *)
+   register, so a draw allocates nothing.  [int64], [float] and
+   [float_in] are [@inline] because without flambda a non-inlined int64
+   or float return is boxed. *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
@@ -55,7 +55,7 @@ let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   r /. 9007199254740992.0 *. bound
 
-let float_in t lo hi = lo +. float t (hi -. lo)
+let[@inline] float_in t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

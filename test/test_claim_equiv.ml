@@ -126,29 +126,71 @@ let prop_space_queries =
              && Address_space.claimed_within space q = Claim_reference.claimed_within space q)
            (probes s))
 
+(* A caller's own claim record, as the simulators keep them: the
+   policy must read it in place and hand back the very record. *)
+type own = { o_prefix : Prefix.t; o_active : bool; o_used : int }
+
+module Own_policy = Claim_policy.Make (struct
+  type t = own
+
+  let prefix c = c.o_prefix
+  let active c = c.o_active
+  let used c = c.o_used
+end)
+
+(* Half the cases hold every claim of the scenario, half a short list
+   of 0-4 — the size of a domain's live list — and about half the
+   claims are draining (inactive). *)
 let gen_decide =
   let open QCheck.Gen in
   let* s = gen_scenario in
-  let claim (prefix, _) =
-    let* active = bool in
-    let+ used = int_bound (Prefix.size prefix + 2) in
-    { Claim_policy.prefix; active; used }
+  let* keep = oneof [ return max_int; 0 -- 4 ] in
+  let claim (o_prefix, _) =
+    let* o_active = bool in
+    let+ o_used = int_bound (Prefix.size o_prefix + 2) in
+    { o_prefix; o_active; o_used }
   in
-  let* own = flatten_l (List.map claim s.claims) in
+  let* own = flatten_l (List.map claim (List.filteri (fun i _ -> i < keep) s.claims)) in
   let* need = oneof [ 1 -- 8; map (fun k -> 1 lsl k) (0 -- 12) ] in
   let+ threshold = oneofl [ 0.0; 0.5; 0.75; 1.0 ] and+ max_prefixes = 1 -- 3 in
   (s, own, need, { Claim_policy.threshold; max_prefixes })
 
+(* The in-place decision names a claim; the reference names a prefix.
+   They agree when the prefixes match and the claim named is the
+   caller's own record with that prefix. *)
+let same_decision ~prefix ~claims got (want : Prefix.t Claim_policy.decision) =
+  let own_with p c = List.exists (fun x -> x == c && Prefix.equal (prefix x) p) claims in
+  match (got, want) with
+  | Claim_policy.Assign c, Claim_policy.Assign p | Claim_policy.Double c, Claim_policy.Double p ->
+      own_with p c
+  | Claim_policy.Claim_new a, Claim_policy.Claim_new b
+  | Claim_policy.Consolidate a, Claim_policy.Consolidate b ->
+      a = b
+  | Claim_policy.Blocked, Claim_policy.Blocked -> true
+  | _ -> false
+
 let prop_decide =
-  QCheck.Test.make ~name:"decide = list reference" ~count:500
+  QCheck.Test.make ~name:"decide = list reference" ~count:2000
     (QCheck.make
        ~print:(fun (s, own, need, _) ->
          Printf.sprintf "%s own=%d need=%d" (print_scenario s) (List.length own) need)
        gen_decide)
-    (fun (s, claims, need, params) ->
+    (fun (s, own, need, params) ->
       let space = space_of s in
-      Claim_policy.decide ~params ~space ~claims ~need
-      = Claim_reference.decide ~params ~space ~claims ~need)
+      let plain =
+        List.map
+          (fun c -> { Claim_policy.prefix = c.o_prefix; active = c.o_active; used = c.o_used })
+          own
+      in
+      let want = Claim_reference.decide ~params ~space ~claims:plain ~need in
+      same_decision ~prefix:(fun c -> c.o_prefix) ~claims:own
+        (Own_policy.decide ~params ~space ~claims:own ~need)
+        want
+      && same_decision
+           ~prefix:(fun (c : Claim_policy.claim) -> c.prefix)
+           ~claims:plain
+           (Claim_policy.decide ~params ~space ~claims:plain ~need)
+           want)
 
 (* Removing a prefix takes away exactly its addresses. *)
 let prop_remove_cover =

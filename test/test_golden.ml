@@ -177,19 +177,31 @@ let contains needle hay =
     true
   with Not_found -> false
 
-(* A run that takes no --jobs still prints its fingerprint. *)
-let check_fingerprint_printed ~args () =
+(* A run's fingerprint hashes every fired event's time and label, in
+   order, so pinning it pins the event stream itself: a change that
+   reorders or renames events fails here even when the figure output
+   does not move.  [runs] are the CLI arguments; the golden holds each
+   one's stderr under a ["$ args"] header. *)
+let check_fingerprints ~runs ~golden () =
   let err = Filename.temp_file "fp" ".err" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
     (fun () ->
-      let cmd =
-        Printf.sprintf "%s %s --fingerprint > /dev/null 2> %s" (Filename.quote exe) args
-          (Filename.quote err)
+      let got =
+        List.map
+          (fun args ->
+            let cmd =
+              Printf.sprintf "%s %s --fingerprint > /dev/null 2> %s" (Filename.quote exe) args
+                (Filename.quote err)
+            in
+            check Alcotest.int (args ^ ": exit code") 0 (Sys.command cmd);
+            "$ " ^ args ^ "\n" ^ read_file err)
+          runs
       in
-      check Alcotest.int (args ^ ": exit code") 0 (Sys.command cmd);
-      check Alcotest.bool (args ^ ": stderr carries a fingerprint") true
-        (contains "fingerprint " (read_file err)))
+      check Alcotest.string
+        ("fingerprints identical to golden/" ^ golden)
+        (read_file (Filename.concat "golden" golden))
+        (String.concat "" got))
 
 (* Malformed arguments are command-line errors: a message and a
    non-zero exit from the argument parser, never an uncaught exception
@@ -507,7 +519,16 @@ let suite =
       `Quick,
       check_fingerprint_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 8"
         ~jobs:[ 1; 4; 8 ] );
-    ("fig2 fingerprint", `Quick, check_fingerprint_printed ~args:"fig2 --summary --days 60");
+    ( "fig2 fingerprint",
+      `Quick,
+      check_fingerprints
+        ~runs:
+          [
+            "fig2 --summary --days 60";
+            "fig2 --summary --days 60 --hetero 5";
+            "ablate-placement --days 60";
+          ]
+        ~golden:"fig2_fingerprints.txt" );
     ( "beacon fingerprint identical across jobs",
       `Quick,
       check_fingerprint_jobs_invariant

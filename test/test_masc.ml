@@ -89,7 +89,8 @@ let test_policy_assign_when_room () =
   let s = space_16 [ (1, p "224.0.0.0/24") ] in
   let claims = [ { Claim_policy.prefix = p "224.0.0.0/24"; active = true; used = 100 } ] in
   match Claim_policy.decide ~params ~space:s ~claims ~need:100 with
-  | Claim_policy.Assign pre -> check prefix_testable "assign in place" (p "224.0.0.0/24") pre
+  | Claim_policy.Assign c ->
+      check prefix_testable "assign in place" (p "224.0.0.0/24") c.Claim_policy.prefix
   | d -> Alcotest.failf "expected Assign, got %a" Claim_policy.pp_decision d
 
 let test_policy_double_when_dense () =
@@ -97,7 +98,8 @@ let test_policy_double_when_dense () =
   let s = space_16 [ (1, p "224.0.0.0/24") ] in
   let claims = [ { Claim_policy.prefix = p "224.0.0.0/24"; active = true; used = 256 } ] in
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
-  | Claim_policy.Double pre -> check prefix_testable "double the /24" (p "224.0.0.0/24") pre
+  | Claim_policy.Double c ->
+      check prefix_testable "double the /24" (p "224.0.0.0/24") c.Claim_policy.prefix
   | d -> Alcotest.failf "expected Double, got %a" Claim_policy.pp_decision d
 
 let test_policy_claim_new_when_doubling_too_wasteful () =
@@ -120,7 +122,8 @@ let test_policy_double_at_limit_even_below_threshold () =
     ]
   in
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
-  | Claim_policy.Double pre -> check prefix_testable "double smallest" (p "224.0.16.0/24") pre
+  | Claim_policy.Double c ->
+      check prefix_testable "double smallest" (p "224.0.16.0/24") c.Claim_policy.prefix
   | d -> Alcotest.failf "expected Double, got %a" Claim_policy.pp_decision d
 
 let test_policy_consolidate_when_stuck () =
@@ -597,9 +600,10 @@ let test_allocation_sim_random_placement_runs () =
   check Alcotest.bool "grib settles" true
     (List.for_all (fun (s : Allocation_sim.sample) -> s.Allocation_sim.grib_avg > 0.0) steady)
 
-(* The allocation-overlap invariant, checked at every sample: claims
-   stay disjoint and inside their parent ranges under both placement
-   rules. *)
+(* The allocation-overlap and allocation-live-lists invariants,
+   checked at every sample: claims stay disjoint and inside their parent
+   ranges, and every listed claim is alive and registered, under both
+   placement rules. *)
 let test_allocation_sim_invariants_hold placement () =
   let r =
     Allocation_sim.run
@@ -607,6 +611,38 @@ let test_allocation_sim_invariants_hold placement () =
   in
   check Alcotest.bool "samples taken" true (Array.length r.Allocation_sim.samples > 0);
   check Alcotest.int "no invariant violations" 0 r.Allocation_sim.invariant_violations
+
+(* Bytes per request over a whole run, set-up and daily samples
+   included.  A request re-arms its child's one request event and a
+   grant arms the child's one block-expiry event, so what a request
+   allocates is mostly the policy's answer and the claim churn it
+   causes.  Counted like the allocation gate: a minor collection on
+   each side makes the count exact. *)
+let test_allocation_sim_bytes_per_request () =
+  let p =
+    {
+      Allocation_sim.default_params with
+      Allocation_sim.tops = 4;
+      children_per_top = 8;
+      horizon = Time.days 200.0;
+    }
+  in
+  ignore (Allocation_sim.run p);
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  let r = Allocation_sim.run p in
+  Gc.minor ();
+  let per_request = (Gc.allocated_bytes () -. b0) /. float_of_int r.Allocation_sim.total_requests in
+  Printf.printf "allocation sim: %.1f B per request over %d requests\n" per_request
+    r.Allocation_sim.total_requests;
+  (* Measured 248 B (release) and 302 B (dev, no cross-module
+     inlining); the bounds are 1.25x that.  With a fresh event and
+     closure per request and per block expiry, and a rebuilt claim list
+     per decision, it was 759 B and 800 B. *)
+  let budget = if Build_profile.name = "dev" then 380.0 else 310.0 in
+  check Alcotest.bool
+    (Printf.sprintf "a request allocates %.1f B <= %.0f B" per_request budget)
+    true (per_request <= budget)
 
 let prop_masc_claims_never_overlap =
   (* Protocol-level invariant under random small hierarchies and random
@@ -685,5 +721,6 @@ let suite =
     ("allocation sim placement variant runs", `Slow, test_allocation_sim_random_placement_runs);
     ("allocation sim invariants hold (first)", `Slow, test_allocation_sim_invariants_hold `First);
     ("allocation sim invariants hold (random)", `Slow, test_allocation_sim_invariants_hold `Random);
+    ("allocation sim bytes per request", `Quick, test_allocation_sim_bytes_per_request);
     QCheck_alcotest.to_alcotest prop_masc_claims_never_overlap;
   ]

@@ -423,6 +423,28 @@ let test_engine_one_shot_allocation () =
   check Alcotest.bool (Printf.sprintf "schedule_at + fire allocates %.1f B <= 64 B" bytes) true
     (bytes <= 64.0)
 
+let test_engine_rearm_drawn_delay_allocation () =
+  (* One reusable event re-armed with a freshly drawn delay, as a
+     request loop does.  In release the delay stays unboxed from the
+     draw through [arm_after] into the queue, so the loop allocates
+     nothing.  A dev build (no cross-module inlining) boxes two floats
+     per arm, the drawn delay and the clock gauge: 32 B. *)
+  let e = Engine.create () in
+  let rng = Rng.create 7 in
+  let ev = Engine.event noop in
+  let bytes =
+    minor_bytes_per ~n:1000 (fun n ->
+        for _ = 1 to n do
+          Engine.arm_after e ev (Rng.float_in rng 1.0 2.0)
+        done;
+        Engine.run_until_idle e)
+  in
+  Printf.printf "engine re-arm, drawn delay: %.1f B\n" bytes;
+  let budget = if Build_profile.name = "dev" then 33.0 else 1.0 in
+  check Alcotest.bool
+    (Printf.sprintf "arm_after (drawn delay) + fire allocates %.1f B <= %.0f B" bytes budget)
+    true (bytes <= budget)
+
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
     QCheck.(list_of_size Gen.(1 -- 30) (float_range 0.0 100.0))
@@ -631,6 +653,7 @@ let suite =
     ("engine monitor hook", `Quick, test_engine_monitor);
     ("engine rejects NaN", `Quick, test_engine_rejects_nan);
     ("engine one-shot allocation", `Quick, test_engine_one_shot_allocation);
+    ("engine re-arm drawn delay allocation", `Quick, test_engine_rearm_drawn_delay_allocation);
     ("trace report chains and latencies", `Quick, test_trace_report_chains_and_latencies);
     ("trace basics", `Quick, test_trace_basics);
     ("trace disabled drops", `Quick, test_trace_disabled_drops);
