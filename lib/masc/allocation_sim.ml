@@ -117,6 +117,8 @@ type top = {
 type sim = {
   p : params;
   engine : Engine.t;
+  claim_lane : Engine.lane;  (** arms claim expiries, [claim_lifetime] out *)
+  block_lane : Engine.lane;  (** arms block expiries, [block_lifetime] out *)
   global : Address_space.t;  (** 224/4; claims are top-level prefixes *)
   top_doms : top array;
   child_doms : child array;
@@ -157,13 +159,13 @@ let start_lifetime sim ~arena holder ~may_renew ~on_renew ~on_release =
     Engine.event ~label:"alloc.claim_expiry" (fun () ->
         if holder.alive then begin
           if holder.used > 0 && may_renew () then begin
-            Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime;
+            Engine.arm_lane sim.engine sim.claim_lane holder.expiry;
             on_renew ()
           end
           else if holder.used > 0 then begin
             (* Cannot renew: drain and re-check one lifetime later. *)
             holder.active <- false;
-            Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime
+            Engine.arm_lane sim.engine sim.claim_lane holder.expiry
           end
           else begin
             holder.alive <- false;
@@ -171,7 +173,7 @@ let start_lifetime sim ~arena holder ~may_renew ~on_renew ~on_release =
             on_release ()
           end
         end);
-  Engine.arm_after sim.engine holder.expiry sim.p.claim_lifetime
+  Engine.arm_lane sim.engine sim.claim_lane holder.expiry
 
 (* The set of top-level (globally advertised) prefixes changed: advance
    the convergence watermark. *)
@@ -445,7 +447,7 @@ let grant_block sim child holder =
   end;
   child.c_blocks.((child.c_head + child.c_len) land (Array.length child.c_blocks - 1)) <- holder;
   child.c_len <- child.c_len + 1;
-  Engine.arm_after sim.engine child.c_block_expiry sim.p.block_lifetime
+  Engine.arm_lane sim.engine sim.block_lane child.c_block_expiry
 
 let expire_oldest_block sim child =
   let holder = child.c_blocks.(child.c_head) in
@@ -629,6 +631,8 @@ let run p =
     {
       p;
       engine;
+      claim_lane = Engine.lane engine ~delay:p.claim_lifetime;
+      block_lane = Engine.lane engine ~delay:p.block_lifetime;
       global;
       top_doms;
       child_doms;

@@ -66,6 +66,10 @@ type t = {
   down_space : Address_space.t;
   up_foreign : (Prefix.t, foreign_claim) Hashtbl.t;
   down_foreign : (Prefix.t, foreign_claim) Hashtbl.t;
+  mutable foreign_due : Time.t;
+      (** a lower bound on the earliest [f_expiry] in [up_foreign] and
+          [down_foreign] ([infinity] when both are empty): [sweep] has
+          nothing to purge before it *)
   mutable own : claim_ctl list;
   assigned_tbl : (Prefix.t, int) Hashtbl.t;
   mutable pending : (int * Time.t) list;
@@ -100,6 +104,7 @@ let create ~id ~role ~config ~engine ~rng =
     down_space = Address_space.create ();
     up_foreign = Hashtbl.create 16;
     down_foreign = Hashtbl.create 16;
+    foreign_due = infinity;
     own = [];
     assigned_tbl = Hashtbl.create 8;
     pending = [];
@@ -581,6 +586,7 @@ let send_collision t ~arena ~victim ~victim_prefix ~winner_prefix ~span =
     route
 
 let register_foreign t arena ~owner ~prefix ~lifetime_end =
+  if lifetime_end < t.foreign_due then t.foreign_due <- lifetime_end;
   let space = arena_space t arena in
   let tbl = foreign_tbl t arena in
   (match Address_space.owner_of space prefix with
@@ -793,17 +799,25 @@ let reparent t ~new_parent =
       end
 
 (* Housekeeping: purge expired foreign claims so their space becomes
-   claimable again. *)
+   claimable again.  Before [foreign_due] no claim has expired, so the
+   sweep returns at once; after a purge the bound is exact again. *)
 let sweep t =
   let now = Engine.now t.engine in
-  let purge arena tbl =
-    let dead = Hashtbl.fold (fun p fc acc -> if fc.f_expiry <= now then p :: acc else acc) tbl [] in
-    List.iter (fun p -> unregister_foreign t arena p) dead;
-    dead <> []
-  in
-  let changed_up = purge Up t.up_foreign in
-  let changed_down = purge Down t.down_foreign in
-  if changed_up || changed_down then process_pending t
+  if now >= t.foreign_due then begin
+    let purge arena tbl =
+      let dead =
+        Hashtbl.fold (fun p fc acc -> if fc.f_expiry <= now then p :: acc else acc) tbl []
+      in
+      List.iter (fun p -> unregister_foreign t arena p) dead;
+      dead <> []
+    in
+    let changed_up = purge Up t.up_foreign in
+    let changed_down = purge Down t.down_foreign in
+    let earliest _ fc due = Float.min fc.f_expiry due in
+    t.foreign_due <-
+      Hashtbl.fold earliest t.up_foreign (Hashtbl.fold earliest t.down_foreign infinity);
+    if changed_up || changed_down then process_pending t
+  end
 
 let start t =
   if not t.started then begin

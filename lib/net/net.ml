@@ -65,8 +65,10 @@ type 'a channel = {
   mutable q_epoch : int array;
   mutable q_head : int;  (** slot of the oldest message *)
   mutable q_len : int;
-  (* Delivers the head of the queue; armed once per message sent. *)
+  (* Delivers the head of the queue; armed once per message sent,
+     through the engine's lane for [delay]. *)
   mutable arrival : Engine.handle;
+  lane : Engine.lane;
   (* Recorder subject, built once per channel. *)
   subj : string;
 }
@@ -197,6 +199,7 @@ let channel t ~protocol ~src ~dst ~delay ~recv =
       q_head = 0;
       q_len = 0;
       arrival = unbuilt;
+      lane = Engine.lane t.engine ~delay;
       subj = string_of_int src ^ "->" ^ string_of_int dst;
     }
   in
@@ -231,7 +234,7 @@ let send ch ?span msg =
     ch.q_len <- ch.q_len + 1;
     st.n_inflight <- st.n_inflight + 1;
     Metrics.set_int st.m_inflight st.n_inflight;
-    Engine.arm_after n.engine ch.arrival ch.delay
+    Engine.arm_lane n.engine ch.lane ch.arrival
   end
 
 (* Returns whether the direction changed state, so fail/restore notify

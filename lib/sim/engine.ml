@@ -30,16 +30,35 @@ type sampler = { every : Time.t; mutable last_sample : Time.t; s_hook : Time.t -
    box. *)
 type clock = { mutable now : Time.t }
 
-(* The queue is a binary min-heap over three parallel arrays ordered by
-   (time, seq), seq being the push count: equal-time events fire in
-   scheduling order.  Pushing and popping allocate nothing once the
-   arrays have grown to the run's peak depth. *)
+(* A lane queues the occurrences armed with one fixed delay, oldest
+   first, in a ring of three parallel arrays (time, seq, event) whose
+   capacity is a power of two: empty until the first arm, then one
+   slot, doubling when full.
+   Every entry is [now + delay] with the next seq, and the clock never
+   runs backwards, so the ring is already sorted by (time, seq). *)
+type lane = {
+  delay : Time.t;
+  mutable l_times : Float.Array.t;
+  mutable l_seqs : int array;
+  mutable l_evs : event array;
+  mutable l_head : int;
+  mutable l_len : int;
+}
+
+(* The queue is a binary min-heap over three parallel arrays plus the
+   lanes, all ordered by (time, seq), seq being the arm count shared by
+   heap and lanes: equal-time events fire in scheduling order.  The
+   next event is the earliest of the heap top and the lane heads.
+   Arming and firing allocate nothing once the arrays have grown to the
+   run's peak depth. *)
 type t = {
   clk : clock;
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable evs : event array;
   mutable size : int;
+  mutable lanes : lane array;
+  mutable n_lanes : int;
   mutable next_seq : int;
   mutable live : int;
   (* Last state-changing event per actor class, self-reported via
@@ -71,6 +90,8 @@ let create () =
     seqs = Array.make initial_capacity 0;
     evs = Array.make initial_capacity vacant;
     size = 0;
+    lanes = [||];
+    n_lanes = 0;
     next_seq = 0;
     live = 0;
     watermarks = Hashtbl.create 8;
@@ -109,6 +130,13 @@ let grow t =
    so it rises only past strictly later times. *)
 let reserve t = if t.size = Array.length t.evs then grow t
 
+let count_armed t e =
+  t.next_seq <- t.next_seq + 1;
+  e.queued <- e.queued + 1;
+  t.live <- t.live + 1;
+  Metrics.incr m_scheduled;
+  Metrics.set_max_int m_queue_max t.live
+
 let insert t e =
   let time = Float.Array.unsafe_get t.times t.size in
   let i = ref t.size in
@@ -120,12 +148,8 @@ let insert t e =
   Float.Array.unsafe_set t.times !i time;
   t.seqs.(!i) <- t.next_seq;
   t.evs.(!i) <- e;
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  e.queued <- e.queued + 1;
-  t.live <- t.live + 1;
-  Metrics.incr m_scheduled;
-  Metrics.set_max_int m_queue_max t.live
+  count_armed t e
 
 (* Remove the root: sift the last entry down from the top, moving the
    hole with it, then park it in the hole. *)
@@ -151,6 +175,80 @@ let remove_min t =
   if last > 0 then move t ~from_:last ~to_:!i;
   t.evs.(last) <- vacant
 
+(* --- Lanes ----------------------------------------------------------- *)
+
+let lane_grow l =
+  let cap = Array.length l.l_evs in
+  let cap' = max 1 (2 * cap) in
+  let times = Float.Array.make cap' 0.0 and seqs = Array.make cap' 0 in
+  let evs = Array.make cap' vacant in
+  for k = 0 to l.l_len - 1 do
+    let i = (l.l_head + k) land (cap - 1) in
+    Float.Array.unsafe_set times k (Float.Array.unsafe_get l.l_times i);
+    seqs.(k) <- l.l_seqs.(i);
+    evs.(k) <- l.l_evs.(i)
+  done;
+  l.l_times <- times;
+  l.l_seqs <- seqs;
+  l.l_evs <- evs;
+  l.l_head <- 0
+
+let lane_pop l =
+  let i = l.l_head in
+  let e = l.l_evs.(i) in
+  e.queued <- e.queued - 1;
+  l.l_evs.(i) <- vacant;
+  l.l_head <- (i + 1) land (Array.length l.l_evs - 1);
+  l.l_len <- l.l_len - 1
+
+(* A source is where the next entry comes from: [heap] for the heap
+   top, [i >= 0] for lane [i]'s head, [empty] when nothing is queued. *)
+let heap = -1
+
+let empty = -2
+
+(* Whether lane [l]'s head comes before the head of source [b]. *)
+let lane_before t l b =
+  let tl = Float.Array.unsafe_get l.l_times l.l_head and sl = l.l_seqs.(l.l_head) in
+  if b = heap then
+    let tb = Float.Array.unsafe_get t.times 0 in
+    tl < tb || (tl = tb && sl < t.seqs.(0))
+  else
+    let m = t.lanes.(b) in
+    let tb = Float.Array.unsafe_get m.l_times m.l_head in
+    tl < tb || (tl = tb && sl < m.l_seqs.(m.l_head))
+
+(* The source of the earliest queued entry, cancelled or not. *)
+let earliest t =
+  let best = ref (if t.size > 0 then heap else empty) in
+  for i = 0 to t.n_lanes - 1 do
+    let l = Array.unsafe_get t.lanes i in
+    if l.l_len > 0 && (!best = empty || lane_before t l !best) then best := i
+  done;
+  !best
+
+let head_event t b =
+  if b = heap then t.evs.(0)
+  else
+    let l = t.lanes.(b) in
+    l.l_evs.(l.l_head)
+
+let pop t b = if b = heap then remove_min t else lane_pop t.lanes.(b)
+
+(* Stores and comparisons take the head's time in place, so no float
+   crosses a call. *)
+let advance_clock t b =
+  if b = heap then t.clk.now <- Float.Array.unsafe_get t.times 0
+  else
+    let l = t.lanes.(b) in
+    t.clk.now <- Float.Array.unsafe_get l.l_times l.l_head
+
+let head_after t b horizon =
+  if b = heap then Float.Array.unsafe_get t.times 0 > horizon
+  else
+    let l = t.lanes.(b) in
+    Float.Array.unsafe_get l.l_times l.l_head > horizon
+
 (* --- Scheduling ------------------------------------------------------ *)
 
 let event ?(label = "event") action = { label; action; queued = 0; cancelled = false }
@@ -173,6 +271,44 @@ let check_time t fn time =
 let[@inline] check_delay fn delay =
   if not (delay >= 0.0) then invalid_arg (Printf.sprintf "Engine.%s: negative or NaN delay" fn)
 
+let lane t ~delay =
+  check_delay "lane" delay;
+  let rec find i =
+    if i = t.n_lanes then begin
+      let l =
+        {
+          delay;
+          l_times = Float.Array.make 0 0.0;
+          l_seqs = [||];
+          l_evs = [||];
+          l_head = 0;
+          l_len = 0;
+        }
+      in
+      if t.n_lanes = Array.length t.lanes then begin
+        let lanes = Array.make (max 1 (2 * t.n_lanes)) l in
+        Array.blit t.lanes 0 lanes 0 t.n_lanes;
+        t.lanes <- lanes
+      end;
+      t.lanes.(t.n_lanes) <- l;
+      t.n_lanes <- t.n_lanes + 1;
+      l
+    end
+    else if t.lanes.(i).delay = delay then t.lanes.(i)
+    else find (i + 1)
+  in
+  find 0
+
+let arm_lane t l e =
+  if e.cancelled then invalid_arg "Engine.arm_lane: event was cancelled";
+  if l.l_len = Array.length l.l_evs then lane_grow l;
+  let i = (l.l_head + l.l_len) land (Array.length l.l_evs - 1) in
+  Float.Array.unsafe_set l.l_times i (t.clk.now +. l.delay);
+  l.l_seqs.(i) <- t.next_seq;
+  l.l_evs.(i) <- e;
+  l.l_len <- l.l_len + 1;
+  count_armed t e
+
 let schedule_at ?label t time action =
   check_time t "schedule_at" time;
   let e = event ?label action in
@@ -194,18 +330,19 @@ let[@inline] arm_after t e delay =
 
 let periodic ?(label = "event") t ~interval action =
   if not (interval > 0.0) then invalid_arg "Engine.periodic: non-positive or NaN interval";
+  let l = lane t ~delay:interval in
   let rec e =
     {
       label;
       action =
         (fun () ->
           action ();
-          if not e.cancelled then arm t e interval);
+          if not e.cancelled then arm_lane t l e);
       queued = 0;
       cancelled = false;
     }
   in
-  arm t e interval;
+  arm_lane t l e;
   e
 
 (* An event that already fired has no queued occurrence left, so
@@ -274,24 +411,29 @@ let sampler_final t =
 
 (* --- Dispatch -------------------------------------------------------- *)
 
+(* Fire [e], the live event at the head of source [b]. *)
+let fire t b e =
+  advance_clock t b;
+  pop t b;
+  t.live <- t.live - 1;
+  Metrics.incr m_fired;
+  Metrics.set m_virtual t.clk.now;
+  if Recorder.is_enabled () then Recorder.record ~time:t.clk.now ~label:e.label ();
+  if Prof.is_enabled () then Prof.span e.label e.action else e.action ();
+  monitor_tick t;
+  sampler_tick t
+
 let rec step t =
-  if t.size = 0 then false
+  let b = earliest t in
+  if b = empty then false
   else begin
-    let e = t.evs.(0) in
+    let e = head_event t b in
     if e.cancelled then begin
-      remove_min t;
+      pop t b;
       step t
     end
     else begin
-      t.clk.now <- Float.Array.unsafe_get t.times 0;
-      remove_min t;
-      t.live <- t.live - 1;
-      Metrics.incr m_fired;
-      Metrics.set m_virtual t.clk.now;
-      if Recorder.is_enabled () then Recorder.record ~time:t.clk.now ~label:e.label ();
-      if Prof.is_enabled () then Prof.span e.label e.action else e.action ();
-      monitor_tick t;
-      sampler_tick t;
+      fire t b e;
       true
     end
   end
@@ -305,17 +447,19 @@ let run ?until t =
       sampler_final t
   | Some horizon ->
       let rec drain () =
-        if t.size = 0 then begin
+        let b = earliest t in
+        if b = empty then begin
           monitor_quiescent t;
           sampler_final t
         end
-        else if Float.Array.get t.times 0 > horizon then begin
+        else if head_after t b horizon then begin
           t.clk.now <- Float.max t.clk.now horizon;
           Metrics.set m_virtual t.clk.now;
           sampler_final t
         end
         else begin
-          ignore (step t);
+          let e = head_event t b in
+          if e.cancelled then ignore (step t) else fire t b e;
           drain ()
         end
       in
@@ -329,22 +473,25 @@ let run_until_quiescent ~grace t =
     (match converged_at t with Some w -> w | None -> t.clk.now) +. grace
   in
   let rec drain () =
-    if t.size = 0 then ()
-    else if t.evs.(0).cancelled then begin
-      (* Cancelled events drain lazily; skip them here so a stale
-         timestamp cannot end the run early. *)
-      remove_min t;
-      drain ()
-    end
-    else if Float.Array.get t.times 0 > quiet_until () then
-      (* Everything still queued lies beyond the quiet window: no actor
-         has reported a state change for [grace] of virtual time, so
-         what remains is periodic housekeeping. *)
-      ()
-    else begin
-      ignore (step t);
-      drain ()
-    end
+    let b = earliest t in
+    if b = empty then ()
+    else
+      let e = head_event t b in
+      if e.cancelled then begin
+        (* Cancelled events drain lazily; skip them here so a stale
+           timestamp cannot end the run early. *)
+        pop t b;
+        drain ()
+      end
+      else if head_after t b (quiet_until ()) then
+        (* Everything still queued lies beyond the quiet window: no
+           actor has reported a state change for [grace] of virtual
+           time, so what remains is periodic housekeeping. *)
+        ()
+      else begin
+        fire t b e;
+        drain ()
+      end
   in
   drain ();
   monitor_quiescent t;

@@ -1,10 +1,11 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock and a priority queue of pending
-    events.  Protocol entities (MASC nodes, BGP speakers, BGMP routers,
-    MIGP components) are plain OCaml values that schedule closures;
-    events at equal timestamps fire in scheduling order, so runs are
-    fully deterministic. *)
+    events: a binary heap plus one FIFO {!lane} per fixed delay.
+    Protocol entities (MASC nodes, BGP speakers, BGMP routers, MIGP
+    components) are plain OCaml values that schedule closures; events
+    at equal timestamps fire in scheduling order, so runs are fully
+    deterministic. *)
 
 type t
 
@@ -30,7 +31,8 @@ val schedule_after : ?label:string -> t -> Time.t -> (unit -> unit) -> handle
 val periodic : ?label:string -> t -> interval:Time.t -> (unit -> unit) -> handle
 (** Run the closure every [interval], starting one interval from now,
     until cancelled.  The one event record is re-armed after each
-    firing.  @raise Invalid_argument if [interval <= 0] or NaN. *)
+    firing, through the {!lane} for [interval].
+    @raise Invalid_argument if [interval <= 0] or NaN. *)
 
 val event : ?label:string -> (unit -> unit) -> handle
 (** An unarmed, reusable event: {!arm_after} queues one more occurrence
@@ -43,6 +45,35 @@ val arm_after : t -> handle -> Time.t -> unit
     ordered like a fresh {!schedule_after}.
     @raise Invalid_argument if [delay] is negative or NaN, or the event
     was cancelled. *)
+
+(** {1 Fixed-delay lanes}
+
+    Most events are armed at [now + a constant]: a channel's link delay,
+    a periodic interval, a fixed lifetime.  The occurrences armed with
+    one delay form a FIFO lane beside the heap: each takes the next seq
+    at arm time, and the clock never runs backwards, so a lane is always
+    sorted by (time, seq).  Dispatch fires the earliest of the heap top
+    and the lane heads, so arming through a lane fires in exactly the
+    order {!arm_after} with the same delay would, while arming and
+    firing cost O(1) whatever the queue depth.  {!cancel}, {!pending}
+    and the [sim.*] metrics count lane occurrences like heap ones. *)
+
+type lane
+(** The FIFO of occurrences armed with one exact delay. *)
+
+val lane : t -> delay:Time.t -> lane
+(** The engine's one lane for [delay] (compared with [=]), made on
+    first use.  Its ring takes one slot at the first arm and doubles
+    when full.  Use a lane only where the caller's
+    delay is a constant of the run: a drawn delay belongs in
+    {!arm_after}.  @raise Invalid_argument if [delay] is negative or
+    NaN. *)
+
+val arm_lane : t -> lane -> handle -> unit
+(** Queue one occurrence of the event at [now + delay] of the lane,
+    ordered like {!arm_after} with that delay.  Allocates nothing once
+    the lane's ring has grown to its peak length.  The lane must belong
+    to [t].  @raise Invalid_argument if the event was cancelled. *)
 
 val cancel : t -> handle -> unit
 (** Withdraw every queued occurrence of the event; a periodic event

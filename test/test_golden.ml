@@ -529,6 +529,17 @@ let suite =
             "ablate-placement --days 60";
           ]
         ~golden:"fig2_fingerprints.txt" );
+    ( "net fingerprint",
+      `Quick,
+      check_fingerprints
+        ~runs:
+          [
+            "demo";
+            "soak --steps 40";
+            "soak --steps 40 --loss 0.05";
+            "beacon --domains 32 --per-domain 2 --probes 5 --loss 0.05 --churn";
+          ]
+        ~golden:"net_fingerprints.txt" );
     ( "beacon fingerprint identical across jobs",
       `Quick,
       check_fingerprint_jobs_invariant
