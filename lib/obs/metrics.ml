@@ -12,7 +12,9 @@ type instrument = Counter of ccell | Gauge of gcell | Histogram of hcell
 
 type registry = { tbl : (string, instrument) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 64 }
+(* The table starts at one bucket and grows as instruments register, so
+   a shard registry that records little costs a few words. *)
+let create () = { tbl = Hashtbl.create 1 }
 
 let default = create ()
 

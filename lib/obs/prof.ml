@@ -81,8 +81,13 @@ let span name f =
 
 (* --- Shard capture and merge ----------------------------------------- *)
 
+(* What a capture returns while the profiler is off: one tree shared by
+   every such capture, so a disabled shard allocates no node.  Nothing
+   grafts into it: [merge_tree] refuses it as a destination. *)
+let empty = make_node ""
+
 let capture f =
-  if not !on then (f (), make_node "")
+  if not !on then (f (), empty)
   else begin
     let st = state () in
     let parent = st.pcur in
@@ -99,7 +104,9 @@ let rec graft dst (src : node) =
   d.total_bytes <- d.total_bytes +. src.total_bytes;
   List.iter (fun name -> graft d (Hashtbl.find src.children name)) (List.rev src.order)
 
-let merge_tree ~into t = List.iter (fun name -> graft into (Hashtbl.find t.children name)) (List.rev t.order)
+let merge_tree ~into t =
+  if into == empty then invalid_arg "Prof.merge_tree: into a tree captured while disabled";
+  List.iter (fun name -> graft into (Hashtbl.find t.children name)) (List.rev t.order)
 
 let merge t = if !on then merge_tree ~into:(state ()).pcur t
 

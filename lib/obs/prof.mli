@@ -42,7 +42,8 @@ type tree
 val capture : (unit -> 'a) -> 'a * tree
 (** Run the thunk with spans charged to a fresh detached tree on this
     domain instead of the live one.  When the profiler is disabled the
-    thunk runs untouched and the tree is empty. *)
+    thunk runs untouched and the tree is one shared empty tree, so the
+    capture allocates no node. *)
 
 val merge : tree -> unit
 (** Graft a captured tree's sections under this domain's currently open
@@ -52,7 +53,9 @@ val merge : tree -> unit
 
 val merge_tree : into:tree -> tree -> unit
 (** [merge_tree ~into t] accumulates [t] into another detached tree —
-    the associative tree sum {!merge} applies to the live tree. *)
+    the associative tree sum {!merge} applies to the live tree.
+    @raise Invalid_argument if [into] was captured while the profiler
+    was disabled (the shared empty tree). *)
 
 (** {1 Reporting} *)
 

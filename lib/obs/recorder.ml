@@ -287,8 +287,10 @@ let pp_fingerprint ppf f =
 
 type shard = { srecs : record list  (** oldest first *) }
 
+let no_records = { srecs = [] }
+
 let capture f =
-  if not !on then (f (), { srecs = [] })
+  if not !on then (f (), no_records)
   else begin
     let prev = current () in
     let buf = create ~retain:Keep_all ~shard_mode:true () in

@@ -5,7 +5,9 @@ type t = { trace_id : string; span : int; parent : int option }
    identical order. *)
 type minter = { next : (string, int) Hashtbl.t }
 
-let create_minter () = { next = Hashtbl.create 64 }
+(* One bucket to start, grown as trace ids are minted: a task that mints
+   no span pays a few words for its minter. *)
+let create_minter () = { next = Hashtbl.create 1 }
 
 let default = create_minter ()
 

@@ -459,7 +459,7 @@ let run ?until t =
         end
         else begin
           let e = head_event t b in
-          if e.cancelled then ignore (step t) else fire t b e;
+          if e.cancelled then pop t b else fire t b e;
           drain ()
         end
       in

@@ -116,7 +116,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
         .Path_eval.hybrid
     in
     let summarize paths =
-      let s = Path_eval.ratios ~baseline paths in
+      let s = Path_eval.ratios ~baseline ~receivers:(Array.length receivers) paths in
       if s.Path_eval.receivers_counted > 0 then
         Some (s.Path_eval.avg_ratio, s.Path_eval.max_ratio)
       else None

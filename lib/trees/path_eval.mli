@@ -44,20 +44,30 @@ val draw_receivers : Rng.t -> n:int -> source:Domain.id -> int -> Domain.id arra
 (** [draw_receivers rng ~n ~source size] draws [size] distinct receivers
     from [\[0, n)], none of them [source]: [size + 1] draws without
     replacement, the source dropped if drawn, the first [size] kept.
-    Requires [size < n]. *)
+    Requires [size < n].  A fresh array over {!draw_receivers_into}. *)
+
+val draw_receivers_into :
+  Rng.t -> n:int -> source:Domain.id -> int -> Domain.id array -> unit
+(** [draw_receivers_into rng ~n ~source size dst] makes the same draws
+    as [draw_receivers rng ~n ~source size] and leaves the receivers in
+    [dst.(0 .. size - 1)]; [dst.(size)] is scratch.
+    @raise Invalid_argument if [dst] is shorter than [size + 1]. *)
 
 (** {2 Reusable workspace}
 
-    Everything one evaluation needs that is sized by the graph: a BFS
-    queue, two dist/via pairs and a resettable {!Shared_tree.t}.  The
-    two pairs are a two-slot BFS cache keyed by source node: each holds
-    the BFS tree of the node it was last computed from, and one BFS tree
-    serves a node as a group's source and as a group's root alike.  A
-    harness running many groups over one topology keeps one workspace
-    per worker (e.g. from {!Par.map_with}'s [~init]); an evaluation then
-    allocates only its result arrays, sized by the group.  Ordering
-    groups so that consecutive ones share an endpoint makes each group
-    after the first cost one BFS instead of two. *)
+    Everything one evaluation needs: a BFS queue, two dist/via pairs
+    and a resettable {!Shared_tree.t}, sized by the graph, plus a
+    receiver buffer and the four result buffers, grown to the largest
+    group seen.  The two pairs are a two-slot BFS cache keyed by source
+    node: each holds the BFS tree of the node it was last computed
+    from, and one BFS tree serves a node as a group's source and as a
+    group's root alike.  A harness running many groups over one
+    topology keeps one workspace per worker (e.g. from
+    {!Par.map_with}'s [~init]); once the buffers have grown, an
+    evaluation allocates nothing.  Its result lives in the workspace
+    and stays valid until the next evaluation there.  Ordering groups
+    so that consecutive ones share an endpoint makes each group after
+    the first cost one BFS instead of two. *)
 
 type workspace
 
@@ -66,7 +76,12 @@ val make_workspace : Topo.t -> workspace
     with both slots empty. *)
 
 val evaluate_with : workspace -> Topo.t -> group -> paths
-(** The same paths as [evaluate topo group], computed in the workspace.
+(** The same paths as [evaluate topo group], computed in the workspace:
+    the receivers are copied into its receiver buffer and the result is
+    its result buffers, whose first [k] entries ([k] the group's
+    receiver count) are the group's.  The buffers may be longer, so
+    read them through [k] (as {!ratios} does); they are overwritten by
+    the next evaluation in the workspace.
     A BFS runs only for an endpoint (source or root) whose tree is in
     neither slot, and it overwrites the slot the group does not need;
     so a group whose endpoints are both cached runs no BFS, and a chain
@@ -77,6 +92,17 @@ val evaluate_with : workspace -> Topo.t -> group -> paths
     last {!forget}, never on the result.
     @raise Invalid_argument when the topology is not the one (or has
     changed since) the workspace was made for. *)
+
+val draw_with : workspace -> Rng.t -> source:Domain.id -> int -> Domain.id array
+(** [draw_with ws rng ~source size] makes the draws of
+    [draw_receivers rng ~n ~source size] ([n] the workspace topology's
+    domain count) into the workspace's receiver buffer and returns the
+    buffer: its first [size] entries are the receivers, until the next
+    draw or {!evaluate_with}. *)
+
+val evaluate_drawn : workspace -> Topo.t -> source:Domain.id -> root:Domain.id -> paths
+(** {!evaluate_with} of the group of [source], [root] and the receivers
+    of the last {!draw_with}, without the copy. *)
 
 val forget : workspace -> unit
 (** Empty both slots: the next evaluation runs the BFS of each of its
@@ -93,6 +119,9 @@ type ratio_summary = {
   receivers_counted : int;  (** receivers with a non-zero SPT distance *)
 }
 
-val ratios : baseline:int array -> int array -> ratio_summary
-(** Ratio statistics of a tree's paths against the SPT baseline;
-    receivers co-located with the source (SPT distance 0) are skipped. *)
+val ratios : baseline:int array -> receivers:int -> int array -> ratio_summary
+(** Ratio statistics of a tree's paths against the SPT baseline over
+    the first [receivers] entries of each; receivers co-located with
+    the source (SPT distance 0) are skipped.
+    @raise Invalid_argument if either array is shorter than
+    [receivers]. *)

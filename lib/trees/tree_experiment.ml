@@ -64,8 +64,10 @@ let make_topology p rng =
 (* One trial's sampled group.  All randomness is drawn on the main
    domain before any fan-out, in exactly the draw order of the old
    sequential loop, so results are byte-identical at any job count —
-   and to the sequential runs that predate the parallel layer. *)
-type spec = { sp_source : Domain.id; sp_receivers : Domain.id array; sp_root : Domain.id }
+   and to the sequential runs that predate the parallel layer.  The
+   receivers are not kept: [sp_draw] is the generator as it stood
+   before their draw, and the trial re-draws them from it. *)
+type spec = { sp_source : Domain.id; sp_root : Domain.id; sp_size : int; sp_draw : Rng.t }
 
 (* What a trial task reports back: per-tree (avg, max) ratios when any
    receiver was counted, plus its invariant-violation count.  Metrics
@@ -168,43 +170,43 @@ let run p =
   | None -> ());
   (* Group sizes are capped by the topology: at most n-1 receivers. *)
   let sizes = List.filter (fun s -> s <= n - 2) p.group_sizes in
+  (* The main pass draws each trial's receivers into [scratch] only to
+     advance the stream and place the root. *)
+  let scratch = Array.make (List.fold_left max 0 sizes + 1) 0 in
   let draw_trial size =
     let source = Rng.int rng n in
+    let sp_draw = Rng.copy rng in
     (* Receivers are distinct domains other than the source. *)
-    let receivers = Path_eval.draw_receivers rng ~n ~source size in
+    Path_eval.draw_receivers_into rng ~n ~source size scratch;
     let root =
       match p.root_placement with
-      | Root_at_initiator -> receivers.(0)
+      | Root_at_initiator -> scratch.(0)
       | Root_at_source -> source
       | Root_random -> Rng.int rng n
     in
-    { sp_source = source; sp_receivers = receivers; sp_root = root }
+    { sp_source = source; sp_root = root; sp_size = size; sp_draw }
   in
   let specs = ref [] in
   List.iter (fun size -> for _ = 1 to p.trials do specs := draw_trial size :: !specs done) sizes;
   let specs = Array.of_list (List.rev !specs) in
   let run_trial ws spec =
     Metrics.incr m_trials;
-    let size = Array.length spec.sp_receivers in
+    let size = spec.sp_size and source = spec.sp_source and root = spec.sp_root in
     (* Figure 4 has no engine, so the dispatch hook never fires; one
        record per trial keeps its fingerprint sensitive to the drawn
        trial set and exercises the shard merge path. *)
     if Recorder.is_enabled () then
       Recorder.record ~time:0.0 ~label:"fig4.trial"
-        ~subject:(Printf.sprintf "src=%d root=%d size=%d" spec.sp_source spec.sp_root size)
+        ~subject:(Printf.sprintf "src=%d root=%d size=%d" source root size)
         ();
-    let paths =
-      Path_eval.evaluate_with ws topo
-        { Path_eval.source = spec.sp_source; root = spec.sp_root; receivers = spec.sp_receivers }
-    in
+    ignore (Path_eval.draw_with ws (Rng.copy spec.sp_draw) ~source size : Domain.id array);
+    let paths = Path_eval.evaluate_drawn ws topo ~source ~root in
     (* Per-trial sanity predicates: a tree path can never beat the
        shortest path (every ratio >= 1), and every receiver must be
        reachable and evaluated. *)
-    let invariants = Invariant.create () in
     let pending = ref [] in
-    Invariant.register invariants ~name:"tree-ratio" (fun () -> !pending);
     let record label tree_paths =
-      let s = Path_eval.ratios ~baseline:paths.Path_eval.spt tree_paths in
+      let s = Path_eval.ratios ~baseline:paths.Path_eval.spt ~receivers:size tree_paths in
       if p.check_invariants then begin
         if s.Path_eval.receivers_counted <> size then
           pending :=
@@ -229,17 +231,23 @@ let run p =
     let t_bi = record "bidirectional" paths.Path_eval.bidirectional in
     let t_hy = record "hybrid" paths.Path_eval.hybrid in
     let t_violations =
-      if p.check_invariants then List.length (Invariant.check ~quiescent:false invariants) else 0
+      if p.check_invariants then begin
+        let invariants = Invariant.create () in
+        Invariant.register invariants ~name:"tree-ratio" (fun () -> !pending);
+        List.length (Invariant.check ~quiescent:false invariants)
+      end
+      else 0
     in
     { t_uni; t_bi; t_hy; t_violations }
   in
   (* One task = one chunk of a trail through the trials' (source, root)
      pairs, so consecutive trials share an endpoint and its BFS tree
-     stays in the worker's reusable workspace (BFS slots and shared
-     tree); a trial allocates nothing sized by the graph.  The task
-     empties the slots first, so the BFS count depends only on the
-     spec list, not on which worker ran which chunk.  Each trial still
-     runs in its own Obs shard with its own invariant monitor. *)
+     stays in the worker's reusable workspace (BFS slots, shared tree,
+     receiver and result buffers); a trial allocates nothing sized by
+     the graph or the group.  The task empties the slots first, so the
+     BFS count depends only on the spec list, not on which worker ran
+     which chunk.  Each trial still runs in its own Obs shard (and,
+     under [check_invariants], with its own invariant monitor). *)
   let chunks =
     schedule ~nodes:n (Array.map (fun spec -> (spec.sp_source, spec.sp_root)) specs)
   in

@@ -75,46 +75,58 @@ let pick_list t l =
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | _ :: _ -> List.nth l (int t (List.length l))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
+(* Fisher-Yates over [a.(0 .. len - 1)]. *)
+let shuffle_prefix t a len =
+  for i = len - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
 
-(* Membership stamps for the sparse branch of [sample_without_replacement]:
-   [v] was drawn in the current call iff [stamps.(v) = generation].  One
-   array per runtime domain, grown to the largest [n] seen and never
-   cleared, so a call allocates only its result. *)
-type stamps = { mutable stamps : int array; mutable generation : int }
+let shuffle t a = shuffle_prefix t a (Array.length a)
 
-let stamps_key : stamps Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> { stamps = [||]; generation = 0 })
+(* Per-domain scratch for [sample_into], grown to the largest [n] seen
+   and never cleared.  Sparse branch: [v] was drawn in the current call
+   iff [stamps.(v) = generation].  Dense branch: [perm] holds the
+   identity permutation of [\[0, n)] that the call shuffles. *)
+type scratch = { mutable stamps : int array; mutable generation : int; mutable perm : int array }
 
-let sample_without_replacement t k n =
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
+let scratch_key : scratch Stdlib.Domain.DLS.key =
+  Stdlib.Domain.DLS.new_key (fun () -> { stamps = [||]; generation = 0; perm = [||] })
+
+let sample_into t k n dst =
+  if k < 0 || k > n || Array.length dst < k then invalid_arg "Rng.sample_into";
+  let s = Stdlib.Domain.DLS.get scratch_key in
   (* For small k relative to n draw until k distinct values are stamped;
      otherwise shuffle a full index array.  Both are O(k) expected beyond
      the O(n) shuffle. *)
   if 2 * k >= n then begin
-    let a = Array.init n (fun i -> i) in
-    shuffle t a;
-    Array.sub a 0 k
-  end else begin
-    let s = Stdlib.Domain.DLS.get stamps_key in
+    if Array.length s.perm < n then s.perm <- Array.make n 0;
+    let perm = s.perm in
+    for i = 0 to n - 1 do
+      perm.(i) <- i
+    done;
+    shuffle_prefix t perm n;
+    Array.blit perm 0 dst 0 k
+  end
+  else begin
     if Array.length s.stamps < n then s.stamps <- Array.make n 0;
     s.generation <- s.generation + 1;
     let generation = s.generation and stamps = s.stamps in
-    let out = Array.make k 0 in
     let filled = ref 0 in
     while !filled < k do
       let v = int t n in
       if stamps.(v) <> generation then begin
         stamps.(v) <- generation;
-        out.(!filled) <- v;
+        dst.(!filled) <- v;
         incr filled
       end
-    done;
-    out
+    done
   end
+
+let sample_without_replacement t k n =
+  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
+  let out = Array.make k 0 in
+  sample_into t k n out;
+  out

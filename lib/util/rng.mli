@@ -65,9 +65,17 @@ val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
+val sample_into : t -> int -> int -> int array -> unit
+(** [sample_into t k n dst] draws [k] distinct integers from [\[0, n)],
+    in random order, into [dst.(0 .. k - 1)], leaving the rest of [dst]
+    alone.  When [2k < n] draws are marked in a stamp array of [n] ints;
+    otherwise a permutation array of [n] ints is shuffled.  Both are
+    kept per runtime domain at the largest [n] seen, so a call
+    allocates nothing once they have grown.
+    @raise Invalid_argument if [k > n], [k < 0] or [dst] is shorter
+    than [k]. *)
+
 val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement t k n] draws [k] distinct integers from
-    [\[0, n)], in random order.  When [2k < n] draws are marked in a
-    stamp array of [n] ints, one per runtime domain, kept at the largest
-    [n] seen so later calls allocate only their result.
+(** [sample_without_replacement t k n] is a fresh array of the [k]
+    values {!sample_into} would draw, leaving [t] in the same state.
     @raise Invalid_argument if [k > n] or [k < 0]. *)

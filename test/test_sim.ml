@@ -77,6 +77,19 @@ let test_engine_run_until_horizon () =
   Engine.run ~until:20.0 e;
   check (Alcotest.list Alcotest.int) "later event fires on resume" [ 1; 10 ] (List.rev !fired)
 
+(* A cancelled occurrence inside the horizon heading the queue is dropped
+   without firing what follows it: the drain re-checks the horizon. *)
+let test_engine_run_until_cancelled_head () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let h = Engine.schedule_at e 1.0 (fun () -> fired := 1 :: !fired) in
+  Engine.cancel e h;
+  ignore (Engine.schedule_at e 10.0 (fun () -> fired := 10 :: !fired));
+  Engine.run ~until:5.0 e;
+  check (Alcotest.list Alcotest.int) "nothing past the horizon fires" [] !fired;
+  check (Alcotest.float 1e-9) "clock stops at the horizon" 5.0 (Engine.now e);
+  check Alcotest.int "the later event stays pending" 1 (Engine.pending e)
+
 let test_engine_lane_run_until_horizon () =
   let e = Engine.create () in
   let fired = ref [] in
@@ -727,6 +740,7 @@ let suite =
     ("engine cancel", `Quick, test_engine_cancel);
     ("engine nested scheduling", `Quick, test_engine_nested_scheduling);
     ("engine run until horizon", `Quick, test_engine_run_until_horizon);
+    ("engine run until skips cancelled head", `Quick, test_engine_run_until_cancelled_head);
     ("engine lane run until horizon", `Quick, test_engine_lane_run_until_horizon);
     ( "engine lane quiescence skips cancelled head",
       `Quick,

@@ -233,7 +233,10 @@ let test_experiment_unchanged_by_cache () =
           in
           let root = receivers.(0) in
           let paths = Path_eval.evaluate topo { Path_eval.source; root; receivers } in
-          let s = Path_eval.ratios ~baseline:paths.Path_eval.spt paths.Path_eval.unidirectional in
+          let s =
+            Path_eval.ratios ~baseline:paths.Path_eval.spt ~receivers:size
+              paths.Path_eval.unidirectional
+          in
           if s.Path_eval.receivers_counted > 0 then Stats.add ua s.Path_eval.avg_ratio
         done;
         Stats.mean ua)

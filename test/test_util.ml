@@ -128,6 +128,29 @@ let test_rng_sample_matches_reference () =
       (200, 75000); (1001, 3326); (5, 10); (2, 100) ];
   check Alcotest.int "streams stay in step" (Rng.bits b) (Rng.bits a)
 
+(* [sample_into] draws what [sample_without_replacement] draws and
+   leaves the stream where it leaves it, on the sparse (2k < n) and the
+   dense branch, for k = 0, n/2 and n; the rest of the destination is
+   untouched. *)
+let test_rng_sample_into_matches () =
+  List.iter
+    (fun (k, n) ->
+      let a = Rng.create (k + (7 * n)) in
+      let b = Rng.copy a in
+      let dst = Array.make (k + 3) (-1) in
+      Rng.sample_into a k n dst;
+      let label = Printf.sprintf "k=%d n=%d" k n in
+      check (Alcotest.array Alcotest.int) label
+        (Rng.sample_without_replacement b k n)
+        (Array.sub dst 0 k);
+      check (Alcotest.array Alcotest.int) (label ^ ": tail untouched") [| -1; -1; -1 |]
+        (Array.sub dst k 3);
+      check Alcotest.int (label ^ ": streams stay in step") (Rng.bits b) (Rng.bits a))
+    [ (0, 0); (0, 9); (4, 9); (9, 9); (0, 100); (50, 100); (100, 100); (0, 3326); (1663, 3326);
+      (3326, 3326); (49, 100); (3, 7) ];
+  Alcotest.check_raises "destination too short" (Invalid_argument "Rng.sample_into") (fun () ->
+      Rng.sample_into (Rng.create 1) 5 10 (Array.make 4 0))
+
 let test_rng_sample_without_replacement () =
   let r = Rng.create 29 in
   let s = Rng.sample_without_replacement r 10 100 in
@@ -441,6 +464,7 @@ let suite =
     ("rng sample without replacement", `Quick, test_rng_sample_without_replacement);
     ("rng sample matches hash-set reference", `Quick, test_rng_sample_matches_reference);
     ("rng known answers", `Quick, test_rng_known_answers);
+    ("rng sample_into matches sample without replacement", `Quick, test_rng_sample_into_matches);
     ("rng draws allocate nothing", `Quick, test_rng_draws_allocate_nothing);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
