@@ -914,7 +914,7 @@ let experiment ?(jobs = false) ?(sample = false) ?(check = false) name ~doc run 
     Term.(const main $ obs_term ~sample $ flag jobs jobs_arg 1 $ flag check check_arg false $ run)
 
 let seed_arg = opt Arg.int 1998 "seed" "Random seed."
-let days_arg n = opt Arg.int n "days" "Simulated days."
+let days_arg n = opt positive n "days" "Simulated days."
 let nodes_arg n =
   opt (bounded Arg.int (fun n -> n >= 3) "an integer >= 3") n "nodes"
     "Topology size (the power-law generator needs at least 3 nodes)."
@@ -941,7 +941,7 @@ let fig4_cmd =
     ~doc:"Reproduce Figure 4: path-length overhead of shared trees vs shortest-path trees."
     Term.(
       const run_fig4 $ summary_flag $ nodes_arg 3326
-      $ opt Arg.int 20 "trials" "Groups per size."
+      $ opt positive 20 "trials" "Groups per size."
       $ opt
           (Arg.enum [ ("power-law", `Power_law); ("transit-stub", `Transit_stub) ])
           `Power_law "topology" "Topology family: power-law or transit-stub."
@@ -954,11 +954,11 @@ let fig4_modern_cmd =
        and link churn, with incrementally maintained routing."
     Term.(
       const run_fig4_modern $ summary_flag
-      $ opt Arg.int 2000 "domains" "Target domain count (transit-stub)."
+      $ opt positive 2000 "domains" "Target domain count (transit-stub)."
       $ opt positive 200 "groups" "Group-id space per trial."
       $ opt positive 8 "roots" "Distinct tree-root domains."
-      $ opt Arg.int 4000 "events" "Membership events per trial."
-      $ opt Arg.int 500 "link-every"
+      $ opt non_negative 4000 "events" "Membership events per trial."
+      $ opt non_negative 500 "link-every"
           "One peer-link failure/restore per this many membership events (0 disables)."
       $ opt positive 2 "trials" "Independent trials (averaged)."
       $ Arg.(
@@ -977,9 +977,9 @@ let beacon_cmd =
        of the multicast internet)."
     Term.(
       const run_beacon
-      $ opt Arg.int 20 "domains" "Target domain count (rounded to the transit-stub shape)."
+      $ opt positive 20 "domains" "Target domain count (rounded to the transit-stub shape)."
       $ opt positive 2 "per-domain" "Beacons per domain."
-      $ opt Arg.int 3 "probes" "Probes per source."
+      $ opt positive 3 "probes" "Probes per source."
       $ opt positive 1 "trials" "Independent trials."
       $ seed_arg $ loss_arg
       $ Arg.(
@@ -1001,11 +1001,11 @@ let explore_cmd =
        $(b,report --triage))."
     Term.(
       const run_explore
-      $ opt ~docv:"N" Arg.int 50 "budget"
+      $ opt ~docv:"N" positive 50 "budget"
           "Fault schedules to run: every single-fault schedule over the arena's links is \
            enumerated first, then seeded random multi-fault episodes fill the rest of the \
            budget."
-      $ opt ~docv:"K" Arg.int 6 "max-faults" "Fault-step ceiling per sampled schedule."
+      $ opt ~docv:"K" positive 6 "max-faults" "Fault-step ceiling per sampled schedule."
       $ opt ~docv:"FILE" Arg.string "explore_ledger.jsonl" "ledger"
           "Violation ledger: one JSON outcome record per schedule, written in trial order \
            (byte-identical at any --jobs); triage it with $(b,report --triage)."
@@ -1089,7 +1089,8 @@ let main_cmd =
         Term.(const run_ablate_threshold $ days_arg 400 $ seed_arg);
       experiment "ablate-root" ~check:true
         ~doc:"A4: root-domain placement sensitivity for tree quality."
-        Term.(const run_ablate_root $ nodes_arg 1000 $ opt Arg.int 20 "trials" "Trials." $ seed_arg);
+        Term.(
+          const run_ablate_root $ nodes_arg 1000 $ opt positive 20 "trials" "Trials." $ seed_arg);
       experiment "ablate-kampai"
         ~doc:"A5: contiguous CIDR claims vs Kampai non-contiguous masks."
         Term.(const run_ablate_kampai $ days_arg 400 $ seed_arg);
@@ -1100,13 +1101,13 @@ let main_cmd =
         ~doc:"Related-work baselines (HPIM, HDVMRP) vs BGMP trees."
         Term.(
           const run_baselines $ nodes_arg 1000
-          $ opt Arg.int 15 "trials" "Trials per group size."
+          $ opt positive 15 "trials" "Trials per group size."
           $ seed_arg);
       beacon_cmd;
       experiment "soak" ~sample:true ~check:true
         ~doc:"Randomized churn + failure soak of the integrated stack with invariant checking."
         Term.(
-          const run_soak $ opt Arg.int 300 "steps" "Randomized steps." $ seed_arg $ loss_arg);
+          const run_soak $ opt non_negative 300 "steps" "Randomized steps." $ seed_arg $ loss_arg);
       explore_cmd;
       experiment "dot" ~check:true
         ~doc:"Emit Graphviz DOT of the Figure-3 topology with its shared tree."

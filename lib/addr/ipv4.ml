@@ -1,7 +1,5 @@
 type t = int
 
-let max_addr = 0xFFFFFFFF
-
 let of_octets a b c d =
   let check o = if o < 0 || o > 255 then invalid_arg "Ipv4.of_octets: octet out of range" in
   check a;

@@ -7,14 +7,9 @@
 type t = int
 (** An address; always in [\[0, 2^32)]. *)
 
-val max_addr : t
-(** 255.255.255.255 *)
-
 val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is the address [a.b.c.d].
     @raise Invalid_argument if any octet is outside [\[0, 255\]]. *)
-
-val to_octets : t -> int * int * int * int
 
 val of_string : string -> t
 (** Parse dotted-quad notation.  @raise Invalid_argument on malformed

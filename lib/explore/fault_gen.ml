@@ -1,3 +1,5 @@
+(* The [lo, hi) time range faults are injected into: after the stack
+   starts claiming but before the settle phase. *)
 let fault_window ~horizon =
   let lo = Time.minutes 5.0 in
   (lo, max (Time.minutes 10.0) horizon)

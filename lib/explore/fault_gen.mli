@@ -19,10 +19,6 @@
     Enumeration is truncated (never padded) to [budget]; sampling fills
     whatever budget remains. *)
 
-val fault_window : horizon:Time.t -> Time.t * Time.t
-(** The [lo, hi) time range faults are injected into: after the stack
-    starts claiming but before the settle phase. *)
-
 val generate :
   topo:Topo.t -> budget:int -> max_faults:int -> seed:int -> horizon:Time.t -> Schedule.t list
 (** [budget] schedules (fewer only if [budget <= 0]).  Position [i] in

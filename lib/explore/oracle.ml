@@ -5,12 +5,6 @@ let verdict_to_string = function
   | Violation -> "violation"
   | Non_convergence -> "non-convergence"
 
-let verdict_of_string = function
-  | "pass" -> Some Pass
-  | "violation" -> Some Violation
-  | "non-convergence" -> Some Non_convergence
-  | _ -> None
-
 type arena = { tops : int; children_per_top : int }
 
 let default_arena = { tops = 2; children_per_top = 2 }

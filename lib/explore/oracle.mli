@@ -30,8 +30,6 @@ type verdict = Pass | Violation | Non_convergence
 
 val verdict_to_string : verdict -> string
 
-val verdict_of_string : string -> verdict option
-
 type arena = { tops : int; children_per_top : int }
 
 val default_arena : arena

@@ -39,13 +39,11 @@ val ends_all_up : t -> bool
     are sound after the run.  A [Link_down]/[Partition] with no later
     matching [Link_up]/[Heal] makes this false. *)
 
-val step_to_string : step -> string
-(** Canonical form, e.g. ["down:0-1@3600"], ["loss:0.05@7200"].  Times
-    are seconds with no trailing zeros; endpoint pairs are printed
-    low-high. *)
-
 val to_string : t -> string
-(** Comma-joined steps; [""] for the empty schedule. *)
+(** Comma-joined steps in canonical form, e.g.
+    ["down:0-1@3600,loss:0.05@7200"]; [""] for the empty schedule.
+    Times are seconds with no trailing zeros; endpoint pairs are
+    printed low-high. *)
 
 val of_string : string -> (t, string) result
 (** Parse the canonical form (steps in any order; result is sorted). *)

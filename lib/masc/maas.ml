@@ -14,7 +14,6 @@ type t = {
   pools : (Prefix.t, range_pool) Hashtbl.t;
   live : (Ipv4.t, Prefix.t) Hashtbl.t;
   mutable pending_count : int;
-  mutable renumbered : int;
 }
 
 let create ~engine ~node ~block_size =
@@ -26,7 +25,6 @@ let create ~engine ~node ~block_size =
       pools = Hashtbl.create 4;
       live = Hashtbl.create 64;
       pending_count = 0;
-      renumbered = 0;
     }
   in
   Masc_node.add_on_replaced node (fun ~old_prefix ~by ->
@@ -53,11 +51,7 @@ let create ~engine ~node ~block_size =
               (fun addr range acc -> if Prefix.equal range prefix then addr :: acc else acc)
               t.live []
           in
-          List.iter
-            (fun addr ->
-              Hashtbl.remove t.live addr;
-              t.renumbered <- t.renumbered + 1)
-            victims;
+          List.iter (Hashtbl.remove t.live) victims;
           ignore pool;
           Hashtbl.remove t.pools prefix;
           Masc_node.note_assigned node prefix (-List.length victims));
@@ -147,11 +141,3 @@ let release t alloc =
 let in_use t = Hashtbl.length t.live
 
 let pending t = t.pending_count
-
-let usable_addresses t =
-  sync_pools t;
-  Hashtbl.fold
-    (fun _ pool acc -> acc + (Prefix.last pool.range - pool.next_addr + 1 + List.length pool.freed))
-    t.pools 0
-
-let renumber_notices t = t.renumbered

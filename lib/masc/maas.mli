@@ -36,10 +36,3 @@ val in_use : t -> int
 val pending : t -> int
 (** Allocation attempts that failed and await new space. *)
 
-val usable_addresses : t -> int
-(** Free addresses across the node's acquired ranges. *)
-
-val renumber_notices : t -> int
-(** How many live allocations were invalidated because their underlying
-    range was lost (collision after partition, or expiry) — the paper's
-    "applications should be prepared to cope" event. *)

@@ -155,8 +155,6 @@ let partition t a b = Net.fail_link t.net a b
 
 let heal t a b = Net.restore_link t.net a b
 
-let messages_sent t = Net.sent t.net ~protocol:"masc"
-
 let messages_dropped t = Net.dropped t.net ~protocol:"masc"
 
 let total_collisions t =

@@ -77,9 +77,6 @@ val partition : t -> Domain.id -> Domain.id -> unit
 val heal : t -> Domain.id -> Domain.id -> unit
 (** [Net.restore_link] on the transport. *)
 
-val messages_sent : t -> int
-(** MASC messages sent over the transport (including dropped ones). *)
-
 val messages_dropped : t -> int
 
 val total_collisions : t -> int

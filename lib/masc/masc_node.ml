@@ -227,8 +227,6 @@ let space_view t = t.up_space
 
 let children_view t = t.down_space
 
-let pending_requests t = List.length t.pending
-
 let collisions_suffered t = t.collisions_suffered
 
 let claims_made t = t.claims_made

@@ -151,8 +151,6 @@ val space_view : t -> Address_space.t
 val children_view : t -> Address_space.t
 (** The arena this node's children claim from. *)
 
-val pending_requests : t -> int
-
 val collisions_suffered : t -> int
 (** How many of this node's claims were killed by collisions. *)
 

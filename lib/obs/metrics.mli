@@ -10,7 +10,7 @@
     Every domain records into its own {e current} registry, so
     shard-local collection under [Par] needs no locks: the main
     domain's current registry is {!default}, a worker domain's is
-    whatever shard [set_current]/[with_current] installed, and shards
+    whatever shard {!with_current} installed, and shards
     are folded back with {!merge_into} at join points.  A handle
     created without an explicit [?registry] follows the current
     registry of whichever domain uses it (module-toplevel handles stay
@@ -37,9 +37,6 @@ val default : registry
 val current : unit -> registry
 (** This domain's current registry ({!default} on the main domain
     unless overridden). *)
-
-val set_current : registry -> unit
-(** Install [r] as this domain's current registry. *)
 
 val with_current : registry -> (unit -> 'a) -> 'a
 (** Run the thunk with [r] current on this domain, restoring the

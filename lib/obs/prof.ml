@@ -180,6 +180,7 @@ let pp ppf () = pp_rows ppf (rows ())
 
 (* --- JSONL round-trip ------------------------------------------------ *)
 
+(* One JSON object, path joined with [';']. *)
 let row_to_json r =
   Printf.sprintf
     "{\"path\": \"%s\", \"count\": %d, \"total_s\": %.17g, \"self_s\": %.17g, \"total_bytes\": \

@@ -80,12 +80,7 @@ val pp_rows : Format.formatter -> row list -> unit
 val pp : Format.formatter -> unit -> unit
 (** [pp_rows] of the live tree. *)
 
-val row_to_json : row -> string
-(** One JSON object, path joined with [';']. *)
-
 val row_of_json : string -> row option
-
-val to_jsonl : unit -> string
 
 val write_jsonl : string -> unit
 (** Write the live tree to [file], one row per line. *)

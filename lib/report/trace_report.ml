@@ -58,6 +58,7 @@ let pp_span_ref ppf r =
   | Some s, None -> Format.fprintf ppf "  (#%d)" s
   | None, _ -> ()
 
+(* Render a chain with children indented under their parent spans. *)
 let pp_chain ppf chain =
   List.iter
     (fun (r, depth) ->

@@ -22,9 +22,6 @@ val chain : Recorder.record list -> id:string -> Recorder.record list
 val kind_of_id : string -> string
 (** ["claim:3:224/24"] → ["claim"]. *)
 
-val pp_chain : Format.formatter -> Recorder.record list -> unit
-(** Render a chain with children indented under their parent spans. *)
-
 val pp_chain_for : Format.formatter -> Recorder.record list -> id:string -> unit
 (** Select [id]'s chain and render it with a header. *)
 

@@ -16,19 +16,18 @@ type event = {
 
 type handle = event
 
-(* A monitor runs a hook (invariant checks, in practice) at most once
-   per [cadence] of virtual time, and once more with [~quiescent:true]
-   whenever the queue drains. *)
-type monitor = { cadence : Time.t; mutable last_check : Time.t; hook : quiescent:bool -> unit }
+(* A hook piggybacks on event execution and never schedules events of
+   its own: [action false] runs after the first event at least
+   [cadence] past [last], [action true] once when a run stops, at a
+   horizon stop only if [at_horizon].  The monitor and the sampler are
+   the two hooks. *)
+type hook = { cadence : Time.t; mutable last : Time.t; at_horizon : bool; action : bool -> unit }
 
-(* A sampler is the telemetry twin of the monitor: it piggybacks on
-   event execution (never scheduling its own events), firing at most
-   once per [every] of virtual time plus once at quiescence. *)
-type sampler = { every : Time.t; mutable last_sample : Time.t; s_hook : Time.t -> unit }
-
-(* A float-only record is stored flat, so advancing the clock does not
-   box. *)
-type clock = { mutable now : Time.t }
+(* A float-only record is stored flat, so advancing the clock or noting
+   activity does not box.  [last_activity] is the latest
+   [note_activity] time; the clock never runs backwards, so it is also
+   the greatest watermark. *)
+type clock = { mutable now : Time.t; mutable last_activity : Time.t }
 
 (* A lane queues the occurrences armed with one fixed delay, oldest
    first, in a ring of three parallel arrays (time, seq, event) whose
@@ -62,10 +61,10 @@ type t = {
   mutable next_seq : int;
   mutable live : int;
   (* Last state-changing event per actor class, self-reported via
-     [note_activity]; the max is the convergence time of the run. *)
+     [note_activity]. *)
   watermarks : (string, Time.t) Hashtbl.t;
-  mutable monitor : monitor option;
-  mutable sampler : sampler option;
+  mutable monitor : hook option;
+  mutable sampler : hook option;
 }
 
 let m_scheduled = Metrics.counter "sim.events_scheduled"
@@ -85,7 +84,7 @@ let initial_capacity = 16
 
 let create () =
   {
-    clk = { now = Time.zero };
+    clk = { now = Time.zero; last_activity = Time.zero };
     times = Float.Array.make initial_capacity 0.0;
     seqs = Array.make initial_capacity 0;
     evs = Array.make initial_capacity vacant;
@@ -235,19 +234,13 @@ let head_event t b =
 
 let pop t b = if b = heap then remove_min t else lane_pop t.lanes.(b)
 
-(* Stores and comparisons take the head's time in place, so no float
-   crosses a call. *)
-let advance_clock t b =
-  if b = heap then t.clk.now <- Float.Array.unsafe_get t.times 0
+(* Inlined, so callers store and compare the head's time in place and
+   no float crosses a call. *)
+let[@inline] head_time t b =
+  if b = heap then Float.Array.unsafe_get t.times 0
   else
     let l = t.lanes.(b) in
-    t.clk.now <- Float.Array.unsafe_get l.l_times l.l_head
-
-let head_after t b horizon =
-  if b = heap then Float.Array.unsafe_get t.times 0 > horizon
-  else
-    let l = t.lanes.(b) in
-    Float.Array.unsafe_get l.l_times l.l_head > horizon
+    Float.Array.unsafe_get l.l_times l.l_head
 
 (* --- Scheduling ------------------------------------------------------ *)
 
@@ -360,139 +353,114 @@ let pending t = t.live
 
 (* --- Hooks ----------------------------------------------------------- *)
 
-let note_activity t cls = Hashtbl.replace t.watermarks cls t.clk.now
+let note_activity t cls =
+  Hashtbl.replace t.watermarks cls t.clk.now;
+  t.clk.last_activity <- t.clk.now
 
 let watermarks t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.watermarks []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let converged_at t =
-  Hashtbl.fold (fun _ v acc -> match acc with None -> Some v | Some m -> Some (max m v)) t.watermarks None
+  if Hashtbl.length t.watermarks = 0 then None else Some t.clk.last_activity
 
-let set_monitor t ~cadence hook =
-  if not (cadence > 0.0) then invalid_arg "Engine.set_monitor: non-positive or NaN cadence";
-  t.monitor <- Some { cadence; last_check = t.clk.now; hook }
+let hook t fn cadence ~at_horizon action =
+  if not (cadence > 0.0) then
+    invalid_arg (Printf.sprintf "Engine.%s: non-positive or NaN cadence" fn);
+  Some { cadence; last = t.clk.now; at_horizon; action }
+
+let set_monitor t ~cadence check =
+  t.monitor <-
+    hook t "set_monitor" cadence ~at_horizon:false (fun stopped -> check ~quiescent:stopped)
 
 let clear_monitor t = t.monitor <- None
 
-let monitor_tick t =
-  match t.monitor with
-  | Some m when t.clk.now -. m.last_check >= m.cadence ->
-      m.last_check <- t.clk.now;
-      m.hook ~quiescent:false
-  | Some _ | None -> ()
-
-let monitor_quiescent t =
-  match t.monitor with
-  | Some m ->
-      m.last_check <- t.clk.now;
-      m.hook ~quiescent:true
-  | None -> ()
-
-let set_sampler t ~every s_hook =
-  if not (every > 0.0) then invalid_arg "Engine.set_sampler: non-positive or NaN cadence";
-  t.sampler <- Some { every; last_sample = t.clk.now; s_hook }
+let set_sampler t ~every sample =
+  t.sampler <- hook t "set_sampler" every ~at_horizon:true (fun _ -> sample t.clk.now)
 
 let clear_sampler t = t.sampler <- None
 
-let sampler_tick t =
-  match t.sampler with
-  | Some s when t.clk.now -. s.last_sample >= s.every ->
-      s.last_sample <- t.clk.now;
-      s.s_hook t.clk.now
+let tick t = function
+  | Some h when t.clk.now -. h.last >= h.cadence ->
+      h.last <- t.clk.now;
+      h.action false
   | Some _ | None -> ()
 
-let sampler_final t =
-  match t.sampler with
-  | Some s ->
-      s.last_sample <- t.clk.now;
-      s.s_hook t.clk.now
-  | None -> ()
+let stop t ~horizon =
+  let at_stop = function
+    | Some h when h.at_horizon || not horizon ->
+        h.last <- t.clk.now;
+        h.action true
+    | Some _ | None -> ()
+  in
+  at_stop t.monitor;
+  at_stop t.sampler
 
 (* --- Dispatch -------------------------------------------------------- *)
 
-(* Fire [e], the live event at the head of source [b]. *)
-let fire t b e =
-  advance_clock t b;
+(* The source of the earliest live entry, or [empty]; cancelled heads
+   are dropped as they surface. *)
+let rec live_head t =
+  let b = earliest t in
+  if b <> empty && (head_event t b).cancelled then begin
+    pop t b;
+    live_head t
+  end
+  else b
+
+(* Fire the live event at the head of source [b]. *)
+let fire t b =
+  let e = head_event t b in
+  t.clk.now <- head_time t b;
   pop t b;
   t.live <- t.live - 1;
   Metrics.incr m_fired;
   Metrics.set m_virtual t.clk.now;
   if Recorder.is_enabled () then Recorder.record ~time:t.clk.now ~label:e.label ();
   if Prof.is_enabled () then Prof.span e.label e.action else e.action ();
-  monitor_tick t;
-  sampler_tick t
+  tick t t.monitor;
+  tick t t.sampler
 
-let rec step t =
-  let b = earliest t in
-  if b = empty then false
+(* Whether the head of source [b] lies past [until], or more than
+   [grace] past the last activity (the latest note, or the clock before
+   any). *)
+let past_limit t b ~until ~grace =
+  let at = head_time t b in
+  let last = if Hashtbl.length t.watermarks = 0 then t.clk.now else t.clk.last_activity in
+  at > until || at > last +. grace
+
+(* The one dispatch loop: fire live events in (time, seq) order until
+   none is left ([true]) or the earliest lies past the limit ([false]).
+   Firing moves the last activity, so the limit is re-read per head. *)
+let rec drain t ~until ~grace =
+  let b = live_head t in
+  if b = empty then true
+  else if past_limit t b ~until ~grace then false
   else begin
-    let e = head_event t b in
-    if e.cancelled then begin
-      pop t b;
-      step t
-    end
-    else begin
-      fire t b e;
-      true
-    end
+    fire t b;
+    drain t ~until ~grace
   end
 
-let run ?until t =
-  match until with
-  | None ->
-      let rec drain () = if step t then drain () in
-      drain ();
-      monitor_quiescent t;
-      sampler_final t
-  | Some horizon ->
-      let rec drain () =
-        let b = earliest t in
-        if b = empty then begin
-          monitor_quiescent t;
-          sampler_final t
-        end
-        else if head_after t b horizon then begin
-          t.clk.now <- Float.max t.clk.now horizon;
-          Metrics.set m_virtual t.clk.now;
-          sampler_final t
-        end
-        else begin
-          let e = head_event t b in
-          if e.cancelled then pop t b else fire t b e;
-          drain ()
-        end
-      in
-      drain ()
+let step t =
+  let b = live_head t in
+  if b = empty then false
+  else begin
+    fire t b;
+    true
+  end
+
+let run ?(until = infinity) t =
+  let drained = drain t ~until ~grace:infinity in
+  if not drained then begin
+    (* The clock moves up to the horizon, never back. *)
+    if until > t.clk.now then t.clk.now <- until;
+    Metrics.set m_virtual t.clk.now
+  end;
+  stop t ~horizon:(not drained)
 
 let run_until_idle t = run t
 
 let run_until_quiescent ~grace t =
   if not (grace > 0.0) then invalid_arg "Engine.run_until_quiescent: non-positive grace";
-  let quiet_until () =
-    (match converged_at t with Some w -> w | None -> t.clk.now) +. grace
-  in
-  let rec drain () =
-    let b = earliest t in
-    if b = empty then ()
-    else
-      let e = head_event t b in
-      if e.cancelled then begin
-        (* Cancelled events drain lazily; skip them here so a stale
-           timestamp cannot end the run early. *)
-        pop t b;
-        drain ()
-      end
-      else if head_after t b (quiet_until ()) then
-        (* Everything still queued lies beyond the quiet window: no
-           actor has reported a state change for [grace] of virtual
-           time, so what remains is periodic housekeeping. *)
-        ()
-      else begin
-        fire t b e;
-        drain ()
-      end
-  in
-  drain ();
-  monitor_quiescent t;
-  sampler_final t
+  ignore (drain t ~until:infinity ~grace);
+  stop t ~horizon:false

@@ -86,16 +86,18 @@ val pending : t -> int
     only drain from the internal queue lazily. *)
 
 val step : t -> bool
-(** Fire the single earliest event.  Returns [false] when the queue is
-    empty.  This is the single dispatch point: when the flight recorder
-    ({!Recorder}) is enabled, every fired event appends one record
-    [(time, label)] before its action runs — one branch when disabled,
-    like the profiler. *)
+(** Fire the earliest live event; [false] when none is queued.  Every
+    way of running fires events through one dispatch point: when the
+    flight recorder ({!Recorder}) is enabled, each fired event appends
+    one record [(time, label)] before its action runs — one branch
+    when disabled, like the profiler.  [step] runs no stop hook. *)
 
 val run : ?until:Time.t -> t -> unit
-(** Fire events until the queue drains, or until the clock would pass
-    [until] (events strictly after [until] remain queued and the clock is
-    advanced to [until]). *)
+(** Fire events until no live event is left (a drained stop), or until
+    the next lies strictly after [until] (a horizon stop: it stays
+    queued and the clock is advanced to [until]).  Left to themselves,
+    repeated {!step}s, one [run] and [run] in [~until] slices fire the
+    same events in the same order. *)
 
 val run_until_idle : t -> unit
 (** [run] with no horizon. *)
@@ -107,8 +109,8 @@ val run_until_quiescent : grace:Time.t -> t -> unit
     clock, if nothing ever reported activity).  Unlike {!run_until_idle}
     this terminates in the presence of periodic housekeeping that never
     drains — the housekeeping keeps firing only as long as it keeps
-    producing activity.  The monitor's quiescent hook runs at the stop
-    point.  @raise Invalid_argument if [grace <= 0]. *)
+    producing activity.  A quiet stop runs the hooks like a drained
+    one.  @raise Invalid_argument if [grace <= 0]. *)
 
 (** {1 Convergence watermarks}
 
@@ -127,32 +129,23 @@ val converged_at : t -> Time.t option
 (** The maximum watermark, i.e. when the last state change happened;
     [None] if nothing ever reported activity. *)
 
-(** {1 Monitor hook}
+(** {1 Monitor and sampler hooks}
 
-    A monitor piggybacks on event execution rather than scheduling its
-    own periodic events, so it never keeps an otherwise-idle run
-    alive.  The hook fires with [~quiescent:false] at most once per
-    [cadence] of virtual time (after the event that crossed the
-    boundary), and with [~quiescent:true] whenever {!run} drains the
-    queue. *)
+    Both hooks piggyback on event execution rather than scheduling
+    events of their own, so neither keeps an otherwise-idle run alive.
+    Each fires at most once per its cadence of virtual time (after the
+    event that crossed the boundary) and once more when a run stops.
+    The monitor (invariant checks) gets [~quiescent:false] at a cadence
+    firing and [~quiescent:true] at a drained or quiet stop, and skips
+    horizon stops.  The sampler (telemetry) gets the current time and
+    fires at every stop, so a series always carries a final point.
+    Setting either replaces the previous one; a cadence [<= 0] or NaN
+    raises [Invalid_argument]. *)
 
 val set_monitor : t -> cadence:Time.t -> (quiescent:bool -> unit) -> unit
-(** Replaces any previous monitor.
-    @raise Invalid_argument if [cadence <= 0] or NaN. *)
 
 val clear_monitor : t -> unit
 
-(** {1 Sampler hook}
-
-    The telemetry twin of the monitor: a hook called with the current
-    virtual time at most once per [every] of virtual time (after the
-    event that crossed the boundary), and once more when a run stops —
-    queue drained, horizon reached, or quiescence detected — so a
-    telemetry series always carries a final point.  Like the monitor it
-    piggybacks on event execution and never keeps an idle run alive. *)
-
 val set_sampler : t -> every:Time.t -> (Time.t -> unit) -> unit
-(** Replaces any previous sampler.
-    @raise Invalid_argument if [every <= 0] or NaN. *)
 
 val clear_sampler : t -> unit

@@ -20,8 +20,6 @@ type t = { id : id; name : string; kind : kind }
 
 val make : id:id -> name:string -> kind:kind -> t
 
-val kind_to_string : kind -> string
-
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

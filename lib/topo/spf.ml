@@ -278,8 +278,6 @@ let make_cache_csr ?ws csr =
 
 let make_cache topo = make_cache_csr (Topo.freeze topo)
 
-let cache_csr c = c.ccsr
-
 let alive_opt c = if Array.length c.alive = 0 then None else Some c.alive
 
 let ensure_link_index c =

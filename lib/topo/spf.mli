@@ -97,9 +97,6 @@ val make_cache_csr : ?ws:workspace -> Topo.csr -> cache
     across many short-lived per-task caches.  The caller must not use
     the workspace from another domain while the cache is live. *)
 
-val cache_csr : cache -> Topo.csr
-(** The snapshot this cache computes over. *)
-
 val bfs_cached : cache -> Domain.id -> paths
 (** [bfs] from the given source, computed at most once per cache and
     repaired in place across link deltas. *)

@@ -70,11 +70,6 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ :: _ -> List.nth l (int t (List.length l))
-
 (* Fisher-Yates over [a.(0 .. len - 1)]. *)
 let shuffle_prefix t a len =
   for i = len - 1 downto 1 do

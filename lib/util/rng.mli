@@ -59,9 +59,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

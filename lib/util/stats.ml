@@ -51,8 +51,6 @@ let mean_of a =
   if Array.length a = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let max_of a = Array.fold_left Stdlib.max neg_infinity a
-
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty";

@@ -31,7 +31,6 @@ val merge : t -> t -> t
 (** Batch helpers over float arrays. *)
 
 val mean_of : float array -> float
-val max_of : float array -> float
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0, 100\]]; sorts a copy; linear
     interpolation between ranks.  @raise Invalid_argument on empty input. *)

@@ -239,6 +239,20 @@ let check_malformed_arguments () =
           "fig4 --nodes 2";
           "ablate-root --nodes 1";
           "baselines --nodes 0";
+          "fig2 --days=-5";
+          "ablate-placement --days 0";
+          "fig4 --trials=-2";
+          "ablate-root --trials 0";
+          "baselines --trials=-1";
+          "fig4-modern --domains 0";
+          "fig4-modern --events=-1";
+          "fig4-modern --link-every=-1";
+          "beacon --domains=-1";
+          "beacon --probes=-1";
+          "beacon --probes 0";
+          "soak --steps=-1";
+          "explore --budget 0";
+          "explore --max-faults 0";
         ])
 
 (* Group sizes that do not fit a small topology are skipped, not fatal. *)

@@ -491,25 +491,29 @@ let test_engine_rearm_drawn_delay_allocation () =
 
 let test_engine_lane_allocation () =
   (* One reusable event armed through a lane and fired, as a channel
-     does per message.  The lane stores [now + delay] straight into its
-     float ring, so in release the loop allocates nothing once the ring
-     has grown.  A dev build (no cross-module inlining) boxes the clock
-     gauge per firing: 16 B. *)
-  let e = Engine.create () in
-  let lane = Engine.lane e ~delay:0.01 in
-  let ev = Engine.event noop in
-  let bytes =
-    minor_bytes_per ~n:1000 (fun n ->
-        for _ = 1 to n do
-          Engine.arm_lane e lane ev
-        done;
-        Engine.run_until_idle e)
-  in
-  Printf.printf "engine lane arm: %.1f B\n" bytes;
-  let budget = if Build_profile.name = "dev" then 17.0 else 1.0 in
-  check Alcotest.bool
-    (Printf.sprintf "arm_lane + fire allocates %.1f B <= %.0f B" bytes budget)
-    true (bytes <= budget)
+     does per message, drained to idle and to quiescence.  The lane
+     stores [now + delay] straight into its float ring, and the drain
+     compares the head against its limit in place, so in release the
+     loop allocates nothing once the ring has grown.  A dev build (no
+     cross-module inlining) boxes the clock gauge per firing: 16 B. *)
+  List.iter
+    (fun (name, drain) ->
+      let e = Engine.create () in
+      let lane = Engine.lane e ~delay:0.01 in
+      let ev = Engine.event noop in
+      let bytes =
+        minor_bytes_per ~n:1000 (fun n ->
+            for _ = 1 to n do
+              Engine.arm_lane e lane ev
+            done;
+            drain e)
+      in
+      Printf.printf "engine lane arm, %s: %.1f B\n" name bytes;
+      let budget = if Build_profile.name = "dev" then 17.0 else 1.0 in
+      check Alcotest.bool
+        (Printf.sprintf "arm_lane + fire (%s) allocates %.1f B <= %.0f B" name bytes budget)
+        true (bytes <= budget))
+    [ ("idle", Engine.run_until_idle); ("quiescent", Engine.run_until_quiescent ~grace:1.0) ]
 
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
@@ -581,6 +585,8 @@ module Ref_engine = struct
 
   let pending t = t.live
 
+  let note_activity _ _ = ()
+
   let rec step t =
     match Heap.pop t.q with
     | None -> false
@@ -616,6 +622,8 @@ module type ENGINE = sig
   val pending : t -> int
 
   val step : t -> bool
+
+  val note_activity : t -> string -> unit
 end
 
 (* The engine under test arms [arm_fixed] events through its lanes. *)
@@ -631,7 +639,7 @@ module Lane_engine = struct
 end
 
 (* What a fired event does besides logging (time, label). *)
-type effect = Log | Cancel_handle of int | Spawn of float | Spawn_lane of float
+type effect = Log | Cancel_handle of int | Spawn of float | Spawn_lane of float | Note of int
 
 type op =
   | At of float * effect  (* schedule_at, [dt] past now *)
@@ -646,6 +654,7 @@ let pp_effect = function
   | Cancel_handle k -> Printf.sprintf "cancel#%d" k
   | Spawn d -> Printf.sprintf "spawn+%g" d
   | Spawn_lane d -> Printf.sprintf "spawn-lane+%g" d
+  | Note k -> Printf.sprintf "note#%d" k
 
 let pp_op = function
   | At (d, f) -> Printf.sprintf "at+%g/%s" d (pp_effect f)
@@ -655,11 +664,13 @@ let pp_op = function
   | Cancel k -> Printf.sprintf "cancel#%d" k
   | Steps n -> Printf.sprintf "steps %d" n
 
-(* Runs a program and returns the (time, label) of every firing and
-   [pending] after every op.  Small, coarse delays make equal-time ties
-   common, so the FIFO tie-break is exercised. *)
+(* Runs a program, then an event 10 s on that cancels every handle
+   (ending the periodic ones), then [drain]; returns the (time, label)
+   of every firing, [pending] after every op and the final clock.
+   Small, coarse delays make equal-time ties common, so the FIFO
+   tie-break is exercised. *)
 module Interp (E : ENGINE) = struct
-  let run prog =
+  let run ~drain prog =
     let e = E.create () in
     let handles = ref [||] and fired = ref [] and counts = ref [] in
     let add h = handles := Array.append !handles [| h |] in
@@ -672,6 +683,7 @@ module Interp (E : ENGINE) = struct
           if n > 0 then E.cancel e !handles.(k mod n)
       | Spawn d -> add (E.schedule_after e d (action (label ^ "'") Log))
       | Spawn_lane d -> add (E.arm_fixed e d ~times:1 (action (label ^ "'") Log))
+      | Note k -> E.note_activity e (Printf.sprintf "class%d" (k mod 3))
     in
     List.iteri
       (fun i op ->
@@ -688,8 +700,13 @@ module Interp (E : ENGINE) = struct
             let rec go n = if n > 0 && E.step e then go (n - 1) in
             go n);
         counts := E.pending e :: !counts)
-      (prog @ [ Steps 200 ]);
-    (List.rev !fired, List.rev !counts)
+      prog;
+    ignore
+      (E.schedule_at e (E.now e +. 10.0) (fun () ->
+           fired := (E.now e, "end") :: !fired;
+           Array.iter (E.cancel e) !handles));
+    drain e;
+    (List.rev !fired, List.rev !counts, E.now e)
 end
 
 module Run_engine = Interp (Lane_engine)
@@ -710,6 +727,7 @@ let gen_program =
         (2, map (fun k -> Cancel_handle k) (0 -- 20));
         (1, map (fun d -> Spawn d) delay);
         (1, map (fun d -> Spawn_lane d) lane_delay);
+        (2, map (fun k -> Note k) (0 -- 2));
       ]
   in
   let op =
@@ -725,10 +743,89 @@ let gen_program =
   in
   list_size (1 -- 40) op
 
+let rec steps step e = if step e then steps step e
+
+(* Drains an engine with a monitor (cadence 1 s) and a sampler (a
+   cadence no run reaches, so it fires only at stops) that log their
+   stop calls.  [drive stop] runs the engine; each [stop expect run]
+   checks that [run] ends with the calls [expect ()] names: the
+   monitor's [~quiescent:true] then the sampler at a drained or quiet
+   stop, the sampler alone at a horizon stop, nothing from [step].
+   Clears [ok] on a mismatch, or if [converged_at] is not then the
+   greatest watermark. *)
+let hooked ~ok drive e =
+  let hooks = ref [] in
+  Engine.set_monitor e ~cadence:1.0 (fun ~quiescent -> if quiescent then hooks := `Quiet :: !hooks);
+  Engine.set_sampler e ~every:1e9 (fun _ -> hooks := `Sample :: !hooks);
+  drive (fun expect run ->
+      hooks := [];
+      run e;
+      if List.rev !hooks <> expect () then ok := false);
+  let greatest =
+    List.fold_left
+      (fun acc (_, w) -> Some (Option.fold ~none:w ~some:(Float.max w) acc))
+      None (Engine.watermarks e)
+  in
+  if Engine.converged_at e <> greatest then ok := false
+
+let stopped () = [ `Quiet; `Sample ]
+
+let drain_steps ~ok = hooked ~ok (fun stop -> stop (fun () -> []) (steps Engine.step))
+
+let drain_run ~ok = hooked ~ok (fun stop -> stop stopped Engine.run_until_idle)
+
+(* A horizon stop leaves a live event queued: [pending] tells it from a
+   drained stop. *)
+let drain_slices ~ok slices e =
+  hooked ~ok
+    (fun stop ->
+      List.iter
+        (fun d ->
+          stop
+            (fun () -> if Engine.pending e = 0 then stopped () else [ `Sample ])
+            (fun e -> Engine.run ~until:(Engine.now e +. d) e))
+        slices;
+      stop stopped Engine.run_until_idle)
+    e
+
+let drain_quiescent ~ok ~grace =
+  hooked ~ok (fun stop -> stop stopped (Engine.run_until_quiescent ~grace))
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | x :: a, y :: b -> x = y && is_prefix a b
+  | _ :: _, [] -> false
+
+(* The engine against the reference, drained four ways: by repeated
+   [step], by one [run], by [run] in random [~until] slices and by
+   [run_until_quiescent].  The first three fire exactly what the
+   reference fires and end on its clock; the quiet stop fires a
+   prefix.  Every run stops with the right hooks. *)
 let prop_engine_matches_heap_reference =
+  let gen =
+    QCheck.Gen.(
+      triple gen_program
+        (list_size (0 -- 8) (oneofl [ 0.0; 0.5; 1.0; 2.5; 4.0; 6.0 ]))
+        (oneofl [ 0.5; 1.0; 3.0 ]))
+  in
+  let print (prog, slices, grace) =
+    Printf.sprintf "%s | slices %s | grace %g"
+      (String.concat "; " (List.map pp_op prog))
+      (String.concat " " (List.map string_of_float slices))
+      grace
+  in
   QCheck.Test.make ~name:"engine fires like the Heap reference engine" ~count:500
-    (QCheck.make ~print:(fun p -> String.concat "; " (List.map pp_op p)) gen_program)
-    (fun prog -> Run_engine.run prog = Run_ref.run prog)
+    (QCheck.make ~print gen)
+    (fun (prog, slices, grace) ->
+      let ok = ref true in
+      let reference = Run_ref.run ~drain:(steps Ref_engine.step) prog in
+      let fires drain = Run_engine.run ~drain prog in
+      let quiet, _, _ = fires (drain_quiescent ~ok ~grace) and all, _, _ = reference in
+      fires (drain_steps ~ok) = reference
+      && fires (drain_run ~ok) = reference
+      && fires (drain_slices ~ok slices) = reference
+      && is_prefix quiet all && !ok)
 
 let suite =
   [
