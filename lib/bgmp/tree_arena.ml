@@ -77,23 +77,13 @@ let free_block t b len =
   t.pool.(b + 1) <- t.free.(len);
   t.free.(len) <- b
 
+(* One probe per refcount change: [Packed_map.add] inserts the entry
+   at its first reference and frees it at its last. *)
 let incr_ref t group node =
-  let k = key t group node in
-  let r = Packed_map.find t.refs k in
-  if r < 0 then begin
-    Packed_map.set t.refs k 1;
-    t.counts.(node) <- t.counts.(node) + 1
-  end
-  else Packed_map.set t.refs k (r + 1)
+  if Packed_map.add t.refs (key t group node) 1 = 1 then t.counts.(node) <- t.counts.(node) + 1
 
 let decr_ref t group node =
-  let k = key t group node in
-  let r = Packed_map.find t.refs k in
-  if r <= 1 then begin
-    Packed_map.remove t.refs k;
-    t.counts.(node) <- t.counts.(node) - 1
-  end
-  else Packed_map.set t.refs k (r - 1)
+  if Packed_map.add t.refs (key t group node) (-1) = 0 then t.counts.(node) <- t.counts.(node) - 1
 
 let join t ~group ~path ~len =
   if group < 0 then invalid_arg "Tree_arena.join: negative group";
@@ -124,6 +114,16 @@ let leave t ~group (h : handle) =
   free_block t b len;
   t.live <- t.live - 1
 
+(* The pool restarts empty, so blocks and their handles come out at the
+   same offsets and generation 0 as in a fresh arena; the arrays keep
+   their capacity. *)
+let clear t =
+  Packed_map.clear t.refs;
+  Array.fill t.counts 0 t.n 0;
+  t.pool_len <- 0;
+  Array.fill t.free 0 (Array.length t.free) (-1);
+  t.live <- 0
+
 let entries t = Packed_map.length t.refs
 
 let live_paths t = t.live
@@ -133,6 +133,7 @@ let node_entries t node =
   t.counts.(node)
 
 let refs t ~group ~node =
+  if group < 0 then invalid_arg "Tree_arena.refs: negative group";
   if node < 0 || node >= t.n then invalid_arg "Tree_arena: unknown node id";
   match Packed_map.find t.refs (key t group node) with -1 -> 0 | r -> r
 

@@ -49,6 +49,12 @@ val leave : t -> group:int -> handle -> unit
     @raise Invalid_argument when the handle was already spent (its
     block possibly recycled since) or names another group. *)
 
+val clear : t -> unit
+(** Drop every member and entry, keeping the allocated tables: the
+    arena then answers, and hands out handles, exactly as a fresh one
+    of the same [domains] would.  Handles from before the clear must not
+    be passed to {!leave}. *)
+
 val entries : t -> int
 (** Live (group, node) forwarding entries across all routers. *)
 
@@ -59,7 +65,9 @@ val node_entries : t -> int -> int
 (** Forwarding entries at this router. *)
 
 val refs : t -> group:int -> node:int -> int
-(** Reference count of one entry; [0] when absent. *)
+(** Reference count of one entry; [0] when absent.
+    @raise Invalid_argument on a negative group or a node out of
+    range. *)
 
 val storage_words : t -> int
 (** Words held by the arena's flat arrays (entry table + per-router

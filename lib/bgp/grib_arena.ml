@@ -24,18 +24,24 @@ let find t ~group ~node =
 
 let mem t ~group ~node = Packed_map.mem t.map (key t ~group ~node)
 
+(* One probe per update: the map's length tells whether the key was
+   new (or was there to remove). *)
 let set t ~group ~node hop =
   if hop < -1 || hop >= t.n then invalid_arg "Grib_arena.set: bad next hop";
   let k = key t ~group ~node in
-  if not (Packed_map.mem t.map k) then t.counts.(node) <- t.counts.(node) + 1;
-  Packed_map.set t.map k (hop + 1)
+  let before = Packed_map.length t.map in
+  Packed_map.set t.map k (hop + 1);
+  if Packed_map.length t.map > before then t.counts.(node) <- t.counts.(node) + 1
 
 let remove t ~group ~node =
   let k = key t ~group ~node in
-  if Packed_map.mem t.map k then begin
-    Packed_map.remove t.map k;
-    t.counts.(node) <- t.counts.(node) - 1
-  end
+  let before = Packed_map.length t.map in
+  Packed_map.remove t.map k;
+  if Packed_map.length t.map < before then t.counts.(node) <- t.counts.(node) - 1
+
+let clear t =
+  Packed_map.clear t.map;
+  Array.fill t.counts 0 t.n 0
 
 let entries t = Packed_map.length t.map
 

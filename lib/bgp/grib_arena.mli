@@ -34,6 +34,10 @@ val set : t -> group:int -> node:int -> int -> unit
 
 val remove : t -> group:int -> node:int -> unit
 
+val clear : t -> unit
+(** Drop every entry, keeping the allocated tables: the arena then
+    answers exactly as a fresh one of the same [domains] would. *)
+
 val entries : t -> int
 (** Total (group, node) entries across all routers. *)
 

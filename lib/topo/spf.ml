@@ -246,9 +246,10 @@ type cache = {
   ccsr : Topo.csr;
   cws : workspace;
   mutable slots : paths option array;  (* keyed by source id; [||] until first use *)
+  mutable spare : paths list;
+      (* trees dropped by [cache_reset]: a miss recomputes into one of
+         their [dist]/[via] pairs before it allocates a new one *)
   mutable alive : bool array;  (* by link id; [||] means all alive *)
-  link_ids : (int, int) Hashtbl.t;  (* packed (min * n + max) -> link id *)
-  mutable link_ids_len : int;  (* links of [ccsr.linkv] indexed so far *)
   mutable ring : int array;  (* repair FIFO over nodes, n *)
   mutable mark : bool array;  (* repair flags, n; all-false at rest *)
   mutable hits : int;
@@ -265,9 +266,8 @@ let make_cache_csr ?ws csr =
     ccsr = csr;
     cws = resolve_ws ws csr;
     slots = [||];
+    spare = [];
     alive = [||];
-    link_ids = Hashtbl.create 16;
-    link_ids_len = 0;
     ring = [||];
     mark = [||];
     hits = 0;
@@ -280,24 +280,20 @@ let make_cache topo = make_cache_csr (Topo.freeze topo)
 
 let alive_opt c = if Array.length c.alive = 0 then None else Some c.alive
 
-let ensure_link_index c =
-  let linkv = c.ccsr.Topo.linkv in
-  let n = c.ccsr.Topo.csr_nodes in
-  if c.link_ids_len < Array.length linkv then begin
-    for i = c.link_ids_len to Array.length linkv - 1 do
-      let l = linkv.(i) in
-      let x = min l.Topo.a l.Topo.b and y = max l.Topo.a l.Topo.b in
-      Hashtbl.replace c.link_ids ((x * n) + y) i
-    done;
-    c.link_ids_len <- Array.length linkv
-  end
-
+(* The link between [a] and [b] is unique ([Topo.add_link] rejects
+   duplicates), so scanning the shorter of the two CSR rows finds it. *)
 let find_link c a b =
-  let n = c.ccsr.Topo.csr_nodes in
+  let csr = c.ccsr in
+  let n = csr.Topo.csr_nodes in
   if a < 0 || b < 0 || a >= n || b >= n then None
   else begin
-    ensure_link_index c;
-    Hashtbl.find_opt c.link_ids ((min a b * n) + max a b)
+    let row = csr.Topo.row and nbr = csr.Topo.nbr in
+    let u, v = if row.(a + 1) - row.(a) <= row.(b + 1) - row.(b) then (a, b) else (b, a) in
+    let found = ref None in
+    for k = row.(u) to row.(u + 1) - 1 do
+      if nbr.(k) = v then found := Some csr.Topo.eid.(k)
+    done;
+    !found
   end
 
 let ensure_scratch c =
@@ -489,9 +485,29 @@ let bfs_cached c src =
   | None ->
       c.misses <- c.misses + 1;
       Metrics.incr m_cache_miss;
-      let p = bfs_csr ~ws:c.cws ?alive:(alive_opt c) c.ccsr src in
+      let p =
+        match c.spare with
+        | old :: rest ->
+            c.spare <- rest;
+            bfs_into ~ws:c.cws ?alive:(alive_opt c) c.ccsr ~dist:old.dist ~via:old.via src
+        | [] -> bfs_csr ~ws:c.cws ?alive:(alive_opt c) c.ccsr src
+      in
       c.slots.(src) <- Some p;
       p
+
+let cache_reset c =
+  Array.iteri
+    (fun src -> function
+      | Some p ->
+          c.spare <- p :: c.spare;
+          c.slots.(src) <- None
+      | None -> ())
+    c.slots;
+  Array.fill c.alive 0 (Array.length c.alive) true;
+  c.hits <- 0;
+  c.misses <- 0;
+  c.repairs <- 0;
+  c.touched <- 0
 
 let cache_stats c = (c.hits, c.misses)
 

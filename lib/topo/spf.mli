@@ -107,6 +107,16 @@ val cache_note_link : cache -> a:Domain.id -> b:Domain.id -> up:bool -> unit
     not a link of the snapshot, or a transition to the state the link is
     already in, is a silent no-op. *)
 
+val cache_reset : cache -> unit
+(** Return the cache to the state {!make_cache_csr} left it in: every
+    link alive again, no tree filled, and {!cache_stats} and
+    {!cache_repair_stats} at zero.  The filled trees' [dist]/[via]
+    arrays are kept, and later {!bfs_cached} misses recompute into them
+    with {!bfs_into} before allocating new ones — so every answer,
+    hit/miss count and [spf.bfs_runs] tick matches a fresh cache, minus
+    the n-sized allocations.  A [paths] handed out before the reset is
+    no longer maintained, and a later miss may overwrite it. *)
+
 val cache_stats : cache -> int * int
 (** [(hits, misses)] so far. *)
 

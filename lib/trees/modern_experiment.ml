@@ -78,6 +78,18 @@ type trial_out = {
   o_violations : int;
 }
 
+(* The state a trial writes, built once per Par worker and reset at the
+   start of each trial it runs.  The reset state answers exactly as
+   fresh state would, so the trial's output stays a function of the
+   trial alone. *)
+type worker = {
+  ws : Spf.workspace;
+  cache : Spf.cache;  (* borrows [ws] *)
+  arena : Tree_arena.t;
+  grib : Grib_arena.t;
+  handles : int array;  (* membership event -> join receipt, or -1 *)
+}
+
 let run p =
   if p.roots < 1 then invalid_arg "Modern_experiment: need at least one root";
   if p.trials < 1 then invalid_arg "Modern_experiment: need at least one trial";
@@ -107,14 +119,24 @@ let run p =
     end
   in
   let ncks = Array.length cks in
-  let run_trial ws trial =
+  let make_worker () =
+    let ws = Spf.make_workspace csr in
+    {
+      ws;
+      cache = Spf.make_cache_csr ~ws csr;
+      arena = Tree_arena.create ~initial:1024 ~domains:n ();
+      grib = Grib_arena.create ~initial:256 ~domains:n ();
+      handles = Array.make (max 1 p.events) (-1);
+    }
+  in
+  let run_trial { ws; cache; arena; grib; handles } trial =
+    Tree_arena.clear arena;
+    Grib_arena.clear grib;
+    Array.fill handles 0 (Array.length handles) (-1);
+    Spf.cache_reset cache;
     let lrng = Rng.create (p.seed lxor ((trial + 1) * 0x51ED2705)) in
-    let arena = Tree_arena.create ~initial:1024 ~domains:n () in
-    let grib = Grib_arena.create ~initial:256 ~domains:n () in
-    let handles = Array.make (max 1 p.events) (-1) in
     (* Mode plumbing: both serve the same maintained-tree queries; they
        differ only in what a link toggle costs. *)
-    let cache = Spf.make_cache_csr ~ws csr in
     let scratch_alive = if p.mode = Scratch then Array.make (max 1 nlinks) true else [||] in
     let scratch_trees : Spf.paths option array =
       if p.mode = Scratch then Array.make n None else [||]
@@ -268,10 +290,9 @@ let run p =
   let jobs = if p.jobs = 0 then None else Some p.jobs in
   let trial_ids = List.init p.trials (fun t -> t) in
   let outs =
-    Par.map_with ?jobs
-      ~init:(fun () -> Spf.make_workspace csr)
-      (fun ws trial ->
-        Par.with_shard (fun () -> Prof.span "fig4m.trial" (fun () -> run_trial ws trial)))
+    Par.map_with ?jobs ~init:make_worker
+      (fun w trial ->
+        Par.with_shard (fun () -> Prof.span "fig4m.trial" (fun () -> run_trial w trial)))
       trial_ids
   in
   (* Reduce in trial order: shard folding and float accumulation are

@@ -13,9 +13,11 @@
     retired baseline kept for comparison, recomputed from scratch
     ({!Scratch}).
 
-    Trials run in parallel via [Par.map]; every printed number is
+    Trials run in parallel via [Par.map_with]; every printed number is
     byte-identical at any [--jobs] because each trial draws its own
-    [(seed, trial)] streams and reduces in trial order. *)
+    [(seed, trial)] streams and reduces in trial order.  A worker builds
+    its arenas and SPF cache once and resets them at the start of each
+    trial; the reset state answers exactly as fresh state would. *)
 
 type mode = Incremental | Scratch
 

@@ -1,6 +1,7 @@
+(* Slot [i] is the pair [slots.(2i)] (key, [-1] when empty) and
+   [slots.(2i+1)] (value), so one probe reads one cache line. *)
 type t = {
-  mutable keys : int array;  (* -1 = empty slot *)
-  mutable vals : int array;
+  mutable slots : int array;
   mutable len : int;
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
   mutable shift : int;  (* 62 - log2 capacity, for multiply-shift *)
@@ -15,117 +16,125 @@ let home t k = (k * mult) lsr t.shift land t.mask
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let make_table cap = (Array.make cap (-1), Array.make cap 0)
-
 let create ?(initial = 16) () =
   let cap = ref 16 in
   while !cap * 7 / 10 < initial do
     cap := !cap * 2
   done;
-  let keys, vals = make_table !cap in
-  { keys; vals; len = 0; mask = !cap - 1; shift = 62 - log2 !cap }
+  { slots = Array.make (2 * !cap) (-1); len = 0; mask = !cap - 1; shift = 62 - log2 !cap }
 
 let length t = t.len
 
 let capacity t = t.mask + 1
 
-let find t k =
+(* The one probe loop: the slot holding the nonnegative key [k], or the
+   empty slot that ends its probe run (the load factor keeps one). *)
+let locate t k =
+  let s = t.slots in
   let i = ref (home t k) in
-  let r = ref (-1) in
-  let continue = ref true in
-  while !continue do
-    let kk = t.keys.(!i) in
-    if kk = k then begin
-      r := t.vals.(!i);
-      continue := false
-    end
-    else if kk = -1 then continue := false
-    else i := (!i + 1) land t.mask
+  while
+    let kk = s.(2 * !i) in
+    kk <> k && kk <> -1
+  do
+    i := (!i + 1) land t.mask
   done;
-  !r
+  !i
 
-let mem t k = find t k >= 0
+let find t k =
+  if k < 0 then -1
+  else
+    let i = locate t k in
+    if t.slots.(2 * i) = k then t.slots.((2 * i) + 1) else -1
 
+let mem t k = k >= 0 && t.slots.(2 * locate t k) = k
+
+let grows t = (t.len + 1) * 10 > (t.mask + 1) * 7
+
+(* Doubling re-inserts the old slots in slot order, so the layout is a
+   function of the insertion/removal history alone. *)
 let grow t =
-  let old_keys = t.keys and old_vals = t.vals in
+  let old = t.slots in
   let cap = 2 * (t.mask + 1) in
-  let keys, vals = make_table cap in
-  t.keys <- keys;
-  t.vals <- vals;
+  t.slots <- Array.make (2 * cap) (-1);
   t.mask <- cap - 1;
   t.shift <- 62 - log2 cap;
-  Array.iteri
-    (fun s k ->
-      if k >= 0 then begin
-        let i = ref (home t k) in
-        while t.keys.(!i) >= 0 do
-          i := (!i + 1) land t.mask
-        done;
-        t.keys.(!i) <- k;
-        t.vals.(!i) <- old_vals.(s)
-      end)
-    old_keys
+  for s = 0 to (Array.length old / 2) - 1 do
+    let k = old.(2 * s) in
+    if k >= 0 then begin
+      let i = locate t k in
+      t.slots.(2 * i) <- k;
+      t.slots.((2 * i) + 1) <- old.((2 * s) + 1)
+    end
+  done
+
+(* Bind [k] at slot [i], which [locate] returned for it. *)
+let store t i k v =
+  if t.slots.(2 * i) <> k then begin
+    t.slots.(2 * i) <- k;
+    t.len <- t.len + 1
+  end;
+  t.slots.((2 * i) + 1) <- v
 
 let set t k v =
   if k < 0 || v < 0 then invalid_arg "Packed_map.set: negative key or value";
-  if (t.len + 1) * 10 > (t.mask + 1) * 7 then grow t;
-  let i = ref (home t k) in
-  let continue = ref true in
-  while !continue do
-    let kk = t.keys.(!i) in
-    if kk = k then begin
-      t.vals.(!i) <- v;
-      continue := false
+  if grows t then grow t;
+  store t (locate t k) k v
+
+(* Backward-shift deletion of the entry at slot [i]: walk the probe
+   cluster after the hole; any entry whose home position lies at or
+   before the hole (cyclically) is moved into it, re-opening the hole
+   further down. *)
+let delete_at t i =
+  let s = t.slots in
+  t.len <- t.len - 1;
+  let hole = ref i in
+  let j = ref ((i + 1) land t.mask) in
+  let scanning = ref true in
+  while !scanning do
+    let kk = s.(2 * !j) in
+    if kk = -1 then scanning := false
+    else begin
+      let h = home t kk in
+      if (!j - h) land t.mask >= (!j - !hole) land t.mask then begin
+        s.(2 * !hole) <- kk;
+        s.((2 * !hole) + 1) <- s.((2 * !j) + 1);
+        hole := !j
+      end;
+      j := (!j + 1) land t.mask
     end
-    else if kk = -1 then begin
-      t.keys.(!i) <- k;
-      t.vals.(!i) <- v;
-      t.len <- t.len + 1;
-      continue := false
-    end
-    else i := (!i + 1) land t.mask
-  done
+  done;
+  s.(2 * !hole) <- -1
 
 let remove t k =
-  let i = ref (home t k) in
-  let found = ref false in
-  let continue = ref true in
-  while !continue do
-    let kk = t.keys.(!i) in
-    if kk = k then begin
-      found := true;
-      continue := false
-    end
-    else if kk = -1 then continue := false
-    else i := (!i + 1) land t.mask
-  done;
-  if !found then begin
-    t.len <- t.len - 1;
-    (* Backward-shift: walk the probe cluster after the hole; any entry
-       whose home position lies at or before the hole (cyclically) is
-       moved into it, re-opening the hole further down. *)
-    let hole = ref !i in
-    let s = ref ((!i + 1) land t.mask) in
-    let scanning = ref true in
-    while !scanning do
-      let kk = t.keys.(!s) in
-      if kk = -1 then scanning := false
-      else begin
-        let h = home t kk in
-        if (!s - h) land t.mask >= (!s - !hole) land t.mask then begin
-          t.keys.(!hole) <- kk;
-          t.vals.(!hole) <- t.vals.(!s);
-          hole := !s
-        end;
-        s := (!s + 1) land t.mask
-      end
-    done;
-    t.keys.(!hole) <- -1
+  if k >= 0 then begin
+    let i = locate t k in
+    if t.slots.(2 * i) = k then delete_at t i
   end
 
+(* One probe in the common case.  A positive result grows the table
+   under the same rule as [set] (the rare doubling re-probes), so the
+   layout matches a [find] followed by [set] or [remove]. *)
+let add t k d =
+  if k < 0 then invalid_arg "Packed_map.add: negative key";
+  let i = locate t k in
+  let present = t.slots.(2 * i) = k in
+  let r = d + if present then t.slots.((2 * i) + 1) else 0 in
+  if r < 0 then invalid_arg "Packed_map.add: negative result";
+  if r = 0 then (if present then delete_at t i)
+  else if grows t then begin
+    grow t;
+    store t (locate t k) k r
+  end
+  else store t i k r;
+  r
+
 let iter f t =
-  Array.iteri (fun s k -> if k >= 0 then f k t.vals.(s)) t.keys
+  let s = t.slots in
+  for i = 0 to (Array.length s / 2) - 1 do
+    let k = s.(2 * i) in
+    if k >= 0 then f k s.((2 * i) + 1)
+  done
 
 let clear t =
-  Array.fill t.keys 0 (t.mask + 1) (-1);
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
   t.len <- 0

@@ -95,6 +95,35 @@ let test_incremental_matches_scratch () =
         (topologies seed))
     [ 7; 42; 1998 ]
 
+(* After churn and a reset the cache must read like a fresh one: every
+   tree it serves is the all-alive tree, and its counters start over. *)
+let test_cache_reset () =
+  List.iter
+    (fun (tname, topo) ->
+      let csr = Topo.freeze topo in
+      let n = csr.Topo.csr_nodes in
+      let cache = Spf.make_cache_csr csr in
+      let rng = Rng.create 31 in
+      for s = 0 to 19 do
+        ignore (Spf.bfs_cached cache (s mod 10 * n / 10))
+      done;
+      for _ = 1 to 40 do
+        let l = csr.Topo.linkv.(Rng.int rng (Array.length csr.Topo.linkv)) in
+        Spf.cache_note_link cache ~a:l.Topo.a ~b:l.Topo.b ~up:(Rng.bool rng)
+      done;
+      Spf.cache_reset cache;
+      check Alcotest.(pair int int) (tname ^ " stats after reset") (0, 0) (Spf.cache_stats cache);
+      check Alcotest.(pair int int) (tname ^ " repair stats after reset") (0, 0)
+        (Spf.cache_repair_stats cache);
+      for s = 0 to n - 1 do
+        let tag = Printf.sprintf "%s/reset/src%d" tname s in
+        let oracle = Spf.bfs_csr csr s and p = Spf.bfs_cached cache s in
+        check int_array (tag ^ " dist") oracle.Spf.dist p.Spf.dist;
+        check int_array (tag ^ " via") oracle.Spf.via p.Spf.via
+      done;
+      check Alcotest.(pair int int) (tname ^ " one miss per source") (0, n) (Spf.cache_stats cache))
+    (topologies 9)
+
 let test_note_link_noops () =
   let topo = Gen.power_law ~rng:(Rng.create 3) ~n:60 ~m:2 in
   let cache = Spf.make_cache topo in
@@ -113,34 +142,84 @@ let test_note_link_noops () =
 
 (* ---------------- arenas --------------------------------------------- *)
 
+(* [set], [remove] and [add] (with removals at 0 and refused negative
+   results) against a Hashtbl, with a [clear] partway through. *)
 let test_packed_map_oracle () =
   let m = Packed_map.create ~initial:4 () in
   let oracle = Hashtbl.create 64 in
   let rng = Rng.create 2024 in
-  for _ = 1 to 5000 do
+  let value k = Option.value (Hashtbl.find_opt oracle k) ~default:0 in
+  let agree tag =
+    check Alcotest.int (tag ^ " length") (Hashtbl.length oracle) (Packed_map.length m);
+    Hashtbl.iter
+      (fun k v -> check Alcotest.int (Printf.sprintf "%s find %d" tag k) v (Packed_map.find m k))
+      oracle;
+    for k = 0 to 699 do
+      if not (Hashtbl.mem oracle k) then begin
+        check Alcotest.int (Printf.sprintf "%s absent %d" tag k) (-1) (Packed_map.find m k);
+        check Alcotest.bool (tag ^ " mem") false (Packed_map.mem m k)
+      end
+    done;
+    let seen = ref 0 in
+    Packed_map.iter
+      (fun k v ->
+        incr seen;
+        check Alcotest.(option int) (Printf.sprintf "%s iter %d" tag k) (Some v)
+          (Hashtbl.find_opt oracle k))
+      m;
+    check Alcotest.int (tag ^ " iter count") (Hashtbl.length oracle) !seen
+  in
+  for step = 1 to 8000 do
     let k = Rng.int rng 700 in
-    match Rng.int rng 3 with
+    (match Rng.int rng 6 with
     | 0 | 1 ->
         let v = Rng.int rng 1000 in
         Packed_map.set m k v;
         Hashtbl.replace oracle k v
-    | _ ->
+    | 2 ->
         Packed_map.remove m k;
         Hashtbl.remove oracle k
-  done;
-  check Alcotest.int "length" (Hashtbl.length oracle) (Packed_map.length m);
-  Hashtbl.iter
-    (fun k v -> check Alcotest.int (Printf.sprintf "find %d" k) v (Packed_map.find m k))
-    oracle;
-  for k = 0 to 699 do
-    if not (Hashtbl.mem oracle k) then begin
-      check Alcotest.int (Printf.sprintf "absent %d" k) (-1) (Packed_map.find m k);
-      check Alcotest.bool "mem" false (Packed_map.mem m k)
+    | 3 ->
+        (* a decrement to exactly 0 removes the key *)
+        let v = value k in
+        check Alcotest.int "add to zero" 0 (Packed_map.add m k (-v));
+        Hashtbl.remove oracle k
+    | _ ->
+        let d = Rng.int rng 7 - 3 in
+        let r = value k + d in
+        if r < 0 then
+          Alcotest.check_raises "negative result"
+            (Invalid_argument "Packed_map.add: negative result") (fun () ->
+              ignore (Packed_map.add m k d))
+        else begin
+          check Alcotest.int (Printf.sprintf "add %d %d" k d) r (Packed_map.add m k d);
+          if r = 0 then Hashtbl.remove oracle k else Hashtbl.replace oracle k r
+        end);
+    if step = 4000 then begin
+      agree "before clear";
+      Packed_map.clear m;
+      Hashtbl.reset oracle;
+      check Alcotest.int "find after clear" (-1) (Packed_map.find m 17)
     end
   done;
-  Packed_map.clear m;
-  check Alcotest.int "clear" 0 (Packed_map.length m);
-  check Alcotest.int "find after clear" (-1) (Packed_map.find m 17)
+  agree "end"
+
+(* [-1] is the empty-slot marker, so it must never look like a key. *)
+let test_packed_map_negative_key_absent () =
+  let m = Packed_map.create () in
+  check Alcotest.int "find -1 on empty" (-1) (Packed_map.find m (-1));
+  check Alcotest.bool "mem -1 on empty" false (Packed_map.mem m (-1));
+  Packed_map.remove m (-1);
+  Packed_map.remove m (-7);
+  check Alcotest.int "remove -1 keeps length" 0 (Packed_map.length m);
+  Packed_map.set m 5 9;
+  check Alcotest.bool "mem -1 with entries" false (Packed_map.mem m (-1));
+  Packed_map.remove m (-1);
+  check Alcotest.int "remove -1 keeps entries" 1 (Packed_map.length m);
+  Alcotest.check_raises "add negative key" (Invalid_argument "Packed_map.add: negative key")
+    (fun () -> ignore (Packed_map.add m (-1) 1));
+  check Alcotest.int "add of 0 to an absent key inserts nothing" 0 (Packed_map.add m 6 0);
+  check Alcotest.int "length" 1 (Packed_map.length m)
 
 let test_packed_map_rejects_negative () =
   let m = Packed_map.create () in
@@ -169,6 +248,71 @@ let test_grib_arena () =
   check Alcotest.int "count decremented" 1 (Grib_arena.node_entries g 3);
   check Alcotest.bool "storage is flat words" true (Grib_arena.storage_words g > 0)
 
+(* [steps] random installs, overwrites and removals on a G-RIB arena. *)
+let grib_history g rng ~steps =
+  for _ = 1 to steps do
+    let group = Rng.int rng 12 and node = Rng.int rng 30 in
+    if Rng.int rng 3 = 0 then Grib_arena.remove g ~group ~node
+    else Grib_arena.set g ~group ~node (Rng.int rng 31 - 1)
+  done
+
+(* [steps] random joins and leaves, at most 40 members live at once. *)
+let tree_history t rng ~steps =
+  let live = Array.make 40 (-1, -1) in
+  let buf = Array.make 12 0 in
+  for _ = 1 to steps do
+    let slot = Rng.int rng (Array.length live) in
+    match live.(slot) with
+    | -1, _ ->
+        let len = 1 + Rng.int rng (Array.length buf) in
+        for j = 0 to len - 1 do
+          buf.(j) <- Rng.int rng 30
+        done;
+        let group = Rng.int rng 15 in
+        live.(slot) <- (group, Tree_arena.join t ~group ~path:buf ~len)
+    | group, h ->
+        Tree_arena.leave t ~group h;
+        live.(slot) <- (-1, -1)
+  done
+
+(* An arena cleared after one random history and fed a second must
+   answer exactly as a fresh arena fed only the second. *)
+let test_arenas_clear_like_fresh () =
+  List.iter
+    (fun seed ->
+      let g = Grib_arena.create ~initial:4 ~domains:30 () in
+      grib_history g (Rng.create seed) ~steps:3000;
+      Grib_arena.clear g;
+      grib_history g (Rng.create (seed + 1)) ~steps:1500;
+      let fresh = Grib_arena.create ~initial:4 ~domains:30 () in
+      grib_history fresh (Rng.create (seed + 1)) ~steps:1500;
+      check Alcotest.int "grib entries" (Grib_arena.entries fresh) (Grib_arena.entries g);
+      for node = 0 to 29 do
+        check Alcotest.int "grib node entries" (Grib_arena.node_entries fresh node)
+          (Grib_arena.node_entries g node);
+        for group = 0 to 11 do
+          check Alcotest.int "grib hop" (Grib_arena.find fresh ~group ~node)
+            (Grib_arena.find g ~group ~node)
+        done
+      done;
+      let t = Tree_arena.create ~domains:30 () in
+      tree_history t (Rng.create seed) ~steps:3000;
+      Tree_arena.clear t;
+      tree_history t (Rng.create (seed + 1)) ~steps:1500;
+      let fresh = Tree_arena.create ~domains:30 () in
+      tree_history fresh (Rng.create (seed + 1)) ~steps:1500;
+      check Alcotest.int "tree entries" (Tree_arena.entries fresh) (Tree_arena.entries t);
+      check Alcotest.int "live paths" (Tree_arena.live_paths fresh) (Tree_arena.live_paths t);
+      for node = 0 to 29 do
+        check Alcotest.int "tree node entries" (Tree_arena.node_entries fresh node)
+          (Tree_arena.node_entries t node);
+        for group = 0 to 14 do
+          check Alcotest.int "refs" (Tree_arena.refs fresh ~group ~node)
+            (Tree_arena.refs t ~group ~node)
+        done
+      done)
+    [ 5; 77; 1998 ]
+
 let spent = Invalid_argument "Tree_arena.leave: handle spent or group mismatch"
 
 let test_tree_arena_refcounts () =
@@ -188,7 +332,10 @@ let test_tree_arena_refcounts () =
   Alcotest.check_raises "group mismatch" spent (fun () -> Tree_arena.leave t ~group:5 h2);
   Tree_arena.leave t ~group:4 h2;
   check Alcotest.int "empty again" 0 (Tree_arena.entries t);
-  check Alcotest.int "router count drained" 0 (Tree_arena.node_entries t 1)
+  check Alcotest.int "router count drained" 0 (Tree_arena.node_entries t 1);
+  Alcotest.check_raises "refs of a negative group"
+    (Invalid_argument "Tree_arena.refs: negative group") (fun () ->
+      ignore (Tree_arena.refs t ~group:(-1) ~node:0))
 
 let test_tree_arena_recycles_blocks () =
   let t = Tree_arena.create ~domains:8 () in
@@ -282,14 +429,50 @@ let test_modern_scratch_agrees () =
   check Alcotest.bool "scratch reroutes around toggled links" false
     (entries scr = entries (run ~mode:Scratch ~link_every:0))
 
+(* Each Par worker reuses its arenas and SPF cache across the trials it
+   runs (all five at jobs 1, two or three at jobs 2, one at jobs 5), so
+   equal results show that the reset state is indistinguishable from
+   fresh state. *)
+let test_modern_reuse_job_invariant () =
+  let open Modern_experiment in
+  let run jobs =
+    run
+      {
+        default_params with
+        domains = 600;
+        groups = 50;
+        events = 1500;
+        link_every = 50;
+        trials = 5;
+        mode = Incremental;
+        check_invariants = true;
+        jobs;
+      }
+  in
+  let r1 = run 1 in
+  check Alcotest.bool "churn repaired trees" true (r1.repairs > 0);
+  check Alcotest.int "invariants clean" 0 r1.invariant_violations;
+  let text r =
+    Format.asprintf "%a%d %d %d %d" pp_summary r r.repairs r.touched r.skipped
+      r.invariant_violations
+  in
+  List.iter
+    (fun jobs ->
+      check Alcotest.string (Printf.sprintf "jobs %d = jobs 1" jobs) (text r1) (text (run jobs)))
+    [ 2; 5 ]
+
 let suite =
   [
     ("incremental matches from-scratch", `Quick, test_incremental_matches_scratch);
     ("fig4-modern scratch agrees", `Quick, test_modern_scratch_agrees);
+    ("fig4-modern trial reuse is job-invariant", `Quick, test_modern_reuse_job_invariant);
     ("note_link no-ops", `Quick, test_note_link_noops);
+    ("cache reset reads like a fresh cache", `Quick, test_cache_reset);
     ("packed map vs hashtbl oracle", `Quick, test_packed_map_oracle);
     ("packed map rejects negatives", `Quick, test_packed_map_rejects_negative);
+    ("packed map negative keys are absent", `Quick, test_packed_map_negative_key_absent);
     ("grib arena", `Quick, test_grib_arena);
+    ("arenas cleared read like fresh", `Quick, test_arenas_clear_like_fresh);
     ("tree arena refcounts", `Quick, test_tree_arena_refcounts);
     ("tree arena recycles blocks", `Quick, test_tree_arena_recycles_blocks);
     ("tree arena storage tracks live paths", `Quick, test_tree_arena_storage_tracks_live);
