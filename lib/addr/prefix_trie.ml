@@ -17,7 +17,16 @@ type 'a t = { root : 'a node; mutable count : int }
 
 let fresh_node () = { value = None; zero = None; one = None }
 
-let create () = { root = fresh_node (); count = 0 }
+let reset t =
+  t.root.value <- None;
+  t.root.zero <- None;
+  t.root.one <- None;
+  t.count <- 0
+
+let create () =
+  let t = { root = fresh_node (); count = 0 } in
+  reset t;
+  t
 
 let is_empty t = t.count = 0
 

@@ -9,6 +9,9 @@ type 'a t
 
 val create : unit -> 'a t
 
+val reset : 'a t -> unit
+(** Remove every binding, in place. *)
+
 val is_empty : 'a t -> bool
 
 val cardinal : 'a t -> int

@@ -57,6 +57,17 @@ val create :
     start fresh under
     ["group:<addr>"]. *)
 
+val reset : t -> unit
+(** Rewind the fabric to the state {!create} returned, in place: every
+    router and MIGP is reset (no tree state, no membership), delivery
+    logs, payload spans, the unicast cache and the message counts are
+    dropped, and payload ids restart at 0.  The routers, channels and
+    installed closures stay, as do the delivery listener and the pool
+    of cleared delivery logs; the data-plane instruments are registered
+    in the current {!Metrics} registry again, as {!create} did.  The
+    engine and the net are the caller's to reset ({!Engine.reset},
+    {!Net.reset}). *)
+
 (** {1 Host operations} *)
 
 val host_join : t -> host:Host_ref.t -> group:Ipv4.t -> unit
@@ -129,8 +140,19 @@ val restore_link : t -> Domain.id -> Domain.id -> unit
 
 (** {1 Route-change repair} *)
 
+val iter_active_groups : t -> (Ipv4.t -> unit) -> unit
+(** [f] on every group with (star,G) state or local members anywhere,
+    ascending, each once.  The groups are gathered first into scratch
+    the fabric keeps (the one the acyclicity pass uses), so the scan
+    builds no table, list or sort (it allocates only the standard
+    library's iteration closure per router and per domain), and [f] may
+    change tree state, as {!rebuild_group} does.  [f] must not start another scan of the same
+    fabric ([iter_active_groups], {!active_groups}, {!cycle_violations},
+    {!settle_violations}, {!tree_violations}): that refills the scratch
+    under the running loop. *)
+
 val active_groups : t -> Ipv4.t list
-(** Groups with forwarding state or local members anywhere, ascending. *)
+(** {!iter_active_groups} as a list. *)
 
 val rebuild_group : t -> group:Ipv4.t -> unit
 (** Rebuild the group's distribution tree under the {e current} routing

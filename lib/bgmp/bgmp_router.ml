@@ -69,19 +69,30 @@ type t = {
   mutable toward_peer : target option;  (** see [toward_peer] *)
 }
 
+let reset t =
+  Hashtbl.reset t.star;
+  Hashtbl.reset t.sg;
+  Hashtbl.reset t.pending_branch_prune;
+  t.version <- 0;
+  t.toward_peer <- None
+
 let create ~id ~domain ~name =
-  {
-    rid = id;
-    rdomain = domain;
-    rname = name;
-    star = Hashtbl.create 8;
-    sg = Hashtbl.create 4;
-    pending_branch_prune = Hashtbl.create 2;
-    classify_root = (fun _ -> Unroutable);
-    classify_source = (fun _ -> Unroutable);
-    version = 0;
-    toward_peer = None;
-  }
+  let t =
+    {
+      rid = id;
+      rdomain = domain;
+      rname = name;
+      star = Hashtbl.create 8;
+      sg = Hashtbl.create 4;
+      pending_branch_prune = Hashtbl.create 2;
+      classify_root = (fun _ -> Unroutable);
+      classify_source = (fun _ -> Unroutable);
+      version = 0;
+      toward_peer = None;
+    }
+  in
+  reset t;
+  t
 
 let id t = t.rid
 
@@ -133,8 +144,6 @@ let sg_for_group t group =
   Hashtbl.fold
     (fun (s, g) st acc -> if Ipv4.equal g group then (s, view_of t group st) :: acc else acc)
     t.sg []
-
-let star_groups t = Hashtbl.fold (fun g _ acc -> g :: acc) t.star []
 
 let on_tree t group = Hashtbl.mem t.star group
 

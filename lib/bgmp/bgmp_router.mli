@@ -75,6 +75,11 @@ type t
 
 val create : id:int -> domain:Domain.id -> name:string -> t
 
+val reset : t -> unit
+(** Drop every (star,G), (S,G) and pending branch-prune entry, in place
+    (tables back to their initial size); version 0.  The classifiers the
+    fabric installed stay. *)
+
 val id : t -> int
 
 val domain : t -> Domain.id
@@ -159,8 +164,6 @@ val branch_prune : t -> source:Host_ref.t -> group:Ipv4.t -> int option
 val has_sg : t -> Host_ref.t -> Ipv4.t -> bool
 (** [has_sg t s g] is [sg_entry t s g <> None], without building the
     view — the data path's existence test. *)
-
-val star_groups : t -> Ipv4.t list
 
 val sg_for_group : t -> Ipv4.t -> (Host_ref.t * sg_view) list
 (** All (S,G) entries for the given group. *)

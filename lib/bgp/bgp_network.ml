@@ -62,6 +62,8 @@ let create ~engine ?net ~topo () =
     speakers;
   t
 
+let reset t = Array.iter Speaker.reset t.speakers
+
 let speaker t id = t.speakers.(id)
 
 let engine t = t.engine

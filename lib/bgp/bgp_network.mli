@@ -16,6 +16,11 @@ val create : engine:Engine.t -> ?net:Net.t -> topo:Topo.t -> unit -> t
     link state with MASC and BGMP; by default the network gets a private
     [Net.t] on the same engine. *)
 
+val reset : t -> unit
+(** {!Speaker.reset} every speaker; the sessions' channels and the
+    link-change listener stay.  The engine and the net are the caller's
+    to reset ({!Engine.reset}, {!Net.reset}). *)
+
 val speaker : t -> Domain.id -> Speaker.t
 
 val engine : t -> Engine.t

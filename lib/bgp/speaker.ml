@@ -22,21 +22,36 @@ type t = {
   mutable version : int;  (** bumped whenever a best route changes *)
 }
 
+(* Peerings, hooks and the per-peer Adj-RIB-In tables stay; every
+   table goes back to its initial size, so folds over it (session
+   flushes, aggregation sweeps) visit in a fresh speaker's order. *)
+let reset t =
+  Hashtbl.iter (fun _ tbl -> Hashtbl.reset tbl) t.adj_in;
+  Hashtbl.reset t.originated_tbl;
+  Prefix_trie.reset t.grib;
+  Hashtbl.reset t.exported;
+  Hashtbl.reset t.down_peers;
+  t.version <- 0
+
 let create ~id =
-  {
-    self = id;
-    peers = Hashtbl.create 8;
-    peer_order = [];
-    adj_in = Hashtbl.create 8;
-    originated_tbl = Hashtbl.create 4;
-    grib = Prefix_trie.create ();
-    exported = Hashtbl.create 16;
-    down_peers = Hashtbl.create 2;
-    send = (fun ~dst:_ _ -> ());
-    extra_filter = (fun ~dst:_ _ -> true);
-    on_grib_change = (fun _ -> ());
-    version = 0;
-  }
+  let t =
+    {
+      self = id;
+      peers = Hashtbl.create 8;
+      peer_order = [];
+      adj_in = Hashtbl.create 8;
+      originated_tbl = Hashtbl.create 4;
+      grib = Prefix_trie.create ();
+      exported = Hashtbl.create 16;
+      down_peers = Hashtbl.create 2;
+      send = (fun ~dst:_ _ -> ());
+      extra_filter = (fun ~dst:_ _ -> true);
+      on_grib_change = (fun _ -> ());
+      version = 0;
+    }
+  in
+  reset t;
+  t
 
 let id t = t.self
 

@@ -25,6 +25,11 @@ type t
 
 val create : id:Domain.id -> t
 
+val reset : t -> unit
+(** Drop every route, in place: Adj-RIB-Ins, originated prefixes,
+    G-RIB, export state and down sessions; version 0.  Peerings and the
+    installed send, filter and G-RIB hooks stay. *)
+
 val id : t -> Domain.id
 
 val version : t -> int

@@ -41,6 +41,16 @@ type t
 val create : ?config:config -> ?migp_style:(Domain.id -> Migp.style) -> Topo.t -> t
 (** Build the stack; [migp_style] defaults to DVMRP everywhere. *)
 
+val reset : t -> seed:int -> unit
+(** Rewind the whole stack in place to the state {!create} with the same
+    config but [seed] returns: engine, transport, BGP, MASC (RNGs
+    reseeded from [seed]), BGMP, MAAS and the invariant monitor, whose
+    counters now count into the calling domain's {!Metrics.current}.
+    A run on a reset stack is the run on a fresh one, event for event:
+    same outcome, same recording, same metrics.  The topology, the
+    glue hooks and the registered predicates stay; a monitor or
+    sampler installed on the engine is dropped. *)
+
 val start : t -> unit
 (** Start MASC (top-level domains advertise and children begin
     claiming).  Run the engine afterwards to let allocation settle. *)

@@ -54,4 +54,5 @@ val pp_triage : ?top:int -> Format.formatter -> ledger:string -> unit
     minimality, and — for the [top] (default 3) smallest — prints the
     blamed causal chain out of the repro recording when the ledger
     points at a readable one.  @raise Sys_error when the ledger cannot
-    be read. *)
+    be read, and {!Report.Unreadable} when every line of it is
+    malformed. *)

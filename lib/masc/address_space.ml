@@ -4,7 +4,15 @@ type t = {
   mutable version : int;  (** bumped when a claim binding comes or goes *)
 }
 
-let create () = { cover_list = []; claim_trie = Prefix_trie.create (); version = 0 }
+let reset t =
+  t.cover_list <- [];
+  Prefix_trie.reset t.claim_trie;
+  t.version <- 0
+
+let create () =
+  let t = { cover_list = []; claim_trie = Prefix_trie.create (); version = 0 } in
+  reset t;
+  t
 
 let version t = t.version
 

@@ -13,6 +13,10 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Back to the empty arena {!create} returns, in place: no cover, no
+    claim, version 0. *)
+
 val add_cover : t -> Prefix.t -> unit
 (** Extend the space.  Overlapping covers are allowed (they are unioned
     logically); an exact duplicate is a no-op. *)

@@ -16,6 +16,11 @@ type t = {
   mutable pending_count : int;
 }
 
+let reset t =
+  Hashtbl.reset t.pools;
+  Hashtbl.reset t.live;
+  t.pending_count <- 0
+
 let create ~engine ~node ~block_size =
   let t =
     {
@@ -55,6 +60,7 @@ let create ~engine ~node ~block_size =
           ignore pool;
           Hashtbl.remove t.pools prefix;
           Masc_node.note_assigned node prefix (-List.length victims));
+  reset t;
   t
 
 let sync_pools t =

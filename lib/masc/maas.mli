@@ -22,6 +22,10 @@ val create : engine:Engine.t -> node:Masc_node.t -> block_size:int -> t
 (** [block_size] is the amount of space requested from the MASC node
     when the pool is exhausted (the paper's simulations use 256). *)
 
+val reset : t -> unit
+(** Forget every pool and live allocation, in place; the listeners
+    {!create} registered on the node stay. *)
+
 val allocate : t -> ?lifetime:Time.t -> unit -> allocation option
 (** An unused address, or [None] when no acquired range has room (the
     MAAS then asks its node for space; retry after the claim settles —

@@ -8,6 +8,10 @@ type t = {
      directed pair. *)
   channels : (Domain.id * Domain.id, Masc_message.t Net.channel) Hashtbl.t;
   delay : Time.t;
+  rng : Rng.t;  (** the generator the node RNGs are split from *)
+  node_rngs : Rng.t array;  (** in [node_ids] order *)
+  parent_of : Domain.id -> Domain.id option;
+  top_space : Domain.id -> Prefix.t;
 }
 
 let message_span = function
@@ -44,6 +48,20 @@ let exchange_partition ~tops ~exchanges =
     | Some p -> p
     | None -> Prefix.class_d
 
+(* Children lists, top meshes and bootstrap space, from [parent_of]. *)
+let wire t =
+  let tops = List.filter (fun id -> t.parent_of id = None) t.node_ids in
+  List.iter
+    (fun id ->
+      let node = Hashtbl.find t.nodes id in
+      Masc_node.set_children node (List.filter (fun c -> t.parent_of c = Some id) t.node_ids);
+      match Masc_node.role node with
+      | Masc_node.Top ->
+          Masc_node.bootstrap_top node (t.top_space id);
+          Masc_node.set_top_siblings node (List.filter (fun s -> s <> id) tops)
+      | Masc_node.Child _ -> ())
+    t.node_ids
+
 let create ~engine ~rng ?(config = Masc_node.default_config)
     ?(top_space = fun _ -> Prefix.class_d) ?net ~parent_of ~ids () =
   let net = match net with Some n -> n | None -> Net.create ~engine () in
@@ -55,35 +73,32 @@ let create ~engine ~rng ?(config = Masc_node.default_config)
       node_ids = ids;
       channels = Hashtbl.create 16;
       delay = Time.seconds 0.05;
+      rng;
+      node_rngs = Array.of_list (List.map (fun _ -> Rng.split rng) ids);
+      parent_of;
+      top_space;
     }
   in
-  (* Create nodes. *)
-  List.iter
-    (fun id ->
+  List.iteri
+    (fun i id ->
       let role =
         match parent_of id with
         | Some p -> Masc_node.Child p
         | None -> Masc_node.Top
       in
-      let node = Masc_node.create ~id ~role ~config ~engine ~rng:(Rng.split rng) in
+      let node = Masc_node.create ~id ~role ~config ~engine ~rng:t.node_rngs.(i) in
+      Masc_node.set_transport node (fun ~dst msg ->
+          Net.send (channel_to t ~src:id ~dst) ?span:(message_span msg) msg);
       Hashtbl.replace t.nodes id node)
     ids;
-  (* Children lists, top meshes, bootstrap, transport. *)
-  let tops = List.filter (fun id -> parent_of id = None) ids in
-  List.iter
-    (fun id ->
-      let node = Hashtbl.find t.nodes id in
-      let children = List.filter (fun c -> parent_of c = Some id) ids in
-      Masc_node.set_children node children;
-      (match Masc_node.role node with
-      | Masc_node.Top ->
-          Masc_node.bootstrap_top node (top_space id);
-          Masc_node.set_top_siblings node (List.filter (fun s -> s <> id) tops)
-      | Masc_node.Child _ -> ());
-      Masc_node.set_transport node (fun ~dst msg ->
-          Net.send (channel_to t ~src:id ~dst) ?span:(message_span msg) msg))
-    ids;
+  wire t;
   t
+
+let reset t ~seed =
+  Rng.reseed t.rng seed;
+  Array.iter (Rng.split_into t.rng) t.node_rngs;
+  List.iter (fun id -> Masc_node.reset (Hashtbl.find t.nodes id)) t.node_ids;
+  wire t
 
 let of_topo ~engine ~rng ?config ?net topo =
   let parent_of id =

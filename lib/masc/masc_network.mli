@@ -33,6 +33,15 @@ val create :
     share link state with BGP and BGMP; by default the hierarchy gets a
     private [Net.t] on the same engine. *)
 
+val reset : t -> seed:int -> unit
+(** Rewind every node to the state {!create} left it in, in place, as if
+    the hierarchy had been created from [Rng.create seed]: that
+    generator (the one passed to {!create}) is reseeded and the node
+    RNGs re-split from it in [ids] order, each node is {!Masc_node.reset}
+    and re-wired (children, top meshes, bootstrap space).  Channels and
+    listeners stay.  The engine and the net are the caller's to reset
+    ({!Engine.reset}, {!Net.reset}). *)
+
 val exchange_partition : tops:Domain.id list -> exchanges:int -> Domain.id -> Prefix.t
 (** Split 224/4 into [exchanges] equal sub-ranges ("one per continent",
     §4.4) and assign each top-level domain to one round-robin.

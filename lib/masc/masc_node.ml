@@ -55,6 +55,7 @@ type foreign_claim = { f_owner : Domain.id; mutable f_expiry : Time.t }
 
 type t = {
   self : Domain.id;
+  initial_role : role;
   mutable node_role : role;
   config : config;
   engine : Engine.t;
@@ -81,7 +82,6 @@ type t = {
   mutable on_acquired : (Prefix.t -> lifetime_end:Time.t -> span:Span.t -> unit) list;
   mutable on_replaced : (old_prefix:Prefix.t -> by:Prefix.t -> unit) list;
   mutable on_lost : (Prefix.t -> unit) list;
-  mutable on_space_changed : (unit -> unit) list;
   mutable collisions_suffered : int;
   mutable claims_made : int;
   mutable started : bool;
@@ -90,34 +90,58 @@ type t = {
           reparent *)
 }
 
+(* Everything but the wiring (transport, children, siblings, listeners),
+   the config and the RNG, whose owner reseeds it.  Tables go back to
+   their initial size, so folds over them visit in a fresh node's
+   order. *)
+let reset t =
+  t.node_role <- t.initial_role;
+  Address_space.reset t.up_space;
+  Address_space.reset t.down_space;
+  Hashtbl.reset t.up_foreign;
+  Hashtbl.reset t.down_foreign;
+  t.foreign_due <- infinity;
+  t.own <- [];
+  Hashtbl.reset t.assigned_tbl;
+  t.pending <- [];
+  t.child_needs <- [];
+  t.collisions_suffered <- 0;
+  t.claims_made <- 0;
+  t.started <- false;
+  t.version <- 0
+
 let create ~id ~role ~config ~engine ~rng =
-  {
-    self = id;
-    node_role = role;
-    config;
-    engine;
-    rng;
-    transport = (fun ~dst:_ _ -> ());
-    children = [];
-    top_siblings = [];
-    up_space = Address_space.create ();
-    down_space = Address_space.create ();
-    up_foreign = Hashtbl.create 16;
-    down_foreign = Hashtbl.create 16;
-    foreign_due = infinity;
-    own = [];
-    assigned_tbl = Hashtbl.create 8;
-    pending = [];
-    child_needs = [];
-    on_acquired = [];
-    on_replaced = [];
-    on_lost = [];
-    on_space_changed = [];
-    collisions_suffered = 0;
-    claims_made = 0;
-    started = false;
-    version = 0;
-  }
+  let t =
+    {
+      self = id;
+      initial_role = role;
+      node_role = role;
+      config;
+      engine;
+      rng;
+      transport = (fun ~dst:_ _ -> ());
+      children = [];
+      top_siblings = [];
+      up_space = Address_space.create ();
+      down_space = Address_space.create ();
+      up_foreign = Hashtbl.create 16;
+      down_foreign = Hashtbl.create 16;
+      foreign_due = infinity;
+      own = [];
+      assigned_tbl = Hashtbl.create 8;
+      pending = [];
+      child_needs = [];
+      on_acquired = [];
+      on_replaced = [];
+      on_lost = [];
+      collisions_suffered = 0;
+      claims_made = 0;
+      started = false;
+      version = 0;
+    }
+  in
+  reset t;
+  t
 
 let id t = t.self
 
@@ -138,8 +162,6 @@ let add_on_acquired t f = t.on_acquired <- t.on_acquired @ [ f ]
 let add_on_replaced t f = t.on_replaced <- t.on_replaced @ [ f ]
 
 let add_on_lost t f = t.on_lost <- t.on_lost @ [ f ]
-
-let add_on_space_changed t f = t.on_space_changed <- t.on_space_changed @ [ f ]
 
 let bootstrap_top t prefix = Address_space.add_cover t.up_space prefix
 
@@ -248,11 +270,6 @@ let refresh_down_covers t =
     advertise_space_to_children t
   end
 
-let signal_space_changed t =
-  ignore
-    (Engine.schedule_after ~label:"masc.space_changed" t.engine Time.zero (fun () ->
-         List.iter (fun f -> f ()) t.on_space_changed))
-
 (* ------------------------------------------------------------------ *)
 (* Claim lifecycle                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -278,8 +295,7 @@ let remove_own t ctl ~release ~lost =
     if ctl.claim.claim_arena = Up then begin
       List.iter (fun f -> f ctl.claim.claim_prefix) t.on_lost;
       refresh_down_covers t
-    end;
-    signal_space_changed t
+    end
   end
 
 let announce_claim t ctl =
@@ -399,7 +415,6 @@ let rec finish_wait t ctl =
       refresh_down_covers t
     end;
     schedule_renewal t ctl;
-    signal_space_changed t;
     process_pending t
   end
 
@@ -512,9 +527,7 @@ and process_pending t =
         else true)
       t.pending
   in
-  let satisfied = List.length t.pending - List.length still_pending in
   t.pending <- still_pending;
-  if satisfied > 0 then signal_space_changed t;
   retry_child_needs t
 
 (* Children whose Need_space we could not satisfy yet: drop each once
@@ -534,10 +547,7 @@ and retry_child_needs t =
 
 let request_space t ~need =
   if need <= 0 then invalid_arg "Masc_node.request_space: non-positive need";
-  if try_grow t (maas_arena t) ~need then begin
-    Metrics.observe m_request_wait 0.0;
-    signal_space_changed t
-  end
+  if try_grow t (maas_arena t) ~need then Metrics.observe m_request_wait 0.0
   else t.pending <- t.pending @ [ (need, Engine.now t.engine) ]
 
 let note_assigned t prefix n =

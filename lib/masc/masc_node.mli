@@ -57,6 +57,14 @@ type t
 
 val create : id:Domain.id -> role:role -> config:config -> engine:Engine.t -> rng:Rng.t -> t
 
+val reset : t -> unit
+(** Rewind the node's protocol state to what {!create} left, in place:
+    its role at creation, empty arenas and foreign-claim tables, no own
+    claim, pending need or count, not started, version 0.  The
+    transport, children, top siblings and listeners stay, and so do the
+    config and the RNG: reseeding that is its owner's job (see
+    {!Masc_network.reset}), as is re-bootstrapping a top's space. *)
+
 val id : t -> Domain.id
 
 val role : t -> role
@@ -94,10 +102,6 @@ val add_on_lost : t -> (Prefix.t -> unit) -> unit
     after a partition, or lifetime expiry): the MAAS must renumber and
     BGP must withdraw.  Listeners accumulate. *)
 
-val add_on_space_changed : t -> (unit -> unit) -> unit
-(** Register a listener fired whenever the set of acquired ranges
-    changes; a MAAS retries parked allocations on this signal. *)
-
 val reparent : t -> new_parent:Domain.id -> unit
 (** Switch a child domain to a different provider as its MASC parent
     (§4: "a domain that is a customer of other domains will choose one
@@ -120,8 +124,7 @@ val receive : t -> from_:Domain.id -> Masc_message.t -> unit
 
 val request_space : t -> need:int -> unit
 (** Demand [need] more addresses (a MAAS ran out).  The node applies the
-    §4.3.3 policy: assign from an existing range (then
-    [on_space_changed] fires immediately), double, claim anew, or
+    §4.3.3 policy: assign from an existing range, double, claim anew, or
     consolidate; if its parent's space is exhausted it sends
     [Need_space] upward and retries when new space is advertised. *)
 

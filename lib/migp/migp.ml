@@ -10,26 +10,38 @@ let floods_data = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
 
 let strict_rpf = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
 
+type members = Host_ref.t list ref
+
 type t = {
   migp_style : style;
   migp_domain : Domain.id;
-  membership : (Ipv4.t, Host_ref.t list ref) Hashtbl.t;
+  membership : (Ipv4.t, members) Hashtbl.t;
   mutable on_group_active : group:Ipv4.t -> active:bool -> unit;
   mutable floods : int;
   mutable encaps : int;
   mutable prunes : int;
 }
 
+let reset t =
+  Hashtbl.reset t.membership;
+  t.floods <- 0;
+  t.encaps <- 0;
+  t.prunes <- 0
+
 let create style ~domain =
-  {
-    migp_style = style;
-    migp_domain = domain;
-    membership = Hashtbl.create 8;
-    on_group_active = (fun ~group:_ ~active:_ -> ());
-    floods = 0;
-    encaps = 0;
-    prunes = 0;
-  }
+  let t =
+    {
+      migp_style = style;
+      migp_domain = domain;
+      membership = Hashtbl.create 8;
+      on_group_active = (fun ~group:_ ~active:_ -> ());
+      floods = 0;
+      encaps = 0;
+      prunes = 0;
+    }
+  in
+  reset t;
+  t
 
 let style t = t.migp_style
 
@@ -67,6 +79,8 @@ let members t ~group =
 let has_members t ~group = Hashtbl.mem t.membership group
 
 let groups t = Hashtbl.fold (fun g _ acc -> g :: acc) t.membership []
+
+let iter_groups t f = Hashtbl.iter f t.membership
 
 let note_flood_delivery t n = t.floods <- t.floods + n
 

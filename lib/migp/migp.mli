@@ -35,6 +35,10 @@ type t
 
 val create : style -> domain:Domain.id -> t
 
+val reset : t -> unit
+(** Drop every membership and zero the overhead counters, in place; the
+    {!set_on_group_active} hook stays. *)
+
 val style : t -> style
 
 val domain : t -> Domain.id
@@ -57,6 +61,13 @@ val has_members : t -> group:Ipv4.t -> bool
 
 val groups : t -> Ipv4.t list
 (** Groups with at least one local member. *)
+
+type members
+(** One group's local member cell, opaque. *)
+
+val iter_groups : t -> (Ipv4.t -> members -> unit) -> unit
+(** Every group with at least one local member, in no particular order;
+    a callback built once makes the walk allocation-free. *)
 
 (** {1 Overhead counters} *)
 

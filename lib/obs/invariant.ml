@@ -28,7 +28,7 @@ type pred = {
 let seen_cap = 64
 
 type t = {
-  registry : Metrics.registry;
+  mutable registry : Metrics.registry;
   mutable checks : Metrics.counter option;
   mutable violations : Metrics.counter option;
   mutable preds : pred list;
@@ -36,9 +36,36 @@ type t = {
   mutable n_seen : int;
 }
 
+let reset ?registry t =
+  t.registry <- (match registry with Some r -> r | None -> Metrics.current ());
+  t.checks <- None;
+  t.violations <- None;
+  List.iter
+    (fun p ->
+      p.violations_of <- None;
+      match p.gate with
+      | Some g ->
+          g.clean <- false;
+          g.clean_at <- 0;
+          g.skipped <- None
+      | None -> ())
+    t.preds;
+  t.seen <- [];
+  t.n_seen <- 0
+
 let create ?registry () =
-  let registry = match registry with Some r -> r | None -> Metrics.current () in
-  { registry; checks = None; violations = None; preds = []; seen = []; n_seen = 0 }
+  let t =
+    {
+      registry = Metrics.default;
+      checks = None;
+      violations = None;
+      preds = [];
+      seen = [];
+      n_seen = 0;
+    }
+  in
+  reset ?registry t;
+  t
 
 let register ?(quiescent_only = false) ?depends t ~name run =
   if List.exists (fun p -> p.name = name) t.preds then

@@ -28,6 +28,14 @@ val create : ?registry:Metrics.registry -> unit -> t
     at call time, so monitors created inside a [Par] task count into
     that task's shard. *)
 
+val reset : ?registry:Metrics.registry -> t -> unit
+(** Rewind to a freshly created monitor that keeps its predicates: the
+    gates forget their cached clean runs, the retained violations are
+    dropped, and the counters count into [registry] (default: the
+    calling domain's {!Metrics.current}, as for {!create}).  Counter
+    handles are resolved again on first use, so a reset monitor adds to
+    a snapshot exactly the keys a fresh one would. *)
+
 val register :
   ?quiescent_only:bool -> ?depends:(unit -> int) -> t -> name:string -> check -> unit
 (** Raises [Invalid_argument] on a duplicate name.

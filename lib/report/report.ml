@@ -20,13 +20,20 @@ let with_file what file f =
 
 (* Truncated or corrupted artifacts (a run killed mid-write, a partial
    download) should degrade loudly, not crash or silently shrink: every
-   loader reports how many non-blank lines it had to skip. *)
-let warn_skipped what file n =
+   loader reports how many non-blank lines it had to skip, and a file
+   whose every line is malformed is not the artifact at all. *)
+let check_loaded what file ~rows ~malformed =
+  if rows = 0 && malformed > 0 then
+    raise
+      (Unreadable (Printf.sprintf "%s %s: no valid line, %d malformed" what file malformed))
+
+let warn_skipped what file ~rows n =
+  check_loaded what file ~rows ~malformed:n;
   if n > 0 then Format.eprintf "%s %s: %d malformed line(s) skipped@." what file n
 
 let load_recording what file =
   let records, bad = with_file what file Recorder.load_jsonl in
-  warn_skipped what file bad;
+  warn_skipped what file ~rows:(List.length records) bad;
   records
 
 (* --- trace ------------------------------------------------------------- *)
@@ -136,7 +143,7 @@ let run_diff_files ppf a b =
 
 let report_profile ppf file fold =
   let rows, bad = with_file "profile" file Prof.load_jsonl_counted in
-  warn_skipped "profile" file bad;
+  warn_skipped "profile" file ~rows:(List.length rows) bad;
   if rows = [] then Format.fprintf ppf "profile %s: no rows@." file
   else begin
     Format.fprintf ppf "--- profile: %s ---@." file;
@@ -151,7 +158,7 @@ let report_profile ppf file fold =
 
 let report_timeseries ppf file series =
   let points, bad = with_file "telemetry" file Timeseries.load_jsonl_counted in
-  warn_skipped "telemetry" file bad;
+  warn_skipped "telemetry" file ~rows:(List.length points) bad;
   if points = [] then Format.fprintf ppf "telemetry %s: no rows@." file
   else
     let all = Timeseries.series_of points in
@@ -221,7 +228,7 @@ let report_metrics ppf file =
    whom" worst-pairs table. *)
 let report_matrix ppf file =
   let meta, cells, bad = with_file "matrix" file Beacon_matrix.load_jsonl_counted in
-  warn_skipped "matrix" file bad;
+  warn_skipped "matrix" file ~rows:(List.length cells + if meta = [] then 0 else 1) bad;
   if cells = [] then Format.fprintf ppf "matrix %s: no cells@." file
   else begin
     Format.fprintf ppf "--- delivery matrix: %s ---@." file;

@@ -13,6 +13,12 @@ val with_file : string -> string -> (string -> 'a) -> 'a
 (** [with_file what file f] runs [f file], turning a [Sys_error] into
     {!Unreadable} labelled [what]. *)
 
+val check_loaded : string -> string -> rows:int -> malformed:int -> unit
+(** [check_loaded what file ~rows ~malformed] raises {!Unreadable}
+    (["<what> FILE: no valid line, N malformed"]) when a loader found
+    malformed lines and nothing else: such a file is not the artifact.
+    Every view applies it to what it loads. *)
+
 (** {1 Recordings} *)
 
 val run_trace : Format.formatter -> string -> string option -> unit

@@ -82,21 +82,55 @@ let vacant = { label = ""; action = ignore; queued = 0; cancelled = true }
 
 let initial_capacity = 16
 
+(* Back to the state [create] returns, keeping the arrays grown so far
+   and every lane (channels hold theirs).  A queued occurrence's event
+   gets its [queued] count zeroed, so an event that outlives the reset
+   (a channel's arrival) arms again from scratch.  Heap and lane order
+   depend only on (time, seq), never on capacity or lane order, so a
+   reset engine fires exactly what a fresh one would. *)
+let reset t =
+  for i = 0 to t.size - 1 do
+    t.evs.(i).queued <- 0;
+    t.evs.(i) <- vacant
+  done;
+  t.size <- 0;
+  for k = 0 to t.n_lanes - 1 do
+    let l = t.lanes.(k) in
+    for j = 0 to l.l_len - 1 do
+      let i = (l.l_head + j) land (Array.length l.l_evs - 1) in
+      l.l_evs.(i).queued <- 0;
+      l.l_evs.(i) <- vacant
+    done;
+    l.l_head <- 0;
+    l.l_len <- 0
+  done;
+  t.clk.now <- Time.zero;
+  t.clk.last_activity <- Time.zero;
+  t.next_seq <- 0;
+  t.live <- 0;
+  Hashtbl.reset t.watermarks;
+  t.monitor <- None;
+  t.sampler <- None
+
 let create () =
-  {
-    clk = { now = Time.zero; last_activity = Time.zero };
-    times = Float.Array.make initial_capacity 0.0;
-    seqs = Array.make initial_capacity 0;
-    evs = Array.make initial_capacity vacant;
-    size = 0;
-    lanes = [||];
-    n_lanes = 0;
-    next_seq = 0;
-    live = 0;
-    watermarks = Hashtbl.create 8;
-    monitor = None;
-    sampler = None;
-  }
+  let t =
+    {
+      clk = { now = Time.zero; last_activity = Time.zero };
+      times = Float.Array.make initial_capacity 0.0;
+      seqs = Array.make initial_capacity 0;
+      evs = Array.make initial_capacity vacant;
+      size = 0;
+      lanes = [||];
+      n_lanes = 0;
+      next_seq = 0;
+      live = 0;
+      watermarks = Hashtbl.create 8;
+      monitor = None;
+      sampler = None;
+    }
+  in
+  reset t;
+  t
 
 let now t = t.clk.now
 

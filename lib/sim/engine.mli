@@ -15,6 +15,14 @@ type handle
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Rewind to the state {!create} returns: clock, seq, queue, watermarks,
+    monitor and sampler.  Queued occurrences are dropped and their
+    events' queue counts zeroed; the queue's arrays and the {!lane}s
+    stay (grown, empty), so an engine reused across runs allocates them
+    once.  A run after [reset] fires exactly what the same run on a
+    fresh engine fires. *)
+
 val now : t -> Time.t
 
 val schedule_at : ?label:string -> t -> Time.t -> (unit -> unit) -> handle

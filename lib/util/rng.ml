@@ -14,6 +14,8 @@ let of_state s =
 
 let create seed = of_state (Int64.of_int seed)
 
+let reseed t seed = Bytes.set_int64_le t 0 (Int64.of_int seed)
+
 let copy = Bytes.copy
 
 (* SplitMix64 output function: advance the counter by the golden-ratio
@@ -26,6 +28,8 @@ let[@inline] int64 t =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let split t = of_state (int64 t)
+
+let split_into t dst = Bytes.set_int64_le dst 0 (int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 

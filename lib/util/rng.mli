@@ -21,6 +21,9 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
+val reseed : t -> int -> unit
+(** [reseed t seed] puts [t] in place into the state of [create seed]. *)
+
 val copy : t -> t
 (** [copy t] is a generator that will produce the same future stream as
     [t] without affecting it. *)
@@ -28,6 +31,10 @@ val copy : t -> t
 val split : t -> t
 (** [split t] advances [t] once and returns a new generator whose stream
     is statistically independent of [t]'s. *)
+
+val split_into : t -> t -> unit
+(** [split_into t dst] advances [t] as [split t] does and puts [dst] in
+    place into the state of the generator [split t] would return. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -2,8 +2,10 @@
    as the differential oracle for the scratch-based sweeps in
    [Internet] and [Bgmp_fabric]:
 
+   - the active groups are gathered into a [Hashtbl] from every
+     router's (star,G) table and every MIGP's membership, then sorted;
    - BGMP acyclicity walks each on-tree router's parent chain for up to
-     [router_count] hops, per group of [Bgmp_fabric.active_groups];
+     [router_count] hops, per active group;
    - the settle checks are the quiescent sweep minus the acyclicity
      findings;
    - MASC sibling overlap groups acquired claims per arena in a
@@ -11,6 +13,21 @@
      registry with a filter over all of its claims.
 
    Everything here goes through public accessors only. *)
+
+(* Groups with (star,G) state or local members anywhere, ascending: the
+   order [Bgmp_fabric.iter_active_groups] must visit. *)
+let active_groups fabric ~topo =
+  let acc = Hashtbl.create 8 in
+  List.iter
+    (fun (d : Domain.t) ->
+      List.iter
+        (fun r -> Bgmp_router.iter_star r (fun g _ -> Hashtbl.replace acc g ()))
+        (Bgmp_fabric.routers_of fabric d.Domain.id);
+      List.iter
+        (fun g -> Hashtbl.replace acc g ())
+        (Migp.groups (Bgmp_fabric.migp_of fabric d.Domain.id)))
+    (Topo.domains topo);
+  List.sort compare (Hashtbl.fold (fun g () l -> g :: l) acc [])
 
 (* Where the path to the group's root leaves [dom]: the integrated
    stack answers from the domain's G-RIB. *)
@@ -102,7 +119,7 @@ let tree_violations fabric ~topo ~route_to_root ~span_of_group ~quiescent =
           then add group "domain %d has members of %a but no tree state" dom Ipv4.pp group
         done
       end)
-    (Bgmp_fabric.active_groups fabric);
+    (active_groups fabric ~topo);
   List.rev !violations
 
 (* The two BGMP predicates as registered: "bgmp-acyclic" is the

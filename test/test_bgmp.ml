@@ -712,6 +712,36 @@ let test_fabric_pooled_delivery_logs () =
   arrivals "the live payload's log is untouched" 0 live;
   check Alcotest.int "no stale duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
 
+(* A payload's served set is a bitset over the fabric's host numbers: a
+   pooled log made when three hosts were known must serve twenty more,
+   including hosts joined straight through the MIGP, whose numbers are
+   first drawn at delivery. *)
+let test_fabric_served_set_grows_with_hosts () =
+  let topo = Gen.line ~n:2 in
+  let engine, fabric = make_fabric ~migp_style:(fun _ -> Migp.Pim_sm) ~root_name:"n1" topo in
+  let n0 = dom topo "n0" and n1 = dom topo "n1" in
+  let first = List.init 3 (fun i -> Host_ref.make n1 i) in
+  List.iter (fun host -> Bgmp_fabric.host_join fabric ~host ~group:g) first;
+  Engine.run_until_idle engine;
+  let p = Bgmp_fabric.send fabric ~source:(Host_ref.make n0 0) ~group:g in
+  Engine.run_until_idle engine;
+  check Alcotest.int "three served" 3 (List.length (Bgmp_fabric.deliveries fabric ~payload:p));
+  Bgmp_fabric.forget_payload fabric ~payload:p;
+  let later = List.init 20 (fun i -> Host_ref.make n1 (100 + i)) in
+  List.iteri
+    (fun i host ->
+      if i mod 2 = 0 then Bgmp_fabric.host_join fabric ~host ~group:g
+      else Migp.host_join (Bgmp_fabric.migp_of fabric n1) ~group:g ~host)
+    later;
+  let p = Bgmp_fabric.send fabric ~source:(Host_ref.make n0 1) ~group:g in
+  Engine.run_until_idle engine;
+  check
+    (Alcotest.list Alcotest.string)
+    "every member once, in membership order"
+    (List.map host_pp (first @ later))
+    (List.map (fun (h, _) -> host_pp h) (Bgmp_fabric.deliveries fabric ~payload:p));
+  check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
+
 (* A data loop: a G-RIB gone wrong points A toward C, C toward B and B
    toward A, so default forwarding (which has no TTL) carries one copy of
    the packet around the A-C-B cycle for ever, serving B's member once
@@ -817,6 +847,7 @@ let suite =
   [
     ("forward matches the list oracle", `Quick, test_forward_matches_list_oracle);
     ("pooled delivery logs", `Quick, test_fabric_pooled_delivery_logs);
+    ("fabric served set grows with the hosts", `Quick, test_fabric_served_set_grows_with_hosts);
     ("router join creates entry", `Quick, test_router_join_creates_entry_and_propagates);
     ("router second join silent", `Quick, test_router_second_join_no_propagation);
     ("router root parent is migp", `Quick, test_router_root_domain_parent_is_migp);

@@ -445,8 +445,20 @@ let check_recording_trace () =
 let check_unreadable_inputs () =
   let dir = Filename.get_temp_dir_name () in
   let err = Filename.temp_file "unreadable" ".err" in
+  (* Files that open but hold no valid line: two lines of text, and 300
+     seeded random bytes with no newline (one malformed line). *)
+  let text = Filename.temp_file "text" ".jsonl" and binary = Filename.temp_file "binary" ".jsonl" in
+  Out_channel.with_open_bin text (fun oc -> output_string oc "hello world\nnot json either\n");
+  let rng = Rng.create 300 in
+  Out_channel.with_open_bin binary (fun oc ->
+      for _ = 1 to 300 do
+        let b = Rng.int rng 255 in
+        output_char oc (Char.chr (if b >= Char.code '\n' then b + 1 else b))
+      done);
+  let no_valid what file n = Printf.sprintf "%s %s: no valid line, %d malformed\n" what file n in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ err; text; binary ])
     (fun () ->
       List.iter
         (fun (args, message) ->
@@ -465,6 +477,14 @@ let check_unreadable_inputs () =
             Printf.sprintf "matrix %s: Is a directory\n" dir );
           ( "report --triage " ^ Filename.quote dir,
             Printf.sprintf "ledger %s: Is a directory\n" dir );
+          ( Printf.sprintf "report --diff %s %s" (Filename.quote text) (Filename.quote binary),
+            no_valid "recording" text 2 );
+          ( Printf.sprintf "report --diff %s %s" (Filename.quote binary) (Filename.quote binary),
+            no_valid "recording" binary 1 );
+          ("report --triage " ^ Filename.quote text, no_valid "ledger" text 2);
+          ("trace " ^ Filename.quote binary, no_valid "trace" binary 1);
+          ("report --profile " ^ Filename.quote text, no_valid "profile" text 2);
+          ("report --matrix " ^ Filename.quote binary, no_valid "matrix" binary 1);
         ])
 
 let suite =

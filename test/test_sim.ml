@@ -827,8 +827,46 @@ let prop_engine_matches_heap_reference =
       && fires (drain_slices ~ok slices) = reference
       && is_prefix quiet all && !ok)
 
+(* A reset engine fires what a fresh one fires: clock, seq, watermarks
+   and hooks rewound, heap and lanes emptied, and an event that was
+   queued at the reset (a channel's arrival, say) arms from a zero
+   count, so cancelling it later moves nothing. *)
+let test_engine_reset_reads_like_fresh () =
+  let script e fired =
+    let lane = Engine.lane e ~delay:2.0 in
+    let persistent = Engine.event ~label:"p" (fun () -> fired := "p" :: !fired) in
+    ignore (Engine.schedule_at e 1.0 (fun () -> fired := "h1" :: !fired));
+    Engine.arm_lane e lane persistent;
+    ignore (Engine.schedule_at e 2.0 (fun () -> Engine.note_activity e "x"));
+    ignore (Engine.periodic e ~interval:3.0 (fun () -> fired := "tick" :: !fired));
+    persistent
+  in
+  let e = Engine.create () in
+  let fired = ref [] in
+  let stale = script e fired in
+  Engine.arm_lane e (Engine.lane e ~delay:2.0) stale;
+  Engine.set_monitor e ~cadence:1.0 (fun ~quiescent:_ -> fired := "monitor" :: !fired);
+  Engine.run ~until:1.5 e;
+  Engine.reset e;
+  check (Alcotest.float 0.0) "clock" 0.0 (Engine.now e);
+  check Alcotest.int "nothing pending" 0 (Engine.pending e);
+  check Alcotest.bool "no watermark" true (Engine.converged_at e = None);
+  Engine.cancel e stale;
+  check Alcotest.int "stale event counts nothing" 0 (Engine.pending e);
+  let trace e fired =
+    Engine.run ~until:10.0 e;
+    (List.rev !fired, Engine.now e, Engine.converged_at e, Engine.pending e)
+  in
+  fired := [];
+  ignore (script e fired);
+  let reused = trace e fired in
+  let e' = Engine.create () and fired' = ref [] in
+  ignore (script e' fired');
+  check Alcotest.bool "same run as a fresh engine" true (reused = trace e' fired')
+
 let suite =
   [
+    ("engine reset reads like fresh", `Quick, test_engine_reset_reads_like_fresh);
     ("time units", `Quick, test_time_units);
     ("engine time order", `Quick, test_engine_fires_in_time_order);
     ("engine fifo ties", `Quick, test_engine_fifo_at_same_time);

@@ -31,6 +31,19 @@ let test_rng_split_independent () =
   let ys = List.init 32 (fun _ -> Rng.int64 b) in
   check Alcotest.bool "split streams differ" false (xs = ys)
 
+let test_rng_reseed_in_place () =
+  let a = Rng.create 5 in
+  ignore (Rng.int64 a);
+  Rng.reseed a 9;
+  let b = Rng.create 9 in
+  check Alcotest.int64 "reseed = create" (Rng.int64 b) (Rng.int64 a);
+  let src = Rng.create 13 and src' = Rng.create 13 in
+  let dst = Rng.create 0 in
+  Rng.split_into src dst;
+  let fresh = Rng.split src' in
+  check Alcotest.int64 "split_into = split" (Rng.int64 fresh) (Rng.int64 dst);
+  check Alcotest.int64 "source advanced alike" (Rng.int64 src') (Rng.int64 src)
+
 let test_rng_int_bounds () =
   let r = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -453,6 +466,7 @@ let suite =
     ("rng seeds differ", `Quick, test_rng_seeds_differ);
     ("rng copy", `Quick, test_rng_copy);
     ("rng split independent", `Quick, test_rng_split_independent);
+    ("rng reseed and split_into in place", `Quick, test_rng_reseed_in_place);
     ("rng int bounds", `Quick, test_rng_int_bounds);
     ("rng int invalid", `Quick, test_rng_int_invalid);
     ("rng int_in", `Quick, test_rng_int_in);
