@@ -78,16 +78,6 @@ let group_trace_id t group =
   in
   scan (Topo.domains t.net_topo)
 
-let domain_of_router t =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (d : Domain.t) ->
-      List.iter
-        (fun r -> Hashtbl.replace tbl (Bgmp_router.id r) d.Domain.id)
-        (Bgmp_fabric.routers_of t.bgmp_fabric d.Domain.id))
-    (Topo.domains t.net_topo);
-  fun rid -> Hashtbl.find_opt tbl rid
-
 (* §4: sibling MASC allocations must not overlap once acquired.  An
    arena is one parent's space (its children's Up claims plus its own
    Down reservations) or the top-level mesh; its key is the parent's
@@ -259,60 +249,53 @@ let masc_overlap_violations t =
    the root domain has no upstream peer, everyone else's upstream peer
    sits in the G-RIB next-hop domain, and tree state for an unroutable
    group is stale.  Only meaningful when no rebuild is pending.  One
-   group's violations come in tree-domain then router order. *)
-let group_nexthop_violations t dom_of group =
-  let tid = Some (group_trace_id t group) in
-  let g = Ipv4.to_string group in
-  List.concat_map
+   group's violations come in tree-domain then router order, pushed
+   onto [acc] newest first; the group's name and trace id are formatted
+   only for a violation. *)
+let group_nexthop_violations t acc group =
+  let report fmt =
+    Printf.ksprintf
+      (fun detail -> acc := (detail, Some (group_trace_id t group)) :: !acc)
+      fmt
+  in
+  List.iter
     (fun d ->
       let rr = root_route_via t.bgp_net d group in
-      List.concat_map
+      List.iter
         (fun r ->
           match Bgmp_router.star_entry r group with
-          | None -> []
+          | None -> ()
           | Some e -> (
               match (e.Bgmp_router.parent, rr) with
-              | Some (Bgmp_router.Peer p), Bgmp_fabric.Via nh -> (
-                  match dom_of p with
-                  | Some pd when pd <> nh ->
-                      [
-                        ( Printf.sprintf
-                            "group %s: domain %d joins upstream via domain %d but its \
-                             G-RIB next hop is %d"
-                            g d pd nh,
-                          tid );
-                      ]
-                  | _ -> [])
+              | Some (Bgmp_router.Peer p), Bgmp_fabric.Via nh ->
+                  let pd = Bgmp_router.domain (Bgmp_fabric.router t.bgmp_fabric p) in
+                  if pd <> nh then
+                    report
+                      "group %s: domain %d joins upstream via domain %d but its G-RIB next \
+                       hop is %d"
+                      (Ipv4.to_string group) d pd nh
               | Some (Bgmp_router.Peer p), Bgmp_fabric.Root_here ->
-                  [
-                    ( Printf.sprintf
-                        "group %s: root domain %d still has an upstream peer (router %d)" g
-                        d p,
-                      tid );
-                  ]
+                  report "group %s: root domain %d still has an upstream peer (router %d)"
+                    (Ipv4.to_string group) d p
               | Some (Bgmp_router.Peer p), Bgmp_fabric.Unroutable ->
                   (* Parentless local state is legitimate for a
                      partitioned member; a live upstream edge for
                      an unroutable group is stale. *)
-                  [
-                    ( Printf.sprintf
-                        "group %s: domain %d keeps upstream peer %d but the group is \
-                         unroutable"
-                        g d p,
-                      tid );
-                  ]
-              | _ -> []))
+                  report
+                    "group %s: domain %d keeps upstream peer %d but the group is \
+                     unroutable"
+                    (Ipv4.to_string group) d p
+              | _ -> ()))
         (Bgmp_fabric.routers_of t.bgmp_fabric d))
     (Bgmp_fabric.tree_domains t.bgmp_fabric ~group)
 
 let grib_nexthop_violations t () =
   if Hashtbl.length t.pending_rebuild > 0 then []
-  else
-    let dom_of = domain_of_router t in
+  else begin
     let acc = ref [] in
-    Bgmp_fabric.iter_active_groups t.bgmp_fabric (fun group ->
-        acc := List.rev_append (group_nexthop_violations t dom_of group) !acc);
+    Bgmp_fabric.iter_active_groups t.bgmp_fabric (group_nexthop_violations t acc);
     List.rev !acc
+  end
 
 (* §2 policy, checked in the protocol rather than by a path kernel: the
    advertisement path origin -> ... -> self of every G-RIB route climbs

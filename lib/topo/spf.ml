@@ -7,11 +7,120 @@ let m_cache_hit = Metrics.counter "spf.cache_hits"
 let m_cache_miss = Metrics.counter "spf.cache_misses"
 
 (* ------------------------------------------------------------------ *)
+(* The BFS kernel: a resumable search                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A search is one BFS from [view.src], paused between two node
+   expansions.  [queue.(0 .. tail - 1)] holds the discovered nodes in
+   discovery order and [queue.(head .. tail - 1)] those not yet
+   expanded.  BFS sets a node's dist/via once, when it discovers it, so
+   a discovered node's labels are final; an undiscovered one reads
+   max_int/-1, which means "not yet known" until the queue runs empty.
+   Since nothing outside the queue prefix is ever written, a new start
+   resets only that prefix.  [bfs_into] runs the workspace's own search
+   over the caller's arrays; [make_search] builds one that owns them. *)
+type search = {
+  mutable scsr : Topo.csr;
+  mutable salive : bool array;  (* by link id; [||] means all alive *)
+  mutable sdist : int array;
+  mutable svia : Domain.id array;
+  mutable queue : int array;  (* BFS FIFO; each node is enqueued at most once *)
+  mutable head : int;
+  mutable tail : int;
+  mutable view : paths;  (* [src = -1] until started *)
+}
+
+let unstarted = { src = -1; dist = [||]; via = [||] }
+
+let make_search (csr : Topo.csr) =
+  let n = csr.Topo.csr_nodes in
+  {
+    scsr = csr;
+    salive = [||];
+    sdist = Array.make n max_int;
+    svia = Array.make n (-1);
+    queue = Array.make (max 1 n) 0;
+    head = 0;
+    tail = 0;
+    view = unstarted;
+  }
+
+let check_source fn (csr : Topo.csr) src =
+  if src < 0 || src >= csr.Topo.csr_nodes then invalid_arg (fn ^ ": unknown source id")
+
+let start s src =
+  check_source "Spf.start" s.scsr src;
+  Metrics.incr m_bfs;
+  let dist = s.sdist and via = s.svia and q = s.queue in
+  for i = 0 to s.tail - 1 do
+    let v = q.(i) in
+    dist.(v) <- max_int;
+    via.(v) <- -1
+  done;
+  dist.(src) <- 0;
+  q.(0) <- src;
+  s.head <- 0;
+  s.tail <- 1;
+  s.view <- { src; dist; via }
+
+(* The one BFS loop: expand the FIFO until [target] is discovered, or
+   ([target < 0]) until it is empty.  The [salive] mask is keyed by link
+   id (through [csr.eid]): a dead edge is simply never relaxed, and the
+   empty mask keeps the unmasked hot path branch-cheap.  The masked
+   loop doubles as the from-scratch oracle the incremental cache
+   repairs are differentially tested against. *)
+let advance s target =
+  let csr = s.scsr in
+  let row = csr.Topo.row and nbr = csr.Topo.nbr and eid = csr.Topo.eid in
+  let alive = s.salive in
+  let masked = Array.length alive > 0 in
+  let dist = s.sdist and via = s.svia and q = s.queue in
+  let head = ref s.head and tail = ref s.tail in
+  (* Unchecked accesses, in bounds by construction: [dist], [via] and
+     [queue] have room for the snapshot's n nodes ([start] and [bfs_into]
+     see to it), the CSR's rows index [nbr] and its neighbours are node
+     ids, and a node is enqueued once so [tail <= n].  The caller's
+     [alive] mask keeps its checks. *)
+  while !head < !tail && (target < 0 || dist.(target) = max_int) do
+    let u = Array.unsafe_get q !head in
+    incr head;
+    let du1 = Array.unsafe_get dist u + 1 in
+    for k = Array.unsafe_get row u to Array.unsafe_get row (u + 1) - 1 do
+      if (not masked) || alive.(eid.(k)) then begin
+        let v = Array.unsafe_get nbr k in
+        if Array.unsafe_get dist v = max_int then begin
+          Array.unsafe_set dist v du1;
+          Array.unsafe_set via v u;
+          Array.unsafe_set q !tail v;
+          incr tail
+        end
+      end
+    done
+  done;
+  s.head <- !head;
+  s.tail <- !tail
+
+let check_started fn s = if s.view.src < 0 then invalid_arg (fn ^ ": search not started")
+
+let reach s v =
+  check_started "Spf.reach" s;
+  if v < 0 || v >= s.scsr.Topo.csr_nodes then invalid_arg "Spf.reach: unknown node id";
+  if s.sdist.(v) = max_int && s.head < s.tail then advance s v
+
+let complete s =
+  check_started "Spf.complete" s;
+  advance s (-1)
+
+let search_source s = s.view.src
+
+let search_paths s = s.view
+
+(* ------------------------------------------------------------------ *)
 (* Workspace: preallocated scratch shared by the kernel and repairs    *)
 (* ------------------------------------------------------------------ *)
 
 type workspace = {
-  mutable q : int array;  (* BFS FIFO; each node is enqueued at most once *)
+  run : search;  (* [bfs_into]'s search; its arrays are the caller's *)
   mutable hkey : int array;  (* binary heap: keys *)
   mutable hnode : int array;  (* binary heap: node ids *)
   mutable hseq : int array;  (* binary heap: insertion seq (FIFO ties) *)
@@ -23,7 +132,17 @@ let make_workspace (c : Topo.csr) =
   let n = c.Topo.csr_nodes in
   let m = Array.length c.Topo.nbr in
   {
-    q = Array.make (max 1 n) 0;
+    run =
+      {
+        scsr = c;
+        salive = [||];
+        sdist = [||];
+        svia = [||];
+        queue = Array.make (max 1 n) 0;
+        head = 0;
+        tail = 0;
+        view = unstarted;
+      };
     hkey = Array.make (max 16 (m + 1)) 0;
     hnode = Array.make (max 16 (m + 1)) 0;
     hseq = Array.make (max 16 (m + 1)) 0;
@@ -34,7 +153,7 @@ let make_workspace (c : Topo.csr) =
 let fit_workspace ws (c : Topo.csr) =
   let n = c.Topo.csr_nodes in
   let m = Array.length c.Topo.nbr in
-  if Array.length ws.q < n then ws.q <- Array.make n 0;
+  if Array.length ws.run.queue < n then ws.run.queue <- Array.make n 0;
   if Array.length ws.hkey < m + 1 then begin
     ws.hkey <- Array.make (m + 1) 0;
     ws.hnode <- Array.make (m + 1) 0;
@@ -120,53 +239,38 @@ let heap_remove_min ws =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The BFS kernel                                                      *)
+(* Run to exhaustion: [bfs_into]                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* The kernel takes an optional [alive] mask keyed by link id (through
-   [csr.eid]): a dead edge is simply never relaxed.  The empty mask
-   means "all alive" and keeps the unmasked hot path branch-cheap.  The
-   masked kernel doubles as the from-scratch oracle the incremental
-   cache repairs are differentially tested against. *)
 
 let mask_of = function Some a when Array.length a > 0 -> a | Some _ | None -> [||]
 
-(* The one BFS kernel: it writes into caller-owned [dist]/[via] arrays
-   (reset here, O(n) stores) so a caller that keeps a pair per worker
-   allocates only the 4-word [paths] record per run. *)
+(* A search run to exhaustion over caller-owned [dist]/[via]: they may
+   hold anything, so both are reset in full (O(n) stores), and a caller
+   that keeps a pair per worker allocates only the 4-word [paths]
+   record per run.  The workspace's search lets go of the arrays when
+   done. *)
 let bfs_kernel ~ws ~alive (csr : Topo.csr) ~dist ~via src =
+  check_source "Spf.bfs_into" csr src;
   let n = csr.Topo.csr_nodes in
-  if src < 0 || src >= n then invalid_arg "Spf.bfs_into: unknown source id";
   if Array.length dist <> n || Array.length via <> n then
     invalid_arg "Spf.bfs_into: dist/via arrays sized for another topology";
-  Metrics.incr m_bfs;
   fit_workspace ws csr;
-  let masked = Array.length alive > 0 in
   Array.fill dist 0 n max_int;
   Array.fill via 0 n (-1);
-  dist.(src) <- 0;
-  let q = ws.q in
-  let head = ref 0 and tail = ref 0 in
-  q.(!tail) <- src;
-  incr tail;
-  let row = csr.Topo.row and nbr = csr.Topo.nbr and eid = csr.Topo.eid in
-  while !head < !tail do
-    let u = q.(!head) in
-    incr head;
-    let du1 = dist.(u) + 1 in
-    for k = row.(u) to row.(u + 1) - 1 do
-      if (not masked) || alive.(eid.(k)) then begin
-        let v = nbr.(k) in
-        if dist.(v) = max_int then begin
-          dist.(v) <- du1;
-          via.(v) <- u;
-          q.(!tail) <- v;
-          incr tail
-        end
-      end
-    done
-  done;
-  { src; dist; via }
+  let s = ws.run in
+  s.scsr <- csr;
+  s.salive <- alive;
+  s.sdist <- dist;
+  s.svia <- via;
+  s.tail <- 0;
+  start s src;
+  advance s (-1);
+  let p = s.view in
+  s.salive <- [||];
+  s.sdist <- [||];
+  s.svia <- [||];
+  s.view <- unstarted;
+  p
 
 (* The exported kernel carries a profiler section; the disabled path is
    one flag test, keeping the kernel bench-clean. *)
@@ -246,6 +350,8 @@ type cache = {
   ccsr : Topo.csr;
   cws : workspace;
   mutable slots : paths option array;  (* keyed by source id; [||] until first use *)
+  mutable filled : int array;  (* the filled (Some) slots' source ids, ascending *)
+  mutable nfilled : int;  (* ... in [filled.(0 .. nfilled - 1)] *)
   mutable spare : paths list;
       (* trees dropped by [cache_reset]: a miss recomputes into one of
          their [dist]/[via] pairs before it allocates a new one *)
@@ -266,6 +372,8 @@ let make_cache_csr ?ws csr =
     ccsr = csr;
     cws = resolve_ws ws csr;
     slots = [||];
+    filled = [||];
+    nfilled = 0;
     spare = [];
     alive = [||];
     ring = [||];
@@ -441,22 +549,20 @@ let bfs_delete_repair c (p : paths) a b =
     na
   end
 
+(* Repairs visit the filled slots in ascending source id, through
+   [filled]: a cache over a large graph holds few trees, and scanning
+   every slot for them would cost more than the repairs. *)
 let repair_all c lid up =
   ensure_scratch c;
   fit_workspace c.cws c.ccsr;
   let l = c.ccsr.Topo.linkv.(lid) in
   let a = l.Topo.a and b = l.Topo.b in
-  let any = ref false in
   let touched = ref 0 in
-  Array.iter
-    (function
-      | Some p ->
-          any := true;
-          touched :=
-            !touched + (if up then bfs_insert_repair c p a b else bfs_delete_repair c p a b)
-      | None -> ())
-    c.slots;
-  if !any then begin
+  for i = 0 to c.nfilled - 1 do
+    let p = Option.get c.slots.(c.filled.(i)) in
+    touched := !touched + (if up then bfs_insert_repair c p a b else bfs_delete_repair c p a b)
+  done;
+  if c.nfilled > 0 then begin
     c.repairs <- c.repairs + 1;
     Metrics.incr m_inc_repairs;
     c.touched <- c.touched + !touched;
@@ -472,8 +578,25 @@ let cache_note_link c ~a ~b ~up =
         if Array.length c.alive = 0 then
           c.alive <- Array.make (max 1 (Array.length c.ccsr.Topo.linkv)) true;
         c.alive.(lid) <- up;
-        repair_all c lid up
+        if Prof.is_enabled () then Prof.span "spf.repair" (fun () -> repair_all c lid up)
+        else repair_all c lid up
       end
+
+(* Insert [src] into the ascending [filled] prefix.  The shift is at most
+   one entry per filled tree, far below the BFS that fills a slot. *)
+let note_filled c src =
+  if c.nfilled = Array.length c.filled then begin
+    let grown = Array.make (max 16 (2 * c.nfilled)) 0 in
+    Array.blit c.filled 0 grown 0 c.nfilled;
+    c.filled <- grown
+  end;
+  let i = ref c.nfilled in
+  while !i > 0 && c.filled.(!i - 1) > src do
+    c.filled.(!i) <- c.filled.(!i - 1);
+    decr i
+  done;
+  c.filled.(!i) <- src;
+  c.nfilled <- c.nfilled + 1
 
 let bfs_cached c src =
   if Array.length c.slots = 0 then c.slots <- Array.make (max 1 c.ccsr.Topo.csr_nodes) None;
@@ -493,16 +616,16 @@ let bfs_cached c src =
         | [] -> bfs_csr ~ws:c.cws ?alive:(alive_opt c) c.ccsr src
       in
       c.slots.(src) <- Some p;
+      note_filled c src;
       p
 
 let cache_reset c =
-  Array.iteri
-    (fun src -> function
-      | Some p ->
-          c.spare <- p :: c.spare;
-          c.slots.(src) <- None
-      | None -> ())
-    c.slots;
+  for i = 0 to c.nfilled - 1 do
+    let src = c.filled.(i) in
+    c.spare <- Option.get c.slots.(src) :: c.spare;
+    c.slots.(src) <- None
+  done;
+  c.nfilled <- 0;
   Array.fill c.alive 0 (Array.length c.alive) true;
   c.hits <- 0;
   c.misses <- 0;

@@ -9,8 +9,9 @@
     {!bfs} freezes the topology into a CSR snapshot (memoized by
     {!Topo.freeze}) and runs the flat-array kernel over it with a shared
     preallocated workspace.  For hot loops, freeze once and call
-    {!bfs_into} / {!bfs_csr} with an explicit {!workspace}; for repeated
-    same-source queries under link churn, use a {!cache}. *)
+    {!bfs_into} / {!bfs_csr} with an explicit {!workspace}; for queries
+    that read only a few nodes of each tree, use a resumable {!search};
+    for repeated same-source queries under link churn, use a {!cache}. *)
 
 type paths = {
   src : Domain.id;
@@ -72,6 +73,61 @@ val bfs_into :
 val bfs_csr : ?ws:workspace -> ?alive:bool array -> Topo.csr -> Domain.id -> paths
 (** {!bfs_into} over freshly allocated result arrays. *)
 
+(** {2 Resumable search}
+
+    A {!search} is one BFS that stops as soon as the nodes a caller
+    needs are discovered and resumes when it needs more.  It owns its
+    [dist]/[via] arrays and its FIFO queue; {!bfs_into} is the same
+    loop started over the caller's arrays and run to exhaustion.
+
+    What a partial search guarantees: the nodes it has discovered are a
+    prefix of the full BFS's discovery order, and each of them has its
+    final [dist] and [via] — BFS labels a node once, when it discovers
+    it, and resuming the FIFO where it stopped expands the remaining
+    nodes in the same order the uninterrupted loop would have.  A
+    discovered node's [via] chain back to the source is discovered too
+    (each hop was discovered earlier).  An undiscovered entry reads
+    [max_int] / [-1], which means "not yet known", never "unreachable":
+    only once the queue is empty ({!complete}, or a {!reach} that ran it
+    dry) does [max_int] mean unreachable, and then both arrays equal
+    {!bfs}'s exactly.  A partial {!search_paths} view must therefore not
+    be handed to code that reads other nodes.
+
+    Restarting a search writes back only the entries its previous run
+    discovered (the queue prefix), not all n.  Each {!start} counts as
+    one [spf.bfs_runs]. *)
+
+type search
+
+val make_search : Topo.csr -> search
+(** A search over the snapshot with no source yet. *)
+
+val start : search -> Domain.id -> unit
+(** Begin a new BFS from the given source: only the source is
+    discovered.
+    @raise Invalid_argument when the source is out of range. *)
+
+val reach : search -> Domain.id -> unit
+(** [reach s v] advances the FIFO until [v] is discovered or the queue
+    is empty; a no-op when [v] is already discovered.
+    @raise Invalid_argument when [v] is out of range or [s] was never
+    started. *)
+
+val complete : search -> unit
+(** Run the search to exhaustion.
+    @raise Invalid_argument when [s] was never started. *)
+
+val search_source : search -> Domain.id
+(** The source of the current BFS, [-1] before the first {!start}. *)
+
+val search_paths : search -> paths
+(** The search's live view: a [paths] over its own arrays, allocated
+    once per {!start} and updated in place by later {!reach} and
+    {!complete} calls; see the contract above for what its undiscovered
+    entries mean.  A view from an earlier start shares the arrays, so
+    the next {!start} overwrites it.  Before the first start, the view
+    has [src = -1] and empty arrays. *)
+
 (** {2 Maintained SPF cache}
 
     Memoizes BFS trees per source id over one frozen snapshot — and
@@ -103,7 +159,8 @@ val bfs_cached : cache -> Domain.id -> paths
 
 val cache_note_link : cache -> a:Domain.id -> b:Domain.id -> up:bool -> unit
 (** Record that the link between [a] and [b] went down ([up:false]) or
-    came back ([up:true]) and repair every filled slot.  A pair that is
+    came back ([up:true]) and repair every filled slot, in ascending
+    source order, under the [spf.repair] profiler span.  A pair that is
     not a link of the snapshot, or a transition to the state the link is
     already in, is a silent no-op. *)
 

@@ -106,33 +106,36 @@ let evaluate ?from_source ?from_root topo group =
     group.receivers k;
   out
 
-(* The two dist/via pairs are a two-slot BFS cache keyed by source
-   node: a slot's [paths.src] names the node its arrays were computed
-   from, [-1] when the slot is empty.  The arrays never move; a BFS
-   overwrites them and the slot takes the fresh [paths] view.  [out]
-   and [receivers] grow to the largest group seen; [drawn] counts the
+(* The two searches are a two-slot BFS cache keyed by source node:
+   [key_a] names the node [slot_a] searches from, [-1] when the slot is
+   empty (likewise [b]).  A slot's search runs only as far as the
+   evaluations so far have needed and resumes when the next one needs
+   more.  [rooted] is the search behind [tree]'s root paths.  [out] and
+   [receivers] grow to the largest group seen; [drawn] counts the
    receivers in [receivers]. *)
 type workspace = {
   csr : Topo.csr;
-  bfs : Spf.workspace;
-  mutable slot_a : Spf.paths;
-  mutable slot_b : Spf.paths;
+  slot_a : Spf.search;
+  slot_b : Spf.search;
+  mutable key_a : Domain.id;
+  mutable key_b : Domain.id;
+  mutable rooted : Spf.search;
   tree : Shared_tree.t;
   mutable out : paths;
   mutable receivers : Domain.id array;
   mutable drawn : int;
 }
 
-let empty_slot n = { Spf.src = -1; dist = Array.make n max_int; via = Array.make n (-1) }
-
 let make_workspace topo =
   let csr = Topo.freeze topo in
-  let n = csr.Topo.csr_nodes in
+  let slot_a = Spf.make_search csr in
   {
     csr;
-    bfs = Spf.make_workspace csr;
-    slot_a = empty_slot n;
-    slot_b = empty_slot n;
+    slot_a;
+    slot_b = Spf.make_search csr;
+    key_a = -1;
+    key_b = -1;
+    rooted = slot_a;
     tree = Shared_tree.create topo;
     out = make_paths 0;
     receivers = [||];
@@ -140,25 +143,46 @@ let make_workspace topo =
   }
 
 let forget ws =
-  ws.slot_a <- { ws.slot_a with Spf.src = -1 };
-  ws.slot_b <- { ws.slot_b with Spf.src = -1 }
+  ws.key_a <- -1;
+  ws.key_b <- -1
 
-(* [v]'s BFS tree: a slot that holds it, else a fresh BFS into the slot
+(* [v]'s search: a slot that holds it, else a new search in the slot
    that does not hold [keep], the group's other endpoint.  A negative
-   [v] never hits an empty slot: it reaches the BFS, which rejects it. *)
+   [v] never hits an empty slot: it reaches [Spf.start], which rejects
+   it. *)
 let slot_for ws v ~keep =
-  if v >= 0 && ws.slot_a.Spf.src = v then ws.slot_a
-  else if v >= 0 && ws.slot_b.Spf.src = v then ws.slot_b
-  else if ws.slot_a.Spf.src = keep then begin
-    let { Spf.dist; via; _ } = ws.slot_b in
-    ws.slot_b <- Spf.bfs_into ~ws:ws.bfs ws.csr ~dist ~via v;
+  if v >= 0 && ws.key_a = v then ws.slot_a
+  else if v >= 0 && ws.key_b = v then ws.slot_b
+  else if ws.key_a = keep then begin
+    Spf.start ws.slot_b v;
+    ws.key_b <- v;
     ws.slot_b
   end
   else begin
-    let { Spf.dist; via; _ } = ws.slot_a in
-    ws.slot_a <- Spf.bfs_into ~ws:ws.bfs ws.csr ~dist ~via v;
+    Spf.start ws.slot_a v;
+    ws.key_a <- v;
     ws.slot_a
   end
+
+(* [evaluate_over] reads, in each endpoint's tree, the group's other
+   endpoint, the receivers and the via chains behind them; a chain is
+   discovered before its end, so reaching the ends is enough. *)
+let reach_group s ~other receivers k =
+  Spf.reach s other;
+  for i = 0 to k - 1 do
+    Spf.reach s receivers.(i)
+  done
+
+(* Both endpoints' searches, started where needed (source first, as the
+   BFS-count contract orders them) and advanced until the group's nodes
+   are discovered. *)
+let ready ws ~source ~root =
+  let from_source = slot_for ws source ~keep:root in
+  let from_root = slot_for ws root ~keep:source in
+  reach_group from_source ~other:root ws.receivers ws.drawn;
+  if from_root != from_source then reach_group from_root ~other:source ws.receivers ws.drawn
+
+let holding ws v = if ws.key_a = v then ws.slot_a else ws.slot_b
 
 (* The receiver buffer, with room for [len] ids. *)
 let receiver_room ws len =
@@ -178,8 +202,11 @@ let check_topology fn ws topo =
 let evaluate_buffered ws ~source ~root =
   let k = ws.drawn in
   if Array.length ws.out.spt < k then ws.out <- make_paths k;
-  let from_source = slot_for ws source ~keep:root in
-  let from_root = slot_for ws root ~keep:source in
+  if Prof.is_enabled () then Prof.span "spf.bfs" (fun () -> ready ws ~source ~root)
+  else ready ws ~source ~root;
+  ws.rooted <- holding ws root;
+  let from_source = Spf.search_paths (holding ws source) in
+  let from_root = Spf.search_paths ws.rooted in
   evaluate_over ws.tree ws.out ~from_source ~from_root ~source ~root ws.receivers k;
   ws.out
 
@@ -194,7 +221,13 @@ let evaluate_with ws topo { source; root; receivers } =
   ws.drawn <- k;
   evaluate_buffered ws ~source ~root
 
-let workspace_tree ws = ws.tree
+(* The tree reads its root's paths on later joins, so the root search
+   runs to exhaustion before the tree leaves the workspace.  (After an
+   evaluation that raised, [rooted] may have restarted elsewhere.) *)
+let workspace_tree ws =
+  let root = Shared_tree.root ws.tree in
+  if root >= 0 && Spf.search_source ws.rooted = root then Spf.complete ws.rooted;
+  ws.tree
 
 type ratio_summary = { avg_ratio : float; max_ratio : float; receivers_counted : int }
 

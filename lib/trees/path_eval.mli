@@ -55,13 +55,23 @@ val draw_receivers_into :
 
 (** {2 Reusable workspace}
 
-    Everything one evaluation needs: a BFS queue, two dist/via pairs
-    and a resettable {!Shared_tree.t}, sized by the graph, plus a
-    receiver buffer and the four result buffers, grown to the largest
-    group seen.  The two pairs are a two-slot BFS cache keyed by source
-    node: each holds the BFS tree of the node it was last computed
-    from, and one BFS tree serves a node as a group's source and as a
-    group's root alike.  A harness running many groups over one
+    Everything one evaluation needs: two resumable BFS searches
+    ({!Spf.search}) and a resettable {!Shared_tree.t}, sized by the
+    graph, plus a receiver buffer and the four result buffers, grown to
+    the largest group seen.  The two searches are a two-slot BFS cache
+    keyed by source node: each holds the BFS of the node it was last
+    started from, and one BFS serves a node as a group's source and as
+    a group's root alike.
+
+    A slot's search runs only as far as the evaluations so far have
+    needed: before an evaluation, each endpoint's search advances until
+    the group's other endpoint and every receiver are discovered, since
+    those and the [via] chains behind them (discovered before their
+    ends) are all an evaluation reads.  The next evaluation on the slot
+    resumes where it stopped.  Discovery order is the full BFS's, so
+    every value read equals the full BFS's, and results equal
+    {!evaluate}'s.  Partial paths never leave the workspace (see
+    {!workspace_tree}).  A harness running many groups over one
     topology keeps one workspace per worker (e.g. from
     {!Par.map_with}'s [~init]); once the buffers have grown, an
     evaluation allocates nothing.  Its result lives in the workspace
@@ -82,8 +92,8 @@ val evaluate_with : workspace -> Topo.t -> group -> paths
     receiver count) are the group's.  The buffers may be longer, so
     read them through [k] (as {!ratios} does); they are overwritten by
     the next evaluation in the workspace.
-    A BFS runs only for an endpoint (source or root) whose tree is in
-    neither slot, and it overwrites the slot the group does not need;
+    A BFS starts only for an endpoint (source or root) whose tree is in
+    neither slot, and it replaces the slot the group does not need;
     so a group whose endpoints are both cached runs no BFS, and a chain
     of [k] groups in which each shares an endpoint with the one before
     runs at most [k + 1] (exactly that when the chain walks through
@@ -111,7 +121,10 @@ val forget : workspace -> unit
 
 val workspace_tree : workspace -> Shared_tree.t
 (** The shared tree of the workspace's last evaluation; the next
-    evaluation resets it. *)
+    evaluation resets it.  The root's search is first run to
+    exhaustion, so the tree's root paths are complete and later
+    {!Shared_tree.join}s read final labels.  This spends BFS work but
+    starts no BFS: [spf.bfs_runs] does not move. *)
 
 type ratio_summary = {
   avg_ratio : float;  (** mean over receivers of (tree path / SPT path) *)

@@ -488,6 +488,56 @@ let test_seeded_overlap_violation_detected () =
   check Alcotest.int "clean after repair" 0
     (List.length (Internet.check_invariants ~quiescent:false inet))
 
+(* [grib-nexthop] on three forged tree states of the Figure-1 session,
+   one per kind of report: the root domain given an upstream peer, a
+   member domain joined upstream through a router of its own domain
+   instead of its G-RIB next hop, and state for a group no G-RIB
+   covers.  Each report names the group and carries a trace id. *)
+let test_grib_nexthop_violations_detailed () =
+  let s = Scenario.figure1 ~check_invariants:false () in
+  let inet = s.Scenario.inet in
+  let fabric = Internet.fabric inet in
+  let group = s.Scenario.group in
+  let member = List.find (fun d -> d <> s.Scenario.root) s.Scenario.members in
+  let nh =
+    match Speaker.next_hop_to_root (Internet.speaker inet member) group with
+    | Some nh -> nh
+    | None -> Alcotest.fail "member has no G-RIB next hop"
+  in
+  let first_router d = List.hd (Bgmp_fabric.routers_of fabric d) in
+  let rejoin r ~group ~upstream =
+    Bgmp_router.clear_group r group;
+    Bgmp_router.set_classify_root r (fun _ -> Bgmp_router.External upstream);
+    ignore (Bgmp_router.handle_join r ~group ~from:Bgmp_router.Migp_target)
+  in
+  let root_r = first_router s.Scenario.root and member_r = first_router member in
+  let sibling = Bgmp_router.id member_r in
+  let bogus = Ipv4.of_string "239.255.0.1" in
+  rejoin root_r ~group ~upstream:(Bgmp_router.id member_r);
+  rejoin member_r ~group ~upstream:sibling;
+  rejoin member_r ~group:bogus ~upstream:sibling;
+  let vs =
+    List.filter
+      (fun v -> v.Invariant.inv = "grib-nexthop")
+      (Internet.check_invariants ~quiescent:true inet)
+  in
+  let g = Ipv4.to_string group in
+  check (Alcotest.list Alcotest.string) "one report per forged state"
+    (List.sort compare
+       [
+         Printf.sprintf "group %s: root domain %d still has an upstream peer (router %d)" g
+           s.Scenario.root (Bgmp_router.id member_r);
+         Printf.sprintf
+           "group %s: domain %d joins upstream via domain %d but its G-RIB next hop is %d" g
+           member member nh;
+         Printf.sprintf
+           "group 239.255.0.1: domain %d keeps upstream peer %d but the group is unroutable"
+           member sibling;
+       ])
+    (List.sort compare (List.map (fun v -> v.Invariant.detail) vs));
+  check Alcotest.bool "every report carries a trace id" true
+    (List.for_all (fun v -> v.Invariant.trace_id <> None) vs)
+
 let test_partition_collision_resolves_with_full_chain () =
   (* The §4.4 start-up partition: two top-level domains, isolated from
      each other, both claim the first free sub-prefix of 224/4 and
@@ -592,6 +642,7 @@ let suite =
     ("churn sequence invariant", `Quick, test_churn_sequence_invariant);
     ("invariants clean and converged on figure 1", `Quick, test_invariants_clean_and_converged);
     ("seeded overlap violation detected", `Quick, test_seeded_overlap_violation_detected);
+    ("grib-nexthop violations detailed", `Quick, test_grib_nexthop_violations_detailed);
     ("grib valley-free clean on demo and soak", `Quick, test_grib_valley_free_clean);
     ("grib valley route detected", `Quick, test_grib_valley_route_detected);
     ( "partition collision resolves with full chain",

@@ -203,7 +203,7 @@ let test_path_eval_workspace_rejects_other_topology () =
     [ Gen.line ~n:7; Gen.line ~n:4 ]
 
 (* An empty BFS slot must not pass for a negative node's tree: unknown
-   endpoints reach the BFS, which rejects them as [evaluate] does. *)
+   endpoints reach [Spf.start], which rejects them. *)
 let test_path_eval_workspace_rejects_unknown_endpoints () =
   let topo = Gen.line ~n:4 in
   let ws = Path_eval.make_workspace topo in
@@ -212,7 +212,7 @@ let test_path_eval_workspace_rejects_unknown_endpoints () =
       let group = { Path_eval.source; root; receivers = [| 3 |] } in
       Alcotest.check_raises
         (Printf.sprintf "source %d root %d" source root)
-        (Invalid_argument "Spf.bfs_into: unknown source id")
+        (Invalid_argument "Spf.start: unknown source id")
         (fun () -> ignore (Path_eval.evaluate_with ws topo group)))
     [ (-1, 0); (0, -1); (-1, -1); (4, 0); (0, 4) ]
 
@@ -290,6 +290,94 @@ let with_bfs_counter f =
   Metrics.with_current registry (fun () ->
       f (fun () -> Metrics.count (Metrics.counter ~registry "spf.bfs_runs")))
 
+(* --- Resumable search ------------------------------------------------------ *)
+
+(* The full BFS discovery order from [src]: the FIFO loop spelled out
+   over the snapshot's rows. *)
+let bfs_order (csr : Topo.csr) src =
+  let n = csr.Topo.csr_nodes in
+  let seen = Array.make n false and order = Array.make n 0 in
+  seen.(src) <- true;
+  let head = ref 0 and tail = ref 1 in
+  order.(0) <- src;
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    for k = csr.Topo.row.(u) to csr.Topo.row.(u + 1) - 1 do
+      let v = csr.Topo.nbr.(k) in
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        order.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  Array.sub order 0 !tail
+
+(* A partial search against the full BFS: the discovered nodes are the
+   first [d] of the BFS order, each with the full BFS's dist and via,
+   and everything else still reads max_int / -1. *)
+let partial_ok (full : Spf.paths) order (p : Spf.paths) =
+  let n = Array.length full.Spf.dist in
+  let d = Array.fold_left (fun c x -> if x <> max_int then c + 1 else c) 0 p.Spf.dist in
+  d <= Array.length order
+  && Array.for_all (fun v -> p.Spf.dist.(v) <> max_int) (Array.sub order 0 d)
+  && List.for_all
+       (fun v ->
+         if p.Spf.dist.(v) <> max_int then
+           p.Spf.dist.(v) = full.Spf.dist.(v) && p.Spf.via.(v) = full.Spf.via.(v)
+         else p.Spf.via.(v) = -1)
+       (List.init n Fun.id)
+
+let same_paths (a : Spf.paths) (b : Spf.paths) =
+  a.Spf.src = b.Spf.src && a.Spf.dist = b.Spf.dist && a.Spf.via = b.Spf.via
+
+(* One search reused for several sources, each reached toward random
+   targets and then completed, against a fresh search per source and
+   [Spf.bfs]: partial states are prefixes of the BFS order, a reached
+   target is discovered unless the search ran dry, the completed arrays
+   equal [Spf.bfs]'s (unreachable nodes at max_int), and each start is
+   one [spf.bfs_runs]. *)
+let prop_search_matches_bfs =
+  QCheck.Test.make ~name:"resumable search = full bfs" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = random_graph rng in
+      let csr = Topo.freeze topo in
+      let n = csr.Topo.csr_nodes in
+      let reused = Spf.make_search csr in
+      with_bfs_counter @@ fun bfs_runs ->
+      List.for_all
+        (fun _ ->
+          let src = Rng.int rng n in
+          let full = Spf.bfs topo src and order = bfs_order csr src in
+          let fresh = Spf.make_search csr in
+          let before = bfs_runs () in
+          Spf.start reused src;
+          Spf.start fresh src;
+          let started = bfs_runs () - before = 2 && Spf.search_source reused = src in
+          let reached =
+            List.for_all
+              (fun _ ->
+                let target = Rng.int rng n in
+                Spf.reach reused target;
+                Spf.reach fresh target;
+                let p = Spf.search_paths reused in
+                partial_ok full order p
+                && same_paths p (Spf.search_paths fresh)
+                && (p.Spf.dist.(target) <> max_int
+                   || full.Spf.dist.(target) = max_int
+                      && Array.for_all (fun v -> p.Spf.dist.(v) <> max_int) order))
+              (List.init (Rng.int rng 6) Fun.id)
+          in
+          Spf.complete reused;
+          Spf.complete fresh;
+          started && reached
+          && same_paths (Spf.search_paths reused) full
+          && same_paths (Spf.search_paths fresh) full)
+        (List.init (1 + Rng.int rng 4) Fun.id))
+
 (* How a group follows the previous one in a sequence, and the BFS runs
    the slot cache may spend on it: [Exactly k] or [At_most k]. *)
 type bound = Exactly of int | At_most of int
@@ -342,6 +430,35 @@ let prop_workspace_matches_fresh =
           let within = match bound with Exactly k -> ran = k | At_most k -> ran <= k in
           within && reused = fresh && same_tree n (Path_eval.workspace_tree ws) tree)
         (List.init (1 + Rng.int rng 12) Fun.id))
+
+(* The tree [workspace_tree] hands out takes later joins like a fresh
+   build: its root paths are complete, not the partial search an
+   evaluation stopped.  After each evaluation every domain joins, in id
+   order, and the tree must equal one built from the group's receivers
+   followed by every domain. *)
+let prop_workspace_tree_complete =
+  QCheck.Test.make ~name:"workspace tree takes later joins" ~count:150
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = random_graph rng in
+      let n = Topo.domain_count topo in
+      let ws = Path_eval.make_workspace topo in
+      List.for_all
+        (fun _ ->
+          let group = random_group rng n in
+          match Path_eval.evaluate_with ws topo group with
+          | exception Invalid_argument _ -> true
+          | _ ->
+              let tree = Path_eval.workspace_tree ws in
+              let everyone = List.init n Fun.id in
+              List.iter (Shared_tree.join tree) everyone;
+              let fresh =
+                Shared_tree.build topo ~root:group.Path_eval.root
+                  ~members:(Array.to_list group.Path_eval.receivers @ everyone)
+              in
+              same_tree n tree fresh)
+        (List.init (1 + Rng.int rng 6) Fun.id))
 
 (* A chain of k groups along a trail of k + 1 distinct nodes: group i
    joins nodes i and i + 1, rooted at i + 1 when [i mod 4 < 2] and at i
@@ -418,9 +535,9 @@ let test_workspace_sizes_grow_and_shrink () =
    the graph or the group, so nothing goes straight to the major heap
    ([major_words - promoted_words] counts only direct major allocation).
    The minor bytes are the snapshot copy, the entry-point option, the
-   two slot records [forget] writes and the two the BFS runs return,
-   and the three summaries with their boxed floats: 360 B on 64-bit,
-   in release and in a dev build alike; the bound is 1.1x that. *)
+   two [paths] views the two new searches return, and the three
+   summaries with their boxed floats: 296 B on 64-bit, in release and
+   in a dev build alike; the bound is 1.1x that. *)
 let test_trial_allocation () =
   let topo = Gen.power_law ~rng:(Rng.create 1998) ~n:3326 ~m:2 in
   let n = Topo.domain_count topo in
@@ -452,7 +569,7 @@ let test_trial_allocation () =
   Printf.printf "fig4 size-100 trial: %.1f B\n" bytes;
   check (Alcotest.float 0.0) "direct major-heap words" 0.0
     (major1 -. major0 -. (promoted1 -. promoted0));
-  let budget = 400.0 in
+  let budget = 330.0 in
   check Alcotest.bool
     (Printf.sprintf "a size-100 trial allocates %.1f B <= %.0f B" bytes budget)
     true (bytes <= budget)
@@ -687,6 +804,8 @@ let suite =
       `Quick,
       test_path_eval_workspace_rejects_unknown_endpoints );
     QCheck_alcotest.to_alcotest prop_workspace_matches_fresh;
+    QCheck_alcotest.to_alcotest prop_search_matches_bfs;
+    QCheck_alcotest.to_alcotest prop_workspace_tree_complete;
     ("path eval workspace chain BFS count", `Quick, test_workspace_chain_bfs_count);
     ( "path eval workspace sizes grow and shrink",
       `Quick,
