@@ -896,18 +896,24 @@ let check_arg =
    entry point fans out over the Par pool ([jobs]: takes --jobs), drives
    a telemetry sink ([sample]: takes --sample) and has live invariants
    ([check]: takes --check-invariants, whose verdict goes to stderr,
-   exit 1 on violations). *)
+   exit 1 on violations).  A BGMP data loop stops any run with one
+   stderr line and exit 3, after [with_obs] has closed its outputs. *)
 let experiment ?(jobs = false) ?(sample = false) ?(check = false) name ~doc run =
   let main obs jobs check run =
     Par.set_jobs jobs;
-    with_obs obs (fun sampling ->
-        let violations = run { check; sampling; jobs } in
-        if check then
-          if violations > 0 then begin
-            Format.eprintf "%s: %d invariant violation(s) detected@." name violations;
-            exit 1
-          end
-          else Format.eprintf "%s: invariants clean@." name)
+    try
+      with_obs obs (fun sampling ->
+          let violations = run { check; sampling; jobs } in
+          if check then
+            if violations > 0 then begin
+              Format.eprintf "%s: %d invariant violation(s) detected@." name violations;
+              exit 1
+            end
+            else Format.eprintf "%s: invariants clean@." name)
+    with Bgmp_fabric.Data_loop { payload; group; source; domain } ->
+      Format.eprintf "%s: data loop: payload %d to %a from %a still circling at domain %d@." name
+        payload Ipv4.pp group Host_ref.pp source domain;
+      exit 3
   in
   let flag on arg off = if on then arg else Term.const off in
   Cmd.v (Cmd.info name ~doc)

@@ -1,5 +1,7 @@
 type root_route = Root_here | Via of Domain.id | Unroutable
 
+exception Data_loop of { payload : int; group : Ipv4.t; source : Host_ref.t; domain : Domain.id }
+
 let m_ctl_msgs = Metrics.counter "bgmp.ctl_msgs_sent"
 let m_data_msgs = Metrics.counter "bgmp.data_msgs_sent"
 
@@ -108,8 +110,9 @@ type t = {
 
 let peer_of rid = rid lxor 1
 
-(* A domain's root next hop as cached while distributing one packet:
-   a neighbour domain id, or one of these two sentinels. *)
+(* A domain's next hop toward a root or source: a neighbour domain id,
+   [via_none] when there is none, or, while distributing one packet,
+   [via_unknown] until it is looked up. *)
 let via_unknown = -2
 let via_none = -1
 
@@ -159,17 +162,20 @@ let ucast_next_hop t ~from ~target =
 
 let router_toward_id t dom neighbor = Hashtbl.find_opt t.toward_tbl (dom, neighbor)
 
-(* The border router a domain uses to reach the root of [group]. *)
-let exit_router_for_group t dom group =
-  match t.route_to_root dom group with
-  | Root_here | Unroutable -> None
-  | Via nd -> router_toward_id t dom nd
+(* The neighbour domain a domain's path toward the root of [group], or
+   toward domain [target], leaves by; [via_none] when there is none. *)
+let root_hop t dom group =
+  match t.route_to_root dom group with Via nd -> nd | Root_here | Unroutable -> via_none
 
-(* The border router on the unicast shortest path toward a domain. *)
-let exit_router_for_domain t dom target =
-  match ucast_next_hop t ~from:dom ~target with
-  | None -> None
-  | Some nd -> router_toward_id t dom nd
+let source_hop t dom target =
+  match ucast_next_hop t ~from:dom ~target with Some nd -> nd | None -> via_none
+
+(* The border router of [dom] on its link to next hop [nd]. *)
+let exit_via t dom nd = if nd = via_none then None else router_toward_id t dom nd
+
+let exit_router_for_group t dom group = exit_via t dom (root_hop t dom group)
+
+let exit_router_for_domain t dom target = exit_via t dom (source_hop t dom target)
 
 (* Does the domain's interior still need the group once [excluding]
    (typically the exit router being pruned) is set aside?  Interior
@@ -187,30 +193,27 @@ let interior_interest t dom group ~excluding =
          | None -> false)
        t.domain_routers.(dom)
 
+(* How router [rid] of domain [dom] reaches next hop [nd]: across its
+   own link, or through the domain's border router on that link. *)
+let class_via t rid dom nd =
+  if nd = via_none then Bgmp_router.Unroutable
+  else if t.router_neighbor.(rid) = nd then Bgmp_router.External (peer_of rid)
+  else
+    match router_toward_id t dom nd with
+    | Some exit -> Bgmp_router.Internal exit
+    | None -> Bgmp_router.Unroutable
+
 let classify_root_for t rid group =
   let dom = Bgmp_router.domain t.routers.(rid) in
   match t.route_to_root dom group with
   | Root_here -> Bgmp_router.Root_here
+  | Via nd -> class_via t rid dom nd
   | Unroutable -> Bgmp_router.Unroutable
-  | Via nd -> (
-      if t.router_neighbor.(rid) = nd then Bgmp_router.External (peer_of rid)
-      else
-        match router_toward_id t dom nd with
-        | Some exit -> Bgmp_router.Internal exit
-        | None -> Bgmp_router.Unroutable)
 
 let classify_source_for t rid source_dom =
   let dom = Bgmp_router.domain t.routers.(rid) in
   if dom = source_dom then Bgmp_router.Root_here
-  else
-    match ucast_next_hop t ~from:dom ~target:source_dom with
-    | None -> Bgmp_router.Unroutable
-    | Some nd -> (
-        if t.router_neighbor.(rid) = nd then Bgmp_router.External (peer_of rid)
-        else
-          match router_toward_id t dom nd with
-          | Some exit -> Bgmp_router.Internal exit
-          | None -> Bgmp_router.Unroutable)
+  else class_via t rid dom (source_hop t dom source_dom)
 
 (* ------------------------------------------------------------------ *)
 (* Action execution                                                    *)
@@ -336,13 +339,7 @@ let rec pick_routers t picks ~dom ~group ~source ~entry ~root_via n = function
         pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
       end
       else begin
-        let root_via =
-          if root_via <> via_unknown then root_via
-          else
-            match t.route_to_root dom group with
-            | Via nd -> nd
-            | Root_here | Unroutable -> via_none
-        in
+        let root_via = if root_via <> via_unknown then root_via else root_hop t dom group in
         if t.router_neighbor.(rid) = root_via then begin
           picks.(n) <- rid;
           pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
@@ -356,9 +353,11 @@ let rec exec_actions t rid = function
       exec_action t rid action;
       exec_actions t rid rest
 
-and exec_action t rid action =
-  match action with
-  | Bgmp_router.To_peer (_, msg) ->
+(* Router [rid] sends [msg] toward [target]: the only choice made here
+   is which router receives it. *)
+and exec_action t rid (target, msg) =
+  match target with
+  | Bgmp_router.Peer _ ->
       t.ctl_msgs <- t.ctl_msgs + 1;
       Metrics.incr m_ctl_msgs;
       (* The peer target is always the external peer across router
@@ -369,52 +368,63 @@ and exec_action t rid action =
         | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> None
       in
       Net.send t.peer_chan.(rid) ?span msg
-  | Bgmp_router.Migp_join { group; span } -> (
-      let dom = Bgmp_router.domain t.routers.(rid) in
-      match exit_router_for_group t dom group with
-      | Some exit when exit <> rid ->
-          Engine.note_activity t.engine "bgmp";
-          router_trace t exit "join-hop" ?span "%a via interior" Ipv4.pp group;
-          exec_actions t exit
-            (Bgmp_router.handle_join t.routers.(exit) ~group ?span ~from:Bgmp_router.Migp_target)
-      | Some _ | None -> ())
-  | Bgmp_router.Migp_prune group -> (
-      let dom = Bgmp_router.domain t.routers.(rid) in
-      match exit_router_for_group t dom group with
-      | Some exit when exit <> rid && not (interior_interest t dom group ~excluding:exit) ->
-          exec_actions t exit
-            (Bgmp_router.handle_prune t.routers.(exit) ~group ~from:Bgmp_router.Migp_target)
-      | Some _ | None -> ())
-  | Bgmp_router.To_internal (peer_rid, msg) ->
+  | Bgmp_router.Internal_router r ->
       (* Intra-domain hand-off between internal BGMP peers: immediate
          (interior latency is below our modelling grain) and addressed,
          not flooded. *)
-      dispatch t ~to_:peer_rid ~from:(Bgmp_router.Internal_router rid) msg
+      arrive t r ~from:(Bgmp_router.Internal_router rid) msg
+  | Bgmp_router.Migp_target -> to_interior t (Bgmp_router.domain t.routers.(rid)) ~sender:rid msg
 
-(* Deliver a BGMP message to router [to_].  [from] is the sending
-   router: its external peer across the link ([Peer]) or another border
-   router of the same domain ([Internal_router]). *)
-and dispatch t ~to_ ~from msg =
-  let router = t.routers.(to_) in
+(* A (star,G) join or prune handed to domain [dom]'s MIGP component by
+   border router [sender] ([-1]: by the MIGP itself, a Domain-Wide
+   Report): it reaches the domain's exit router toward the group's
+   root, a prune only once nothing else inside the domain needs the
+   group. *)
+and to_interior t dom ~sender msg =
   match msg with
-  | Bgmp_msg.Join { group; span } ->
-      Engine.note_activity t.engine "bgmp";
-      router_trace t to_ "join-hop" ?span "%a from %s" Ipv4.pp group
-        (match from with
-        | Bgmp_router.Peer r | Bgmp_router.Internal_router r -> Bgmp_router.name t.routers.(r)
-        | Bgmp_router.Migp_target -> "migp");
-      exec_actions t to_ (Bgmp_router.handle_join router ~group ?span ~from)
-  | Bgmp_msg.Prune group ->
-      Engine.note_activity t.engine "bgmp";
-      exec_actions t to_ (Bgmp_router.handle_prune router ~group ~from)
-  | Bgmp_msg.Join_sg { source; group } ->
-      Engine.note_activity t.engine "bgmp";
-      exec_actions t to_ (Bgmp_router.handle_join_sg router ~source ~group ~from)
-  | Bgmp_msg.Prune_sg { source; group } ->
-      Engine.note_activity t.engine "bgmp";
-      exec_actions t to_ (Bgmp_router.handle_prune_sg router ~source ~group ~from)
+  | Bgmp_msg.Join { group; _ } -> (
+      match exit_router_for_group t dom group with
+      | Some exit when exit <> sender -> arrive t exit ~from:Bgmp_router.Migp_target msg
+      | Some _ | None -> ())
+  | Bgmp_msg.Prune group -> (
+      match exit_router_for_group t dom group with
+      | Some exit when exit <> sender && not (interior_interest t dom group ~excluding:exit) ->
+          arrive t exit ~from:Bgmp_router.Migp_target msg
+      | Some _ | None -> ())
+  | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> ()
+
+(* A message reaching router [rid] from another router: its external
+   peer ([Peer]), another border router of the domain
+   ([Internal_router]) or the interior ([Migp_target]).  A join's arrival
+   is the tree hop the recorder narrates. *)
+and arrive t rid ~from msg =
+  match msg with
   | Bgmp_msg.Data { group; source; payload; hops } ->
-      arrive_data t ~to_ ~from ~group ~source ~payload ~hops
+      arrive_data t ~to_:rid ~from ~group ~source ~payload ~hops
+  | Bgmp_msg.Join { group; span } ->
+      (match from with
+      | Bgmp_router.Peer r | Bgmp_router.Internal_router r ->
+          router_trace t rid "join-hop" ?span "%a from %s" Ipv4.pp group
+            (Bgmp_router.name t.routers.(r))
+      | Bgmp_router.Migp_target ->
+          router_trace t rid "join-hop" ?span "%a via interior" Ipv4.pp group);
+      apply t rid ~from msg
+  | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ -> apply t rid ~from msg
+
+(* The one place a router handles a control message: router [rid]
+   handles [msg] from [from], the change is noted for the convergence
+   watermark, and the router's resulting messages are sent. *)
+and apply t rid ~from msg =
+  let router = t.routers.(rid) in
+  Engine.note_activity t.engine "bgmp";
+  exec_actions t rid
+    (match msg with
+    | Bgmp_msg.Join { group; span } -> Bgmp_router.handle_join router ~group ?span ~from
+    | Bgmp_msg.Prune group -> Bgmp_router.handle_prune router ~group ~from
+    | Bgmp_msg.Join_sg { source; group } -> Bgmp_router.handle_join_sg router ~source ~group ~from
+    | Bgmp_msg.Prune_sg { source; group } ->
+        Bgmp_router.handle_prune_sg router ~source ~group ~from
+    | Bgmp_msg.Data _ -> invalid_arg "Bgmp_fabric.apply: a data packet is not a control message")
 
 (* A packet reaching router [to_] from [from]. *)
 and arrive_data t ~to_ ~from ~group ~source ~payload ~hops =
@@ -427,12 +437,12 @@ and arrive_data t ~to_ ~from ~group ~source ~payload ~hops =
         Prof.span "bgmp.data.forward" (fun () ->
             Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from)
       else Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from
-  | Bgmp_router.Internal_router from_rid
+  | Bgmp_router.Internal_router _
     when (not (Bgmp_router.on_tree router group)) && not (Bgmp_router.has_sg router source group)
     ->
       (* Stale chain: the receiver lost its state; tell the sender to
          stop instead of default-forwarding source traffic. *)
-      exec_action t to_ (Bgmp_router.To_internal (from_rid, Bgmp_msg.Prune_sg { source; group }))
+      exec_action t to_ (from, Bgmp_msg.Prune_sg { source; group })
   | Bgmp_router.Internal_router _ | Bgmp_router.Migp_target ->
       Bgmp_router.forward t.sink router ~group ~source ~payload ~hops ~from
 
@@ -477,6 +487,13 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
      Without this, a source-specific branch crossing back into the
      source domain would cycle tree and branch forever. *)
   if source_local && entry >= 0 then ()
+  else if t.depth > Array.length t.routers then begin
+    (* Each nesting level is an interior distribution entered from a
+       border router, so a loop-free one nests at most once per router.
+       The exception unwinds every level. *)
+    t.depth <- 0;
+    raise (Data_loop { payload; group; source; domain = dom })
+  end
   else begin
     (* RPF handling for strict MIGPs: data that entered at the wrong
        border router is tunnelled to the RPF router (counted), which may
@@ -656,7 +673,7 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
           Net.channel net ~protocol:"bgmp"
             ~src:(Bgmp_router.domain routers.(rid))
             ~dst:router_neighbor.(rid) ~delay:router_delay.(rid)
-            ~recv:(fun msg -> dispatch t ~to_:(peer_of rid) ~from msg)
+            ~recv:(fun msg -> arrive t (peer_of rid) ~from msg)
         in
         Net.set_on_drop ch classify_drop;
         ch);
@@ -665,53 +682,49 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
   Array.iteri
     (fun dom migp ->
       Migp.set_on_group_active migp (fun ~group ~active ->
-          (match exit_router_for_group t dom group with
-          | None -> ()
-          | Some exit ->
-              let router = t.routers.(exit) in
-              if active then begin
+          if active then begin
+            match exit_router_for_group t dom group with
+            | None -> ()
+            | Some exit ->
                 (* A Domain-Wide Report starts a join chain: continue the
                    G-RIB route's causal chain when one is known. *)
                 let span = join_root_span t dom group in
-                Engine.note_activity t.engine "bgmp";
                 domain_trace t dom "join" ~span "%a via %s" Ipv4.pp group
-                  (Bgmp_router.name router);
-                exec_actions t exit
-                  (Bgmp_router.handle_join router ~group ~span ~from:Bgmp_router.Migp_target)
-              end
-              else if not (interior_interest t dom group ~excluding:exit) then begin
-                Engine.note_activity t.engine "bgmp";
-                exec_actions t exit
-                  (Bgmp_router.handle_prune router ~group ~from:Bgmp_router.Migp_target)
-              end);
-          (* Last member gone: tear down the (S,G) branches this domain's
-             routers grew on the members' behalf, so no orphaned branch
-             keeps pulling (or re-injecting) the sources' traffic. *)
-          if (not active) && not (Migp.has_members migp ~group) then
-            List.iter
-              (fun rid ->
-                let router = t.routers.(rid) in
-                List.iter
-                  (fun (source, (v : Bgmp_router.sg_view)) ->
-                    if
-                      List.exists
-                        (Bgmp_router.target_equal Bgmp_router.Migp_target)
-                        v.Bgmp_router.view_added
-                    then
-                      exec_actions t rid
-                        (Bgmp_router.handle_prune_sg router ~source ~group
-                           ~from:Bgmp_router.Migp_target))
-                  (Bgmp_router.sg_for_group router group);
-                (* With the branches gone, stale negative state at this
-                   domain's on-tree routers would starve remaining transit
-                   customers of the sources' shared-tree copies: lift it. *)
-                List.iter
-                  (fun (source, (v : Bgmp_router.sg_view)) ->
-                    if v.Bgmp_router.view_removed <> [] || v.Bgmp_router.view_targets = [] then
-                      exec_actions t rid
-                        (Bgmp_router.cancel_suppression router ~source ~group))
-                  (Bgmp_router.sg_for_group router group))
-              t.domain_routers.(dom)))
+                  (Bgmp_router.name t.routers.(exit));
+                apply t exit ~from:Bgmp_router.Migp_target
+                  (Bgmp_msg.Join { group; span = Some span })
+          end
+          else begin
+            to_interior t dom ~sender:(-1) (Bgmp_msg.Prune group);
+            (* Last member gone: tear down the (S,G) branches this
+               domain's routers grew on the members' behalf, so no
+               orphaned branch keeps pulling (or re-injecting) the
+               sources' traffic. *)
+            if not (Migp.has_members migp ~group) then
+              List.iter
+                (fun rid ->
+                  let router = t.routers.(rid) in
+                  List.iter
+                    (fun (source, (v : Bgmp_router.sg_view)) ->
+                      if
+                        List.exists
+                          (Bgmp_router.target_equal Bgmp_router.Migp_target)
+                          v.Bgmp_router.view_added
+                      then
+                        apply t rid ~from:Bgmp_router.Migp_target
+                          (Bgmp_msg.Prune_sg { source; group }))
+                    (Bgmp_router.sg_for_group router group);
+                  (* With the branches gone, stale negative state at this
+                     domain's on-tree routers would starve remaining
+                     transit customers of the sources' shared-tree copies:
+                     lift it. *)
+                  List.iter
+                    (fun (source, (v : Bgmp_router.sg_view)) ->
+                      if v.Bgmp_router.view_removed <> [] || v.Bgmp_router.view_targets = [] then
+                        exec_actions t rid (Bgmp_router.cancel_suppression router ~source ~group))
+                    (Bgmp_router.sg_for_group router group))
+                t.domain_routers.(dom)
+          end))
     migps;
   reset t;
   t
@@ -794,9 +807,7 @@ let rebuild_group t ~group =
             let span = join_root_span t dom group in
             domain_trace t dom "join" ~span "%a rebuild via %s" Ipv4.pp group
               (Bgmp_router.name t.routers.(exit));
-            exec_actions t exit
-              (Bgmp_router.handle_join t.routers.(exit) ~group ~span
-                 ~from:Bgmp_router.Migp_target)
+            apply t exit ~from:Bgmp_router.Migp_target (Bgmp_msg.Join { group; span = Some span })
         | None -> ())
     t.migps
 

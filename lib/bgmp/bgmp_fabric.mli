@@ -4,9 +4,12 @@
 
     One border router exists per end of every inter-domain link (as in
     the paper's figures: A1–A4 are A's routers on its four links).  The
-    fabric executes the {!Bgmp_router} state machines' actions: peer
-    messages travel with the link's delay; MIGP-side actions are routed
-    to the right border router of the domain; data handed to a domain's
+    fabric delivers the {!Bgmp_router} state machines' actions: a
+    message toward a peer travels with the link's delay; one toward the
+    MIGP reaches the right border router of the domain at once.  Every
+    control message a router receives is applied in one step, which
+    notes ["bgmp"] activity for the engine's convergence watermark and
+    sends the router's resulting messages.  Data handed to a domain's
     interior is distributed per the domain's MIGP style (flooding or
     explicit-state), with RPF-encapsulation and automatic source-specific
     branch initiation for strict-RPF MIGPs (§5.3).
@@ -21,6 +24,12 @@ type root_route =
   | Root_here
   | Via of Domain.id  (** next-hop domain toward the root *)
   | Unroutable
+
+exception Data_loop of { payload : int; group : Ipv4.t; source : Host_ref.t; domain : Domain.id }
+(** A packet's interior distributions nested deeper than the fabric has
+    border routers, so they hand it round without end ([domain]: where
+    the last one began).  Such a loop never returns to the engine; this
+    is the only bound on it. *)
 
 type config = {
   branching : bool;

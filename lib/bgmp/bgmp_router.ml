@@ -20,16 +20,7 @@ let pp_target ppf = function
 
 type route_class = Root_here | External of int | Internal of int | Unroutable
 
-type action =
-  | To_peer of int * Bgmp_msg.t
-  | To_internal of int * Bgmp_msg.t
-      (** hand a BGMP message to an internal BGMP peer (another border
-          router of the same domain) through the MIGP — the paper's
-          "the parent target is the MIGP component of the border
-          router"; used by (S,G) chains so their traffic tunnels
-          between the two routers instead of flooding the interior *)
-  | Migp_join of { group : Ipv4.t; span : Span.t option }
-  | Migp_prune of Ipv4.t
+type action = target * Bgmp_msg.t
 
 type entry = { mutable parent : target option; mutable children : target list }
 
@@ -194,23 +185,22 @@ let aggregated_entry_count t =
     t.sg;
   Hashtbl.fold (fun _ cell acc -> acc + List.length (Prefix.aggregate !cell)) classes 0
 
-(* Parent target and the action that sends a join upstream, for a path
-   classified by the fabric. *)
-let upstream_of_class cls ~peer_msg ~migp_action =
-  match cls with
-  | Root_here -> (Some Migp_target, [ migp_action ])
-  | External p -> (Some (Peer p), [ To_peer (p, peer_msg) ])
-  | Internal _ -> (Some Migp_target, [ migp_action ])
-  | Unroutable -> (None, [])
+(* The parent target toward a group's root domain: a (star,G) join
+   leaves through this router's own link, or else through the MIGP,
+   which carries it to the domain's exit router (§5.1). *)
+let root_target = function
+  | Root_here | Internal _ -> Some Migp_target
+  | External p -> Some (Peer p)
+  | Unroutable -> None
 
-(* (S,G) upstream: chains address the internal next-hop router
-   explicitly, so their traffic never rides the interior flood. *)
-let sg_upstream_of_class cls ~peer_msg =
-  match cls with
-  | Root_here -> (Some Migp_target, [])
-  | External p -> (Some (Peer p), [ To_peer (p, peer_msg) ])
-  | Internal r -> (Some (Internal_router r), [ To_internal (r, peer_msg) ])
-  | Unroutable -> (None, [])
+let toward parent msg = match parent with Some p -> [ (p, msg) ] | None -> []
+
+(* Source-specific messages go only to a router, never to the MIGP
+   component: the source domain's interior has no one to tell. *)
+let toward_router parent msg =
+  match parent with
+  | Some ((Peer _ | Internal_router _) as p) -> [ (p, msg) ]
+  | Some Migp_target | None -> []
 
 let add_child t e target =
   if not (List.exists (target_equal target) e.children) then begin
@@ -236,17 +226,13 @@ let handle_join_impl ?span t ~group ~from =
         []
       end
   | None ->
-      let next = Option.map Span.child span in
-      let parent, upstream =
-        upstream_of_class (t.classify_root group)
-          ~peer_msg:(Bgmp_msg.Join { group; span = next })
-          ~migp_action:(Migp_join { group; span = next })
-      in
+      let join = Bgmp_msg.Join { group; span = Option.map Span.child span } in
+      let parent = root_target (t.classify_root group) in
       let e = { parent; children = [ from ] } in
       Hashtbl.replace t.star group e;
       bump t;
       note_entries t;
-      upstream
+      toward parent join
 
 let handle_join ?span t ~group ~from =
   if Prof.is_enabled () then Prof.span "bgmp.join" (fun () -> handle_join_impl ?span t ~group ~from)
@@ -267,16 +253,14 @@ let handle_prune_impl t ~group ~from =
         in
         List.iter (Hashtbl.remove t.sg) dead;
         List.iter (Hashtbl.remove t.pending_branch_prune) dead;
-        match e.parent with
-        | Some (Peer p) -> [ To_peer (p, Bgmp_msg.Prune group) ]
-        | Some Migp_target -> [ Migp_prune group ]
-        | Some (Internal_router r) -> [ To_internal (r, Bgmp_msg.Prune group) ]
-        | None -> []
+        toward e.parent (Bgmp_msg.Prune group)
       end
       else []
 
 (* The toward-source target for (S,G) state: where S's packets are
-   expected to arrive from (the RPF side). *)
+   expected to arrive from (the RPF side), and where its joins and
+   prunes go.  Chains address the internal next-hop router explicitly,
+   so their traffic never rides the interior flood. *)
 let rpf_target_for t source =
   match t.classify_source source.Host_ref.host_domain with
   | Root_here -> Some Migp_target
@@ -330,15 +314,11 @@ let handle_join_sg_impl t ~source ~group ~from =
           note_entries t;
           []
       | None ->
-          let parent, upstream =
-            sg_upstream_of_class
-              (t.classify_source source.Host_ref.host_domain)
-              ~peer_msg:(Bgmp_msg.Join_sg { source; group })
-          in
+          let parent = rpf_target_for t source in
           let st = { sg_parent = parent; sg_rpf = parent; added = [ from ]; removed = [] } in
           Hashtbl.replace t.sg (source, group) st;
           note_entries t;
-          upstream)
+          toward_router parent (Bgmp_msg.Join_sg { source; group }))
 
 let handle_join_sg t ~source ~group ~from =
   if Prof.is_enabled () then
@@ -350,19 +330,15 @@ let handle_prune_sg t ~source ~group ~from =
   let propagate_if_empty st =
     if sg_downstream_empty t group st then begin
       match (Hashtbl.find_opt t.star group, st.sg_parent) with
-      | None, Some (Peer p) ->
+      | None, Some ((Peer _ | Internal_router _) as p) ->
           (* A pure branch with no children left: tear it down. *)
           Hashtbl.remove t.sg (source, group);
           Hashtbl.remove t.pending_branch_prune (source, group);
-          [ To_peer (p, Bgmp_msg.Prune_sg { source; group }) ]
-      | None, Some (Internal_router r) ->
-          Hashtbl.remove t.sg (source, group);
-          Hashtbl.remove t.pending_branch_prune (source, group);
-          [ To_internal (r, Bgmp_msg.Prune_sg { source; group }) ]
+          [ (p, Bgmp_msg.Prune_sg { source; group }) ]
       | Some star_e, _ -> (
           (* Negative state on the shared tree: stop upstream copies. *)
           match star_e.parent with
-          | Some (Peer p) -> [ To_peer (p, Bgmp_msg.Prune_sg { source; group }) ]
+          | Some (Peer _ as p) -> [ (p, Bgmp_msg.Prune_sg { source; group }) ]
           | Some (Migp_target | Internal_router _) | None -> [])
       | None, (Some Migp_target | None) -> []
     end
@@ -520,7 +496,7 @@ let forward sink t ~group ~source ~payload ~hops ~from =
       in
       let targets = sg_targets t st ~group ~from in
       if prune >= 0 then
-        sink.control t.rid (To_internal (prune, Bgmp_msg.Prune_sg { source; group }));
+        sink.control t.rid (Internal_router prune, Bgmp_msg.Prune_sg { source; group });
       copy_all sink t.rid targets ~group ~source ~payload ~hops ~from
 
 let branch_prune t ~source ~group = Hashtbl.find_opt t.pending_branch_prune (source, group)
@@ -546,7 +522,7 @@ let cancel_suppression t ~source ~group =
   | Some _, Some star_e ->
       Hashtbl.remove t.sg (source, group);
       (match star_e.parent with
-      | Some (Peer p) -> [ To_peer (p, Bgmp_msg.Join_sg { source; group }) ]
+      | Some (Peer _ as p) -> [ (p, Bgmp_msg.Join_sg { source; group }) ]
       | Some (Migp_target | Internal_router _) | None -> [])
   | (Some _ | None), (Some _ | None) -> []
 
@@ -561,18 +537,13 @@ let initiate_branch t ~source ~group ~shared_entry_router =
       Hashtbl.replace t.pending_branch_prune (source, group) shared_entry_router;
       []
   | None -> (
-      let parent, upstream =
-        sg_upstream_of_class
-          (t.classify_source source.Host_ref.host_domain)
-          ~peer_msg:(Bgmp_msg.Join_sg { source; group })
-      in
-      match parent with
+      match rpf_target_for t source with
       | None -> []
-      | Some _ ->
+      | Some _ as parent ->
           let st =
             { sg_parent = parent; sg_rpf = parent; added = [ Migp_target ]; removed = [] }
           in
           Hashtbl.replace t.sg (source, group) st;
           note_entries t;
           Hashtbl.replace t.pending_branch_prune (source, group) shared_entry_router;
-          upstream)
+          toward_router parent (Bgmp_msg.Join_sg { source; group }))

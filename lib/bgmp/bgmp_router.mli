@@ -2,18 +2,20 @@
 
     The router keeps per-group (star,G) forwarding entries — a parent
     target toward the group's root domain and a list of child targets —
-    plus (S,G) entries for source-specific branches.  A target is either
-    an external BGMP peer (the border router across one of this
-    router's inter-domain links) or the domain's MIGP component.
+    plus (S,G) entries for source-specific branches.  As in the paper
+    (§5.1), a target is one of two kinds: an external BGMP peer (the
+    border router across one of this router's inter-domain links) or
+    the domain's MIGP component — the whole interior, or the MIGP
+    component of one named border router of the same domain.
 
     The state machine is transport-agnostic.  The control-plane handlers
-    return the list of {!action}s to perform, and the enclosing fabric
-    interprets them (sending peer messages with link delay, routing
-    MIGP-side actions to the right border router of the domain).  Data
-    never becomes an action: {!forward} hands each copy of a packet to a
-    {!sink} the fabric builds once, which sends it to a peer, hands it
-    to an internal peer, or distributes it inside the domain per the
-    MIGP style. *)
+    return the {!action}s to perform — each a BGMP message and the
+    target to send it toward — and the enclosing fabric delivers them
+    (peer messages with link delay, MIGP-side messages to the right
+    border router of the domain).  Data never becomes an action:
+    {!forward} hands each copy of a packet to a {!sink} the fabric
+    builds once, which sends it to a peer, hands it to an internal
+    peer, or distributes it inside the domain per the MIGP style. *)
 
 type target =
   | Peer of int  (** global router id of an external BGMP peer *)
@@ -39,16 +41,12 @@ type route_class =
           global router id) *)
   | Unroutable
 
-type action =
-  | To_peer of int * Bgmp_msg.t
-  | To_internal of int * Bgmp_msg.t
-      (** hand a BGMP message directly to an internal BGMP peer (another
-          border router of this domain) through the MIGP *)
-  | Migp_join of { group : Ipv4.t; span : Span.t option }
-      (** propagate a (star,G) join through the domain (to the best exit
-          router toward the root, or just graft local members when this
-          domain is the root); [span] carries the join's causal chain *)
-  | Migp_prune of Ipv4.t
+type action = target * Bgmp_msg.t
+(** Send this message toward this target: a (star,G) join or prune
+    whose target is [Migp_target] goes to the domain's exit router
+    toward the group's root (or only grafts or drops local interest when
+    this domain is the root); an (S,G) join or prune goes to a peer or
+    to a named border router of the domain, never to [Migp_target]. *)
 
 type entry = private {
   mutable parent : target option;
@@ -101,9 +99,9 @@ val set_classify_source : t -> (Domain.id -> route_class) -> unit
 (** {1 Event handlers} — each returns the actions to execute. *)
 
 val handle_join : ?span:Span.t -> t -> group:Ipv4.t -> from:target -> action list
-(** [?span] is the incoming join's span; the upstream join/action this
-    handler emits (first join only) carries a fresh child span, so the
-    chain records one span per tree hop. *)
+(** [?span] is the incoming join's span; the upstream join this handler
+    emits (first join only) carries a fresh child span, so the chain
+    records one span per tree hop. *)
 
 val handle_prune : t -> group:Ipv4.t -> from:target -> action list
 
@@ -118,8 +116,8 @@ type sink = {
       (** [copy rid target ...]: router [rid] sends one copy of the
           packet toward [target] *)
   control : int -> action -> unit;
-      (** router [rid] performs a control action the data path emits
-          (the §5.3 branch prune) *)
+      (** router [rid] sends a control message the data path emits (the
+          §5.3 branch prune) *)
 }
 (** Where {!forward} puts its output.  The fabric builds one per
     fabric, so forwarding a packet allocates nothing here. *)

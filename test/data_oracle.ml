@@ -37,11 +37,11 @@ let handle_data r ~group ~source ~payload ~hops ~from =
               ~payload ~hops
             :: !outs);
       control =
-        (fun _ action ->
-          match action with
-          | Bgmp_router.To_internal (rid, msg) -> outs := To_internal (rid, msg) :: !outs
-          | Bgmp_router.To_peer (p, msg) -> outs := To_peer (p, msg) :: !outs
-          | Migp_join _ | Migp_prune _ -> Alcotest.fail "forward emitted a tree control action");
+        (fun _ (tgt, msg) ->
+          match tgt with
+          | Internal_router r -> outs := To_internal (r, msg) :: !outs
+          | Peer p -> outs := To_peer (p, msg) :: !outs
+          | Migp_target -> Alcotest.fail "forward emitted a control message to the MIGP");
     }
   in
   forward sink r ~group ~source ~payload ~hops ~from;

@@ -18,7 +18,7 @@ let test_router_join_creates_entry_and_propagates () =
   let r = router_with_routes ~root_class:(Bgmp_router.External 55) ~source_class:Bgmp_router.Unroutable in
   let actions = Bgmp_router.handle_join r ~group:g ~from:Bgmp_router.Migp_target in
   (match actions with
-  | [ Bgmp_router.To_peer (55, Bgmp_msg.Join { group = g'; _ }) ] ->
+  | [ (Bgmp_router.Peer 55, Bgmp_msg.Join { group = g'; _ }) ] ->
       check Alcotest.int "join for group" g g'
   | _ -> Alcotest.fail "expected a single upstream join");
   match Bgmp_router.star_entry r g with
@@ -41,7 +41,7 @@ let test_router_root_domain_parent_is_migp () =
   let r = router_with_routes ~root_class:Bgmp_router.Root_here ~source_class:Bgmp_router.Unroutable in
   let actions = Bgmp_router.handle_join r ~group:g ~from:(Bgmp_router.Peer 3) in
   (match actions with
-  | [ Bgmp_router.Migp_join _ ] -> ()
+  | [ (Bgmp_router.Migp_target, Bgmp_msg.Join _) ] -> ()
   | _ -> Alcotest.fail "expected an MIGP-side join");
   match Bgmp_router.star_entry r g with
   | Some e ->
@@ -57,7 +57,7 @@ let test_router_prune_tears_down () =
   check Alcotest.int "no upstream prune while children remain" 0 (List.length a1);
   let a2 = Bgmp_router.handle_prune r ~group:g ~from:(Bgmp_router.Peer 4) in
   (match a2 with
-  | [ Bgmp_router.To_peer (55, Bgmp_msg.Prune _) ] -> ()
+  | [ (Bgmp_router.Peer 55, Bgmp_msg.Prune _) ] -> ()
   | _ -> Alcotest.fail "expected upstream prune");
   check Alcotest.bool "entry removed" true (Bgmp_router.star_entry r g = None)
 
@@ -166,7 +166,7 @@ let test_router_sg_join_off_tree_propagates () =
   let src = Host_ref.make 1 0 in
   let acts = Bgmp_router.handle_join_sg r ~source:src ~group:g ~from:(Bgmp_router.Peer 9) in
   match acts with
-  | [ Bgmp_router.To_peer (66, Bgmp_msg.Join_sg _) ] -> ()
+  | [ (Bgmp_router.Peer 66, Bgmp_msg.Join_sg _) ] -> ()
   | _ -> Alcotest.fail "expected propagation toward the source"
 
 let test_router_sg_data_rpf_gated () =
@@ -320,6 +320,75 @@ let test_fabric_member_sender_zero_hops_locally () =
   in
   check Alcotest.int "local member at zero hops" 0 (hops_of "B");
   check Alcotest.int "remote member over the tree" 1 (hops_of "F")
+
+(* A join crossing a transit domain: it enters T at border router T2
+   (on the M link), is handed through T's MIGP to T1 (on the R link, the
+   exit toward the root) and leaves there.  The hand-off is a tree hop
+   like a peer arrival: narrated "via interior", noted for the
+   convergence watermark, and not a control message on a link. *)
+let test_fabric_interior_handoff_bookkeeping () =
+  let topo = Topo.create () in
+  let add name = Topo.add_domain topo ~name ~kind:Domain.Regional in
+  let r = add "R" and tr = add "T" and m = add "M" in
+  Topo.add_link topo r tr Topo.Peer;
+  Topo.add_link topo tr m Topo.Peer;
+  let engine, fabric = make_fabric ~root_name:"R" topo in
+  let exit_router = Option.get (Bgmp_fabric.router_toward fabric tr r) in
+  let r1 = Option.get (Bgmp_fabric.router_toward fabric r tr) in
+  check Alcotest.string "T's exit router" "T1" (Bgmp_router.name exit_router);
+  let narrative () =
+    List.filter_map
+      (fun (rc : Recorder.record) ->
+        Option.map (fun d -> (rc.Recorder.r_label, rc.Recorder.r_subject, d)) rc.Recorder.r_detail)
+      (Recorder.recent ())
+  in
+  let triples = Alcotest.(list (triple string string string)) in
+  let joined =
+    [
+      ("join", "bgmp-d2", "224.0.128.1 via M1");
+      ("join-hop", "T2", "224.0.128.1 from M1");
+      ("join-hop", "T1", "224.0.128.1 via interior");
+      ("join-hop", "R1", "224.0.128.1 from T1");
+    ]
+  in
+  Recorder.enable ~retain:Recorder.Keep_all ();
+  Fun.protect ~finally:Recorder.disable (fun () ->
+      let host = Host_ref.make m 0 in
+      Bgmp_fabric.host_join fabric ~host ~group:g;
+      Engine.run_until_idle engine;
+      check triples "domain join, then one hop per router" joined (narrative ());
+      (match Bgmp_router.star_entry exit_router g with
+      | Some e ->
+          check Alcotest.bool "T1's parent is R1" true
+            (e.Bgmp_router.parent = Some (Bgmp_router.Peer (Bgmp_router.id r1)));
+          check Alcotest.bool "T1's child is the interior" true
+            (e.Bgmp_router.children = [ Bgmp_router.Migp_target ])
+      | None -> Alcotest.fail "T1 holds no (star,G) entry");
+      check Alcotest.int "two joins crossed links" 2 (Bgmp_fabric.control_messages fabric);
+      (* The member leaves at 1 s.  The Domain-Wide Report prunes M1 at
+         once; M1's prune reaches T2 one link delay later, and T2 hands
+         it through the interior to T1 at that instant. *)
+      let leave = Time.seconds 1.0 in
+      ignore
+        (Engine.schedule_at engine leave (fun () -> Bgmp_fabric.host_leave fabric ~host ~group:g));
+      Engine.run ~until:(leave +. Time.seconds 0.005) engine;
+      check
+        (Alcotest.option (Alcotest.float 0.))
+        "bgmp watermark at the report's prune" (Some leave)
+        (List.assoc_opt "bgmp" (Engine.watermarks engine));
+      let at_t2 = leave +. Time.seconds 0.010 in
+      Engine.run ~until:(at_t2 +. Time.seconds 0.005) engine;
+      check Alcotest.bool "T1's entry gone after the interior prune" true
+        (Bgmp_router.star_entry exit_router g = None);
+      check Alcotest.bool "R1 not yet pruned" true (Bgmp_router.on_tree r1 g);
+      check
+        (Alcotest.option (Alcotest.float 0.))
+        "bgmp watermark at the prune's instant" (Some at_t2)
+        (List.assoc_opt "bgmp" (Engine.watermarks engine));
+      Engine.run_until_idle engine;
+      check Alcotest.bool "R1 pruned" false (Bgmp_router.on_tree r1 g);
+      check Alcotest.int "two prunes crossed links" 4 (Bgmp_fabric.control_messages fabric);
+      check triples "prunes are not narrated" joined (narrative ()))
 
 let test_fabric_leave_tears_down_tree () =
   let topo = Gen.figure1 () in
@@ -864,6 +933,7 @@ let suite =
     ("fabric sender need not be member", `Quick, test_fabric_sender_need_not_be_member);
     ("fabric local members at zero hops", `Quick, test_fabric_member_sender_zero_hops_locally);
     ("fabric leave tears down", `Quick, test_fabric_leave_tears_down_tree);
+    ("fabric interior hand-off bookkeeping", `Quick, test_fabric_interior_handoff_bookkeeping);
     ("fabric data during prune window", `Quick, test_fabric_data_during_prune_window);
     ("fabric hop counts pinned", `Quick, test_fabric_hop_counts_pinned);
     ("fabric tree stable across sends", `Quick, test_fabric_tree_is_stable_across_sends);

@@ -440,6 +440,40 @@ let check_recording_trace () =
       check Alcotest.bool "claim chain has its nine records" true
         (contains "trace claim:0:224.0.0.0/24 (9 entries)" (read_file out)))
 
+(* A BGMP data loop stops the run: the soak at seed 2 reaches one at
+   step 24 (a flooding MIGP re-floods a foreign source's packet that
+   re-enters through another border router; the recursion never returns
+   to the engine).  The run must exit 3 within 10 s with one stderr
+   line, and its recording must end at a whole record. *)
+let check_data_loop_exit () =
+  let recording = Filename.temp_file "loop" ".jsonl" in
+  let err = Filename.temp_file "loop" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ recording; err ])
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "timeout 10 %s soak --steps 24 --seed 2 --record=%s > /dev/null 2> %s"
+             (Filename.quote exe) (Filename.quote recording) (Filename.quote err))
+      in
+      check Alcotest.int "soak --steps 24 --seed 2: exit 3 within 10 s" 3 rc;
+      (match String.split_on_char '\n' (read_file err) with
+      | [ line; "" ] ->
+          check Alcotest.bool ("stderr names the loop: " ^ line) true
+            (String.starts_with ~prefix:"soak: data loop: payload " line)
+      | _ -> Alcotest.fail "expected exactly one stderr line");
+      let text = read_file recording in
+      check Alcotest.bool "recording ends at a line end" true
+        (text <> "" && text.[String.length text - 1] = '\n');
+      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
+      List.iteri
+        (fun i line ->
+          if Recorder.record_of_json line = None then
+            Alcotest.failf "recording line %d does not parse: %s" (i + 1) line)
+        lines;
+      check Alcotest.bool "recording is not empty" true (lines <> []))
+
 (* Unreadable inputs end the command with a message and exit code 2,
    never an uncaught exception. *)
 let check_unreadable_inputs () =
@@ -582,6 +616,7 @@ let suite =
     ("report --diff on demo recordings", `Quick, check_record_diff);
     ("trace over a demo recording", `Quick, check_recording_trace);
     ("unreadable inputs exit 2", `Quick, check_unreadable_inputs);
+    ("data loop exits 3 with a whole recording", `Quick, check_data_loop_exit);
     ( "fig4-modern --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant
