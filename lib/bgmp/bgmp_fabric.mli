@@ -54,10 +54,9 @@ val create :
 (** Peer messages travel over {!Net} channels (one per border router,
     toward its external peer) with the link's delay; [net] is the
     transport to use — pass the internet-wide one to share link state
-    with BGP and MASC, or a [Net.t] whose config overrides delays or
-    injects loss (the old [link_delay_override] lives in [Net.config]
-    now).  By default the fabric gets a private [Net.t] on the same
-    engine.  [migp_style] defaults to DVMRP everywhere.  While the
+    with BGP and MASC, or a [Net.t] whose config injects loss.  By
+    default the fabric gets a private [Net.t] on the same engine.
+    [migp_style] defaults to DVMRP everywhere.  While the
     {!Recorder} is on, joins append narrative records ("join" at the
     originating domain, "join-hop" per tree hop).  [span_of_group]
     supplies the causal span of the G-RIB route a domain uses for a

@@ -472,7 +472,7 @@ let invariants t = t.invariants
    decorrelated from the MASC rng (same [config.seed]) so enabling loss
    never replays MASC's claim randomness. *)
 let net_config config =
-  { Net.loss_rate = config.loss; loss_seed = config.seed lxor 0x6e6574; delay_override = None }
+  { Net.loss_rate = config.loss; loss_seed = config.seed lxor 0x6e6574 }
 
 let create ?(config = default_config) ?migp_style net_topo =
   let engine = Engine.create () in

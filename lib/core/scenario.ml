@@ -46,7 +46,7 @@ let figure3 ?migp_style ?(loss = 0.0) () =
   let topo = Gen.figure3 () in
   let engine = Engine.create () in
   let net =
-    Net.create ~engine ~config:{ Net.loss_rate = loss; loss_seed = 1998; delay_override = None } ()
+    Net.create ~engine ~config:{ Net.loss_rate = loss; loss_seed = 1998 } ()
   in
   let b = Option.get (Topo.find_by_name topo "B") in
   let paths = Spf.bfs topo b in

@@ -89,17 +89,32 @@ let unarmed = Engine.event ignore
 
 let vacant = { prefix = Prefix.class_d; active = false; used = 0; alive = false; expiry = unarmed }
 
-(* A child domain.  [c_request] is its one request event, re-armed
-   after every request.  Its outstanding blocks wait in [c_blocks], a
-   growable ring (capacity a power of two, [c_len] entries from
-   [c_head]) of the claims they were granted from, oldest first;
-   [c_block_expiry] is armed once per grant and retires the ring's head
-   (see [grant_block]). *)
+(* A claiming domain, top or child: both run one claim lifecycle, and
+   what differs by level is fixed when the domain is built.  [arena] is
+   where its claims register (224/4 for a top, its top's children's
+   arena for a child); [level] says what its claimed space feeds and
+   where it turns when its arena has no room. *)
+type dom = {
+  owner : int;
+  arena : Address_space.t;
+  mutable claims : dom_claim list;
+  rng : Rng.t;
+  level : level;
+}
+
+and level =
+  | Top of Address_space.t
+      (** the arena its children claim from, covered by its active claims *)
+  | Child of dom  (** its top, whose covering claim counts its space as used *)
+
+(* A child domain's demand.  [c_request] is its one request event,
+   re-armed after every request.  Its outstanding blocks wait in
+   [c_blocks], a growable ring (capacity a power of two, [c_len]
+   entries from [c_head]) of the claims they were granted from, oldest
+   first; [c_block_expiry] is armed once per grant and retires the
+   ring's head (see [grant_block]). *)
 type child = {
-  c_owner : int;
-  c_top : int;
-  mutable c_claims : dom_claim list;
-  c_rng : Rng.t;
+  dom : dom;
   mutable c_request : Engine.handle;
   mutable c_block_expiry : Engine.handle;
   mutable c_blocks : dom_claim array;
@@ -107,20 +122,12 @@ type child = {
   mutable c_len : int;
 }
 
-type top = {
-  t_owner : int;
-  t_arena : Address_space.t;  (** the arena this top's children claim from *)
-  mutable t_claims : dom_claim list;
-  t_rng : Rng.t;
-}
-
 type sim = {
   p : params;
   engine : Engine.t;
   claim_lane : Engine.lane;  (** arms claim expiries, [claim_lifetime] out *)
   block_lane : Engine.lane;  (** arms block expiries, [block_lifetime] out *)
-  global : Address_space.t;  (** 224/4; claims are top-level prefixes *)
-  top_doms : top array;
+  top_doms : dom array;
   child_doms : child array;
   mutable demanded : int;  (** addresses of live blocks *)
   mutable claimed_top : int;  (** addresses claimed from 224/4 *)
@@ -130,8 +137,6 @@ type sim = {
   mutable claims_made : int;
   mutable samples_rev : sample list;
   mutable last_sample : sample option;
-  mutable right_size_top : sim -> top -> unit;
-  mutable right_size_child : sim -> child -> unit;
   mutable violations : int;
   invariants : Invariant.t;
 }
@@ -143,289 +148,237 @@ let m_outstanding = Metrics.gauge "allocation.outstanding_blocks"
 let m_utilization = Metrics.gauge "allocation.utilization"
 let m_converged = Metrics.gauge "allocation.top_converged_day"
 
-(* --- top-level (parent) expansion ---------------------------------- *)
+let total_size claims = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 claims
 
-let top_total top = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 top.t_claims
+let total_used claims = List.fold_left (fun acc c -> acc + c.used) 0 claims
 
-let top_used top = List.fold_left (fun acc c -> acc + c.used) 0 top.t_claims
+let top_of d = match d.level with Top _ -> d | Child top -> top
 
-(* Lifetime machinery (§4.3.1): a claim still in use is renewed at
-   expiry, but only while [may_renew] holds — a child claim may not
-   outlive its covering parent range, so once the parent range is
-   deactivated the child claim switches to draining (no new assignments)
-   and is recycled when its addresses time out. *)
-let start_lifetime sim ~arena holder ~may_renew ~on_renew ~on_release =
+let claim_covering top prefix =
+  List.find_opt (fun c -> Prefix.subsumes c.prefix prefix) top.claims
+
+let note_used top prefix delta =
+  match claim_covering top prefix with
+  | Some cover -> cover.used <- cover.used + delta
+  | None -> ()
+
+(* A child claim may not outlive its covering parent range: once that
+   range is deactivated the child claim drains instead of renewing. *)
+let may_renew d holder =
+  holder.active
+  &&
+  match d.level with
+  | Top _ -> true
+  | Child top -> (
+      match claim_covering top holder.prefix with Some cover -> cover.active | None -> false)
+
+(* What happened to one of a domain's claims, as its level sees it. *)
+type change = Gained | Doubled | Retired | Released
+
+(* One claim lifecycle for both levels.  Each step changes the claim
+   and its domain's registration, then [feed]s the change to what the
+   claimed space feeds; a child's growth may grow its top in turn, so
+   the steps form one recursive group.
+
+   Lifetime machinery (§4.3.1): a claim still in use is renewed at
+   expiry while [may_renew] holds, else it drains and is re-checked one
+   lifetime later; an unused claim is released. *)
+let rec start_lifetime sim d holder =
   holder.expiry <-
     Engine.event ~label:"alloc.claim_expiry" (fun () ->
         if holder.alive then begin
-          if holder.used > 0 && may_renew () then begin
+          if holder.used > 0 && may_renew d holder then begin
             Engine.arm_lane sim.engine sim.claim_lane holder.expiry;
-            on_renew ()
+            right_size sim d
           end
           else if holder.used > 0 then begin
-            (* Cannot renew: drain and re-check one lifetime later. *)
             holder.active <- false;
             Engine.arm_lane sim.engine sim.claim_lane holder.expiry
           end
-          else begin
-            holder.alive <- false;
-            Address_space.unregister arena holder.prefix;
-            on_release ()
-          end
+          else release sim d holder
         end);
   Engine.arm_lane sim.engine sim.claim_lane holder.expiry
 
-(* The set of top-level (globally advertised) prefixes changed: advance
-   the convergence watermark. *)
-let note_top_change sim = Engine.note_activity sim.engine "masc"
+(* For a top, the covers of its children's arena, the total claimed
+   from 224/4 and the ["masc"] convergence watermark (the set of
+   globally advertised prefixes changed); for a child, the [used] of
+   its top's covering claim, and on growth the top's pressure check.
+   [prefix] is the claim's prefix before the change. *)
+and feed sim d change prefix =
+  let size = Prefix.size prefix in
+  match d.level with
+  | Top children -> (
+      Engine.note_activity sim.engine "masc";
+      match change with
+      | Gained ->
+          Address_space.add_cover children prefix;
+          sim.claimed_top <- sim.claimed_top + size
+      | Doubled ->
+          Address_space.remove_cover children prefix;
+          Address_space.add_cover children (Prefix.double prefix);
+          sim.claimed_top <- sim.claimed_top + size
+      | Retired ->
+          (* Children may no longer place or grow claims inside a
+             draining range; their claims within it lapse at their own
+             expiry. *)
+          Address_space.remove_cover children prefix
+      | Released ->
+          Address_space.remove_cover children prefix;
+          sim.claimed_top <- sim.claimed_top - size)
+  | Child top -> (
+      match change with
+      | Gained | Doubled ->
+          note_used top prefix size;
+          pressure_check sim top
+      | Retired -> ()
+      | Released -> note_used top prefix (-size))
 
-let top_release sim top holder =
-  note_top_change sim;
-  top.t_claims <- List.filter (fun c -> c != holder) top.t_claims;
-  Address_space.remove_cover top.t_arena holder.prefix;
-  sim.claimed_top <- sim.claimed_top - Prefix.size holder.prefix
-
-let top_add_claim sim top prefix =
-  Address_space.register sim.global ~owner:top.t_owner prefix;
-  Address_space.add_cover top.t_arena prefix;
+and add_claim sim d prefix =
+  Address_space.register d.arena ~owner:d.owner prefix;
   let holder = { prefix; active = true; used = 0; alive = true; expiry = unarmed } in
-  note_top_change sim;
-  top.t_claims <- holder :: top.t_claims;
-  sim.claimed_top <- sim.claimed_top + Prefix.size prefix;
+  d.claims <- holder :: d.claims;
   sim.claims_made <- sim.claims_made + 1;
   Metrics.incr m_claims_made;
-  start_lifetime sim ~arena:sim.global holder
-    ~may_renew:(fun () -> holder.active)
-    ~on_renew:(fun () -> sim.right_size_top sim top)
-    ~on_release:(fun () -> top_release sim top holder);
+  start_lifetime sim d holder;
+  feed sim d Gained prefix;
   holder
 
-let top_double sim top holder =
-  note_top_change sim;
-  let doubled = Prefix.double holder.prefix in
-  Address_space.unregister sim.global holder.prefix;
-  Address_space.register sim.global ~owner:top.t_owner doubled;
-  Address_space.remove_cover top.t_arena holder.prefix;
-  Address_space.add_cover top.t_arena doubled;
-  sim.claimed_top <- sim.claimed_top + Prefix.size holder.prefix;
+(* The doubled claim gains the size of its old prefix. *)
+and double sim d holder =
+  let old = holder.prefix in
+  let doubled = Prefix.double old in
+  Address_space.unregister d.arena old;
+  Address_space.register d.arena ~owner:d.owner doubled;
   sim.claims_made <- sim.claims_made + 1;
   Metrics.incr m_claims_made;
-  holder.prefix <- doubled
+  holder.prefix <- doubled;
+  feed sim d Doubled old
 
-let top_deactivate sim top holder =
+and deactivate sim d holder =
   if holder.active then begin
-    note_top_change sim;
     holder.active <- false;
-    (* Children may no longer place or grow claims inside a draining
-       range; their claims within it lapse at their own expiry. *)
-    Address_space.remove_cover top.t_arena holder.prefix
+    feed sim d Retired holder.prefix
   end
 
-(* Grow a top's space by [need] addresses; [force] skips the Assign
-   short-circuit (used when a child failed on fragmentation, so raw
-   capacity exists but no usable contiguous block).  The effective need
-   is never below what restores the occupancy target, so
-   fragmentation-forced claims do not litter 224/4 with slivers. *)
-let top_expand sim top ~need ~force =
-  let threshold = sim.p.policy.Claim_policy.threshold in
-  let total = top_total top and used = top_used top in
-  let to_target =
-    max 0 (int_of_float (ceil (float_of_int (used + need) /. threshold)) - total)
-  in
-  let need = max need to_target in
-  let decision = Policy.decide ~params:sim.p.policy ~space:sim.global ~claims:top.t_claims ~need in
-  let claim_new len =
-    match
-      Address_space.choose_claim_placed sim.global ~rng:top.t_rng ~want_len:len
-        ~placement:sim.p.placement
-    with
-    | Some prefix -> Some (top_add_claim sim top prefix)
-    | None -> None
-  in
-  let consolidate len =
-    match claim_new len with
-    | Some fresh ->
-        List.iter (fun c -> if c != fresh then top_deactivate sim top c) top.t_claims;
-        true
-    | None -> false
-  in
-  (* Fragmentation-forced growth must still respect the prefix budget:
-     at the limit, consolidate into one block big enough for everything
-     instead of littering 224/4 with per-incident slivers. *)
-  let forced_growth () =
-    let active = List.filter (fun c -> c.active) top.t_claims in
-    if List.length active < sim.p.policy.Claim_policy.max_prefixes then
-      claim_new (Prefix.mask_for_count need) <> None
-    else consolidate (Prefix.mask_for_count (used + need))
-  in
-  match decision with
-  | Claim_policy.Assign _ -> if force then forced_growth () else true
-  | Claim_policy.Double holder ->
-      top_double sim top holder;
-      true
-  | Claim_policy.Claim_new len -> claim_new len <> None
-  | Claim_policy.Consolidate len -> consolidate len
-  | Claim_policy.Blocked -> forced_growth ()
+and release sim d holder =
+  holder.alive <- false;
+  Address_space.unregister d.arena holder.prefix;
+  d.claims <- List.filter (fun c -> c != holder) d.claims;
+  feed sim d Released holder.prefix
+
+and retire_others sim d fresh =
+  List.iter (fun c -> if c != fresh then deactivate sim d c) d.claims
+
+and claim_fresh sim d len =
+  match
+    Address_space.choose_claim_placed d.arena ~rng:d.rng ~want_len:len ~placement:sim.p.placement
+  with
+  | Some prefix -> Some (add_claim sim d prefix)
+  | None -> None
 
 (* Renewal-time adaptation (§4.3.3: ranges "have to be given up once the
    lifetime expires unless explicitly renewed.  This helps us adapt
    continually to usage patterns"): a domain whose active space is badly
    under-used at renewal consolidates down to a right-sized block. *)
-let right_size_top sim top =
-  let active = List.filter (fun c -> c.active) top.t_claims in
-  let size = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 active in
-  let used = List.fold_left (fun acc c -> acc + c.used) 0 active in
+and right_size sim d =
+  let active = List.filter (fun c -> c.active) d.claims in
+  let size = total_size active in
+  let used = total_used active in
   let threshold = sim.p.policy.Claim_policy.threshold in
   if used > 0 && size > 0 && float_of_int used < 0.5 *. threshold *. float_of_int size then begin
     let len = Prefix.mask_for_count used in
-    if 1 lsl (32 - len) < size then begin
-      match
-        Address_space.choose_claim_placed sim.global ~rng:top.t_rng ~want_len:len
-          ~placement:sim.p.placement
-      with
-      | Some prefix ->
-          let fresh = top_add_claim sim top prefix in
-          List.iter (fun c -> if c != fresh then top_deactivate sim top c) top.t_claims
-      | None -> ()
-    end
+    if 1 lsl (32 - len) < size then
+      match claim_fresh sim d len with Some fresh -> retire_others sim d fresh | None -> ()
   end
 
+(* Find room for [need] more addresses in [d]'s claims, claiming or
+   growing as the policy decides.  [force] (a top asked to grow because
+   a child failed on fragmentation, so raw capacity exists but no usable
+   contiguous block) skips the Assign short-circuit.  [None] only when
+   even the escalation failed. *)
+and satisfy sim d ~need ~force ~attempts =
+  if attempts <= 0 then None
+  else
+    match Policy.decide ~params:sim.p.policy ~space:d.arena ~claims:d.claims ~need with
+    | Claim_policy.Assign holder when not force -> Some holder
+    | Claim_policy.Assign _ | Claim_policy.Blocked -> no_room sim d ~need ~attempts
+    | Claim_policy.Double holder ->
+        double sim d holder;
+        Some holder
+    | Claim_policy.Claim_new len -> place sim d len ~need ~attempts
+    | Claim_policy.Consolidate len -> consolidate sim d len ~need ~attempts
+
+and consolidate sim d len ~need ~attempts =
+  match place sim d len ~need ~attempts with
+  | Some fresh ->
+      retire_others sim d fresh;
+      Some fresh
+  | None -> None
+
+(* Claim a fresh /[len]; a child whose arena has no room grows its top
+   and retries, a top has nothing above 224/4. *)
+and place sim d len ~need ~attempts =
+  match claim_fresh sim d len with
+  | Some _ as fresh -> fresh
+  | None -> (
+      match d.level with
+      | Top _ -> None
+      | Child top -> escalate sim d top ~grow:(1 lsl (32 - len)) ~need ~attempts)
+
+(* The policy found no way to grow [d] in its arena.  A child grows its
+   top by its whole usage plus the need and retries.  A top's growth
+   must still respect the prefix budget: at the limit it consolidates
+   into one block big enough for everything instead of littering 224/4
+   with per-incident slivers. *)
+and no_room sim d ~need ~attempts =
+  let used = total_used d.claims in
+  match d.level with
+  | Child top -> escalate sim d top ~grow:(need + used) ~need ~attempts
+  | Top _ ->
+      let active = List.filter (fun c -> c.active) d.claims in
+      if List.length active < sim.p.policy.Claim_policy.max_prefixes then
+        claim_fresh sim d (Prefix.mask_for_count need)
+      else consolidate sim d (Prefix.mask_for_count (used + need)) ~need ~attempts
+
+and escalate sim d top ~grow ~need ~attempts =
+  if grow_top sim top ~need:grow ~force:true then
+    satisfy sim d ~need ~force:false ~attempts:(attempts - 1)
+  else None
+
+(* Grow a top's space by [need] addresses.  The effective need is never
+   below what restores the occupancy target, so fragmentation-forced
+   claims do not litter 224/4 with slivers. *)
+and grow_top sim top ~need ~force =
+  let threshold = sim.p.policy.Claim_policy.threshold in
+  let total = total_size top.claims and used = total_used top.claims in
+  let to_target =
+    max 0 (int_of_float (ceil (float_of_int (used + need) /. threshold)) - total)
+  in
+  satisfy sim top ~need:(max need to_target) ~force ~attempts:1 <> None
+
 (* Keep the parent ahead of its children's demand (§4.1). *)
-let top_pressure_check sim top =
-  let total = top_total top in
-  let used = top_used top in
-  if total = 0 then ignore (top_expand sim top ~need:sim.p.block_size ~force:false)
+and pressure_check sim top =
+  let total = total_size top.claims in
+  let used = total_used top.claims in
+  if total = 0 then ignore (grow_top sim top ~need:sim.p.block_size ~force:false)
   else begin
     let threshold = sim.p.policy.Claim_policy.threshold in
     if float_of_int used > threshold *. float_of_int total then begin
       let target = int_of_float (ceil (float_of_int used /. threshold)) in
-      ignore (top_expand sim top ~need:(max sim.p.block_size (target - total)) ~force:false)
+      ignore (grow_top sim top ~need:(max sim.p.block_size (target - total)) ~force:false)
     end
   end
 
-(* --- child claims --------------------------------------------------- *)
+(* --- a child's demand --------------------------------------------- *)
 
-let top_claim_covering top prefix =
-  List.find_opt (fun c -> Prefix.subsumes c.prefix prefix) top.t_claims
-
-let note_child_claimed sim child prefix delta =
-  let top = sim.top_doms.(child.c_top) in
-  match top_claim_covering top prefix with
-  | Some holder -> holder.used <- holder.used + delta
-  | None -> ()
-
-let child_release sim child holder =
-  child.c_claims <- List.filter (fun c -> c != holder) child.c_claims;
-  note_child_claimed sim child holder.prefix (-(Prefix.size holder.prefix))
-
-let child_add_claim sim child prefix =
-  let top = sim.top_doms.(child.c_top) in
-  Address_space.register top.t_arena ~owner:child.c_owner prefix;
-  let holder = { prefix; active = true; used = 0; alive = true; expiry = unarmed } in
-  child.c_claims <- holder :: child.c_claims;
-  sim.claims_made <- sim.claims_made + 1;
-  Metrics.incr m_claims_made;
-  note_child_claimed sim child prefix (Prefix.size prefix);
-  start_lifetime sim ~arena:top.t_arena holder
-    ~may_renew:(fun () ->
-      holder.active
-      && (match top_claim_covering top holder.prefix with
-         | Some cover -> cover.active
-         | None -> false))
-    ~on_renew:(fun () -> sim.right_size_child sim child)
-    ~on_release:(fun () -> child_release sim child holder);
-  top_pressure_check sim top;
-  holder
-
-let child_double sim child holder =
-  let top = sim.top_doms.(child.c_top) in
-  let doubled = Prefix.double holder.prefix in
-  Address_space.unregister top.t_arena holder.prefix;
-  Address_space.register top.t_arena ~owner:child.c_owner doubled;
-  note_child_claimed sim child holder.prefix (Prefix.size holder.prefix);
-  (* +size(old) = size(new) - size(old) added on top of what was already
-     counted for the old prefix. *)
-  sim.claims_made <- sim.claims_made + 1;
-  Metrics.incr m_claims_made;
-  holder.prefix <- doubled;
-  top_pressure_check sim top
-
-(* Find (growing the spaces as needed) a claim with room for one block.
-   Returns [None] only when even parent expansion failed. *)
-let rec child_satisfy sim child ~attempts =
-  if attempts <= 0 then None
-  else begin
-    let top = sim.top_doms.(child.c_top) in
-    match
-      Policy.decide ~params:sim.p.policy ~space:top.t_arena ~claims:child.c_claims
-        ~need:sim.p.block_size
-    with
-    | Claim_policy.Assign holder -> Some holder
-    | Claim_policy.Double holder ->
-        child_double sim child holder;
-        Some holder
-    | Claim_policy.Claim_new len -> child_place sim child top len ~attempts
-    | Claim_policy.Consolidate len -> (
-        match child_place sim child top len ~attempts with
-        | Some holder ->
-            List.iter (fun c -> if c != holder then c.active <- false) child.c_claims;
-            Some holder
-        | None -> None)
-    | Claim_policy.Blocked ->
-        let need =
-          sim.p.block_size
-          + List.fold_left (fun acc c -> acc + c.used) 0 child.c_claims
-        in
-        if top_expand sim top ~need ~force:true then child_satisfy sim child ~attempts:(attempts - 1)
-        else None
-  end
-
-(* Claim a fresh /[len] for the child, growing its top's space when the
-   arena has no room. *)
-and child_place sim child top len ~attempts =
-  match
-    Address_space.choose_claim_placed top.t_arena ~rng:child.c_rng ~want_len:len
-      ~placement:sim.p.placement
-  with
-  | Some prefix -> Some (child_add_claim sim child prefix)
-  | None ->
-      if top_expand sim top ~need:(1 lsl (32 - len)) ~force:true then
-        child_satisfy sim child ~attempts:(attempts - 1)
-      else None
-
-let right_size_child sim child =
-  let active = List.filter (fun c -> c.active) child.c_claims in
-  let size = List.fold_left (fun acc c -> acc + Prefix.size c.prefix) 0 active in
-  let used = List.fold_left (fun acc c -> acc + c.used) 0 active in
-  let threshold = sim.p.policy.Claim_policy.threshold in
-  if used > 0 && size > 0 && float_of_int used < 0.5 *. threshold *. float_of_int size then begin
-    let len = Prefix.mask_for_count used in
-    if 1 lsl (32 - len) < size then begin
-      let top = sim.top_doms.(child.c_top) in
-      match
-        Address_space.choose_claim_placed top.t_arena ~rng:child.c_rng ~want_len:len
-          ~placement:sim.p.placement
-      with
-      | Some prefix ->
-          let fresh = child_add_claim sim child prefix in
-          List.iter (fun c -> if c != fresh then c.active <- false) child.c_claims
-      | None -> ()
-    end
-  end
-
+(* An inactive claim that just drained is recycled immediately — the
+   paper's "will timeout when the currently allocated addresses
+   timeout". *)
 let expire_block sim child holder =
   holder.used <- holder.used - sim.p.block_size;
   sim.demanded <- sim.demanded - sim.p.block_size;
   sim.blocks <- sim.blocks - 1;
-  (* An inactive claim that just drained is recycled immediately — the
-     paper's "will timeout when the currently allocated addresses
-     timeout". *)
-  if holder.alive && (not holder.active) && holder.used = 0 then begin
-    holder.alive <- false;
-    let top = sim.top_doms.(child.c_top) in
-    Address_space.unregister top.t_arena holder.prefix;
-    child_release sim child holder
-  end
+  if holder.alive && (not holder.active) && holder.used = 0 then release sim child.dom holder
 
 (* Every block lives [block_lifetime] and a child's grants come at
    nondecreasing times, so its blocks expire in grant order.  Each
@@ -456,118 +409,105 @@ let expire_oldest_block sim child =
   child.c_len <- child.c_len - 1;
   expire_block sim child holder
 
-(* The draw order is fixed: [child_satisfy] may draw placements from the
+(* The draw order is fixed: [satisfy] may draw placements from the
    child's rng, then the delay to its next request is drawn. *)
 let request sim child =
   sim.requests <- sim.requests + 1;
   Metrics.incr m_requests;
-  (match child_satisfy sim child ~attempts:3 with
+  (match satisfy sim child.dom ~need:sim.p.block_size ~force:false ~attempts:3 with
   | Some holder -> grant_block sim child holder
   | None ->
       sim.failed <- sim.failed + 1;
       Metrics.incr m_failed);
   Engine.arm_after sim.engine child.c_request
-    (Rng.float_in child.c_rng sim.p.request_min sim.p.request_max)
+    (Rng.float_in child.dom.rng sim.p.request_min sim.p.request_max)
 
 let start_requests sim child =
   child.c_request <- Engine.event ~label:"alloc.request" (fun () -> request sim child);
   child.c_block_expiry <-
     Engine.event ~label:"alloc.block_expiry" (fun () -> expire_oldest_block sim child);
   Engine.arm_after sim.engine child.c_request
-    (Rng.float_in child.c_rng sim.p.request_min sim.p.request_max)
+    (Rng.float_in child.dom.rng sim.p.request_min sim.p.request_max)
 
 (* --- invariants ------------------------------------------------------ *)
 
+(* Every domain's listed claims, grouped by the arena they register in:
+   the tops' in 224/4, then each top's children's in its arena. *)
+let claims_by_arena sim =
+  let groups = Array.make (Array.length sim.top_doms + 1) [] in
+  let add d =
+    let g = match d.level with Top _ -> 0 | Child top -> top.owner + 1 in
+    groups.(g) <- List.fold_left (fun acc c -> (d, c) :: acc) groups.(g) d.claims
+  in
+  Array.iter add sim.top_doms;
+  Array.iter (fun child -> add child.dom) sim.child_doms;
+  groups
+
 (* The guarantee MASC's collision resolution exists to provide (§4),
-   checked live against the synchronous registries: no two domains hold
-   overlapping live claims — tops against 224/4, and each arena's
-   children among themselves. *)
+   checked live against the synchronous registries: no two domains
+   claiming from one arena hold overlapping live claims. *)
 let overlap_violations sim () =
-  let pair_check claims acc =
-    let rec go acc = function
-      | [] -> acc
-      | (a, (pa : Prefix.t)) :: rest ->
-          let acc =
-            List.fold_left
-              (fun acc (b, pb) ->
-                if a <> b && Prefix.overlaps pa pb then
-                  ( Printf.sprintf "domains %d and %d claimed overlapping ranges %s and %s" a b
-                      (Prefix.to_string pa) (Prefix.to_string pb),
-                    None )
-                  :: acc
-                else acc)
-              acc rest
-          in
-          go acc rest
-    in
-    go acc claims
+  let rec pairs acc = function
+    | [] -> acc
+    | (a, ca) :: rest ->
+        let acc =
+          List.fold_left
+            (fun acc (b, cb) ->
+              if a.owner <> b.owner && Prefix.overlaps ca.prefix cb.prefix then
+                ( Printf.sprintf "domains %d and %d claimed overlapping ranges %s and %s" a.owner
+                    b.owner (Prefix.to_string ca.prefix) (Prefix.to_string cb.prefix),
+                  None )
+                :: acc
+              else acc)
+            acc rest
+        in
+        pairs acc rest
   in
-  let tops =
-    Array.to_list sim.top_doms
-    |> List.concat_map (fun top ->
-           List.map (fun c -> (top.t_owner, c.prefix)) top.t_claims)
-  in
-  let acc = pair_check tops [] in
-  let per_top = Hashtbl.create 16 in
-  Array.iter
-    (fun child ->
-      let entries = List.map (fun c -> (child.c_owner, c.prefix)) child.c_claims in
-      Hashtbl.replace per_top child.c_top
-        (entries @ Option.value ~default:[] (Hashtbl.find_opt per_top child.c_top)))
-    sim.child_doms;
-  Hashtbl.fold (fun _ claims acc -> pair_check claims acc) per_top acc
+  Array.fold_left pairs [] (claims_by_arena sim)
 
 (* What lets the policy read a domain's claim list unfiltered: every
    claim listed is alive and registered to that domain in its arena —
    a claim leaves its list in the handler that kills it. *)
 let live_list_violations sim () =
-  let check kind ~owner ~arena acc c =
-    if c.alive && Address_space.owner_of arena c.prefix = Some owner then acc
+  let check acc (d, c) =
+    if c.alive && Address_space.owner_of d.arena c.prefix = Some d.owner then acc
     else
-      ( Printf.sprintf "%s %d lists %s claim %s" kind owner
+      ( Printf.sprintf "%s %d lists %s claim %s"
+          (match d.level with Top _ -> "top" | Child _ -> "child")
+          d.owner
           (if c.alive then "unregistered" else "dead")
           (Prefix.to_string c.prefix),
         None )
       :: acc
   in
-  let acc =
-    Array.fold_left
-      (fun acc top ->
-        List.fold_left (check "top" ~owner:top.t_owner ~arena:sim.global) acc top.t_claims)
-      [] sim.top_doms
-  in
-  Array.fold_left
-    (fun acc child ->
-      let arena = sim.top_doms.(child.c_top).t_arena in
-      List.fold_left (check "child" ~owner:child.c_owner ~arena) acc child.c_claims)
-    acc sim.child_doms
+  Array.fold_left (List.fold_left check) [] (claims_by_arena sim)
 
 (* --- sampling ------------------------------------------------------- *)
 
 let take_sample sim =
   let p = sim.p in
   let global_prefixes =
-    Array.fold_left (fun acc top -> acc + List.length top.t_claims) 0 sim.top_doms
-  in
-  let child_prefix_total =
-    Array.fold_left (fun acc c -> acc + List.length c.c_claims) 0 sim.child_doms
+    Array.fold_left (fun acc top -> acc + List.length top.claims) 0 sim.top_doms
   in
   (* Per-top counts of children prefixes. *)
   let per_top = Array.make p.tops 0 in
   Array.iter
-    (fun c -> per_top.(c.c_top) <- per_top.(c.c_top) + List.length c.c_claims)
+    (fun { dom; _ } ->
+      let top = (top_of dom).owner in
+      per_top.(top) <- per_top.(top) + List.length dom.claims)
     sim.child_doms;
+  let child_prefix_total = Array.fold_left ( + ) 0 per_top in
   let sum_grib = ref 0 and max_grib = ref 0 in
   Array.iter
     (fun top ->
-      let g = global_prefixes + per_top.(top.t_owner) in
+      let g = global_prefixes + per_top.(top.owner) in
       sum_grib := !sum_grib + g;
       if g > !max_grib then max_grib := g)
     sim.top_doms;
   Array.iter
-    (fun c ->
-      let own = List.length c.c_claims in
-      let g = global_prefixes + per_top.(c.c_top) - own in
+    (fun { dom; _ } ->
+      let own = List.length dom.claims in
+      let g = global_prefixes + per_top.((top_of dom).owner) - own in
       sum_grib := !sum_grib + g;
       if g > !max_grib then max_grib := g)
     sim.child_doms;
@@ -596,9 +536,11 @@ let run p =
   let rng = Rng.create p.seed in
   let global = Address_space.create () in
   Address_space.add_cover global Prefix.class_d;
+  (* Each top's children claim from an arena its active claims cover. *)
+  let arenas = Array.init p.tops (fun _ -> Address_space.create ()) in
   let top_doms =
     Array.init p.tops (fun i ->
-        { t_owner = i; t_arena = Address_space.create (); t_claims = []; t_rng = Rng.split rng })
+        { owner = i; arena = global; claims = []; rng = Rng.split rng; level = Top arenas.(i) })
   in
   let children_counts =
     Array.init p.tops (fun _ ->
@@ -615,10 +557,14 @@ let run p =
       (List.mapi
          (fun i top ->
            {
-             c_owner = p.tops + i;
-             c_top = top;
-             c_claims = [];
-             c_rng = Rng.split rng;
+             dom =
+               {
+                 owner = p.tops + i;
+                 arena = arenas.(top);
+                 claims = [];
+                 rng = Rng.split rng;
+                 level = Child top_doms.(top);
+               };
              c_request = unarmed;
              c_block_expiry = unarmed;
              c_blocks = [||];
@@ -633,7 +579,6 @@ let run p =
       engine;
       claim_lane = Engine.lane engine ~delay:p.claim_lifetime;
       block_lane = Engine.lane engine ~delay:p.block_lifetime;
-      global;
       top_doms;
       child_doms;
       demanded = 0;
@@ -644,14 +589,10 @@ let run p =
       claims_made = 0;
       samples_rev = [];
       last_sample = None;
-      right_size_top = (fun _ _ -> ());
-      right_size_child = (fun _ _ -> ());
       violations = 0;
       invariants = Invariant.create ();
     }
   in
-  sim.right_size_top <- right_size_top;
-  sim.right_size_child <- right_size_child;
   Invariant.register sim.invariants ~name:"allocation-overlap" (overlap_violations sim);
   Invariant.register sim.invariants ~name:"allocation-live-lists" (live_list_violations sim);
   (* Telemetry sources read the sim's running tallies plus the latest
@@ -703,8 +644,8 @@ let run p =
         failed_requests = sim.failed;
         total_requests = sim.requests;
         claims_made = sim.claims_made;
-        final_tops = Array.map (fun top -> snapshot top.t_claims) sim.top_doms;
-        final_children = Array.map (fun c -> snapshot c.c_claims) sim.child_doms;
+        final_tops = Array.map (fun top -> snapshot top.claims) sim.top_doms;
+        final_children = Array.map (fun child -> snapshot child.dom.claims) sim.child_doms;
         invariant_violations = sim.violations;
         top_converged_day;
       })

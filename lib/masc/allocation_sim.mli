@@ -5,9 +5,16 @@
     requests blocks of [block_size] addresses with lifetime
     [block_lifetime]; inter-request times are uniform on
     [\[request_min, request_max\]].  Children claim prefixes from their
-    parent's space and parents claim from 224/4, both with the §4.3.3
-    policy (75 % occupancy target, at most two prefixes, doubling /
-    small-claim / consolidation).
+    parent's space and parents claim from 224/4.  The two levels share
+    one claim lifecycle: the §4.3.3 policy (75 % occupancy target, at
+    most two prefixes, doubling / small-claim / consolidation) and the
+    claim lifetime with renewal-time right-sizing, draining and release.
+    They differ only in where a claim registers (224/4, or the parent's
+    space), what its claimed space feeds (a parent's claims cover its
+    children's arena; a child's count as used in the parent's covering
+    claim and may push the parent to grow) and how a blocked level
+    escalates (a child grows its parent and retries; a parent, with
+    nothing above 224/4, claims by force within its prefix budget).
 
     The simulator runs the claim algorithm synchronously against each
     arena's current registry: the 48-hour collision wait is three orders

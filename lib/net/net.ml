@@ -1,6 +1,6 @@
-type config = { loss_rate : float; loss_seed : int; delay_override : Time.t option }
+type config = { loss_rate : float; loss_seed : int }
 
-let default_config = { loss_rate = 0.0; loss_seed = 1998; delay_override = None }
+let default_config = { loss_rate = 0.0; loss_seed = 1998 }
 
 (* Per-protocol accounting: plain ints for per-net queries plus the
    process-wide metrics counters. *)
@@ -111,7 +111,7 @@ let register_stats st =
    stats, and a cell that is up at epoch 0 behaves like a fresh one. *)
 let reset t ~loss_rate ~loss_seed =
   check_rate "reset" loss_rate;
-  t.cfg <- { t.cfg with loss_rate; loss_seed };
+  t.cfg <- { loss_rate; loss_seed };
   Rng.reseed t.loss_rng loss_seed;
   Hashtbl.iter
     (fun _ st ->
@@ -229,7 +229,6 @@ let empty ch =
 let unbuilt = Engine.event ignore
 
 let channel t ~protocol ~src ~dst ~delay ~recv =
-  let delay = match t.cfg.delay_override with Some d -> d | None -> delay in
   if not (delay >= 0.0) then invalid_arg "Net.channel: negative or NaN delay";
   let stats = stats_for t protocol in
   let ch =

@@ -9,11 +9,10 @@
     routing them all through one substrate gives every protocol the same
     failure semantics and gives fault injection one place to act:
 
-    - {b delay} — each channel delivers [delay] after the send (or the
-      net-wide [delay_override]); delivery order per channel is FIFO,
-      and equal-time deliveries across channels fire in send order (the
-      engine's queue breaks ties by scheduling sequence), so runs are
-      fully deterministic;
+    - {b delay} — each channel delivers [delay] after the send;
+      delivery order per channel is FIFO, and equal-time deliveries
+      across channels fire in send order (the engine's queue breaks ties
+      by scheduling sequence), so runs are fully deterministic;
     - {b up/down state} — {!fail_link} takes both directions of an
       endpoint pair down: subsequent sends are dropped at the source and
       messages already in flight are lost (they were bits on the dead
@@ -38,14 +37,10 @@
 type config = {
   loss_rate : float;  (** per-message drop probability in [0, 1) *)
   loss_seed : int;  (** seed of the private loss RNG *)
-  delay_override : Time.t option;
-      (** when set, every channel delivers with this delay instead of
-          its own (collapsed from the old
-          [Bgmp_fabric.config.link_delay_override]) *)
 }
 
 val default_config : config
-(** No loss, no override, seed 1998. *)
+(** No loss, seed 1998. *)
 
 type t
 
@@ -55,10 +50,9 @@ val create : engine:Engine.t -> ?config:config -> unit -> t
 
 val reset : t -> loss_rate:float -> loss_seed:int -> unit
 (** Rewind to the state {!create} returns with this [loss_rate] and
-    [loss_seed] (and the net's own [delay_override]), in place:
-    every message on the wire is dropped, every link direction is up at
-    epoch 0, the per-protocol counts read 0 and the loss RNG is
-    reseeded.  Channels, link cells and listeners stay;
+    [loss_seed], in place: every message on the wire is dropped, every
+    link direction is up at epoch 0, the per-protocol counts read 0 and
+    the loss RNG is reseeded.  Channels, link cells and listeners stay;
     each protocol's [net.*] instruments are registered in the current
     {!Metrics} registry again, as creating its first channel did.  The
     engine must be reset with it ({!Engine.reset}), so no delivery of a

@@ -61,6 +61,15 @@ let child_of parent name =
       parent.order <- name :: parent.order;
       n
 
+(* Bytes allocated so far by this domain.  [Gc.allocated_bytes] on
+   OCaml 5.1 leaves out the current minor heap, so its deltas land on
+   whichever span is open when the count catches up; [Gc.minor_words]
+   counts the minor heap exactly, and words promoted out of it are
+   counted again among the major words. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 let span name f =
   if not !on then f ()
   else begin
@@ -70,11 +79,11 @@ let span name f =
     node.count <- node.count + 1;
     st.pcur <- node;
     let t0 = Unix.gettimeofday () in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = allocated_bytes () in
     Fun.protect
       ~finally:(fun () ->
         node.total_s <- node.total_s +. (Unix.gettimeofday () -. t0);
-        node.total_bytes <- node.total_bytes +. (Gc.allocated_bytes () -. a0);
+        node.total_bytes <- node.total_bytes +. (allocated_bytes () -. a0);
         st.pcur <- parent)
       f
   end

@@ -595,6 +595,9 @@ let suite =
             "fig2 --summary --days 60";
             "fig2 --summary --days 60 --hetero 5";
             "ablate-placement --days 60";
+            (* The 60-day runs end before any claim is right-sized at
+               renewal or any top claim is released; 150 days reach both. *)
+            "fig2 --summary --days 150";
           ]
         ~golden:"fig2_fingerprints.txt" );
     ( "net fingerprint",

@@ -75,7 +75,7 @@ let test_asymmetric_block () =
 
 let loss_pattern ~seed =
   let engine, net =
-    make ~config:{ Net.loss_rate = 0.3; loss_seed = seed; delay_override = None } ()
+    make ~config:{ Net.loss_rate = 0.3; loss_seed = seed } ()
   in
   let got = ref [] in
   let ch =
@@ -135,20 +135,6 @@ let test_fail_restore_notify_on_transition_only () =
     "one notification per actual transition"
     [ (2, 3, false); (2, 3, true) ]
     (List.rev !log)
-
-let test_delay_override () =
-  let engine, net =
-    make ~config:{ Net.loss_rate = 0.0; loss_seed = 0; delay_override = Some 0.25 } ()
-  in
-  let at = ref nan in
-  let ch =
-    Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:10.0 ~recv:(fun () ->
-        at := Engine.now engine)
-  in
-  check (Alcotest.float 1e-9) "override wins over channel delay" 0.25 (Net.channel_delay ch);
-  Net.send ch ();
-  Engine.run_until_idle engine;
-  check (Alcotest.float 1e-9) "delivered at overridden delay" 0.25 !at
 
 let test_run_until_quiescent_outlives_housekeeping () =
   (* The Internet.settle shape: protocol activity stops but a periodic
@@ -420,7 +406,7 @@ let test_ring_releases_delivered () =
    wire dropped, links up at epoch 0, counts zero, the loss RNG and
    loss rate and seed back to the given ones. *)
 let test_reset_reads_like_fresh () =
-  let lossy = { Net.default_config with Net.loss_rate = 0.3; loss_seed = 4 } in
+  let lossy = { Net.loss_rate = 0.3; loss_seed = 4 } in
   let run engine net ch got =
     for i = 1 to 40 do
       ignore (Engine.schedule_at engine (float_of_int i) (fun () -> Net.send ch i))
@@ -463,7 +449,6 @@ let suite =
     ("seeded loss is reproducible", `Quick, test_seeded_loss_is_reproducible);
     ("fail_link drops in-flight", `Quick, test_fail_link_drops_in_flight);
     ("fail/restore notify on transition only", `Quick, test_fail_restore_notify_on_transition_only);
-    ("net-wide delay override", `Quick, test_delay_override);
     ("fail_link drops every protocol's lane", `Quick, test_fail_link_drops_every_protocol);
     ("late channel sees link state", `Quick, test_late_channel_sees_link_state);
     ("block leaves the reverse cell", `Quick, test_block_leaves_reverse_cell);

@@ -438,6 +438,30 @@ let test_prof_tree () =
     (abs_float (outer.Prof.self_s -. (outer.Prof.total_s -. inner.Prof.total_s)) < 1e-9);
   check Alcotest.bool "allocation charged to inner" true (inner.Prof.total_bytes > 0.0)
 
+(* Bytes are charged to the span that allocates them: a list built in
+   one span counts there in full, and its sibling that allocates
+   nothing is charged only the span's own bookkeeping (224 B
+   measured), however full the minor heap was when either opened. *)
+let test_prof_bytes_charged_where_allocated () =
+  with_prof @@ fun () ->
+  Prof.enable ();
+  let n = 1000 in
+  Prof.span "outer" (fun () ->
+      Prof.span "build" (fun () -> ignore (Sys.opaque_identity (List.init n Fun.id)));
+      Prof.span "idle" (fun () -> ()));
+  let rows = Prof.rows () in
+  let build = Option.get (Prof.find rows [ "outer"; "build" ]) in
+  let idle = Option.get (Prof.find rows [ "outer"; "idle" ]) in
+  let list_bytes = float_of_int (n * 3 * (Sys.word_size / 8)) in
+  check Alcotest.bool
+    (Printf.sprintf "list of %.0f B charged to its span (%.0f B)" list_bytes build.Prof.self_bytes)
+    true
+    (build.Prof.self_bytes >= list_bytes);
+  check Alcotest.bool
+    (Printf.sprintf "idle sibling charged %.0f B" idle.Prof.self_bytes)
+    true
+    (idle.Prof.self_bytes < 512.0)
+
 let test_prof_exception_closes_span () =
   with_prof @@ fun () ->
   Prof.enable ();
@@ -776,6 +800,7 @@ let suite =
     ("invariant depends gating", `Quick, test_invariant_depends);
     ("prof disabled passthrough", `Quick, test_prof_disabled_is_passthrough);
     ("prof tree", `Quick, test_prof_tree);
+    ("prof bytes charged where allocated", `Quick, test_prof_bytes_charged_where_allocated);
     ("prof exception closes span", `Quick, test_prof_exception_closes_span);
     ("prof jsonl roundtrip", `Quick, test_prof_jsonl_roundtrip);
     ("prof enable resets", `Quick, test_prof_enable_resets);

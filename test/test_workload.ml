@@ -2,49 +2,6 @@
 
 let check = Alcotest.check
 
-(* --- Demand ---------------------------------------------------------- *)
-
-let test_demand_schedule_ordering () =
-  let rng = Rng.create 3 in
-  let events = Demand.schedule Demand.paper_profile ~rng ~horizon:(Time.days 100.0) in
-  check Alcotest.bool "non-empty" true (events <> []);
-  let rec ordered = function
-    | a :: (b :: _ as rest) -> a.Demand.at <= b.Demand.at && ordered rest
-    | [ _ ] | [] -> true
-  in
-  check Alcotest.bool "time-ordered" true (ordered events);
-  List.iter
-    (fun (e : Demand.event) ->
-      check Alcotest.bool "within horizon" true (e.Demand.at <= Time.days 100.0);
-      check (Alcotest.float 1e-6) "lifetime is 30 days" (Time.days 30.0)
-        (e.Demand.expires -. e.Demand.at))
-    events
-
-let test_demand_rate_matches_profile () =
-  let rng = Rng.create 7 in
-  let horizon = Time.days 400.0 in
-  let events = Demand.schedule Demand.paper_profile ~rng ~horizon in
-  (* Mean gap is 48h -> about 200 requests over 400 days. *)
-  let n = List.length events in
-  check Alcotest.bool (Printf.sprintf "request count plausible (%d)" n) true (n > 160 && n < 240)
-
-let test_demand_expected_steady_blocks () =
-  check (Alcotest.float 1e-6) "paper profile: 15 blocks" 15.0
-    (Demand.expected_steady_blocks Demand.paper_profile);
-  check Alcotest.bool "bursty profile much higher" true
-    (Demand.expected_steady_blocks Demand.bursty_profile > 100.0)
-
-let test_demand_drive_on_engine () =
-  let engine = Engine.create () in
-  let rng = Rng.create 5 in
-  let fired = ref 0 in
-  Demand.drive Demand.paper_profile ~rng ~engine ~horizon:(Time.days 30.0)
-    ~on_request:(fun ~expires ->
-      incr fired;
-      check Alcotest.bool "expiry in the future" true (expires > Engine.now engine));
-  Engine.run ~until:(Time.days 31.0) engine;
-  check Alcotest.bool "requests fired" true (!fired > 5)
-
 (* --- Membership ------------------------------------------------------- *)
 
 let test_membership_beacon_plan () =
@@ -252,10 +209,6 @@ let test_group_churn_collector_matches_stream () =
 
 let suite =
   [
-    ("demand schedule ordering", `Quick, test_demand_schedule_ordering);
-    ("demand rate matches profile", `Quick, test_demand_rate_matches_profile);
-    ("demand expected steady blocks", `Quick, test_demand_expected_steady_blocks);
-    ("demand drive on engine", `Quick, test_demand_drive_on_engine);
     ("membership uniform", `Quick, test_membership_uniform);
     ("membership beacon plan", `Quick, test_membership_beacon_plan);
     ("membership clustered concentrated", `Quick, test_membership_clustered_is_concentrated);
