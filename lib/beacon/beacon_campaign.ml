@@ -193,10 +193,10 @@ let run ?jobs (p : params) =
         List.map (fun (i, seed) -> run_trial p ~trial:i ~seed) tasks
     | None ->
         Par.map ?jobs
-          (fun (i, seed) -> Par.with_shard (fun () -> run_trial p ~trial:i ~seed))
+          (fun (i, seed) -> Obs.capture (fun () -> run_trial p ~trial:i ~seed))
           tasks
         |> List.map (fun (r, shard) ->
-               Par.merge_shard shard;
+               Obs.merge shard;
                r)
   in
   let agg_matrix = Beacon_matrix.create () in

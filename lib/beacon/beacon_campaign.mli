@@ -13,7 +13,7 @@
     losing in-flight and at-source probe copies in between.
 
     Determinism: per-trial seeds are pre-drawn from [seed] on the
-    submitting domain, every trial runs under a {!Par.with_shard}, and
+    submitting domain, every trial runs under an {!Obs.capture}, and
     shards/matrices fold back in trial order — results are identical at
     any [--jobs].  Telemetry (an [Obs.Timeseries] driven by the engine
     sampler) is only supported for single-trial runs, like
@@ -65,7 +65,7 @@ val run : ?jobs:int -> params -> result
 
 val invariants : params -> result -> Invariant.t
 (** The measurement layer's own verdict over a finished campaign, as
-    three registered predicates (counted in the creating domain's
+    three registered predicates (counted in the checking domain's
     {!Metrics.current}):
 
     - ["beacon-conservation"] — every probe copy expected is either

@@ -44,8 +44,7 @@ val create : ?config:config -> ?migp_style:(Domain.id -> Migp.style) -> Topo.t -
 val reset : t -> seed:int -> unit
 (** Rewind the whole stack in place to the state {!create} with the same
     config but [seed] returns: engine, transport, BGP, MASC (RNGs
-    reseeded from [seed]), BGMP, MAAS and the invariant monitor, whose
-    counters now count into the calling domain's {!Metrics.current}.
+    reseeded from [seed]), BGMP, MAAS and the invariant monitor.
     A run on a reset stack is the run on a fresh one, event for event:
     same outcome, same recording, same metrics.  The topology, the
     glue hooks and the registered predicates stay; a monitor or
@@ -127,7 +126,8 @@ val root_domain_of : t -> Ipv4.t -> Domain.id option
 (** {1 Invariants and convergence}
 
     Five named predicates over the live stack (registered at {!create}
-    into an {!Invariant.t}, counted in {!Metrics.default}):
+    into an {!Invariant.t}, counted in the checking domain's
+    {!Metrics.current}):
 
     - ["masc-sibling-overlap"] — no two sibling domains hold
       overlapping {e acquired} MASC ranges (§4's collision resolution

@@ -107,8 +107,9 @@ let run_trial ~stack ~trial ~seed schedule =
 (* Re-run a minimal counterexample with the flight recorder on, so the
    violation is replayable ([report --diff]) and attributable ([report
    --triage] / [trace]: the recording carries the protocol narrative).
-   A fresh span minter mirrors the Par shard the trial ran in, so the
-   repro's trace ids match the ledger's. *)
+   The run is captured like the trial it repeats, so its span ids
+   start from a fresh minter and the repro's trace ids match the
+   ledger's. *)
 let repro ~arena ~dir (e : Ledger.entry) =
   match e.Ledger.min_schedule with
   | None -> e
@@ -119,10 +120,11 @@ let repro ~arena ~dir (e : Ledger.entry) =
           (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
           let rec_path = Filename.concat dir (Printf.sprintf "cex-%d.recording.jsonl" e.Ledger.trial) in
           Recorder.enable ~retain:(Recorder.Ring 4096) ~sink:rec_path ();
-          let outcome, _ =
-            Span.with_minter (Span.create_minter ()) (fun () ->
+          let (outcome, _), shard =
+            Obs.capture (fun () ->
                 Oracle.run ~stack:(Oracle.stack arena) ~seed:e.Ledger.seed schedule)
           in
+          Obs.merge shard;
           (* Close the recording with one synthetic record naming the
              violated invariant and its blamed chain, so the recording
              carries the verdict. *)
@@ -187,13 +189,13 @@ let run_campaign config =
     Par.map_with ?jobs:config.jobs
       ~init:(fun () -> Oracle.stack config.arena)
       (fun stack (trial, seed, schedule) ->
-        Par.with_shard (fun () -> run_trial ~stack ~trial ~seed schedule))
+        Obs.capture (fun () -> run_trial ~stack ~trial ~seed schedule))
       trials
   in
   let entries =
     List.map
       (fun (entry, shard) ->
-        Par.merge_shard shard;
+        Obs.merge shard;
         entry)
       results
   in

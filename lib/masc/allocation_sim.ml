@@ -664,9 +664,9 @@ let run_many ?jobs ps =
     (fun p ->
       if p.telemetry <> None then invalid_arg "Allocation_sim.run_many: telemetry not supported")
     ps;
-  let outs = Par.map ?jobs (fun p -> Par.with_shard (fun () -> run p)) ps in
+  let outs = Par.map ?jobs (fun p -> Obs.capture (fun () -> run p)) ps in
   List.map
     (fun (r, shard) ->
-      Par.merge_shard shard;
+      Obs.merge shard;
       r)
     outs

@@ -7,18 +7,18 @@ type gate = {
   depends : unit -> int;
   mutable clean : bool;  (** the last run returned no violation *)
   mutable clean_at : int;  (** [depends ()] read before that run *)
-  mutable skipped : Metrics.counter option;  (** [invariant.skipped] *)
 }
 
-(* Counter handles are resolved once, on first use, and cached here.
-   Resolving them at register time would put zero-valued keys into the
-   metrics snapshot of every run that never checks. *)
+(* Counter handles are made on first use, so no key is in a snapshot
+   before its first update; a handle follows whatever registry is
+   current, so a monitor counts where it checks and a reused one needs
+   no rebinding. *)
 type pred = {
   name : string;
+  violations_of : Metrics.counter Lazy.t;  (** [invariant.violations.<name>] *)
   quiescent_only : bool;
   run : check;
   gate : gate option;  (** [None]: runs at every check *)
-  mutable violations_of : Metrics.counter option;  (** [invariant.violations.<name>] *)
 }
 
 (* Bounded retention of violations returned by [check]: the first
@@ -28,86 +28,44 @@ type pred = {
 let seen_cap = 64
 
 type t = {
-  mutable registry : Metrics.registry;
-  mutable checks : Metrics.counter option;
-  mutable violations : Metrics.counter option;
+  checks : Metrics.counter Lazy.t;
+  violations : Metrics.counter Lazy.t;
+  skipped : Metrics.counter Lazy.t;
   mutable preds : pred list;
   mutable seen : violation list;  (** first [seen_cap] violations, newest first *)
   mutable n_seen : int;
 }
 
-let reset ?registry t =
-  t.registry <- (match registry with Some r -> r | None -> Metrics.current ());
-  t.checks <- None;
-  t.violations <- None;
+let reset t =
   List.iter
     (fun p ->
-      p.violations_of <- None;
       match p.gate with
       | Some g ->
           g.clean <- false;
-          g.clean_at <- 0;
-          g.skipped <- None
+          g.clean_at <- 0
       | None -> ())
     t.preds;
   t.seen <- [];
   t.n_seen <- 0
 
-let create ?registry () =
-  let t =
-    {
-      registry = Metrics.default;
-      checks = None;
-      violations = None;
-      preds = [];
-      seen = [];
-      n_seen = 0;
-    }
-  in
-  reset ?registry t;
-  t
+let create () =
+  {
+    checks = lazy (Metrics.counter "invariant.checks");
+    violations = lazy (Metrics.counter "invariant.violations");
+    skipped = lazy (Metrics.counter "invariant.skipped");
+    preds = [];
+    seen = [];
+    n_seen = 0;
+  }
 
 let register ?(quiescent_only = false) ?depends t ~name run =
   if List.exists (fun p -> p.name = name) t.preds then
     invalid_arg (Printf.sprintf "Invariant.register: duplicate %S" name);
-  let gate =
-    Option.map (fun depends -> { depends; clean = false; clean_at = 0; skipped = None }) depends
-  in
-  t.preds <- t.preds @ [ { name; quiescent_only; run; gate; violations_of = None } ]
+  let gate = Option.map (fun depends -> { depends; clean = false; clean_at = 0 }) depends in
+  let violations_of = lazy (Metrics.counter ("invariant.violations." ^ name)) in
+  t.preds <- t.preds @ [ { name; violations_of; quiescent_only; run; gate } ]
 
 let names t = List.map (fun p -> p.name) t.preds
-
-let checks_counter t =
-  match t.checks with
-  | Some c -> c
-  | None ->
-      let c = Metrics.counter ~registry:t.registry "invariant.checks" in
-      t.checks <- Some c;
-      c
-
-let violations_counter t =
-  match t.violations with
-  | Some c -> c
-  | None ->
-      let c = Metrics.counter ~registry:t.registry "invariant.violations" in
-      t.violations <- Some c;
-      c
-
-let skipped_counter t g =
-  match g.skipped with
-  | Some c -> c
-  | None ->
-      let c = Metrics.counter ~registry:t.registry "invariant.skipped" in
-      g.skipped <- Some c;
-      c
-
-let pred_counter t p =
-  match p.violations_of with
-  | Some c -> c
-  | None ->
-      let c = Metrics.counter ~registry:t.registry ("invariant.violations." ^ p.name) in
-      p.violations_of <- Some c;
-      c
 
 (* Whether a check runs a predicate that applies.  A gated one is
    skipped when its dependency reads what it read before its last run
@@ -119,7 +77,7 @@ let due t p =
   | Some g ->
       let version = g.depends () in
       if g.clean && version = g.clean_at then begin
-        Metrics.incr (skipped_counter t g);
+        Metrics.incr (Lazy.force t.skipped);
         false
       end
       else begin
@@ -143,8 +101,8 @@ let rec run_preds t ~quiescent = function
         | vs ->
             set_clean p false;
             let n = List.length vs in
-            Metrics.add (violations_counter t) n;
-            Metrics.add (pred_counter t p) n;
+            Metrics.add (Lazy.force t.violations) n;
+            Metrics.add (Lazy.force p.violations_of) n;
             let mine = List.map (fun (detail, trace_id) -> { inv = p.name; detail; trace_id }) vs in
             mine @ run_preds t ~quiescent rest)
 
@@ -156,7 +114,7 @@ let rec retain t = function
   | _ -> ()
 
 let check ?(quiescent = true) ?only t =
-  Metrics.incr (checks_counter t);
+  Metrics.incr (Lazy.force t.checks);
   let vs =
     match only with
     | None -> run_preds t ~quiescent t.preds

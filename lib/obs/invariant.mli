@@ -3,10 +3,12 @@
     A monitor holds named predicates over live protocol state.  Each
     predicate returns the list of current violations as
     [(detail, trace_id option)] pairs — empty when the invariant holds.
-    Checks are counted in a metrics registry ([invariant.checks],
-    [invariant.violations], [invariant.violations.<name>]); recording
-    violations in the event log is the caller's job, since the monitor
-    is deliberately ignorant of the simulator.
+    Checks are counted in the checking domain's current metrics
+    registry ([invariant.checks], [invariant.violations],
+    [invariant.violations.<name>]), each key created by its first
+    update, so a monitor created under one registry and checked under
+    another counts into the second; recording violations in the event log is the caller's job,
+    since the monitor is deliberately ignorant of the simulator.
 
     Predicates registered [~quiescent_only:true] are skipped while the
     event queue is still busy: they describe end states (e.g. tree
@@ -23,18 +25,12 @@ type check = unit -> (string * string option) list
 
 type t
 
-val create : ?registry:Metrics.registry -> unit -> t
-(** The default registry is the creating domain's {!Metrics.current}
-    at call time, so monitors created inside a [Par] task count into
-    that task's shard. *)
+val create : unit -> t
 
-val reset : ?registry:Metrics.registry -> t -> unit
+val reset : t -> unit
 (** Rewind to a freshly created monitor that keeps its predicates: the
-    gates forget their cached clean runs, the retained violations are
-    dropped, and the counters count into [registry] (default: the
-    calling domain's {!Metrics.current}, as for {!create}).  Counter
-    handles are resolved again on first use, so a reset monitor adds to
-    a snapshot exactly the keys a fresh one would. *)
+    gates forget their cached clean runs and the retained violations
+    are dropped. *)
 
 val register :
   ?quiescent_only:bool -> ?depends:(unit -> int) -> t -> name:string -> check -> unit

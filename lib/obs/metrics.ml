@@ -1,91 +1,66 @@
-type ccell = { mutable c : int }
+open Obs_ctx
 
-type gcell = { mutable g : float }
+type registry = Obs_ctx.registry
 
-type hcell = {
-  limits : float array;
-  buckets : int array;  (** length = Array.length limits + 1 (overflow) *)
-  mutable hstats : Stats.t;
-}
+let create = Obs_ctx.registry
 
-type instrument = Counter of ccell | Gauge of gcell | Histogram of hcell
+let default = Obs_ctx.main.metrics
 
-type registry = { tbl : (string, instrument) Hashtbl.t }
-
-(* The table starts at one bucket and grows as instruments register, so
-   a shard registry that records little costs a few words. *)
-let create () = { tbl = Hashtbl.create 1 }
-
-let default = create ()
-
-(* Each domain records into its own *current* registry, so shard-local
-   collection (Par tasks) needs no locks: a registry is only ever
-   mutated by the domain it is current on.  The main domain's current
-   registry is [default]; a freshly spawned domain starts on a private
-   scratch registry until [set_current] installs its shard. *)
-let current_key : registry Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-
-let () = Domain.DLS.set current_key default
-
-let current () = Domain.DLS.get current_key
-
-let set_current r = Domain.DLS.set current_key r
+(* Every metric update reads this: one domain-local read and one field
+   load, spelled out so that no call is left between them. *)
+let current () = (Domain.DLS.get Obs_ctx.key).metrics
 
 let with_current r f =
-  let prev = current () in
-  set_current r;
-  Fun.protect ~finally:(fun () -> set_current prev) f
+  let ctx = Obs_ctx.get () in
+  let prev = ctx.metrics in
+  ctx.metrics <- r;
+  Fun.protect ~finally:(fun () -> ctx.metrics <- prev) f
 
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
 
-let find_or_create registry name ~kind ~make ~cast =
-  match Hashtbl.find_opt registry.tbl name with
-  | Some i -> (
-      match cast i with
-      | Some x -> x
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics.%s: %s is already registered as a %s" kind name
-               (kind_name i)))
-  | None ->
-      let x, i = make () in
-      Hashtbl.replace registry.tbl name i;
-      x
+let mismatch kind name i =
+  invalid_arg
+    (Printf.sprintf "Metrics.%s: %s is already registered as a %s" kind name (kind_name i))
 
-(* A handle created with an explicit registry is pinned to one cell for
-   its lifetime (the historical behaviour).  A handle created without
-   one follows the *current* registry of whichever domain uses it: the
-   cell is re-resolved by name whenever the cached binding's registry is
-   not this domain's current registry.  The cached [(registry, cell)]
-   pair is immutable and replaced whole, so a racing reader on another
-   domain sees either binding, verifies the registry against its own
-   current, and rebinds on mismatch — increments can never land in a
-   registry that is not current on the incrementing domain. *)
-type 'cell binding = { bname : string; mutable bound : registry * 'cell }
+(* A handle follows the current registry of whichever domain uses it:
+   the cell is re-resolved by name whenever the cached binding's
+   registry is not this domain's current one.  The cached
+   [(registry, cell)] pair is immutable and replaced whole, so a racing
+   reader on another domain sees either binding, verifies the registry
+   against its own current, and rebinds on mismatch — an update can
+   never land in a registry that is not current on the updating domain.
+   [cell_of] finds or creates the cell in a registry; a histogram's
+   carries its creation limits, so a shard recreates the same buckets. *)
+type 'cell handle = {
+  hname : string;
+  cell_of : registry -> string -> 'cell;
+  mutable bound : registry * 'cell;
+}
 
-type counter = Pinned_c of ccell | Dyn_c of ccell binding
+type counter = ccell handle
 
-type gauge = Pinned_g of gcell | Dyn_g of gcell binding
+type gauge = gcell handle
 
-(* The dynamic histogram handle must remember its creation limits:
-   re-resolving in a fresh registry (a Par shard) has to recreate the
-   cell with the *same* buckets, or the shard merge would reject it as
-   mismatched. *)
-type histogram = Pinned_h of hcell | Dyn_h of { blimits : float array option; hb : hcell binding }
+type histogram = hcell handle
 
+(* Find or create a named cell.  A hit allocates nothing. *)
 let counter_cell registry name =
-  find_or_create registry name ~kind:"counter"
-    ~make:(fun () ->
+  match Hashtbl.find registry.tbl name with
+  | Counter c -> c
+  | (Gauge _ | Histogram _) as i -> mismatch "counter" name i
+  | exception Not_found ->
       let c = { c = 0 } in
-      (c, Counter c))
-    ~cast:(function Counter c -> Some c | Gauge _ | Histogram _ -> None)
+      Hashtbl.replace registry.tbl name (Counter c);
+      c
 
 let gauge_cell registry name =
-  find_or_create registry name ~kind:"gauge"
-    ~make:(fun () ->
+  match Hashtbl.find registry.tbl name with
+  | Gauge g -> g
+  | (Counter _ | Histogram _) as i -> mismatch "gauge" name i
+  | exception Not_found ->
       let g = { g = 0.0 } in
-      (g, Gauge g))
-    ~cast:(function Gauge g -> Some g | Counter _ | Histogram _ -> None)
+      Hashtbl.replace registry.tbl name (Gauge g);
+      g
 
 let default_limits =
   [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0; 10000.0; 100000.0; 1000000.0 |]
@@ -96,8 +71,10 @@ let histogram_cell ?(limits = default_limits) registry name =
       if i > 0 && l <= limits.(i - 1) then
         invalid_arg "Metrics.histogram: limits must be strictly increasing")
     limits;
-  find_or_create registry name ~kind:"histogram"
-    ~make:(fun () ->
+  match Hashtbl.find registry.tbl name with
+  | Histogram h -> h
+  | (Counter _ | Gauge _) as i -> mismatch "histogram" name i
+  | exception Not_found ->
       let h =
         {
           limits = Array.copy limits;
@@ -105,75 +82,56 @@ let histogram_cell ?(limits = default_limits) registry name =
           hstats = Stats.create ();
         }
       in
-      (h, Histogram h))
-    ~cast:(function Histogram h -> Some h | Counter _ | Gauge _ -> None)
+      Hashtbl.replace registry.tbl name (Histogram h);
+      h
 
-let counter ?registry name =
-  match registry with
-  | Some r -> Pinned_c (counter_cell r name)
-  | None ->
-      let r = current () in
-      Dyn_c { bname = name; bound = (r, counter_cell r name) }
+let handle cell_of name =
+  let r = current () in
+  { hname = name; cell_of; bound = (r, cell_of r name) }
 
-let gauge ?registry name =
-  match registry with
-  | Some r -> Pinned_g (gauge_cell r name)
-  | None ->
-      let r = current () in
-      Dyn_g { bname = name; bound = (r, gauge_cell r name) }
+let counter name = handle counter_cell name
 
-let histogram ?registry ?limits name =
-  match registry with
-  | Some r -> Pinned_h (histogram_cell ?limits r name)
-  | None ->
-      let r = current () in
-      Dyn_h { blimits = limits; hb = { bname = name; bound = (r, histogram_cell ?limits r name) } }
+let gauge name = handle gauge_cell name
 
-let resolve b cell_of =
-  let r, cell = b.bound in
+let histogram ?limits name = handle (fun r n -> histogram_cell ?limits r n) name
+
+let cell h =
+  let r, cell = h.bound in
   let cur = current () in
   if r == cur then cell
   else begin
-    let cell = cell_of cur b.bname in
-    b.bound <- (cur, cell);
+    let cell = h.cell_of cur h.hname in
+    h.bound <- (cur, cell);
     cell
   end
 
-let ccell = function Pinned_c c -> c | Dyn_c b -> resolve b counter_cell
-
-let gcell = function Pinned_g g -> g | Dyn_g b -> resolve b gauge_cell
-
-let hcell = function
-  | Pinned_h h -> h
-  | Dyn_h { blimits; hb } -> resolve hb (fun r n -> histogram_cell ?limits:blimits r n)
-
 let incr c =
-  let c = ccell c in
+  let c = cell c in
   c.c <- c.c + 1
 
 let add c n =
-  let c = ccell c in
+  let c = cell c in
   c.c <- c.c + n
 
-let count c = (ccell c).c
+let count c = (cell c).c
 
-let set g v = (gcell g).g <- v
+let set g v = (cell g).g <- v
 
 let set_max g v =
-  let g = gcell g in
+  let g = cell g in
   if v > g.g then g.g <- v
 
-let set_int g n = (gcell g).g <- float_of_int n
+let set_int g n = (cell g).g <- float_of_int n
 
 let set_max_int g n =
-  let g = gcell g in
+  let g = cell g in
   let v = float_of_int n in
   if v > g.g then g.g <- v
 
-let value g = (gcell g).g
+let value g = (cell g).g
 
 let observe h x =
-  let h = hcell h in
+  let h = cell h in
   Stats.add h.hstats x;
   let n = Array.length h.limits in
   let i = ref 0 in

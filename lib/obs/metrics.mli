@@ -7,15 +7,14 @@
     [masc.collisions], [sim.events_fired], [spf.cache_hits]) so
     snapshots group naturally by subsystem.
 
-    Every domain records into its own {e current} registry, so
-    shard-local collection under [Par] needs no locks: the main
-    domain's current registry is {!default}, a worker domain's is
-    whatever shard {!with_current} installed, and shards
-    are folded back with {!merge_into} at join points.  A handle
-    created without an explicit [?registry] follows the current
-    registry of whichever domain uses it (module-toplevel handles stay
-    safe inside parallel tasks); a handle created with [?registry] is
-    pinned to that registry for its lifetime.
+    Every domain records into the registry of its current
+    {!Obs_ctx} context, so parallel tasks need no locks: the main
+    domain's registry is {!default}; a task run under [Obs.capture]
+    records into a fresh one that [Obs.merge] folds back with
+    {!merge_into}.  A handle follows the current registry of whichever
+    domain uses it, so module-toplevel handles stay safe inside
+    parallel tasks, and an update costs one domain-local read, one
+    field load and one compare.
 
     The protocol stack records into {!default}; the evaluation harness
     calls {!reset} before a run and {!snapshot} after it.  Snapshots are
@@ -26,13 +25,13 @@ type counter
 type gauge
 type histogram
 
-type registry
+type registry = Obs_ctx.registry
 
 val create : unit -> registry
 
 val default : registry
-(** The main domain's current registry: every instrument in the stack
-    registers here unless a shard is installed. *)
+(** The main domain's registry: every instrument in the stack
+    registers here outside [Obs.capture]. *)
 
 val current : unit -> registry
 (** This domain's current registry ({!default} on the main domain
@@ -43,7 +42,7 @@ val with_current : registry -> (unit -> 'a) -> 'a
     previous current registry afterwards (exception-safe). *)
 
 val merge_into : into:registry -> registry -> unit
-(** Fold a shard registry into [into]: counters and histogram buckets
+(** Fold a registry into [into]: counters and histogram buckets
     add exactly, histogram moment accumulators combine via
     {!Stats.merge}, gauges keep the maximum (the cross-shard reading of
     {!set_max} high-water marks).  Instruments missing from [into] are
@@ -56,13 +55,15 @@ val merge_into : into:registry -> registry -> unit
 
     [counter]/[gauge]/[histogram] find-or-create by name: calling twice
     with the same name returns a handle to the same instrument.
+    The name is registered in the current registry at once, and again
+    in any other registry the handle is later used under.
     @raise Invalid_argument if the name is already registered as a
     different kind of instrument. *)
 
-val counter : ?registry:registry -> string -> counter
-val gauge : ?registry:registry -> string -> gauge
+val counter : string -> counter
+val gauge : string -> gauge
 
-val histogram : ?registry:registry -> ?limits:float array -> string -> histogram
+val histogram : ?limits:float array -> string -> histogram
 (** [limits] are the bucket upper bounds (inclusive), in increasing
     order; one overflow bucket is added above the last limit.  The
     default limits are decades from 1e-3 to 1e6 — adequate for

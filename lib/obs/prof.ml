@@ -1,65 +1,32 @@
-(* A per-domain tree of sections.  The same section name under two
-   different parents is two nodes, so total/self accounting stays a
-   strict tree and folded stacks come out for free.  All mutation is
-   behind the [on] flag: the disabled path of [span] is one load, one
-   branch and a tail call.
+(* A per-domain tree of sections, rooted in the domain's [Obs_ctx]
+   context.  The same section name under two different parents is two
+   nodes, so total/self accounting stays a strict tree and folded
+   stacks come out for free.  All mutation is behind the [on] flag: the
+   disabled path of [span] is one load, one branch and a tail call.
 
-   Each domain builds into its own tree (domain-local state), so
-   workers can profile concurrently without racing; a Par task wraps
-   its work in [capture] and the detached subtree is grafted back into
-   the submitting domain's tree with [merge] at the join point.  The
-   [on] flag itself is shared — it is flipped by the main domain while
-   no workers run, and the pool's task hand-off (mutex) publishes it. *)
+   Each domain builds into its own context's tree, so workers can
+   profile concurrently without racing; [Obs.capture] gives a task a
+   detached root and [Obs.merge] grafts it back under the submitting
+   domain's open span.  The [on] flag itself is shared — it is flipped
+   by the main domain while no workers run, and the pool's task
+   hand-off (mutex) publishes it. *)
 
-type node = {
-  name : string;
-  mutable count : int;
-  mutable total_s : float;
-  mutable total_bytes : float;
-  children : (string, node) Hashtbl.t;
-  (* first-entered order, reversed; hashtable iteration order is
-     insertion-dependent but not specified, and reports must be
-     deterministic for a deterministic run. *)
-  mutable order : string list;
-}
-
-type tree = node
-
-let make_node name =
-  { name; count = 0; total_s = 0.0; total_bytes = 0.0; children = Hashtbl.create 8; order = [] }
-
-type pstate = { mutable proot : node; mutable pcur : node }
-
-let state_key : pstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let r = make_node "" in
-      { proot = r; pcur = r })
-
-let state () = Domain.DLS.get state_key
+open Obs_ctx
 
 let on = ref false
 
 let is_enabled () = !on
 
 let reset () =
-  let st = state () in
-  st.proot <- make_node "";
-  st.pcur <- st.proot
+  let ctx = Obs_ctx.get () in
+  ctx.prof_root <- node "";
+  ctx.prof_cur <- ctx.prof_root
 
 let enable () =
   reset ();
   on := true
 
 let disable () = on := false
-
-let child_of parent name =
-  match Hashtbl.find_opt parent.children name with
-  | Some n -> n
-  | None ->
-      let n = make_node name in
-      Hashtbl.add parent.children name n;
-      parent.order <- name :: parent.order;
-      n
 
 (* Bytes allocated so far by this domain.  [Gc.allocated_bytes] on
    OCaml 5.1 leaves out the current minor heap, so its deltas land on
@@ -73,51 +40,20 @@ let allocated_bytes () =
 let span name f =
   if not !on then f ()
   else begin
-    let st = state () in
-    let parent = st.pcur in
+    let ctx = Obs_ctx.get () in
+    let parent = ctx.prof_cur in
     let node = child_of parent name in
     node.count <- node.count + 1;
-    st.pcur <- node;
+    ctx.prof_cur <- node;
     let t0 = Unix.gettimeofday () in
     let a0 = allocated_bytes () in
     Fun.protect
       ~finally:(fun () ->
         node.total_s <- node.total_s +. (Unix.gettimeofday () -. t0);
         node.total_bytes <- node.total_bytes +. (allocated_bytes () -. a0);
-        st.pcur <- parent)
+        ctx.prof_cur <- parent)
       f
   end
-
-(* --- Shard capture and merge ----------------------------------------- *)
-
-(* What a capture returns while the profiler is off: one tree shared by
-   every such capture, so a disabled shard allocates no node.  Nothing
-   grafts into it: [merge_tree] refuses it as a destination. *)
-let empty = make_node ""
-
-let capture f =
-  if not !on then (f (), empty)
-  else begin
-    let st = state () in
-    let parent = st.pcur in
-    let detached = make_node "" in
-    st.pcur <- detached;
-    let x = Fun.protect ~finally:(fun () -> st.pcur <- parent) f in
-    (x, detached)
-  end
-
-let rec graft dst (src : node) =
-  let d = child_of dst src.name in
-  d.count <- d.count + src.count;
-  d.total_s <- d.total_s +. src.total_s;
-  d.total_bytes <- d.total_bytes +. src.total_bytes;
-  List.iter (fun name -> graft d (Hashtbl.find src.children name)) (List.rev src.order)
-
-let merge_tree ~into t =
-  if into == empty then invalid_arg "Prof.merge_tree: into a tree captured while disabled";
-  List.iter (fun name -> graft into (Hashtbl.find t.children name)) (List.rev t.order)
-
-let merge t = if !on then merge_tree ~into:(state ()).pcur t
 
 (* --- Reporting ------------------------------------------------------- *)
 
@@ -158,9 +94,7 @@ let rows_of_node root =
   walk [] root;
   List.rev !acc
 
-let rows () = rows_of_node (state ()).proot
-
-let tree_rows t = rows_of_node t
+let rows () = rows_of_node (Obs_ctx.get ()).prof_root
 
 let pp_seconds ppf s =
   if s >= 1.0 then Format.fprintf ppf "%8.3fs" s

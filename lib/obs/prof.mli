@@ -8,13 +8,14 @@
     lookups — so instrumented hot paths stay byte-identical in
     behaviour and near-identical in cost.
 
-    The tree under construction is domain-local, so worker domains can
-    profile concurrently.  A [Par] task wraps its work in {!capture};
-    the detached subtree is grafted back into the submitting domain's
-    tree with {!merge} at the join point, in task order, so the merged
-    tree's structure, counts and sibling order are identical at any
-    [--jobs] (wall-clock totals are per-shard CPU sums).  The on/off
-    flag is shared: flip it from the main domain while no workers run.
+    The tree under construction lives in the domain's {!Obs_ctx}
+    context, so worker domains can profile concurrently.  A parallel
+    task runs under [Obs.capture], which gives it a detached root;
+    [Obs.merge] grafts that subtree under the submitting domain's open
+    span at the join point, in task order, so the merged tree's
+    structure, counts and sibling order are identical at any [--jobs]
+    (wall-clock totals are per-task CPU sums).  The on/off flag is
+    shared: flip it from the main domain while no workers run.
 
     All output goes through the caller's formatter or an explicit file,
     never stdout, so seeded runs stay byte-identical on stdout. *)
@@ -34,29 +35,6 @@ val span : string -> (unit -> 'a) -> 'a
     under different parents is a different node.  Exceptions propagate;
     the section is closed and charged either way. *)
 
-(** {1 Shard capture and merge} *)
-
-type tree
-(** A detached span forest, as captured by one shard. *)
-
-val capture : (unit -> 'a) -> 'a * tree
-(** Run the thunk with spans charged to a fresh detached tree on this
-    domain instead of the live one.  When the profiler is disabled the
-    thunk runs untouched and the tree is one shared empty tree, so the
-    capture allocates no node. *)
-
-val merge : tree -> unit
-(** Graft a captured tree's sections under this domain's currently open
-    span, accumulating counts, wall-clock and allocation into
-    same-named children (recursively, preserving first-entered sibling
-    order).  No-op when the profiler is disabled. *)
-
-val merge_tree : into:tree -> tree -> unit
-(** [merge_tree ~into t] accumulates [t] into another detached tree —
-    the associative tree sum {!merge} applies to the live tree.
-    @raise Invalid_argument if [into] was captured while the profiler
-    was disabled (the shared empty tree). *)
-
 (** {1 Reporting} *)
 
 type row = {
@@ -70,9 +48,6 @@ type row = {
 
 val rows : unit -> row list
 (** Depth-first pre-order, children in first-entered order. *)
-
-val tree_rows : tree -> row list
-(** Rows of a detached tree, like {!rows}. *)
 
 val pp_rows : Format.formatter -> row list -> unit
 (** Indented table: count, total/self wall-clock, total/self allocation. *)

@@ -7,10 +7,13 @@
    records (or every record), optionally streams everything to a JSONL
    sink, and folds every record into rolling 64-bit fingerprints —
    overall and per label prefix — so two runs can be compared for
-   identical behaviour without retaining either stream. *)
+   identical behaviour without retaining either stream.  The instance
+   records land in is the domain's [Obs_ctx] context's. *)
 
-type record = {
-  seq : int;  (** 0-based position in the merged stream *)
+open Obs_ctx
+
+type record = Obs_ctx.record = {
+  seq : int;
   r_time : float;
   r_label : string;
   r_subject : string;
@@ -28,7 +31,6 @@ type record = {
    Records are folded into the stream hash with a multiply-accumulate
    so both content and order matter. *)
 
-let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 (* Weyl-sequence constant (2^64 / phi): the stream-fold multiplier. *)
@@ -58,10 +60,6 @@ let record_hash r =
   let h = h_int64 h (Int64.of_int (match r.r_parent with Some p -> p | None -> -1)) in
   match r.r_detail with Some d -> h_string (h_byte h 1) d | None -> h
 
-type fp = { mutable fp_hash : int64; mutable fp_count : int }
-
-let fp_create () = { fp_hash = fnv_offset; fp_count = 0 }
-
 let fp_add fp rhash =
   fp.fp_hash <- Int64.add (Int64.mul fp.fp_hash stream_prime) rhash;
   fp.fp_count <- fp.fp_count + 1
@@ -70,58 +68,23 @@ let fp_add fp rhash =
 
 type retention = Ring of int | Keep_all
 
-type t = {
-  mutable count : int;  (* records accepted = next seq *)
-  ring : record option array;  (* empty when keeping every record *)
-  mutable ring_next : int;
-  mutable kept : record list;  (* newest first: keep-all and shard instances *)
-  mutable oc : out_channel option;
-  overall : fp;
-  prefixes : (string, fp) Hashtbl.t;
-  prefix_memo : (string, string) Hashtbl.t;
-  shard_mode : bool;
-}
-
-let create ~retain ~shard_mode () =
-  let ring =
-    match retain with
-    | Ring n ->
-        if n <= 0 then invalid_arg "Recorder: ring capacity must be positive";
-        Array.make n None
-    | Keep_all -> [||]
-  in
-  {
-    count = 0;
-    ring;
-    ring_next = 0;
-    kept = [];
-    oc = None;
-    overall = fp_create ();
-    prefixes = Hashtbl.create 8;
-    prefix_memo = Hashtbl.create 64;
-    shard_mode;
-  }
+let create retain =
+  match retain with
+  | Ring n ->
+      if n <= 0 then invalid_arg "Recorder: ring capacity must be positive";
+      Obs_ctx.recorder ~ring:n
+  | Keep_all -> Obs_ctx.recorder ~ring:0
 
 let keeps_all t = Array.length t.ring = 0
 
 let retention t = if keeps_all t then Keep_all else Ring (Array.length t.ring)
 
 (* The enabled flag is shared across domains (flipped from the main
-   domain while no workers run, like Prof); the instance records land
-   in is domain-local.  The main domain records straight into the
-   default instance; worker tasks record into a shard buffer installed
-   by [capture] and replayed at the join point. *)
-
+   domain while no workers run, like Prof). *)
 let on = ref false
 let is_enabled () = !on
 
-let default = create ~retain:(Ring 256) ~shard_mode:false ()
-
-let current_key : t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> create ~retain:Keep_all ~shard_mode:true ())
-
-let () = Domain.DLS.set current_key default
-let current () = Domain.DLS.get current_key
+let current () = (Obs_ctx.get ()).recorder
 
 let prefix_of t label =
   match Hashtbl.find_opt t.prefix_memo label with
@@ -139,7 +102,7 @@ let bucket t label =
   match Hashtbl.find_opt t.prefixes p with
   | Some fp -> fp
   | None ->
-      let fp = fp_create () in
+      let fp = Obs_ctx.fp () in
       Hashtbl.add t.prefixes p fp;
       fp
 
@@ -178,29 +141,27 @@ let load_jsonl path = Jsonl.load_counted path record_of_value
 
 (* --- recording -------------------------------------------------------- *)
 
-(* [add] assigns the instance's next seq — shard replay renumbers, so a
-   merged stream is indistinguishable from a sequential one. *)
+(* [add] assigns the instance's next seq, so replaying a task's records
+   renumbers them and a merged stream is indistinguishable from a
+   sequential one. *)
 let add t ~time ~label ~subject ~detail ~trace_id ~span ~parent =
   let r =
-    { seq = t.count; r_time = time; r_label = label; r_subject = subject; r_detail = detail;
+    { seq = t.rcount; r_time = time; r_label = label; r_subject = subject; r_detail = detail;
       r_trace_id = trace_id; r_span = span; r_parent = parent }
   in
-  t.count <- t.count + 1;
-  if t.shard_mode then t.kept <- r :: t.kept
+  t.rcount <- t.rcount + 1;
+  fp_add t.overall (record_hash r);
+  fp_add (bucket t label) (record_hash r);
+  if keeps_all t then t.kept <- r :: t.kept
   else begin
-    fp_add t.overall (record_hash r);
-    fp_add (bucket t label) (record_hash r);
-    if keeps_all t then t.kept <- r :: t.kept
-    else begin
-      t.ring.(t.ring_next) <- Some r;
-      t.ring_next <- (t.ring_next + 1) mod Array.length t.ring
-    end;
-    match t.oc with
-    | Some oc ->
-        output_string oc (record_to_json r);
-        output_char oc '\n'
-    | None -> ()
-  end
+    t.ring.(t.ring_next) <- Some r;
+    t.ring_next <- (t.ring_next + 1) mod Array.length t.ring
+  end;
+  match t.oc with
+  | Some oc ->
+      output_string oc (record_to_json r);
+      output_char oc '\n'
+  | None -> ()
 
 let record ~time ~label ?(subject = "") ?span ?trace_id ?detail () =
   if !on then begin
@@ -220,7 +181,7 @@ let recordf ~time ~label ~subject ?span ?trace_id fmt =
 (* --- lifecycle --------------------------------------------------------- *)
 
 let reset_instance t ?sink () =
-  t.count <- 0;
+  t.rcount <- 0;
   Array.fill t.ring 0 (Array.length t.ring) None;
   t.ring_next <- 0;
   t.kept <- [];
@@ -233,8 +194,7 @@ let reset_instance t ?sink () =
 let enable ?(retain = Ring 256) ?sink () =
   (* A different retention needs a fresh instance; the common path reuses
      the domain's existing one so repeated enable/disable is cheap. *)
-  if retain <> retention (current ()) then
-    Domain.DLS.set current_key (create ~retain ~shard_mode:false ());
+  if retain <> retention (current ()) then (Obs_ctx.get ()).recorder <- create retain;
   reset_instance (current ()) ?sink ();
   on := true
 
@@ -259,7 +219,7 @@ let recent () =
     !acc
   end
 
-let records () = (current ()).count
+let records () = (current ()).rcount
 
 (* --- fingerprints ------------------------------------------------------ *)
 
@@ -282,31 +242,3 @@ let pp_fingerprint ppf f =
   List.iter
     (fun (p, count, hash) -> Format.fprintf ppf "  %-8s %016Lx over %d records@." p hash count)
     f.fpr_prefixes
-
-(* --- shard capture and merge ------------------------------------------- *)
-
-type shard = { srecs : record list  (** oldest first *) }
-
-let no_records = { srecs = [] }
-
-let capture f =
-  if not !on then (f (), no_records)
-  else begin
-    let prev = current () in
-    let buf = create ~retain:Keep_all ~shard_mode:true () in
-    Domain.DLS.set current_key buf;
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set current_key prev)
-      (fun () ->
-        let x = f () in
-        (x, { srecs = List.rev buf.kept }))
-  end
-
-let merge shard =
-  if !on then
-    let t = current () in
-    List.iter
-      (fun r ->
-        add t ~time:r.r_time ~label:r.r_label ~subject:r.r_subject ~detail:r.r_detail
-          ~trace_id:r.r_trace_id ~span:r.r_span ~parent:r.r_parent)
-      shard.srecs

@@ -23,14 +23,15 @@
     paths are unchanged when recording is off.
 
     The enabled flag is shared across domains (flip it from the main
-    domain while no workers run); the instance records land in is
-    domain-local.  A [Par] task wraps its work in {!capture}; the
-    buffered shard is replayed through the submitting domain's
-    recorder with {!merge} at the join point, in task order, with
-    sequence numbers reassigned — so the merged stream, and therefore
-    the fingerprint, is byte-identical at any [--jobs]. *)
+    domain while no workers run); the instance records land in is the
+    domain's {!Obs_ctx} context's.  A parallel task runs under
+    [Obs.capture], which buffers its records in a fresh keep-all
+    instance; [Obs.merge] replays them through the submitting domain's
+    recorder at the join point, in task order, with sequence numbers
+    reassigned — so the merged stream, and therefore the fingerprint,
+    is byte-identical at any [--jobs]. *)
 
-type record = {
+type record = Obs_ctx.record = {
   seq : int;  (** 0-based position in the (merged) stream *)
   r_time : float;  (** sim time the event fired *)
   r_label : string;  (** event label, e.g. [net.recv.bgp] or [claim] *)
@@ -110,21 +111,6 @@ val fingerprint : unit -> fingerprint
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 (** Overall line plus one indented line per prefix, hashes as 16-digit
     hex. *)
-
-(** {1 Shard capture and merge} *)
-
-type shard
-(** Records buffered by one parallel task, oldest first. *)
-
-val capture : (unit -> 'a) -> 'a * shard
-(** Run the thunk with records buffered into a fresh shard on this
-    domain instead of the live recorder.  When disabled the thunk runs
-    untouched and the shard is empty. *)
-
-val merge : shard -> unit
-(** Replay a captured shard through this domain's recorder — records
-    are renumbered, hashed and sunk exactly as if recorded here, so
-    merging shards in task order reproduces the sequential stream. *)
 
 (** {1 JSONL} *)
 

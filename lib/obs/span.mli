@@ -7,39 +7,24 @@
     routes it becomes, and the BGMP joins that consume those routes all
     be stitched back into one causal chain from a flat recording.
 
-    Span ids come from a {!minter}: a monotone counter per trace id.
-    There is no wall clock anywhere, so identical seeded runs mint
-    identical spans. *)
-
-type t = { trace_id : string; span : int; parent : int option }
-
-type minter
-
-val create_minter : unit -> minter
-
-val default : minter
-(** The main domain's ambient minter.  When [?minter] is omitted,
-    {!root} and {!child} use the {e current} domain-local minter:
-    [default] on the main domain, whatever {!with_minter} installed
-    inside a parallel task.  Counter tables are plain hash tables, so
-    the ambient minter is never shared across domains. *)
-
-val with_minter : minter -> (unit -> 'a) -> 'a
-(** Run the thunk with [minter] as this domain's ambient minter
-    (restored afterwards, exceptions included).  [Par.with_shard]
-    installs a fresh minter per task, making a task's span ids a
+    Span ids come from the minter of the domain's {!Obs_ctx} context:
+    a monotone counter per trace id.  There is no wall clock anywhere,
+    so identical seeded runs mint identical spans.  [Obs.capture] gives
+    a parallel task a fresh minter, so the span ids a task mints are a
     deterministic function of the task alone — identical at any
     [--jobs]. *)
 
-val reset : ?minter:minter -> unit -> unit
-(** Forget all counters — of the ambient minter when [?minter] is
-    omitted (harness entry points reset it alongside the default
-    metrics registry, keeping runs comparable). *)
+type t = { trace_id : string; span : int; parent : int option }
 
-val root : ?minter:minter -> string -> t
+val reset : unit -> unit
+(** Forget all counters of this domain's current minter (harness entry
+    points reset it alongside the default metrics registry, keeping
+    runs comparable). *)
+
+val root : string -> t
 (** A fresh span for [trace_id] with no parent. *)
 
-val child : ?minter:minter -> t -> t
+val child : t -> t
 (** A fresh span under the same trace id, parented on the argument. *)
 
 (** {1 Trace-id naming conventions} *)

@@ -73,12 +73,6 @@ let rows t =
       !out
   | S_jsonl _ -> []
 
-(* Replay a shard sink's recorded rows into another sink, oldest first.
-   The source must hold its rows in memory (Memory or Ring); merging in
-   a deterministic shard order keeps the destination deterministic. *)
-let merge_into ~into src =
-  if into != src then List.iter (fun (time, row) -> emit into ~time row) (rows src)
-
 let close t =
   match t.store with
   | S_jsonl j -> (

@@ -37,14 +37,6 @@ val samples : t -> int
 val rows : t -> (float * (string * float) list) list
 (** In-memory rows, oldest first.  Empty for a [Jsonl] sink. *)
 
-val merge_into : into:t -> t -> unit
-(** Replay [src]'s in-memory rows into [into]'s store, oldest first —
-    the join-point merge for shard-local [Memory] sinks collected by
-    parallel tasks.  Rows pass through unchanged (the source's
-    registered readers are not re-run); merging shards in a
-    deterministic order keeps the destination byte-deterministic.
-    No-op for a [Jsonl] source (it retains no rows). *)
-
 val close : t -> unit
 (** Flush and close a [Jsonl] sink; no-op otherwise. *)
 

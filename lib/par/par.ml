@@ -144,21 +144,3 @@ let map_with ?jobs:j ~init f xs =
   end
 
 let map ?jobs f xs = map_with ?jobs ~init:(fun () -> ()) (fun () x -> f x) xs
-
-(* --- Observability shards -------------------------------------------- *)
-
-type shard = { sm : Metrics.registry; sp : Prof.tree; sr : Recorder.shard }
-
-let with_shard f =
-  let reg = Metrics.create () in
-  let (x, tree), recs =
-    Recorder.capture (fun () ->
-        Prof.capture (fun () ->
-            Metrics.with_current reg (fun () -> Span.with_minter (Span.create_minter ()) f)))
-  in
-  (x, { sm = reg; sp = tree; sr = recs })
-
-let merge_shard s =
-  Metrics.merge_into ~into:(Metrics.current ()) s.sm;
-  Prof.merge s.sp;
-  Recorder.merge s.sr

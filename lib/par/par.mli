@@ -7,12 +7,14 @@
     in draining it from the calling domain, and returns results in
     input order regardless of which domain ran which task.
 
+    The pool knows nothing of observability.
+
     Determinism contract: with [jobs = 1] no domains are involved and
     tasks run inline in order, through the same code path callers use
     at any job count.  At [jobs > 1] only scheduling changes; callers
-    keep output byte-identical by giving each task its own RNG stream
-    and its own {!Metrics} shard (see {!with_shard}) and folding shards
-    back in task order.
+    keep output byte-identical by giving each task its own RNG stream,
+    running it under [Obs.capture], and folding the shards back with
+    [Obs.merge] in task order.
 
     Exceptions: if tasks raise, the batch still runs to completion (no
     cancellation) and the exception of the lowest-indexed failing task
@@ -42,26 +44,3 @@ val map_with : ?jobs:int -> init:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 
     scratch state that is expensive to build and unobservable in the
     output — e.g. one {!Spf.workspace} per worker.  Anything that
     affects output must be per-task, not per-worker. *)
-
-(** {1 Observability shards}
-
-    Helpers tying the pool to the Obs layer.  A task that records
-    metrics, profiler spans or flight-recorder records wraps its body
-    in [with_shard]; the caller folds the shards back with
-    [merge_shard] in task order at the join point, making [--metrics],
-    [--profile] and [--fingerprint] output independent of
-    scheduling. *)
-
-type shard
-
-val with_shard : (unit -> 'a) -> 'a * shard
-(** Run the thunk with a fresh {!Metrics} registry current on this
-    domain, profiler spans captured to a detached tree, flight-recorder
-    records buffered to a shard, and a fresh {!Span} minter installed —
-    so the causal span ids a task mints are a deterministic function of
-    the task alone; return the result together with the shard. *)
-
-val merge_shard : shard -> unit
-(** Fold a shard into this domain's current registry, currently open
-    profiler span, and live recorder ({!Metrics.merge_into} +
-    {!Prof.merge} + {!Recorder.merge}). *)

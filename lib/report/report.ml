@@ -27,19 +27,26 @@ let check_loaded what file ~rows ~malformed =
     raise
       (Unreadable (Printf.sprintf "%s %s: no valid line, %d malformed" what file malformed))
 
+(* A malformed last line without its newline is named as a cut, not
+   counted among the others.  Returns whether the file was cut.  A file
+   that cannot be read a second time (a pipe) is not called cut. *)
 let warn_skipped what file ~rows n =
   check_loaded what file ~rows ~malformed:n;
-  if n > 0 then Format.eprintf "%s %s: %d malformed line(s) skipped@." what file n
+  let cut = n > 0 && try Jsonl.last_line_cut file with Sys_error _ -> false in
+  if cut then Format.eprintf "%s %s: last line cut off mid-record@." what file;
+  let others = if cut then n - 1 else n in
+  if others > 0 then Format.eprintf "%s %s: %d malformed line(s) skipped@." what file others;
+  cut
 
+(* The records, and whether the file was cut off mid-record. *)
 let load_recording what file =
   let records, bad = with_file what file Recorder.load_jsonl in
-  warn_skipped what file ~rows:(List.length records) bad;
-  records
+  (records, warn_skipped what file ~rows:(List.length records) bad)
 
 (* --- trace ------------------------------------------------------------- *)
 
 let run_trace ppf file id =
-  let records = load_recording "trace" file in
+  let records, _ = load_recording "trace" file in
   match id with
   | Some id -> Trace_report.pp_chain_for ppf records ~id
   | None ->
@@ -91,10 +98,15 @@ let pp_chain_near ppf name recs i =
           name k;
       Trace_report.pp_chain_for ppf (Array.to_list recs) ~id
 
-let run_diff ppf (a, ra) (b, rb) =
+let run_diff ?(cut = (false, false)) ppf (a, ra) (b, rb) =
   let ra = Array.of_list ra and rb = Array.of_list rb in
   let na = Array.length ra and nb = Array.length rb in
-  Format.fprintf ppf "--- diff: %s (%d records) vs %s (%d records) ---@." a na b nb;
+  let cut_a, cut_b = cut in
+  let size n cut =
+    if cut then Printf.sprintf "%d records, last line cut off mid-record" n
+    else Printf.sprintf "%d records" n
+  in
+  Format.fprintf ppf "--- diff: %s (%s) vs %s (%s) ---@." a (size na cut_a) b (size nb cut_b);
   let common = min na nb in
   let rec first_diff i =
     if i >= common then None else if same_record ra.(i) rb.(i) then first_diff (i + 1) else Some i
@@ -107,7 +119,11 @@ let run_diff ppf (a, ra) (b, rb) =
       (* One stream is a strict prefix of the other: the divergence is
          the first extra record. *)
       let longer, extra, n_long = if na > nb then (a, ra, na) else (b, rb, nb) in
-      Format.fprintf ppf "streams agree for all %d common records;@." common;
+      let shorter, cut_short = if na > nb then (b, cut_b) else (a, cut_a) in
+      if cut_short then
+        Format.fprintf ppf "streams agree for all %d common records, where %s was cut off;@."
+          common shorter
+      else Format.fprintf ppf "streams agree for all %d common records;@." common;
       Format.fprintf ppf "%s has %d extra record(s), first:@." longer (n_long - common);
       Format.fprintf ppf "  %a@." pp_record extra.(common);
       pp_chain_near ppf longer extra common;
@@ -135,15 +151,15 @@ let run_diff ppf (a, ra) (b, rb) =
       1
 
 let run_diff_files ppf a b =
-  let ra = load_recording "recording" a in
-  let rb = load_recording "recording" b in
-  run_diff ppf (a, ra) (b, rb)
+  let ra, cut_a = load_recording "recording" a in
+  let rb, cut_b = load_recording "recording" b in
+  run_diff ~cut:(cut_a, cut_b) ppf (a, ra) (b, rb)
 
 (* --- run artifacts -------------------------------------------------------- *)
 
 let report_profile ppf file fold =
   let rows, bad = with_file "profile" file Prof.load_jsonl_counted in
-  warn_skipped "profile" file ~rows:(List.length rows) bad;
+  ignore (warn_skipped "profile" file ~rows:(List.length rows) bad);
   if rows = [] then Format.fprintf ppf "profile %s: no rows@." file
   else begin
     Format.fprintf ppf "--- profile: %s ---@." file;
@@ -158,7 +174,7 @@ let report_profile ppf file fold =
 
 let report_timeseries ppf file series =
   let points, bad = with_file "telemetry" file Timeseries.load_jsonl_counted in
-  warn_skipped "telemetry" file ~rows:(List.length points) bad;
+  ignore (warn_skipped "telemetry" file ~rows:(List.length points) bad);
   if points = [] then Format.fprintf ppf "telemetry %s: no rows@." file
   else
     let all = Timeseries.series_of points in
@@ -228,7 +244,7 @@ let report_metrics ppf file =
    whom" worst-pairs table. *)
 let report_matrix ppf file =
   let meta, cells, bad = with_file "matrix" file Beacon_matrix.load_jsonl_counted in
-  warn_skipped "matrix" file ~rows:(List.length cells + if meta = [] then 0 else 1) bad;
+  ignore (warn_skipped "matrix" file ~rows:(List.length cells + if meta = [] then 0 else 1) bad);
   if cells = [] then Format.fprintf ppf "matrix %s: no cells@." file
   else begin
     Format.fprintf ppf "--- delivery matrix: %s ---@." file;

@@ -2,7 +2,9 @@
     [report] subcommands.
 
     Every view prints to the given formatter; a loader's "N malformed
-    line(s) skipped" warning goes to standard error. *)
+    line(s) skipped" warning, and its "last line cut off mid-record"
+    warning for a file whose last line lacks its newline and does not
+    parse, go to standard error. *)
 
 exception Unreadable of string
 (** A file could not be opened or read, or a metrics snapshot did not
@@ -27,14 +29,20 @@ val run_trace : Format.formatter -> string -> string option -> unit
     Only narrative records are shown. *)
 
 val run_diff :
-  Format.formatter -> string * Recorder.record list -> string * Recorder.record list -> int
+  ?cut:bool * bool ->
+  Format.formatter ->
+  string * Recorder.record list ->
+  string * Recorder.record list ->
+  int
 (** [run_diff ppf (name_a, a) (name_b, b)] locates the first record
     where the streams differ in anything but the seq, and prints an
     aligned context window and, for each side, the narrative causal
     chain of the record nearest the divergence that carries a trace id.
     Returns 0 when the streams are identical, 1 when they diverge (a
     strict prefix diverges at the longer stream's first extra
-    record). *)
+    record).  [cut] (default [(false, false)]) says which recordings
+    were cut off mid-record; the header and a strict-prefix verdict name
+    that side. *)
 
 val run_diff_files : Format.formatter -> string -> string -> int
 (** {!run_diff} over two recording files. *)

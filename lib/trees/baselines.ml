@@ -126,7 +126,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
   let outs =
     Par.map_with ?jobs
       ~init:(fun () -> Spf.make_workspace csr)
-      (fun ws spec -> Par.with_shard (fun () -> run_trial ws spec))
+      (fun ws spec -> Obs.capture (fun () -> run_trial ws spec))
       specs
   in
   let outs = Array.of_list outs in
@@ -138,7 +138,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
       for _ = 1 to trials do
         let (hpim, bgmp), shard = outs.(!idx) in
         incr idx;
-        Par.merge_shard shard;
+        Obs.merge shard;
         let record stats_avg stats_max = function
           | Some (avg, mx) ->
               Stats.add stats_avg avg;

@@ -292,7 +292,7 @@ let run p =
   let outs =
     Par.map_with ?jobs ~init:make_worker
       (fun w trial ->
-        Par.with_shard (fun () -> Prof.span "fig4m.trial" (fun () -> run_trial w trial)))
+        Obs.capture (fun () -> Prof.span "fig4m.trial" (fun () -> run_trial w trial)))
       trial_ids
   in
   (* Reduce in trial order: shard folding and float accumulation are
@@ -311,7 +311,7 @@ let run p =
   and sum_grib = Array.make ncks 0 in
   List.iter
     (fun (o, shard) ->
-      Par.merge_shard shard;
+      Obs.merge shard;
       joins := !joins + o.o_joins;
       leaves := !leaves + o.o_leaves;
       skipped := !skipped + o.o_skipped;

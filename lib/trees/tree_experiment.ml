@@ -255,7 +255,7 @@ let run p =
     Path_eval.forget ws;
     Array.map
       (fun i ->
-        Par.with_shard (fun () -> Prof.span "fig4.trial" (fun () -> run_trial ws specs.(i))))
+        Obs.capture (fun () -> Prof.span "fig4.trial" (fun () -> run_trial ws specs.(i))))
       chunk
   in
   let jobs = if p.jobs = 0 then None else Some p.jobs in
@@ -283,7 +283,7 @@ let run p =
         for _ = 1 to p.trials do
           let out, shard = Option.get outs.(!idx) in
           incr idx;
-          Par.merge_shard shard;
+          Obs.merge shard;
           let fold o sa sm worst =
             match o with
             | Some (avg, mx) ->

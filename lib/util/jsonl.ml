@@ -178,3 +178,25 @@ let load_counted path decode =
             | None -> loop acc (bad + 1))
       in
       loop [] 0)
+
+(* The last line starts after the last newline; read backwards a block
+   at a time, so a long file costs a few blocks. *)
+let last_line_cut path =
+  In_channel.with_open_bin path (fun ic ->
+      let len = Int64.to_int (In_channel.length ic) in
+      let read_at pos n =
+        In_channel.seek ic (Int64.of_int pos);
+        really_input_string ic n
+      in
+      let rec line_start stop =
+        let from = max 0 (stop - 4096) in
+        match String.rindex_opt (read_at from (stop - from)) '\n' with
+        | Some i -> from + i + 1
+        | None -> if from = 0 then 0 else line_start from
+      in
+      len > 0
+      && read_at (len - 1) 1 <> "\n"
+      &&
+      let start = line_start len in
+      let line = read_at start (len - start) in
+      String.trim line <> "" && parse line = None)

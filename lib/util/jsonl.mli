@@ -53,3 +53,9 @@ val load_counted : string -> (t -> 'a option) -> 'a list * int
 (** [load_counted file decode]: every non-blank line parsed and decoded,
     in file order, plus the count of lines that failed either step.
     @raise Sys_error when the file cannot be opened or read. *)
+
+val last_line_cut : string -> bool
+(** Whether the file's last line lacks its newline and does not parse:
+    the file was cut off mid-record (a writer killed mid-line, a partial
+    copy).  {!load_counted} counts that line among the malformed ones.
+    @raise Sys_error when the file cannot be opened or read. *)

@@ -236,7 +236,9 @@ let observe run =
   Recorder.enable ();
   let outcome, _ =
     Fun.protect ~finally:Recorder.disable (fun () ->
-        Metrics.with_current registry (fun () -> Span.with_minter (Span.create_minter ()) run))
+        let x, shard = Obs.capture run in
+        Metrics.with_current registry (fun () -> Obs.merge shard);
+        x)
   in
   (outcome, Recorder.fingerprint (), Metrics.to_json (Metrics.snapshot registry))
 
@@ -355,7 +357,8 @@ let test_ledger_roundtrip () =
 let test_invariant_violations_seen () =
   (* Satellite: bounded retention on the registry itself. *)
   let reg = Metrics.create () in
-  let inv = Invariant.create ~registry:reg () in
+  Metrics.with_current reg @@ fun () ->
+  let inv = Invariant.create () in
   let broken = ref [] in
   Invariant.register inv ~name:"probe" (fun () -> !broken);
   check (Alcotest.list Alcotest.string) "clean run retains nothing" []

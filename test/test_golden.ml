@@ -440,6 +440,52 @@ let check_recording_trace () =
       check Alcotest.bool "claim chain has its nine records" true
         (contains "trace claim:0:224.0.0.0/24 (9 entries)" (read_file out)))
 
+(* A recording whose writer died mid-line: the demo's recording with its
+   last record cut in half.  [trace] names the cut instead of counting
+   a malformed line, and [report --diff] names the cut side in its
+   header and in its prefix verdict; exit codes are those of a whole
+   file (0 for trace, 1 for a diff of unequal streams). *)
+let check_cut_recording () =
+  let whole = Filename.temp_file "whole" ".jsonl" and cut = Filename.temp_file "cut" ".jsonl" in
+  let out = Filename.temp_file "cut" ".out" and err = Filename.temp_file "cut" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ whole; cut; out; err ])
+    (fun () ->
+      let run args =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args (Filename.quote out)
+             (Filename.quote err))
+      in
+      check Alcotest.int "demo --record: exit code" 0 (run ("demo --record=" ^ Filename.quote whole));
+      let text = read_file whole in
+      (* Drop the final newline and the second half of the last record. *)
+      let body = String.sub text 0 (String.length text - 1) in
+      let last = String.rindex body '\n' + 1 in
+      let keep = last + ((String.length body - last) / 2) in
+      Out_channel.with_open_bin cut (fun oc -> output_string oc (String.sub body 0 keep));
+      let whole_records = List.length (String.split_on_char '\n' body) in
+      check Alcotest.int "trace of the cut file: exit code" 0 (run ("trace " ^ Filename.quote cut));
+      check Alcotest.string "trace names the cut"
+        (Printf.sprintf "trace %s: last line cut off mid-record\n" cut)
+        (read_file err);
+      check Alcotest.int "report --diff: exit code" 1
+        (run (Printf.sprintf "report --diff %s %s" (Filename.quote whole) (Filename.quote cut)));
+      let diff = read_file out in
+      check Alcotest.bool "the header names the cut side" true
+        (contains
+           (Printf.sprintf "--- diff: %s (%d records) vs %s (%d records, last line cut off mid-record) ---"
+              whole whole_records cut (whole_records - 1))
+           diff);
+      check Alcotest.bool "the prefix verdict names it too" true
+        (contains
+           (Printf.sprintf "streams agree for all %d common records, where %s was cut off;"
+              (whole_records - 1) cut)
+           diff);
+      check Alcotest.string "stderr names the cut, not a malformed count"
+        (Printf.sprintf "recording %s: last line cut off mid-record\n" cut)
+        (read_file err))
+
 (* A BGMP data loop stops the run: the soak at seed 2 reaches one at
    step 24 (a flooding MIGP re-floods a foreign source's packet that
    re-enters through another border router; the recursion never returns
@@ -649,6 +695,7 @@ let suite =
     ("soak", `Quick, check_figure ~args:"soak --steps 40" ~golden:"soak.txt");
     ("soak lossy", `Quick, check_figure ~args:"soak --steps 40 --loss 0.05" ~golden:"soak_loss.txt");
     ("malformed arguments exit non-zero", `Quick, check_malformed_arguments);
+    ("a cut recording is named, not counted", `Quick, check_cut_recording);
   ]
   @ List.map
       (fun name -> ("example " ^ name, `Quick, check_example name))

@@ -171,7 +171,8 @@ let test_transit_stub_matches_reference () =
     }
   in
   let registry = Metrics.create () in
-  let inet = Metrics.with_current registry (fun () -> Internet.create ~config topo) in
+  Metrics.with_current registry @@ fun () ->
+  let inet = Internet.create ~config topo in
   let ticks = ref 0 and overlap_ticks = ref 0 in
   Engine.set_monitor (Internet.engine inet) ~cadence:(Time.minutes 30.0) (fun ~quiescent:_ ->
       incr ticks;
@@ -315,9 +316,8 @@ let check_minor_bytes_bound = 480.0
 
 let test_check_allocation () =
   let registry = Metrics.create () in
-  let _, inet =
-    Metrics.with_current registry (fun () -> Oracle.run ~seed:7 [])
-  in
+  Metrics.with_current registry @@ fun () ->
+  let _, inet = Oracle.run ~seed:7 [] in
   let inv = Internet.invariants inet in
   let skipped () = counter registry "invariant.skipped" in
   let minor_bytes_of_check what =
@@ -368,9 +368,8 @@ let test_check_allocation () =
    with the engine stopped, so nothing else moves. *)
 let test_dependencies_cover_what_predicates_read () =
   let registry = Metrics.create () in
-  let _, inet =
-    Metrics.with_current registry (fun () -> Oracle.run ~seed:7 [])
-  in
+  Metrics.with_current registry @@ fun () ->
+  let _, inet = Oracle.run ~seed:7 [] in
   let inv = Internet.invariants inet in
   let skipped () = counter registry "invariant.skipped" in
   let checked what ~expect_skips =

@@ -7,18 +7,20 @@ let check = Alcotest.check
 
 let test_counter_basics () =
   let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r "a.hits" in
+  Metrics.with_current r @@ fun () ->
+  let c = Metrics.counter "a.hits" in
   Metrics.incr c;
   Metrics.incr c;
   Metrics.add c 3;
   check Alcotest.int "count" 5 (Metrics.count c);
   (* Find-or-create: the same name yields the same handle. *)
-  Metrics.incr (Metrics.counter ~registry:r "a.hits");
+  Metrics.incr (Metrics.counter "a.hits");
   check Alcotest.int "shared handle" 6 (Metrics.count c)
 
 let test_gauge_set_max () =
   let r = Metrics.create () in
-  let g = Metrics.gauge ~registry:r "a.depth" in
+  Metrics.with_current r @@ fun () ->
+  let g = Metrics.gauge "a.depth" in
   Metrics.set_max g 4.0;
   Metrics.set_max g 2.0;
   check (Alcotest.float 1e-9) "keeps high-water mark" 4.0 (Metrics.value g);
@@ -27,21 +29,23 @@ let test_gauge_set_max () =
 
 let test_kind_mismatch_raises () =
   let r = Metrics.create () in
-  ignore (Metrics.counter ~registry:r "x");
+  Metrics.with_current r @@ fun () ->
+  ignore (Metrics.counter "x");
   check Alcotest.bool "gauge on counter name" true
     (try
-       ignore (Metrics.gauge ~registry:r "x");
+       ignore (Metrics.gauge "x");
        false
      with Invalid_argument _ -> true);
   check Alcotest.bool "histogram on counter name" true
     (try
-       ignore (Metrics.histogram ~registry:r "x");
+       ignore (Metrics.histogram "x");
        false
      with Invalid_argument _ -> true)
 
 let test_histogram_bucketing () =
   let r = Metrics.create () in
-  let h = Metrics.histogram ~registry:r ~limits:[| 1.0; 2.0; 5.0 |] "a.wait" in
+  Metrics.with_current r @@ fun () ->
+  let h = Metrics.histogram ~limits:[| 1.0; 2.0; 5.0 |] "a.wait" in
   (* Upper bounds are inclusive; above the last limit is overflow. *)
   List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 4.9; 5.0; 5.1; 100.0 ];
   match Metrics.find (Metrics.snapshot r) "a.wait" with
@@ -59,15 +63,17 @@ let test_histogram_bucketing () =
 
 let test_histogram_rejects_bad_limits () =
   let r = Metrics.create () in
+  Metrics.with_current r @@ fun () ->
   check Alcotest.bool "non-increasing limits" true
     (try
-       ignore (Metrics.histogram ~registry:r ~limits:[| 2.0; 1.0 |] "bad");
+       ignore (Metrics.histogram ~limits:[| 2.0; 1.0 |] "bad");
        false
      with Invalid_argument _ -> true)
 
 let test_percentile_of_view () =
   let r = Metrics.create () in
-  let h = Metrics.histogram ~registry:r ~limits:[| 1.0; 2.0; 5.0 |] "lat" in
+  Metrics.with_current r @@ fun () ->
+  let h = Metrics.histogram ~limits:[| 1.0; 2.0; 5.0 |] "lat" in
   (* Four observations spread over three bins. *)
   List.iter (Metrics.observe h) [ 0.5; 1.5; 2.5; 4.5 ];
   let v =
@@ -87,7 +93,7 @@ let test_percentile_of_view () =
   check Alcotest.bool "p90 clamped to max" true (p90 <= 4.5);
   (* Error cases: empty view, out-of-range p. *)
   let r2 = Metrics.create () in
-  ignore (Metrics.histogram ~registry:r2 ~limits:[| 1.0 |] "empty");
+  ignore (Metrics.with_current r2 (fun () -> Metrics.histogram ~limits:[| 1.0 |] "empty"));
   let empty =
     match Metrics.find (Metrics.snapshot r2) "empty" with
     | Some (Metrics.Histogram_v v) -> v
@@ -106,13 +112,14 @@ let test_percentile_of_view () =
 
 let test_snapshot_sorted_and_reset () =
   let r = Metrics.create () in
-  Metrics.incr (Metrics.counter ~registry:r "z.last");
-  Metrics.incr (Metrics.counter ~registry:r "a.first");
-  Metrics.set (Metrics.gauge ~registry:r "m.mid") 7.0;
+  Metrics.with_current r @@ fun () ->
+  Metrics.incr (Metrics.counter "z.last");
+  Metrics.incr (Metrics.counter "a.first");
+  Metrics.set (Metrics.gauge "m.mid") 7.0;
   check (Alcotest.list Alcotest.string) "sorted by name"
     [ "a.first"; "m.mid"; "z.last" ]
     (List.map fst (Metrics.snapshot r));
-  let c = Metrics.counter ~registry:r "a.first" in
+  let c = Metrics.counter "a.first" in
   Metrics.reset r;
   check Alcotest.int "counter zeroed" 0 (Metrics.count c);
   (* Handles stay valid across reset. *)
@@ -121,9 +128,10 @@ let test_snapshot_sorted_and_reset () =
 
 let test_diff () =
   let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r "c" in
-  let g = Metrics.gauge ~registry:r "g" in
-  let h = Metrics.histogram ~registry:r ~limits:[| 10.0 |] "h" in
+  Metrics.with_current r @@ fun () ->
+  let c = Metrics.counter "c" in
+  let g = Metrics.gauge "g" in
+  let h = Metrics.histogram ~limits:[| 10.0 |] "h" in
   Metrics.incr c;
   Metrics.set g 5.0;
   Metrics.observe h 1.0;
@@ -221,10 +229,11 @@ let test_trace_jsonl_roundtrip () =
 (* Spans: the causal identities threaded through protocol messages. *)
 
 let test_span_minting () =
-  let m = Span.create_minter () in
-  let a = Span.root ~minter:m "claim:1:224.0.0.0/24" in
-  let b = Span.child ~minter:m a in
-  let c = Span.child ~minter:m b in
+  (* A capture mints from a fresh minter, away from the ambient one. *)
+  fst @@ Obs.capture @@ fun () ->
+  let a = Span.root "claim:1:224.0.0.0/24" in
+  let b = Span.child a in
+  let c = Span.child b in
   check Alcotest.int "root span id" 0 a.Span.span;
   check (Alcotest.option Alcotest.int) "root has no parent" None a.Span.parent;
   check Alcotest.int "child id increments" 1 b.Span.span;
@@ -232,22 +241,24 @@ let test_span_minting () =
   check (Alcotest.option Alcotest.int) "grandchild parent" (Some 1) c.Span.parent;
   check Alcotest.string "chain keeps its trace id" a.Span.trace_id c.Span.trace_id;
   (* Counters are per trace id, so chains stay dense. *)
-  let other = Span.root ~minter:m "group:224.0.0.1" in
+  let other = Span.root "group:224.0.0.1" in
   check Alcotest.int "fresh counter per trace id" 0 other.Span.span;
   check Alcotest.string "kind before the colon" "claim" (Span.kind a);
   check Alcotest.string "claim id shape" "claim:7:224.0.0.0/24"
     (Span.claim_id ~owner:7 "224.0.0.0/24");
   check Alcotest.string "join id shape" "join:224.0.0.1:3"
     (Span.join_id ~group:"224.0.0.1" ~member:"3");
-  Span.reset ~minter:m ();
+  Span.reset ();
   check Alcotest.int "reset restarts the counters" 0
-    (Span.root ~minter:m "claim:1:224.0.0.0/24").Span.span
+    (Span.root "claim:1:224.0.0.0/24").Span.span
 
 let test_trace_span_jsonl_roundtrip () =
   let path = Filename.temp_file "trace" ".jsonl" in
-  let m = Span.create_minter () in
-  let s0 = Span.root ~minter:m "claim:2:224.0.4.0/24" in
-  let s1 = Span.child ~minter:m s0 in
+  let (s0, s1), _ =
+    Obs.capture (fun () ->
+        let s0 = Span.root "claim:2:224.0.4.0/24" in
+        (s0, Span.child s0))
+  in
   with_recorder ~sink:path (fun () ->
       narrate 1.0 "claim" ~span:s0 "224.0.4.0/24 (new)";
       narrate 2.0 "acquired" ~span:s1 "224.0.4.0/24";
@@ -323,7 +334,8 @@ let test_trace_set_sink_after_close () =
 
 let test_invariant_monitor () =
   let r = Metrics.create () in
-  let inv = Invariant.create ~registry:r () in
+  Metrics.with_current r @@ fun () ->
+  let inv = Invariant.create () in
   let transient = ref [] in
   Invariant.register inv ~name:"always" (fun () -> !transient);
   Invariant.register inv ~quiescent_only:true ~name:"settled" (fun () ->
@@ -362,11 +374,28 @@ let test_invariant_monitor () =
   check Alcotest.int "per-invariant counter" 1 (count "invariant.violations.settled");
   check Alcotest.int "per-invariant counter (other)" 1 (count "invariant.violations.always")
 
+(* A monitor has no registry of its own: created under one registry
+   and checked under another, it counts into the one it is checked
+   under, so a stack reused across trials needs no rebinding. *)
+let test_invariant_counts_where_checked () =
+  let a = Metrics.create () and b = Metrics.create () in
+  let inv = Metrics.with_current a Invariant.create in
+  Invariant.register inv ~name:"bad" (fun () -> [ ("boom", None) ]);
+  ignore (Metrics.with_current b (fun () -> Invariant.check inv));
+  let count r name =
+    match Metrics.find (Metrics.snapshot r) name with Some (Metrics.Counter_v n) -> n | _ -> 0
+  in
+  check Alcotest.int "checks counted under the checking registry" 1 (count b "invariant.checks");
+  check Alcotest.int "violations counted there too" 1 (count b "invariant.violations.bad");
+  check Alcotest.(list string) "nothing counted in the creating registry" []
+    (List.map fst (Metrics.snapshot a))
+
 (* [~depends] gating: a clean verdict is cached against the dependency
    value read before the run; a violating one never is. *)
 let test_invariant_depends () =
   let r = Metrics.create () in
-  let inv = Invariant.create ~registry:r () in
+  Metrics.with_current r @@ fun () ->
+  let inv = Invariant.create () in
   let version = ref 0 and runs = ref 0 and found = ref [] in
   Invariant.register inv ~depends:(fun () -> !version) ~name:"gated" (fun () ->
       incr runs;
@@ -549,8 +578,9 @@ let test_timeseries_jsonl_roundtrip () =
   let path = Filename.temp_file "series" ".jsonl" in
   let ts = Timeseries.create ~sink:(Timeseries.Jsonl path) () in
   let r = Metrics.create () in
-  let g = Metrics.gauge ~registry:r "depth" in
-  let c = Metrics.counter ~registry:r "hits" in
+  Metrics.with_current r @@ fun () ->
+  let g = Metrics.gauge "depth" in
+  let c = Metrics.counter "hits" in
   Timeseries.register_gauge ts "depth" g;
   Timeseries.register_counter ts "hits" c;
   Metrics.set g 3.5;
@@ -614,7 +644,8 @@ let test_engine_sampler_cadence () =
 
 let test_json_shape () =
   let r = Metrics.create () in
-  Metrics.incr (Metrics.counter ~registry:r "only.counter");
+  Metrics.with_current r @@ fun () ->
+  Metrics.incr (Metrics.counter "only.counter");
   let json = Metrics.to_json (Metrics.snapshot r) in
   check Alcotest.string "document" "{\n  \"metrics\": [\n    {\"name\": \"only.counter\", \"kind\": \"counter\", \"value\": 1}\n  ]\n}\n" json
 
@@ -718,12 +749,12 @@ let test_recorder_capture_merge_matches_sequential () =
     with_recorder (fun () ->
         Recorder.record ~time:1.0 ~label:"a.x" ();
         let (), shard =
-          Recorder.capture (fun () ->
+          Obs.capture (fun () ->
               Recorder.record ~time:2.0 ~label:"b.y" ~subject:"s" ();
               Recorder.record ~time:3.0 ~label:"a.z" ())
         in
         check Alcotest.int "buffered records bypass the live stream" 1 (Recorder.records ());
-        Recorder.merge shard;
+        Obs.merge shard;
         check Alcotest.int "merge replays in order" 3 (Recorder.records ());
         check
           (Alcotest.list Alcotest.int)
@@ -735,15 +766,13 @@ let test_recorder_capture_merge_matches_sequential () =
     (sequential.Recorder.fpr_hash = merged.Recorder.fpr_hash
     && sequential.Recorder.fpr_prefixes = merged.Recorder.fpr_prefixes)
 
-let test_span_with_minter_scoping () =
-  (* A scoped minter starts fresh and restores the ambient one, so a
-     parallel task's span ids never depend on what minted before. *)
+let test_span_capture_scoping () =
+  (* A capture mints from a fresh minter and restores the ambient one,
+     so a parallel task's span ids never depend on what minted before. *)
   Span.reset ();
   let outer = Span.root "claim:9:10.0.0.0/8" in
   check Alcotest.int "ambient minter at 0" 0 outer.Span.span;
-  let inner =
-    Span.with_minter (Span.create_minter ()) (fun () -> Span.root "claim:9:10.0.0.0/8")
-  in
+  let inner, _ = Obs.capture (fun () -> Span.root "claim:9:10.0.0.0/8") in
   check Alcotest.int "fresh minter restarts the trace id" 0 inner.Span.span;
   let after = Span.root "claim:9:10.0.0.0/8" in
   check Alcotest.int "ambient minter restored and advanced" 1 after.Span.span
@@ -797,6 +826,7 @@ let suite =
     ("trace jsonl sink replacement", `Quick, test_trace_jsonl_sink_replacement);
     ("trace set_sink after close", `Quick, test_trace_set_sink_after_close);
     ("invariant monitor", `Quick, test_invariant_monitor);
+    ("invariant counts where checked", `Quick, test_invariant_counts_where_checked);
     ("invariant depends gating", `Quick, test_invariant_depends);
     ("prof disabled passthrough", `Quick, test_prof_disabled_is_passthrough);
     ("prof tree", `Quick, test_prof_tree);
@@ -820,6 +850,6 @@ let suite =
     ( "recorder capture/merge matches sequential",
       `Quick,
       test_recorder_capture_merge_matches_sequential );
-    ("span with_minter scoping", `Quick, test_span_with_minter_scoping);
+    ("span capture scoping", `Quick, test_span_capture_scoping);
     ("counted loaders report malformed lines", `Quick, test_counted_loaders_report_malformed);
   ]

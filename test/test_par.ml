@@ -1,7 +1,6 @@
-(* Tests for mcast_par and the domain-safe Obs plumbing it relies on:
+(* Tests for mcast_par and the Obs capture its callers run tasks under:
    Par.map ordering and exception propagation, per-slot state reuse,
-   shard capture, and the merge operators (Metrics.merge_into,
-   Prof.merge/merge_tree, Timeseries.merge_into) that make parallel
+   and Obs.capture/Obs.merge, the one shard path that makes parallel
    runs byte-identical to sequential ones. *)
 
 let check = Alcotest.check
@@ -95,9 +94,9 @@ let test_shard_hammer () =
   let outs =
     Par.map ~jobs:4
       (fun i ->
-        Par.with_shard (fun () ->
-            (* Handles created without [?registry] bind to the shard
-               registry current on this worker domain. *)
+        Obs.capture (fun () ->
+            (* Handles bind to the registry current on this worker
+               domain: the capture's. *)
             Metrics.add (Metrics.counter "t.par.hits") i;
             Metrics.observe (Metrics.histogram ~limits:[| 10.0; 100.0 |] "t.par.lat")
               (float_of_int i);
@@ -106,7 +105,7 @@ let test_shard_hammer () =
   in
   let total = tasks * (tasks - 1) / 2 in
   let merged = Metrics.create () in
-  Metrics.with_current merged (fun () -> List.iter (fun ((), s) -> Par.merge_shard s) outs);
+  Metrics.with_current merged (fun () -> List.iter (fun ((), s) -> Obs.merge s) outs);
   let snap = Metrics.snapshot merged in
   (match Metrics.find snap "t.par.hits" with
   | Some (Metrics.Counter_v c) -> check Alcotest.int "counter total exact" total c
@@ -135,14 +134,14 @@ let test_merge_order_independent () =
       (fun ((), s) -> s)
       (Par.map ~jobs:4
          (fun i ->
-           Par.with_shard (fun () ->
+           Obs.capture (fun () ->
                Metrics.add (Metrics.counter "t.ord.c") (i + 1);
                Metrics.observe (Metrics.histogram "t.ord.h") (float_of_int i)))
          (List.init 16 Fun.id))
   in
   let fold order =
     let r = Metrics.create () in
-    Metrics.with_current r (fun () -> List.iter Par.merge_shard order);
+    Metrics.with_current r (fun () -> List.iter Obs.merge order);
     Metrics.snapshot r
   in
   let a = fold shards and b = fold (List.rev shards) in
@@ -162,16 +161,16 @@ let test_merge_order_independent () =
 
 let test_merge_into_mismatch () =
   let r1 = Metrics.create () and r2 = Metrics.create () in
-  ignore (Metrics.counter ~registry:r1 "x");
-  ignore (Metrics.gauge ~registry:r2 "x");
+  ignore (Metrics.with_current r1 (fun () -> Metrics.counter "x"));
+  ignore (Metrics.with_current r2 (fun () -> Metrics.gauge "x"));
   check Alcotest.bool "kind mismatch raises" true
     (try
        Metrics.merge_into ~into:r1 r2;
        false
      with Invalid_argument _ -> true);
   let r3 = Metrics.create () and r4 = Metrics.create () in
-  ignore (Metrics.histogram ~registry:r3 ~limits:[| 1.0 |] "h");
-  ignore (Metrics.histogram ~registry:r4 ~limits:[| 2.0 |] "h");
+  ignore (Metrics.with_current r3 (fun () -> Metrics.histogram ~limits:[| 1.0 |] "h"));
+  ignore (Metrics.with_current r4 (fun () -> Metrics.histogram ~limits:[| 2.0 |] "h"));
   check Alcotest.bool "limits mismatch raises" true
     (try
        Metrics.merge_into ~into:r3 r4;
@@ -190,12 +189,12 @@ let test_prof_merge () =
       let outs =
         Par.map ~jobs:4
           (fun i ->
-            Par.with_shard (fun () ->
+            Obs.capture (fun () ->
                 Prof.span "t.work" (fun () ->
                     if i mod 2 = 0 then Prof.span "t.inner" (fun () -> ()))))
           (List.init 12 Fun.id)
       in
-      List.iter (fun ((), s) -> Par.merge_shard s) outs;
+      List.iter (fun ((), s) -> Obs.merge s) outs;
       let rows = Prof.rows () in
       (match Prof.find rows [ "t.work" ] with
       | Some r -> check Alcotest.int "outer span count exact" 12 r.Prof.count
@@ -204,57 +203,93 @@ let test_prof_merge () =
       | Some r -> check Alcotest.int "nested span count exact" 6 r.Prof.count
       | None -> Alcotest.fail "t.inner row missing")
 
-let test_prof_merge_tree_associative () =
+let test_prof_nested_shards_accumulate () =
+  (* A shard merged inside another capture adds into that capture's
+     tree, so grouping merges differently gives the same counts. *)
   Fun.protect
     ~finally:(fun () ->
       Prof.disable ();
       Prof.reset ())
     (fun () ->
       Prof.enable ();
-      let capture n = snd (Prof.capture (fun () -> Prof.span "t.a" (fun () -> ignore n))) in
-      let t1 = capture 1 and t2 = capture 2 and t3 = capture 3 in
-      let counts first rest =
-        List.iter (fun t -> Prof.merge_tree ~into:first t) rest;
-        match Prof.find (Prof.tree_rows first) [ "t.a" ] with
-        | Some r -> r.Prof.count
-        | None -> 0
+      let shard n = snd (Obs.capture (fun () -> for _ = 1 to n do Prof.span "t.a" ignore done)) in
+      let count () =
+        match Prof.find (Prof.rows ()) [ "t.a" ] with Some r -> r.Prof.count | None -> 0
       in
-      (* (t1 + t2) + t3 against t1 + (t2 + t3), rebuilt fresh. *)
-      let left = counts (capture 0) [ t1; t2; t3 ] in
-      let t4 = capture 2 and t5 = capture 3 in
-      Prof.merge_tree ~into:t4 t5;
-      let right = counts (capture 1) [ t4 ] in
-      check Alcotest.int "merge_tree accumulates associatively" 4 left;
-      check Alcotest.int "grouped merge matches" 3 right)
+      (* (s1 + s2) + s3 against s1 + (s2 + s3). *)
+      let s1 = shard 1 and s2 = shard 2 and s3 = shard 3 in
+      let (), s12 = Obs.capture (fun () -> List.iter Obs.merge [ s1; s2 ]) in
+      List.iter Obs.merge [ s12; s3 ];
+      let left = count () in
+      Prof.reset ();
+      let s1 = shard 1 and s2 = shard 2 and s3 = shard 3 in
+      let (), s23 = Obs.capture (fun () -> List.iter Obs.merge [ s2; s3 ]) in
+      List.iter Obs.merge [ s1; s23 ];
+      check Alcotest.int "grouped merges accumulate" 6 left;
+      check Alcotest.int "either grouping" left (count ()))
 
 let test_prof_disabled_capture_is_empty () =
   Prof.disable ();
-  let x, tree = Prof.capture (fun () -> Prof.span "t.off" (fun () -> 41)) in
+  let x, shard = Obs.capture (fun () -> Prof.span "t.off" (fun () -> 41)) in
   check Alcotest.int "thunk result" 41 x;
-  check Alcotest.int "no rows when disabled" 0 (List.length (Prof.tree_rows tree));
-  (* Merging an empty tree is a no-op either way. *)
-  Prof.merge tree
+  Fun.protect
+    ~finally:(fun () ->
+      Prof.disable ();
+      Prof.reset ())
+    (fun () ->
+      Prof.enable ();
+      Obs.merge shard;
+      check Alcotest.int "no rows carried while disabled" 0 (List.length (Prof.rows ())))
 
-(* ---- Timeseries shard merge -------------------------------------- *)
+(* ---- one capture, every stream ----------------------------------- *)
 
-let test_timeseries_merge () =
-  let mk () =
-    let t = Timeseries.create () in
-    Timeseries.register t "v" (fun () -> 0.0);
-    t
+(* Each task bumps a counter, opens a profiler span, mints a span id and
+   records it; after in-order merges a run at --jobs 4 reads exactly
+   like one at --jobs 1, and every task's span id was minted from 0. *)
+let test_one_capture_carries_every_stream () =
+  let task i =
+    Metrics.add (Metrics.counter "t.all.hits") (i + 1);
+    Prof.span "t.all.work" (fun () ->
+        let s = Span.root "claim:1:10.0.0.0/8" in
+        Recorder.record ~time:(float_of_int i) ~label:"t.all" ~span:s ();
+        s.Span.span)
   in
-  let main = mk () and shard = mk () in
-  Timeseries.sample main ~time:1.0;
-  Timeseries.sample shard ~time:2.0;
-  Timeseries.sample shard ~time:3.0;
-  Timeseries.merge_into ~into:main shard;
-  let row = Alcotest.pair (Alcotest.float 1e-9) (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9))) in
-  check (Alcotest.list row) "rows appended oldest first"
-    [ (1.0, [ ("v", 0.0) ]); (2.0, [ ("v", 0.0) ]); (3.0, [ ("v", 0.0) ]) ]
-    (Timeseries.rows main);
-  check Alcotest.int "sample count follows" 3 (Timeseries.samples main);
-  (* Shard rows are untouched. *)
-  check Alcotest.int "source unchanged" 2 (Timeseries.samples shard)
+  let run jobs =
+    let r = Metrics.create () in
+    Metrics.with_current r @@ fun () ->
+    Prof.enable ();
+    Recorder.enable ~retain:Recorder.Keep_all ();
+    Fun.protect
+      ~finally:(fun () ->
+        Prof.disable ();
+        Prof.reset ();
+        Recorder.disable ())
+      (fun () ->
+        let outs = Par.map ~jobs (fun i -> Obs.capture (fun () -> task i)) (List.init 12 Fun.id) in
+        let ids =
+          List.map
+            (fun (id, shard) ->
+              Obs.merge shard;
+              id)
+            outs
+        in
+        ( ids,
+          Metrics.snapshot r,
+          List.map (fun (row : Prof.row) -> (row.Prof.path, row.Prof.count)) (Prof.rows ()),
+          List.map Recorder.record_to_json (Recorder.recent ()),
+          (Recorder.fingerprint ()).Recorder.fpr_hash ))
+  in
+  let ((ids, snap, prof, recs, _) as sequential) = run 1 in
+  check Alcotest.(list int) "every task mints from 0" (List.init 12 (fun _ -> 0)) ids;
+  (match Metrics.find snap "t.all.hits" with
+  | Some (Metrics.Counter_v n) -> check Alcotest.int "counter total" 78 n
+  | _ -> Alcotest.fail "counter missing");
+  check Alcotest.(list (pair (list string) int)) "one span row" [ ([ "t.all.work" ], 12) ] prof;
+  check Alcotest.int "every record replayed" 12 (List.length recs);
+  check Alcotest.string "records renumbered in task order"
+    "{\"seq\": 11, \"time\": 11, \"label\": \"t.all\", \"subject\": \"\", \"trace_id\": \"claim:1:10.0.0.0/8\", \"span\": 0}"
+    (List.nth recs 11);
+  check Alcotest.bool "jobs 4 reads like jobs 1" true (run 4 = sequential)
 
 let suite =
   [
@@ -267,7 +302,7 @@ let suite =
     ("merge order-independent totals", `Quick, test_merge_order_independent);
     ("merge_into rejects mismatches", `Quick, test_merge_into_mismatch);
     ("prof spans merge to exact counts", `Quick, test_prof_merge);
-    ("prof merge_tree accumulates", `Quick, test_prof_merge_tree_associative);
+    ("prof nested shards accumulate", `Quick, test_prof_nested_shards_accumulate);
     ("prof capture empty when disabled", `Quick, test_prof_disabled_capture_is_empty);
-    ("timeseries shard merge", `Quick, test_timeseries_merge);
+    ("one capture carries every stream", `Quick, test_one_capture_carries_every_stream);
   ]

@@ -288,7 +288,7 @@ let same_tree n reused fresh =
 let with_bfs_counter f =
   let registry = Metrics.create () in
   Metrics.with_current registry (fun () ->
-      f (fun () -> Metrics.count (Metrics.counter ~registry "spf.bfs_runs")))
+      f (fun () -> Metrics.count (Metrics.counter "spf.bfs_runs")))
 
 (* --- Resumable search ------------------------------------------------------ *)
 
@@ -710,9 +710,9 @@ let test_schedule_walks_a_path_whole () =
 (* A Figure 4 run's BFS runs and trials at the given job count. *)
 let bfs_and_trials params ~jobs =
   let registry = Metrics.create () in
-  Metrics.with_current registry (fun () ->
-      ignore (Tree_experiment.run { params with Tree_experiment.jobs }));
-  let count name = Metrics.count (Metrics.counter ~registry name) in
+  Metrics.with_current registry @@ fun () ->
+  ignore (Tree_experiment.run { params with Tree_experiment.jobs });
+  let count name = Metrics.count (Metrics.counter name) in
   (count "spf.bfs_runs", count "trees.trials_run")
 
 (* 1,800 trials (sizes 1..500) on 1,000 nodes cut into 266 chunks: 2,065
