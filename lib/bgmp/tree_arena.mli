@@ -8,6 +8,16 @@
     group root holds one packed refcount; a node's entry count is the
     classic "multicast forwarding entries per router" state axis.
 
+    Entries are grouped by group: a dense directory maps each group
+    with members to one small open-addressed table of
+    [node lsl 31 lor refcount] slots, all tables living in one flat int
+    pool.  A table doubles at 3/4 load, and when its group's last
+    member leaves it goes on a free list for its capacity, to be reused
+    by the next group that needs one; so a {!join} or {!leave} reads one
+    directory word and one or two table lines rather than one random
+    line per path node.  The directory is as long as the largest group
+    id joined, so group ids must be dense.
+
     Joins record the exact path they installed (as a block in a flat
     int pool) and {!leave} tears down that recorded path, so membership
     stays balanced even when SPF trees were repaired between the join
@@ -23,10 +33,14 @@ type handle = int
 (** Receipt for one {!join}, to be passed to {!leave} exactly once.
     Non-negative.  It carries the path block's offset and the block's
     generation at the join; {!leave} bumps the generation, so a spent
-    receipt stays invalid even after its block is recycled. *)
+    receipt stays invalid even after its block is recycled.  The caller
+    keeps it with the membership it installed — e.g. as the receipt
+    {!Membership.iter_group_churn} hands back on that membership's
+    leave. *)
 
-val create : ?initial:int -> domains:int -> unit -> t
-(** [initial] hints the expected live (group, node) entry count. *)
+val create : domains:int -> unit -> t
+(** An empty arena for routers [0 .. domains-1].
+    @raise Invalid_argument when [domains < 1] or [domains >= 2^31]. *)
 
 val domains : t -> int
 
@@ -44,8 +58,9 @@ val join : t -> group:int -> path:Domain.id array -> len:int -> handle
 val leave : t -> group:int -> handle -> unit
 (** Remove the member installed by the matching {!join}, decrementing
     along the path recorded then (not the path SPF would give now).
-    Entries reaching zero references are freed, and the path block is
-    recycled for a later join of the same length.
+    Entries reaching zero references are freed, the path block is
+    recycled for a later join of the same length, and a group table left
+    empty is recycled for a later group.
     @raise Invalid_argument when the handle was already spent (its
     block possibly recycled since) or names another group. *)
 
@@ -70,6 +85,8 @@ val refs : t -> group:int -> node:int -> int
     range. *)
 
 val storage_words : t -> int
-(** Words held by the arena's flat arrays (entry table + per-router
-    counts + path pool + free-list heads).  Bounded by the live state:
-    the pool holds at most the peak number of live paths of each length. *)
+(** Words held by the arena's flat arrays (group directory + table
+    pool + per-router counts + path pool + free-list heads).  Bounded
+    by the live state: the path pool holds at most the peak number of
+    live paths of each length, and the table pool at most the peak
+    number of live group tables of each capacity. *)

@@ -1,52 +1,78 @@
 type t = {
   n : int;
-  map : Packed_map.t;  (* (group * n + node) -> next_hop + 1 *)
+  mutable rows : int array array;
+      (* group -> next hop per router ([no_entry] where none), or [||]
+         before the group's first entry *)
   counts : int array;  (* per-router entry count *)
+  mutable entries : int;
 }
-
-let create ?(initial = 16) ~domains () =
-  if domains < 1 then invalid_arg "Grib_arena.create: need at least one domain";
-  { n = domains; map = Packed_map.create ~initial (); counts = Array.make domains 0 }
-
-let domains t = t.n
-
-let key t ~group ~node =
-  if group < 0 then invalid_arg "Grib_arena: negative group id";
-  if node < 0 || node >= t.n then invalid_arg "Grib_arena: unknown node id";
-  (group * t.n) + node
 
 let no_entry = -2
 
+let create ~domains () =
+  if domains < 1 then invalid_arg "Grib_arena.create: need at least one domain";
+  { n = domains; rows = [||]; counts = Array.make domains 0; entries = 0 }
+
+let domains t = t.n
+
+let check t ~group ~node =
+  if group < 0 then invalid_arg "Grib_arena: negative group id";
+  if node < 0 || node >= t.n then invalid_arg "Grib_arena: unknown node id"
+
+let row t group = if group < Array.length t.rows then t.rows.(group) else [||]
+
 let find t ~group ~node =
-  match Packed_map.find t.map (key t ~group ~node) with
-  | -1 -> no_entry
-  | v -> v - 1
+  check t ~group ~node;
+  let r = row t group in
+  if Array.length r = 0 then no_entry else r.(node)
 
-let mem t ~group ~node = Packed_map.mem t.map (key t ~group ~node)
+let mem t ~group ~node = find t ~group ~node <> no_entry
 
-(* One probe per update: the map's length tells whether the key was
-   new (or was there to remove). *)
+(* [group]'s row, made on its first entry. *)
+let row_for t group =
+  if group >= Array.length t.rows then begin
+    let grown = Array.make (max (group + 1) (2 * Array.length t.rows)) [||] in
+    Array.blit t.rows 0 grown 0 (Array.length t.rows);
+    t.rows <- grown
+  end;
+  let r = t.rows.(group) in
+  if Array.length r > 0 then r
+  else begin
+    let r = Array.make t.n no_entry in
+    t.rows.(group) <- r;
+    r
+  end
+
 let set t ~group ~node hop =
   if hop < -1 || hop >= t.n then invalid_arg "Grib_arena.set: bad next hop";
-  let k = key t ~group ~node in
-  let before = Packed_map.length t.map in
-  Packed_map.set t.map k (hop + 1);
-  if Packed_map.length t.map > before then t.counts.(node) <- t.counts.(node) + 1
+  check t ~group ~node;
+  let r = row_for t group in
+  if r.(node) = no_entry then begin
+    t.counts.(node) <- t.counts.(node) + 1;
+    t.entries <- t.entries + 1
+  end;
+  r.(node) <- hop
 
 let remove t ~group ~node =
-  let k = key t ~group ~node in
-  let before = Packed_map.length t.map in
-  Packed_map.remove t.map k;
-  if Packed_map.length t.map < before then t.counts.(node) <- t.counts.(node) - 1
+  check t ~group ~node;
+  let r = row t group in
+  if Array.length r > 0 && r.(node) <> no_entry then begin
+    r.(node) <- no_entry;
+    t.counts.(node) <- t.counts.(node) - 1;
+    t.entries <- t.entries - 1
+  end
 
+(* Rows are kept, emptied: a fresh arena answers [no_entry] alike. *)
 let clear t =
-  Packed_map.clear t.map;
-  Array.fill t.counts 0 t.n 0
+  Array.iter (fun r -> Array.fill r 0 (Array.length r) no_entry) t.rows;
+  Array.fill t.counts 0 t.n 0;
+  t.entries <- 0
 
-let entries t = Packed_map.length t.map
+let entries t = t.entries
 
 let node_entries t node =
   if node < 0 || node >= t.n then invalid_arg "Grib_arena: unknown node id";
   t.counts.(node)
 
-let storage_words t = (2 * Packed_map.capacity t.map) + t.n
+let storage_words t =
+  Array.fold_left (fun acc r -> acc + Array.length r) (Array.length t.rows + t.n) t.rows

@@ -5,17 +5,19 @@
     protocol dynamics, far too heavy for state-scaling studies where
     75k routers each hold entries for thousands of group ranges.  This
     arena keeps exactly what a G-RIB lookup answers — {e next hop
-    toward the group's root domain} — as one packed int per (group,
-    node) entry in a flat open-addressed table, plus a per-router entry
-    count, so "G-RIB size vs members/groups" curves come from int
-    arrays instead of record heaps. *)
+    toward the group's root domain} — in one dense int row per group
+    (one word per router, made on the group's first entry), plus a
+    per-router entry count, so "G-RIB size vs members/groups" curves
+    come from int arrays instead of record heaps, and {!find}, {!mem}
+    and {!set} are one array read with no probe loop.  Storage is
+    [domains] words per group that ever held an entry, so group ids
+    must be dense: a group-range index, not an address. *)
 
 type t
 
-val create : ?initial:int -> domains:int -> unit -> t
+val create : domains:int -> unit -> t
 (** An empty arena for routers [0 .. domains-1].  Group ids are dense
-    nonnegative ints (their range is not fixed up front); [initial]
-    hints the expected total entry count. *)
+    nonnegative ints (their range is not fixed up front). *)
 
 val domains : t -> int
 
@@ -35,7 +37,7 @@ val set : t -> group:int -> node:int -> int -> unit
 val remove : t -> group:int -> node:int -> unit
 
 val clear : t -> unit
-(** Drop every entry, keeping the allocated tables: the arena then
+(** Drop every entry, keeping the allocated rows: the arena then
     answers exactly as a fresh one of the same [domains] would. *)
 
 val entries : t -> int
@@ -46,5 +48,6 @@ val node_entries : t -> int -> int
     axis. *)
 
 val storage_words : t -> int
-(** Words held by the arena's flat arrays (table slots + counts) —
-    the [Obs.Prof]-comparable footprint of the representation. *)
+(** Words held by the arena's flat arrays (row directory + rows +
+    counts) — the [Obs.Prof]-comparable footprint of the
+    representation. *)

@@ -87,7 +87,6 @@ type worker = {
   cache : Spf.cache;  (* borrows [ws] *)
   arena : Tree_arena.t;
   grib : Grib_arena.t;
-  handles : int array;  (* membership event -> join receipt, or -1 *)
 }
 
 let run p =
@@ -124,15 +123,13 @@ let run p =
     {
       ws;
       cache = Spf.make_cache_csr ~ws csr;
-      arena = Tree_arena.create ~initial:1024 ~domains:n ();
-      grib = Grib_arena.create ~initial:256 ~domains:n ();
-      handles = Array.make (max 1 p.events) (-1);
+      arena = Tree_arena.create ~domains:n ();
+      grib = Grib_arena.create ~domains:n ();
     }
   in
-  let run_trial { ws; cache; arena; grib; handles } trial =
+  let run_trial { ws; cache; arena; grib } trial =
     Tree_arena.clear arena;
     Grib_arena.clear grib;
-    Array.fill handles 0 (Array.length handles) (-1);
     Spf.cache_reset cache;
     let lrng = Rng.create (p.seed lxor ((trial + 1) * 0x51ED2705)) in
     (* Mode plumbing: both serve the same maintained-tree queries; they
@@ -178,7 +175,7 @@ let run p =
     let buf = ref (Array.make 64 0) in
     (* Per-trial sanity predicates over the arena state, counted into
        the trial's shard (same reason each trial owns its SPF cache):
-       the arena's global entry counter must agree with the per-router
+       each arena's global entry counter must agree with its per-router
        sum, live memberships must balance joins minus leaves and match
        the arena's live paths, and the G-RIB can only grow (this
        experiment never withdraws a group-range route) up to its
@@ -205,6 +202,12 @@ let run p =
       if p.check_invariants then begin
         if !tot <> o_entries.(k) then
           flag "checkpoint %d: arena counter %d <> per-router sum %d" cks.(k) o_entries.(k) !tot;
+        let gtot = ref 0 in
+        for v = 0 to n - 1 do
+          gtot := !gtot + Grib_arena.node_entries grib v
+        done;
+        if !gtot <> o_grib.(k) then
+          flag "checkpoint %d: G-RIB counter %d <> per-router sum %d" cks.(k) o_grib.(k) !gtot;
         if !live <> !joins - !leaves then
           flag "checkpoint %d: %d live members <> %d joins - %d leaves" cks.(k) !live !joins
             !leaves;
@@ -224,48 +227,61 @@ let run p =
       end;
       next_ck := k + 1
     in
+    (* Link churn and checkpoints follow every membership event. *)
+    let after_event i =
+      (if p.link_every > 0 && Array.length cands > 0 && (i + 1) mod p.link_every = 0 then begin
+         let j = Rng.int lrng (Array.length cands) in
+         let lid, a, b = cands.(j) in
+         let up = not cand_up.(j) in
+         cand_up.(j) <- up;
+         apply_toggle lid a b up;
+         incr linkev
+       end);
+      if !next_ck < ncks && i + 1 = cks.(!next_ck) then sample ()
+    in
+    (* The arena sees the trial's group block renumbered from 0, so its
+       directory is [groups] long at any trial index; the root range is
+       still picked by the global id.  A join's receipt is its arena
+       handle, or -1 for an unreachable member, which installs nothing. *)
+    let base = trial * p.groups in
     Membership.iter_group_churn ~seed:p.seed ~shard:trial ~domains:n ~groups:p.groups
-      ~join_bias:p.join_bias ~events:p.events (fun i group m join_ref ->
-        (if join_ref < 0 then begin
-           let ri = group mod nroots in
-           let root = roots_arr.(ri) in
-           let tree = get_tree root in
-           if tree.Spf.dist.(m) = max_int then incr skipped
-           else begin
-             let len = tree.Spf.dist.(m) + 1 in
-             if len > Array.length !buf then buf := Array.make (2 * len) 0;
-             let v = ref m in
-             for j = 0 to len - 1 do
-               !buf.(j) <- !v;
-               (* install the group-range route the first time any
-                  member's state touches this router *)
-               if not (Grib_arena.mem grib ~group:ri ~node:!v) then
-                 Grib_arena.set grib ~group:ri ~node:!v tree.Spf.via.(!v);
-               v := tree.Spf.via.(!v)
-             done;
-             handles.(i) <- Tree_arena.join arena ~group ~path:!buf ~len;
-             incr joins;
-             incr live
-           end
-         end
-         else begin
-           let h = handles.(join_ref) in
-           if h >= 0 then begin
-             Tree_arena.leave arena ~group h;
-             handles.(join_ref) <- -1;
-             incr leaves;
-             decr live
-           end
-         end);
-        (if p.link_every > 0 && Array.length cands > 0 && (i + 1) mod p.link_every = 0 then begin
-           let j = Rng.int lrng (Array.length cands) in
-           let lid, a, b = cands.(j) in
-           let up = not cand_up.(j) in
-           cand_up.(j) <- up;
-           apply_toggle lid a b up;
-           incr linkev
-         end);
-        if !next_ck < ncks && i + 1 = cks.(!next_ck) then sample ());
+      ~join_bias:p.join_bias ~events:p.events
+      ~join:(fun i group m ->
+        let ri = group mod nroots in
+        let root = roots_arr.(ri) in
+        let tree = get_tree root in
+        let receipt =
+          if tree.Spf.dist.(m) = max_int then begin
+            incr skipped;
+            -1
+          end
+          else begin
+            let len = tree.Spf.dist.(m) + 1 in
+            if len > Array.length !buf then buf := Array.make (2 * len) 0;
+            let v = ref m in
+            for j = 0 to len - 1 do
+              !buf.(j) <- !v;
+              (* install the group-range route the first time any
+                 member's state touches this router *)
+              if not (Grib_arena.mem grib ~group:ri ~node:!v) then
+                Grib_arena.set grib ~group:ri ~node:!v tree.Spf.via.(!v);
+              v := tree.Spf.via.(!v)
+            done;
+            incr joins;
+            incr live;
+            Tree_arena.join arena ~group:(group - base) ~path:!buf ~len
+          end
+        in
+        after_event i;
+        receipt)
+      ~leave:(fun i group _ h ->
+        if h >= 0 then begin
+          Tree_arena.leave arena ~group:(group - base) h;
+          incr leaves;
+          decr live
+        end;
+        after_event i)
+      ();
     let repairs, touched =
       match p.mode with Incremental -> Spf.cache_repair_stats cache | Scratch -> (0, 0)
     in

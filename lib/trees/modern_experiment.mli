@@ -38,7 +38,7 @@ type params = {
   jobs : int;  (** 0 = the [Par] default *)
   check_invariants : bool;
       (** evaluate the per-trial state-accounting predicates at every
-          checkpoint (arena counter vs per-router sum, join/leave
+          checkpoint (each arena's counter vs its per-router sum, join/leave
           balance, live members vs the arena's live paths, G-RIB
           monotonicity and ceiling); violations are counted into each
           trial's shard and summed into [invariant_violations] *)

@@ -9,23 +9,18 @@ type t = {
 
 (* Fixed odd multiplier (splitmix64's golden-gamma); the home slot is
    the high bits of [k * mult], which mixes far better than the low
-   bits for the near-sequential packed keys the arenas produce. *)
+   bits for near-sequential packed keys. *)
 let mult = 0x2545F4914F6CDD1D
 
 let home t k = (k * mult) lsr t.shift land t.mask
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let create ?(initial = 16) () =
-  let cap = ref 16 in
-  while !cap * 7 / 10 < initial do
-    cap := !cap * 2
-  done;
-  { slots = Array.make (2 * !cap) (-1); len = 0; mask = !cap - 1; shift = 62 - log2 !cap }
+let create () =
+  let cap = 16 in
+  { slots = Array.make (2 * cap) (-1); len = 0; mask = cap - 1; shift = 62 - log2 cap }
 
 let length t = t.len
-
-let capacity t = t.mask + 1
 
 (* The one probe loop: the slot holding the nonnegative key [k], or the
    empty slot that ends its probe run (the load factor keeps one). *)
@@ -48,8 +43,6 @@ let find t k =
 
 let mem t k = k >= 0 && t.slots.(2 * locate t k) = k
 
-let grows t = (t.len + 1) * 10 > (t.mask + 1) * 7
-
 (* Doubling re-inserts the old slots in slot order, so the layout is a
    function of the insertion/removal history alone. *)
 let grow t =
@@ -67,18 +60,15 @@ let grow t =
     end
   done
 
-(* Bind [k] at slot [i], which [locate] returned for it. *)
-let store t i k v =
+let set t k v =
+  if k < 0 || v < 0 then invalid_arg "Packed_map.set: negative key or value";
+  if (t.len + 1) * 10 > (t.mask + 1) * 7 then grow t;
+  let i = locate t k in
   if t.slots.(2 * i) <> k then begin
     t.slots.(2 * i) <- k;
     t.len <- t.len + 1
   end;
   t.slots.((2 * i) + 1) <- v
-
-let set t k v =
-  if k < 0 || v < 0 then invalid_arg "Packed_map.set: negative key or value";
-  if grows t then grow t;
-  store t (locate t k) k v
 
 (* Backward-shift deletion of the entry at slot [i]: walk the probe
    cluster after the hole; any entry whose home position lies at or
@@ -110,23 +100,6 @@ let remove t k =
     let i = locate t k in
     if t.slots.(2 * i) = k then delete_at t i
   end
-
-(* One probe in the common case.  A positive result grows the table
-   under the same rule as [set] (the rare doubling re-probes), so the
-   layout matches a [find] followed by [set] or [remove]. *)
-let add t k d =
-  if k < 0 then invalid_arg "Packed_map.add: negative key";
-  let i = locate t k in
-  let present = t.slots.(2 * i) = k in
-  let r = d + if present then t.slots.((2 * i) + 1) else 0 in
-  if r < 0 then invalid_arg "Packed_map.add: negative result";
-  if r = 0 then (if present then delete_at t i)
-  else if grows t then begin
-    grow t;
-    store t (locate t k) k r
-  end
-  else store t i k r;
-  r
 
 let iter f t =
   let s = t.slots in

@@ -68,7 +68,7 @@ let beacon_plan topo ~per_domain =
     session_beacons = List.init n (fun d -> Host_ref.make d 0);
   }
 
-let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events f =
+let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events ~join ~leave () =
   if domains < 1 then invalid_arg "Membership.iter_group_churn: need at least one domain";
   if groups < 1 then invalid_arg "Membership.iter_group_churn: need at least one group";
   if events < 0 then invalid_arg "Membership.iter_group_churn: negative event count";
@@ -81,7 +81,7 @@ let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events f
   let rng = Rng.create (seed lxor ((shard + 1) * 0x9E3779B97F4A7C)) in
   let base = shard * groups in
   (* Active memberships, swap-removable in O(1): parallel arrays of
-     group, member and the join's event index. *)
+     group, member and the receipt [join] returned. *)
   let ag = ref (Array.make 16 0) and am = ref (Array.make 16 0) and ar = ref (Array.make 16 0) in
   let live = ref 0 in
   for i = 0 to events - 1 do
@@ -100,9 +100,8 @@ let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events f
       end;
       !ag.(!live) <- g;
       !am.(!live) <- m;
-      !ar.(!live) <- i;
-      incr live;
-      f i g m (-1)
+      !ar.(!live) <- join i g m;
+      incr live
     end
     else begin
       let j = Rng.int rng !live in
@@ -111,7 +110,7 @@ let iter_group_churn ~seed ~shard ~domains ~groups ?(join_bias = 0.55) ~events f
       !ag.(j) <- !ag.(!live);
       !am.(j) <- !am.(!live);
       !ar.(j) <- !ar.(!live);
-      f i g m r
+      leave i g m r
     end
   done
 

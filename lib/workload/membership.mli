@@ -39,23 +39,34 @@ val iter_group_churn :
   groups:int ->
   ?join_bias:float ->
   events:int ->
-  (int -> int -> Domain.id -> int -> unit) ->
+  join:(int -> int -> Domain.id -> int) ->
+  leave:(int -> int -> Domain.id -> int -> unit) ->
+  unit ->
   unit
-(** [iter_group_churn ... f] streams a deterministic join/leave sequence
-    over [groups] dense group ids and [domains] member domains, calling
-    [f seq group node join_ref] once per event in order.  Each event is
-    a join with probability [join_bias] (default 0.55, forced when
+(** [iter_group_churn ... ~join ~leave ()] streams a deterministic
+    join/leave sequence over [groups] dense group ids and [domains]
+    member domains, calling [join seq group node] or
+    [leave seq group node receipt] once per event in order.  Each event
+    is a join with probability [join_bias] (default 0.55, forced when
     nothing is joined), else a leave of a uniformly random active
-    membership.  [seq] is the event's position in the stream; [node] is
-    the member's domain; [join_ref] is [-1] on a join and, on a leave,
-    the [seq] of the join it cancels, so consumers keyed by join
-    receipts — e.g. [Tree_arena.handle]s — tear down exactly the state
-    that join installed.  Streams are keyed by [(seed, shard)] — equal
-    pairs reproduce the exact stream, and a shard's group ids live in
-    block [shard * groups .. (shard+1) * groups - 1], so shards running
-    in parallel touch disjoint state at any [--jobs].  Nothing is
-    materialised: beyond [f]'s own work, memory is the active
-    memberships (three int arrays). *)
+    membership.  [seq] is the event's position in the stream and [node]
+    is the member's domain.
+
+    Receipts: whatever int [join] returns is kept with that membership
+    and handed back, unchanged, as [receipt] to the [leave] that ends
+    it — exactly once, and only to that leave.  A consumer keyed by
+    join receipts (e.g. [Tree_arena.handle]s, or any marker for "this
+    join installed nothing") so tears down exactly the state that join
+    installed without an event-indexed table of its own; a [join] that
+    returns its [seq] gets back, on each leave, the [seq] of the join it
+    cancels.
+
+    Streams are keyed by [(seed, shard)] — equal pairs reproduce the
+    exact stream, whatever the callbacks return — and a shard's group
+    ids live in block [shard * groups .. (shard+1) * groups - 1], so
+    shards running in parallel touch disjoint state at any [--jobs].
+    Nothing is materialised: beyond the callbacks' own work, memory is
+    the active memberships (three int arrays). *)
 
 type churn_event = { when_ : Time.t; member : Domain.id; joins : bool }
 

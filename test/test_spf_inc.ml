@@ -142,13 +142,12 @@ let test_note_link_noops () =
 
 (* ---------------- arenas --------------------------------------------- *)
 
-(* [set], [remove] and [add] (with removals at 0 and refused negative
-   results) against a Hashtbl, with a [clear] partway through. *)
+(* [set] and [remove] against a Hashtbl, with a [clear] partway
+   through. *)
 let test_packed_map_oracle () =
-  let m = Packed_map.create ~initial:4 () in
+  let m = Packed_map.create () in
   let oracle = Hashtbl.create 64 in
   let rng = Rng.create 2024 in
-  let value k = Option.value (Hashtbl.find_opt oracle k) ~default:0 in
   let agree tag =
     check Alcotest.int (tag ^ " length") (Hashtbl.length oracle) (Packed_map.length m);
     Hashtbl.iter
@@ -171,30 +170,15 @@ let test_packed_map_oracle () =
   in
   for step = 1 to 8000 do
     let k = Rng.int rng 700 in
-    (match Rng.int rng 6 with
-    | 0 | 1 ->
-        let v = Rng.int rng 1000 in
-        Packed_map.set m k v;
-        Hashtbl.replace oracle k v
-    | 2 ->
-        Packed_map.remove m k;
-        Hashtbl.remove oracle k
-    | 3 ->
-        (* a decrement to exactly 0 removes the key *)
-        let v = value k in
-        check Alcotest.int "add to zero" 0 (Packed_map.add m k (-v));
-        Hashtbl.remove oracle k
-    | _ ->
-        let d = Rng.int rng 7 - 3 in
-        let r = value k + d in
-        if r < 0 then
-          Alcotest.check_raises "negative result"
-            (Invalid_argument "Packed_map.add: negative result") (fun () ->
-              ignore (Packed_map.add m k d))
-        else begin
-          check Alcotest.int (Printf.sprintf "add %d %d" k d) r (Packed_map.add m k d);
-          if r = 0 then Hashtbl.remove oracle k else Hashtbl.replace oracle k r
-        end);
+    (if Rng.int rng 3 < 2 then begin
+       let v = Rng.int rng 1000 in
+       Packed_map.set m k v;
+       Hashtbl.replace oracle k v
+     end
+     else begin
+       Packed_map.remove m k;
+       Hashtbl.remove oracle k
+     end);
     if step = 4000 then begin
       agree "before clear";
       Packed_map.clear m;
@@ -215,11 +199,7 @@ let test_packed_map_negative_key_absent () =
   Packed_map.set m 5 9;
   check Alcotest.bool "mem -1 with entries" false (Packed_map.mem m (-1));
   Packed_map.remove m (-1);
-  check Alcotest.int "remove -1 keeps entries" 1 (Packed_map.length m);
-  Alcotest.check_raises "add negative key" (Invalid_argument "Packed_map.add: negative key")
-    (fun () -> ignore (Packed_map.add m (-1) 1));
-  check Alcotest.int "add of 0 to an absent key inserts nothing" 0 (Packed_map.add m 6 0);
-  check Alcotest.int "length" 1 (Packed_map.length m)
+  check Alcotest.int "remove -1 keeps entries" 1 (Packed_map.length m)
 
 let test_packed_map_rejects_negative () =
   let m = Packed_map.create () in
@@ -231,7 +211,7 @@ let test_packed_map_rejects_negative () =
       Packed_map.set m 0 (-1))
 
 let test_grib_arena () =
-  let g = Grib_arena.create ~initial:4 ~domains:10 () in
+  let g = Grib_arena.create ~domains:10 () in
   check Alcotest.int "empty" Grib_arena.no_entry (Grib_arena.find g ~group:0 ~node:0);
   Grib_arena.set g ~group:0 ~node:3 7;
   Grib_arena.set g ~group:5 ~node:3 2;
@@ -280,11 +260,11 @@ let tree_history t rng ~steps =
 let test_arenas_clear_like_fresh () =
   List.iter
     (fun seed ->
-      let g = Grib_arena.create ~initial:4 ~domains:30 () in
+      let g = Grib_arena.create ~domains:30 () in
       grib_history g (Rng.create seed) ~steps:3000;
       Grib_arena.clear g;
       grib_history g (Rng.create (seed + 1)) ~steps:1500;
-      let fresh = Grib_arena.create ~initial:4 ~domains:30 () in
+      let fresh = Grib_arena.create ~domains:30 () in
       grib_history fresh (Rng.create (seed + 1)) ~steps:1500;
       check Alcotest.int "grib entries" (Grib_arena.entries fresh) (Grib_arena.entries g);
       for node = 0 to 29 do
@@ -392,6 +372,169 @@ let test_tree_arena_storage_tracks_live () =
   Array.iter (fun (group, h) -> Tree_arena.leave t ~group h) live;
   check Alcotest.int "drained" 0 (Tree_arena.entries t)
 
+(* An operation's result, or the message it was refused with. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Seeded histories of joins, leaves and clears on the per-group
+   arena and on its global-table reference ([Tree_arena_reference]):
+   paths with repeated nodes, joins refused for a bad group, length or
+   node, leaves of live, spent and mismatched handles and of handles
+   no join issued.
+   After every step both must answer alike: every return value and
+   refusal, [entries], [live_paths], [node_entries] and [refs] of every
+   (group, node) pair, including groups past any the arena has seen. *)
+let test_tree_arena_matches_reference () =
+  for seed = 1 to 250 do
+    let rng = Rng.create seed in
+    let domains = 1 + Rng.int rng 24 and groups = 1 + Rng.int rng 12 in
+    let t = Tree_arena.create ~domains () and r = Tree_arena_reference.create ~domains () in
+    let live = ref [] and spent = ref [] in
+    let pick l = List.nth l (Rng.int rng (List.length l)) in
+    let buf = Array.make 16 0 in
+    for step = 1 to 300 do
+      let ( =? ) what (a, b) = if a <> b then Alcotest.failf "seed %d step %d: %s" seed step what in
+      (match Rng.int rng 40 with
+      | 0 ->
+          Tree_arena.clear t;
+          Tree_arena_reference.clear r;
+          live := [];
+          spent := []
+      | k when k < 22 ->
+          let len = if Rng.int rng 25 = 0 then Rng.int rng 18 else 1 + Rng.int rng 12 in
+          (* a narrow node range makes repeated nodes common *)
+          let span = if Rng.bool rng then domains else min domains 3 in
+          for j = 0 to Array.length buf - 1 do
+            buf.(j) <- Rng.int rng span
+          done;
+          if Rng.int rng 25 = 0 then buf.(Rng.int rng (max 1 len)) <- domains;
+          let group = if Rng.int rng 25 = 0 then -1 else Rng.int rng groups in
+          let a = outcome (fun () -> Tree_arena.join t ~group ~path:buf ~len) in
+          "join" =? (a, outcome (fun () -> Tree_arena_reference.join r ~group ~path:buf ~len));
+          Result.iter (fun h -> live := (group, h) :: !live) a
+      | _ ->
+          let group, h =
+            match Rng.int rng 6 with
+            | 0 | 1 | 2 when !live <> [] -> pick !live
+            | 3 when !live <> [] ->
+                let group, h = pick !live in
+                ((group + 1 + Rng.int rng groups) mod (groups + 1), h)
+            | 4 when !spent <> [] -> pick !spent
+            | _ ->
+                (* a handle no join could have issued: negative, or
+                   past the end of the pool *)
+                let h = Rng.int rng 40 - 20 in
+                (Rng.int rng groups, if h < 0 then h else (1 lsl 31) + h)
+          in
+          let a = outcome (fun () -> Tree_arena.leave t ~group h) in
+          "leave" =? (a, outcome (fun () -> Tree_arena_reference.leave r ~group h));
+          if Result.is_ok a then begin
+            live := List.filter (fun x -> x <> (group, h)) !live;
+            spent := (group, h) :: !spent
+          end);
+      "entries" =? (Tree_arena.entries t, Tree_arena_reference.entries r);
+      "live paths" =? (Tree_arena.live_paths t, Tree_arena_reference.live_paths r);
+      for node = -1 to domains do
+        "node entries"
+        =? ( outcome (fun () -> Tree_arena.node_entries t node),
+             outcome (fun () -> Tree_arena_reference.node_entries r node) )
+      done;
+      for group = -1 to groups + 1 do
+        for node = -1 to domains do
+          "refs"
+          =? ( outcome (fun () -> Tree_arena.refs t ~group ~node),
+               outcome (fun () -> Tree_arena_reference.refs r ~group ~node) )
+        done
+      done
+    done
+  done
+
+(* Seeded histories of sets (new entries, overwrites, refused hops),
+   removes, lookups and clears on the G-RIB arena against a Hashtbl
+   holding the same (group, node) -> hop entries. *)
+let test_grib_arena_matches_hashtbl () =
+  for seed = 1 to 200 do
+    let rng = Rng.create seed in
+    let domains = 1 + Rng.int rng 20 and groups = 1 + Rng.int rng 10 in
+    let g = Grib_arena.create ~domains () and h = Hashtbl.create 64 in
+    let valid ~group ~node =
+      if group < 0 then invalid_arg "Grib_arena: negative group id";
+      if node < 0 || node >= domains then invalid_arg "Grib_arena: unknown node id"
+    in
+    let find ~group ~node =
+      valid ~group ~node;
+      Option.value (Hashtbl.find_opt h (group, node)) ~default:Grib_arena.no_entry
+    in
+    for step = 1 to 300 do
+      let ( =? ) what (a, b) = if a <> b then Alcotest.failf "seed %d step %d: %s" seed step what in
+      let group = if Rng.int rng 30 = 0 then -1 else Rng.int rng groups in
+      let node = Rng.int rng (domains + 2) - 1 in
+      (match Rng.int rng 30 with
+      | 0 ->
+          Grib_arena.clear g;
+          Hashtbl.reset h
+      | k when k < 18 ->
+          let hop = Rng.int rng (domains + 3) - 2 in
+          "set"
+          =? ( outcome (fun () -> Grib_arena.set g ~group ~node hop),
+               outcome (fun () ->
+                   if hop < -1 || hop >= domains then invalid_arg "Grib_arena.set: bad next hop";
+                   valid ~group ~node;
+                   Hashtbl.replace h (group, node) hop) )
+      | k when k < 26 ->
+          "remove"
+          =? ( outcome (fun () -> Grib_arena.remove g ~group ~node),
+               outcome (fun () ->
+                   valid ~group ~node;
+                   Hashtbl.remove h (group, node)) )
+      | _ ->
+          "mem"
+          =? ( outcome (fun () -> Grib_arena.mem g ~group ~node),
+               outcome (fun () -> find ~group ~node <> Grib_arena.no_entry) ));
+      "entries" =? (Grib_arena.entries g, Hashtbl.length h);
+      for node = -1 to domains do
+        "node entries"
+        =? ( outcome (fun () -> Grib_arena.node_entries g node),
+             outcome (fun () ->
+                 valid ~group:0 ~node;
+                 Hashtbl.fold (fun (_, v) _ n -> if v = node then n + 1 else n) h 0) );
+        for group = -1 to groups + 1 do
+          "find"
+          =? (outcome (fun () -> Grib_arena.find g ~group ~node), outcome (fun () -> find ~group ~node))
+        done
+      done
+    done
+  done
+
+(* 200k joins and leaves over 500 groups with at most 40 members live:
+   nearly every join opens a group with no table, and nearly every
+   leave empties one.  Tables freed by a group's last leave are reused,
+   so after warm-up the arena stays under a fixed bound; without reuse
+   every table ever opened would stay in the pool (~2M words). *)
+let test_tree_arena_reuses_group_tables () =
+  let domains = 64 in
+  let t = Tree_arena.create ~domains () in
+  let rng = Rng.create 37 in
+  let live = Array.make 40 (-1, -1) in
+  let buf = Array.make 10 0 in
+  let peak = ref 0 in
+  for step = 1 to 200_000 do
+    let slot = Rng.int rng (Array.length live) in
+    (match live.(slot) with
+    | -1, _ -> ()
+    | group, h -> Tree_arena.leave t ~group h);
+    let len = 1 + Rng.int rng (Array.length buf) in
+    for j = 0 to len - 1 do
+      buf.(j) <- Rng.int rng domains
+    done;
+    let group = Rng.int rng 500 in
+    live.(slot) <- (group, Tree_arena.join t ~group ~path:buf ~len);
+    if step > 20_000 then peak := max !peak (Tree_arena.storage_words t)
+  done;
+  check Alcotest.bool (Printf.sprintf "storage %d words <= 8192 after warm-up" !peak) true
+    (!peak <= 8192);
+  Array.iter (fun (group, h) -> Tree_arena.leave t ~group h) live;
+  check Alcotest.int "drained" 0 (Tree_arena.entries t)
+
 let test_csr_rebuild_counter () =
   let c = Metrics.counter "topo.csr_rebuilds" in
   let topo = Gen.line ~n:6 in
@@ -476,5 +619,8 @@ let suite =
     ("tree arena refcounts", `Quick, test_tree_arena_refcounts);
     ("tree arena recycles blocks", `Quick, test_tree_arena_recycles_blocks);
     ("tree arena storage tracks live paths", `Quick, test_tree_arena_storage_tracks_live);
+    ("tree arena matches its global-table reference", `Quick, test_tree_arena_matches_reference);
+    ("grib arena matches a hashtbl", `Quick, test_grib_arena_matches_hashtbl);
+    ("tree arena reuses freed group tables", `Quick, test_tree_arena_reuses_group_tables);
     ("csr rebuild counter", `Quick, test_csr_rebuild_counter);
   ]

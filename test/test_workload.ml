@@ -122,14 +122,21 @@ let test_scenario_figure3_pim_sm () =
     (Scenario.figure3_branch_demo w ~before:[ 3 ] ~after:[ 3 ])
 
 (* The churn stream's array form, for the tests only: one record per
-   event, collected from [Membership.iter_group_churn]. *)
+   event, collected from [Membership.iter_group_churn].  Each join's
+   receipt is its own [seq], so a leave's [join_ref] is the receipt the
+   stream handed back: the [seq] of the join it cancels ([-1] on a
+   join). *)
 type group_event = { seq : int; group : int; node : Domain.id; join : bool; join_ref : int }
 
 let group_churn ~seed ~shard ~domains ~groups ?join_bias ~events () =
   let out = ref [] in
   Membership.iter_group_churn ~seed ~shard ~domains ~groups ?join_bias ~events
-    (fun seq group node join_ref ->
-      out := { seq; group; node; join = join_ref < 0; join_ref } :: !out);
+    ~join:(fun seq group node ->
+      out := { seq; group; node; join = true; join_ref = -1 } :: !out;
+      seq)
+    ~leave:(fun seq group node receipt ->
+      out := { seq; group; node; join = false; join_ref = receipt } :: !out)
+    ();
   Array.of_list (List.rev !out)
 
 let test_group_churn_deterministic () =
@@ -196,14 +203,19 @@ let test_group_churn_collector_matches_stream () =
   let seed = 1998 and shard = 1 and domains = 400 and groups = 30 and events = 2500 in
   let collected = group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events () in
   let count = ref 0 in
+  let event seq group node join_ref =
+    Alcotest.(check int) "events arrive in order" !count seq;
+    let ev = collected.(seq) in
+    Alcotest.(check (list int)) (Printf.sprintf "event %d" seq)
+      [ ev.seq; ev.group; ev.node; ev.join_ref ]
+      [ seq; group; node; join_ref ];
+    incr count
+  in
   Membership.iter_group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events
-    (fun seq group node join_ref ->
-      Alcotest.(check int) "events arrive in order" !count seq;
-      let ev = collected.(seq) in
-      Alcotest.(check (list int)) (Printf.sprintf "event %d" seq)
-        [ ev.seq; ev.group; ev.node; ev.join_ref ]
-        [ seq; group; node; join_ref ];
-      incr count);
+    ~join:(fun seq group node ->
+      event seq group node (-1);
+      seq)
+    ~leave:event ();
   Alcotest.(check int) "same length" (Array.length collected) !count;
   Alcotest.(check int) "every event streamed" events !count
 
