@@ -243,7 +243,6 @@ let run_fig4_modern summary_only domains groups roots events link_every trials s
   let mode = if scratch then Modern_experiment.Scratch else Modern_experiment.Incremental in
   let p =
     {
-      Modern_experiment.default_params with
       Modern_experiment.domains;
       groups;
       roots;
@@ -364,7 +363,6 @@ let run_ablate_claim seed ctx =
   let rng = Rng.create seed in
   let config =
     {
-      Masc_node.default_config with
       Masc_node.claim_wait = Time.hours 4.0;
       claim_lifetime = Time.days 20.0;
       renew_margin = Time.days 1.0;
@@ -652,7 +650,6 @@ let run_beacon domains per_domain probes trials seed loss churn matrix_out ctx =
     Format.eprintf "beacon: --sample needs a single trial; telemetry disabled@.";
   let p =
     {
-      Beacon_campaign.default_params with
       Beacon_campaign.domains;
       per_domain;
       probes;

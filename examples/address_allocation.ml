@@ -14,7 +14,6 @@ let () =
   Recorder.enable ~retain:Recorder.Keep_all ();
   let config =
     {
-      Masc_node.default_config with
       Masc_node.claim_wait = Time.hours 4.0;
       claim_lifetime = Time.days 10.0;
       renew_margin = Time.days 1.0;

@@ -34,8 +34,6 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let compare = Int.compare
-
 let equal = Int.equal
 
 let is_multicast t = t lsr 28 = 0xE

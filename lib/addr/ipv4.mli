@@ -21,8 +21,6 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val compare : t -> t -> int
-
 val equal : t -> t -> bool
 
 val is_multicast : t -> bool

@@ -141,8 +141,6 @@ let rec fold_below node base d acc ~f =
 
 let fold t ~init ~f = fold_below t.root 0 0 init ~f
 
-let iter t ~f = fold t ~init:() ~f:(fun p v () -> f p v)
-
 let rec iter_values_below node f =
   (match node.value with Some v -> f v | None -> ());
   (match node.zero with Some child -> iter_values_below child f | None -> ());

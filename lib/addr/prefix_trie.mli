@@ -66,8 +66,6 @@ val fold_free : 'a t -> Prefix.t -> init:'b -> f:(Ipv4.t -> int -> 'b -> 'b) -> 
 val fold : 'a t -> init:'b -> f:(Prefix.t -> 'a -> 'b -> 'b) -> 'b
 (** Fold over all bindings in increasing prefix order. *)
 
-val iter : 'a t -> f:(Prefix.t -> 'a -> unit) -> unit
-
 val iter_values : 'a t -> ('a -> unit) -> unit
 (** The bound values in increasing prefix order.  Builds no prefix, so
     the walk itself allocates nothing. *)

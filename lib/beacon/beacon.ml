@@ -5,14 +5,6 @@ type config = {
   stagger : Time.t;
 }
 
-let default_config =
-  {
-    period = Time.seconds 1.0;
-    probes_per_source = 5;
-    harvest_after = Time.seconds 1.0;
-    stagger = Time.seconds 0.010;
-  }
-
 (* A group's listeners in registration order, indexed by host so that
    a delivery finds its listener without scanning. *)
 type roster = {
@@ -112,7 +104,7 @@ let on_delivery t ~group:_ ~source:_ ~payload ~host ~hops =
             (spf_dist t ~from:p.p_src.Host_ref.host_domain ~to_:host.Host_ref.host_domain)
       end
 
-let create ~engine ~topo ~fabric ?(config = default_config) () =
+let create ~engine ~topo ~fabric ~config =
   let t =
     {
       engine;

@@ -29,17 +29,13 @@ type config = {
   stagger : Time.t;  (** offset between successive sources' first probes *)
 }
 
-val default_config : config
-(** period 1s, 5 probes per source, harvest after 1s, stagger 10ms. *)
-
 type t
 
 val create :
   engine:Engine.t ->
   topo:Topo.t ->
   fabric:Bgmp_fabric.t ->
-  ?config:config ->
-  unit ->
+  config:config ->
   t
 (** Installs the fleet as the fabric's delivery hook (replacing any
     previous hook). *)

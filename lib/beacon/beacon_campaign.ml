@@ -2,8 +2,6 @@ type params = {
   domains : int;
   per_domain : int;
   probes : int;
-  period : Time.t;
-  harvest_after : Time.t;
   trials : int;
   seed : int;
   loss : float;
@@ -16,8 +14,6 @@ let default_params =
     domains = 20;
     per_domain = 2;
     probes = 3;
-    period = Time.seconds 1.0;
-    harvest_after = Time.seconds 1.0;
     trials = 1;
     seed = 1998;
     loss = 0.0;
@@ -103,17 +99,19 @@ let run_trial p ~trial ~seed =
   in
   let plan = Membership.beacon_plan topo ~per_domain:p.per_domain in
   let nsources = (n * p.per_domain) + n in
+  (* One probe per source a second, each harvested a second after its
+     send; all first probes spread across one period so send bursts do
+     not synchronise. *)
+  let period = Time.seconds 1.0 in
   let cfg =
     {
-      Beacon.period = p.period;
+      Beacon.period;
       probes_per_source = p.probes;
-      harvest_after = p.harvest_after;
-      (* Spread all first probes across one period so send bursts do
-         not synchronise. *)
-      stagger = p.period /. float_of_int nsources;
+      harvest_after = Time.seconds 1.0;
+      stagger = period /. float_of_int nsources;
     }
   in
-  let beacon = Beacon.create ~engine ~topo ~fabric ~config:cfg () in
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:cfg in
   List.iter
     (fun (d, fleet) ->
       let group = domain_group d in

@@ -22,9 +22,9 @@
 type params = {
   domains : int;  (** target domain count; rounded to the transit-stub shape *)
   per_domain : int;  (** beacons per domain *)
-  probes : int;  (** probes per source *)
-  period : Time.t;
-  harvest_after : Time.t;
+  probes : int;
+      (** probes per source, one a second, each harvested a second after
+          its send *)
   trials : int;
   seed : int;
   loss : float;  (** seeded per-message loss during the probe phase *)
@@ -33,8 +33,8 @@ type params = {
 }
 
 val default_params : params
-(** 20 domains, 2 beacons/domain, 3 probes, period 1s, harvest 1s,
-    1 trial, seed 1998, no loss, no churn. *)
+(** 20 domains, 2 beacons/domain, 3 probes, 1 trial, seed 1998, no
+    loss, no churn. *)
 
 type trial_result = {
   r_trial : int;
@@ -66,7 +66,7 @@ val run : ?jobs:int -> params -> result
 val invariants : params -> result -> Invariant.t
 (** The measurement layer's own verdict over a finished campaign, as
     three registered predicates (counted in the checking domain's
-    {!Metrics.current}):
+    current {!Metrics} registry):
 
     - ["beacon-conservation"] — every probe copy expected is either
       delivered or lost ([sent = got + lost]);

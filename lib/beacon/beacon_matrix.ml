@@ -31,11 +31,6 @@ let[@inline] deliver_slot a ~latency ~hops ~spf_dist =
   let stretch = if spf_dist <= 0 then 1.0 else float_of_int hops /. float_of_int spf_dist in
   Stats.add a.stretch stretch
 
-let expect t ~src ~dst = expect_slot (slot t ~src ~dst)
-
-let deliver t ~src ~dst ~latency ~hops ~spf_dist =
-  deliver_slot (slot t ~src ~dst) ~latency ~hops ~spf_dist
-
 let merge_into ~into src =
   Hashtbl.iter
     (fun key (a : acc) ->

@@ -1,12 +1,12 @@
 (** The N×N delivery matrix an active-measurement campaign accumulates.
 
     One cell per (source beacon, receiver beacon) pair that a probe was
-    ever addressed to: how many probes the pair expected ([expect], one
-    per probe send per expected receiver), how many arrived ([deliver]),
-    and running statistics over one-way latency, inter-domain hop count
-    and path stretch — the delivered hop count divided by the unicast
-    SPF hop distance between the two domains (1.0 when both sit in the
-    same domain).  dbeacon renders exactly this matrix from its
+    ever addressed to: how many probes the pair expected ({!expect_slot},
+    one per probe send per expected receiver), how many arrived
+    ({!deliver_slot}), and running statistics over one-way latency,
+    inter-domain hop count and path stretch — the delivered hop count
+    divided by the unicast SPF hop distance between the two domains (1.0
+    when both sit in the same domain).  dbeacon renders exactly this matrix from its
     receiver reports; here the accounting is deterministic, so two
     seeded runs produce byte-identical snapshots.
 
@@ -18,18 +18,6 @@ type t
 
 val create : unit -> t
 
-val expect : t -> src:Host_ref.t -> dst:Host_ref.t -> unit
-(** A probe from [src] was sent to a group [dst] listens on: the pair
-    now expects one more delivery. *)
-
-val deliver :
-  t -> src:Host_ref.t -> dst:Host_ref.t -> latency:float -> hops:int -> spf_dist:int -> unit
-(** A probe copy arrived.  [latency] is one-way sim-time seconds,
-    [hops] the inter-domain hop count the copy travelled, [spf_dist]
-    the unicast BFS hop distance from [src]'s to [dst]'s domain (0 for
-    the same domain — the stretch observation is then 1.0, matching a
-    zero-hop interior delivery). *)
-
 type slot
 (** One pair's cell, resolved once so that repeated updates skip the
     pair lookup.  A slot stays valid until its matrix is the [into] of
@@ -39,10 +27,15 @@ val slot : t -> src:Host_ref.t -> dst:Host_ref.t -> slot
 (** The pair's cell, created empty (no sends, no deliveries) if new. *)
 
 val expect_slot : slot -> unit
-(** {!expect} on a resolved cell. *)
+(** A probe from the pair's source was sent to a group its receiver
+    listens on: the pair now expects one more delivery. *)
 
 val deliver_slot : slot -> latency:float -> hops:int -> spf_dist:int -> unit
-(** {!deliver} on a resolved cell. *)
+(** A probe copy arrived.  [latency] is one-way sim-time seconds,
+    [hops] the inter-domain hop count the copy travelled, [spf_dist]
+    the unicast BFS hop distance from the source's to the receiver's
+    domain (0 for the same domain — the stretch observation is then
+    1.0, matching a zero-hop interior delivery). *)
 
 val merge_into : into:t -> t -> unit
 (** Fold another matrix's cells into [into] (counts add, statistics

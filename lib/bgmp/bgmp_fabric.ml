@@ -788,8 +788,6 @@ let tree_domains t ~group =
     t.domain_routers;
   List.sort compare !doms
 
-let net t = t.net
-
 let fail_link t a b =
   if Topo.link_between t.topo a b = None then invalid_arg "Bgmp_fabric.fail_link: no such link";
   Net.fail_link t.net a b
@@ -888,11 +886,6 @@ let iter_active_groups t f =
   for i = 0 to cs.ngroups - 1 do
     f cs.groups.(i)
   done
-
-let active_groups t =
-  let acc = ref [] in
-  iter_active_groups t (fun g -> acc := g :: !acc);
-  List.rev !acc
 
 (* Acyclicity of one group's parent pointers: every on-tree router's
    chain must reach a router with no further hop.  One walk per router

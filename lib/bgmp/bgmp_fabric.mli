@@ -133,9 +133,6 @@ val duplicate_deliveries : t -> int
 (** Copies delivered to a host that had already received that payload —
     0 in a correct run. *)
 
-val net : t -> Net.t
-(** The transport peer messages travel over. *)
-
 val fail_link : t -> Domain.id -> Domain.id -> unit
 (** [Net.fail_link] on the transport: messages over the link (joins,
     prunes, data — and, on a shared transport, every other protocol's
@@ -154,13 +151,10 @@ val iter_active_groups : t -> (Ipv4.t -> unit) -> unit
     the fabric keeps (the one the acyclicity pass uses), so the scan
     builds no table, list or sort (it allocates only the standard
     library's iteration closure per router and per domain), and [f] may
-    change tree state, as {!rebuild_group} does.  [f] must not start another scan of the same
-    fabric ([iter_active_groups], {!active_groups}, {!cycle_violations},
-    {!settle_violations}, {!tree_violations}): that refills the scratch
-    under the running loop. *)
-
-val active_groups : t -> Ipv4.t list
-(** {!iter_active_groups} as a list. *)
+    change tree state, as {!rebuild_group} does.  [f] must not start
+    another scan of the same fabric ([iter_active_groups],
+    {!cycle_violations}, {!settle_violations}, {!tree_violations}): that
+    refills the scratch under the running loop. *)
 
 val rebuild_group : t -> group:Ipv4.t -> unit
 (** Rebuild the group's distribution tree under the {e current} routing

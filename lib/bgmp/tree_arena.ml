@@ -8,6 +8,14 @@ let offset_bits = 32
 let offset_mask = (1 lsl offset_bits) - 1
 let gen_mask = (1 lsl 30) - 1
 
+(* A block's header word is [live_tag lor generation] while it holds a
+   path and [free_tag lor generation] while it waits on a free list.
+   Both tags are below -1, where no other pool word (group, len, node,
+   free link) ever is, so a handle pointing into the middle of a block
+   or at a free one never matches a header. *)
+let live_tag = min_int
+let free_tag = min_int lor (gen_mask + 1)
+
 (* An entry slot packs the router id above its refcount; -1 is an
    empty slot. *)
 let rc_bits = 31
@@ -32,9 +40,9 @@ type t = {
   mutable entries : int;
   counts : int array;  (* per-router live entry count *)
   mutable pool : int array;
-      (* path blocks [generation; group; len; nodes...]; a free block
-         keeps its len and links to the next free block of that len in
-         its group slot *)
+      (* path blocks [header; group; len; nodes...]; a free block keeps
+         its len and links to the next free block of that len in its
+         group slot *)
   mutable pool_len : int;
   mutable free : int array;  (* len -> first free block, or -1 *)
   mutable live : int;
@@ -56,8 +64,6 @@ let create ~domains () =
     free = [||];
     live = 0;
   }
-
-let domains t = t.n
 
 (* Doubling growth of a flat pool holding [used] words so it fits
    [need]. *)
@@ -83,12 +89,13 @@ let alloc_block t len =
   if len < Array.length t.free && t.free.(len) >= 0 then begin
     let b = t.free.(len) in
     t.free.(len) <- t.pool.(b + 1);
+    t.pool.(b) <- live_tag lor (t.pool.(b) land gen_mask);
     b
   end
   else begin
     pool_reserve t (len + 3);
     let b = t.pool_len in
-    t.pool.(b) <- 0;
+    t.pool.(b) <- live_tag;
     t.pool.(b + 2) <- len;
     t.pool_len <- t.pool_len + len + 3;
     b
@@ -100,7 +107,7 @@ let free_block t b len =
     Array.blit t.free 0 grown 0 (Array.length t.free);
     t.free <- grown
   end;
-  t.pool.(b) <- (t.pool.(b) + 1) land gen_mask;
+  t.pool.(b) <- free_tag lor ((t.pool.(b) + 1) land gen_mask);
   t.pool.(b + 1) <- t.free.(len);
   t.free.(len) <- b
 
@@ -251,7 +258,7 @@ let join t ~group ~path ~len =
     if s >= 0 then Array.unsafe_set tabs i (s + 1) else o := insert t group !o i node
   done;
   t.live <- t.live + 1;
-  (pool.(b) lsl offset_bits) lor b
+  ((pool.(b) land gen_mask) lsl offset_bits) lor b
 
 (* A live block of [group] means the group's table exists; the leave
    that empties it frees it for the next group that needs one. *)
@@ -259,7 +266,7 @@ let leave t ~group (h : handle) =
   let b = h land offset_mask in
   let pool = t.pool in
   if h < 0 || b + 3 > t.pool_len then invalid_arg "Tree_arena.leave: bad handle";
-  if pool.(b) <> h lsr offset_bits || pool.(b + 1) <> group then
+  if pool.(b) <> live_tag lor (h lsr offset_bits) || pool.(b + 1) <> group then
     invalid_arg "Tree_arena.leave: handle spent or group mismatch";
   let len = pool.(b + 2) in
   let o = t.dir.(group) in

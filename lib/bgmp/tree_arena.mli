@@ -42,8 +42,6 @@ val create : domains:int -> unit -> t
 (** An empty arena for routers [0 .. domains-1].
     @raise Invalid_argument when [domains < 1] or [domains >= 2^31]. *)
 
-val domains : t -> int
-
 val join : t -> group:int -> path:Domain.id array -> len:int -> handle
 (** Install one member whose packets travel [path.(0) .. path.(len-1)]
     (member end to tree end, inclusive; order is irrelevant): every node
@@ -61,8 +59,9 @@ val leave : t -> group:int -> handle -> unit
     Entries reaching zero references are freed, the path block is
     recycled for a later join of the same length, and a group table left
     empty is recycled for a later group.
-    @raise Invalid_argument when the handle was already spent (its
-    block possibly recycled since) or names another group. *)
+    @raise Invalid_argument, changing nothing, when the handle is not
+    a live receipt — already spent (its block possibly recycled since)
+    or never issued by {!join} — or names another group. *)
 
 val clear : t -> unit
 (** Drop every member and entry, keeping the allocated tables: the

@@ -66,12 +66,6 @@ let reset t = Array.iter Speaker.reset t.speakers
 
 let speaker t id = t.speakers.(id)
 
-let engine t = t.engine
-
-let topo t = t.topo
-
-let net t = t.net
-
 let originate ?lifetime_end ?span t id prefix =
   Speaker.originate ?lifetime_end ?span t.speakers.(id) prefix
 

@@ -23,13 +23,6 @@ val reset : t -> unit
 
 val speaker : t -> Domain.id -> Speaker.t
 
-val engine : t -> Engine.t
-
-val topo : t -> Topo.t
-
-val net : t -> Net.t
-(** The transport updates travel over. *)
-
 val originate : ?lifetime_end:Time.t -> ?span:Span.t -> t -> Domain.id -> Prefix.t -> unit
 (** Inject a group route at its root domain (what a MASC node does after
     winning a claim) and let it propagate. *)

@@ -13,8 +13,6 @@ let create ~domains () =
   if domains < 1 then invalid_arg "Grib_arena.create: need at least one domain";
   { n = domains; rows = [||]; counts = Array.make domains 0; entries = 0 }
 
-let domains t = t.n
-
 let check t ~group ~node =
   if group < 0 then invalid_arg "Grib_arena: negative group id";
   if node < 0 || node >= t.n then invalid_arg "Grib_arena: unknown node id"

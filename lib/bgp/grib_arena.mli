@@ -19,8 +19,6 @@ val create : domains:int -> unit -> t
 (** An empty arena for routers [0 .. domains-1].  Group ids are dense
     nonnegative ints (their range is not fixed up front). *)
 
-val domains : t -> int
-
 val no_entry : int
 (** [-2]: returned by {!find} when the router holds no entry. *)
 

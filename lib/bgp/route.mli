@@ -20,7 +20,7 @@ type t = {
           partition. *)
   span : Span.t option;
       (** causal span of the MASC claim this route came from; ignored by
-          {!compare}/{!equal} (it is provenance, not routing state) and
+          {!prefer}/{!equal} (it is provenance, not routing state) and
           preserved by {!through}. *)
 }
 
@@ -45,9 +45,6 @@ val prefer : t -> t -> t
     shortest AS path wins; ties break to the lower origin id, then the
     lower first-hop id — a deterministic stand-in for router-id
     tie-breaking. *)
-
-val compare : t -> t -> int
-(** Total order consistent with {!prefer} (smaller = preferred). *)
 
 val equal : t -> t -> bool
 

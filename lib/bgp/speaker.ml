@@ -53,8 +53,6 @@ let create ~id =
   reset t;
   t
 
-let id t = t.self
-
 let version t = t.version
 
 let add_peer t peer rel =
@@ -62,8 +60,6 @@ let add_peer t peer rel =
   Hashtbl.replace t.peers peer rel;
   t.peer_order <- t.peer_order @ [ peer ];
   Hashtbl.replace t.adj_in peer (Hashtbl.create 8)
-
-let peers t = List.map (fun p -> (p, Hashtbl.find t.peers p)) t.peer_order
 
 let set_send t f = t.send <- f
 

@@ -30,8 +30,6 @@ val reset : t -> unit
     G-RIB, export state and down sessions; version 0.  Peerings and the
     installed send, filter and G-RIB hooks stay. *)
 
-val id : t -> Domain.id
-
 val version : t -> int
 (** A mutation counter over the G-RIB: it grows exactly when the best
     route for some prefix changes, under the same condition that fires
@@ -40,8 +38,6 @@ val version : t -> int
 
 val add_peer : t -> Domain.id -> peer_relation -> unit
 (** Declare a peering.  @raise Invalid_argument on duplicates. *)
-
-val peers : t -> (Domain.id * peer_relation) list
 
 val set_send : t -> (dst:Domain.id -> Update.t -> unit) -> unit
 (** Install the transport used to reach peers (the network layer

@@ -1,7 +1,6 @@
 type config = {
   masc : Masc_node.config;
   bgmp : Bgmp_fabric.config;
-  maas_block : int;
   seed : int;
   loss : float;
 }
@@ -10,7 +9,6 @@ let default_config =
   {
     masc = Masc_node.default_config;
     bgmp = Bgmp_fabric.default_config;
-    maas_block = 256;
     seed = 1998;
     loss = 0.0;
   }
@@ -49,8 +47,6 @@ let net t = t.net
 let speaker t d = Bgp_network.speaker t.bgp_net d
 
 let masc_node t d = Masc_network.node t.masc_net d
-
-let maas t d = t.maases.(d)
 
 let fabric t = t.bgmp_fabric
 
@@ -507,7 +503,7 @@ let create ?(config = default_config) ?migp_style net_topo =
   in
   let maases =
     Array.init (Topo.domain_count net_topo) (fun d ->
-        Maas.create ~engine ~node:(Masc_network.node masc_net d) ~block_size:config.maas_block)
+        Maas.create ~engine ~node:(Masc_network.node masc_net d))
   in
   (* BGP -> BGMP repair glue: a change to any domain's best route for a
      covering prefix makes the affected groups' trees stale; rebuild
@@ -610,9 +606,8 @@ let run_for t duration = Engine.run ~until:(Engine.now t.engine +. duration) t.e
 (* Above the 48 h collision wait (so graduation storms count as
    activity, not silence), below the ~30 d renewal cycle (so steady
    renewals do not keep the run alive forever). *)
-let settle ?(quiet_for = Time.days 7.0) t = Engine.run_until_quiescent ~grace:quiet_for t.engine
 
-let request_address t dom = Maas.allocate t.maases.(dom) ()
+let request_address t dom = Maas.allocate t.maases.(dom)
 
 let rec request_address_retry t dom ~every ~attempts =
   match request_address t dom with
@@ -623,7 +618,7 @@ let rec request_address_retry t dom ~every ~attempts =
       request_address_retry t dom ~every ~attempts:(attempts - 1)
 
 let request_address_in t ~initiator ~root =
-  let alloc = Maas.allocate t.maases.(root) () in
+  let alloc = Maas.allocate t.maases.(root) in
   (match alloc with
   | Some a when Recorder.is_enabled () ->
       Recorder.recordf ~time:(Engine.now t.engine) ~label:"remote-alloc"
@@ -633,13 +628,13 @@ let request_address_in t ~initiator ~root =
   alloc
 
 let request_address_with_fallback t dom =
-  match Maas.allocate t.maases.(dom) () with
+  match Maas.allocate t.maases.(dom) with
   | Some a -> Some (a, dom)
   | None -> (
       match Masc_node.role (Masc_network.node t.masc_net dom) with
       | Masc_node.Top -> None
       | Masc_node.Child parent -> (
-          match Maas.allocate t.maases.(parent) () with
+          match Maas.allocate t.maases.(parent) with
           | Some a ->
               if Recorder.is_enabled () then
                 Recorder.recordf ~time:(Engine.now t.engine) ~label:"fallback-alloc"

@@ -22,15 +22,12 @@
 type config = {
   masc : Masc_node.config;
   bgmp : Bgmp_fabric.config;
-  maas_block : int;  (** space requested from MASC when a MAAS runs dry *)
   seed : int;
   loss : float;
       (** per-message loss probability on every inter-domain channel, for
           all three protocols (deterministic: drawn from a seeded RNG
           private to the transport); 0 by default *)
 }
-
-val default_config : config
 
 val quick_config : config
 (** Protocol timers scaled down (minutes instead of the deployment-scale
@@ -65,14 +62,6 @@ val net : t -> Net.t
 
 val run_for : t -> Time.t -> unit
 (** Advance the simulation by the given duration. *)
-
-val settle : ?quiet_for:Time.t -> t -> unit
-(** Run until the stack has been quiescent for [quiet_for] of virtual
-    time (default 7 days): periodic MASC housekeeping used to make
-    "run until the queue drains" spin forever, so this stops once every
-    remaining event lies beyond the protocol-activity watermark plus the
-    grace period.  The default sits above the 48 h collision wait and
-    below the 30 d renewal cycle. *)
 
 val fail_link : t -> Domain.id -> Domain.id -> unit
 (** [Net.fail_link] on the shared transport — one call takes the link
@@ -127,7 +116,7 @@ val root_domain_of : t -> Ipv4.t -> Domain.id option
 
     Five named predicates over the live stack (registered at {!create}
     into an {!Invariant.t}, counted in the checking domain's
-    {!Metrics.current}):
+    current {!Metrics} registry):
 
     - ["masc-sibling-overlap"] — no two sibling domains hold
       overlapping {e acquired} MASC ranges (§4's collision resolution
@@ -190,8 +179,6 @@ val deliveries : t -> payload:int -> (Host_ref.t * int) list
 (** {1 Component access (for tests, examples, and experiments)} *)
 
 val masc_node : t -> Domain.id -> Masc_node.t
-
-val maas : t -> Domain.id -> Maas.t
 
 val speaker : t -> Domain.id -> Speaker.t
 

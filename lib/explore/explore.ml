@@ -7,7 +7,6 @@ type config = {
   horizon : Time.t;
   ledger : string;
   repro_dir : string option;
-  repro_top : int;
 }
 
 let default_config =
@@ -20,8 +19,11 @@ let default_config =
     horizon = Time.hours 4.0;
     ledger = "explore_ledger.jsonl";
     repro_dir = None;
-    repro_top = 3;
   }
+
+(* How many counterexamples, smallest first, get a repro run and a
+   triage entry. *)
+let top = 3
 
 type summary = {
   total : int;
@@ -206,7 +208,7 @@ let run_campaign config =
     | None -> entries
     | Some dir ->
         let chosen =
-          List.filteri (fun i _ -> i < config.repro_top) (counterexamples entries)
+          List.filteri (fun i _ -> i < top) (counterexamples entries)
           |> List.map (fun (e : Ledger.entry) -> e.Ledger.trial)
         in
         List.map
@@ -248,13 +250,12 @@ let pp_summary ppf s =
     Format.fprintf ppf "shrink runs total: %d@." s.shrink_steps
   end
 
-let pp_triage ?(top = 3) ppf ~ledger =
+let pp_triage ppf ~ledger =
   let entries, malformed = Ledger.load ledger in
-  Report.check_loaded "ledger" ledger ~rows:(List.length entries) ~malformed;
+  ignore (Report.warn_skipped "ledger" ledger ~rows:(List.length entries) malformed);
   Format.fprintf ppf "=== triage: %s ===@." ledger;
-  Format.fprintf ppf "%d outcome%s%s@." (List.length entries)
-    (if List.length entries = 1 then "" else "s")
-    (if malformed = 0 then "" else Printf.sprintf " (%d malformed lines skipped)" malformed);
+  Format.fprintf ppf "%d outcome%s@." (List.length entries)
+    (if List.length entries = 1 then "" else "s");
   let s = summarize entries in
   Format.fprintf ppf "by verdict: pass %d  violation %d  non-convergence %d@." s.passed
     s.violation s.non_convergence;

@@ -18,13 +18,14 @@ type config = {
   arena : Oracle.arena;
   horizon : Time.t;  (** fault-injection window bound (generator only) *)
   ledger : string;  (** ledger path, truncated then appended in trial order *)
-  repro_dir : string option;  (** where repro artifacts land; [None]: skip repro *)
-  repro_top : int;  (** how many counterexamples (smallest first) get repro runs *)
+  repro_dir : string option;
+      (** where repro artifacts of the three smallest counterexamples
+          land; [None]: skip repro *)
 }
 
 val default_config : config
 (** budget 50, max_faults 6, seed 1998, default arena, horizon 4 h,
-    ledger ["explore_ledger.jsonl"], no repro dir, repro_top 3. *)
+    ledger ["explore_ledger.jsonl"], no repro dir. *)
 
 type summary = {
   total : int;
@@ -48,11 +49,12 @@ val pp_summary : Format.formatter -> summary -> unit
 (** The [explore] subcommand's stdout: verdict counts, invariant
     buckets, and the ranked counterexample list. *)
 
-val pp_triage : ?top:int -> Format.formatter -> ledger:string -> unit
+val pp_triage : Format.formatter -> ledger:string -> unit
 (** The [report --triage] view: loads the ledger, buckets outcomes by
     verdict and by violated invariant, ranks counterexamples by
-    minimality, and — for the [top] (default 3) smallest — prints the
+    minimality, and — for the three smallest — prints the
     blamed causal chain out of the repro recording when the ledger
-    points at a readable one.  @raise Sys_error when the ledger cannot
-    be read, and {!Report.Unreadable} when every line of it is
+    points at a readable one.  Skipped lines are reported as
+    {!Report.warn_skipped} does.  @raise Sys_error when the ledger
+    cannot be read, and {!Report.Unreadable} when every line of it is
     malformed. *)

@@ -49,6 +49,9 @@ let of_value v =
   let* verdict = field "verdict" to_string v in
   let* invariants = field "invariants" (to_list to_string) v in
   let* trace_ids = field "trace_ids" (to_list to_string) v in
+  (* One blamed trace id per violated invariant, or the line is not a
+     ledger record. *)
+  let* () = if List.compare_lengths invariants trace_ids = 0 then Some () else None in
   let* transient = field "transient" to_int v in
   let* converged_at = opt_field "converged_at" to_float v in
   let* deadline = field "deadline" to_float v in

@@ -19,7 +19,9 @@ type entry = {
   fingerprint : string;  (** {!Schedule.fingerprint} of [schedule] *)
   verdict : string;  (** {!Oracle.verdict_to_string} *)
   invariants : string list;  (** violated invariant names, end-state check *)
-  trace_ids : string list;  (** blamed causal chains, aligned with [invariants] *)
+  trace_ids : string list;
+      (** blamed causal chains, aligned with [invariants]: a line whose
+          two lists differ in length does not parse *)
   transient : int;
   converged_at : float option;
   deadline : float;

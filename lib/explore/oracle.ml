@@ -29,6 +29,9 @@ let verdict_of ~converged_at ~deadline ~violations =
    (§4.4: fought at the next renewal announce) fits inside one run. *)
 let claim_lifetime = Time.days 1.0
 
+(* Pads the convergence deadline, and the horizon past it. *)
+let conv_grace = Time.hours 2.0
+
 let config ~seed =
   {
     Internet.quick_config with
@@ -80,7 +83,7 @@ let setup stack ~seed schedule =
       Internet.reset inet ~seed;
       inet
 
-let run_oracle ~stack ~conv_grace ~on_check ~seed schedule =
+let run_oracle ~stack ~on_check ~seed schedule =
   let arena = stack.s_arena in
   let inet =
     if Prof.is_enabled () then
@@ -176,7 +179,7 @@ let run_oracle ~stack ~conv_grace ~on_check ~seed schedule =
 (* Under the profiler the whole run is one span, so the engine loop and
    the workload's direct calls (time no event or check span covers)
    land in its self time. *)
-let run ?(conv_grace = Time.hours 2.0) ?on_check ?(stack = stack default_arena) ~seed schedule =
+let run ?on_check ?(stack = stack default_arena) ~seed schedule =
   if Prof.is_enabled () then
-    Prof.span "explore.oracle" (fun () -> run_oracle ~stack ~conv_grace ~on_check ~seed schedule)
-  else run_oracle ~stack ~conv_grace ~on_check ~seed schedule
+    Prof.span "explore.oracle" (fun () -> run_oracle ~stack ~on_check ~seed schedule)
+  else run_oracle ~stack ~on_check ~seed schedule

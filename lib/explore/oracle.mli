@@ -67,20 +67,18 @@ val stack : arena -> stack
     run. *)
 
 val run :
-  ?conv_grace:Time.t ->
   ?on_check:(Internet.t -> Invariant.violation list -> unit) ->
   ?stack:stack ->
   seed:int ->
   Schedule.t ->
   outcome * Internet.t
-(** Deterministic in [(arena, conv_grace, seed, schedule)], the arena
-    being [stack]'s.  The returned internet is final-state: its trace
-    carries the ["violation"] entries (with blamed trace ids) of every
-    check, for repro dumps.  [conv_grace] (default 2 h) pads the
-    convergence deadline.  [on_check] sees the live internet and the
-    violations of each cadence check right after it runs: the
-    observation point for comparing the predicates against an
-    independent implementation.
+(** Deterministic in [(arena, seed, schedule)], the arena being
+    [stack]'s.  The returned internet is final-state: its trace carries
+    the ["violation"] entries (with blamed trace ids) of every check,
+    for repro dumps.  A 2 h grace pads the convergence deadline.
+    [on_check] sees the live internet and the violations of each
+    cadence check right after it runs: the observation point for
+    comparing the predicates against an independent implementation.
 
     [stack] defaults to a new stack of {!default_arena}.  The first run
     on a stack builds its internet ({!Internet.create} at [seed});

@@ -127,8 +127,3 @@ let fingerprint t =
       h := Int64.mul !h 0x100000001b3L)
     (to_string t);
   Printf.sprintf "%016Lx" !h
-
-let pp ppf t =
-  match t with
-  | [] -> Format.pp_print_string ppf "(no faults)"
-  | _ -> Format.pp_print_string ppf (to_string t)

@@ -52,5 +52,3 @@ val fingerprint : t -> string
 (** FNV-1a/64 of the canonical string, as 16 hex digits.  Stable across
     runs and job counts: two schedules collide iff their canonical
     strings do. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,12 +1,7 @@
 type params = {
   tops : int;
   children_per_top : int;
-  block_size : int;
-  block_lifetime : Time.t;
-  request_min : Time.t;
-  request_max : Time.t;
   horizon : Time.t;
-  sample_interval : Time.t;
   policy : Claim_policy.params;
   claim_lifetime : Time.t;
   placement : [ `First | `Random ];
@@ -20,12 +15,7 @@ let default_params =
   {
     tops = 50;
     children_per_top = 50;
-    block_size = 256;
-    block_lifetime = Time.days 30.0;
-    request_min = Time.hours 1.0;
-    request_max = Time.hours 95.0;
     horizon = Time.days 800.0;
-    sample_interval = Time.days 1.0;
     policy = Claim_policy.default_params;
     claim_lifetime = Time.days 30.0;
     placement = `First;
@@ -126,7 +116,7 @@ type sim = {
   p : params;
   engine : Engine.t;
   claim_lane : Engine.lane;  (** arms claim expiries, [claim_lifetime] out *)
-  block_lane : Engine.lane;  (** arms block expiries, [block_lifetime] out *)
+  block_lane : Engine.lane;  (** arms block expiries, [Demand.block_lifetime] out *)
   top_doms : dom array;
   child_doms : child array;
   mutable demanded : int;  (** addresses of live blocks *)
@@ -360,12 +350,12 @@ and grow_top sim top ~need ~force =
 and pressure_check sim top =
   let total = total_size top.claims in
   let used = total_used top.claims in
-  if total = 0 then ignore (grow_top sim top ~need:sim.p.block_size ~force:false)
+  if total = 0 then ignore (grow_top sim top ~need:Demand.block_size ~force:false)
   else begin
     let threshold = sim.p.policy.Claim_policy.threshold in
     if float_of_int used > threshold *. float_of_int total then begin
       let target = int_of_float (ceil (float_of_int used /. threshold)) in
-      ignore (grow_top sim top ~need:(max sim.p.block_size (target - total)) ~force:false)
+      ignore (grow_top sim top ~need:(max Demand.block_size (target - total)) ~force:false)
     end
   end
 
@@ -375,19 +365,19 @@ and pressure_check sim top =
    paper's "will timeout when the currently allocated addresses
    timeout". *)
 let expire_block sim child holder =
-  holder.used <- holder.used - sim.p.block_size;
-  sim.demanded <- sim.demanded - sim.p.block_size;
+  holder.used <- holder.used - Demand.block_size;
+  sim.demanded <- sim.demanded - Demand.block_size;
   sim.blocks <- sim.blocks - 1;
   if holder.alive && (not holder.active) && holder.used = 0 then release sim child.dom holder
 
-(* Every block lives [block_lifetime] and a child's grants come at
+(* Every block lives [Demand.block_lifetime] and a child's grants come at
    nondecreasing times, so its blocks expire in grant order.  Each
    grant arms [c_block_expiry] once (one seq each, in grant order), and
    each occurrence retires the ring's head: the block granted by the
    arm it belongs to. *)
 let grant_block sim child holder =
-  holder.used <- holder.used + sim.p.block_size;
-  sim.demanded <- sim.demanded + sim.p.block_size;
+  holder.used <- holder.used + Demand.block_size;
+  sim.demanded <- sim.demanded + Demand.block_size;
   sim.blocks <- sim.blocks + 1;
   let cap = Array.length child.c_blocks in
   if child.c_len = cap then begin
@@ -414,20 +404,20 @@ let expire_oldest_block sim child =
 let request sim child =
   sim.requests <- sim.requests + 1;
   Metrics.incr m_requests;
-  (match satisfy sim child.dom ~need:sim.p.block_size ~force:false ~attempts:3 with
+  (match satisfy sim child.dom ~need:Demand.block_size ~force:false ~attempts:3 with
   | Some holder -> grant_block sim child holder
   | None ->
       sim.failed <- sim.failed + 1;
       Metrics.incr m_failed);
   Engine.arm_after sim.engine child.c_request
-    (Rng.float_in child.dom.rng sim.p.request_min sim.p.request_max)
+    (Demand.request_gap child.dom.rng)
 
 let start_requests sim child =
   child.c_request <- Engine.event ~label:"alloc.request" (fun () -> request sim child);
   child.c_block_expiry <-
     Engine.event ~label:"alloc.block_expiry" (fun () -> expire_oldest_block sim child);
   Engine.arm_after sim.engine child.c_request
-    (Rng.float_in child.dom.rng sim.p.request_min sim.p.request_max)
+    (Demand.request_gap child.dom.rng)
 
 (* --- invariants ------------------------------------------------------ *)
 
@@ -578,7 +568,7 @@ let run p =
       p;
       engine;
       claim_lane = Engine.lane engine ~delay:p.claim_lifetime;
-      block_lane = Engine.lane engine ~delay:p.block_lifetime;
+      block_lane = Engine.lane engine ~delay:Demand.block_lifetime;
       top_doms;
       child_doms;
       demanded = 0;
@@ -617,7 +607,7 @@ let run p =
       Array.iter (start_requests sim) child_doms);
   let rec sampling () =
     ignore
-      (Engine.schedule_after ~label:"alloc.sample" engine p.sample_interval (fun () ->
+      (Engine.schedule_after ~label:"alloc.sample" engine (Time.days 1.0) (fun () ->
            let s = take_sample sim in
            sim.last_sample <- Some s;
            sim.samples_rev <- s :: sim.samples_rev;

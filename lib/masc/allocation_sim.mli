@@ -32,12 +32,7 @@
 type params = {
   tops : int;
   children_per_top : int;
-  block_size : int;
-  block_lifetime : Time.t;
-  request_min : Time.t;
-  request_max : Time.t;
   horizon : Time.t;
-  sample_interval : Time.t;
   policy : Claim_policy.params;
   claim_lifetime : Time.t;
   placement : [ `First | `Random ];  (** sub-prefix placement rule (ablation A2) *)

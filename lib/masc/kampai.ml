@@ -43,16 +43,9 @@ let shrink b =
   | None -> None
   | Some bit -> Some { b with mask = b.mask lor bit }
 
-let pp ppf b =
-  Format.fprintf ppf "%s/%s" (Ipv4.to_string b.value) (Ipv4.to_string b.mask)
-
 module Sim = struct
   type params = {
     domains : int;
-    block_size : int;
-    block_lifetime : Time.t;
-    request_min : Time.t;
-    request_max : Time.t;
     horizon : Time.t;
     seed : int;
   }
@@ -60,10 +53,6 @@ module Sim = struct
   let default_params =
     {
       domains = 100;
-      block_size = 256;
-      block_lifetime = Time.days 30.0;
-      request_min = Time.hours 1.0;
-      request_max = Time.hours 95.0;
       horizon = Time.days 400.0;
       seed = 1998;
     }
@@ -103,10 +92,10 @@ module Sim = struct
       let d = doms.(i) in
       ignore
         (Engine.schedule_after ~label:"kampai.request" engine
-           (Rng.float_in rng p.request_min p.request_max)
+           (Demand.request_gap rng)
            (fun () ->
              let rec ensure () =
-               if d.kused + p.block_size <= size d.blk then true
+               if d.kused + Demand.block_size <= size d.blk then true
                else
                  match grow d.blk ~others:(others i) with
                  | Some bigger ->
@@ -115,17 +104,18 @@ module Sim = struct
                  | None -> false
              in
              if ensure () then begin
-               d.kused <- d.kused + p.block_size;
+               d.kused <- d.kused + Demand.block_size;
                ignore
-                 (Engine.schedule_after ~label:"kampai.block_expiry" engine p.block_lifetime (fun () ->
-                      d.kused <- d.kused - p.block_size;
+                 (Engine.schedule_after ~label:"kampai.block_expiry" engine Demand.block_lifetime
+                    (fun () ->
+                      d.kused <- d.kused - Demand.block_size;
                       (* Release space eagerly: because regrowth can
                          never be blocked by a neighbour's buddy, Kampai
                          affords shrinking whenever the upper half is
                          unused — the fragmentation-free growth is the
                          scheme's whole advantage. *)
                       let rec maybe_shrink () =
-                        if d.kused <= size d.blk / 2 && size d.blk > p.block_size then begin
+                        if d.kused <= size d.blk / 2 && size d.blk > Demand.block_size then begin
                           match shrink d.blk with
                           | Some smaller when d.kused <= size smaller ->
                               d.blk <- smaller;
@@ -202,7 +192,9 @@ module Sim = struct
     let rec satisfy d attempts =
       if attempts = 0 then None
       else
-        match Policy.decide ~params:policy ~space:arena ~claims:d.claims ~need:p.block_size with
+        match
+          Policy.decide ~params:policy ~space:arena ~claims:d.claims ~need:Demand.block_size
+        with
         | Claim_policy.Assign c -> Some c
         | Claim_policy.Double c ->
             Address_space.unregister arena c.cpfx;
@@ -234,14 +226,15 @@ module Sim = struct
       let d = doms.(i) in
       ignore
         (Engine.schedule_after ~label:"kampai.request" engine
-           (Rng.float_in rng p.request_min p.request_max)
+           (Demand.request_gap rng)
            (fun () ->
              (match satisfy d 3 with
              | Some c ->
-                 c.cused <- c.cused + p.block_size;
+                 c.cused <- c.cused + Demand.block_size;
                  ignore
-                   (Engine.schedule_after ~label:"kampai.block_expiry" engine p.block_lifetime (fun () ->
-                        c.cused <- c.cused - p.block_size;
+                   (Engine.schedule_after ~label:"kampai.block_expiry" engine Demand.block_lifetime
+                      (fun () ->
+                        c.cused <- c.cused - Demand.block_size;
                         release_if_empty d c))
              | None -> incr failures);
              demand_loop i))

@@ -44,24 +44,17 @@ val shrink : block -> block option
     [None] when the block is a single address...
     or rather when nothing was ever released. *)
 
-val pp : Format.formatter -> block -> unit
-(** Rendered as value/mask in dotted-quad, e.g.
-    [224.1.0.0/255.255.0.255] for a block with a non-contiguous hole. *)
-
 (** The comparison simulation. *)
 module Sim : sig
   type params = {
     domains : int;
-    block_size : int;
-    block_lifetime : Time.t;
-    request_min : Time.t;
-    request_max : Time.t;
     horizon : Time.t;
     seed : int;
   }
 
   val default_params : params
-  (** 100 domains, Figure-2 per-domain demand, 400 days. *)
+  (** 100 domains, 400 days.  Every domain runs the Figure-2 demand
+      ({!Demand}). *)
 
   type side = {
     utilization : float;  (** steady-state mean: demanded / allocated *)

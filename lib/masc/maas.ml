@@ -10,26 +10,21 @@ type allocation = { address : Ipv4.t; from_range : Prefix.t; alloc_lifetime_end 
 type t = {
   engine : Engine.t;
   node : Masc_node.t;
-  block_size : int;
   pools : (Prefix.t, range_pool) Hashtbl.t;
   live : (Ipv4.t, Prefix.t) Hashtbl.t;
-  mutable pending_count : int;
 }
 
 let reset t =
   Hashtbl.reset t.pools;
-  Hashtbl.reset t.live;
-  t.pending_count <- 0
+  Hashtbl.reset t.live
 
-let create ~engine ~node ~block_size =
+let create ~engine ~node =
   let t =
     {
       engine;
       node;
-      block_size;
       pools = Hashtbl.create 4;
       live = Hashtbl.create 64;
-      pending_count = 0;
     }
   in
   Masc_node.add_on_replaced node (fun ~old_prefix ~by ->
@@ -92,7 +87,7 @@ let range_lifetime t prefix =
   | Some c -> Some c.Masc_node.claim_lifetime_end
   | None -> None
 
-let allocate t ?lifetime () =
+let allocate t =
   sync_pools t;
   (* Prefer the fullest pool so draining ranges empty out. *)
   let candidates =
@@ -107,8 +102,7 @@ let allocate t ?lifetime () =
   in
   match candidates with
   | [] ->
-      t.pending_count <- t.pending_count + 1;
-      Masc_node.request_space t.node ~need:t.block_size;
+      Masc_node.request_space t.node ~need:Demand.block_size;
       None
   | (_, pool) :: _ ->
       let address =
@@ -123,15 +117,9 @@ let allocate t ?lifetime () =
       in
       Hashtbl.replace t.live address pool.range;
       Masc_node.note_assigned t.node pool.range 1;
-      let range_end =
+      let alloc_lifetime_end =
         Option.value ~default:(Engine.now t.engine) (range_lifetime t pool.range)
       in
-      let alloc_lifetime_end =
-        match lifetime with
-        | None -> range_end
-        | Some l -> min range_end (Engine.now t.engine +. l)
-      in
-      if t.pending_count > 0 then t.pending_count <- t.pending_count - 1;
       Some { address; from_range = pool.range; alloc_lifetime_end }
 
 let release t alloc =
@@ -145,5 +133,3 @@ let release t alloc =
       | None -> ())
 
 let in_use t = Hashtbl.length t.live
-
-let pending t = t.pending_count

@@ -12,31 +12,26 @@
 type allocation = {
   address : Ipv4.t;
   from_range : Prefix.t;
-  alloc_lifetime_end : Time.t;
-      (** min(requested lifetime, lifetime of the underlying range) *)
+  alloc_lifetime_end : Time.t;  (** the lifetime of the underlying range *)
 }
 
 type t
 
-val create : engine:Engine.t -> node:Masc_node.t -> block_size:int -> t
-(** [block_size] is the amount of space requested from the MASC node
-    when the pool is exhausted (the paper's simulations use 256). *)
+val create : engine:Engine.t -> node:Masc_node.t -> t
+(** When its pool is exhausted, the MAAS requests one
+    {!Demand.block_size} block from the MASC node. *)
 
 val reset : t -> unit
 (** Forget every pool and live allocation, in place; the listeners
     {!create} registered on the node stay. *)
 
-val allocate : t -> ?lifetime:Time.t -> unit -> allocation option
-(** An unused address, or [None] when no acquired range has room (the
-    MAAS then asks its node for space; retry after the claim settles —
-    {!pending} reports how many allocations are waiting).  Default
-    lifetime: the remaining lifetime of the chosen range. *)
+val allocate : t -> allocation option
+(** An unused address, held for the remaining lifetime of the chosen
+    range, or [None] when no acquired range has room (the MAAS then asks
+    its node for space; retry after the claim settles). *)
 
 val release : t -> allocation -> unit
 (** Return an address to the pool.  Releasing twice is an error. *)
 
 val in_use : t -> int
-
-val pending : t -> int
-(** Allocation attempts that failed and await new space. *)
 

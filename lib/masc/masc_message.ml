@@ -15,15 +15,3 @@ type t =
       span : Span.t option;
     }
   | Need_space of int
-
-let pp ppf = function
-  | Space_advertise ranges ->
-      Format.fprintf ppf "space-advertise [%s]"
-        (String.concat " " (List.map Prefix.to_string ranges))
-  | Claim_announce { owner; prefix; lifetime_end; span = _ } ->
-      Format.fprintf ppf "claim %a by %d (until %a)" Prefix.pp prefix owner Time.pp lifetime_end
-  | Claim_release { owner; prefix } -> Format.fprintf ppf "release %a by %d" Prefix.pp prefix owner
-  | Collision_announce { victim; victim_prefix; winner; winner_prefix; span = _ } ->
-      Format.fprintf ppf "collision: %a of %d loses to %a of %d" Prefix.pp victim_prefix victim
-        Prefix.pp winner_prefix winner
-  | Need_space n -> Format.fprintf ppf "need-space %d" n

@@ -35,5 +35,3 @@ type t =
   | Need_space of int
       (** child → parent: the child could not place a claim for this
           many addresses; the parent should expand its own space *)
-
-val pp : Format.formatter -> t -> unit

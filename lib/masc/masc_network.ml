@@ -1,5 +1,4 @@
 type t = {
-  engine : Engine.t;
   net : Net.t;
   nodes : (Domain.id, Masc_node.t) Hashtbl.t;
   node_ids : Domain.id list;
@@ -67,7 +66,6 @@ let create ~engine ~rng ?(config = Masc_node.default_config)
   let net = match net with Some n -> n | None -> Net.create ~engine () in
   let t =
     {
-      engine;
       net;
       nodes = Hashtbl.create (List.length ids);
       node_ids = ids;
@@ -163,8 +161,6 @@ let reparent t ~child ~new_parent =
   Net.send
     (channel_to t ~src:new_parent ~dst:child)
     (Masc_message.Space_advertise (Address_space.covers (Masc_node.children_view parent_node)))
-
-let net t = t.net
 
 let partition t a b = Net.fail_link t.net a b
 

@@ -74,9 +74,6 @@ val reparent : t -> child:Domain.id -> new_parent:Domain.id -> unit
     @raise Invalid_argument if [child] is top-level or [new_parent] is
     unknown. *)
 
-val net : t -> Net.t
-(** The transport the hierarchy sends over. *)
-
 val partition : t -> Domain.id -> Domain.id -> unit
 (** [Net.fail_link] on the transport: both directions between the two
     domains go down — future messages drop at the source, in-flight ones

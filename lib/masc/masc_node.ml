@@ -14,8 +14,6 @@ type config = {
   claim_wait : Time.t;
   claim_lifetime : Time.t;
   renew_margin : Time.t;
-  policy : Claim_policy.params;
-  child_expand_headroom : float;
 }
 
 let default_config =
@@ -23,8 +21,6 @@ let default_config =
     claim_wait = Time.hours 48.0;
     claim_lifetime = Time.days 30.0;
     renew_margin = Time.hours 24.0;
-    policy = Claim_policy.default_params;
-    child_expand_headroom = Claim_policy.default_params.Claim_policy.threshold;
   }
 
 type role = Top | Child of Domain.id
@@ -51,8 +47,6 @@ type claim_ctl = {
   mutable renew_timer : Engine.handle option;
 }
 
-type foreign_claim = { f_owner : Domain.id; mutable f_expiry : Time.t }
-
 type t = {
   self : Domain.id;
   initial_role : role;
@@ -65,10 +59,10 @@ type t = {
   mutable top_siblings : Domain.id list;
   up_space : Address_space.t;
   down_space : Address_space.t;
-  up_foreign : (Prefix.t, foreign_claim) Hashtbl.t;
-  down_foreign : (Prefix.t, foreign_claim) Hashtbl.t;
+  up_foreign : (Prefix.t, Time.t) Hashtbl.t;  (** other domains' claims to their expiry *)
+  down_foreign : (Prefix.t, Time.t) Hashtbl.t;
   mutable foreign_due : Time.t;
-      (** a lower bound on the earliest [f_expiry] in [up_foreign] and
+      (** a lower bound on the earliest expiry in [up_foreign] and
           [down_foreign] ([infinity] when both are empty): [sweep] has
           nothing to purge before it *)
   mutable own : claim_ctl list;
@@ -83,7 +77,6 @@ type t = {
   mutable on_replaced : (old_prefix:Prefix.t -> by:Prefix.t -> unit) list;
   mutable on_lost : (Prefix.t -> unit) list;
   mutable collisions_suffered : int;
-  mutable claims_made : int;
   mutable started : bool;
   mutable version : int;
       (** bumped when an own claim comes, goes or is acquired, and on a
@@ -106,7 +99,6 @@ let reset t =
   t.pending <- [];
   t.child_needs <- [];
   t.collisions_suffered <- 0;
-  t.claims_made <- 0;
   t.started <- false;
   t.version <- 0
 
@@ -135,7 +127,6 @@ let create ~id ~role ~config ~engine ~rng =
       on_replaced = [];
       on_lost = [];
       collisions_suffered = 0;
-      claims_made = 0;
       started = false;
       version = 0;
     }
@@ -250,8 +241,6 @@ let space_view t = t.up_space
 let children_view t = t.down_space
 
 let collisions_suffered t = t.collisions_suffered
-
-let claims_made t = t.claims_made
 
 let advertise_space_to_children t =
   if has_children t then begin
@@ -449,7 +438,6 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
       let ctl = { claim; absorbing; consolidating; wait_timer = None; renew_timer = None } in
       t.own <- ctl :: t.own;
       bump t;
-      t.claims_made <- t.claims_made + 1;
       Metrics.incr m_claims;
       Engine.note_activity t.engine "masc";
       trace t "claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
@@ -482,7 +470,7 @@ and try_grow t arena ~need =
   if growth_in_flight then false
   else begin
     let decision =
-      Claim_policy.decide ~params:t.config.policy ~space:(arena_space t arena)
+      Claim_policy.decide ~params:Claim_policy.default_params ~space:(arena_space t arena)
         ~claims:(policy_claims t arena) ~need
     in
     match decision with
@@ -562,12 +550,12 @@ let check_children_pressure t =
   if has_children t then begin
     let total = Address_space.total_addresses t.down_space in
     let used = Address_space.claimed_addresses t.down_space in
-    if total = 0 then ignore (try_grow t Up ~need:256)
+    if total = 0 then ignore (try_grow t Up ~need:Demand.block_size)
     else begin
-      let headroom = t.config.child_expand_headroom in
+      let headroom = Claim_policy.default_params.Claim_policy.threshold in
       if float_of_int used > headroom *. float_of_int total then begin
         let target = int_of_float (ceil (float_of_int used /. headroom)) in
-        let need = max 256 (target - total) in
+        let need = max Demand.block_size (target - total) in
         ignore (try_grow t Up ~need)
       end
     end
@@ -604,12 +592,12 @@ let register_foreign t arena ~owner ~prefix ~lifetime_end =
       if owner < existing then begin
         Address_space.unregister space prefix;
         Address_space.register space ~owner prefix;
-        Hashtbl.replace tbl prefix { f_owner = owner; f_expiry = lifetime_end }
+        Hashtbl.replace tbl prefix lifetime_end
       end
-  | Some _ -> Hashtbl.replace tbl prefix { f_owner = owner; f_expiry = lifetime_end }
+  | Some _ -> Hashtbl.replace tbl prefix lifetime_end
   | None ->
       Address_space.register space ~owner prefix;
-      Hashtbl.replace tbl prefix { f_owner = owner; f_expiry = lifetime_end })
+      Hashtbl.replace tbl prefix lifetime_end)
 
 let unregister_foreign t arena prefix =
   Address_space.unregister (arena_space t arena) prefix;
@@ -779,7 +767,7 @@ let receive t ~from_ msg =
         let used = Address_space.claimed_addresses t.down_space in
         let need_up = max need (used + need - (total - used)) in
         if not (List.mem need t.child_needs) then t.child_needs <- t.child_needs @ [ need ];
-        ignore (try_grow t Up ~need:(max 256 need_up));
+        ignore (try_grow t Up ~need:(max Demand.block_size need_up));
         retry_child_needs t
       end
 
@@ -803,7 +791,7 @@ let reparent t ~new_parent =
           (fun c -> if c.claim.claim_arena = Up then c.claim.claim_active <- false)
           t.own;
         (* Ask the new parent for its space and for room to restart. *)
-        send t new_parent (Masc_message.Need_space 256)
+        send t new_parent (Masc_message.Need_space Demand.block_size)
       end
 
 (* Housekeeping: purge expired foreign claims so their space becomes
@@ -814,14 +802,14 @@ let sweep t =
   if now >= t.foreign_due then begin
     let purge arena tbl =
       let dead =
-        Hashtbl.fold (fun p fc acc -> if fc.f_expiry <= now then p :: acc else acc) tbl []
+        Hashtbl.fold (fun p expiry acc -> if expiry <= now then p :: acc else acc) tbl []
       in
       List.iter (fun p -> unregister_foreign t arena p) dead;
       dead <> []
     in
     let changed_up = purge Up t.up_foreign in
     let changed_down = purge Down t.down_foreign in
-    let earliest _ fc due = Float.min fc.f_expiry due in
+    let earliest _ expiry due = Float.min expiry due in
     t.foreign_due <-
       Hashtbl.fold earliest t.up_foreign (Hashtbl.fold earliest t.down_foreign infinity);
     if changed_up || changed_down then process_pending t

@@ -24,14 +24,12 @@ type config = {
   claim_lifetime : Time.t;  (** lifetime requested for each claim (30 days) *)
   renew_margin : Time.t;
       (** how long before expiry a still-needed claim is renewed *)
-  policy : Claim_policy.params;
-  child_expand_headroom : float;
-      (** a parent expands when children's claims exceed this fraction of
-          its space (defaults to [policy.threshold]) *)
 }
 
 val default_config : config
-(** 48 h wait, 30 d lifetime, 24 h renew margin, default policy. *)
+(** 48 h wait, 30 d lifetime, 24 h renew margin.  Every node claims by
+    {!Claim_policy.default_params}, and a parent expands its space when
+    its children's claims pass that policy's threshold. *)
 
 type role = Top | Child of Domain.id
 
@@ -156,5 +154,3 @@ val children_view : t -> Address_space.t
 
 val collisions_suffered : t -> int
 (** How many of this node's claims were killed by collisions. *)
-
-val claims_made : t -> int

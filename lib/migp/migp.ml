@@ -45,8 +45,6 @@ let create style ~domain =
 
 let style t = t.migp_style
 
-let domain t = t.migp_domain
-
 let set_on_group_active t f = t.on_group_active <- f
 
 let host_join t ~group ~host =

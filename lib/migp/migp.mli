@@ -41,8 +41,6 @@ val reset : t -> unit
 
 val style : t -> style
 
-val domain : t -> Domain.id
-
 val set_on_group_active : t -> (group:Ipv4.t -> active:bool -> unit) -> unit
 (** The Domain-Wide-Report hook: fired with [active:true] when the first
     local host joins a group and [active:false] when the last leaves. *)

@@ -59,7 +59,6 @@ type 'a channel = {
   net : t;
   stats : stats;
   link : link;
-  delay : Time.t;
   recv : 'a -> unit;
   mutable on_drop : ('a -> unit) option;
   mutable q_msg : Obj.t array;
@@ -68,7 +67,7 @@ type 'a channel = {
   mutable q_head : int;  (** slot of the oldest message *)
   mutable q_len : int;
   (* Delivers the head of the queue; armed once per message sent,
-     through the engine's lane for [delay]. *)
+     through the engine's lane for the channel's delay. *)
   mutable arrival : Engine.handle;
   lane : Engine.lane;
   (* Recorder subject, built once per channel. *)
@@ -143,8 +142,6 @@ let create ~engine ?(config = default_config) () =
   in
   reset t ~loss_rate:config.loss_rate ~loss_seed:config.loss_seed;
   t
-
-let engine t = t.engine
 
 let set_loss_rate t rate =
   check_rate "set_loss_rate" rate;
@@ -236,7 +233,6 @@ let channel t ~protocol ~src ~dst ~delay ~recv =
       net = t;
       stats;
       link = link t src dst;
-      delay;
       recv;
       on_drop = None;
       q_msg = [||];
@@ -254,8 +250,6 @@ let channel t ~protocol ~src ~dst ~delay ~recv =
   ch
 
 let set_on_drop ch f = ch.on_drop <- Some f
-
-let channel_delay ch = ch.delay
 
 let direction_up t ~from_ ~to_ = not (link t from_ to_).down
 
@@ -332,6 +326,3 @@ let dropped t ~protocol =
 
 let in_flight t ~protocol =
   match Hashtbl.find_opt t.by_protocol protocol with Some s -> s.n_inflight | None -> 0
-
-let protocols t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) t.by_protocol [] |> List.sort String.compare

@@ -59,8 +59,6 @@ val reset : t -> loss_rate:float -> loss_seed:int -> unit
     dropped message is still queued.
     @raise Invalid_argument if [loss_rate] is outside [0, 1) or NaN. *)
 
-val engine : t -> Engine.t
-
 val set_loss_rate : t -> float -> unit
 (** Change the per-message loss probability for {e subsequent} sends.
     The loss RNG's draw sequence is unchanged for past sends (it is
@@ -92,9 +90,6 @@ val send : 'a channel -> ?span:Span.t -> 'a -> unit
     direction is down or the loss draw fires, and — in flight — if the
     direction goes down before the delivery time.  [span] attributes a
     drop to its causal chain in the recording. *)
-
-val channel_delay : 'a channel -> Time.t
-(** The effective delivery delay (after any override). *)
 
 (** {1 Link state}
 
@@ -153,6 +148,3 @@ val in_flight : t -> protocol:string -> int
     [net.inflight.<protocol>] gauge: incremented on enqueue,
     decremented on delivery {e and} on an in-flight epoch drop; a drop
     at the source never enqueues, so it never moves the gauge. *)
-
-val protocols : t -> string list
-(** Protocols that have sent at least once on this net, sorted. *)

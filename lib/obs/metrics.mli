@@ -33,10 +33,6 @@ val default : registry
 (** The main domain's registry: every instrument in the stack
     registers here outside [Obs.capture]. *)
 
-val current : unit -> registry
-(** This domain's current registry ({!default} on the main domain
-    unless overridden). *)
-
 val with_current : registry -> (unit -> 'a) -> 'a
 (** Run the thunk with [r] current on this domain, restoring the
     previous current registry afterwards (exception-safe). *)

@@ -119,8 +119,6 @@ let pp_rows ppf rows =
         r.self_s pp_bytes r.total_bytes pp_bytes r.self_bytes)
     rows
 
-let pp ppf () = pp_rows ppf (rows ())
-
 (* --- JSONL round-trip ------------------------------------------------ *)
 
 (* One JSON object, path joined with [';']. *)

@@ -52,9 +52,6 @@ val rows : unit -> row list
 val pp_rows : Format.formatter -> row list -> unit
 (** Indented table: count, total/self wall-clock, total/self allocation. *)
 
-val pp : Format.formatter -> unit -> unit
-(** [pp_rows] of the live tree. *)
-
 val row_of_json : string -> row option
 
 val write_jsonl : string -> unit

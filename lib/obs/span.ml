@@ -29,8 +29,3 @@ let kind t =
   match String.index_opt t.trace_id ':' with
   | Some i -> String.sub t.trace_id 0 i
   | None -> t.trace_id
-
-let pp ppf t =
-  match t.parent with
-  | None -> Format.fprintf ppf "%s#%d" t.trace_id t.span
-  | Some p -> Format.fprintf ppf "%s#%d<-%d" t.trace_id t.span p

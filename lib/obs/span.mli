@@ -41,5 +41,3 @@ val join_id : group:string -> member:string -> string
 
 val kind : t -> string
 (** The trace-id prefix before the first [':'] ("claim", "group", ...). *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,17 +21,13 @@ let with_file what file f =
 (* Truncated or corrupted artifacts (a run killed mid-write, a partial
    download) should degrade loudly, not crash or silently shrink: every
    loader reports how many non-blank lines it had to skip, and a file
-   whose every line is malformed is not the artifact at all. *)
-let check_loaded what file ~rows ~malformed =
-  if rows = 0 && malformed > 0 then
-    raise
-      (Unreadable (Printf.sprintf "%s %s: no valid line, %d malformed" what file malformed))
-
-(* A malformed last line without its newline is named as a cut, not
+   whose every line is malformed is not the artifact at all.  A
+   malformed last line without its newline is named as a cut, not
    counted among the others.  Returns whether the file was cut.  A file
    that cannot be read a second time (a pipe) is not called cut. *)
 let warn_skipped what file ~rows n =
-  check_loaded what file ~rows ~malformed:n;
+  if rows = 0 && n > 0 then
+    raise (Unreadable (Printf.sprintf "%s %s: no valid line, %d malformed" what file n));
   let cut = n > 0 && try Jsonl.last_line_cut file with Sys_error _ -> false in
   if cut then Format.eprintf "%s %s: last line cut off mid-record@." what file;
   let others = if cut then n - 1 else n in

@@ -15,11 +15,14 @@ val with_file : string -> string -> (string -> 'a) -> 'a
 (** [with_file what file f] runs [f file], turning a [Sys_error] into
     {!Unreadable} labelled [what]. *)
 
-val check_loaded : string -> string -> rows:int -> malformed:int -> unit
-(** [check_loaded what file ~rows ~malformed] raises {!Unreadable}
-    (["<what> FILE: no valid line, N malformed"]) when a loader found
-    malformed lines and nothing else: such a file is not the artifact.
-    Every view applies it to what it loads. *)
+val warn_skipped : string -> string -> rows:int -> int -> bool
+(** [warn_skipped what file ~rows malformed] judges what a loader got
+    out of [file]: it raises {!Unreadable}
+    (["<what> FILE: no valid line, N malformed"]) when the loader found
+    malformed lines and nothing else — such a file is not the artifact
+    — and otherwise prints the warnings to standard error.  Returns
+    whether the file was cut off mid-record.  Every view applies it to
+    what it loads. *)
 
 (** {1 Recordings} *)
 

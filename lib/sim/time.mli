@@ -13,7 +13,6 @@ val hours : float -> t
 val days : float -> t
 
 val to_seconds : t -> float
-val to_hours : t -> float
 val to_days : t -> float
 
 val pp : Format.formatter -> t -> unit

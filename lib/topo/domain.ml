@@ -5,15 +5,3 @@ type kind = Backbone | Regional | Stub | Exchange
 type t = { id : id; name : string; kind : kind }
 
 let make ~id ~name ~kind = { id; name; kind }
-
-let kind_to_string = function
-  | Backbone -> "backbone"
-  | Regional -> "regional"
-  | Stub -> "stub"
-  | Exchange -> "exchange"
-
-let pp ppf t = Format.fprintf ppf "%s(%d,%s)" t.name t.id (kind_to_string t.kind)
-
-let equal a b = a.id = b.id
-
-let compare a b = Int.compare a.id b.id

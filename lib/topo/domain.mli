@@ -20,9 +20,3 @@ type t = { id : id; name : string; kind : kind }
 
 val make : id:id -> name:string -> kind:kind -> t
 
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** By id. *)

@@ -6,7 +6,6 @@ type params = {
   roots : int;
   events : int;
   link_every : int;
-  join_bias : float;
   trials : int;
   seed : int;
   mode : mode;
@@ -22,7 +21,6 @@ let default_params =
     roots = 8;
     events = 4000;
     link_every = 500;
-    join_bias = 0.55;
     trials = 2;
     seed = 1998;
     mode = Incremental;
@@ -245,7 +243,7 @@ let run p =
        handle, or -1 for an unreachable member, which installs nothing. *)
     let base = trial * p.groups in
     Membership.iter_group_churn ~seed:p.seed ~shard:trial ~domains:n ~groups:p.groups
-      ~join_bias:p.join_bias ~events:p.events
+      ~events:p.events
       ~join:(fun i group m ->
         let ri = group mod nroots in
         let root = roots_arr.(ri) in
@@ -280,8 +278,7 @@ let run p =
           incr leaves;
           decr live
         end;
-        after_event i)
-      ();
+        after_event i);
     let repairs, touched =
       match p.mode with Incremental -> Spf.cache_repair_stats cache | Scratch -> (0, 0)
     in

@@ -31,7 +31,6 @@ type params = {
   link_every : int;  (** one link toggle (fail or restore of a random
                          peer link) per this many membership events;
                          [0] disables link churn *)
-  join_bias : float;  (** probability an event is a join *)
   trials : int;
   seed : int;
   mode : mode;

@@ -7,7 +7,6 @@ let m_worst_hy = Metrics.gauge "trees.worst_hy"
 
 type params = {
   nodes : int;
-  attach_degree : int;
   group_sizes : int list;
   trials : int;
   root_placement : root_placement;
@@ -21,7 +20,6 @@ type params = {
 let default_params =
   {
     nodes = 3326;
-    attach_degree = 2;
     group_sizes = [ 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000 ];
     trials = 20;
     root_placement = Root_at_initiator;
@@ -52,7 +50,7 @@ type result = {
 
 let make_topology p rng =
   match p.topology with
-  | `Power_law -> Gen.power_law ~rng ~n:p.nodes ~m:p.attach_degree
+  | `Power_law -> Gen.power_law ~rng ~n:p.nodes ~m:2
   | `Transit_stub ->
       (* Sized to land near [p.nodes] total domains. *)
       let backbones = 8 in

@@ -3,8 +3,8 @@
     the number of receivers grows.
 
     The paper used a 3326-node topology derived from 1998 BGP table
-    dumps; we generate a power-law graph of the same scale (see
-    DESIGN.md).  For each group size, [trials] independent groups are
+    dumps; we generate a power-law graph of the same scale, two
+    preferential-attachment edges per new node (see DESIGN.md).  For each group size, [trials] independent groups are
     sampled: a random source, receivers drawn without replacement, and
     the root domain placed at the group initiator — the first receiver —
     per §5.1 ("the group initiator's domain is normally also the group's
@@ -19,7 +19,6 @@ type root_placement =
 
 type params = {
   nodes : int;  (** 3326 in the paper *)
-  attach_degree : int;  (** preferential-attachment edges per new node *)
   group_sizes : int list;
   trials : int;  (** independent groups per size *)
   root_placement : root_placement;

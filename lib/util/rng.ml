@@ -63,13 +63,6 @@ let[@inline] float_in t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let exponential t ~mean =
-  let rec positive () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else positive ()
-  in
-  -. mean *. log (positive ())
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))

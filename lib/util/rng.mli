@@ -59,9 +59,6 @@ val float_in : t -> float -> float -> float
 val bool : t -> bool
 (** A fair coin. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

@@ -1,21 +1,6 @@
-(** Group-membership workload generators.
-
-    Figure 4 samples receivers uniformly; real sessions cluster
-    (audiences concentrate in a few provider subtrees) and churn
-    (members join in waves and leave early).  These generators feed
-    both the tree-quality experiments and the end-to-end examples. *)
-
-val uniform : rng:Rng.t -> Topo.t -> size:int -> exclude:Domain.id list -> Domain.id list
-(** [size] distinct member domains, uniform over the topology minus
-    [exclude].  @raise Invalid_argument if fewer candidates remain than
-    [size]. *)
-
-val clustered :
-  rng:Rng.t -> Topo.t -> size:int -> clusters:int -> exclude:Domain.id list -> Domain.id list
-(** Affinity sampling: pick [clusters] random seed domains and draw
-    members preferentially near them (by hop distance), modelling
-    regionally concentrated audiences.  Falls back to uniform for the
-    residue. *)
+(** Group-membership workloads: the dbeacon deployment plan the beacon
+    campaign probes with, and the join/leave churn stream that drives
+    fig4-modern. *)
 
 type beacon_plan = {
   local_fleets : (Domain.id * Host_ref.t list) list;
@@ -37,18 +22,15 @@ val iter_group_churn :
   shard:int ->
   domains:int ->
   groups:int ->
-  ?join_bias:float ->
   events:int ->
   join:(int -> int -> Domain.id -> int) ->
   leave:(int -> int -> Domain.id -> int -> unit) ->
-  unit ->
   unit
-(** [iter_group_churn ... ~join ~leave ()] streams a deterministic
+(** [iter_group_churn ... ~join ~leave] streams a deterministic
     join/leave sequence over [groups] dense group ids and [domains]
     member domains, calling [join seq group node] or
     [leave seq group node receipt] once per event in order.  Each event
-    is a join with probability [join_bias] (default 0.55, forced when
-    nothing is joined), else a leave of a uniformly random active
+    is a join with probability 0.55 (forced when nothing is joined), else a leave of a uniformly random active
     membership.  [seq] is the event's position in the stream and [node]
     is the member's domain.
 
@@ -67,15 +49,3 @@ val iter_group_churn :
     shards running in parallel touch disjoint state at any [--jobs].
     Nothing is materialised: beyond the callbacks' own work, memory is
     the active memberships (three int arrays). *)
-
-type churn_event = { when_ : Time.t; member : Domain.id; joins : bool }
-
-val waves :
-  rng:Rng.t ->
-  members:Domain.id list ->
-  wave_count:int ->
-  wave_gap:Time.t ->
-  stay:Time.t ->
-  churn_event list
-(** Members join in [wave_count] waves separated by [wave_gap], each
-    member leaving [stay] after joining; events in time order. *)

@@ -136,7 +136,7 @@ let reference r ~classify_root ~group ~source ~payload ~hops ~from =
       | None -> default_toward_root ~classify_root msg ~group ~source ~payload ~hops ~from)
   | Some v ->
       let branch_prunes =
-        match branch_prune r ~source ~group with
+        match Bgmp_router.branch_prune r ~source ~group with
         | Some shared_router
           when (match v.view_rpf with Some rpf -> target_equal rpf from | None -> false) ->
             [ To_internal (shared_router, Bgmp_msg.Prune_sg { source; group }) ]

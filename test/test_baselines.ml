@@ -74,7 +74,6 @@ let test_kampai_shrink_roundtrip () =
 let test_kampai_sim_comparison () =
   let p =
     {
-      Kampai.Sim.default_params with
       Kampai.Sim.domains = 30;
       horizon = Time.days 150.0;
       seed = 11;

@@ -10,11 +10,11 @@ let h d i = Host_ref.make d i
 
 let test_matrix_expect_deliver_cell () =
   let m = Beacon_matrix.create () in
-  let src = h 0 1 and dst = h 2 0 in
-  Beacon_matrix.expect m ~src ~dst;
-  Beacon_matrix.expect m ~src ~dst;
-  Beacon_matrix.deliver m ~src ~dst ~latency:0.02 ~hops:2 ~spf_dist:2;
-  Beacon_matrix.deliver m ~src ~dst ~latency:0.04 ~hops:4 ~spf_dist:2;
+  let s = Beacon_matrix.slot m ~src:(h 0 1) ~dst:(h 2 0) in
+  Beacon_matrix.expect_slot s;
+  Beacon_matrix.expect_slot s;
+  Beacon_matrix.deliver_slot s ~latency:0.02 ~hops:2 ~spf_dist:2;
+  Beacon_matrix.deliver_slot s ~latency:0.04 ~hops:4 ~spf_dist:2;
   match Beacon_matrix.cells m with
   | [ c ] ->
       check Alcotest.int "sent" 2 c.Beacon_matrix.c_sent;
@@ -31,8 +31,9 @@ let test_matrix_same_domain_stretch_is_one () =
   (* spf_dist 0 (same domain) must observe stretch 1.0, matching a
      zero-hop interior delivery, not a division by zero. *)
   let m = Beacon_matrix.create () in
-  Beacon_matrix.expect m ~src:(h 3 0) ~dst:(h 3 1);
-  Beacon_matrix.deliver m ~src:(h 3 0) ~dst:(h 3 1) ~latency:0.0 ~hops:0 ~spf_dist:0;
+  let s = Beacon_matrix.slot m ~src:(h 3 0) ~dst:(h 3 1) in
+  Beacon_matrix.expect_slot s;
+  Beacon_matrix.deliver_slot s ~latency:0.0 ~hops:0 ~spf_dist:0;
   match Beacon_matrix.cells m with
   | [ c ] ->
       check (Alcotest.float 1e-9) "stretch" 1.0 c.Beacon_matrix.c_stretch_mean
@@ -43,9 +44,10 @@ let test_matrix_summary_loss_unreachable_asymmetric () =
   let a = h 0 0 and b = h 1 0 in
   (* a->b fully delivered, b->a fully lost: one unreachable pair, one
      asymmetric unordered pair, aggregate loss 1/2. *)
-  Beacon_matrix.expect m ~src:a ~dst:b;
-  Beacon_matrix.deliver m ~src:a ~dst:b ~latency:0.01 ~hops:1 ~spf_dist:1;
-  Beacon_matrix.expect m ~src:b ~dst:a;
+  let ab = Beacon_matrix.slot m ~src:a ~dst:b in
+  Beacon_matrix.expect_slot ab;
+  Beacon_matrix.deliver_slot ab ~latency:0.01 ~hops:1 ~spf_dist:1;
+  Beacon_matrix.expect_slot (Beacon_matrix.slot m ~src:b ~dst:a);
   let s = Beacon_matrix.summary (Beacon_matrix.cells m) in
   check Alcotest.int "pairs" 2 s.Beacon_matrix.s_pairs;
   check Alcotest.int "sent" 2 s.Beacon_matrix.s_sent;
@@ -61,8 +63,9 @@ let test_matrix_merge_matches_direct () =
   let direct = Beacon_matrix.create () in
   let m1 = Beacon_matrix.create () and m2 = Beacon_matrix.create () in
   let feed m ~src ~dst lat hops =
-    Beacon_matrix.expect m ~src ~dst;
-    Beacon_matrix.deliver m ~src ~dst ~latency:lat ~hops ~spf_dist:2
+    let s = Beacon_matrix.slot m ~src ~dst in
+    Beacon_matrix.expect_slot s;
+    Beacon_matrix.deliver_slot s ~latency:lat ~hops ~spf_dist:2
   in
   feed direct ~src:(h 0 0) ~dst:(h 1 0) 0.01 2;
   feed direct ~src:(h 0 0) ~dst:(h 1 0) 0.03 4;
@@ -79,12 +82,15 @@ let test_matrix_merge_matches_direct () =
 let test_matrix_worst_ordering () =
   let m = Beacon_matrix.create () in
   (* (0,1): loss 0; (2,3): loss 1; (4,5): loss 0.5. *)
-  Beacon_matrix.expect m ~src:(h 0 0) ~dst:(h 1 0);
-  Beacon_matrix.deliver m ~src:(h 0 0) ~dst:(h 1 0) ~latency:0.01 ~hops:1 ~spf_dist:1;
-  Beacon_matrix.expect m ~src:(h 2 0) ~dst:(h 3 0);
-  Beacon_matrix.expect m ~src:(h 4 0) ~dst:(h 5 0);
-  Beacon_matrix.expect m ~src:(h 4 0) ~dst:(h 5 0);
-  Beacon_matrix.deliver m ~src:(h 4 0) ~dst:(h 5 0) ~latency:0.01 ~hops:1 ~spf_dist:1;
+  let s01 = Beacon_matrix.slot m ~src:(h 0 0) ~dst:(h 1 0) in
+  let s23 = Beacon_matrix.slot m ~src:(h 2 0) ~dst:(h 3 0) in
+  let s45 = Beacon_matrix.slot m ~src:(h 4 0) ~dst:(h 5 0) in
+  Beacon_matrix.expect_slot s01;
+  Beacon_matrix.deliver_slot s01 ~latency:0.01 ~hops:1 ~spf_dist:1;
+  Beacon_matrix.expect_slot s23;
+  Beacon_matrix.expect_slot s45;
+  Beacon_matrix.expect_slot s45;
+  Beacon_matrix.deliver_slot s45 ~latency:0.01 ~hops:1 ~spf_dist:1;
   let worst = Beacon_matrix.worst (Beacon_matrix.cells m) ~n:2 in
   check Alcotest.int "two rows" 2 (List.length worst);
   let srcs = List.map (fun c -> c.Beacon_matrix.c_src.Host_ref.host_domain) worst in
@@ -92,9 +98,10 @@ let test_matrix_worst_ordering () =
 
 let test_matrix_jsonl_roundtrip () =
   let m = Beacon_matrix.create () in
-  Beacon_matrix.expect m ~src:(h 0 1) ~dst:(h 2 0);
-  Beacon_matrix.deliver m ~src:(h 0 1) ~dst:(h 2 0) ~latency:0.025 ~hops:3 ~spf_dist:2;
-  Beacon_matrix.expect m ~src:(h 2 0) ~dst:(h 0 1);
+  let s = Beacon_matrix.slot m ~src:(h 0 1) ~dst:(h 2 0) in
+  Beacon_matrix.expect_slot s;
+  Beacon_matrix.deliver_slot s ~latency:0.025 ~hops:3 ~spf_dist:2;
+  Beacon_matrix.expect_slot (Beacon_matrix.slot m ~src:(h 2 0) ~dst:(h 0 1));
   let cells = Beacon_matrix.cells m in
   let path = Filename.temp_file "matrix" ".jsonl" in
   Fun.protect
@@ -136,7 +143,7 @@ let fleet_config =
 let test_beacon_fleet_complete_at_loss_zero () =
   let topo = Gen.figure1 () in
   let engine, fabric = make_fabric topo ~root_name:"B" in
-  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config () in
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config in
   let c = h (dom topo "C") 0 and f = h (dom topo "F") 0 and e = h (dom topo "E") 9 in
   Beacon.add_listener beacon ~group:g ~host:c;
   Beacon.add_listener beacon ~group:g ~host:f;
@@ -159,7 +166,7 @@ let test_beacon_fleet_accounts_lost_probes () =
      the harvests; F keeps hearing probes. *)
   let topo = Gen.figure1 () in
   let engine, fabric = make_fabric topo ~root_name:"B" in
-  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config () in
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config in
   let cdom = dom topo "C" in
   Beacon.add_listener beacon ~group:g ~host:(h cdom 0);
   Beacon.add_listener beacon ~group:g ~host:(h (dom topo "F") 0);
@@ -186,7 +193,7 @@ let test_beacon_lost_in_registration_order () =
   (* The probe-lost narrative is read back from the flight recorder. *)
   Recorder.enable ~retain:Recorder.Keep_all ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
-  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config () in
+  let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config in
   let cdom = dom topo "C" in
   let listeners = [ h cdom 3; h (dom topo "F") 0; h (dom topo "G") 0; h cdom 1 ] in
   List.iter (fun host -> Beacon.add_listener beacon ~group:g ~host) listeners;
@@ -281,17 +288,17 @@ let test_campaign_churn_loses_probes () =
     r.Beacon_campaign.agg.Beacon_matrix.s_complete
 
 let test_campaign_rejects_bad_params () =
-  let module C = Beacon_campaign in
   check Alcotest.bool "zero trials rejected" true
     (try
-       ignore (C.run { C.default_params with C.trials = 0 });
+       ignore (Beacon_campaign.run { Beacon_campaign.default_params with trials = 0 });
        false
      with Invalid_argument _ -> true);
   let ts = Timeseries.create () in
   check Alcotest.bool "telemetry with multiple trials rejected" true
     (try
        ignore
-         (C.run { C.default_params with C.trials = 2; telemetry = Some (ts, 0.1) });
+         (Beacon_campaign.run
+            { Beacon_campaign.default_params with trials = 2; telemetry = Some (ts, 0.1) });
        false
      with Invalid_argument _ -> true)
 

@@ -132,7 +132,6 @@ let reparent_setup () =
   let engine = Engine.create () in
   let config =
     {
-      Masc_node.default_config with
       Masc_node.claim_wait = Time.hours 1.0;
       claim_lifetime = Time.days 3.0;
       renew_margin = Time.hours 12.0;

@@ -486,6 +486,52 @@ let check_cut_recording () =
         (Printf.sprintf "recording %s: last line cut off mid-record\n" cut)
         (read_file err))
 
+(* A ledger line as a campaign writes it for a trial that violated one
+   invariant and blamed [trace_ids]. *)
+let ledger_line ?(trace_ids = [ "claim:0:224.0.0.0/24" ]) trial =
+  Ledger.to_json
+    {
+      Ledger.trial;
+      seed = 7;
+      schedule = "partition 0-1 @1h";
+      fingerprint = "0";
+      verdict = Oracle.verdict_to_string Oracle.Violation;
+      invariants = [ "masc-sibling-overlap" ];
+      trace_ids;
+      transient = 0;
+      converged_at = None;
+      deadline = 0.0;
+      min_schedule = None;
+      min_faults = None;
+      shrink_steps = None;
+      repro_recording = None;
+      repro_trace = None;
+    }
+
+(* A ledger whose writer died mid-line: two whole lines and half of a
+   third.  [report --triage] names the cut on stderr instead of
+   counting a malformed line, and triages the whole lines. *)
+let check_cut_ledger () =
+  let cut = Filename.temp_file "cut" ".jsonl" in
+  let out = Filename.temp_file "cut" ".out" and err = Filename.temp_file "cut" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ cut; out; err ])
+    (fun () ->
+      let last = ledger_line 2 in
+      Out_channel.with_open_bin cut (fun oc ->
+          output_string oc (ledger_line 0 ^ "\n" ^ ledger_line 1 ^ "\n");
+          output_string oc (String.sub last 0 (String.length last / 2)));
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s report --triage %s > %s 2> %s" (Filename.quote exe)
+             (Filename.quote cut) (Filename.quote out) (Filename.quote err))
+      in
+      check Alcotest.int "report --triage of the cut ledger: exit code" 0 rc;
+      check Alcotest.string "stderr names the cut, not a malformed count"
+        (Printf.sprintf "ledger %s: last line cut off mid-record\n" cut)
+        (read_file err);
+      check Alcotest.bool "the whole lines are triaged" true (contains "2 outcomes" (read_file out)))
+
 (* A BGMP data loop stops the run: the soak at seed 2 reaches one at
    step 24 (a flooding MIGP re-floods a foreign source's packet that
    re-enters through another border router; the recursion never returns
@@ -535,10 +581,15 @@ let check_unreadable_inputs () =
         let b = Rng.int rng 255 in
         output_char oc (Char.chr (if b >= Char.code '\n' then b + 1 else b))
       done);
+  (* A ledger line whose blamed trace ids do not line up with its
+     violated invariants. *)
+  let mismatched = Filename.temp_file "mismatched" ".jsonl" in
+  Out_channel.with_open_bin mismatched (fun oc ->
+      output_string oc (ledger_line ~trace_ids:[] 0 ^ "\n"));
   let no_valid what file n = Printf.sprintf "%s %s: no valid line, %d malformed\n" what file n in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ err; text; binary ])
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ err; text; binary; mismatched ])
     (fun () ->
       List.iter
         (fun (args, message) ->
@@ -562,6 +613,7 @@ let check_unreadable_inputs () =
           ( Printf.sprintf "report --diff %s %s" (Filename.quote binary) (Filename.quote binary),
             no_valid "recording" binary 1 );
           ("report --triage " ^ Filename.quote text, no_valid "ledger" text 2);
+          ("report --triage " ^ Filename.quote mismatched, no_valid "ledger" mismatched 1);
           ("trace " ^ Filename.quote binary, no_valid "trace" binary 1);
           ("report --profile " ^ Filename.quote text, no_valid "profile" text 2);
           ("report --matrix " ^ Filename.quote binary, no_valid "matrix" binary 1);
@@ -696,6 +748,7 @@ let suite =
     ("soak lossy", `Quick, check_figure ~args:"soak --steps 40 --loss 0.05" ~golden:"soak_loss.txt");
     ("malformed arguments exit non-zero", `Quick, check_malformed_arguments);
     ("a cut recording is named, not counted", `Quick, check_cut_recording);
+    ("a cut ledger is named, not counted", `Quick, check_cut_ledger);
   ]
   @ List.map
       (fun name -> ("example " ^ name, `Quick, check_example name))

@@ -184,7 +184,6 @@ let test_policy_inactive_not_assigned () =
 
 let quick_cfg =
   {
-    Masc_node.default_config with
     Masc_node.claim_wait = Time.hours 1.0;
     claim_lifetime = Time.days 30.0;
     renew_margin = Time.hours 12.0;
@@ -447,15 +446,15 @@ let maas_setup () =
   let net = flat_hierarchy [ 0; 1 ] engine (Rng.create 9) in
   Masc_network.start net;
   let node = Masc_network.node net 1 in
-  let maas = Maas.create ~engine ~node ~block_size:256 in
+  let maas = Maas.create ~engine ~node in
   (engine, net, node, maas)
 
 let test_maas_allocates_after_claim () =
   let engine, _net, _node, maas = maas_setup () in
   (* First allocation fails (no space yet) and triggers a claim. *)
-  check Alcotest.bool "initially no space" true (Maas.allocate maas () = None);
+  check Alcotest.bool "initially no space" true (Maas.allocate maas = None);
   Engine.run ~until:(Time.days 1.0) engine;
-  match Maas.allocate maas () with
+  match Maas.allocate maas with
   | Some a ->
       check Alcotest.bool "address inside range" true (Prefix.mem a.Maas.address a.Maas.from_range);
       check Alcotest.int "one live" 1 (Maas.in_use maas)
@@ -463,9 +462,9 @@ let test_maas_allocates_after_claim () =
 
 let test_maas_unique_addresses_and_release () =
   let engine, _net, _node, maas = maas_setup () in
-  ignore (Maas.allocate maas ());
+  ignore (Maas.allocate maas);
   Engine.run ~until:(Time.days 1.0) engine;
-  let allocs = List.init 100 (fun _ -> Option.get (Maas.allocate maas ())) in
+  let allocs = List.init 100 (fun _ -> Option.get (Maas.allocate maas)) in
   let tbl = Hashtbl.create 100 in
   List.iter
     (fun (a : Maas.allocation) ->
@@ -479,18 +478,18 @@ let test_maas_unique_addresses_and_release () =
     (Invalid_argument "Maas.release: address not live (double release?)") (fun () ->
       Maas.release maas first);
   (* Released addresses are reusable. *)
-  let again = Option.get (Maas.allocate maas ()) in
+  let again = Option.get (Maas.allocate maas) in
   check Alcotest.bool "address recycled" true (Ipv4.equal again.Maas.address first.Maas.address)
 
 let test_maas_grows_when_exhausted () =
   let engine, _net, node, maas = maas_setup () in
-  ignore (Maas.allocate maas ());
+  ignore (Maas.allocate maas);
   Engine.run ~until:(Time.days 1.0) engine;
   (* Exhaust the first /24 (256 addresses). *)
   let got = ref 0 in
   (try
      for _ = 1 to 400 do
-       match Maas.allocate maas () with
+       match Maas.allocate maas with
        | Some _ -> incr got
        | None -> raise Exit
      done
@@ -498,7 +497,7 @@ let test_maas_grows_when_exhausted () =
   check Alcotest.int "first range exhausted at 256" 256 !got;
   Engine.run ~until:(Time.days 2.0) engine;
   (* The node doubled; more allocations flow. *)
-  (match Maas.allocate maas () with
+  (match Maas.allocate maas with
   | Some _ -> ()
   | None -> Alcotest.fail "expected growth to unblock allocation");
   check Alcotest.bool "node claim grew" true

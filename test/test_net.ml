@@ -137,8 +137,8 @@ let test_fail_restore_notify_on_transition_only () =
     (List.rev !log)
 
 let test_run_until_quiescent_outlives_housekeeping () =
-  (* The Internet.settle shape: protocol activity stops but a periodic
-     housekeeping timer keeps the queue non-empty forever.  The
+  (* Protocol activity stops but a periodic housekeeping timer keeps
+     the queue non-empty forever (MASC's sweep in a settled stack).  The
      quiescence runner must stop once every remaining event lies beyond
      the activity watermark plus the grace period. *)
   let engine = Engine.create () in

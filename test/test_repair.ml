@@ -69,8 +69,10 @@ let test_fabric_rebuild_preserves_members_and_branches () =
 
 let test_active_groups_listing () =
   let w = Scenario.figure3 () in
+  let groups = ref [] in
+  Bgmp_fabric.iter_active_groups w.Scenario.fabric (fun g -> groups := g :: !groups);
   check (Alcotest.list Alcotest.int) "one active group" [ w.Scenario.walkthrough_group ]
-    (Bgmp_fabric.active_groups w.Scenario.fabric)
+    (List.rev !groups)
 
 let test_integrated_root_migration_on_withdraw () =
   (* The paper's aggregation fallback as a failure-recovery path: when

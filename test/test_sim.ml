@@ -6,7 +6,6 @@ let test_time_units () =
   check (Alcotest.float 1e-9) "minutes" 120.0 (Time.minutes 2.0);
   check (Alcotest.float 1e-9) "hours" 7200.0 (Time.hours 2.0);
   check (Alcotest.float 1e-9) "days" 172800.0 (Time.days 2.0);
-  check (Alcotest.float 1e-9) "to_hours" 2.0 (Time.to_hours (Time.hours 2.0));
   check (Alcotest.float 1e-9) "to_days" 0.5 (Time.to_days (Time.hours 12.0))
 
 let test_engine_fires_in_time_order () =

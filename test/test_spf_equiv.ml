@@ -214,9 +214,7 @@ let test_experiment_unchanged_by_cache () =
   let r = Tree_experiment.run p in
   (* Replay the driver's sampling with uncached Path_eval calls. *)
   let rng = Rng.create p.Tree_experiment.seed in
-  let topo =
-    Gen.power_law ~rng ~n:p.Tree_experiment.nodes ~m:p.Tree_experiment.attach_degree
-  in
+  let topo = Gen.power_law ~rng ~n:p.Tree_experiment.nodes ~m:2 in
   let n = Topo.domain_count topo in
   let expected =
     List.map

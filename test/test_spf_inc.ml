@@ -448,6 +448,73 @@ let test_tree_arena_matches_reference () =
     done
   done
 
+(* Fabricated receipts against a live arena.  A seeded history of
+   joins and leaves leaves live and free blocks in the path pool; then
+   [leave] is offered a handle at every pool offset, with every
+   generation from -1 to one past the largest a join handed out or a
+   node id could spell (so g-1, g and g+1 of every real one), for every
+   group a pool word can hold (small ids, and every block offset a free
+   link can name).  Each try must be refused with [Invalid_argument]
+   unless it is a real receipt, which is not tried; afterwards the arena
+   must answer exactly as its reference, which saw only the history. *)
+let test_tree_arena_refuses_fabricated_handles () =
+  for seed = 1 to 10 do
+    let rng = Rng.create seed in
+    let domains = 4 + Rng.int rng 8 and groups = 1 + Rng.int rng 4 in
+    let t = Tree_arena.create ~domains () and r = Tree_arena_reference.create ~domains () in
+    let live = ref [] and offsets = ref [] and pool_words = ref 0 and top_gen = ref 0 in
+    let buf = Array.make 8 0 in
+    for _ = 1 to 50 do
+      if !live = [] || Rng.int rng 3 > 0 then begin
+        let len = 1 + Rng.int rng 6 and group = Rng.int rng groups in
+        for j = 0 to len - 1 do
+          buf.(j) <- Rng.int rng domains
+        done;
+        let h = Tree_arena.join t ~group ~path:buf ~len in
+        check Alcotest.int "same receipt as the reference" h
+          (Tree_arena_reference.join r ~group ~path:buf ~len);
+        live := (group, h) :: !live;
+        offsets := (h land ((1 lsl 32) - 1)) :: !offsets;
+        top_gen := max !top_gen (h lsr 32);
+        pool_words := !pool_words + len + 3
+      end
+      else begin
+        let group, h = List.nth !live (Rng.int rng (List.length !live)) in
+        Tree_arena.leave t ~group h;
+        Tree_arena_reference.leave r ~group h;
+        live := List.filter (fun x -> x <> (group, h)) !live
+      end
+    done;
+    let small = List.init (max domains 8 + 1) (fun g -> g - 1) in
+    let tries_groups = List.sort_uniq compare (small @ !offsets) in
+    for b = 0 to !pool_words do
+      for gen = -1 to max !top_gen domains + 1 do
+        let h = (gen lsl 32) lor b in
+        List.iter
+          (fun group ->
+            if not (List.mem (group, h) !live) then
+              match Tree_arena.leave t ~group h with
+              | () ->
+                  Alcotest.failf "seed %d: leave accepted offset %d, generation %d, group %d"
+                    seed b gen group
+              | exception Invalid_argument _ -> ())
+          tries_groups
+      done
+    done;
+    check Alcotest.int "entries" (Tree_arena_reference.entries r) (Tree_arena.entries t);
+    check Alcotest.int "live paths" (Tree_arena_reference.live_paths r) (Tree_arena.live_paths t);
+    for node = 0 to domains - 1 do
+      check Alcotest.int "node entries" (Tree_arena_reference.node_entries r node)
+        (Tree_arena.node_entries t node);
+      for group = 0 to groups - 1 do
+        check Alcotest.int "refs" (Tree_arena_reference.refs r ~group ~node)
+          (Tree_arena.refs t ~group ~node)
+      done
+    done;
+    List.iter (fun (group, h) -> Tree_arena.leave t ~group h) !live;
+    check Alcotest.int "real receipts still drain the arena" 0 (Tree_arena.entries t)
+  done
+
 (* Seeded histories of sets (new entries, overwrites, refused hops),
    removes, lookups and clears on the G-RIB arena against a Hashtbl
    holding the same (group, node) -> hop entries. *)
@@ -620,6 +687,7 @@ let suite =
     ("tree arena recycles blocks", `Quick, test_tree_arena_recycles_blocks);
     ("tree arena storage tracks live paths", `Quick, test_tree_arena_storage_tracks_live);
     ("tree arena matches its global-table reference", `Quick, test_tree_arena_matches_reference);
+    ("tree arena refuses fabricated handles", `Quick, test_tree_arena_refuses_fabricated_handles);
     ("grib arena matches a hashtbl", `Quick, test_grib_arena_matches_hashtbl);
     ("tree arena reuses freed group tables", `Quick, test_tree_arena_reuses_group_tables);
     ("csr rebuild counter", `Quick, test_csr_rebuild_counter);

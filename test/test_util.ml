@@ -80,16 +80,6 @@ let test_rng_float_mean () =
   let mean = !sum /. float_of_int n in
   check Alcotest.bool "uniform mean near 0.5" true (abs_float (mean -. 0.5) < 0.02)
 
-let test_rng_exponential_mean () =
-  let r = Rng.create 17 in
-  let n = 20_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    sum := !sum +. Rng.exponential r ~mean:3.0
-  done;
-  let mean = !sum /. float_of_int n in
-  check Alcotest.bool "exponential mean near 3" true (abs_float (mean -. 3.0) < 0.15)
-
 let test_rng_pick () =
   let r = Rng.create 21 in
   let a = [| 10; 20; 30 |] in
@@ -472,7 +462,6 @@ let suite =
     ("rng int_in", `Quick, test_rng_int_in);
     ("rng float range", `Quick, test_rng_float_range);
     ("rng float mean", `Quick, test_rng_float_mean);
-    ("rng exponential mean", `Quick, test_rng_exponential_mean);
     ("rng pick", `Quick, test_rng_pick);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     ("rng sample without replacement", `Quick, test_rng_sample_without_replacement);

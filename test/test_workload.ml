@@ -29,67 +29,6 @@ let test_membership_beacon_plan () =
   check Alcotest.bool "deterministic" true
     (plan = Membership.beacon_plan topo ~per_domain:3)
 
-let test_membership_uniform () =
-  let rng = Rng.create 11 in
-  let topo = Gen.star ~n:30 in
-  let members = Membership.uniform ~rng topo ~size:10 ~exclude:[ 0 ] in
-  check Alcotest.int "ten members" 10 (List.length members);
-  check Alcotest.bool "excluded respected" false (List.mem 0 members);
-  check Alcotest.int "distinct" 10 (List.length (List.sort_uniq compare members));
-  Alcotest.check_raises "too many requested"
-    (Invalid_argument "Membership.uniform: not enough domains") (fun () ->
-      ignore (Membership.uniform ~rng topo ~size:30 ~exclude:[ 0 ]))
-
-let test_membership_clustered_is_concentrated () =
-  let rng = Rng.create 13 in
-  let topo = Gen.transit_stub ~rng ~backbones:3 ~regionals_per_backbone:4 ~stubs_per_regional:5 in
-  let members = Membership.clustered ~rng topo ~size:20 ~clusters:2 ~exclude:[] in
-  check Alcotest.int "twenty members" 20 (List.length members);
-  check Alcotest.int "distinct" 20 (List.length (List.sort_uniq compare members));
-  (* Concentration: the average pairwise distance of a clustered sample
-     should not exceed that of a uniform sample (averaged over seeds). *)
-  let avg_pairwise sample =
-    let s = Stats.create () in
-    List.iter
-      (fun a ->
-        let paths = Spf.bfs topo a in
-        List.iter (fun b -> if a < b then Stats.add s (float_of_int (Spf.dist paths b))) sample)
-      sample;
-    Stats.mean s
-  in
-  let clustered_avg = Stats.create () and uniform_avg = Stats.create () in
-  for seed = 1 to 5 do
-    let rng = Rng.create seed in
-    Stats.add clustered_avg
-      (avg_pairwise (Membership.clustered ~rng topo ~size:15 ~clusters:2 ~exclude:[]));
-    Stats.add uniform_avg (avg_pairwise (Membership.uniform ~rng topo ~size:15 ~exclude:[]))
-  done;
-  check Alcotest.bool "clustered samples are closer together" true
-    (Stats.mean clustered_avg <= Stats.mean uniform_avg +. 0.2)
-
-let test_membership_waves () =
-  let rng = Rng.create 17 in
-  let events =
-    Membership.waves ~rng ~members:[ 1; 2; 3; 4 ] ~wave_count:2 ~wave_gap:(Time.hours 1.0)
-      ~stay:(Time.hours 5.0)
-  in
-  check Alcotest.int "two events per member" 8 (List.length events);
-  let rec ordered = function
-    | a :: (b :: _ as rest) -> a.Membership.when_ <= b.Membership.when_ && ordered rest
-    | [ _ ] | [] -> true
-  in
-  check Alcotest.bool "time-ordered" true (ordered events);
-  List.iter
-    (fun m ->
-      let mine = List.filter (fun e -> e.Membership.member = m) events in
-      match mine with
-      | [ j; l ] ->
-          check Alcotest.bool "join before leave" true (j.Membership.joins && not l.Membership.joins);
-          check (Alcotest.float 1e-6) "stay duration" (Time.hours 5.0)
-            (l.Membership.when_ -. j.Membership.when_)
-      | _ -> Alcotest.fail "expected join+leave")
-    [ 1; 2; 3; 4 ]
-
 (* --- Scenario ----------------------------------------------------------- *)
 
 let test_scenario_figure1 () =
@@ -128,15 +67,14 @@ let test_scenario_figure3_pim_sm () =
    join). *)
 type group_event = { seq : int; group : int; node : Domain.id; join : bool; join_ref : int }
 
-let group_churn ~seed ~shard ~domains ~groups ?join_bias ~events () =
+let group_churn ~seed ~shard ~domains ~groups ~events () =
   let out = ref [] in
-  Membership.iter_group_churn ~seed ~shard ~domains ~groups ?join_bias ~events
+  Membership.iter_group_churn ~seed ~shard ~domains ~groups ~events
     ~join:(fun seq group node ->
       out := { seq; group; node; join = true; join_ref = -1 } :: !out;
       seq)
     ~leave:(fun seq group node receipt ->
-      out := { seq; group; node; join = false; join_ref = receipt } :: !out)
-    ();
+      out := { seq; group; node; join = false; join_ref = receipt } :: !out);
   Array.of_list (List.rev !out)
 
 let test_group_churn_deterministic () =
@@ -201,7 +139,7 @@ let test_group_churn_collector_matches_stream () =
   (* The collector is a plain fold over the stream: consuming the
      events one by one, as fig4-modern does, sees the same sequence. *)
   let seed = 1998 and shard = 1 and domains = 400 and groups = 30 and events = 2500 in
-  let collected = group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events () in
+  let collected = group_churn ~seed ~shard ~domains ~groups ~events () in
   let count = ref 0 in
   let event seq group node join_ref =
     Alcotest.(check int) "events arrive in order" !count seq;
@@ -211,20 +149,17 @@ let test_group_churn_collector_matches_stream () =
       [ seq; group; node; join_ref ];
     incr count
   in
-  Membership.iter_group_churn ~seed ~shard ~domains ~groups ~join_bias:0.6 ~events
+  Membership.iter_group_churn ~seed ~shard ~domains ~groups ~events
     ~join:(fun seq group node ->
       event seq group node (-1);
       seq)
-    ~leave:event ();
+    ~leave:event;
   Alcotest.(check int) "same length" (Array.length collected) !count;
   Alcotest.(check int) "every event streamed" events !count
 
 let suite =
   [
-    ("membership uniform", `Quick, test_membership_uniform);
     ("membership beacon plan", `Quick, test_membership_beacon_plan);
-    ("membership clustered concentrated", `Quick, test_membership_clustered_is_concentrated);
-    ("membership waves", `Quick, test_membership_waves);
     ("group churn deterministic", `Quick, test_group_churn_deterministic);
     ("group churn shards disjoint", `Quick, test_group_churn_shards_disjoint);
     ("group churn leaves reference live joins", `Quick, test_group_churn_leaves_reference_live_joins);

@@ -11,14 +11,22 @@ let offset_bits = 32
 let offset_mask = (1 lsl offset_bits) - 1
 let gen_mask = (1 lsl 30) - 1
 
+(* A block's header word is [live_tag lor generation] while it holds a
+   path and [free_tag lor generation] while it waits on a free list.
+   Both tags are below -1, where no other pool word (group, len, node,
+   free link) ever is, so a handle pointing into the middle of a block
+   or at a free one never matches a header. *)
+let live_tag = min_int
+let free_tag = min_int lor (gen_mask + 1)
+
 type t = {
   n : int;
   refs : Packed_map.t;  (* (group * n + node) -> refcount *)
   counts : int array;  (* per-router live entry count *)
   mutable pool : int array;
-      (* path blocks [generation; group; len; nodes...]; a free block
-         keeps its len and links to the next free block of that len in
-         its group slot *)
+      (* path blocks [header; group; len; nodes...]; a free block keeps
+         its len and links to the next free block of that len in its
+         group slot *)
   mutable pool_len : int;
   mutable free : int array;  (* len -> first free block, or -1 *)
   mutable live : int;
@@ -55,12 +63,13 @@ let alloc_block t len =
   if len < Array.length t.free && t.free.(len) >= 0 then begin
     let b = t.free.(len) in
     t.free.(len) <- t.pool.(b + 1);
+    t.pool.(b) <- live_tag lor (t.pool.(b) land gen_mask);
     b
   end
   else begin
     pool_reserve t (len + 3);
     let b = t.pool_len in
-    t.pool.(b) <- 0;
+    t.pool.(b) <- live_tag;
     t.pool.(b + 2) <- len;
     t.pool_len <- t.pool_len + len + 3;
     b
@@ -72,7 +81,7 @@ let free_block t b len =
     Array.blit t.free 0 grown 0 (Array.length t.free);
     t.free <- grown
   end;
-  t.pool.(b) <- (t.pool.(b) + 1) land gen_mask;
+  t.pool.(b) <- free_tag lor ((t.pool.(b) + 1) land gen_mask);
   t.pool.(b + 1) <- t.free.(len);
   t.free.(len) <- b
 
@@ -107,12 +116,12 @@ let join t ~group ~path ~len =
     incr_ref t group path.(i)
   done;
   t.live <- t.live + 1;
-  (t.pool.(b) lsl offset_bits) lor b
+  ((t.pool.(b) land gen_mask) lsl offset_bits) lor b
 
 let leave t ~group (h : handle) =
   let b = h land offset_mask in
   if h < 0 || b + 3 > t.pool_len then invalid_arg "Tree_arena.leave: bad handle";
-  if t.pool.(b) <> h lsr offset_bits || t.pool.(b + 1) <> group then
+  if t.pool.(b) <> live_tag lor (h lsr offset_bits) || t.pool.(b + 1) <> group then
     invalid_arg "Tree_arena.leave: handle spent or group mismatch";
   let len = t.pool.(b + 2) in
   for i = 0 to len - 1 do
