@@ -56,7 +56,7 @@ let with_obs obs f =
     Recorder.enable ?sink:obs.obs_record ();
   let sampling =
     Option.map
-      (fun every -> (Timeseries.create ~sink:(Timeseries.Jsonl timeseries_file) (), every))
+      (fun every -> (Timeseries.create timeseries_file, every))
       obs.obs_sample
   in
   let t0 = Unix.gettimeofday () in

@@ -149,11 +149,11 @@ let run_trial p ~trial ~seed =
         ignore
           (Engine.schedule_at ~label:"beacon.churn" engine
              (first_probe +. (0.35 *. window))
-             (fun () -> Bgmp_fabric.fail_link fabric (n - 1) provider));
+             (fun () -> Net.fail_link net (n - 1) provider));
         ignore
           (Engine.schedule_at ~label:"beacon.churn" engine
              (first_probe +. (0.70 *. window))
-             (fun () -> Bgmp_fabric.restore_link fabric (n - 1) provider))
+             (fun () -> Net.restore_link net (n - 1) provider))
     | [] -> ()
   end;
   Engine.run_until_idle engine;

@@ -416,7 +416,7 @@ and arrive t rid ~from msg =
    watermark, and the router's resulting messages are sent. *)
 and apply t rid ~from msg =
   let router = t.routers.(rid) in
-  Engine.note_activity t.engine "bgmp";
+  Engine.note_activity t.engine;
   exec_actions t rid
     (match msg with
     | Bgmp_msg.Join { group; span } -> Bgmp_router.handle_join router ~group ?span ~from
@@ -788,15 +788,9 @@ let tree_domains t ~group =
     t.domain_routers;
   List.sort compare !doms
 
-let fail_link t a b =
-  if Topo.link_between t.topo a b = None then invalid_arg "Bgmp_fabric.fail_link: no such link";
-  Net.fail_link t.net a b
-
-let restore_link t a b = Net.restore_link t.net a b
-
 let rebuild_group t ~group =
   Array.iter (fun r -> Bgmp_router.clear_group r group) t.routers;
-  Engine.note_activity t.engine "bgmp";
+  Engine.note_activity t.engine;
   Array.iteri
     (fun dom migp ->
       if Migp.has_members migp ~group then

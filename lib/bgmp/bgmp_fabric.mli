@@ -8,7 +8,7 @@
     message toward a peer travels with the link's delay; one toward the
     MIGP reaches the right border router of the domain at once.  Every
     control message a router receives is applied in one step, which
-    notes ["bgmp"] activity for the engine's convergence watermark and
+    notes activity for the engine's convergence watermark and
     sends the router's resulting messages.  Data handed to a domain's
     interior is distributed per the domain's MIGP style (flooding or
     explicit-state), with RPF-encapsulation and automatic source-specific
@@ -132,16 +132,6 @@ val group_span : t -> Domain.id -> Ipv4.t -> Span.t
 val duplicate_deliveries : t -> int
 (** Copies delivered to a host that had already received that payload —
     0 in a correct run. *)
-
-val fail_link : t -> Domain.id -> Domain.id -> unit
-(** [Net.fail_link] on the transport: messages over the link (joins,
-    prunes, data — and, on a shared transport, every other protocol's
-    traffic) are lost until {!restore_link}, including ones already in
-    flight.  Combine with {!rebuild_group} (or use [Internet.fail_link],
-    which orchestrates BGP and BGMP together) to move trees off the dead
-    link. *)
-
-val restore_link : t -> Domain.id -> Domain.id -> unit
 
 (** {1 Route-change repair} *)
 

@@ -54,7 +54,7 @@ let create ~engine ?net ~topo () =
       (* Convergence watermark: a G-RIB change is the BGP layer's
          durable state change.  [Internet] replaces this hook and keeps
          the same watermark. *)
-      Speaker.set_on_grib_change speaker (fun _ -> Engine.note_activity engine "bgp");
+      Speaker.set_on_grib_change speaker (fun _ -> Engine.note_activity engine);
       Speaker.set_send speaker (fun ~dst update ->
           match Hashtbl.find_opt t.channels (src, dst) with
           | Some ch -> Net.send ch ?span:(update_span update) update
@@ -70,15 +70,6 @@ let originate ?lifetime_end ?span t id prefix =
   Speaker.originate ?lifetime_end ?span t.speakers.(id) prefix
 
 let withdraw t id prefix = Speaker.withdraw_origin t.speakers.(id) prefix
-
-let fail_link t a b =
-  if Topo.link_between t.topo a b = None then invalid_arg "Bgp_network.fail_link: no such link";
-  Net.fail_link t.net a b
-
-let restore_link t a b =
-  if Topo.link_between t.topo a b = None then
-    invalid_arg "Bgp_network.restore_link: no such link";
-  Net.restore_link t.net a b
 
 let converge t = Engine.run_until_idle t.engine
 

@@ -29,17 +29,6 @@ val originate : ?lifetime_end:Time.t -> ?span:Span.t -> t -> Domain.id -> Prefix
 
 val withdraw : t -> Domain.id -> Prefix.t -> unit
 
-val fail_link : t -> Domain.id -> Domain.id -> unit
-(** [Net.fail_link] on the transport: both BGP sessions drop (routes
-    learned over it are flushed and withdrawals ripple out) and any
-    in-flight updates on the link are lost.
-    @raise Invalid_argument if no such topology link exists. *)
-
-val restore_link : t -> Domain.id -> Domain.id -> unit
-(** [Net.restore_link] on the transport: the sessions re-form and both
-    sides exchange full tables.
-    @raise Invalid_argument if no such topology link exists. *)
-
 val converge : t -> unit
 (** Run the engine until no BGP activity remains. *)
 

@@ -525,7 +525,7 @@ let create ?(config = default_config) ?migp_style net_topo =
       Speaker.set_on_grib_change speaker (fun prefix ->
           (* This replaces the hook Bgp_network installed, so keep its
              convergence watermark. *)
-          Engine.note_activity engine "bgp";
+          Engine.note_activity engine;
           if Recorder.is_enabled () then begin
             let route =
               List.find_opt (fun (p, _) -> Prefix.equal p prefix) (Speaker.best_routes speaker)
@@ -602,10 +602,6 @@ let restore_link t a b =
          rebuild_all_groups t))
 
 let run_for t duration = Engine.run ~until:(Engine.now t.engine +. duration) t.engine
-
-(* Above the 48 h collision wait (so graduation storms count as
-   activity, not silence), below the ~30 d renewal cycle (so steady
-   renewals do not keep the run alive forever). *)
 
 let request_address t dom = Maas.allocate t.maases.(dom)
 

@@ -21,7 +21,7 @@
       when the schedule leaves every link up and loss at zero
       ({!Schedule.ends_all_up}), since tree/G-RIB agreement is
       undefined while the topology is cut;
-    - {b convergence watermarks}: if the engine's last durable state
+    - {b the convergence watermark}: if the engine's last durable state
       change ([Engine.converged_at]) lands past the schedule's repair
       deadline (last fault + one claim lifetime + grace), the stack
       never converged — [Non_convergence] even when every invariant

@@ -190,7 +190,7 @@ let rec start_lifetime sim d holder =
   Engine.arm_lane sim.engine sim.claim_lane holder.expiry
 
 (* For a top, the covers of its children's arena, the total claimed
-   from 224/4 and the ["masc"] convergence watermark (the set of
+   from 224/4 and the engine's convergence watermark (the set of
    globally advertised prefixes changed); for a child, the [used] of
    its top's covering claim, and on growth the top's pressure check.
    [prefix] is the claim's prefix before the change. *)
@@ -198,7 +198,7 @@ and feed sim d change prefix =
   let size = Prefix.size prefix in
   match d.level with
   | Top children -> (
-      Engine.note_activity sim.engine "masc";
+      Engine.note_activity sim.engine;
       match change with
       | Gained ->
           Address_space.add_cover children prefix;
@@ -626,7 +626,7 @@ let run p =
       in
       let top_converged_day =
         Option.value ~default:0.0
-          (Option.map Time.to_days (List.assoc_opt "masc" (Engine.watermarks engine)))
+          (Option.map Time.to_days (Engine.converged_at engine))
       in
       Metrics.set m_converged top_converged_day;
       {

@@ -88,7 +88,7 @@ type result = {
   top_converged_day : float;
       (** when the set of globally advertised (top-level) prefixes last
           changed — the allocation layer's convergence time, from the
-          engine's ["masc"] activity watermark *)
+          engine's convergence watermark, which only this layer notes *)
 }
 
 val run : params -> result

@@ -363,7 +363,7 @@ let rec finish_wait t ctl =
     bump t;
     let acquired_span = Span.child ctl.claim.claim_span in
     trace t "acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
-    Engine.note_activity t.engine "masc";
+    Engine.note_activity t.engine;
     (* A doubling claim absorbs the prefix it grew from. *)
     (match ctl.absorbing with
     | Some old_prefix -> (
@@ -439,7 +439,7 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
       t.own <- ctl :: t.own;
       bump t;
       Metrics.incr m_claims;
-      Engine.note_activity t.engine "masc";
+      Engine.note_activity t.engine;
       trace t "claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
         (match (absorbing, consolidating) with
         | Some _, _ -> "double"
@@ -660,7 +660,7 @@ let handle_claim_announce_impl t arena ~owner ~prefix ~lifetime_end ~span =
           (fun ctl ->
             t.collisions_suffered <- t.collisions_suffered + 1;
             Metrics.incr m_collisions;
-            Engine.note_activity t.engine "masc";
+            Engine.note_activity t.engine;
             trace t "collision-lost"
               ?span:(Option.map Span.child span)
               "our %a loses to %a of %d" Prefix.pp ctl.claim.claim_prefix Prefix.pp prefix owner;
@@ -706,7 +706,7 @@ let handle_collision_impl t ~victim ~victim_prefix ~winner ~winner_prefix ~span 
         if yield then begin
           t.collisions_suffered <- t.collisions_suffered + 1;
           Metrics.incr m_collisions;
-          Engine.note_activity t.engine "masc";
+          Engine.note_activity t.engine;
           trace t "collision-yield"
             ?span:(Option.map Span.child span)
             "%a to %d's %a" Prefix.pp victim_prefix winner Prefix.pp winner_prefix;

@@ -25,11 +25,11 @@ type stats = {
   drop_label : string;
 }
 
-(* The state of one direction of an endpoint pair.  [epoch] counts
-   down-transitions, so an in-flight message (which remembers the epoch
-   at send time) is lost exactly when its direction failed before
-   delivery — even if it was restored again in between.  Every channel
-   on the pair, whatever its protocol, shares the one cell, so send and
+(* The state of an endpoint pair.  [epoch] counts down-transitions, so
+   an in-flight message (which remembers the epoch at send time) is lost
+   exactly when its link failed before delivery — even if it was
+   restored again in between.  Every channel on the pair, in either
+   direction and whatever its protocol, shares the one cell, so send and
    deliver read link state without a lookup. *)
 type link = { mutable down : bool; mutable epoch : int }
 
@@ -41,7 +41,8 @@ type t = {
      stack draw-for-draw. *)
   loss_rng : Rng.t;
   by_protocol : (string, stats) Hashtbl.t;
-  (* Directed link cells, created on first touch. *)
+  (* Link cells keyed by the unordered pair (lower endpoint first),
+     created on first touch. *)
   links : (int * int, link) Hashtbl.t;
   mutable listeners : (int -> int -> up:bool -> unit) list;
   (* Every channel's [empty], for [reset]. *)
@@ -169,12 +170,13 @@ let stats_for t protocol =
       Hashtbl.add t.by_protocol protocol s;
       s
 
-let link t from_ to_ =
-  match Hashtbl.find_opt t.links (from_, to_) with
+let link t a b =
+  let key = if a <= b then (a, b) else (b, a) in
+  match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
       let l = { down = false; epoch = 0 } in
-      Hashtbl.add t.links (from_, to_) l;
+      Hashtbl.add t.links key l;
       l
 
 let drop ch ?span msg reason =
@@ -251,10 +253,6 @@ let channel t ~protocol ~src ~dst ~delay ~recv =
 
 let set_on_drop ch f = ch.on_drop <- Some f
 
-let direction_up t ~from_ ~to_ = not (link t from_ to_).down
-
-let link_up t a b = direction_up t ~from_:a ~to_:b && direction_up t ~from_:b ~to_:a
-
 (* Every delivery of a channel is [delay] after its send and the clock
    never runs backwards, so arrivals stay FIFO and the queue head is
    always the message whose arrival fires. *)
@@ -278,40 +276,23 @@ let send ch ?span msg =
     Engine.arm_lane n.engine ch.lane ch.arrival
   end
 
-(* Returns whether the direction changed state, so fail/restore notify
-   listeners only on an actual transition. *)
-let take_down t from_ to_ =
-  let l = link t from_ to_ in
-  if l.down then false
-  else begin
-    l.down <- true;
-    l.epoch <- l.epoch + 1;
-    true
-  end
-
-let bring_up t from_ to_ =
-  let l = link t from_ to_ in
-  if l.down then begin
-    l.down <- false;
-    true
-  end
-  else false
-
+(* Listeners hear only actual transitions. *)
 let notify t a b ~up = List.iter (fun f -> f a b ~up) (List.rev t.listeners)
 
 let fail_link t a b =
-  let c1 = take_down t a b in
-  let c2 = take_down t b a in
-  if c1 || c2 then notify t a b ~up:false
+  let l = link t a b in
+  if not l.down then begin
+    l.down <- true;
+    l.epoch <- l.epoch + 1;
+    notify t a b ~up:false
+  end
 
 let restore_link t a b =
-  let c1 = bring_up t a b in
-  let c2 = bring_up t b a in
-  if c1 || c2 then notify t a b ~up:true
-
-let block t ~from_ ~to_ = ignore (take_down t from_ to_)
-
-let unblock t ~from_ ~to_ = ignore (bring_up t from_ to_)
+  let l = link t a b in
+  if l.down then begin
+    l.down <- false;
+    notify t a b ~up:true
+  end
 
 let on_link_change t f = t.listeners <- f :: t.listeners
 

@@ -13,11 +13,10 @@
       delivery order per channel is FIFO, and equal-time deliveries
       across channels fire in send order (the engine's queue breaks ties
       by scheduling sequence), so runs are fully deterministic;
-    - {b up/down state} — {!fail_link} takes both directions of an
-      endpoint pair down: subsequent sends are dropped at the source and
-      messages already in flight are lost (they were bits on the dead
-      wire).  {!block} does the same for one direction only (asymmetric
-      partition);
+    - {b up/down state} — {!fail_link} takes an endpoint pair down,
+      both directions at once, as a TCP session is up or down:
+      subsequent sends are dropped at the source and messages already
+      in flight are lost (they were bits on the dead wire);
     - {b loss} — a seeded, deterministic per-message loss probability
       ([loss_rate]); the RNG is private to the net and is never drawn
       when the rate is zero, so loss-free runs are bit-identical to the
@@ -51,7 +50,7 @@ val create : engine:Engine.t -> ?config:config -> unit -> t
 val reset : t -> loss_rate:float -> loss_seed:int -> unit
 (** Rewind to the state {!create} returns with this [loss_rate] and
     [loss_seed], in place: every message on the wire is dropped, every
-    link direction is up at epoch 0, the per-protocol counts read 0 and
+    link is up at epoch 0, the per-protocol counts read 0 and
     the loss RNG is reseeded.  Channels, link cells and listeners stay;
     each protocol's [net.*] instruments are registered in the current
     {!Metrics} registry again, as creating its first channel did.  The
@@ -86,42 +85,28 @@ val set_on_drop : 'a channel -> ('a -> unit) -> unit
     to classify their own losses (e.g. BGMP data vs control). *)
 
 val send : 'a channel -> ?span:Span.t -> 'a -> unit
-(** Queue a message.  It is dropped — at the source — if the [src]→[dst]
-    direction is down or the loss draw fires, and — in flight — if the
-    direction goes down before the delivery time.  [span] attributes a
+(** Queue a message.  It is dropped — at the source — if the
+    [src]–[dst] link is down or the loss draw fires, and — in flight —
+    if the link goes down before the delivery time.  [span] attributes a
     drop to its causal chain in the recording. *)
 
 (** {1 Link state}
 
-    State is per {e direction} of an endpoint pair: one cell, created on
-    the pair's first touch (a channel, a failure, a block or a query)
-    and shared by every channel on that direction whatever its
-    protocol.  The pair needs no prior channel — blocking a pair that
-    never communicates is a no-op, and a channel created later sees the
-    state. *)
+    State is per {e unordered} endpoint pair: one cell, created on the
+    pair's first touch (a channel or a failure) and shared by every
+    channel between the two endpoints, in either direction and whatever
+    its protocol.  The pair needs no prior channel — failing a pair that
+    never communicates only changes its cell, and a channel created
+    later sees the state. *)
 
 val fail_link : t -> int -> int -> unit
-(** Take both directions down: future sends drop at the source,
+(** Take the link down: future sends either way drop at the source,
     in-flight messages are lost, and {!on_link_change} listeners fire
     with [up:false].  Idempotent. *)
 
 val restore_link : t -> int -> int -> unit
-(** Bring both directions back up (clearing any one-direction {!block}
-    too) and notify listeners with [up:true].  Messages lost while the
-    link was down stay lost.  Idempotent. *)
-
-val block : t -> from_:int -> to_:int -> unit
-(** Asymmetric partition: take only the [from_]→[to_] direction down
-    (in-flight messages on that direction are lost).  Listeners are not
-    notified — the reverse direction, and any session semantics built on
-    it, stay up. *)
-
-val unblock : t -> from_:int -> to_:int -> unit
-
-val link_up : t -> int -> int -> bool
-(** Both directions up? *)
-
-val direction_up : t -> from_:int -> to_:int -> bool
+(** Bring the link back up and notify listeners with [up:true].
+    Messages lost while the link was down stay lost.  Idempotent. *)
 
 val on_link_change : t -> (int -> int -> up:bool -> unit) -> unit
 (** Subscribe to {!fail_link}/{!restore_link} transitions (BGP uses this

@@ -21,19 +21,11 @@ type pred = {
   gate : gate option;  (** [None]: runs at every check *)
 }
 
-(* Bounded retention of violations returned by [check]: the first
-   [seen_cap] survive, later ones only bump the counters.  Keeping the
-   head (not a sliding tail) means the *first* violation — the one a
-   caller wants to blame after a run — is always recoverable. *)
-let seen_cap = 64
-
 type t = {
   checks : Metrics.counter Lazy.t;
   violations : Metrics.counter Lazy.t;
   skipped : Metrics.counter Lazy.t;
   mutable preds : pred list;
-  mutable seen : violation list;  (** first [seen_cap] violations, newest first *)
-  mutable n_seen : int;
 }
 
 let reset t =
@@ -44,9 +36,7 @@ let reset t =
           g.clean <- false;
           g.clean_at <- 0
       | None -> ())
-    t.preds;
-  t.seen <- [];
-  t.n_seen <- 0
+    t.preds
 
 let create () =
   {
@@ -54,8 +44,6 @@ let create () =
     violations = lazy (Metrics.counter "invariant.violations");
     skipped = lazy (Metrics.counter "invariant.skipped");
     preds = [];
-    seen = [];
-    n_seen = 0;
   }
 
 let register ?(quiescent_only = false) ?depends t ~name run =
@@ -106,24 +94,11 @@ let rec run_preds t ~quiescent = function
             let mine = List.map (fun (detail, trace_id) -> { inv = p.name; detail; trace_id }) vs in
             mine @ run_preds t ~quiescent rest)
 
-let rec retain t = function
-  | v :: rest when t.n_seen < seen_cap ->
-      t.seen <- v :: t.seen;
-      t.n_seen <- t.n_seen + 1;
-      retain t rest
-  | _ -> ()
-
 let check ?(quiescent = true) ?only t =
   Metrics.incr (Lazy.force t.checks);
-  let vs =
-    match only with
-    | None -> run_preds t ~quiescent t.preds
-    | Some name -> run_preds t ~quiescent:true (List.filter (fun p -> p.name = name) t.preds)
-  in
-  retain t vs;
-  vs
-
-let violations_seen t = List.rev t.seen
+  match only with
+  | None -> run_preds t ~quiescent t.preds
+  | Some name -> run_preds t ~quiescent:true (List.filter (fun p -> p.name = name) t.preds)
 
 let pp_violation ppf v =
   match v.trace_id with

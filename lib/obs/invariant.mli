@@ -7,8 +7,11 @@
     registry ([invariant.checks], [invariant.violations],
     [invariant.violations.<name>]), each key created by its first
     update, so a monitor created under one registry and checked under
-    another counts into the second; recording violations in the event log is the caller's job,
-    since the monitor is deliberately ignorant of the simulator.
+    another counts into the second.  The monitor keeps no violations:
+    {!check} returns them, and logging or retaining them is the
+    caller's job (the stack keeps its own log,
+    [Internet.invariant_violations]), since the monitor is deliberately
+    ignorant of the simulator.
 
     Predicates registered [~quiescent_only:true] are skipped while the
     event queue is still busy: they describe end states (e.g. tree
@@ -29,8 +32,7 @@ val create : unit -> t
 
 val reset : t -> unit
 (** Rewind to a freshly created monitor that keeps its predicates: the
-    gates forget their cached clean runs and the retained violations
-    are dropped. *)
+    gates forget their cached clean runs. *)
 
 val register :
   ?quiescent_only:bool -> ?depends:(unit -> int) -> t -> name:string -> check -> unit
@@ -61,12 +63,5 @@ val check : ?quiescent:bool -> ?only:string -> t -> violation list
     [true]: check everything.  [~only] runs just the predicate of that
     name (subject to its gate, whatever [quiescent]) — for a driver
     that knows the moment its predicate's state is due. *)
-
-val violations_seen : t -> violation list
-(** Violations returned by every {!check} so far, oldest first, capped
-    at a bounded ring of 64: the head of the history survives, so the
-    {e first} violation's detail and trace id are always recoverable
-    after a run without re-deriving them from metrics.  Counter
-    semantics ([invariant.violations.*]) are unchanged by retention. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -25,8 +25,7 @@ type hook = { cadence : Time.t; mutable last : Time.t; at_horizon : bool; action
 
 (* A float-only record is stored flat, so advancing the clock or noting
    activity does not box.  [last_activity] is the latest
-   [note_activity] time; the clock never runs backwards, so it is also
-   the greatest watermark. *)
+   [note_activity] time, NaN before the first. *)
 type clock = { mutable now : Time.t; mutable last_activity : Time.t }
 
 (* A lane queues the occurrences armed with one fixed delay, oldest
@@ -60,9 +59,6 @@ type t = {
   mutable n_lanes : int;
   mutable next_seq : int;
   mutable live : int;
-  (* Last state-changing event per actor class, self-reported via
-     [note_activity]. *)
-  watermarks : (string, Time.t) Hashtbl.t;
   mutable monitor : hook option;
   mutable sampler : hook option;
 }
@@ -105,17 +101,16 @@ let reset t =
     l.l_len <- 0
   done;
   t.clk.now <- Time.zero;
-  t.clk.last_activity <- Time.zero;
+  t.clk.last_activity <- Float.nan;
   t.next_seq <- 0;
   t.live <- 0;
-  Hashtbl.reset t.watermarks;
   t.monitor <- None;
   t.sampler <- None
 
 let create () =
   let t =
     {
-      clk = { now = Time.zero; last_activity = Time.zero };
+      clk = { now = Time.zero; last_activity = Float.nan };
       times = Float.Array.make initial_capacity 0.0;
       seqs = Array.make initial_capacity 0;
       evs = Array.make initial_capacity vacant;
@@ -124,7 +119,6 @@ let create () =
       n_lanes = 0;
       next_seq = 0;
       live = 0;
-      watermarks = Hashtbl.create 8;
       monitor = None;
       sampler = None;
     }
@@ -387,16 +381,10 @@ let pending t = t.live
 
 (* --- Hooks ----------------------------------------------------------- *)
 
-let note_activity t cls =
-  Hashtbl.replace t.watermarks cls t.clk.now;
-  t.clk.last_activity <- t.clk.now
-
-let watermarks t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.watermarks []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let note_activity t = t.clk.last_activity <- t.clk.now
 
 let converged_at t =
-  if Hashtbl.length t.watermarks = 0 then None else Some t.clk.last_activity
+  if Float.is_nan t.clk.last_activity then None else Some t.clk.last_activity
 
 let hook t fn cadence ~at_horizon action =
   if not (cadence > 0.0) then
@@ -411,8 +399,6 @@ let clear_monitor t = t.monitor <- None
 
 let set_sampler t ~every sample =
   t.sampler <- hook t "set_sampler" every ~at_horizon:true (fun _ -> sample t.clk.now)
-
-let clear_sampler t = t.sampler <- None
 
 let tick t = function
   | Some h when t.clk.now -. h.last >= h.cadence ->
@@ -455,24 +441,15 @@ let fire t b =
   tick t t.monitor;
   tick t t.sampler
 
-(* Whether the head of source [b] lies past [until], or more than
-   [grace] past the last activity (the latest note, or the clock before
-   any). *)
-let past_limit t b ~until ~grace =
-  let at = head_time t b in
-  let last = if Hashtbl.length t.watermarks = 0 then t.clk.now else t.clk.last_activity in
-  at > until || at > last +. grace
-
 (* The one dispatch loop: fire live events in (time, seq) order until
-   none is left ([true]) or the earliest lies past the limit ([false]).
-   Firing moves the last activity, so the limit is re-read per head. *)
-let rec drain t ~until ~grace =
+   none is left ([true]) or the earliest lies past [until] ([false]). *)
+let rec drain t ~until =
   let b = live_head t in
   if b = empty then true
-  else if past_limit t b ~until ~grace then false
+  else if head_time t b > until then false
   else begin
     fire t b;
-    drain t ~until ~grace
+    drain t ~until
   end
 
 let step t =
@@ -484,7 +461,7 @@ let step t =
   end
 
 let run ?(until = infinity) t =
-  let drained = drain t ~until ~grace:infinity in
+  let drained = drain t ~until in
   if not drained then begin
     (* The clock moves up to the horizon, never back. *)
     if until > t.clk.now then t.clk.now <- until;
@@ -493,8 +470,3 @@ let run ?(until = infinity) t =
   stop t ~horizon:(not drained)
 
 let run_until_idle t = run t
-
-let run_until_quiescent ~grace t =
-  if not (grace > 0.0) then invalid_arg "Engine.run_until_quiescent: non-positive grace";
-  ignore (drain t ~until:infinity ~grace);
-  stop t ~horizon:false

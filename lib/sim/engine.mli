@@ -5,7 +5,9 @@
     Protocol entities (MASC nodes, BGP speakers, BGMP routers, MIGP
     components) are plain OCaml values that schedule closures; events
     at equal timestamps fire in scheduling order, so runs are fully
-    deterministic. *)
+    deterministic.  One dispatch loop fires them, with one limit: a
+    horizon ({!run}).  One watermark records when durable state last
+    changed ({!converged_at}). *)
 
 type t
 
@@ -16,7 +18,7 @@ type handle
 val create : unit -> t
 
 val reset : t -> unit
-(** Rewind to the state {!create} returns: clock, seq, queue, watermarks,
+(** Rewind to the state {!create} returns: clock, seq, queue, watermark,
     monitor and sampler.  Queued occurrences are dropped and their
     events' queue counts zeroed; the queue's arrays and the {!lane}s
     stay (grown, empty), so an engine reused across runs allocates them
@@ -110,32 +112,19 @@ val run : ?until:Time.t -> t -> unit
 val run_until_idle : t -> unit
 (** [run] with no horizon. *)
 
-val run_until_quiescent : grace:Time.t -> t -> unit
-(** Fire events until the run has been {e quiescent} for [grace] of
-    virtual time: stop once every remaining event lies more than [grace]
-    past the latest {!note_activity} watermark (or past the current
-    clock, if nothing ever reported activity).  Unlike {!run_until_idle}
-    this terminates in the presence of periodic housekeeping that never
-    drains — the housekeeping keeps firing only as long as it keeps
-    producing activity.  A quiet stop runs the hooks like a drained
-    one.  @raise Invalid_argument if [grace <= 0]. *)
+(** {1 Convergence watermark}
 
-(** {1 Convergence watermarks}
+    Protocol code calls {!note_activity} whenever it changes durable
+    state (a RIB entry, a claim, tree state — not mere message
+    forwarding).  The time of the last note is when the run converged:
+    everything after it was churn-free. *)
 
-    Protocol code calls {!note_activity} whenever an actor class
-    changes durable state (a RIB entry, a claim, tree state — not mere
-    message forwarding).  The latest watermark across all classes is
-    the time the run converged: everything after it was churn-free. *)
-
-val note_activity : t -> string -> unit
-(** Record that actor class [cls] changed state at the current clock. *)
-
-val watermarks : t -> (string * Time.t) list
-(** Per-class last-state-change times, sorted by class name. *)
+val note_activity : t -> unit
+(** Record a durable state change at the current clock. *)
 
 val converged_at : t -> Time.t option
-(** The maximum watermark, i.e. when the last state change happened;
-    [None] if nothing ever reported activity. *)
+(** The time of the last {!note_activity}; [None] if nothing ever
+    reported activity. *)
 
 (** {1 Monitor and sampler hooks}
 
@@ -144,8 +133,8 @@ val converged_at : t -> Time.t option
     Each fires at most once per its cadence of virtual time (after the
     event that crossed the boundary) and once more when a run stops.
     The monitor (invariant checks) gets [~quiescent:false] at a cadence
-    firing and [~quiescent:true] at a drained or quiet stop, and skips
-    horizon stops.  The sampler (telemetry) gets the current time and
+    firing and [~quiescent:true] at a drained stop, and skips horizon
+    stops.  The sampler (telemetry) gets the current time and
     fires at every stop, so a series always carries a final point.
     Setting either replaces the previous one; a cadence [<= 0] or NaN
     raises [Invalid_argument]. *)
@@ -155,5 +144,3 @@ val set_monitor : t -> cadence:Time.t -> (quiescent:bool -> unit) -> unit
 val clear_monitor : t -> unit
 
 val set_sampler : t -> every:Time.t -> (Time.t -> unit) -> unit
-
-val clear_sampler : t -> unit

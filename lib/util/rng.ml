@@ -67,17 +67,6 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
-(* Fisher-Yates over [a.(0 .. len - 1)]. *)
-let shuffle_prefix t a len =
-  for i = len - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let shuffle t a = shuffle_prefix t a (Array.length a)
-
 (* Per-domain scratch for [sample_into], grown to the largest [n] seen
    and never cleared.  Sparse branch: [v] was drawn in the current call
    iff [stamps.(v) = generation].  Dense branch: [perm] holds the
@@ -99,7 +88,13 @@ let sample_into t k n dst =
     for i = 0 to n - 1 do
       perm.(i) <- i
     done;
-    shuffle_prefix t perm n;
+    (* Fisher-Yates over [perm.(0 .. n - 1)]. *)
+    for i = n - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
+    done;
     Array.blit perm 0 dst 0 k
   end
   else begin

@@ -63,9 +63,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val sample_into : t -> int -> int -> int array -> unit
 (** [sample_into t k n dst] draws [k] distinct integers from [\[0, n)],
     in random order, into [dst.(0 .. k - 1)], leaving the rest of [dst]

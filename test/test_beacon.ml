@@ -133,7 +133,7 @@ let make_fabric topo ~root_name =
       | None -> Bgmp_fabric.Unroutable
   in
   let fabric = Bgmp_fabric.create ~engine ~topo ~net ~route_to_root () in
-  (engine, fabric)
+  (engine, net, fabric)
 
 let dom topo name = Option.get (Topo.find_by_name topo name)
 
@@ -142,7 +142,7 @@ let fleet_config =
 
 let test_beacon_fleet_complete_at_loss_zero () =
   let topo = Gen.figure1 () in
-  let engine, fabric = make_fabric topo ~root_name:"B" in
+  let engine, _net, fabric = make_fabric topo ~root_name:"B" in
   let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config in
   let c = h (dom topo "C") 0 and f = h (dom topo "F") 0 and e = h (dom topo "E") 9 in
   Beacon.add_listener beacon ~group:g ~host:c;
@@ -165,14 +165,14 @@ let test_beacon_fleet_accounts_lost_probes () =
      after convergence: every probe copy bound for C is written off by
      the harvests; F keeps hearing probes. *)
   let topo = Gen.figure1 () in
-  let engine, fabric = make_fabric topo ~root_name:"B" in
+  let engine, net, fabric = make_fabric topo ~root_name:"B" in
   let beacon = Beacon.create ~engine ~topo ~fabric ~config:fleet_config in
   let cdom = dom topo "C" in
   Beacon.add_listener beacon ~group:g ~host:(h cdom 0);
   Beacon.add_listener beacon ~group:g ~host:(h (dom topo "F") 0);
   Beacon.add_source beacon ~group:g ~host:(h (dom topo "E") 9);
   Engine.run_until_idle engine;
-  Bgmp_fabric.fail_link fabric cdom (dom topo "B");
+  Net.fail_link net cdom (dom topo "B");
   Beacon.start beacon ~at:(Engine.now engine);
   Engine.run_until_idle engine;
   check Alcotest.int "probes sent" 3 (Beacon.probes_sent beacon);
@@ -189,7 +189,7 @@ let test_beacon_lost_in_registration_order () =
      receivers in registration order, and the totals equal a plain
      list-based tally over the registrations. *)
   let topo = Gen.figure1 () in
-  let engine, fabric = make_fabric topo ~root_name:"B" in
+  let engine, net, fabric = make_fabric topo ~root_name:"B" in
   (* The probe-lost narrative is read back from the flight recorder. *)
   Recorder.enable ~retain:Recorder.Keep_all ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
@@ -199,7 +199,7 @@ let test_beacon_lost_in_registration_order () =
   List.iter (fun host -> Beacon.add_listener beacon ~group:g ~host) listeners;
   Beacon.add_source beacon ~group:g ~host:(h (dom topo "E") 9);
   Engine.run_until_idle engine;
-  Bgmp_fabric.fail_link fabric cdom (dom topo "B");
+  Net.fail_link net cdom (dom topo "B");
   Beacon.start beacon ~at:(Engine.now engine);
   Engine.run_until_idle engine;
   let stranded host = host.Host_ref.host_domain <> dom topo "F" in
@@ -293,7 +293,7 @@ let test_campaign_rejects_bad_params () =
        ignore (Beacon_campaign.run { Beacon_campaign.default_params with trials = 0 });
        false
      with Invalid_argument _ -> true);
-  let ts = Timeseries.create () in
+  let ts = Timeseries.create (Filename.concat (Filename.get_temp_dir_name ()) "unwritten.jsonl") in
   check Alcotest.bool "telemetry with multiple trials rejected" true
     (try
        ignore
@@ -303,16 +303,32 @@ let test_campaign_rejects_bad_params () =
      with Invalid_argument _ -> true)
 
 let test_campaign_telemetry_series () =
-  let ts = Timeseries.create () in
-  let p =
-    { (small Beacon_campaign.default_params) with
-      Beacon_campaign.telemetry = Some (ts, 0.25)
-    }
-  in
-  let r = Beacon_campaign.run p in
-  check Alcotest.bool "campaign ran" true
-    (r.Beacon_campaign.agg.Beacon_matrix.s_sent > 0);
-  check Alcotest.bool "sampler drove the series" true (Timeseries.samples ts > 0)
+  let file = Filename.temp_file "beacon" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let ts = Timeseries.create file in
+      let p =
+        { (small Beacon_campaign.default_params) with
+          Beacon_campaign.telemetry = Some (ts, 0.25)
+        }
+      in
+      let r = Beacon_campaign.run p in
+      Timeseries.close ts;
+      check Alcotest.bool "campaign ran" true (r.Beacon_campaign.agg.Beacon_matrix.s_sent > 0);
+      let points, bad = Timeseries.load_jsonl_counted file in
+      check Alcotest.int "no malformed line" 0 bad;
+      let series = Timeseries.series_of points in
+      check (Alcotest.list Alcotest.string) "the fleet's four series"
+        [ "beacon.probes_outstanding"; "beacon.probes_sent"; "beacon.deliveries"; "beacon.lost" ]
+        (List.map fst series);
+      let sent = List.assoc "beacon.probes_sent" series in
+      check Alcotest.bool "the sampler drove several rows" true (Array.length sent > 1);
+      check (Alcotest.float 0.0) "the final row counts every probe"
+        (float_of_int
+           (List.fold_left (fun acc t -> acc + t.Beacon_campaign.r_probes_sent) 0
+              r.Beacon_campaign.trials))
+        (snd sent.(Array.length sent - 1)))
 
 (* --- Campaign verdict --------------------------------------------------- *)
 

@@ -375,7 +375,7 @@ let test_fabric_interior_handoff_bookkeeping () =
       check
         (Alcotest.option (Alcotest.float 0.))
         "bgmp watermark at the report's prune" (Some leave)
-        (List.assoc_opt "bgmp" (Engine.watermarks engine));
+        (Engine.converged_at engine);
       let at_t2 = leave +. Time.seconds 0.010 in
       Engine.run ~until:(at_t2 +. Time.seconds 0.005) engine;
       check Alcotest.bool "T1's entry gone after the interior prune" true
@@ -384,7 +384,7 @@ let test_fabric_interior_handoff_bookkeeping () =
       check
         (Alcotest.option (Alcotest.float 0.))
         "bgmp watermark at the prune's instant" (Some at_t2)
-        (List.assoc_opt "bgmp" (Engine.watermarks engine));
+        (Engine.converged_at engine);
       Engine.run_until_idle engine;
       check Alcotest.bool "R1 pruned" false (Bgmp_router.on_tree r1 g);
       check Alcotest.int "two prunes crossed links" 4 (Bgmp_fabric.control_messages fabric);

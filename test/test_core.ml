@@ -305,10 +305,6 @@ let test_invariants_clean_and_converged () =
     (Invariant.names (Internet.invariants inet));
   check Alcotest.int "an explicit full check is also clean" 0
     (List.length (Internet.check_invariants ~quiescent:false inet));
-  let classes = List.map fst (Engine.watermarks (Internet.engine inet)) in
-  List.iter
-    (fun c -> check Alcotest.bool (c ^ " watermark present") true (List.mem c classes))
-    [ "bgmp"; "bgp"; "masc" ];
   match Engine.converged_at (Internet.engine inet) with
   | Some t ->
       check Alcotest.bool "convergence time within the run" true

@@ -26,13 +26,14 @@ let diamond () =
 let test_bgp_reroutes_around_failed_link () =
   let topo, top, left, right, bottom = diamond () in
   let engine = Engine.create () in
-  let net = Bgp_network.create ~engine ~topo () in
+  let transport = Net.create ~engine () in
+  let net = Bgp_network.create ~engine ~net:transport ~topo () in
   Bgp_network.originate net top (p "224.0.0.0/16");
   Bgp_network.converge net;
   let g = Ipv4.of_string "224.0.0.1" in
   check (Alcotest.option Alcotest.int) "initially via left (lower id tie-break)" (Some left)
     (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
-  Bgp_network.fail_link net top left;
+  Net.fail_link transport top left;
   Bgp_network.converge net;
   check (Alcotest.option Alcotest.int) "fails over via right" (Some right)
     (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
@@ -42,7 +43,7 @@ let test_bgp_reroutes_around_failed_link () =
      only, so it loses it entirely. *)
   check Alcotest.bool "left lost the route (no valley transit)" true
     (Speaker.lookup (Bgp_network.speaker net left) g = None);
-  Bgp_network.restore_link net top left;
+  Net.restore_link transport top left;
   Bgp_network.converge net;
   check (Alcotest.option Alcotest.int) "recovers to left after restore" (Some left)
     (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
@@ -51,10 +52,12 @@ let test_bgp_reroutes_around_failed_link () =
 
 let test_bgp_fail_unknown_link_rejected () =
   let topo, top, _, _, bottom = diamond () in
-  let engine = Engine.create () in
-  let net = Bgp_network.create ~engine ~topo () in
-  Alcotest.check_raises "no such link" (Invalid_argument "Bgp_network.fail_link: no such link")
-    (fun () -> Bgp_network.fail_link net top bottom)
+  let inet = Internet.create ~config:Internet.quick_config topo in
+  Alcotest.check_raises "no such link" (Invalid_argument "Internet.fail_link: no such link")
+    (fun () -> Internet.fail_link inet top bottom);
+  Alcotest.check_raises "no such link to restore"
+    (Invalid_argument "Internet.restore_link: no such link")
+    (fun () -> Internet.restore_link inet top bottom)
 
 let integrated_diamond () =
   let topo, top, left, right, bottom = diamond () in
@@ -127,12 +130,13 @@ let test_fabric_loses_inflight_messages () =
       | Some nh -> Bgmp_fabric.Via nh
       | None -> Bgmp_fabric.Unroutable
   in
-  let fabric = Bgmp_fabric.create ~engine ~topo ~route_to_root () in
+  let net = Net.create ~engine () in
+  let fabric = Bgmp_fabric.create ~engine ~topo ~net ~route_to_root () in
   let g = Ipv4.of_string "224.9.0.1" in
   (* Join from left, then immediately fail the link before the engine
      runs: the in-flight join must be lost and no tree forms at top. *)
   Bgmp_fabric.host_join fabric ~host:(Host_ref.make left 0) ~group:g;
-  Bgmp_fabric.fail_link fabric top left;
+  Net.fail_link net top left;
   Engine.run_until_idle engine;
   check Alcotest.bool "top never heard the join" false
     (List.mem top (Bgmp_fabric.tree_domains fabric ~group:g))

@@ -1,6 +1,6 @@
 (* Tests for mcast_net: the link-transport substrate shared by MASC,
-   BGP and BGMP — FIFO channels, unified up/down state, deterministic
-   loss, and the engine's quiescence runner the stack settles with. *)
+   BGP and BGMP — FIFO channels, one up/down cell per endpoint pair and
+   deterministic loss. *)
 
 let check = Alcotest.check
 
@@ -47,31 +47,6 @@ let test_equal_time_tie_break_is_send_order () =
     "equal-time deliveries follow send order"
     [ ("ab", 1); ("ba", 2); ("ac", 3); ("ab", 4) ]
     (List.rev !got)
-
-let test_asymmetric_block () =
-  let engine, net = make () in
-  let got = ref [] in
-  let mk src dst tag =
-    Net.channel net ~protocol:"t" ~src ~dst ~delay:1.0 ~recv:(fun () -> got := tag :: !got)
-  in
-  let ab = mk 0 1 "a->b" and ba = mk 1 0 "b->a" in
-  let notified = ref 0 in
-  Net.on_link_change net (fun _ _ ~up:_ -> incr notified);
-  Net.block net ~from_:0 ~to_:1;
-  check Alcotest.bool "pair not fully up" false (Net.link_up net 0 1);
-  check Alcotest.bool "blocked direction down" false (Net.direction_up net ~from_:0 ~to_:1);
-  check Alcotest.bool "reverse direction still up" true (Net.direction_up net ~from_:1 ~to_:0);
-  Net.send ab ();
-  Net.send ba ();
-  Engine.run_until_idle engine;
-  check (Alcotest.list Alcotest.string) "only the open direction delivers" [ "b->a" ] !got;
-  check Alcotest.int "block does not notify listeners" 0 !notified;
-  Net.unblock net ~from_:0 ~to_:1;
-  check Alcotest.bool "pair up again" true (Net.link_up net 0 1);
-  Net.send ab ();
-  Engine.run_until_idle engine;
-  check (Alcotest.list Alcotest.string) "unblocked direction delivers" [ "a->b"; "b->a" ] !got;
-  check Alcotest.int "still no notifications" 0 !notified
 
 let loss_pattern ~seed =
   let engine, net =
@@ -136,29 +111,9 @@ let test_fail_restore_notify_on_transition_only () =
     [ (2, 3, false); (2, 3, true) ]
     (List.rev !log)
 
-let test_run_until_quiescent_outlives_housekeeping () =
-  (* Protocol activity stops but a periodic housekeeping timer keeps
-     the queue non-empty forever (MASC's sweep in a settled stack).  The
-     quiescence runner must stop once every remaining event lies beyond
-     the activity watermark plus the grace period. *)
-  let engine = Engine.create () in
-  let fired = ref 0 in
-  ignore (Engine.periodic engine ~interval:1.0 (fun () -> incr fired));
-  ignore (Engine.schedule_at engine 1.5 (fun () -> Engine.note_activity engine "proto"));
-  ignore (Engine.schedule_at engine 3.5 (fun () -> Engine.note_activity engine "proto"));
-  Engine.run_until_quiescent ~grace:4.0 engine;
-  check Alcotest.bool "terminated despite the immortal periodic" true (Engine.pending engine > 0);
-  check (Alcotest.float 1e-9) "stopped at watermark + grace" 7.0 (Engine.now engine);
-  check Alcotest.int "housekeeping ran through the grace window" 7 !fired;
-  check Alcotest.bool "non-positive grace rejected" true
-    (try
-       Engine.run_until_quiescent ~grace:0.0 engine;
-       false
-     with Invalid_argument _ -> true)
-
 let test_on_drop_observer () =
   (* The drop observer must see both drop flavours: at the source (send
-     on a downed direction) and in flight (link fails before delivery),
+     on a downed link) and in flight (link fails before delivery),
      each with the lost message. *)
   let engine, net = make () in
   let dropped = ref [] in
@@ -170,7 +125,7 @@ let test_on_drop_observer () =
   Net.send ch 1;
   (* In flight: 1 is on the wire when the link dies. *)
   Net.fail_link net 0 1;
-  (* At source: the direction is already down. *)
+  (* At source: the link is already down. *)
   Net.send ch 2;
   Engine.run_until_idle engine;
   check (Alcotest.list Alcotest.int) "observer saw both losses" [ 1; 2 ]
@@ -246,9 +201,10 @@ let test_fail_link_drops_every_protocol () =
     [ "masc"; "bgp"; "bgmp" ]
 
 let test_late_channel_sees_link_state () =
+  (* Channels made after a failure, in either direction, share the
+     failed pair's cell; the healthy pair delivers both ways. *)
   let engine, net = make () in
-  Net.fail_link net 0 1;
-  Net.block net ~from_:2 ~to_:3;
+  Net.fail_link net 1 0;
   let got = ref [] in
   let lanes =
     List.map
@@ -258,23 +214,8 @@ let test_late_channel_sees_link_state () =
   in
   List.iteri (fun i ch -> Net.send ch i) lanes;
   Engine.run_until_idle engine;
-  check (Alcotest.list Alcotest.int) "only the unblocked reverse lane delivers" [ 3 ] !got;
-  check Alcotest.int "three dropped at the source" 3 (Net.dropped net ~protocol:"t")
-
-let test_block_leaves_reverse_cell () =
-  (* A message in flight on the reverse direction survives a block of
-     the forward one: the two directions are separate cells. *)
-  let engine, net = make () in
-  let got = ref [] in
-  let ab = Net.channel net ~protocol:"t" ~src:0 ~dst:1 ~delay:2.0 ~recv:(fun m -> got := m :: !got) in
-  let ba = Net.channel net ~protocol:"t" ~src:1 ~dst:0 ~delay:2.0 ~recv:(fun m -> got := m :: !got) in
-  Net.send ab 1;
-  Net.send ba 2;
-  ignore (Engine.schedule_at engine 1.0 (fun () -> Net.block net ~from_:0 ~to_:1));
-  Engine.run_until_idle engine;
-  check (Alcotest.list Alcotest.int) "reverse message lands" [ 2 ] !got;
-  check Alcotest.bool "reverse direction up" true (Net.direction_up net ~from_:1 ~to_:0);
-  check Alcotest.bool "blocked direction down" false (Net.direction_up net ~from_:0 ~to_:1)
+  check (Alcotest.list Alcotest.int) "only the healthy pair delivers" [ 2; 3 ] (List.rev !got);
+  check Alcotest.int "both directions dropped at the source" 2 (Net.dropped net ~protocol:"t")
 
 let test_fail_restore_within_flight () =
   (* The epoch, not the up/down bit, decides: a message sent before a
@@ -423,10 +364,9 @@ let test_reset_reads_like_fresh () =
   Net.fail_link net 0 1;
   Net.restore_link net 1 0;
   Net.set_loss_rate net 0.9;
-  Net.block net ~from_:0 ~to_:1;
+  Net.fail_link net 1 0;
   Engine.reset engine;
   Net.reset net ~loss_rate:lossy.Net.loss_rate ~loss_seed:lossy.Net.loss_seed;
-  check Alcotest.bool "link up" true (Net.link_up net 0 1);
   check Alcotest.int "nothing in flight" 0 (Net.in_flight net ~protocol:"t");
   check Alcotest.int "counts zero" 0 (Net.sent net ~protocol:"t");
   got := [];
@@ -445,18 +385,15 @@ let suite =
     ("on_drop observer", `Quick, test_on_drop_observer);
     ("set_loss_rate phases", `Quick, test_set_loss_rate_phases);
     ("equal-time tie-break is send order", `Quick, test_equal_time_tie_break_is_send_order);
-    ("asymmetric block", `Quick, test_asymmetric_block);
     ("seeded loss is reproducible", `Quick, test_seeded_loss_is_reproducible);
     ("fail_link drops in-flight", `Quick, test_fail_link_drops_in_flight);
     ("fail/restore notify on transition only", `Quick, test_fail_restore_notify_on_transition_only);
     ("fail_link drops every protocol's lane", `Quick, test_fail_link_drops_every_protocol);
     ("late channel sees link state", `Quick, test_late_channel_sees_link_state);
-    ("block leaves the reverse cell", `Quick, test_block_leaves_reverse_cell);
     ("fail+restore within one flight", `Quick, test_fail_restore_within_flight);
     ("rejects NaN", `Quick, test_rejects_nan);
     ("send allocation", `Quick, test_send_allocation);
     ("ring FIFO across wrap and growth", `Quick, test_ring_fifo_across_wrap_and_growth);
     ("ring epoch drop after a wrap", `Quick, test_ring_epoch_drop_after_wrap);
     ("ring releases delivered slots", `Quick, test_ring_releases_delivered);
-    ("run_until_quiescent outlives housekeeping", `Quick, test_run_until_quiescent_outlives_housekeeping);
   ]

@@ -134,6 +134,151 @@ let test_jsonl_escape_roundtrip () =
   check (Alcotest.option Alcotest.string) "escape then parse" (Some s)
     (Option.bind (Jsonl.parse ("\"" ^ Jsonl.json_escape s ^ "\"")) Jsonl.to_string)
 
+(* --- every loader under fuzzing ----------------------------------------- *)
+
+(* Each loader as (rows, malformed).  The matrix folds its meta lines
+   into one list, so its row count takes the meta as one line: the
+   artifacts below carry a single meta line of two fields, which no one
+   flip or cut turns into two. *)
+let loaders =
+  let rows (xs, bad) = (List.length xs, bad) in
+  [
+    ("recording", fun f -> rows (Recorder.load_jsonl f));
+    ("profile", fun f -> rows (Prof.load_jsonl_counted f));
+    ("telemetry", fun f -> rows (Timeseries.load_jsonl_counted f));
+    ("ledger", fun f -> rows (Ledger.load f));
+    ( "matrix",
+      fun f ->
+        let meta, cells, bad = Beacon_matrix.load_jsonl_counted f in
+        (List.length cells + (if meta = [] then 0 else 1), bad) );
+  ]
+
+let with_temp f =
+  let file = Filename.temp_file "fuzz" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
+
+(* One artifact of each kind, as a small run writes it. *)
+let artifacts () =
+  let read file = In_channel.with_open_bin file In_channel.input_all in
+  let recording, profile =
+    with_temp (fun rec_file ->
+        with_temp (fun prof_file ->
+            Prof.enable ();
+            Recorder.enable ~sink:rec_file ();
+            Fun.protect
+              ~finally:(fun () ->
+                Recorder.disable ();
+                Prof.disable ())
+              (fun () -> ignore (Scenario.figure3 ()));
+            Prof.write_jsonl prof_file;
+            Prof.reset ();
+            (read rec_file, read prof_file)))
+  in
+  let telemetry =
+    with_temp (fun file ->
+        let ts = Timeseries.create file in
+        let n = ref 0 in
+        Timeseries.register ts "fuzz.count" (fun () -> float_of_int !n);
+        Timeseries.register ts "fuzz.ratio" (fun () -> 1.0 /. float_of_int (!n + 3));
+        for i = 1 to 6 do
+          n := i * i;
+          Timeseries.sample ts ~time:(float_of_int i *. 0.5)
+        done;
+        Timeseries.close ts;
+        read file)
+  in
+  let ledger =
+    with_temp (fun ledger ->
+        ignore
+          (Explore.run_campaign
+             { Explore.default_config with Explore.budget = 3; seed = 7; jobs = Some 1; ledger });
+        read ledger)
+  in
+  let matrix =
+    with_temp (fun file ->
+        let r =
+          Beacon_campaign.run ~jobs:1
+            { Beacon_campaign.default_params with domains = 8; per_domain = 1; probes = 2 }
+        in
+        Beacon_matrix.write_jsonl ~meta:[ ("trials", 1.0); ("loss", 0.0) ] file
+          r.Beacon_campaign.cells;
+        read file)
+  in
+  [
+    ("recording", recording);
+    ("profile", profile);
+    ("telemetry", telemetry);
+    ("ledger", ledger);
+    ("matrix", matrix);
+  ]
+
+(* Random bytes, newline-free or with short or long lines. *)
+let random_bytes rng =
+  let nl_every = [| 0; 16; 512 |].(Rng.int rng 3) in
+  String.init (Rng.int rng 9000) (fun _ ->
+      if nl_every > 0 && Rng.int rng nl_every = 0 then '\n' else Char.chr (Rng.int rng 256))
+
+(* Cuts (the final newline dropped, and random prefixes) and
+   single-byte flips of an artifact. *)
+let mutants rng text =
+  let n = String.length text in
+  let cut k = String.sub text 0 k in
+  let flip () =
+    let b = Bytes.of_string text and i = Rng.int rng n in
+    Bytes.set b i (Char.chr ((Char.code text.[i] + 1 + Rng.int rng 255) land 255));
+    Bytes.to_string b
+  in
+  (cut (n - 1) :: List.init 12 (fun _ -> cut (Rng.int rng (n + 1))))
+  @ List.init 24 (fun _ -> flip ())
+
+let non_blank_lines text =
+  let lines = String.split_on_char '\n' text in
+  List.length (List.filter (fun l -> String.trim l <> "") lines)
+
+(* The last line is cut when the file does not end in a newline and
+   that line is neither blank nor a JSON document. *)
+let cut_reference text =
+  let n = String.length text in
+  n > 0
+  && text.[n - 1] <> '\n'
+  &&
+  let last =
+    match String.rindex_opt text '\n' with
+    | Some i -> String.sub text (i + 1) (n - i - 1)
+    | None -> text
+  in
+  String.trim last <> "" && Jsonl.parse last = None
+
+let test_loaders_fuzz () =
+  let rng = Rng.create 42 in
+  let inputs =
+    List.init 20 (fun i -> (Printf.sprintf "random bytes #%d" i, random_bytes rng))
+    @ List.concat_map
+        (fun (kind, text) ->
+          (kind ^ " intact", text)
+          :: List.mapi (fun i m -> (Printf.sprintf "%s mutant #%d" kind i, m)) (mutants rng text))
+        (Metrics.with_current (Metrics.create ()) artifacts)
+  in
+  with_temp (fun file ->
+      List.iter
+        (fun (what, text) ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc text);
+          let lines = non_blank_lines text in
+          List.iter
+            (fun (loader, load) ->
+              match load file with
+              | rows, bad ->
+                  if rows + bad <> lines then
+                    Alcotest.failf "%s loader on %s: %d rows + %d malformed for %d lines" loader
+                      what rows bad lines
+              | exception Sys_error _ -> ()
+              | exception e ->
+                  Alcotest.failf "%s loader on %s: raised %s" loader what (Printexc.to_string e))
+            loaders;
+          check Alcotest.bool (what ^ ": last_line_cut") (cut_reference text)
+            (Jsonl.last_line_cut file))
+        inputs)
+
 let suite =
   [
     ("diff identical streams", `Quick, test_diff_identical);
@@ -146,4 +291,5 @@ let suite =
     ("jsonl values", `Quick, test_jsonl_values);
     ("jsonl rejects", `Quick, test_jsonl_rejects);
     ("jsonl escape roundtrip", `Quick, test_jsonl_escape_roundtrip);
+    ("jsonl loaders survive fuzzing", `Quick, test_loaders_fuzz);
   ]

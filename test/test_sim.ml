@@ -114,7 +114,7 @@ let test_engine_lane_quiescent_skips_cancelled () =
   ignore (Engine.schedule_at e 0.5 (fun () -> fired := "heap" :: !fired));
   Engine.cancel e stale;
   check Alcotest.int "cancelled head leaves the live count" 2 (Engine.pending e);
-  Engine.run_until_quiescent ~grace:5.0 e;
+  Engine.run e;
   check (Alcotest.list Alcotest.string) "live events behind the cancelled head fire"
     [ "heap"; "lane" ] (List.rev !fired);
   check Alcotest.int "nothing pending" 0 (Engine.pending e);
@@ -201,76 +201,41 @@ let test_engine_pending_periodic_self_cancel () =
 let test_engine_watermarks () =
   let e = Engine.create () in
   check (Alcotest.option (Alcotest.float 1e-9)) "no activity yet" None (Engine.converged_at e);
-  check Alcotest.int "no watermarks yet" 0 (List.length (Engine.watermarks e));
-  ignore (Engine.schedule_at e 1.0 (fun () -> Engine.note_activity e "bgp"));
-  ignore (Engine.schedule_at e 2.0 (fun () -> Engine.note_activity e "masc"));
-  ignore (Engine.schedule_at e 3.0 (fun () -> Engine.note_activity e "bgp"));
+  List.iter
+    (fun t -> ignore (Engine.schedule_at e t (fun () -> Engine.note_activity e)))
+    [ 1.0; 2.0; 3.0 ];
+  ignore (Engine.schedule_at e 4.0 ignore);
   Engine.run_until_idle e;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "per-class watermarks, sorted by class"
-    [ ("bgp", 3.0); ("masc", 2.0) ]
-    (Engine.watermarks e);
   check (Alcotest.option (Alcotest.float 1e-9)) "converged at the last state change" (Some 3.0)
     (Engine.converged_at e)
 
 let test_engine_watermarks_empty_run () =
-  (* A run that never notes activity: no watermarks, no convergence
-     time, and quiescence detection still terminates (quiet window
-     anchors on the clock). *)
+  (* Runs that never note activity, idle or not, have no convergence
+     time. *)
   let e = Engine.create () in
   Engine.run_until_idle e;
   check (Alcotest.option (Alcotest.float 1e-9)) "idle run: no convergence" None
     (Engine.converged_at e);
-  check Alcotest.int "idle run: no watermarks" 0 (List.length (Engine.watermarks e));
   let e2 = Engine.create () in
   let fired = ref 0 in
   ignore (Engine.schedule_at e2 1.0 (fun () -> incr fired));
-  Engine.run_until_quiescent ~grace:5.0 e2;
-  check Alcotest.int "silent event fires inside the window" 1 !fired;
+  Engine.run_until_idle e2;
+  check Alcotest.int "silent event fires" 1 !fired;
   check (Alcotest.option (Alcotest.float 1e-9)) "still no convergence" None
     (Engine.converged_at e2)
 
-let test_engine_quiescence_grace_boundary () =
-  (* Events past the quiet window never fire — activity they would
-     have reported cannot resurrect the run. *)
-  let e = Engine.create () in
-  ignore (Engine.schedule_at e 1.0 (fun () -> Engine.note_activity e "x"));
-  let late = ref false in
-  ignore
-    (Engine.schedule_at e 20.0 (fun () ->
-         late := true;
-         Engine.note_activity e "x"));
-  Engine.run_until_quiescent ~grace:5.0 e;
-  check Alcotest.bool "event beyond watermark+grace never fires" false !late;
-  check Alcotest.int "it stays pending" 1 (Engine.pending e);
-  check (Alcotest.option (Alcotest.float 1e-9)) "converged at the last fired activity" (Some 1.0)
-    (Engine.converged_at e);
-  (* A chain of state changes each within [grace] of the last keeps
-     extending the run. *)
-  let e2 = Engine.create () in
-  List.iter
-    (fun t -> ignore (Engine.schedule_at e2 t (fun () -> Engine.note_activity e2 "x")))
-    [ 1.0; 4.0; 7.0; 10.0 ];
-  Engine.run_until_quiescent ~grace:5.0 e2;
-  check (Alcotest.option (Alcotest.float 1e-9)) "chained activity extends the run" (Some 10.0)
-    (Engine.converged_at e2)
-
 let test_engine_watermark_ordering () =
-  (* The watermark list is sorted by class name, independent of the
-     order classes first report, and converged_at is the max across
-     classes whichever class produced it. *)
+  (* The watermark follows firing order, not scheduling order, and a
+     horizon stop reads the last note fired before it. *)
   let e = Engine.create () in
-  ignore (Engine.schedule_at e 1.0 (fun () -> Engine.note_activity e "zeta"));
-  ignore (Engine.schedule_at e 2.0 (fun () -> Engine.note_activity e "alpha"));
-  ignore (Engine.schedule_at e 3.0 (fun () -> Engine.note_activity e "mid"));
-  Engine.run_until_idle e;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "sorted by class, not by first report"
-    [ ("alpha", 2.0); ("mid", 3.0); ("zeta", 1.0) ]
-    (Engine.watermarks e);
-  check (Alcotest.option (Alcotest.float 1e-9)) "max watermark wins" (Some 3.0)
+  List.iter
+    (fun t -> ignore (Engine.schedule_at e t (fun () -> Engine.note_activity e)))
+    [ 3.0; 1.0; 2.0 ];
+  Engine.run ~until:2.5 e;
+  check (Alcotest.option (Alcotest.float 1e-9)) "last note before the horizon" (Some 2.0)
+    (Engine.converged_at e);
+  Engine.run e;
+  check (Alcotest.option (Alcotest.float 1e-9)) "latest note once drained" (Some 3.0)
     (Engine.converged_at e)
 
 let test_engine_monitor () =
@@ -490,7 +455,7 @@ let test_engine_rearm_drawn_delay_allocation () =
 
 let test_engine_lane_allocation () =
   (* One reusable event armed through a lane and fired, as a channel
-     does per message, drained to idle and to quiescence.  The lane
+     does per message, drained to idle and to a horizon.  The lane
      stores [now + delay] straight into its float ring, and the drain
      compares the head against its limit in place, so in release the
      loop allocates nothing once the ring has grown.  A dev build (no
@@ -512,7 +477,7 @@ let test_engine_lane_allocation () =
       check Alcotest.bool
         (Printf.sprintf "arm_lane + fire (%s) allocates %.1f B <= %.0f B" name bytes budget)
         true (bytes <= budget))
-    [ ("idle", Engine.run_until_idle); ("quiescent", Engine.run_until_quiescent ~grace:1.0) ]
+    [ ("idle", Engine.run_until_idle); ("horizon", Engine.run ~until:1e6) ]
 
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
@@ -534,11 +499,12 @@ let prop_engine_any_schedule_order_fires_sorted =
 module Ref_engine = struct
   type ev = { time : float; mutable dead : bool; action : unit -> unit }
 
-  type t = { mutable now : float; q : ev Heap.t; mutable live : int }
+  type t = { mutable now : float; q : ev Heap.t; mutable live : int; mutable note : float option }
 
   type handle = { mutable stop : unit -> unit }
 
-  let create () = { now = 0.0; q = Heap.create ~cmp:(fun a b -> Float.compare a.time b.time); live = 0 }
+  let create () =
+    { now = 0.0; q = Heap.create ~cmp:(fun a b -> Float.compare a.time b.time); live = 0; note = None }
 
   let now t = t.now
 
@@ -584,7 +550,9 @@ module Ref_engine = struct
 
   let pending t = t.live
 
-  let note_activity _ _ = ()
+  let note_activity t = t.note <- Some t.now
+
+  let converged_at t = t.note
 
   let rec step t =
     match Heap.pop t.q with
@@ -622,7 +590,9 @@ module type ENGINE = sig
 
   val step : t -> bool
 
-  val note_activity : t -> string -> unit
+  val note_activity : t -> unit
+
+  val converged_at : t -> float option
 end
 
 (* The engine under test arms [arm_fixed] events through its lanes. *)
@@ -638,7 +608,7 @@ module Lane_engine = struct
 end
 
 (* What a fired event does besides logging (time, label). *)
-type effect = Log | Cancel_handle of int | Spawn of float | Spawn_lane of float | Note of int
+type effect = Log | Cancel_handle of int | Spawn of float | Spawn_lane of float | Note
 
 type op =
   | At of float * effect  (* schedule_at, [dt] past now *)
@@ -653,7 +623,7 @@ let pp_effect = function
   | Cancel_handle k -> Printf.sprintf "cancel#%d" k
   | Spawn d -> Printf.sprintf "spawn+%g" d
   | Spawn_lane d -> Printf.sprintf "spawn-lane+%g" d
-  | Note k -> Printf.sprintf "note#%d" k
+  | Note -> "note"
 
 let pp_op = function
   | At (d, f) -> Printf.sprintf "at+%g/%s" d (pp_effect f)
@@ -665,7 +635,8 @@ let pp_op = function
 
 (* Runs a program, then an event 10 s on that cancels every handle
    (ending the periodic ones), then [drain]; returns the (time, label)
-   of every firing, [pending] after every op and the final clock.
+   of every firing, [pending] after every op, and the final clock with
+   the convergence watermark.
    Small, coarse delays make equal-time ties common, so the FIFO
    tie-break is exercised. *)
 module Interp (E : ENGINE) = struct
@@ -682,7 +653,7 @@ module Interp (E : ENGINE) = struct
           if n > 0 then E.cancel e !handles.(k mod n)
       | Spawn d -> add (E.schedule_after e d (action (label ^ "'") Log))
       | Spawn_lane d -> add (E.arm_fixed e d ~times:1 (action (label ^ "'") Log))
-      | Note k -> E.note_activity e (Printf.sprintf "class%d" (k mod 3))
+      | Note -> E.note_activity e
     in
     List.iteri
       (fun i op ->
@@ -705,7 +676,7 @@ module Interp (E : ENGINE) = struct
            fired := (E.now e, "end") :: !fired;
            Array.iter (E.cancel e) !handles));
     drain e;
-    (List.rev !fired, List.rev !counts, E.now e)
+    (List.rev !fired, List.rev !counts, (E.now e, E.converged_at e))
 end
 
 module Run_engine = Interp (Lane_engine)
@@ -726,7 +697,7 @@ let gen_program =
         (2, map (fun k -> Cancel_handle k) (0 -- 20));
         (1, map (fun d -> Spawn d) delay);
         (1, map (fun d -> Spawn_lane d) lane_delay);
-        (2, map (fun k -> Note k) (0 -- 2));
+        (2, return Note);
       ]
   in
   let op =
@@ -748,10 +719,9 @@ let rec steps step e = if step e then steps step e
    cadence no run reaches, so it fires only at stops) that log their
    stop calls.  [drive stop] runs the engine; each [stop expect run]
    checks that [run] ends with the calls [expect ()] names: the
-   monitor's [~quiescent:true] then the sampler at a drained or quiet
-   stop, the sampler alone at a horizon stop, nothing from [step].
-   Clears [ok] on a mismatch, or if [converged_at] is not then the
-   greatest watermark. *)
+   monitor's [~quiescent:true] then the sampler at a drained stop, the
+   sampler alone at a horizon stop, nothing from [step].  Clears [ok]
+   on a mismatch. *)
 let hooked ~ok drive e =
   let hooks = ref [] in
   Engine.set_monitor e ~cadence:1.0 (fun ~quiescent -> if quiescent then hooks := `Quiet :: !hooks);
@@ -759,13 +729,7 @@ let hooked ~ok drive e =
   drive (fun expect run ->
       hooks := [];
       run e;
-      if List.rev !hooks <> expect () then ok := false);
-  let greatest =
-    List.fold_left
-      (fun acc (_, w) -> Some (Option.fold ~none:w ~some:(Float.max w) acc))
-      None (Engine.watermarks e)
-  in
-  if Engine.converged_at e <> greatest then ok := false
+      if List.rev !hooks <> expect () then ok := false)
 
 let stopped () = [ `Quiet; `Sample ]
 
@@ -787,46 +751,31 @@ let drain_slices ~ok slices e =
       stop stopped Engine.run_until_idle)
     e
 
-let drain_quiescent ~ok ~grace =
-  hooked ~ok (fun stop -> stop stopped (Engine.run_until_quiescent ~grace))
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | x :: a, y :: b -> x = y && is_prefix a b
-  | _ :: _, [] -> false
-
-(* The engine against the reference, drained four ways: by repeated
-   [step], by one [run], by [run] in random [~until] slices and by
-   [run_until_quiescent].  The first three fire exactly what the
-   reference fires and end on its clock; the quiet stop fires a
-   prefix.  Every run stops with the right hooks. *)
+(* The engine against the reference, drained three ways: by repeated
+   [step], by one [run] and by [run] in random [~until] slices.  Each
+   fires exactly what the reference fires and ends on its clock and
+   watermark, and every run stops with the right hooks. *)
 let prop_engine_matches_heap_reference =
   let gen =
-    QCheck.Gen.(
-      triple gen_program
-        (list_size (0 -- 8) (oneofl [ 0.0; 0.5; 1.0; 2.5; 4.0; 6.0 ]))
-        (oneofl [ 0.5; 1.0; 3.0 ]))
+    QCheck.Gen.(pair gen_program (list_size (0 -- 8) (oneofl [ 0.0; 0.5; 1.0; 2.5; 4.0; 6.0 ])))
   in
-  let print (prog, slices, grace) =
-    Printf.sprintf "%s | slices %s | grace %g"
+  let print (prog, slices) =
+    Printf.sprintf "%s | slices %s"
       (String.concat "; " (List.map pp_op prog))
       (String.concat " " (List.map string_of_float slices))
-      grace
   in
   QCheck.Test.make ~name:"engine fires like the Heap reference engine" ~count:500
     (QCheck.make ~print gen)
-    (fun (prog, slices, grace) ->
+    (fun (prog, slices) ->
       let ok = ref true in
       let reference = Run_ref.run ~drain:(steps Ref_engine.step) prog in
       let fires drain = Run_engine.run ~drain prog in
-      let quiet, _, _ = fires (drain_quiescent ~ok ~grace) and all, _, _ = reference in
       fires (drain_steps ~ok) = reference
       && fires (drain_run ~ok) = reference
       && fires (drain_slices ~ok slices) = reference
-      && is_prefix quiet all && !ok)
+      && !ok)
 
-(* A reset engine fires what a fresh one fires: clock, seq, watermarks
+(* A reset engine fires what a fresh one fires: clock, seq, watermark
    and hooks rewound, heap and lanes emptied, and an event that was
    queued at the reset (a channel's arrival, say) arms from a zero
    count, so cancelling it later moves nothing. *)
@@ -836,7 +785,7 @@ let test_engine_reset_reads_like_fresh () =
     let persistent = Engine.event ~label:"p" (fun () -> fired := "p" :: !fired) in
     ignore (Engine.schedule_at e 1.0 (fun () -> fired := "h1" :: !fired));
     Engine.arm_lane e lane persistent;
-    ignore (Engine.schedule_at e 2.0 (fun () -> Engine.note_activity e "x"));
+    ignore (Engine.schedule_at e 2.0 (fun () -> Engine.note_activity e));
     ignore (Engine.periodic e ~interval:3.0 (fun () -> fired := "tick" :: !fired));
     persistent
   in
@@ -887,7 +836,6 @@ let suite =
     ("engine pending periodic self-cancel", `Quick, test_engine_pending_periodic_self_cancel);
     ("engine watermarks and converged_at", `Quick, test_engine_watermarks);
     ("engine watermarks empty run", `Quick, test_engine_watermarks_empty_run);
-    ("engine quiescence grace boundary", `Quick, test_engine_quiescence_grace_boundary);
     ("engine watermark ordering determinism", `Quick, test_engine_watermark_ordering);
     ("engine monitor hook", `Quick, test_engine_monitor);
     ("engine rejects NaN", `Quick, test_engine_rejects_nan);

@@ -5,20 +5,57 @@
 # lib/, bin/, test/, examples/, bench/ and perfbench/.  Every library is
 # unwrapped, so a module is named after its file.  A reference through
 # `open` or a module alias is not seen: write the full name instead.
+# Comments (doc comments and their {!Module.name} links included) are
+# not uses: they are blanked before anything is collected.
 #
 #   bash tools/unused_exports.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# "file Module.name" for every qualified lower-case name in every source;
-# a doc link {!Module.name} is not a use.
-refs=$(grep -rnoE --include='*.ml' --include='*.mli' \
-  "(\{!)?[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" \
+src=$(mktemp -d)
+trap 'rm -rf "$src"' EXIT
+
+# A copy of every source under $src with its comments blanked (newlines
+# kept).  Comments nest, and as in the OCaml lexer a string, quoted
+# string or character literal is one token, inside a comment or out, so
+# a "(*" or "*)" in one delimits nothing.
+find lib bin test examples bench perfbench \( -name '*.ml' -o -name '*.mli' \) -print0 |
+  xargs -0 perl -MFile::Path=make_path -MFile::Basename=dirname -e '
+    my $dst = shift @ARGV;
+    local $/;
+    for my $file (@ARGV) {
+      open my $in, "<", $file or die "$file: $!";
+      my $s = <$in>;
+      close $in;
+      my ($out, $depth) = ("", 0);
+      while ($s =~ m~\G(?:
+          ("(?:[^"\\]|\\.)*")                        # string
+        | (\{([a-z_]*)\|.*?\|\3\})                   # quoted string
+        | (\x27(?:[^\\\x27\n]|\\(?:[\\\x27"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}))\x27)  # char
+        | (\(\*)                                     # comment opens
+        | (\*\))                                     # comment closes
+        | [^"{\x27(*]+ | .)~gsx) {
+        my $tok = $&;
+        if (defined $5) { $depth++ }
+        my $blank = $depth > 0;
+        if (defined $6 && $depth > 0) { $depth-- }
+        $tok =~ s/[^\n]/ /g if $blank;
+        $out .= $tok;
+      }
+      make_path("$dst/" . dirname($file));
+      open my $o, ">", "$dst/$file" or die "$dst/$file: $!";
+      print $o $out;
+      close $o;
+    }' "$src"
+
+# "file Module.name" for every qualified lower-case name in every source.
+refs=$(cd "$src" && grep -rnoE --include='*.ml' --include='*.mli' \
+  "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" \
   lib bin test examples bench perfbench |
-  awk -F: '$3 !~ /^\{!/ { print $1, $3 }' | sort -u)
+  awk -F: '{ print $1, $3 }' | sort -u)
 
 # "file Module.name" for every top-level val of every lib interface.
-vals=$(find lib -name '*.mli' | sort | while read -r mli; do
+vals=$(cd "$src" && find lib -name '*.mli' | sort | while read -r mli; do
   base=$(basename "$mli" .mli)
   mod="$(printf %s "${base:0:1}" | tr '[:lower:]' '[:upper:]')${base:1}"
   sed -nE "s/^val ([a-z_][A-Za-z0-9_']*).*/\1/p" "$mli" |
