@@ -101,11 +101,8 @@ type t = {
   host_numbers : Packed_map.t;  (** [Host_ref.key] -> host number *)
   mutable n_hosts : int;  (** hosts numbered so far *)
   mutable cycles : cycle_scratch option;  (** see [cycle_scratch] *)
-  mutable sink : Bgmp_router.sink;  (** where routers forward data; built once *)
-  mutable picks : int array array;
-      (** per nesting level of interior distribution, the border routers
-          taking a copy; see [internal_distribute] *)
-  mutable depth : int;  (** interior distributions in progress *)
+  work : Bgmp_router.work;  (** the data plane's pending copies; see [drain] *)
+  internal : Bgmp_router.target array;  (** [Internal_router rid] for each router *)
 }
 
 let peer_of rid = rid lxor 1
@@ -309,44 +306,6 @@ let rec deliver_members t ~group ~source ~payload ~hops = function
       record_delivery t ~group ~source ~payload ~host ~hops;
       deliver_members t ~group ~source ~payload ~hops rest
 
-(* The scratch of interior distributions nested [level] deep: one
-   level's picks must survive the hand-offs, which may distribute into
-   the same domain again. *)
-let picks_at t level =
-  if level = Array.length t.picks then begin
-    let width = Array.fold_left (fun m rids -> max m (List.length rids)) 0 t.domain_routers in
-    let grown = Array.make (level + 1) [||] in
-    Array.blit t.picks 0 grown 0 level;
-    grown.(level) <- Array.make width 0;
-    t.picks <- grown
-  end;
-  t.picks.(level)
-
-(* Write into [picks], from index [n] on, the border routers in [rids],
-   bar [entry], that take a copy of a packet from the domain's interior,
-   and return how many [picks] then holds: those with state for it, and
-   the one whose link is the next hop toward the group's root.  That
-   next hop is the same for every router of the domain, so it is looked
-   up at most once per packet ([root_via] carries it once known), and
-   only when some router has no state. *)
-let rec pick_routers t picks ~dom ~group ~source ~entry ~root_via n = function
-  | [] -> n
-  | rid :: rest when rid = entry -> pick_routers t picks ~dom ~group ~source ~entry ~root_via n rest
-  | rid :: rest ->
-      let r = t.routers.(rid) in
-      if Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group then begin
-        picks.(n) <- rid;
-        pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
-      end
-      else begin
-        let root_via = if root_via <> via_unknown then root_via else root_hop t dom group in
-        if t.router_neighbor.(rid) = root_via then begin
-          picks.(n) <- rid;
-          pick_routers t picks ~dom ~group ~source ~entry ~root_via (n + 1) rest
-        end
-        else pick_routers t picks ~dom ~group ~source ~entry ~root_via n rest
-      end
-
 let rec exec_actions t rid = function
   | [] -> ()
   | action :: rest ->
@@ -372,7 +331,7 @@ and exec_action t rid (target, msg) =
       (* Intra-domain hand-off between internal BGMP peers: immediate
          (interior latency is below our modelling grain) and addressed,
          not flooded. *)
-      arrive t r ~from:(Bgmp_router.Internal_router rid) msg
+      arrive t r ~from:t.internal.(rid) msg
   | Bgmp_router.Migp_target -> to_interior t (Bgmp_router.domain t.routers.(rid)) ~sender:rid msg
 
 (* A (star,G) join or prune handed to domain [dom]'s MIGP component by
@@ -393,23 +352,21 @@ and to_interior t dom ~sender msg =
       | Some _ | None -> ())
   | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> ()
 
-(* A message reaching router [rid] from another router: its external
-   peer ([Peer]), another border router of the domain
-   ([Internal_router]) or the interior ([Migp_target]).  A join's arrival
-   is the tree hop the recorder narrates. *)
+(* A control message reaching router [rid] from another router: its
+   external peer ([Peer]), another border router of the domain
+   ([Internal_router]) or the interior ([Migp_target]).  A join's
+   arrival is the tree hop the recorder narrates. *)
 and arrive t rid ~from msg =
-  match msg with
-  | Bgmp_msg.Data { group; source; payload; hops } ->
-      arrive_data t ~to_:rid ~from ~group ~source ~payload ~hops
-  | Bgmp_msg.Join { group; span } ->
-      (match from with
+  (match msg with
+  | Bgmp_msg.Join { group; span } -> (
+      match from with
       | Bgmp_router.Peer r | Bgmp_router.Internal_router r ->
           router_trace t rid "join-hop" ?span "%a from %s" Ipv4.pp group
             (Bgmp_router.name t.routers.(r))
       | Bgmp_router.Migp_target ->
-          router_trace t rid "join-hop" ?span "%a via interior" Ipv4.pp group);
-      apply t rid ~from msg
-  | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ -> apply t rid ~from msg
+          router_trace t rid "join-hop" ?span "%a via interior" Ipv4.pp group)
+  | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> ());
+  apply t rid ~from msg
 
 (* The one place a router handles a control message: router [rid]
    handles [msg] from [from], the change is noted for the convergence
@@ -426,56 +383,53 @@ and apply t rid ~from msg =
         Bgmp_router.handle_prune_sg router ~source ~group ~from
     | Bgmp_msg.Data _ -> invalid_arg "Bgmp_fabric.apply: a data packet is not a control message")
 
-(* A packet reaching router [to_] from [from]. *)
-and arrive_data t ~to_ ~from ~group ~source ~payload ~hops =
-  let router = t.routers.(to_) in
-  match from with
-  | Bgmp_router.Peer _ ->
-      (* The inter-domain hop count ticks here: a peer arrival is the
-         one place a packet crosses a domain boundary. *)
-      if Prof.is_enabled () then
-        Prof.span "bgmp.data.forward" (fun () ->
-            Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from)
-      else Bgmp_router.forward t.sink router ~group ~source ~payload ~hops:(hops + 1) ~from
-  | Bgmp_router.Internal_router _
-    when (not (Bgmp_router.on_tree router group)) && not (Bgmp_router.has_sg router source group)
-    ->
-      (* Stale chain: the receiver lost its state; tell the sender to
-         stop instead of default-forwarding source traffic. *)
-      exec_action t to_ (from, Bgmp_msg.Prune_sg { source; group })
-  | Bgmp_router.Internal_router _ | Bgmp_router.Migp_target ->
-      Bgmp_router.forward t.sink router ~group ~source ~payload ~hops ~from
+(* ------------------------------------------------------------------ *)
+(* Data plane                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(* [sink.copy]: router [rid] sends one copy of a packet toward [target].
-   A peer copy is the one thing the data path allocates: the message
-   its transport lane carries. *)
-and copy t rid target ~group ~source ~payload ~hops =
-  match target with
-  | Bgmp_router.Peer _ ->
-      t.data_msgs <- t.data_msgs + 1;
-      Metrics.incr m_data_msgs;
-      let span =
-        if Hashtbl.length t.payload_spans = 0 then None
-        else Hashtbl.find_opt t.payload_spans payload
+(* A packet walks a domain as one loop over the work stack [t.work]:
+   each step pops an item and pushes its copies last to first, so they
+   leave in order, each copy's walk ending before the next one starts.
+   An item's sender is a border router, or [interior], handing the
+   packet to router r (target [Internal_router r]).  Every item of a
+   walk has the same hop count. *)
+let interior = -1
+
+(* Router [rid] forwards a packet that arrived from [from]: its copies
+   go on the stack, and the §5.3 branch prune it reports is sent before
+   any of them.  Inlined: a separate call measurably slowed interior
+   floods (release build, 2-vCPU host). *)
+let[@inline] forward_at t rid ~from ~group ~source ~level =
+  let prune = Bgmp_router.forward t.routers.(rid) t.work ~group ~source ~level ~from in
+  if prune >= 0 then exec_action t rid (t.internal.(prune), Bgmp_msg.Prune_sg { source; group })
+
+(* Push, last to first, the interior's hand-offs to the routers in
+   [rids] bar [entry]: all of them when [all] (a flooding MIGP), else
+   those taking a copy; return how many take one.  Those are the routers
+   with state for the packet and the one whose link is the domain's next
+   hop toward the group's root, looked up once ([root_via]) and only
+   when some router has no state. *)
+let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level = function
+  | [] -> 0
+  | rid :: rest when rid = entry ->
+      hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest
+  | rid :: rest ->
+      let r = t.routers.(rid) in
+      let stateful = Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group in
+      let root_via =
+        if stateful || root_via <> via_unknown then root_via else root_hop t dom group
       in
-      Net.send t.peer_chan.(rid) ?span (Bgmp_msg.Data { group; source; payload; hops })
-  | Bgmp_router.Internal_router r ->
-      arrive_data t ~to_:r ~from:(Bgmp_router.Internal_router rid) ~group ~source ~payload ~hops
-  | Bgmp_router.Migp_target ->
-      internal_distribute t ~dom:(Bgmp_router.domain t.routers.(rid)) ~entry:rid ~group ~source
-        ~payload ~hops
+      let takes = stateful || t.router_neighbor.(rid) = root_via in
+      let n = hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest in
+      if all || takes then Bgmp_router.push t.work interior t.internal.(rid) ~level;
+      if takes then n + 1 else n
 
-(* Distribute a packet inside a domain: deliver to local members, apply
-   the MIGP's RPF/encapsulation behaviour, and hand copies to the border
-   routers that need them (§5.2).  [entry] is the border router the
-   packet came in by, [-1] when it originates at a local host. *)
-and internal_distribute t ~dom ~entry ~group ~source ~payload ~hops =
-  if Prof.is_enabled () then
-    Prof.span "bgmp.data.distribute" (fun () ->
-        internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops)
-  else internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops
-
-and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
+(* Distribute a packet inside domain [dom]: deliver to local members,
+   apply the MIGP's RPF/encapsulation behaviour, and push the hand-offs
+   to the border routers that need it (§5.2).  [entry] is the border
+   router the packet came in by, [-1] when it originates at a local
+   host; [level] counts the distributions this one is nested in. *)
+let distribute t ~dom ~entry ~group ~source ~payload ~hops ~level =
   let migp = t.migps.(dom) in
   let style = Migp.style migp in
   let members = Migp.members migp ~group in
@@ -487,13 +441,10 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
      Without this, a source-specific branch crossing back into the
      source domain would cycle tree and branch forever. *)
   if source_local && entry >= 0 then ()
-  else if t.depth > Array.length t.routers then begin
-    (* Each nesting level is an interior distribution entered from a
-       border router, so a loop-free one nests at most once per router.
-       The exception unwinds every level. *)
-    t.depth <- 0;
+  else if level > Array.length t.routers then
+    (* Each level is an interior distribution entered from a border
+       router, so a loop-free walk passes at most one per router. *)
     raise (Data_loop { payload; group; source; domain = dom })
-  end
   else begin
     (* RPF handling for strict MIGPs: data that entered at the wrong
        border router is tunnelled to the RPF router (counted), which may
@@ -511,11 +462,12 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
     deliver_members t ~group ~source ~payload ~hops members;
     (* The routers taking a copy are fixed before the first hand-off:
        a hand-off can change another router's (S,G) state. *)
-    let level = t.depth in
-    let picks = picks_at t level in
     let rids = t.domain_routers.(dom) in
-    let n = pick_routers t picks ~dom ~group ~source ~entry ~root_via:via_unknown 0 rids in
     let floods = Migp.floods_data style in
+    let n =
+      hand_offs t ~dom ~group ~source ~entry ~root_via:via_unknown ~all:floods ~level:(level + 1)
+        rids
+    in
     if floods then begin
       (* The flood reaches every border router; those without interest
          prune themselves off. *)
@@ -524,27 +476,69 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
       for _ = 1 to all - n do
         Migp.note_internal_prune migp
       done
-    end;
-    (* An exception out of a hand-off leaves [depth] one too high,
-       which costs only an unused scratch level. *)
-    t.depth <- level + 1;
-    if floods then flood t ~entry ~group ~source ~payload ~hops rids
-    else
-      for i = 0 to n - 1 do
-        hand_off t picks.(i) ~group ~source ~payload ~hops
-      done;
-    t.depth <- level
+    end
   end
 
-and hand_off t rid ~group ~source ~payload ~hops =
-  Bgmp_router.forward t.sink t.routers.(rid) ~group ~source ~payload ~hops
-    ~from:Bgmp_router.Migp_target
+(* Run the items above [base], one packet's, until none is left. *)
+let drain t ~group ~source ~payload ~hops base =
+  let w = t.work in
+  while w.top > base do
+    let i = w.top - 1 in
+    w.top <- i;
+    let sender = w.senders.(i) and level = w.levels.(i) in
+    match w.targets.(i) with
+    | Bgmp_router.Peer _ ->
+        (* The one thing the data path allocates: the message the
+           sender's transport lane carries. *)
+        t.data_msgs <- t.data_msgs + 1;
+        Metrics.incr m_data_msgs;
+        let span =
+          if Hashtbl.length t.payload_spans = 0 then None
+          else Hashtbl.find_opt t.payload_spans payload
+        in
+        Net.send t.peer_chan.(sender) ?span (Bgmp_msg.Data { group; source; payload; hops })
+    | Bgmp_router.Internal_router r when sender = interior ->
+        forward_at t r ~from:Bgmp_router.Migp_target ~group ~source ~level
+    | Bgmp_router.Internal_router r ->
+        let router = t.routers.(r) in
+        if Bgmp_router.on_tree router group || Bgmp_router.has_sg router source group then
+          forward_at t r ~from:t.internal.(sender) ~group ~source ~level
+        else
+          (* Stale chain: the receiver lost its state; tell the sender to
+             stop instead of default-forwarding source traffic. *)
+          exec_action t r (t.internal.(sender), Bgmp_msg.Prune_sg { source; group })
+    | Bgmp_router.Migp_target ->
+        let dom = Bgmp_router.domain t.routers.(sender) in
+        if Prof.is_enabled () then
+          Prof.span "bgmp.data.distribute" (fun () ->
+              distribute t ~dom ~entry:sender ~group ~source ~payload ~hops ~level)
+        else distribute t ~dom ~entry:sender ~group ~source ~payload ~hops ~level
+  done
 
-and flood t ~entry ~group ~source ~payload ~hops = function
-  | [] -> ()
-  | rid :: rest ->
-      if rid <> entry then hand_off t rid ~group ~source ~payload ~hops;
-      flood t ~entry ~group ~source ~payload ~hops rest
+(* A packet reaching router [rid] from its external peer: it crossed a
+   domain boundary, the one place its inter-domain hop count ticks. *)
+let forward_from_peer t rid ~from ~group ~source ~payload ~hops =
+  let base = t.work.top in
+  forward_at t rid ~from ~group ~source ~level:0;
+  drain t ~group ~source ~payload ~hops:(hops + 1) base
+
+(* A packet a host of its source's domain sends. *)
+let originate t ~group ~source ~payload =
+  let base = t.work.top in
+  distribute t ~dom:source.Host_ref.host_domain ~entry:(-1) ~group ~source ~payload ~hops:0
+    ~level:0;
+  drain t ~group ~source ~payload ~hops:0 base
+
+(* Router [rid] receives [msg] from its external peer [from]. *)
+let receive t rid ~from msg =
+  match msg with
+  | Bgmp_msg.Data { group; source; payload; hops } ->
+      if Prof.is_enabled () then
+        Prof.span "bgmp.data.forward" (fun () ->
+            forward_from_peer t rid ~from ~group ~source ~payload ~hops)
+      else forward_from_peer t rid ~from ~group ~source ~payload ~hops
+  | Bgmp_msg.Join _ | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ ->
+      arrive t rid ~from msg
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -570,14 +564,7 @@ let reset t =
     [ t.m_data_delivered; t.m_data_dup; t.m_data_dropped; t.m_ctl_dropped ];
   Packed_map.clear t.host_numbers;
   t.n_hosts <- 0;
-  t.depth <- 0
-
-(* Placeholder until [create] builds the fabric's own sink. *)
-let unbuilt_sink =
-  {
-    Bgmp_router.copy = (fun _ _ ~group:_ ~source:_ ~payload:_ ~hops:_ -> ());
-    control = (fun _ _ -> ());
-  }
+  t.work.top <- 0
 
 let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ -> Migp.Dvmrp)
     ?(span_of_group = fun _ _ -> None) ~route_to_root () =
@@ -641,18 +628,10 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       host_numbers = Packed_map.create ();
       n_hosts = 0;
       cycles = None;
-      sink = unbuilt_sink;
-      picks = [||];
-      depth = 0;
+      work = Bgmp_router.create_work ();
+      internal = Array.init router_count (fun rid -> Bgmp_router.Internal_router rid);
     }
   in
-  t.sink <-
-    {
-      Bgmp_router.copy =
-        (fun rid target ~group ~source ~payload ~hops ->
-          copy t rid target ~group ~source ~payload ~hops);
-      control = (fun rid action -> exec_action t rid action);
-    };
   Array.iteri
     (fun rid router ->
       Bgmp_router.set_classify_root router (fun group -> classify_root_for t rid group);
@@ -673,7 +652,7 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
           Net.channel net ~protocol:"bgmp"
             ~src:(Bgmp_router.domain routers.(rid))
             ~dst:router_neighbor.(rid) ~delay:router_delay.(rid)
-            ~recv:(fun msg -> arrive t (peer_of rid) ~from msg)
+            ~recv:(fun msg -> receive t (peer_of rid) ~from msg)
         in
         Net.set_on_drop ch classify_drop;
         ch);
@@ -742,8 +721,9 @@ let send ?span t ~source ~group =
   let payload = t.next_payload in
   t.next_payload <- t.next_payload + 1;
   (match span with Some s -> Hashtbl.replace t.payload_spans payload s | None -> ());
-  internal_distribute t ~dom:source.Host_ref.host_domain ~entry:(-1) ~group ~source ~payload
-    ~hops:0;
+  if Prof.is_enabled () then
+    Prof.span "bgmp.data.distribute" (fun () -> originate t ~group ~source ~payload)
+  else originate t ~group ~source ~payload;
   payload
 
 let set_on_delivery t f = t.on_delivery <- f

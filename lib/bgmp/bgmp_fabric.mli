@@ -26,10 +26,10 @@ type root_route =
   | Unroutable
 
 exception Data_loop of { payload : int; group : Ipv4.t; source : Host_ref.t; domain : Domain.id }
-(** A packet's interior distributions nested deeper than the fabric has
-    border routers, so they hand it round without end ([domain]: where
-    the last one began).  Such a loop never returns to the engine; this
-    is the only bound on it. *)
+(** A packet's walk inside [domain] reached an interior distribution
+    nested deeper than the fabric has border routers: the walk hands it
+    round without end.  Each item of the fabric's work stack carries
+    its nesting level, the only bound on such a loop. *)
 
 type config = {
   branching : bool;
@@ -68,13 +68,13 @@ val create :
 val reset : t -> unit
 (** Rewind the fabric to the state {!create} returned, in place: every
     router and MIGP is reset (no tree state, no membership), delivery
-    logs, payload spans, the unicast cache and the message counts are
-    dropped, and payload ids restart at 0.  The routers, channels and
-    installed closures stay, as do the delivery listener and the pool
-    of cleared delivery logs; the data-plane instruments are registered
-    in the current {!Metrics} registry again, as {!create} did.  The
-    engine and the net are the caller's to reset ({!Engine.reset},
-    {!Net.reset}). *)
+    logs, payload spans, the unicast cache, the message counts and any
+    work a {!Data_loop} left are dropped, and payload ids restart at 0.
+    The routers, channels and installed closures stay, as do the
+    delivery listener and the pool of cleared delivery logs; the
+    data-plane instruments are registered in the current {!Metrics}
+    registry again, as {!create} did.  The engine and the net are the
+    caller's to reset ({!Engine.reset}, {!Net.reset}). *)
 
 (** {1 Host operations} *)
 

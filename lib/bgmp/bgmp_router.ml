@@ -379,28 +379,38 @@ let handle_prune_sg t ~source ~group ~from =
           note_entries t;
           propagate_if_empty st)
 
-type sink = {
-  copy : int -> target -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> unit;
-  control : int -> action -> unit;
+type work = {
+  mutable senders : int array;
+  mutable targets : target array;
+  mutable levels : int array;
+  mutable top : int;
 }
 
-(* Copies toward [targets] in order, skipping the arrival side. *)
-let rec copy_all sink rid targets ~group ~source ~payload ~hops ~from =
+let create_work () =
+  let ints () = Array.make 16 0 in
+  { senders = ints (); targets = Array.make 16 Migp_target; levels = ints (); top = 0 }
+
+let push w sender target ~level =
+  let i = w.top in
+  if i = Array.length w.senders then begin
+    (* Doubled: the copied upper halves are written before they are read. *)
+    w.senders <- Array.append w.senders w.senders;
+    w.targets <- Array.append w.targets w.targets;
+    w.levels <- Array.append w.levels w.levels
+  end;
+  w.senders.(i) <- sender;
+  w.targets.(i) <- target;
+  w.levels.(i) <- level;
+  w.top <- i + 1
+
+(* This router's copies toward [targets], skipping the arrival side,
+   pushed last to first so that they pop first to last. *)
+let rec push_rev w t targets ~level ~from =
   match targets with
   | [] -> ()
   | tgt :: rest ->
-      if not (target_equal tgt from) then sink.copy rid tgt ~group ~source ~payload ~hops;
-      copy_all sink rid rest ~group ~source ~payload ~hops ~from
-
-(* A (star,G) entry forwards bidirectionally: parent first, then the
-   children, never back to the arrival side.  Both are read before the
-   first copy goes out. *)
-let forward_tree sink t e ~group ~source ~payload ~hops ~from =
-  let children = e.children in
-  (match e.parent with
-  | Some p when not (target_equal p from) -> sink.copy t.rid p ~group ~source ~payload ~hops
-  | Some _ | None -> ());
-  copy_all sink t.rid children ~group ~source ~payload ~hops ~from
+      push_rev w t rest ~level ~from;
+      if not (target_equal tgt from) then push w t.rid tgt ~level
 
 (* [Some (Peer p)], reusing the last one this router built: a router
    has one external peer, so the default rule allocates it once. *)
@@ -426,7 +436,7 @@ let default_target t ~group ~from =
       | Peer _ | Migp_target | Internal_router _ -> toward_peer t p)
   | Unroutable -> None
 
-(* The targets of a packet under its (S,G) entry, in order; [copy_all]
+(* The targets of a packet under its (S,G) entry, in order; [push_rev]
    skips the arrival side among them.  Three flavours of (S,G) state, distinguished live:
    - a pure BRANCH (no (star,G) here): strictly RPF-gated — S's packets
      are accepted only from the toward-source side and flow down the
@@ -467,16 +477,23 @@ let sg_targets t st ~group ~from =
       in
       if not acceptable then [] else tree @ minus st.added tree
 
-let forward sink t ~group ~source ~payload ~hops ~from =
+let forward t w ~group ~source ~level ~from =
   (* Most routers hold no (S,G) state at all: skip the keyed lookup. *)
   match if Hashtbl.length t.sg = 0 then None else Hashtbl.find_opt t.sg (source, group) with
-  | None -> (
-      match Hashtbl.find t.star group with
-      | e -> forward_tree sink t e ~group ~source ~payload ~hops ~from
+  | None ->
+      (match Hashtbl.find t.star group with
+      | e -> (
+          (* A (star,G) entry forwards bidirectionally: parent first,
+             then the children, never back to the arrival side. *)
+          push_rev w t e.children ~level ~from;
+          match e.parent with
+          | Some p when not (target_equal p from) -> push w t.rid p ~level
+          | Some _ | None -> ())
       | exception Not_found -> (
           match default_target t ~group ~from with
-          | Some tgt -> sink.copy t.rid tgt ~group ~source ~payload ~hops
-          | None -> ()))
+          | Some tgt -> push w t.rid tgt ~level
+          | None -> ()));
+      -1
   | Some st ->
       (* A branch we initiated becomes live when (S,G) data arrives from
          its RPF side: time to prune the duplicate shared-tree copies
@@ -485,8 +502,8 @@ let forward sink t ~group ~source ~payload ~hops ~from =
          un-suppressed tree copy plus the branch would cycle; asserting
          the prune on every branch arrival keeps the pair consistent
          (the prune is idempotent and precedes the forwards).  The
-         prune and the targets are both settled before anything goes
-         out, since the prune can change this router's (S,G) state. *)
+         targets are settled here, before the caller sends the prune,
+         since the prune can change this router's (S,G) state. *)
       let prune =
         match Hashtbl.find_opt t.pending_branch_prune (source, group) with
         | Some shared_router
@@ -494,10 +511,8 @@ let forward sink t ~group ~source ~payload ~hops ~from =
             shared_router
         | Some _ | None -> -1
       in
-      let targets = sg_targets t st ~group ~from in
-      if prune >= 0 then
-        sink.control t.rid (Internal_router prune, Bgmp_msg.Prune_sg { source; group });
-      copy_all sink t.rid targets ~group ~source ~payload ~hops ~from
+      push_rev w t (sg_targets t st ~group ~from) ~level ~from;
+      prune
 
 let branch_prune t ~source ~group = Hashtbl.find_opt t.pending_branch_prune (source, group)
 

@@ -13,9 +13,9 @@
     target to send it toward — and the enclosing fabric delivers them
     (peer messages with link delay, MIGP-side messages to the right
     border router of the domain).  Data never becomes an action:
-    {!forward} hands each copy of a packet to a {!sink} the fabric
-    builds once, which sends it to a peer, hands it to an internal
-    peer, or distributes it inside the domain per the MIGP style. *)
+    {!forward} pushes each copy of a packet onto the fabric's {!work}
+    stack, whose loop sends it to a peer, hands it to an internal peer,
+    or distributes it inside the domain per the MIGP style. *)
 
 type target =
   | Peer of int  (** global router id of an external BGMP peer *)
@@ -111,27 +111,31 @@ val handle_prune_sg : t -> source:Host_ref.t -> group:Ipv4.t -> from:target -> a
 
 (** {1 Data forwarding} *)
 
-type sink = {
-  copy : int -> target -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> unit;
-      (** [copy rid target ...]: router [rid] sends one copy of the
-          packet toward [target] *)
-  control : int -> action -> unit;
-      (** router [rid] sends a control message the data path emits (the
-          §5.3 branch prune) *)
+type work = {
+  mutable senders : int array;
+  mutable targets : target array;
+  mutable levels : int array;
+  mutable top : int;  (** items [0 .. top - 1] are pending *)
 }
-(** Where {!forward} puts its output.  The fabric builds one per
-    fabric, so forwarding a packet allocates nothing here. *)
+(** A stack of pending copies of one packet, as parallel arrays: item
+    [i] is router [senders.(i)]'s copy toward [targets.(i)], nested
+    [levels.(i)] interior distributions deep.  The fabric owns one and
+    pops it from the top.  Pushing allocates only to double it. *)
 
-val forward :
-  sink -> t -> group:Ipv4.t -> source:Host_ref.t -> payload:int -> hops:int -> from:target -> unit
-(** Forward a packet that arrived from [from]: one [sink.copy] per
-    target, never back to [from], in table order — under a (star,G)
-    entry the parent first, then the children; under an (S,G) entry its
-    effective targets; with neither, the §5.2 default toward the
-    group's root domain.  An (S,G) branch this router initiated emits
-    its shared-tree prune through [sink.control] before the copies.
-    Every target is settled before the first output, so the sink may
-    change router state. *)
+val create_work : unit -> work
+
+val push : work -> int -> target -> level:int -> unit
+(** Add an item on top, doubling the arrays when they are full. *)
+
+val forward : t -> work -> group:Ipv4.t -> source:Host_ref.t -> level:int -> from:target -> int
+(** Forward a packet that arrived from [from]: push one item per target
+    but [from], this router the sender, so they pop in table order —
+    under a (star,G) entry the parent first, then the children; under
+    an (S,G) entry its effective targets; with neither, the §5.2
+    default toward the group's root domain.  Returns the router whose
+    shared-tree copies an (S,G) branch this router initiated prunes now
+    (§5.3), or [-1]; the caller sends that prune before popping the
+    copies, which may change router state. *)
 
 val initiate_branch : t -> source:Host_ref.t -> group:Ipv4.t -> shared_entry_router:int -> action list
 (** Begin a source-specific branch at this (decapsulating) router: set

@@ -1,7 +1,7 @@
 (* The BGMP router's data forwarding seen as lists: [handle_data]
-   collects what [Bgmp_router.forward] emits through its sink, and
+   reads what [Bgmp_router.forward] pushes onto a work stack, and
    [reference] is the list implementation forwarding had before the
-   sink, kept as the differential oracle for it. *)
+   work stack, kept as the differential oracle for it. *)
 
 open Bgmp_router
 
@@ -26,26 +26,22 @@ let data_action tgt msg ~group ~source ~payload ~hops =
   | Internal_router r -> To_internal (r, msg)
   | Migp_target -> Migp_data { group; source; payload; hops }
 
+(* The branch prune [forward] reports first, then the items it pushed,
+   top down: the order they leave the router. *)
 let handle_data r ~group ~source ~payload ~hops ~from =
-  let outs = ref [] in
-  let sink =
-    {
-      copy =
-        (fun _ tgt ~group ~source ~payload ~hops ->
-          outs :=
-            data_action tgt (Bgmp_msg.Data { group; source; payload; hops }) ~group ~source
-              ~payload ~hops
-            :: !outs);
-      control =
-        (fun _ (tgt, msg) ->
-          match tgt with
-          | Internal_router r -> outs := To_internal (r, msg) :: !outs
-          | Peer p -> outs := To_peer (p, msg) :: !outs
-          | Migp_target -> Alcotest.fail "forward emitted a control message to the MIGP");
-    }
+  let w = create_work () in
+  let prune = forward r w ~group ~source ~level:0 ~from in
+  let copies =
+    List.init w.top (fun k ->
+        let i = w.top - 1 - k in
+        if w.senders.(i) <> id r || w.levels.(i) <> 0 then
+          Alcotest.failf "item %d is not router %d's copy at level 0" i (id r);
+        data_action w.targets.(i)
+          (Bgmp_msg.Data { group; source; payload; hops })
+          ~group ~source ~payload ~hops)
   in
-  forward sink r ~group ~source ~payload ~hops ~from;
-  List.rev !outs
+  if prune >= 0 then To_internal (prune, Bgmp_msg.Prune_sg { source; group }) :: copies
+  else copies
 
 (* ---- the list implementation ---------------------------------------- *)
 

@@ -873,6 +873,111 @@ let test_fabric_straggler_after_forget_is_fresh () =
     [ (host_pp member, 6) ]
     (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p))
 
+(* An interior data loop (ROADMAP item 1), built through the router
+   handlers: the root of the group is in X, on the line S-X-Y, and every
+   MIGP floods.  X's router toward S (A) holds an (S,G) graft with
+   branch child [Internal_router B], B (X's router toward Y) a branch
+   whose only target is the interior, and the flood from entry B reaches
+   A again, which is on the tree through the interior.  A packet from S
+   then circles A -> B -> interior -> A, one interior distribution
+   deeper per lap, until the fabric gives up.  The first copy reaches X
+   over the S-X link, so the loop starts inside the engine run that
+   delivers it: the source domain's own interior drops re-entries, so
+   a loop never starts inside [send] itself. *)
+let test_fabric_interior_loop_raises () =
+  let topo = Topo.create () in
+  let add name = Topo.add_domain topo ~name ~kind:Domain.Regional in
+  let s = add "S" and x = add "X" and y = add "Y" in
+  Topo.add_link topo s x Topo.Peer;
+  Topo.add_link topo x y Topo.Peer;
+  let engine = Engine.create () in
+  let net = Net.create ~engine () in
+  let route_to_root d _ = if d = x then Bgmp_fabric.Root_here else Bgmp_fabric.Via x in
+  let fabric = Bgmp_fabric.create ~engine ~topo ~net ~route_to_root () in
+  let toward a b = Option.get (Bgmp_fabric.router_toward fabric a b) in
+  let a = toward x s and b = toward x y and s1 = toward s x in
+  let source = Host_ref.make s 0 in
+  ignore (Bgmp_router.handle_join a ~group:g ~from:(Bgmp_router.Peer (Bgmp_router.id s1)));
+  ignore
+    (Bgmp_router.handle_join_sg a ~source ~group:g
+       ~from:(Bgmp_router.Internal_router (Bgmp_router.id b)));
+  ignore (Bgmp_router.handle_join_sg b ~source ~group:g ~from:Bgmp_router.Migp_target);
+  let p = Bgmp_fabric.send fabric ~source ~group:g in
+  (match Engine.run_until_idle engine with
+  | () -> Alcotest.fail "the packet stopped circling"
+  | exception Bgmp_fabric.Data_loop { payload; group; source = src; domain } ->
+      check Alcotest.int "payload" p payload;
+      check Alcotest.bool "group" true (Ipv4.equal g group);
+      check Alcotest.string "source" (host_pp source) (host_pp src);
+      check Alcotest.string "domain" "X" (Topo.domain topo domain).Domain.name);
+  (* Rewound, the same fabric serves a loop-free group exactly once per
+     member: nothing of the loop is left to run. *)
+  Engine.reset engine;
+  Net.reset net ~loss_rate:0.0 ~loss_seed:0;
+  Bgmp_fabric.reset fabric;
+  let members = [ Host_ref.make s 1; Host_ref.make x 1; Host_ref.make y 1 ] in
+  List.iter (fun host -> Bgmp_fabric.host_join fabric ~host ~group:g) members;
+  Engine.run_until_idle engine;
+  let p = Bgmp_fabric.send fabric ~source:(Host_ref.make y 2) ~group:g in
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.string) "each member once" (List.map host_pp members)
+    (List.sort compare (List.map (fun (h, _) -> host_pp h) (Bgmp_fabric.deliveries fabric ~payload:p)));
+  check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
+
+(* The data path's allocation, pinned per packet: Figure 3's §5.3
+   walkthrough (members in B, C, D, F and H, source in D, every MIGP
+   DVMRP), warmed until the branch stands and the delivery-log pool is
+   stocked.  Each packet then floods interiors with several border
+   routers, crosses internal peers, and sends 8 peer copies.  Measured
+   561 minor words per packet (dev) and 545 (release); the bounds are
+   the counts before the data plane ran as a loop over a work stack,
+   573 and 557.  A work item stored as a block of its own, or a closure
+   per step, pushes the count past them. *)
+let test_fabric_data_path_allocation () =
+  let topo = Gen.figure3 () in
+  let engine, fabric = make_fabric ~root_name:"B" topo in
+  join_all topo fabric [ "B"; "C"; "D"; "F"; "H" ];
+  Engine.run_until_idle engine;
+  let source = Host_ref.make (dom topo "D") 3 in
+  let packet () =
+    let p = Bgmp_fabric.send fabric ~source ~group:g in
+    Engine.run_until_idle engine;
+    Bgmp_fabric.forget_payload fabric ~payload:p
+  in
+  for _ = 1 to 4 do
+    packet ()
+  done;
+  let internal_targets = ref 0 in
+  List.iter
+    (fun (d : Domain.t) ->
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (_, (v : Bgmp_router.sg_view)) ->
+              List.iter
+                (function Bgmp_router.Internal_router _ -> incr internal_targets | _ -> ())
+                v.Bgmp_router.view_targets)
+            (Bgmp_router.sg_for_group r g))
+        (Bgmp_fabric.routers_of fabric d.Domain.id))
+    (Topo.domains topo);
+  check Alcotest.bool "(S,G) state forwards to internal peers" true (!internal_targets > 0);
+  let floods = Migp.flood_deliveries (Bgmp_fabric.migp_of fabric (dom topo "A")) in
+  let msgs = Bgmp_fabric.data_messages fabric in
+  let n = 10 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    packet ()
+  done;
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "peer copies per packet" 8 ((Bgmp_fabric.data_messages fabric - msgs) / n);
+  check Alcotest.bool "A's interior floods to its border routers" true
+    (Migp.flood_deliveries (Bgmp_fabric.migp_of fabric (dom topo "A")) - floods >= 2 * n);
+  let per_packet = (w1 -. w0) /. float_of_int n in
+  let bound = if Build_profile.name = "dev" then 573.0 else 557.0 in
+  check Alcotest.bool
+    (Printf.sprintf "a packet allocates %.1f words <= %.0f" per_packet bound)
+    true (per_packet <= bound)
+
 let prop_fabric_delivers_to_exactly_members =
   (* On random transit-stub topologies with random membership, every
      member receives exactly once and non-members receive nothing. *)
@@ -952,4 +1057,6 @@ let suite =
     ("fabric duplicate not re-listed", `Quick, test_fabric_duplicate_not_relisted);
     ("fabric straggler after forget is fresh", `Quick, test_fabric_straggler_after_forget_is_fresh);
     QCheck_alcotest.to_alcotest prop_fabric_delivers_to_exactly_members;
+    ("fabric interior loop raises Data_loop", `Quick, test_fabric_interior_loop_raises);
+    ("fabric data path allocation", `Quick, test_fabric_data_path_allocation);
   ]

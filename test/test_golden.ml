@@ -556,10 +556,11 @@ let check_cut_ledger () =
 
 (* A BGMP data loop stops the run: the soak at seed 2 reaches one at
    step 24 (a flooding MIGP re-floods a foreign source's packet that
-   re-enters through another border router; the recursion never returns
-   to the engine).  The run must exit 3 within 10 s with one stderr
-   line, and its recording must end at a whole record. *)
-let check_data_loop_exit () =
+   re-enters through another border router), and seeds 35 and 43 reach
+   one within 300 steps.  The run must exit 3 within 10 s with exactly
+   [line] on stderr, which pins where the loop is caught, and its
+   recording must end at a whole record. *)
+let check_data_loop_exit ~steps ~seed ~line () =
   let recording = Filename.temp_file "loop" ".jsonl" in
   let err = Filename.temp_file "loop" ".err" in
   Fun.protect
@@ -568,15 +569,13 @@ let check_data_loop_exit () =
     (fun () ->
       let rc =
         Sys.command
-          (Printf.sprintf "timeout 10 %s soak --steps 24 --seed 2 --record=%s > /dev/null 2> %s"
-             (Filename.quote exe) (Filename.quote recording) (Filename.quote err))
+          (Printf.sprintf "timeout 10 %s soak --steps %d --seed %d --record=%s > /dev/null 2> %s"
+             (Filename.quote exe) steps seed (Filename.quote recording) (Filename.quote err))
       in
-      check Alcotest.int "soak --steps 24 --seed 2: exit 3 within 10 s" 3 rc;
-      (match String.split_on_char '\n' (read_file err) with
-      | [ line; "" ] ->
-          check Alcotest.bool ("stderr names the loop: " ^ line) true
-            (String.starts_with ~prefix:"soak: data loop: payload " line)
-      | _ -> Alcotest.fail "expected exactly one stderr line");
+      check Alcotest.int
+        (Printf.sprintf "soak --steps %d --seed %d: exit 3 within 10 s" steps seed)
+        3 rc;
+      check Alcotest.string "stderr is the one loop line" (line ^ "\n") (read_file err);
       let text = read_file recording in
       check Alcotest.bool "recording ends at a line end" true
         (text <> "" && text.[String.length text - 1] = '\n');
@@ -739,7 +738,10 @@ let suite =
     ("report --diff on demo recordings", `Quick, check_record_diff);
     ("trace over a demo recording", `Quick, check_recording_trace);
     ("unreadable inputs exit 2", `Quick, check_unreadable_inputs);
-    ("data loop exits 3 with a whole recording", `Quick, check_data_loop_exit);
+    ( "data loop exits 3 with a whole recording",
+      `Quick,
+      check_data_loop_exit ~steps:24 ~seed:2
+        ~line:"soak: data loop: payload 23 to 224.0.0.0 from h21.42 still circling at domain 18" );
     ( "demo telemetry",
       `Quick,
       check_timeseries ~args:"demo --sample 600" ~golden:"demo_timeseries.txt" );
@@ -789,3 +791,15 @@ let suite =
         "flash_crowd";
         "provider_failover";
       ]
+  @ [
+      ( "data loop at seed 35 exits 3",
+        `Quick,
+        check_data_loop_exit ~steps:300 ~seed:35
+          ~line:"soak: data loop: payload 68 to 224.0.0.0 from h16.42 still circling at domain 14"
+      );
+      ( "data loop at seed 43 exits 3",
+        `Quick,
+        check_data_loop_exit ~steps:300 ~seed:43
+          ~line:"soak: data loop: payload 261 to 224.0.0.0 from h25.42 still circling at domain 22"
+      );
+    ]
