@@ -61,12 +61,11 @@ type t = {
   m_outstanding : Metrics.gauge;
 }
 
-(* A narrative record in the ambient recorder; while it is off this is
-   one flag test and nothing is formatted. *)
+(* A narrative record in the ambient recorder.  Every call is guarded
+   by [Recorder.is_enabled ()], so while the recorder is off a site is
+   one flag test: no argument is built and nothing is formatted. *)
 let btrace t ?span tag fmt =
-  if Recorder.is_enabled () then
-    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag ~subject:"beacon" ?span fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Recorder.recordf ~time:(Engine.now t.engine) ~label:tag ~subject:"beacon" ?span fmt
 
 let heard p i = Char.code (Bytes.get p.p_heard (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -162,11 +161,12 @@ let harvest t payload =
         Metrics.add t.m_lost missing;
         (* Lost pairs stay as (sent > got) cells; the recording names
            them, in listener registration order. *)
-        for i = 0 to p.p_expected - 1 do
-          if not (heard p i) then
-            btrace t ?span:p.p_span "probe-lost" "%a seq %d payload %d never reached %a"
-              Ipv4.pp p.p_group p.p_seq payload Host_ref.pp p.p_roster.hosts.(i)
-        done
+        if Recorder.is_enabled () then
+          for i = 0 to p.p_expected - 1 do
+            if not (heard p i) then
+              btrace t ?span:p.p_span "probe-lost" "%a seq %d payload %d never reached %a"
+                Ipv4.pp p.p_group p.p_seq payload Host_ref.pp p.p_roster.hosts.(i)
+          done
       end;
       Hashtbl.remove t.pending payload;
       Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
@@ -214,8 +214,9 @@ let fire_probe t row ~seq =
   t.n_sent <- t.n_sent + 1;
   Metrics.incr t.m_sent;
   Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
-  btrace t ?span "probe" "%a seq %d payload %d from %a (%d receivers)" Ipv4.pp group seq
-    payload Host_ref.pp host expected;
+  if Recorder.is_enabled () then
+    btrace t ?span "probe" "%a seq %d payload %d from %a (%d receivers)" Ipv4.pp group seq
+      payload Host_ref.pp host expected;
   let sent = Bgmp_fabric.send ?span t.fabric ~source:host ~group in
   assert (sent = payload);
   ignore

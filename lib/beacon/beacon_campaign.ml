@@ -197,8 +197,16 @@ let run ?jobs (p : params) =
                Obs.merge shard;
                r)
   in
-  let agg_matrix = Beacon_matrix.create () in
-  List.iter (fun r -> Beacon_matrix.merge_into ~into:agg_matrix r.r_matrix) trials;
+  (* One trial's matrix is the aggregate as it stands; more are merged
+     into a fresh one, in trial order. *)
+  let agg_matrix =
+    match trials with
+    | [ r ] -> r.r_matrix
+    | _ ->
+        let m = Beacon_matrix.create () in
+        List.iter (fun r -> Beacon_matrix.merge_into ~into:m r.r_matrix) trials;
+        m
+  in
   let cells = Beacon_matrix.cells agg_matrix in
   { trials; cells; agg = Beacon_matrix.summary cells }
 

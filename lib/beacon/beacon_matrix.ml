@@ -90,12 +90,17 @@ let cell_of (src, dst) (a : acc) =
     c_stretch_max = smax a.stretch;
   }
 
+let compare_pair c ~src ~dst =
+  match Host_ref.compare c.c_src src with 0 -> Host_ref.compare c.c_dst dst | n -> n
+
+let compare_cells a b = compare_pair a ~src:b.c_src ~dst:b.c_dst
+
+(* A matrix holds each pair once, so the unstable in-place sort is
+   deterministic. *)
 let cells t =
-  Hashtbl.fold (fun key a l -> cell_of key a :: l) t []
-  |> List.sort (fun a b ->
-         match Host_ref.compare a.c_src b.c_src with
-         | 0 -> Host_ref.compare a.c_dst b.c_dst
-         | c -> c)
+  let a = Array.of_list (Hashtbl.fold (fun key acc l -> cell_of key acc :: l) t []) in
+  Array.sort compare_cells a;
+  Array.to_list a
 
 type summary = {
   s_pairs : int;
@@ -112,42 +117,65 @@ type summary = {
   s_stretch_max : float;
 }
 
+(* The index of the last cell of the pair in [a], sorted by
+   {!compare_cells}, or -1: with repeated pairs the last in list order
+   wins, as in a table filled in list order. *)
+let find_pair a ~src ~dst =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_pair a.(mid) ~src ~dst <= 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo > 0 && compare_pair a.(!lo - 1) ~src ~dst = 0 then !lo - 1 else -1
+
 let summary cs =
-  let sent = List.fold_left (fun a c -> a + c.c_sent) 0 cs in
-  let got = List.fold_left (fun a c -> a + c.c_got) 0 cs in
-  let unreachable = List.length (List.filter (fun c -> c.c_sent > 0 && c.c_got = 0) cs) in
-  (* Loss asymmetry between the two directions of a host pair: dbeacon's
-     tell-tale for one-way filtering.  Only pairs measured both ways
-     count. *)
-  let by_pair = Hashtbl.create 64 in
-  List.iter (fun c -> Hashtbl.replace by_pair (c.c_src, c.c_dst) c.c_loss) cs;
-  let asym =
-    List.fold_left
-      (fun n c ->
-        if Host_ref.compare c.c_src c.c_dst < 0 then
-          match Hashtbl.find_opt by_pair (c.c_dst, c.c_src) with
-          | Some back when Float.abs (back -. c.c_loss) > 1e-9 -> n + 1
-          | Some _ | None -> n
-        else n)
-      0 cs
-  in
-  (* Delivery-weighted aggregate latency/stretch over all cells. *)
-  let wsum f = List.fold_left (fun a c -> a +. (f c *. float_of_int c.c_got)) 0.0 cs in
-  let fmax f = List.fold_left (fun a c -> Float.max a (f c)) 0.0 cs in
+  (* The cells in (src, dst) order, where a pair's reverse is a binary
+     search away.  {!cells} gives them sorted; anything else is sorted
+     first, stably, so a repeated pair's last cell still wins and the
+     float sums below run in the same order whatever order [cs] is in. *)
+  let a = Array.of_list cs in
+  let n = Array.length a in
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if compare_cells a.(i - 1) a.(i) > 0 then sorted := false
+  done;
+  if not !sorted then Array.stable_sort compare_cells a;
+  let sent = ref 0 and got = ref 0 and unreachable = ref 0 and asym = ref 0 in
+  let lat_sum = ref 0.0 and lat_max = ref 0.0 in
+  let stretch_sum = ref 0.0 and stretch_max = ref 0.0 in
+  for i = 0 to n - 1 do
+    let c = a.(i) in
+    sent := !sent + c.c_sent;
+    got := !got + c.c_got;
+    if c.c_sent > 0 && c.c_got = 0 then incr unreachable;
+    (* Loss asymmetry between the two directions of a host pair:
+       dbeacon's tell-tale for one-way filtering.  Only pairs measured
+       both ways count. *)
+    if Host_ref.compare c.c_src c.c_dst < 0 then begin
+      let j = find_pair a ~src:c.c_dst ~dst:c.c_src in
+      if j >= 0 && Float.abs (a.(j).c_loss -. c.c_loss) > 1e-9 then incr asym
+    end;
+    (* Delivery-weighted aggregate latency/stretch over all cells. *)
+    let w = float_of_int c.c_got in
+    lat_sum := !lat_sum +. (c.c_lat_mean *. w);
+    stretch_sum := !stretch_sum +. (c.c_stretch_mean *. w);
+    lat_max := Float.max !lat_max c.c_lat_max;
+    stretch_max := Float.max !stretch_max c.c_stretch_max
+  done;
+  let sent = !sent and got = !got in
   {
-    s_pairs = List.length cs;
+    s_pairs = n;
     s_sent = sent;
     s_got = got;
     s_lost = sent - got;
     s_loss = (if sent = 0 then 0.0 else float_of_int (sent - got) /. float_of_int sent);
-    s_unreachable = unreachable;
-    s_asymmetric = asym;
+    s_unreachable = !unreachable;
+    s_asymmetric = !asym;
     s_complete = sent > 0 && got = sent;
-    s_lat_mean = (if got = 0 then 0.0 else wsum (fun c -> c.c_lat_mean) /. float_of_int got);
-    s_lat_max = fmax (fun c -> c.c_lat_max);
-    s_stretch_mean =
-      (if got = 0 then 0.0 else wsum (fun c -> c.c_stretch_mean) /. float_of_int got);
-    s_stretch_max = fmax (fun c -> c.c_stretch_max);
+    s_lat_mean = (if got = 0 then 0.0 else !lat_sum /. float_of_int got);
+    s_lat_max = !lat_max;
+    s_stretch_mean = (if got = 0 then 0.0 else !stretch_sum /. float_of_int got);
+    s_stretch_max = !stretch_max;
   }
 
 let worst cs ~n =

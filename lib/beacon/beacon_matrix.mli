@@ -58,7 +58,8 @@ type cell = {
 }
 
 val cells : t -> cell list
-(** Deterministic snapshot: sorted by (src, dst). *)
+(** Deterministic snapshot: one cell per pair, sorted by (src, dst).
+    The cells are sorted as an array, in place, and then listed. *)
 
 type summary = {
   s_pairs : int;
@@ -78,6 +79,12 @@ type summary = {
 }
 
 val summary : cell list -> summary
+(** The aggregate over [cs].  A cell's reverse pair, for
+    [s_asymmetric], is found by binary search over the cells in (src,
+    dst) order: the {!cells} order is used as given, any other order is
+    sorted into a copy first.  So the result does not depend on the
+    order of [cs]; of a pair listed more than once, the last is the one
+    a reverse lookup finds. *)
 
 val worst : cell list -> n:int -> cell list
 (** The [n] worst pairs: highest loss fraction first, then highest mean

@@ -114,19 +114,16 @@ let via_unknown = -2
 let via_none = -1
 
 (* Narrative records in the ambient recorder, subject a border router
-   or a domain; while the recorder is off a call is one flag test — no
-   subject is built and nothing is formatted. *)
+   or a domain.  Every call is guarded by [Recorder.is_enabled ()], so
+   while the recorder is off a site is one flag test: no argument is
+   built and nothing is formatted. *)
 let router_trace t rid tag ?span fmt =
-  if Recorder.is_enabled () then
-    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
-      ~subject:(Bgmp_router.name t.routers.(rid)) ?span fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+    ~subject:(Bgmp_router.name t.routers.(rid)) ?span fmt
 
 let domain_trace t dom tag ?span fmt =
-  if Recorder.is_enabled () then
-    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
-      ~subject:(Printf.sprintf "bgmp-d%d" dom) ?span fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+    ~subject:(Printf.sprintf "bgmp-d%d" dom) ?span fmt
 
 (* The trace id a group's causal chain lives under: the originating
    claim's when a G-RIB route (with span) exists, else the group's own. *)
@@ -358,14 +355,16 @@ and to_interior t dom ~sender msg =
    arrival is the tree hop the recorder narrates. *)
 and arrive t rid ~from msg =
   (match msg with
-  | Bgmp_msg.Join { group; span } -> (
+  | Bgmp_msg.Join { group; span } when Recorder.is_enabled () -> (
       match from with
       | Bgmp_router.Peer r | Bgmp_router.Internal_router r ->
           router_trace t rid "join-hop" ?span "%a from %s" Ipv4.pp group
             (Bgmp_router.name t.routers.(r))
       | Bgmp_router.Migp_target ->
           router_trace t rid "join-hop" ?span "%a via interior" Ipv4.pp group)
-  | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ | Bgmp_msg.Data _ -> ());
+  | Bgmp_msg.Join _ | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _
+  | Bgmp_msg.Data _ ->
+      ());
   apply t rid ~from msg
 
 (* The one place a router handles a control message: router [rid]
@@ -516,11 +515,16 @@ let drain t ~group ~source ~payload ~hops base =
   done
 
 (* A packet reaching router [rid] from its external peer: it crossed a
-   domain boundary, the one place its inter-domain hop count ticks. *)
+   domain boundary, the one place its inter-domain hop count ticks.  A
+   loop-free path enters each domain at most once, so a count past the
+   domain count is a packet circling between domains. *)
 let forward_from_peer t rid ~from ~group ~source ~payload ~hops =
+  let hops = hops + 1 in
+  if hops > Topo.domain_count t.topo then
+    raise (Data_loop { payload; group; source; domain = Bgmp_router.domain t.routers.(rid) });
   let base = t.work.top in
   forward_at t rid ~from ~group ~source ~level:0;
-  drain t ~group ~source ~payload ~hops:(hops + 1) base
+  drain t ~group ~source ~payload ~hops base
 
 (* A packet a host of its source's domain sends. *)
 let originate t ~group ~source ~payload =
@@ -668,8 +672,9 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
                 (* A Domain-Wide Report starts a join chain: continue the
                    G-RIB route's causal chain when one is known. *)
                 let span = join_root_span t dom group in
-                domain_trace t dom "join" ~span "%a via %s" Ipv4.pp group
-                  (Bgmp_router.name t.routers.(exit));
+                if Recorder.is_enabled () then
+                  domain_trace t dom "join" ~span "%a via %s" Ipv4.pp group
+                    (Bgmp_router.name t.routers.(exit));
                 apply t exit ~from:Bgmp_router.Migp_target
                   (Bgmp_msg.Join { group; span = Some span })
           end
@@ -777,8 +782,9 @@ let rebuild_group t ~group =
         match exit_router_for_group t dom group with
         | Some exit ->
             let span = join_root_span t dom group in
-            domain_trace t dom "join" ~span "%a rebuild via %s" Ipv4.pp group
-              (Bgmp_router.name t.routers.(exit));
+            if Recorder.is_enabled () then
+              domain_trace t dom "join" ~span "%a rebuild via %s" Ipv4.pp group
+                (Bgmp_router.name t.routers.(exit));
             apply t exit ~from:Bgmp_router.Migp_target (Bgmp_msg.Join { group; span = Some span })
         | None -> ())
     t.migps

@@ -26,10 +26,12 @@ type root_route =
   | Unroutable
 
 exception Data_loop of { payload : int; group : Ipv4.t; source : Host_ref.t; domain : Domain.id }
-(** A packet's walk inside [domain] reached an interior distribution
-    nested deeper than the fabric has border routers: the walk hands it
-    round without end.  Each item of the fabric's work stack carries
-    its nesting level, the only bound on such a loop. *)
+(** A packet circles without end, raised at one of two bounds.  Inside
+    [domain], its walk reached an interior distribution nested deeper
+    than the fabric has border routers: each item of the fabric's work
+    stack carries its nesting level.  Between domains, it arrived at
+    [domain] over a peer link with an inter-domain hop count past the
+    topology's domain count, which no loop-free path reaches. *)
 
 type config = {
   branching : bool;

@@ -418,8 +418,9 @@ let check_invariants ?(quiescent = true) t =
   List.iter
     (fun (v : Invariant.violation) ->
       t.seen_violations <- v :: t.seen_violations;
-      Recorder.recordf ~time:(Engine.now t.engine) ~label:"violation" ~subject:"invariant"
-        ?trace_id:v.Invariant.trace_id "%s: %s" v.Invariant.inv v.Invariant.detail)
+      if Recorder.is_enabled () then
+        Recorder.recordf ~time:(Engine.now t.engine) ~label:"violation" ~subject:"invariant"
+          ?trace_id:v.Invariant.trace_id "%s: %s" v.Invariant.inv v.Invariant.detail)
     vs;
   vs
 

@@ -169,13 +169,12 @@ let maas_arena t = if has_children t then Down else Up
 
 let own_in t arena = List.filter (fun c -> c.claim.claim_arena = arena) t.own
 
-(* A narrative record in the ambient recorder; while it is off this is
-   one flag test — no subject is built and nothing is formatted. *)
+(* A narrative record in the ambient recorder.  Every call is guarded
+   by [Recorder.is_enabled ()], so while the recorder is off a site is
+   one flag test: no argument is built and nothing is formatted. *)
 let trace t tag ?span fmt =
-  if Recorder.is_enabled () then
-    Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
-      ~subject:(Printf.sprintf "masc-%d" t.self) ?span fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Recorder.recordf ~time:(Engine.now t.engine) ~label:tag
+    ~subject:(Printf.sprintf "masc-%d" t.self) ?span fmt
 
 let send t dst msg = t.transport ~dst msg
 
@@ -321,8 +320,9 @@ and renewal_decision t ctl =
     in
     if still_needed then begin
       ctl.claim.claim_lifetime_end <- Engine.now t.engine +. t.config.claim_lifetime;
-      trace t "renew" "%a until %a" Prefix.pp ctl.claim.claim_prefix Time.pp
-        ctl.claim.claim_lifetime_end;
+      if Recorder.is_enabled () then
+        trace t "renew" "%a until %a" Prefix.pp ctl.claim.claim_prefix Time.pp
+          ctl.claim.claim_lifetime_end;
       announce_claim t ctl;
       schedule_renewal t ctl
     end
@@ -335,7 +335,8 @@ and renewal_decision t ctl =
           (Engine.schedule_at ~label:"masc.expire" t.engine (max expiry (Engine.now t.engine))
              (fun () ->
                if List.memq ctl t.own && used_in t ctl = 0 then begin
-                 trace t "expire" "%a" Prefix.pp ctl.claim.claim_prefix;
+                 if Recorder.is_enabled () then
+                   trace t "expire" "%a" Prefix.pp ctl.claim.claim_prefix;
                  remove_own t ctl ~release:true ~lost:true
                end
                else if List.memq ctl t.own then begin
@@ -362,7 +363,8 @@ let rec finish_wait t ctl =
     ctl.claim.claim_state <- Acquired;
     bump t;
     let acquired_span = Span.child ctl.claim.claim_span in
-    trace t "acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
+    if Recorder.is_enabled () then
+      trace t "acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
     Engine.note_activity t.engine;
     (* A doubling claim absorbs the prefix it grew from. *)
     (match ctl.absorbing with
@@ -440,11 +442,12 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
       bump t;
       Metrics.incr m_claims;
       Engine.note_activity t.engine;
-      trace t "claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
-        (match (absorbing, consolidating) with
-        | Some _, _ -> "double"
-        | None, true -> "consolidate"
-        | None, false -> "new");
+      if Recorder.is_enabled () then
+        trace t "claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
+          (match (absorbing, consolidating) with
+          | Some _, _ -> "double"
+          | None, true -> "consolidate"
+          | None, false -> "new");
       announce_claim t ctl;
       ctl.wait_timer <-
         Some
@@ -455,9 +458,10 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
 and escalate_up t ~need =
   match t.node_role with
   | Child parent ->
-      trace t "need-space" "%d addresses" need;
+      if Recorder.is_enabled () then trace t "need-space" "%d addresses" need;
       send t parent (Masc_message.Need_space need)
-  | Top -> trace t "blocked" "224/4 exhausted for need %d" need
+  | Top ->
+      if Recorder.is_enabled () then trace t "blocked" "224/4 exhausted for need %d" need
 
 (* Apply the §4.3.3 policy for [need] addresses in [arena]; returns true
    when the demand is already satisfiable from existing space. *)
@@ -623,8 +627,9 @@ let duel_own_claims t arena ~owner ~prefix =
         (* The collision continues the WINNING claim's chain, so the
            surviving allocation's timeline contains the duel. *)
         let cspan = Span.child ctl.claim.claim_span in
-        trace t "collision-sent" ~span:cspan "%a of %d loses to our %a" Prefix.pp prefix owner
-          Prefix.pp ctl.claim.claim_prefix;
+        if Recorder.is_enabled () then
+          trace t "collision-sent" ~span:cspan "%a of %d loses to our %a" Prefix.pp prefix
+            owner Prefix.pp ctl.claim.claim_prefix;
         send_collision t ~arena ~victim:owner ~victim_prefix:prefix
           ~winner_prefix:ctl.claim.claim_prefix ~span:(Some cspan);
         (false, losers)
@@ -661,9 +666,11 @@ let handle_claim_announce_impl t arena ~owner ~prefix ~lifetime_end ~span =
             t.collisions_suffered <- t.collisions_suffered + 1;
             Metrics.incr m_collisions;
             Engine.note_activity t.engine;
-            trace t "collision-lost"
-              ?span:(Option.map Span.child span)
-              "our %a loses to %a of %d" Prefix.pp ctl.claim.claim_prefix Prefix.pp prefix owner;
+            if Recorder.is_enabled () then
+              trace t "collision-lost"
+                ?span:(Option.map Span.child span)
+                "our %a loses to %a of %d" Prefix.pp ctl.claim.claim_prefix Prefix.pp prefix
+                owner;
             let want_len = Prefix.len ctl.claim.claim_prefix in
             remove_own t ctl ~release:false ~lost:true;
             Metrics.incr m_reclaims;
@@ -707,9 +714,10 @@ let handle_collision_impl t ~victim ~victim_prefix ~winner ~winner_prefix ~span 
           t.collisions_suffered <- t.collisions_suffered + 1;
           Metrics.incr m_collisions;
           Engine.note_activity t.engine;
-          trace t "collision-yield"
-            ?span:(Option.map Span.child span)
-            "%a to %d's %a" Prefix.pp victim_prefix winner Prefix.pp winner_prefix;
+          if Recorder.is_enabled () then
+            trace t "collision-yield"
+              ?span:(Option.map Span.child span)
+              "%a to %d's %a" Prefix.pp victim_prefix winner Prefix.pp winner_prefix;
           let arena = ctl.claim.claim_arena in
           let want_len = Prefix.len ctl.claim.claim_prefix in
           remove_own t ctl ~release:false ~lost:true;
@@ -742,8 +750,9 @@ let receive t ~from_ msg =
   | Masc_message.Space_advertise ranges ->
       List.iter (Address_space.remove_cover t.up_space) (Address_space.covers t.up_space);
       List.iter (Address_space.add_cover t.up_space) ranges;
-      trace t "space" "parent space now [%s]"
-        (String.concat " " (List.map Prefix.to_string ranges));
+      if Recorder.is_enabled () then
+        trace t "space" "parent space now [%s]"
+          (String.concat " " (List.map Prefix.to_string ranges));
       process_pending t
   | Masc_message.Claim_announce { owner; prefix; lifetime_end; span } ->
       handle_claim_announce t (arena_of_sender ()) ~owner ~prefix ~lifetime_end ~span
@@ -762,7 +771,7 @@ let receive t ~from_ msg =
       handle_collision t ~victim ~victim_prefix ~winner ~winner_prefix ~span
   | Masc_message.Need_space need ->
       if List.mem from_ t.children then begin
-        trace t "child-needs" "%d addresses for %d" need from_;
+        if Recorder.is_enabled () then trace t "child-needs" "%d addresses for %d" need from_;
         let total = Address_space.total_addresses t.down_space in
         let used = Address_space.claimed_addresses t.down_space in
         let need_up = max need (used + need - (total - used)) in
@@ -776,7 +785,7 @@ let reparent t ~new_parent =
   | Top -> invalid_arg "Masc_node.reparent: top-level node has no parent"
   | Child old_parent ->
       if old_parent <> new_parent then begin
-        trace t "reparent" "%d -> %d" old_parent new_parent;
+        if Recorder.is_enabled () then trace t "reparent" "%d -> %d" old_parent new_parent;
         t.node_role <- Child new_parent;
         bump t;
         (* Forget the old parent's space and sibling registry; the new

@@ -17,10 +17,10 @@
     so two runs can be compared for behavioural identity without
     retaining either stream.
 
-    Disabled-path cost is one flag test ({!is_enabled} guards the call
-    sites, the same pattern as the profiler and the sampler; {!recordf}
-    does the test itself and formats nothing), so the instrumented hot
-    paths are unchanged when recording is off.
+    Disabled-path cost is one flag test: {!is_enabled} guards every
+    call site in the library, the same pattern as the profiler and the
+    sampler, so the instrumented hot paths build no argument and format
+    nothing when recording is off.
 
     The enabled flag is shared across domains (flip it from the main
     domain while no workers run); the instance records land in is the
@@ -83,8 +83,10 @@ val recordf :
   ('a, Format.formatter, unit, unit) format4 ->
   'a
 (** A narrative record whose detail is the formatted line.  When the
-    recorder is disabled this is one flag test: the arguments are
-    consumed without any formatting work. *)
+    recorder is disabled nothing is formatted, but an unguarded call
+    still builds its arguments and consumes them through
+    [Format.ikfprintf], which allocates per conversion: guard the call
+    with {!is_enabled}. *)
 
 val recent : unit -> record list
 (** The retained records, oldest first: the ring's window, or every

@@ -813,8 +813,10 @@ let test_fabric_served_set_grows_with_hosts () =
 
 (* A data loop: a G-RIB gone wrong points A toward C, C toward B and B
    toward A, so default forwarding (which has no TTL) carries one copy of
-   the packet around the A-C-B cycle for ever, serving B's member once
-   per lap (every 30 ms with 10 ms links). *)
+   the packet around the A-C-B cycle, serving B's member once per lap
+   (every 30 ms with 10 ms links), until the inter-domain hop bound
+   stops it: an arrival past the topology's 4 domains raises
+   [Data_loop]. *)
 let looping_fabric () =
   let topo = Topo.create () in
   let add name = Topo.add_domain topo ~name ~kind:Domain.Regional in
@@ -839,38 +841,64 @@ let looping_fabric () =
   routes.(a) <- Bgmp_fabric.Via c;
   routes.(c) <- Bgmp_fabric.Via b;
   routes.(b) <- Bgmp_fabric.Via a;
-  (engine, fabric, member, Host_ref.make d 0)
+  (topo, engine, fabric, member, Host_ref.make d 0)
+
+(* [f ()] raises [Data_loop] for payload [p] at domain [name]. *)
+let check_data_loop topo ~p ~source ~name f =
+  match f () with
+  | () -> Alcotest.fail "the packet kept circling"
+  | exception Bgmp_fabric.Data_loop { payload; group; source = src; domain } ->
+      check Alcotest.int "loop payload" p payload;
+      check Alcotest.bool "loop group" true (Ipv4.equal g group);
+      check Alcotest.string "loop source" (host_pp source) (host_pp src);
+      check Alcotest.string "loop domain" name (Topo.domain topo domain).Domain.name
 
 let test_fabric_duplicate_not_relisted () =
-  let engine, fabric, member, source = looping_fabric () in
+  let topo, engine, fabric, member, source = looping_fabric () in
   let p = Bgmp_fabric.send fabric ~source ~group:g in
   (* First lap: D-A-C-B, three hops, arriving at 30 ms. *)
   Engine.run ~until:(Time.seconds 0.045) engine;
   check Alcotest.int "first copy is no duplicate" 0 (Bgmp_fabric.duplicate_deliveries fabric);
-  (* Second lap arrives at 60 ms. *)
-  Engine.run ~until:(Time.seconds 0.075) engine;
-  check Alcotest.int "second copy counted as a duplicate" 1
-    (Bgmp_fabric.duplicate_deliveries fabric);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "listed once, with the first copy's hops"
     [ (host_pp member, 3) ]
-    (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p))
+    (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p));
+  (* The second lap reaches A at 40 ms with four hops and C at 50 ms
+     with five, one past the domain count: stopped there and named,
+     before B's member can hear a second copy. *)
+  check_data_loop topo ~p ~source ~name:"C" (fun () ->
+      Engine.run ~until:(Time.seconds 0.075) engine);
+  check Alcotest.bool "stopped at C's arrival" true
+    (Float.abs (Engine.now engine -. Time.seconds 0.05) < 1e-9);
+  check Alcotest.int "no duplicate delivered" 0 (Bgmp_fabric.duplicate_deliveries fabric);
+  check Alcotest.int "still listed once" 1
+    (List.length (Bgmp_fabric.deliveries fabric ~payload:p))
 
+(* A copy landing after its payload was forgotten is recorded as a
+   fresh delivery, as the interface documents: n0's member hears the
+   packet inside [send], the payload is forgotten while the copy to n1
+   is on the 10 ms link, and n1's arrival alone is listed. *)
 let test_fabric_straggler_after_forget_is_fresh () =
-  let engine, fabric, member, source = looping_fabric () in
-  let p = Bgmp_fabric.send fabric ~source ~group:g in
-  Engine.run ~until:(Time.seconds 0.045) engine;
+  let topo = Gen.line ~n:2 in
+  let engine, fabric = make_fabric ~migp_style:(fun _ -> Migp.Pim_sm) ~root_name:"n1" topo in
+  let near = Host_ref.make (dom topo "n0") 0 and far = Host_ref.make (dom topo "n1") 0 in
+  List.iter (fun host -> Bgmp_fabric.host_join fabric ~host ~group:g) [ near; far ];
+  Engine.run_until_idle engine;
+  let p = Bgmp_fabric.send fabric ~source:(Host_ref.make (dom topo "n0") 1) ~group:g in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "the local member hears the send"
+    [ (host_pp near, 0) ]
+    (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p));
   Bgmp_fabric.forget_payload fabric ~payload:p;
   check Alcotest.int "forgotten" 0 (List.length (Bgmp_fabric.deliveries fabric ~payload:p));
-  (* The second lap's copy (six hops) lands after the forget: recorded
-     as a fresh delivery, as the interface documents. *)
-  Engine.run ~until:(Time.seconds 0.075) engine;
+  Engine.run_until_idle engine;
   check Alcotest.int "straggler is no duplicate" 0 (Bgmp_fabric.duplicate_deliveries fabric);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "straggler listed afresh"
-    [ (host_pp member, 6) ]
+    [ (host_pp far, 1) ]
     (List.map (fun (h, hops) -> (host_pp h, hops)) (Bgmp_fabric.deliveries fabric ~payload:p))
 
 (* An interior data loop (ROADMAP item 1), built through the router
@@ -903,13 +931,7 @@ let test_fabric_interior_loop_raises () =
        ~from:(Bgmp_router.Internal_router (Bgmp_router.id b)));
   ignore (Bgmp_router.handle_join_sg b ~source ~group:g ~from:Bgmp_router.Migp_target);
   let p = Bgmp_fabric.send fabric ~source ~group:g in
-  (match Engine.run_until_idle engine with
-  | () -> Alcotest.fail "the packet stopped circling"
-  | exception Bgmp_fabric.Data_loop { payload; group; source = src; domain } ->
-      check Alcotest.int "payload" p payload;
-      check Alcotest.bool "group" true (Ipv4.equal g group);
-      check Alcotest.string "source" (host_pp source) (host_pp src);
-      check Alcotest.string "domain" "X" (Topo.domain topo domain).Domain.name);
+  check_data_loop topo ~p ~source ~name:"X" (fun () -> Engine.run_until_idle engine);
   (* Rewound, the same fabric serves a loop-free group exactly once per
      member: nothing of the loop is left to run. *)
   Engine.reset engine;
@@ -923,6 +945,31 @@ let test_fabric_interior_loop_raises () =
   check (Alcotest.list Alcotest.string) "each member once" (List.map host_pp members)
     (List.sort compare (List.map (fun (h, _) -> host_pp h) (Bgmp_fabric.deliveries fabric ~payload:p)));
   check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric)
+
+(* A loop between domains, stopped by the inter-domain hop bound:
+   Figure 3's §5.3 walkthrough (root B, members in B, C, D, F and H,
+   every MIGP DVMRP) with the source in H.  The first packet reaches
+   every member once; the second circles between domains over peer
+   links, where no interior nesting grows, and without the bound would
+   never let the engine go idle.  It reaches F with a hop count past the
+   eight domains 90 ms after its send. *)
+let test_fabric_inter_domain_loop_raises () =
+  let topo = Gen.figure3 () in
+  let engine, fabric = make_fabric ~root_name:"B" topo in
+  join_all topo fabric [ "B"; "C"; "D"; "F"; "H" ];
+  Engine.run_until_idle engine;
+  let source = Host_ref.make (dom topo "H") 3 in
+  let p = Bgmp_fabric.send fabric ~source ~group:g in
+  Engine.run_until_idle engine;
+  check (Alcotest.list Alcotest.string) "first packet: every member" [ "B"; "C"; "D"; "F"; "H" ]
+    (deliver_domains topo fabric p);
+  check Alcotest.int "first packet: no duplicates" 0 (Bgmp_fabric.duplicate_deliveries fabric);
+  let p = Bgmp_fabric.send fabric ~source ~group:g in
+  let sent_at = Engine.now engine in
+  check_data_loop topo ~p ~source ~name:"F" (fun () ->
+      Engine.run ~until:(sent_at +. Time.seconds 1.0) engine);
+  check Alcotest.bool "stopped 90 ms after the send" true
+    (Float.abs (Engine.now engine -. sent_at -. Time.seconds 0.09) < 1e-9)
 
 (* The data path's allocation, pinned per packet: Figure 3's §5.3
    walkthrough (members in B, C, D, F and H, source in D, every MIGP
@@ -1059,4 +1106,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fabric_delivers_to_exactly_members;
     ("fabric interior loop raises Data_loop", `Quick, test_fabric_interior_loop_raises);
     ("fabric data path allocation", `Quick, test_fabric_data_path_allocation);
+    ("fabric inter-domain loop raises Data_loop", `Quick, test_fabric_inter_domain_loop_raises);
   ]

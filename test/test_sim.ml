@@ -359,6 +359,28 @@ let test_trace_disabled_skips_formatting () =
       check Alcotest.bool "formatter invoked when enabled" true !formatted;
       check (Alcotest.list Alcotest.string) "formatted detail" [ "value boom" ] (details ()))
 
+(* A call site guarded by [Recorder.is_enabled ()], as every narrative
+   site in the library is, allocates nothing while the recorder is off;
+   the same call unguarded formats nothing either, but builds closures
+   to consume its arguments. *)
+let test_trace_guarded_site_allocates_nothing () =
+  let group = Ipv4.of_string "224.0.128.1" and payload = ref 7 in
+  let guarded () =
+    if Recorder.is_enabled () then
+      Recorder.recordf ~time:1.0 ~label:"t" ~subject:"x" "%a payload %d" Ipv4.pp group !payload
+  in
+  let unguarded () =
+    Recorder.recordf ~time:1.0 ~label:"t" ~subject:"x" "%a payload %d" Ipv4.pp group !payload
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty = words ignore in
+  check (Alcotest.float 0.0) "a guarded site allocates 0 words" 0.0 (words guarded -. empty);
+  check Alcotest.bool "an unguarded call allocates" true (words unguarded -. empty > 0.0)
+
 let test_trace_null_sink_counts () =
   (* Counting is independent of retention: the smallest ring still
      counts (and fingerprints) every record. *)
@@ -851,4 +873,5 @@ let suite =
     ("trace clear", `Quick, test_trace_clear);
     QCheck_alcotest.to_alcotest prop_engine_any_schedule_order_fires_sorted;
     QCheck_alcotest.to_alcotest prop_engine_matches_heap_reference;
+    ("trace guarded site allocates nothing", `Quick, test_trace_guarded_site_allocates_nothing);
   ]
