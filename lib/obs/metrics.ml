@@ -2,136 +2,194 @@ open Obs_ctx
 
 type registry = Obs_ctx.registry
 
-let create = Obs_ctx.registry
-
 let default = Obs_ctx.main.metrics
 
-(* Every metric update reads this: one domain-local read and one field
-   load, spelled out so that no call is left between them. *)
-let current () = (Domain.DLS.get Obs_ctx.key).metrics
+let current () = (Obs_ctx.get ()).metrics
 
-let with_current r f =
-  let ctx = Obs_ctx.get () in
-  let prev = ctx.metrics in
-  ctx.metrics <- r;
-  Fun.protect ~finally:(fun () -> ctx.metrics <- prev) f
+(* --- Slots ------------------------------------------------------------ *)
 
-let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
+(* Handles may be made on any domain, so the name table takes a lock;
+   it is read only when a handle is made, never by an update.  Nothing
+   between the lock and the unlock raises but [Not_found], handled. *)
+let slots : (string, slot) Hashtbl.t = Hashtbl.create 64
 
-let mismatch kind name i =
-  invalid_arg
-    (Printf.sprintf "Metrics.%s: %s is already registered as a %s" kind name (kind_name i))
+let slots_lock = Mutex.create ()
 
-(* A handle follows the current registry of whichever domain uses it:
-   the cell is re-resolved by name whenever the cached binding's
-   registry is not this domain's current one.  The cached
-   [(registry, cell)] pair is immutable and replaced whole, so a racing
-   reader on another domain sees either binding, verifies the registry
-   against its own current, and rebinds on mismatch — an update can
-   never land in a registry that is not current on the updating domain.
-   [cell_of] finds or creates the cell in a registry; a histogram's
-   carries its creation limits, so a shard recreates the same buckets. *)
-type 'cell handle = {
-  hname : string;
-  cell_of : registry -> string -> 'cell;
-  mutable bound : registry * 'cell;
-}
+let slot name =
+  Mutex.lock slots_lock;
+  let s =
+    match Hashtbl.find slots name with
+    | s -> s
+    | exception Not_found ->
+        let s = { id = Hashtbl.length slots; name } in
+        Hashtbl.add slots name s;
+        s
+  in
+  Mutex.unlock slots_lock;
+  s
 
-type counter = ccell handle
+(* --- Cell tables ------------------------------------------------------ *)
 
-type gauge = gcell handle
+let slot_of = function
+  | Counter { slot; _ } | Gauge { slot; _ } | Histogram { slot; _ } -> slot
+  | Absent -> invalid_arg "Metrics.slot_of"
 
-type histogram = hcell handle
+(* The entry holding [s]'s cell, or the [Absent] one where it belongs. *)
+let rec index cells s i =
+  match Array.unsafe_get cells i with
+  | Absent -> i
+  | c -> if slot_of c == s then i else index cells s ((i + 1) land (Array.length cells - 1))
 
-(* Find or create a named cell.  A hit allocates nothing. *)
-let counter_cell registry name =
-  match Hashtbl.find registry.tbl name with
-  | Counter c -> c
-  | (Gauge _ | Histogram _) as i -> mismatch "counter" name i
-  | exception Not_found ->
-      let c = { c = 0 } in
-      Hashtbl.replace registry.tbl name (Counter c);
-      c
+let probe cells s = index cells s (s.id land (Array.length cells - 1))
 
-let gauge_cell registry name =
-  match Hashtbl.find registry.tbl name with
-  | Gauge g -> g
-  | (Counter _ | Histogram _) as i -> mismatch "gauge" name i
-  | exception Not_found ->
-      let g = { g = 0.0 } in
-      Hashtbl.replace registry.tbl name (Gauge g);
-      g
+(* The common case of [probe], spelled out so that an update that finds
+   its cell at the first probe makes no call. *)
+let[@inline] first cells s = Array.unsafe_get cells (s.id land (Array.length cells - 1))
+
+let find r s = Array.unsafe_get r.cells (probe r.cells s)
+
+let grow r =
+  let old = r.cells in
+  let cells = Array.make (max 4 (2 * Array.length old)) Absent in
+  Array.iter (fun c -> if c != Absent then cells.(probe cells (slot_of c)) <- c) old;
+  r.cells <- cells
+
+let kind_name = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Histogram _ -> "histogram"
+  | Absent -> "nothing"
+
+(* Give [s] the cell [make s] in [r] unless [r] has a cell for it: one
+   of [kind] is kept, one of another kind raises. *)
+let register r s ~kind make =
+  match find r s with
+  | Absent ->
+      if 2 * (r.count + 1) > Array.length r.cells then grow r;
+      r.cells.(probe r.cells s) <- make s;
+      r.count <- r.count + 1
+  | c ->
+      if kind_name c <> kind then
+        invalid_arg
+          (Printf.sprintf "Metrics.%s: %s is already registered as a %s" kind s.name (kind_name c))
+
+(* --- Instrument handles ----------------------------------------------- *)
+
+(* A handle is its name's slot, so it stays valid under any registry:
+   an update finds the cell in whichever registry is current on its
+   domain, and only a registry's first use of a slot registers it. *)
+type counter = slot
+
+type gauge = slot
+
+(* A histogram's cell is made with the limits of the handle that first
+   registers it in a registry, so a shard recreates the same buckets. *)
+type histogram = { hslot : slot; hlimits : float array }
+
+let new_counter slot = Counter { slot; c = 0 }
+
+let new_gauge slot = Gauge { slot; gv = { g = 0.0 } }
+
+let new_histogram limits slot =
+  Histogram
+    {
+      slot;
+      h =
+        {
+          limits = Array.copy limits;
+          buckets = Array.make (Array.length limits + 1) 0;
+          hstats = Stats.create ();
+        };
+    }
+
+let counter name =
+  let s = slot name in
+  register (current ()) s ~kind:"counter" new_counter;
+  s
+
+let gauge name =
+  let s = slot name in
+  register (current ()) s ~kind:"gauge" new_gauge;
+  s
 
 let default_limits =
   [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0; 10000.0; 100000.0; 1000000.0 |]
 
-let histogram_cell ?(limits = default_limits) registry name =
+let histogram ?(limits = default_limits) name =
   Array.iteri
     (fun i l ->
       if i > 0 && l <= limits.(i - 1) then
         invalid_arg "Metrics.histogram: limits must be strictly increasing")
     limits;
-  match Hashtbl.find registry.tbl name with
-  | Histogram h -> h
-  | (Counter _ | Gauge _) as i -> mismatch "histogram" name i
-  | exception Not_found ->
-      let h =
-        {
-          limits = Array.copy limits;
-          buckets = Array.make (Array.length limits + 1) 0;
-          hstats = Stats.create ();
-        }
-      in
-      Hashtbl.replace registry.tbl name (Histogram h);
-      h
+  let h = { hslot = slot name; hlimits = limits } in
+  register (current ()) h.hslot ~kind:"histogram" (new_histogram limits);
+  h
 
-let handle cell_of name =
-  let r = current () in
-  { hname = name; cell_of; bound = (r, cell_of r name) }
+(* Updates in a given registry: the first probe inline, then the slow
+   path, which probes on and registers the slot if it is absent. *)
+let rec add_slow r s n =
+  match find r s with
+  | Counter k -> k.c <- k.c + n
+  | _ ->
+      register r s ~kind:"counter" new_counter;
+      add_slow r s n
 
-let counter name = handle counter_cell name
+let[@inline] add_in r s n =
+  match first r.cells s with
+  | Counter k when k.slot == s -> k.c <- k.c + n
+  | _ -> add_slow r s n
 
-let gauge name = handle gauge_cell name
+let rec count_in r s =
+  match find r s with
+  | Counter k -> k.c
+  | _ ->
+      register r s ~kind:"counter" new_counter;
+      count_in r s
 
-let histogram ?limits name = handle (fun r n -> histogram_cell ?limits r n) name
+let rec gcell_slow r s =
+  match find r s with
+  | Gauge k -> k.gv
+  | _ ->
+      register r s ~kind:"gauge" new_gauge;
+      gcell_slow r s
 
-let cell h =
-  let r, cell = h.bound in
-  let cur = current () in
-  if r == cur then cell
-  else begin
-    let cell = h.cell_of cur h.hname in
-    h.bound <- (cur, cell);
-    cell
-  end
+let[@inline] gcell_in r s =
+  match first r.cells s with Gauge k when k.slot == s -> k.gv | _ -> gcell_slow r s
 
-let incr c =
-  let c = cell c in
-  c.c <- c.c + 1
+let rec hcell_in r h =
+  match find r h.hslot with
+  | Histogram k -> k.h
+  | _ ->
+      register r h.hslot ~kind:"histogram" (new_histogram h.hlimits);
+      hcell_in r h
 
-let add c n =
-  let c = cell c in
-  c.c <- c.c + n
+let incr c = add_in (current ()) c 1
 
-let count c = (cell c).c
+let add c n = add_in (current ()) c n
 
-let set g v = (cell g).g <- v
+let count c = count_in (current ()) c
+
+(* The gauge setters stay this small so that they inline at their call
+   sites and no float crosses a call; the lookup is a call of its own. *)
+let[@inline never] gcell g = gcell_in (current ()) g
+
+let set g v = (gcell g).g <- v
 
 let set_max g v =
-  let g = cell g in
+  let g = gcell g in
   if v > g.g then g.g <- v
 
-let set_int g n = (cell g).g <- float_of_int n
+let set_int g n = (gcell g).g <- float_of_int n
 
 let set_max_int g n =
-  let g = cell g in
+  let g = gcell g in
   let v = float_of_int n in
   if v > g.g then g.g <- v
 
-let value g = (cell g).g
+let value g = (gcell g).g
 
 let observe h x =
-  let h = cell h in
+  let h = hcell_in (current ()) h in
   Stats.add h.hstats x;
   let n = Array.length h.limits in
   let i = ref 0 in
@@ -141,15 +199,15 @@ let observe h x =
   h.buckets.(!i) <- h.buckets.(!i) + 1
 
 let reset registry =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | Counter c -> c.c <- 0
-      | Gauge g -> g.g <- 0.0
-      | Histogram h ->
+  Array.iter
+    (function
+      | Absent -> ()
+      | Counter k -> k.c <- 0
+      | Gauge k -> k.gv.g <- 0.0
+      | Histogram { h; _ } ->
           Array.fill h.buckets 0 (Array.length h.buckets) 0;
           h.hstats <- Stats.create ())
-    registry.tbl
+    registry.cells
 
 (* ------------------------------------------------------------------ *)
 (* Shard merge                                                         *)
@@ -161,26 +219,26 @@ let reset registry =
    marks; plain last-value gauges from concurrent shards have no
    sequential order to preserve).  Counter/bucket merging is exact and
    order-independent; merging shards in a deterministic order (Par does
-   item order) makes the float fields deterministic too. *)
+   item order) makes the float fields deterministic too.  A loop, not
+   an iterator, so an empty shard's merge allocates nothing. *)
 let merge_into ~into src =
   if into != src then
-    Hashtbl.iter
-      (fun name i ->
-        match i with
-        | Counter c ->
-            let d = counter_cell into name in
-            d.c <- d.c + c.c
-        | Gauge g ->
-            let d = gauge_cell into name in
-            if g.g > d.g then d.g <- g.g
-        | Histogram h ->
-            let d = histogram_cell ~limits:h.limits into name in
-            if Array.length d.buckets <> Array.length h.buckets || d.limits <> h.limits then
-              invalid_arg
-                (Printf.sprintf "Metrics.merge_into: histogram %s has mismatched limits" name);
-            Array.iteri (fun k n -> d.buckets.(k) <- d.buckets.(k) + n) h.buckets;
-            d.hstats <- Stats.merge d.hstats h.hstats)
-      src.tbl
+    let cells = src.cells in
+    for i = 0 to Array.length cells - 1 do
+      match Array.unsafe_get cells i with
+      | Absent -> ()
+      | Counter k -> add_in into k.slot k.c
+      | Gauge k ->
+          let d = gcell_in into k.slot in
+          if k.gv.g > d.g then d.g <- k.gv.g
+      | Histogram { slot; h } ->
+          let d = hcell_in into { hslot = slot; hlimits = h.limits } in
+          if Array.length d.buckets <> Array.length h.buckets || d.limits <> h.limits then
+            invalid_arg
+              (Printf.sprintf "Metrics.merge_into: histogram %s has mismatched limits" slot.name);
+          Array.iteri (fun k n -> d.buckets.(k) <- d.buckets.(k) + n) h.buckets;
+          d.hstats <- Stats.merge d.hstats h.hstats
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -243,16 +301,13 @@ let percentile_of_view v p =
   walk neg_infinity 0.0 v.hbuckets
 
 let snapshot registry =
-  Hashtbl.fold
-    (fun name i acc ->
-      let v =
-        match i with
-        | Counter c -> Counter_v c.c
-        | Gauge g -> Gauge_v g.g
-        | Histogram h -> Histogram_v (view_of_histogram h)
-      in
-      (name, v) :: acc)
-    registry.tbl []
+  Array.fold_left
+    (fun acc -> function
+      | Absent -> acc
+      | Counter k -> (k.slot.name, Counter_v k.c) :: acc
+      | Gauge k -> (k.slot.name, Gauge_v k.gv.g) :: acc
+      | Histogram k -> (k.slot.name, Histogram_v (view_of_histogram k.h)) :: acc)
+    [] registry.cells
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let find snap name = List.assoc_opt name snap

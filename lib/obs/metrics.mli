@@ -11,10 +11,16 @@
     {!Obs_ctx} context, so parallel tasks need no locks: the main
     domain's registry is {!default}; a task run under [Obs.capture]
     records into a fresh one that [Obs.merge] folds back with
-    {!merge_into}.  A handle follows the current registry of whichever
-    domain uses it, so module-toplevel handles stay safe inside
-    parallel tasks, and an update costs one domain-local read, one
-    field load and one compare.
+    {!merge_into}.  A handle is its name's process-wide slot and a
+    registry a table keyed by slot, so a handle is valid under any
+    registry and module-toplevel handles stay safe inside parallel
+    tasks.  An update reads the current registry (a flag test and a
+    load on the main domain while no [Par] batch runs, one
+    domain-local read during one), then finds its cell at the first
+    probe in a registry that holds most instruments (the main one),
+    and allocates nothing.  A registry allocates only for the
+    instruments used under it: a table at its first one and a cell at
+    each one's first use.
 
     The protocol stack records into {!default}; the evaluation harness
     calls {!reset} before a run and {!snapshot} after it.  Snapshots are
@@ -27,15 +33,13 @@ type histogram
 
 type registry = Obs_ctx.registry
 
-val create : unit -> registry
-
 val default : registry
 (** The main domain's registry: every instrument in the stack
     registers here outside [Obs.capture]. *)
 
-val with_current : registry -> (unit -> 'a) -> 'a
-(** Run the thunk with [r] current on this domain, restoring the
-    previous current registry afterwards (exception-safe). *)
+val current : unit -> registry
+(** The registry this domain's updates land in: {!default} on the main
+    domain outside [Obs.capture], the capture's own inside one. *)
 
 val merge_into : into:registry -> registry -> unit
 (** Fold a registry into [into]: counters and histogram buckets
@@ -52,7 +56,10 @@ val merge_into : into:registry -> registry -> unit
     [counter]/[gauge]/[histogram] find-or-create by name: calling twice
     with the same name returns a handle to the same instrument.
     The name is registered in the current registry at once, and again
-    in any other registry the handle is later used under.
+    in any other registry the handle is later used under (read or
+    updated).  A name's kind is a registry's: the same name may be a
+    counter in one registry and a gauge in another, and
+    {!merge_into} rejects the pair.
     @raise Invalid_argument if the name is already registered as a
     different kind of instrument. *)
 

@@ -14,21 +14,30 @@ let idle_root = Obs_ctx.node ""
 
 let idle_recorder = Obs_ctx.recorder ~ring:0
 
+(* A capture allocates its context, an empty registry and the shard; the
+   registry's table and the minter come with their first use.  No
+   closure is made around [f]. *)
 let capture f =
   let prev = Obs_ctx.get () in
   let root = if Prof.is_enabled () then Obs_ctx.node "" else idle_root in
   let ctx =
     {
-      Obs_ctx.metrics = Metrics.create ();
+      Obs_ctx.metrics = Obs_ctx.registry ();
       prof_root = root;
       prof_cur = root;
       recorder = (if Recorder.is_enabled () then Obs_ctx.recorder ~ring:0 else idle_recorder);
-      minter = Obs_ctx.minter ();
+      minter = None;
     }
   in
   Obs_ctx.set ctx;
-  let x = Fun.protect ~finally:(fun () -> Obs_ctx.set prev) f in
-  (x, { metrics = ctx.metrics; prof_root = root; records = List.rev ctx.recorder.kept })
+  match f () with
+  | x ->
+      Obs_ctx.set prev;
+      (x, { metrics = ctx.metrics; prof_root = root; records = List.rev ctx.recorder.kept })
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Obs_ctx.set prev;
+      Printexc.raise_with_backtrace e bt
 
 (* Add [src]'s sections into [dst]'s same-named children, recursively,
    in [src]'s first-entered order. *)

@@ -7,8 +7,13 @@
 
 (* --- Metrics ---------------------------------------------------------- *)
 
-type ccell = { mutable c : int }
+(* An instrument name's slot, one per name for the whole process: every
+   handle of that name holds it, and a registry keys that name's cell
+   by it. *)
+type slot = { id : int; name : string }
 
+(* A gauge's value sits alone in an all-float record, so storing it
+   boxes nothing. *)
 type gcell = { mutable g : float }
 
 type hcell = {
@@ -17,13 +22,23 @@ type hcell = {
   mutable hstats : Stats.t;
 }
 
-type instrument = Counter of ccell | Gauge of gcell | Histogram of hcell
+type cell =
+  | Absent
+  | Counter of { slot : slot; mutable c : int }
+  | Gauge of { slot : slot; gv : gcell }
+  | Histogram of { slot : slot; h : hcell }
 
-type registry = { tbl : (string, instrument) Hashtbl.t }
+(* An open-addressed table of cells keyed by slot, probed linearly from
+   [id land (length - 1)].  The length is a power of two at least twice
+   [count], so a probe ends at an [Absent] entry; slot ids are dense
+   from 0, so a registry holding most of them (the main one) finds
+   every cell at its first probe.  A new registry shares [no_cells] and
+   allocates a table of its own at its first cell. *)
+type registry = { mutable cells : cell array; mutable count : int }
 
-(* The smallest table Hashtbl makes (16 buckets); it grows as
-   instruments register. *)
-let registry () = { tbl = Hashtbl.create 1 }
+let no_cells = [| Absent |]
+
+let registry () = { cells = no_cells; count = 0 }
 
 (* --- Prof -------------------------------------------------------------- *)
 
@@ -100,10 +115,8 @@ let recorder ~ring =
 (* --- Span -------------------------------------------------------------- *)
 
 (* Span ids are allocated per trace id from a minter: a plain counter
-   table, at Hashtbl's smallest size to start. *)
-type minter = { next : (string, int) Hashtbl.t }
-
-let minter () = { next = Hashtbl.create 1 }
+   table, made at a context's first mint. *)
+type minter = (string, int) Hashtbl.t
 
 (* --- The context ------------------------------------------------------- *)
 
@@ -112,23 +125,32 @@ type t = {
   mutable prof_root : node;
   mutable prof_cur : node;  (** the innermost open span *)
   mutable recorder : recorder;
-  mutable minter : minter;
+  mutable minter : minter option;
 }
 
 let fresh ~ring =
   let root = node "" in
-  { metrics = registry (); prof_root = root; prof_cur = root; recorder = recorder ~ring; minter = minter () }
+  { metrics = registry (); prof_root = root; prof_cur = root; recorder = recorder ~ring; minter = None }
 
 (* A context belongs to the domain it is current on, and only that
    domain writes to it, so no stream needs a lock.  The main domain
    starts on [main] (a 256-record ring); a spawned domain starts on a
-   private scratch context until [Obs.capture] swaps in a task's. *)
+   private scratch context until [Obs.capture] swaps in a task's.
+
+   The main domain's current context is kept twice: under the DLS key,
+   and in [on_main].  While no [Par] batch runs, only the main domain
+   runs, so [get] reads [on_main] and no DLS; during a batch every
+   domain, the main one included, reads its DLS key. *)
 let main = fresh ~ring:256
 
 let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> fresh ~ring:0)
 
 let () = Domain.DLS.set key main
 
-let get () = Domain.DLS.get key
+let on_main = ref main
 
-let set c = Domain.DLS.set key c
+let get () = if Par.workers_running () then Domain.DLS.get key else !on_main
+
+let set c =
+  Domain.DLS.set key c;
+  if Domain.is_main_domain () then on_main := c

@@ -6,11 +6,21 @@ type t = { trace_id : string; span : int; parent : int option }
    never shared across domains, and [Obs.capture] gives each parallel
    task a fresh one, so the span ids a task mints are a deterministic
    function of the task alone — fingerprints are identical at any
-   [--jobs]. *)
-let reset () = Hashtbl.reset (Obs_ctx.get ()).minter.next
+   [--jobs].  A context makes its minter at its first mint, so a
+   capture that mints nothing pays nothing for it. *)
+let reset () = Option.iter Hashtbl.reset (Obs_ctx.get ()).minter
+
+let minter () =
+  let ctx = Obs_ctx.get () in
+  match ctx.minter with
+  | Some next -> next
+  | None ->
+      let next = Hashtbl.create 1 in
+      ctx.minter <- Some next;
+      next
 
 let alloc trace_id =
-  let next = (Obs_ctx.get ()).minter.next in
+  let next = minter () in
   let n = Option.value ~default:0 (Hashtbl.find_opt next trace_id) in
   Hashtbl.replace next trace_id (n + 1);
   n

@@ -43,6 +43,15 @@ let generation = ref 0  (* guarded by [m] *)
 let current_batch : batch option ref = ref None  (* guarded by [m] *)
 let spawned = ref 0
 
+(* Set by the main domain before it publishes a batch to the workers,
+   cleared once every task has finished: while it is clear, no other
+   domain runs a task.  Workers read it only inside tasks, after taking
+   the mutex that published the batch.  A raise that skipped the clear
+   would leave it set, which only costs its readers a DLS read. *)
+let workers_on = ref false
+
+let workers_running () = !workers_on
+
 let drain b ~slot =
   let rec loop () =
     let i = Atomic.fetch_and_add b.next 1 in
@@ -121,6 +130,7 @@ let map_with ?jobs:j ~init f xs =
     else begin
       ensure_workers (j - 1);
       let b = { bjobs = j; total = n; next = Atomic.make 0; run; remaining = n } in
+      workers_on := true;
       Mutex.lock m;
       current_batch := Some b;
       incr generation;
@@ -132,7 +142,8 @@ let map_with ?jobs:j ~init f xs =
         Condition.wait done_cv m
       done;
       current_batch := None;
-      Mutex.unlock m
+      Mutex.unlock m;
+      workers_on := false
     end;
     let rec first_error i =
       if i >= n then None else match errors.(i) with Some e -> Some e | None -> first_error (i + 1)

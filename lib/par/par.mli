@@ -7,7 +7,8 @@
     in draining it from the calling domain, and returns results in
     input order regardless of which domain ran which task.
 
-    The pool knows nothing of observability.
+    The pool knows nothing of observability; it only tells, through
+    {!workers_running}, whether a task may be running on another domain.
 
     Determinism contract: with [jobs = 1] no domains are involved and
     tasks run inline in order, through the same code path callers use
@@ -31,6 +32,12 @@ val set_jobs : int -> unit
 
 val jobs : unit -> int
 (** The resolved default job count (never 0). *)
+
+val workers_running : unit -> bool
+(** Whether a batch is running on worker domains: set from just before
+    the main domain publishes one until every one of its tasks has
+    finished.  While it is [false], only the main domain runs code of
+    this program. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element, running up to

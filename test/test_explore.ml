@@ -230,17 +230,16 @@ let random_schedules rng topo ~canary =
   (dirty, probe)
 
 (* One run observed three ways: its outcome, the recording's
-   fingerprint and the metrics it adds to a fresh registry. *)
+   fingerprint and the metrics it adds, its shard merged into an outer
+   capture that starts empty. *)
 let observe run =
-  let registry = Metrics.create () in
   Recorder.enable ();
-  let outcome, _ =
-    Fun.protect ~finally:Recorder.disable (fun () ->
-        let x, shard = Obs.capture run in
-        Metrics.with_current registry (fun () -> Obs.merge shard);
-        x)
-  in
-  (outcome, Recorder.fingerprint (), Metrics.to_json (Metrics.snapshot registry))
+  Fun.protect ~finally:Recorder.disable (fun () ->
+      fst @@ Obs.capture
+      @@ fun () ->
+      let (outcome, _), shard = Obs.capture run in
+      Obs.merge shard;
+      (outcome, Recorder.fingerprint (), Metrics.to_json (Metrics.snapshot (Metrics.current ()))))
 
 (* A stack that ran one schedule and was rewound runs the next exactly
    as a freshly built one: 40 seeded pairs, each history mixing every
@@ -276,22 +275,24 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let test_campaign_reuse_jobs_invariant () =
   let campaign jobs =
     let ledger = Filename.temp_file "explore-jobs" ".jsonl" in
-    let registry = Metrics.create () in
     Fun.protect
       ~finally:(fun () -> Sys.remove ledger)
       (fun () ->
-        let s =
-          Metrics.with_current registry (fun () ->
-              Explore.run_campaign
-                {
-                  Explore.default_config with
-                  Explore.budget = 60;
-                  seed = 5;
-                  jobs = Some jobs;
-                  ledger;
-                })
+        let (s, metrics), _ =
+          Obs.capture (fun () ->
+              let s =
+                Explore.run_campaign
+                  {
+                    Explore.default_config with
+                    Explore.budget = 60;
+                    seed = 5;
+                    jobs = Some jobs;
+                    ledger;
+                  }
+              in
+              (s, Metrics.to_json (Metrics.snapshot (Metrics.current ()))))
         in
-        (s, read_file ledger, Metrics.to_json (Metrics.snapshot registry)))
+        (s, read_file ledger, metrics))
   in
   let s, ledger, metrics = campaign 1 in
   check Alcotest.int "60 schedules" 60 s.Explore.total;

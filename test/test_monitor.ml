@@ -91,7 +91,9 @@ let test_predicates_match_reference () =
       ~horizon:Explore.default_config.Explore.horizon
   in
   let ticks = ref 0 and overlap_ticks = ref 0 and final_overlaps = ref 0 in
-  let registry = Metrics.create () in
+  fst @@ Obs.capture
+  @@ fun () ->
+  let registry = Metrics.current () in
   let compare_all ~at inet vs ~settled =
     let visited = ref [] in
     Bgmp_fabric.iter_active_groups (Internet.fabric inet) (fun g -> visited := g :: !visited);
@@ -113,10 +115,7 @@ let test_predicates_match_reference () =
         compare_all ~at inet vs
           ~settled:(Bgmp_fabric.settle_violations (Internet.fabric inet))
       in
-      let outcome, inet =
-        Metrics.with_current registry (fun () ->
-            Oracle.run ~stack ~on_check ~seed:(1000 + i) schedule)
-      in
+      let outcome, inet = Oracle.run ~stack ~on_check ~seed:(1000 + i) schedule in
       let vs = outcome.Oracle.violations in
       if of_inv "masc-sibling-overlap" vs <> [] then incr final_overlaps;
       (* The final check runs the quiescent-only predicates exactly when
@@ -170,8 +169,8 @@ let test_transit_stub_matches_reference () =
         };
     }
   in
-  let registry = Metrics.create () in
-  Metrics.with_current registry @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let registry = Metrics.current () in
   let inet = Internet.create ~config topo in
   let ticks = ref 0 and overlap_ticks = ref 0 in
   Engine.set_monitor (Internet.engine inet) ~cadence:(Time.minutes 30.0) (fun ~quiescent:_ ->
@@ -315,8 +314,8 @@ let test_overlap_order_across_arenas () =
 let check_minor_bytes_bound = 480.0
 
 let test_check_allocation () =
-  let registry = Metrics.create () in
-  Metrics.with_current registry @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let registry = Metrics.current () in
   let _, inet = Oracle.run ~seed:7 [] in
   let inv = Internet.invariants inet in
   let skipped () = counter registry "invariant.skipped" in
@@ -368,8 +367,8 @@ let test_check_allocation () =
    one stays skipped.  Each change is made directly on one structure,
    with the engine stopped, so nothing else moves. *)
 let test_dependencies_cover_what_predicates_read () =
-  let registry = Metrics.create () in
-  Metrics.with_current registry @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let registry = Metrics.current () in
   let _, inet = Oracle.run ~seed:7 [] in
   let inv = Internet.invariants inet in
   let skipped () = counter registry "invariant.skipped" in

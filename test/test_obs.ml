@@ -2,12 +2,11 @@
 
 let check = Alcotest.check
 
-(* A private registry per test keeps these independent of the
-   process-wide instrumentation in the protocol stack. *)
+(* A capture per test gives it a registry of its own, independent of
+   the process-wide instrumentation in the protocol stack. *)
 
 let test_counter_basics () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
   let c = Metrics.counter "a.hits" in
   Metrics.incr c;
   Metrics.incr c;
@@ -18,8 +17,7 @@ let test_counter_basics () =
   check Alcotest.int "shared handle" 6 (Metrics.count c)
 
 let test_gauge_set_max () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
   let g = Metrics.gauge "a.depth" in
   Metrics.set_max g 4.0;
   Metrics.set_max g 2.0;
@@ -28,8 +26,7 @@ let test_gauge_set_max () =
   check (Alcotest.float 1e-9) "set overrides" 1.0 (Metrics.value g)
 
 let test_kind_mismatch_raises () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
   ignore (Metrics.counter "x");
   check Alcotest.bool "gauge on counter name" true
     (try
@@ -43,8 +40,8 @@ let test_kind_mismatch_raises () =
      with Invalid_argument _ -> true)
 
 let test_histogram_bucketing () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   let h = Metrics.histogram ~limits:[| 1.0; 2.0; 5.0 |] "a.wait" in
   (* Upper bounds are inclusive; above the last limit is overflow. *)
   List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 4.9; 5.0; 5.1; 100.0 ];
@@ -62,8 +59,7 @@ let test_histogram_bucketing () =
   | _ -> Alcotest.fail "histogram missing from snapshot"
 
 let test_histogram_rejects_bad_limits () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
   check Alcotest.bool "non-increasing limits" true
     (try
        ignore (Metrics.histogram ~limits:[| 2.0; 1.0 |] "bad");
@@ -71,8 +67,8 @@ let test_histogram_rejects_bad_limits () =
      with Invalid_argument _ -> true)
 
 let test_percentile_of_view () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   let h = Metrics.histogram ~limits:[| 1.0; 2.0; 5.0 |] "lat" in
   (* Four observations spread over three bins. *)
   List.iter (Metrics.observe h) [ 0.5; 1.5; 2.5; 4.5 ];
@@ -92,8 +88,11 @@ let test_percentile_of_view () =
   check Alcotest.bool "monotone" true (p50 <= p90);
   check Alcotest.bool "p90 clamped to max" true (p90 <= 4.5);
   (* Error cases: empty view, out-of-range p. *)
-  let r2 = Metrics.create () in
-  ignore (Metrics.with_current r2 (fun () -> Metrics.histogram ~limits:[| 1.0 |] "empty"));
+  let r2, _ =
+    Obs.capture (fun () ->
+        ignore (Metrics.histogram ~limits:[| 1.0 |] "empty");
+        Metrics.current ())
+  in
   let empty =
     match Metrics.find (Metrics.snapshot r2) "empty" with
     | Some (Metrics.Histogram_v v) -> v
@@ -111,8 +110,8 @@ let test_percentile_of_view () =
      with Invalid_argument _ -> true)
 
 let test_snapshot_sorted_and_reset () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   Metrics.incr (Metrics.counter "z.last");
   Metrics.incr (Metrics.counter "a.first");
   Metrics.set (Metrics.gauge "m.mid") 7.0;
@@ -127,8 +126,8 @@ let test_snapshot_sorted_and_reset () =
   check Alcotest.int "handle usable after reset" 1 (Metrics.count c)
 
 let test_diff () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   let c = Metrics.counter "c" in
   let g = Metrics.gauge "g" in
   let h = Metrics.histogram ~limits:[| 10.0 |] "h" in
@@ -333,8 +332,8 @@ let test_trace_set_sink_after_close () =
 (* The invariant monitor: named predicates, quiescent gating, counters. *)
 
 let test_invariant_monitor () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   let inv = Invariant.create () in
   let transient = ref [] in
   Invariant.register inv ~name:"always" (fun () -> !transient);
@@ -378,10 +377,13 @@ let test_invariant_monitor () =
    and checked under another, it counts into the one it is checked
    under, so a stack reused across trials needs no rebinding. *)
 let test_invariant_counts_where_checked () =
-  let a = Metrics.create () and b = Metrics.create () in
-  let inv = Metrics.with_current a Invariant.create in
+  let (inv, a), _ = Obs.capture (fun () -> (Invariant.create (), Metrics.current ())) in
   Invariant.register inv ~name:"bad" (fun () -> [ ("boom", None) ]);
-  ignore (Metrics.with_current b (fun () -> Invariant.check inv));
+  let b, _ =
+    Obs.capture (fun () ->
+        ignore (Invariant.check inv);
+        Metrics.current ())
+  in
   let count r name =
     match Metrics.find (Metrics.snapshot r) name with Some (Metrics.Counter_v n) -> n | _ -> 0
   in
@@ -393,8 +395,8 @@ let test_invariant_counts_where_checked () =
 (* [~depends] gating: a clean verdict is cached against the dependency
    value read before the run; a violating one never is. *)
 let test_invariant_depends () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   let inv = Invariant.create () in
   let version = ref 0 and runs = ref 0 and found = ref [] in
   Invariant.register inv ~depends:(fun () -> !version) ~name:"gated" (fun () ->
@@ -573,8 +575,7 @@ let test_timeseries_memory () =
 let test_timeseries_jsonl_roundtrip () =
   let path = Filename.temp_file "series" ".jsonl" in
   let ts = Timeseries.create path in
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
   let g = Metrics.gauge "depth" in
   let c = Metrics.counter "hits" in
   Timeseries.register ts "depth" (fun () -> Metrics.value g);
@@ -635,8 +636,8 @@ let test_engine_sampler_cadence () =
   check Alcotest.int "final sample on drain" 1 !n
 
 let test_json_shape () =
-  let r = Metrics.create () in
-  Metrics.with_current r @@ fun () ->
+  fst @@ Obs.capture @@ fun () ->
+  let r = Metrics.current () in
   Metrics.incr (Metrics.counter "only.counter");
   let json = Metrics.to_json (Metrics.snapshot r) in
   check Alcotest.string "document" "{\n  \"metrics\": [\n    {\"name\": \"only.counter\", \"kind\": \"counter\", \"value\": 1}\n  ]\n}\n" json
@@ -800,6 +801,261 @@ let test_counted_loaders_report_malformed () =
       check Alcotest.int "prof rows" 0 (List.length rows);
       check Alcotest.int "prof bad lines" 1 bad_prof)
 
+(* --- the registry against its name-keyed reference ------------------------- *)
+
+(* A random program over a fixed pool of instrument names, run on
+   [Metrics] through [Obs.capture]/[Obs.merge] and [Par.map], and on
+   [Metrics_reference], the name-keyed registry whose handles rebind by
+   name.  Every read and every snapshot of the current registry is
+   observed, and the two runs must observe the same. *)
+
+type pool_kind = P_counter | P_gauge | P_histogram of float array option
+
+(* Each name keeps its kind (and limits) in every program, so no merge
+   meets a mismatch. *)
+let pool =
+  [|
+    ("d.c0", P_counter);
+    ("d.c1", P_counter);
+    ("d.c2", P_counter);
+    ("d.g0", P_gauge);
+    ("d.g1", P_gauge);
+    ("d.h0", P_histogram None);
+    ("d.h1", P_histogram (Some [| 1.0; 2.0; 5.0 |]));
+    ("d.h2", P_histogram (Some [| -1.0; 0.0 |]));
+  |]
+
+type dop =
+  | Make of int  (** a handle for pool entry [i], made now *)
+  | Make_lazy of int  (** a handle made at its first use, as [Invariant]'s are *)
+  | Add of int * int
+  | Set of int * float
+  | Set_max of int * float
+  | Set_int of int * int
+  | Set_max_int of int * int
+  | Observe of int * float
+  | Read of int  (** [count], [value], or nothing for a histogram *)
+  | Reset  (** zero the current registry *)
+  | Snapshot
+  | Capture of dop list * bool  (** a nested capture, merged or dropped *)
+  | Tasks of dop list list  (** each under its own capture, merged in task order *)
+
+type observed = Int of int | Float of float | Snap of Metrics.snapshot
+
+let rec random_ops rng ~depth n =
+  List.init n (fun _ ->
+      let h = Rng.int rng (Array.length pool) in
+      let small () = Rng.int_in rng (-3) 9 in
+      let value () = float_of_int (small ()) /. 4.0 in
+      match Rng.int rng (if depth >= 2 then 24 else 27) with
+      | 0 | 1 | 2 -> Make h
+      | 3 -> Make_lazy h
+      | 4 | 5 | 6 | 7 -> Add (h, small ())
+      | 8 | 9 -> Set (h, value ())
+      | 10 | 11 -> Set_max (h, value ())
+      | 12 -> Set_int (h, small ())
+      | 13 | 14 -> Set_max_int (h, small ())
+      | 15 | 16 | 17 -> Observe (h, value ())
+      | 18 | 19 -> Read h
+      | 20 -> Reset
+      | 21 | 22 | 23 -> Snapshot
+      | 24 | 25 -> Capture (random_ops rng ~depth:(depth + 1) (Rng.int rng 8), Rng.int rng 4 > 0)
+      | _ -> Tasks (List.init (Rng.int_in rng 1 4) (fun _ -> random_ops rng ~depth:(depth + 1) (Rng.int rng 8))))
+
+module type REGISTRY = sig
+  type counter
+  type gauge
+  type histogram
+  type shard
+
+  val counter : string -> counter
+  val gauge : string -> gauge
+  val histogram : ?limits:float array -> string -> histogram
+  val add : counter -> int -> unit
+  val count : counter -> int
+  val set : gauge -> float -> unit
+  val set_max : gauge -> float -> unit
+  val set_int : gauge -> int -> unit
+  val set_max_int : gauge -> int -> unit
+  val value : gauge -> float
+  val observe : histogram -> float -> unit
+  val reset_current : unit -> unit
+  val snapshot_current : unit -> Metrics.snapshot
+  val capture : (unit -> 'a) -> 'a * shard
+  val merge : shard -> unit
+  val map_tasks : ('a -> 'b) -> 'a list -> 'b list
+end
+
+module Interpret (R : REGISTRY) = struct
+  type handle = C of R.counter | G of R.gauge | H of R.histogram
+
+  let make i =
+    let name, kind = pool.(i) in
+    match kind with
+    | P_counter -> C (R.counter name)
+    | P_gauge -> G (R.gauge name)
+    | P_histogram limits -> H (R.histogram ?limits name)
+
+  (* A task sees the handles made before it; a lazy one not yet forced
+     becomes the task's own, so no two tasks force one lazy value. *)
+  let for_task handles =
+    Array.mapi
+      (fun i h ->
+        match h with Some l when not (Lazy.is_val l) -> Some (lazy (make i)) | h -> h)
+      handles
+
+  let rec run handles ops acc =
+    List.fold_left
+      (fun acc op ->
+        let use i f = match handles.(i) with Some l -> f (Lazy.force l) | None -> () in
+        match op with
+        | Make i ->
+            handles.(i) <- Some (Lazy.from_val (make i));
+            acc
+        | Make_lazy i ->
+            if handles.(i) = None then handles.(i) <- Some (lazy (make i));
+            acc
+        | Add (i, n) ->
+            use i (function C c -> R.add c n | G _ | H _ -> ());
+            acc
+        | Set (i, v) ->
+            use i (function G g -> R.set g v | C _ | H _ -> ());
+            acc
+        | Set_max (i, v) ->
+            use i (function G g -> R.set_max g v | C _ | H _ -> ());
+            acc
+        | Set_int (i, n) ->
+            use i (function G g -> R.set_int g n | C _ | H _ -> ());
+            acc
+        | Set_max_int (i, n) ->
+            use i (function G g -> R.set_max_int g n | C _ | H _ -> ());
+            acc
+        | Observe (i, x) ->
+            use i (function H h -> R.observe h x | C _ | G _ -> ());
+            acc
+        | Read i -> (
+            match handles.(i) with
+            | None -> acc
+            | Some l -> (
+                match Lazy.force l with
+                | C c -> Int (R.count c) :: acc
+                | G g -> Float (R.value g) :: acc
+                | H _ -> acc))
+        | Reset ->
+            R.reset_current ();
+            acc
+        | Snapshot -> Snap (R.snapshot_current ()) :: acc
+        | Capture (body, merged) ->
+            let acc, shard = R.capture (fun () -> run handles body acc) in
+            if merged then R.merge shard;
+            acc
+        | Tasks bodies ->
+            let outs =
+              R.map_tasks
+                (fun body -> R.capture (fun () -> List.rev (run (for_task handles) body [])))
+                bodies
+            in
+            List.fold_left
+              (fun acc (seen, shard) ->
+                R.merge shard;
+                List.rev_append seen acc)
+              acc outs)
+      acc ops
+
+  (* The program under a capture of its own, ending with a snapshot. *)
+  let observe ops =
+    fst
+      (R.capture (fun () ->
+           let handles = Array.make (Array.length pool) None in
+           List.rev (Snap (R.snapshot_current ()) :: run handles ops [])))
+end
+
+module Real (J : sig
+  val jobs : int
+end) =
+Interpret (struct
+  include Metrics
+
+  type shard = Obs.shard
+
+  let reset_current () = Metrics.reset (Metrics.current ())
+  let snapshot_current () = Metrics.snapshot (Metrics.current ())
+  let capture = Obs.capture
+  let merge = Obs.merge
+  let map_tasks f xs = Par.map ~jobs:J.jobs f xs
+end)
+
+module Reference = Interpret (struct
+  include Metrics_reference
+
+  type shard = Metrics_reference.registry
+
+  let set_int g n = set g (float_of_int n)
+  let set_max_int g n = set_max g (float_of_int n)
+  let reset_current () = reset !current
+  let snapshot_current () = snapshot !current
+  let map_tasks = List.map
+end)
+
+module Real_1 = Real (struct
+  let jobs = 1
+end)
+
+module Real_2 = Real (struct
+  let jobs = 2
+end)
+
+let test_registry_matches_reference () =
+  let rng = Rng.create 43 in
+  for program = 1 to 200 do
+    let ops = random_ops rng ~depth:0 (Rng.int_in rng 1 30) in
+    let expected = Reference.observe ops in
+    List.iter
+      (fun (jobs, observed) ->
+        if compare expected observed <> 0 then
+          Alcotest.failf "program %d at jobs %d: %d observations differ from the reference's"
+            program jobs
+            (List.length (List.filter (fun x -> not (List.mem x expected)) observed)))
+      [ (1, Real_1.observe ops); (2, Real_2.observe ops) ]
+  done
+
+(* Updates allocate nothing once their cell exists, outside a capture
+   (the main registry) and inside one (after the first use), in every
+   build profile: no float crosses a call and no cell is re-resolved. *)
+let test_update_allocates_nothing () =
+  let c = Metrics.counter "obs.alloc.c" and g = Metrics.gauge "obs.alloc.g" in
+  let words () =
+    Metrics.incr c;
+    Metrics.set_max_int g 1;
+    let w0 = Gc.minor_words () in
+    for i = 1 to 1000 do
+      Metrics.incr c;
+      Metrics.set_max_int g i
+    done;
+    Gc.minor_words () -. w0
+  in
+  check (Alcotest.float 0.0) "main registry: 0 words per update" 0.0 (words ());
+  let inside, _ = Obs.capture words in
+  check (Alcotest.float 0.0) "inside a capture: 0 words per update" 0.0 inside
+
+(* A capture that records nothing costs its context, an empty registry,
+   the shard and the pair it returns (16 words, the same in every build
+   profile); its merge costs nothing.  The name-keyed registry paid 78
+   words here: a 16-bucket registry table, a minter table, the
+   exception-safe wrapper's closures and a closure-iterating merge. *)
+let test_empty_capture_allocation () =
+  let once () =
+    let (), shard = Obs.capture ignore in
+    Obs.merge shard
+  in
+  once ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    once ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. 100.0 in
+  check Alcotest.bool (Printf.sprintf "capture + merge: %.1f words <= 16" per) true (per <= 16.0)
+
 let suite =
   [
     ("counter basics", `Quick, test_counter_basics);
@@ -843,4 +1099,7 @@ let suite =
       test_recorder_capture_merge_matches_sequential );
     ("span capture scoping", `Quick, test_span_capture_scoping);
     ("counted loaders report malformed lines", `Quick, test_counted_loaders_report_malformed);
+    ("registry matches the name-keyed reference", `Quick, test_registry_matches_reference);
+    ("update allocates nothing", `Quick, test_update_allocates_nothing);
+    ("empty capture allocation", `Quick, test_empty_capture_allocation);
   ]

@@ -104,9 +104,11 @@ let test_shard_hammer () =
       (List.init tasks Fun.id)
   in
   let total = tasks * (tasks - 1) / 2 in
-  let merged = Metrics.create () in
-  Metrics.with_current merged (fun () -> List.iter (fun ((), s) -> Obs.merge s) outs);
-  let snap = Metrics.snapshot merged in
+  let snap, _ =
+    Obs.capture (fun () ->
+        List.iter (fun ((), s) -> Obs.merge s) outs;
+        Metrics.snapshot (Metrics.current ()))
+  in
   (match Metrics.find snap "t.par.hits" with
   | Some (Metrics.Counter_v c) -> check Alcotest.int "counter total exact" total c
   | _ -> Alcotest.fail "counter missing");
@@ -140,9 +142,10 @@ let test_merge_order_independent () =
          (List.init 16 Fun.id))
   in
   let fold order =
-    let r = Metrics.create () in
-    Metrics.with_current r (fun () -> List.iter Obs.merge order);
-    Metrics.snapshot r
+    fst
+      (Obs.capture (fun () ->
+           List.iter Obs.merge order;
+           Metrics.snapshot (Metrics.current ())))
   in
   let a = fold shards and b = fold (List.rev shards) in
   (match (Metrics.find a "t.ord.c", Metrics.find b "t.ord.c") with
@@ -160,17 +163,16 @@ let test_merge_order_independent () =
   | _ -> Alcotest.fail "histogram missing"
 
 let test_merge_into_mismatch () =
-  let r1 = Metrics.create () and r2 = Metrics.create () in
-  ignore (Metrics.with_current r1 (fun () -> Metrics.counter "x"));
-  ignore (Metrics.with_current r2 (fun () -> Metrics.gauge "x"));
+  let registry_with make = fst (Obs.capture (fun () -> ignore (make ()); Metrics.current ())) in
+  let r1 = registry_with (fun () -> Metrics.counter "x") in
+  let r2 = registry_with (fun () -> Metrics.gauge "x") in
   check Alcotest.bool "kind mismatch raises" true
     (try
        Metrics.merge_into ~into:r1 r2;
        false
      with Invalid_argument _ -> true);
-  let r3 = Metrics.create () and r4 = Metrics.create () in
-  ignore (Metrics.with_current r3 (fun () -> Metrics.histogram ~limits:[| 1.0 |] "h"));
-  ignore (Metrics.with_current r4 (fun () -> Metrics.histogram ~limits:[| 2.0 |] "h"));
+  let r3 = registry_with (fun () -> Metrics.histogram ~limits:[| 1.0 |] "h") in
+  let r4 = registry_with (fun () -> Metrics.histogram ~limits:[| 2.0 |] "h") in
   check Alcotest.bool "limits mismatch raises" true
     (try
        Metrics.merge_into ~into:r3 r4;
@@ -254,9 +256,9 @@ let test_one_capture_carries_every_stream () =
         Recorder.record ~time:(float_of_int i) ~label:"t.all" ~span:s ();
         s.Span.span)
   in
+  (* The streams are switched on before the outer capture, which then
+     gets a profiler root and a keep-all recorder of its own. *)
   let run jobs =
-    let r = Metrics.create () in
-    Metrics.with_current r @@ fun () ->
     Prof.enable ();
     Recorder.enable ~retain:Recorder.Keep_all ();
     Fun.protect
@@ -265,6 +267,8 @@ let test_one_capture_carries_every_stream () =
         Prof.reset ();
         Recorder.disable ())
       (fun () ->
+        fst @@ Obs.capture
+        @@ fun () ->
         let outs = Par.map ~jobs (fun i -> Obs.capture (fun () -> task i)) (List.init 12 Fun.id) in
         let ids =
           List.map
@@ -274,7 +278,7 @@ let test_one_capture_carries_every_stream () =
             outs
         in
         ( ids,
-          Metrics.snapshot r,
+          Metrics.snapshot (Metrics.current ()),
           List.map (fun (row : Prof.row) -> (row.Prof.path, row.Prof.count)) (Prof.rows ()),
           List.map Recorder.record_to_json (Recorder.recent ()),
           (Recorder.fingerprint ()).Recorder.fpr_hash ))

@@ -257,7 +257,7 @@ let test_loaders_fuzz () =
         (fun (kind, text) ->
           (kind ^ " intact", text)
           :: List.mapi (fun i m -> (Printf.sprintf "%s mutant #%d" kind i, m)) (mutants rng text))
-        (Metrics.with_current (Metrics.create ()) artifacts)
+        (fst (Obs.capture artifacts))
   in
   with_temp (fun file ->
       List.iter

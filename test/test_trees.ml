@@ -284,11 +284,9 @@ let same_tree n reused fresh =
                     anchors))
        (List.init n Fun.id)
 
-(* A BFS-run counter in a registry made current for the test's span. *)
+(* A BFS-run counter in a capture's registry, for the test's span. *)
 let with_bfs_counter f =
-  let registry = Metrics.create () in
-  Metrics.with_current registry (fun () ->
-      f (fun () -> Metrics.count (Metrics.counter "spf.bfs_runs")))
+  fst (Obs.capture (fun () -> f (fun () -> Metrics.count (Metrics.counter "spf.bfs_runs"))))
 
 (* --- Resumable search ------------------------------------------------------ *)
 
@@ -707,13 +705,18 @@ let test_schedule_walks_a_path_whole () =
   in
   check Alcotest.int "one chunk" 1 (List.length (Tree_experiment.schedule ~nodes ends))
 
-(* A Figure 4 run's BFS runs and trials at the given job count. *)
+(* A Figure 4 run's BFS runs and trials at the given job count, counted
+   in a capture that is then merged, so the run's records reach this
+   domain's recorder. *)
 let bfs_and_trials params ~jobs =
-  let registry = Metrics.create () in
-  Metrics.with_current registry @@ fun () ->
-  ignore (Tree_experiment.run { params with Tree_experiment.jobs });
-  let count name = Metrics.count (Metrics.counter name) in
-  (count "spf.bfs_runs", count "trees.trials_run")
+  let counts, shard =
+    Obs.capture (fun () ->
+        ignore (Tree_experiment.run { params with Tree_experiment.jobs });
+        let count name = Metrics.count (Metrics.counter name) in
+        (count "spf.bfs_runs", count "trees.trials_run"))
+  in
+  Obs.merge shard;
+  counts
 
 (* 1,800 trials (sizes 1..500) on 1,000 nodes cut into 266 chunks: 2,065
    BFS runs, 1.15 per trial, against 2 per trial without the schedule.
