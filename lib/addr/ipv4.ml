@@ -36,4 +36,3 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let equal = Int.equal
 
-let is_multicast t = t lsr 28 = 0xE

@@ -22,6 +22,3 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
-
-val is_multicast : t -> bool
-(** True for class-D addresses, 224.0.0.0 – 239.255.255.255. *)

@@ -50,11 +50,6 @@ let subsumes p q = q.len >= p.len && q.base land mask_of_len p.len = p.base
 
 let overlaps a b = subsumes a b || subsumes b a
 
-let split p =
-  if p.len >= 32 then invalid_arg "Prefix.split: cannot split a /32";
-  let l = p.len + 1 in
-  ({ base = p.base; len = l }, { base = p.base lor (1 lsl (32 - l)); len = l })
-
 let buddy p =
   if p.len = 0 then invalid_arg "Prefix.buddy: /0 has no buddy";
   { p with base = p.base lxor (1 lsl (32 - p.len)) }
@@ -122,9 +117,5 @@ let mask_for_count n =
   if n > 1 lsl 32 then invalid_arg "Prefix.mask_for_count: count exceeds address space";
   let rec loop l = if 1 lsl (32 - l) >= n then l else loop (l - 1) in
   loop 32
-
-let addr_offset p i =
-  if i < 0 || i >= size p then invalid_arg "Prefix.addr_offset: out of range";
-  p.base lor i
 
 let class_d = make (Ipv4.of_octets 224 0 0 0) 4

@@ -22,8 +22,6 @@ val of_string : string -> t
 (** Parse ["a.b.c.d/len"] (also accepts a bare address as a /32).
     @raise Invalid_argument on malformed input. *)
 
-val of_string_opt : string -> t option
-
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
@@ -52,9 +50,6 @@ val subsumes : t -> t -> bool
 val overlaps : t -> t -> bool
 (** Prefixes overlap iff one subsumes the other. *)
 
-val split : t -> t * t
-(** The two halves of a prefix.  @raise Invalid_argument on a /32. *)
-
 val buddy : t -> t
 (** The sibling block that, merged with [t], forms the enclosing
     prefix of length [len - 1].  @raise Invalid_argument on a /0. *)
@@ -80,10 +75,6 @@ val nth_subprefix : t -> int -> int -> t
 val subprefix_count : t -> int -> int
 (** How many length-[l] sub-prefixes fit in [p]. *)
 
-val aggregate2 : t -> t -> t option
-(** [aggregate2 a b] is [Some (parent a)] when [a] and [b] are buddies,
-    else [None]. *)
-
 val aggregate : t list -> t list
 (** Repeatedly merge buddies and drop subsumed prefixes until a fixpoint:
     the minimal CIDR cover of the input set.  Output is sorted. *)
@@ -92,10 +83,6 @@ val mask_for_count : int -> int
 (** [mask_for_count n] is the shortest prefix length whose block holds at
     least [n] addresses (e.g. [mask_for_count 1024 = 22]).
     @raise Invalid_argument if [n <= 0] or [n > 2^32]. *)
-
-val addr_offset : t -> int -> Ipv4.t
-(** [addr_offset p i] is the [i]-th address of [p].
-    @raise Invalid_argument if [i] is outside [\[0, size p)]. *)
 
 val class_d : t
 (** 224.0.0.0/4 — the complete IPv4 multicast address space from which

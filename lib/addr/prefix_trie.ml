@@ -28,8 +28,6 @@ let create () =
   reset t;
   t
 
-let is_empty t = t.count = 0
-
 let cardinal t = t.count
 
 (* Bit [d] of the address, counting from the most significant (bit 0 is
@@ -168,12 +166,8 @@ let rec fold_overlapping_from node prefix d acc ~path ~f =
     | None -> acc
     | Some child -> fold_overlapping_from child prefix (d + 1) acc ~path ~f
 
-let rev_bindings t prefix ~path =
-  fold_overlapping_from t.root prefix 0 [] ~path ~f:(fun p v acc -> (p, v) :: acc)
-
-let overlapping t prefix = List.rev (rev_bindings t prefix ~path:true)
-
-let covered_by t prefix = List.rev (rev_bindings t prefix ~path:false)
+let overlapping t prefix =
+  List.rev (fold_overlapping_from t.root prefix 0 [] ~path:true ~f:(fun p v acc -> (p, v) :: acc))
 
 let fold_covered_by t prefix ~init ~f = fold_overlapping_from t.root prefix 0 init ~path:false ~f
 

@@ -12,8 +12,6 @@ val create : unit -> 'a t
 val reset : 'a t -> unit
 (** Remove every binding, in place. *)
 
-val is_empty : 'a t -> bool
-
 val cardinal : 'a t -> int
 (** Number of prefixes bound to a value. *)
 
@@ -46,13 +44,9 @@ val exists_overlapping : 'a t -> Prefix.t -> ('a -> 'b -> bool) -> 'b -> bool
     compare against a per-call value: the query then allocates
     nothing. *)
 
-val covered_by : 'a t -> Prefix.t -> (Prefix.t * 'a) list
-(** All bindings whose prefix is subsumed by the argument (including an
-    exact binding), in increasing prefix order. *)
-
 val fold_covered_by : 'a t -> Prefix.t -> init:'b -> f:(Prefix.t -> 'a -> 'b -> 'b) -> 'b
-(** Fold over the bindings of {!covered_by}, in the same order, without
-    building the list. *)
+(** Fold over the bindings whose prefix is subsumed by the argument
+    (including an exact binding), in increasing prefix order. *)
 
 val fold_free : 'a t -> Prefix.t -> init:'b -> f:(Ipv4.t -> int -> 'b -> 'b) -> 'b
 (** [fold_free t cover ~init ~f] calls [f base len acc] for each maximal

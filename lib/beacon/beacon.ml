@@ -251,8 +251,6 @@ let deliveries t = t.n_delivered
 
 let lost t = t.n_lost
 
-let outstanding t = Hashtbl.length t.pending
-
 let register_series t ts =
   Timeseries.register ts "beacon.probes_outstanding" (fun () ->
       float_of_int (Hashtbl.length t.pending));

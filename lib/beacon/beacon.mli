@@ -69,9 +69,6 @@ val deliveries : t -> int
 val lost : t -> int
 (** Expected deliveries written off by harvests so far. *)
 
-val outstanding : t -> int
-(** Probes sent but not yet harvested. *)
-
 val register_series : t -> Timeseries.t -> unit
 (** Register [beacon.probes_outstanding], [beacon.probes_sent],
     [beacon.deliveries] and [beacon.lost] sources — drive them with the

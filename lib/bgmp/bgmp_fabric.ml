@@ -404,12 +404,12 @@ let[@inline] forward_at t rid ~from ~group ~source ~level =
 
 (* Push, last to first, the interior's hand-offs to the routers in
    [rids] bar [entry]: all of them when [all] (a flooding MIGP), else
-   those taking a copy; return how many take one.  Those are the routers
+   those taking a copy.  Those are the routers
    with state for the packet and the one whose link is the domain's next
    hop toward the group's root, looked up once ([root_via]) and only
    when some router has no state. *)
 let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level = function
-  | [] -> 0
+  | [] -> ()
   | rid :: rest when rid = entry ->
       hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest
   | rid :: rest ->
@@ -419,9 +419,8 @@ let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level = function
         if stateful || root_via <> via_unknown then root_via else root_hop t dom group
       in
       let takes = stateful || t.router_neighbor.(rid) = root_via in
-      let n = hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest in
-      if all || takes then Bgmp_router.push t.work interior t.internal.(rid) ~level;
-      if takes then n + 1 else n
+      hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest;
+      if all || takes then Bgmp_router.push t.work interior t.internal.(rid) ~level
 
 (* Distribute a packet inside domain [dom]: deliver to local members,
    apply the MIGP's RPF/encapsulation behaviour, and push the hand-offs
@@ -463,18 +462,12 @@ let distribute t ~dom ~entry ~group ~source ~payload ~hops ~level =
        a hand-off can change another router's (S,G) state. *)
     let rids = t.domain_routers.(dom) in
     let floods = Migp.floods_data style in
-    let n =
-      hand_offs t ~dom ~group ~source ~entry ~root_via:via_unknown ~all:floods ~level:(level + 1)
-        rids
-    in
+    hand_offs t ~dom ~group ~source ~entry ~root_via:via_unknown ~all:floods ~level:(level + 1)
+      rids;
     if floods then begin
-      (* The flood reaches every border router; those without interest
-         prune themselves off. *)
+      (* The flood reaches every border router. *)
       let all = if entry >= 0 then List.length rids - 1 else List.length rids in
-      Migp.note_flood_delivery migp all;
-      for _ = 1 to all - n do
-        Migp.note_internal_prune migp
-      done
+      Migp.note_flood_delivery migp all
     end
   end
 
@@ -977,6 +970,3 @@ let tree_violations t ~quiescent =
     if quiescent then acc := group_settle t group !acc
   done;
   List.rev !acc
-
-let total_entries t =
-  Array.fold_left (fun acc r -> acc + Bgmp_router.entry_count r) 0 t.routers

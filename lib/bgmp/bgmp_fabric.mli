@@ -179,9 +179,6 @@ val control_messages : t -> int
 val data_messages : t -> int
 (** Data packets sent over inter-domain links so far. *)
 
-val total_entries : t -> int
-(** Forwarding entries across all border routers. *)
-
 val cycle_violations : t -> (string * string option) list
 (** Parent-pointer acyclicity over every group with tree state, as
     [(detail, trace_id)] pairs suitable for {!Invariant.register}

@@ -4,13 +4,3 @@ type t =
   | Join_sg of { source : Host_ref.t; group : Ipv4.t }
   | Prune_sg of { source : Host_ref.t; group : Ipv4.t }
   | Data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
-
-let pp ppf = function
-  | Join { group; span = _ } -> Format.fprintf ppf "join %a" Ipv4.pp group
-  | Prune g -> Format.fprintf ppf "prune %a" Ipv4.pp g
-  | Join_sg { source; group } -> Format.fprintf ppf "join (%a,%a)" Host_ref.pp source Ipv4.pp group
-  | Prune_sg { source; group } ->
-      Format.fprintf ppf "prune (%a,%a)" Host_ref.pp source Ipv4.pp group
-  | Data { group; source; payload; hops } ->
-      Format.fprintf ppf "data %a from %a #%d (%d hops)" Ipv4.pp group Host_ref.pp source payload
-        hops

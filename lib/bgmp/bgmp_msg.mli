@@ -13,5 +13,3 @@ type t =
   | Data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
       (** a multicast packet; [hops] counts inter-domain links traversed
           (for path-length verification against {!Path_eval}) *)
-
-val pp : Format.formatter -> t -> unit

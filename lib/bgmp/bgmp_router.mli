@@ -182,11 +182,3 @@ val iter_star : t -> (Ipv4.t -> entry -> unit) -> unit
 val entry_count : t -> int
 (** Total forwarding entries, (star,G) plus (S,G) — the state-scaling
     metric of §7. *)
-
-val aggregated_entry_count : t -> int
-(** Forwarding-table size after the §7 state aggregation: (star,G) and
-    (S,G) entries whose target lists are identical collapse into
-    (star,G-prefix) / (S,G-prefix) entries covering aligned group
-    ranges ("BGMP has provisions for this by allowing (star,G-prefix)
-    and (S-prefix,G-prefix) state to be stored at the routers wherever
-    the list of targets are the same"). *)

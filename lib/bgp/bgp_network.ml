@@ -73,6 +73,3 @@ let withdraw t id prefix = Speaker.withdraw_origin t.speakers.(id) prefix
 
 let converge t = Engine.run_until_idle t.engine
 
-let update_count t = Net.delivered t.net ~protocol:"bgp"
-
-let grib_sizes t = Array.map Speaker.grib_size t.speakers

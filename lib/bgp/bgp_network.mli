@@ -32,8 +32,3 @@ val withdraw : t -> Domain.id -> Prefix.t -> unit
 val converge : t -> unit
 (** Run the engine until no BGP activity remains. *)
 
-val update_count : t -> int
-(** Total update messages delivered so far (control-traffic metric). *)
-
-val grib_sizes : t -> int array
-(** Per-domain G-RIB sizes, indexed by domain id. *)

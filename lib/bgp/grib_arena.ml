@@ -51,15 +51,6 @@ let set t ~group ~node hop =
   end;
   r.(node) <- hop
 
-let remove t ~group ~node =
-  check t ~group ~node;
-  let r = row t group in
-  if Array.length r > 0 && r.(node) <> no_entry then begin
-    r.(node) <- no_entry;
-    t.counts.(node) <- t.counts.(node) - 1;
-    t.entries <- t.entries - 1
-  end
-
 (* Rows are kept, emptied: a fresh arena answers [no_entry] alike. *)
 let clear t =
   Array.iter (fun r -> Array.fill r 0 (Array.length r) no_entry) t.rows;
@@ -71,6 +62,3 @@ let entries t = t.entries
 let node_entries t node =
   if node < 0 || node >= t.n then invalid_arg "Grib_arena: unknown node id";
   t.counts.(node)
-
-let storage_words t =
-  Array.fold_left (fun acc r -> acc + Array.length r) (Array.length t.rows + t.n) t.rows

@@ -19,20 +19,16 @@ val create : domains:int -> unit -> t
 (** An empty arena for routers [0 .. domains-1].  Group ids are dense
     nonnegative ints (their range is not fixed up front). *)
 
-val no_entry : int
-(** [-2]: returned by {!find} when the router holds no entry. *)
-
 val find : t -> group:int -> node:int -> int
 (** The next hop toward the group's root: a domain id, [-1] when [node]
-    is itself the root (an entry with no next hop), or {!no_entry}. *)
+    is itself the root (an entry with no next hop), or [-2] when the
+    router holds no entry. *)
 
 val mem : t -> group:int -> node:int -> bool
 
 val set : t -> group:int -> node:int -> int -> unit
 (** [set t ~group ~node hop] installs or overwrites the entry ([hop] is
     a domain id, or [-1] at the root itself). *)
-
-val remove : t -> group:int -> node:int -> unit
 
 val clear : t -> unit
 (** Drop every entry, keeping the allocated rows: the arena then
@@ -44,8 +40,3 @@ val entries : t -> int
 val node_entries : t -> int -> int
 (** This router's G-RIB entry count — the paper's per-router state
     axis. *)
-
-val storage_words : t -> int
-(** Words held by the arena's flat arrays (row directory + rows +
-    counts) — the [Obs.Prof]-comparable footprint of the
-    representation. *)

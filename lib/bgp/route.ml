@@ -42,7 +42,3 @@ let equal a b =
   Prefix.equal a.prefix b.prefix
   && a.origin = b.origin
   && List.equal Int.equal a.as_path b.as_path
-
-let pp ppf r =
-  Format.fprintf ppf "%a origin=%d path=[%s]" Prefix.pp r.prefix r.origin
-    (String.concat ";" (List.map string_of_int r.as_path))

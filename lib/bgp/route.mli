@@ -47,5 +47,3 @@ val prefer : t -> t -> t
     tie-breaking. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

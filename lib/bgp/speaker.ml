@@ -67,8 +67,6 @@ let set_export_filter t f = t.extra_filter <- f
 
 let set_on_grib_change t f = t.on_grib_change <- f
 
-let originated t = List.sort Prefix.compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.originated_tbl [])
-
 (* The default export rule (Gao–Rexford, §2 "Routing policies"): a route
    is exported to a peer iff we originated it or learned it from a
    customer; routes learned from providers or peers are only exported to
@@ -267,11 +265,6 @@ let receive t ~from_ update =
       end
 
 let lookup t addr = Prefix_trie.find_longest t.grib addr
-
-let next_hop_to_root t addr =
-  match lookup t addr with
-  | None -> None
-  | Some r -> Route.next_hop r
 
 let best_routes t = Prefix_trie.to_list t.grib
 

@@ -81,10 +81,6 @@ val lookup : t -> Ipv4.t -> Route.t option
 (** G-RIB longest-prefix match: the route toward the root domain of the
     given group address. *)
 
-val next_hop_to_root : t -> Ipv4.t -> Domain.id option
-(** The peer to forward joins/data toward for this group; [None] when we
-    are the root domain ourselves or the address is unroutable. *)
-
 val best_routes : t -> (Prefix.t * Route.t) list
 (** The G-RIB contents, in prefix order. *)
 
@@ -94,4 +90,3 @@ val iter_routes : t -> (Route.t -> unit) -> unit
 (** The G-RIB's routes in prefix order, without building a list: the
     walk allocates nothing of its own. *)
 
-val originated : t -> Prefix.t list

@@ -1,5 +1,1 @@
 type t = Advertise of Route.t | Withdraw of Prefix.t
-
-let pp ppf = function
-  | Advertise r -> Format.fprintf ppf "advertise %a" Route.pp r
-  | Withdraw p -> Format.fprintf ppf "withdraw %a" Prefix.pp p

@@ -7,5 +7,3 @@
 type t =
   | Advertise of Route.t
   | Withdraw of Prefix.t
-
-val pp : Format.formatter -> t -> unit

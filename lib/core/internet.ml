@@ -424,8 +424,8 @@ let check_invariants ?(quiescent = true) t =
     vs;
   vs
 
-let enable_invariant_checks ?(cadence = Time.hours 1.0) t =
-  Engine.set_monitor t.engine ~cadence (fun ~quiescent -> ignore (check_invariants ~quiescent t))
+let enable_invariant_checks t =
+  Engine.set_monitor t.engine ~cadence:(Time.hours 1.0) (fun ~quiescent -> ignore (check_invariants ~quiescent t))
 
 (* Telemetry: register the stack's convergence-curve sources on [ts] and
    drive them from the engine's sampler hook, mirroring how invariant
@@ -471,7 +471,7 @@ let invariants t = t.invariants
 let net_config config =
   { Net.loss_rate = config.loss; loss_seed = config.seed lxor 0x6e6574 }
 
-let create ?(config = default_config) ?migp_style net_topo =
+let create ?(config = default_config) net_topo =
   let engine = Engine.create () in
   let rng = Rng.create config.seed in
   let net = Net.create ~engine ~config:(net_config config) () in
@@ -499,7 +499,7 @@ let create ?(config = default_config) ?migp_style net_topo =
         r.Route.span)
   in
   let bgmp_fabric =
-    Bgmp_fabric.create ~engine ~topo:net_topo ~net ~config:config.bgmp ?migp_style
+    Bgmp_fabric.create ~engine ~topo:net_topo ~net ~config:config.bgmp
       ~span_of_group ~route_to_root ()
   in
   let maases =
@@ -613,16 +613,6 @@ let rec request_address_retry t dom ~every ~attempts =
   | None ->
       run_for t every;
       request_address_retry t dom ~every ~attempts:(attempts - 1)
-
-let request_address_in t ~initiator ~root =
-  let alloc = Maas.allocate t.maases.(root) in
-  (match alloc with
-  | Some a when Recorder.is_enabled () ->
-      Recorder.recordf ~time:(Engine.now t.engine) ~label:"remote-alloc"
-        ~subject:(Printf.sprintf "maas-%d" root) "%a for initiator %d" Ipv4.pp a.Maas.address
-        initiator
-  | Some _ | None -> ());
-  alloc
 
 let request_address_with_fallback t dom =
   match Maas.allocate t.maases.(dom) with

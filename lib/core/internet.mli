@@ -35,8 +35,8 @@ val quick_config : config
 
 type t
 
-val create : ?config:config -> ?migp_style:(Domain.id -> Migp.style) -> Topo.t -> t
-(** Build the stack; [migp_style] defaults to DVMRP everywhere. *)
+val create : ?config:config -> Topo.t -> t
+(** Build the stack, with DVMRP inside every domain. *)
 
 val reset : t -> seed:int -> unit
 (** Rewind the whole stack in place to the state {!create} with the same
@@ -79,22 +79,13 @@ val restore_link : t -> Domain.id -> Domain.id -> unit
 
 (** {1 Addresses and groups} *)
 
-val request_address : t -> Domain.id -> Maas.allocation option
-(** Ask the domain's MAAS for a group address.  [None] when the domain
-    has no usable MASC range yet — run the simulation and retry. *)
-
 val request_address_retry :
   t -> Domain.id -> every:Time.t -> attempts:int -> Maas.allocation option
-(** {!request_address}, retried: while it returns [None], advance the
-    simulation by [every] and ask again, making at most [attempts]
-    requests in all.  [None] when the last one still fails. *)
-
-val request_address_in : t -> initiator:Domain.id -> root:Domain.id -> Maas.allocation option
-(** The §7 "address allocation interface" extension: a group initiator
-    obtains an address from {e another} domain's MAAS so the resulting
-    tree is rooted there — e.g. when the dominant sources are known to
-    live elsewhere.  Equivalent to [request_address t root]; the
-    initiator argument is for tracing. *)
+(** Ask the domain's MAAS for a group address, retried: while the MAAS
+    has no usable MASC range yet, advance the simulation by [every] and
+    ask again, making at most [attempts] requests in all.  [None] when
+    the last one still fails.  With [attempts = 1] the simulation is not
+    advanced. *)
 
 val request_address_with_fallback : t -> Domain.id -> (Maas.allocation * Domain.id) option
 (** The §4.1 burst path: try the domain's own MAAS; if its space is
@@ -141,10 +132,10 @@ val check_invariants : ?quiescent:bool -> t -> Invariant.violation list
 (** Run the predicates now ([quiescent] defaults to [true]: include the
     quiescent-only ones — only sound when the engine has drained). *)
 
-val enable_invariant_checks : ?cadence:Time.t -> t -> unit
-(** Install an engine monitor that re-checks every [cadence] of
-    simulated time (default 1 h; transient-tolerant predicates are
-    skipped) and fully on quiescence. *)
+val enable_invariant_checks : t -> unit
+(** Install an engine monitor that re-checks every hour of simulated
+    time (transient-tolerant predicates are skipped) and fully on
+    quiescence. *)
 
 val invariant_violations : t -> Invariant.violation list
 (** Every violation seen so far, oldest first. *)

@@ -53,13 +53,13 @@ let of_value v =
      ledger record. *)
   let* () = if List.compare_lengths invariants trace_ids = 0 then Some () else None in
   let* transient = field "transient" to_int v in
-  let* converged_at = opt_field "converged_at" to_float v in
+  let* converged_at = Jsonl.opt_field "converged_at" to_float v in
   let* deadline = field "deadline" to_float v in
-  let* min_schedule = opt_field "min_schedule" to_string v in
-  let* min_faults = opt_field "min_faults" to_int v in
-  let* shrink_steps = opt_field "shrink_steps" to_int v in
-  let* repro_recording = opt_field "repro_recording" to_string v in
-  let* repro_trace = opt_field "repro_trace" to_string v in
+  let* min_schedule = Jsonl.opt_field "min_schedule" to_string v in
+  let* min_faults = Jsonl.opt_field "min_faults" to_int v in
+  let* shrink_steps = Jsonl.opt_field "shrink_steps" to_int v in
+  let* repro_recording = Jsonl.opt_field "repro_recording" to_string v in
+  let* repro_trace = Jsonl.opt_field "repro_trace" to_string v in
   Some
     {
       trial;
@@ -78,8 +78,6 @@ let of_value v =
       repro_recording;
       repro_trace;
     }
-
-let of_json line = Option.bind (Jsonl.parse line) of_value
 
 let append oc e =
   output_string oc (to_json e);

@@ -39,8 +39,6 @@ type entry = {
 val to_json : entry -> string
 (** One line, no trailing newline, keys in fixed order. *)
 
-val of_json : string -> entry option
-
 val append : out_channel -> entry -> unit
 
 val load : string -> entry list * int

@@ -53,11 +53,6 @@ let owner_of t p = Prefix_trie.find_exact t.claim_trie p
 
 let claims t = Prefix_trie.to_list t.claim_trie
 
-let claims_of t ~owner =
-  List.filter_map (fun (p, o) -> if o = owner then Some p else None) (claims t)
-
-let claim_count t = Prefix_trie.cardinal t.claim_trie
-
 let conflicting t candidate = Prefix_trie.overlapping t.claim_trie candidate
 
 let foreign_conflict t ~owner candidate =

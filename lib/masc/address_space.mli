@@ -50,10 +50,6 @@ val version : t -> int
 val claims : t -> (Prefix.t * int) list
 (** All (prefix, owner) claims, in prefix order. *)
 
-val claims_of : t -> owner:int -> Prefix.t list
-
-val claim_count : t -> int
-
 val conflicting : t -> Prefix.t -> (Prefix.t * int) list
 (** Registered claims overlapping the candidate, in prefix order. *)
 
@@ -68,9 +64,6 @@ val claimed_within : t -> Prefix.t -> int
 val foreign_conflict : t -> owner:int -> Prefix.t -> bool
 (** Does a claim registered to someone other than [owner] overlap the
     candidate?  Allocates nothing. *)
-
-val in_some_cover : t -> Prefix.t -> bool
-(** Is the prefix inside one of the covers? *)
 
 val is_free : t -> Prefix.t -> bool
 (** Inside some cover and overlapping no registered claim. *)

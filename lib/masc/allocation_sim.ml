@@ -649,12 +649,12 @@ let steady_state result ~from_day =
    each task, folded back here in input order, keeping metrics and
    profiles identical at any job count.  Telemetry params are rejected:
    a shard cannot drive a shared Jsonl sink. *)
-let run_many ?jobs ps =
+let run_many ps =
   List.iter
     (fun p ->
       if p.telemetry <> None then invalid_arg "Allocation_sim.run_many: telemetry not supported")
     ps;
-  let outs = Par.map ?jobs (fun p -> Obs.capture (fun () -> run p)) ps in
+  let outs = Par.map (fun p -> Obs.capture (fun () -> run p)) ps in
   List.map
     (fun (r, shard) ->
       Obs.merge shard;

@@ -96,9 +96,9 @@ val run : params -> result
 val steady_state : result -> from_day:float -> sample list
 (** The samples at or after [from_day], for summary statistics. *)
 
-val run_many : ?jobs:int -> params list -> result list
+val run_many : params list -> result list
 (** Run several independent simulations concurrently on the {!Par}
-    pool (default: the pool's job count), results in input order.
+    pool, results in input order.
     Metrics and profiler spans collected by each run land in a
     shard and are merged back in input order, so observability output
     is byte-identical at any job count.

@@ -91,10 +91,3 @@ include Make (struct
   let active c = c.active
   let used c = c.used
 end)
-
-let pp_decision ppf = function
-  | Assign c -> Format.fprintf ppf "assign within %a" Prefix.pp c.prefix
-  | Double c -> Format.fprintf ppf "double %a" Prefix.pp c.prefix
-  | Claim_new l -> Format.fprintf ppf "claim new /%d" l
-  | Consolidate l -> Format.fprintf ppf "consolidate into /%d" l
-  | Blocked -> Format.fprintf ppf "blocked"

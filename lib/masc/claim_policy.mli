@@ -66,5 +66,3 @@ end
 
 val decide : params:params -> space:Address_space.t -> claims:claim list -> need:int -> claim decision
 (** {!Make}[.decide] over plain {!claim} snapshots. *)
-
-val pp_decision : Format.formatter -> claim decision -> unit

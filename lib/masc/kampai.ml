@@ -13,8 +13,6 @@ let popcount x =
 
 let size b = 1 lsl (32 - popcount b.mask)
 
-let mem addr b = addr land b.mask = b.value
-
 let disjoint a b = (a.value lxor b.value) land a.mask land b.mask <> 0
 
 let grow b ~others =

@@ -25,11 +25,6 @@ val block_of_prefix : Prefix.t -> block
 (** A contiguous prefix viewed as a Kampai block.
     @raise Invalid_argument outside 224/4. *)
 
-val size : block -> int
-(** Number of addresses covered: [2^(free bits)]. *)
-
-val mem : Ipv4.t -> block -> bool
-
 val disjoint : block -> block -> bool
 (** Two blocks are disjoint iff their values differ on some bit
     constrained by both masks. *)

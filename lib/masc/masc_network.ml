@@ -10,7 +10,6 @@ type t = {
   rng : Rng.t;  (** the generator the node RNGs are split from *)
   node_rngs : Rng.t array;  (** in [node_ids] order *)
   parent_of : Domain.id -> Domain.id option;
-  top_space : Domain.id -> Prefix.t;
 }
 
 let message_span = function
@@ -31,22 +30,6 @@ let channel_to t ~src ~dst =
       Hashtbl.add t.channels (src, dst) ch;
       ch
 
-let exchange_partition ~tops ~exchanges =
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-  let bits = log2 exchanges in
-  if exchanges <= 0 || 1 lsl bits <> exchanges then
-    invalid_arg "Masc_network.exchange_partition: exchange count must be a power of two";
-  let len = Prefix.len Prefix.class_d + bits in
-  let assignment = Hashtbl.create (List.length tops) in
-  List.iteri
-    (fun i top ->
-      Hashtbl.replace assignment top (Prefix.nth_subprefix Prefix.class_d len (i mod exchanges)))
-    tops;
-  fun id ->
-    match Hashtbl.find_opt assignment id with
-    | Some p -> p
-    | None -> Prefix.class_d
-
 (* Children lists, top meshes and bootstrap space, from [parent_of]. *)
 let wire t =
   let tops = List.filter (fun id -> t.parent_of id = None) t.node_ids in
@@ -56,13 +39,12 @@ let wire t =
       Masc_node.set_children node (List.filter (fun c -> t.parent_of c = Some id) t.node_ids);
       match Masc_node.role node with
       | Masc_node.Top ->
-          Masc_node.bootstrap_top node (t.top_space id);
+          Masc_node.bootstrap_top node Prefix.class_d;
           Masc_node.set_top_siblings node (List.filter (fun s -> s <> id) tops)
       | Masc_node.Child _ -> ())
     t.node_ids
 
-let create ~engine ~rng ?(config = Masc_node.default_config)
-    ?(top_space = fun _ -> Prefix.class_d) ?net ~parent_of ~ids () =
+let create ~engine ~rng ?(config = Masc_node.default_config) ?net ~parent_of ~ids () =
   let net = match net with Some n -> n | None -> Net.create ~engine () in
   let t =
     {
@@ -74,7 +56,6 @@ let create ~engine ~rng ?(config = Masc_node.default_config)
       rng;
       node_rngs = Array.of_list (List.map (fun _ -> Rng.split rng) ids);
       parent_of;
-      top_space;
     }
   in
   List.iteri

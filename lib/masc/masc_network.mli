@@ -17,7 +17,6 @@ val create :
   engine:Engine.t ->
   rng:Rng.t ->
   ?config:Masc_node.config ->
-  ?top_space:(Domain.id -> Prefix.t) ->
   ?net:Net.t ->
   parent_of:(Domain.id -> Domain.id option) ->
   ids:Domain.id list ->
@@ -25,10 +24,7 @@ val create :
   t
 (** Build nodes for [ids]; [parent_of] gives each domain's MASC parent
     ([None] = top level).  Top-level nodes mesh with each other and are
-    bootstrapped on the space [top_space] assigns them — by default all
-    of 224/4; pass {!exchange_partition} to model the §4.4 start-up
-    scheme where Internet exchange points each advertise a continental
-    sub-range and every backbone adopts a nearby exchange's prefix.
+    bootstrapped on all of 224/4.
     [net] is the transport to send over — pass the internet-wide one to
     share link state with BGP and BGMP; by default the hierarchy gets a
     private [Net.t] on the same engine. *)
@@ -41,12 +37,6 @@ val reset : t -> seed:int -> unit
     and re-wired (children, top meshes, bootstrap space).  Channels and
     listeners stay.  The engine and the net are the caller's to reset
     ({!Engine.reset}, {!Net.reset}). *)
-
-val exchange_partition : tops:Domain.id list -> exchanges:int -> Domain.id -> Prefix.t
-(** Split 224/4 into [exchanges] equal sub-ranges ("one per continent",
-    §4.4) and assign each top-level domain to one round-robin.
-    @raise Invalid_argument if [exchanges] is not a positive power of
-    two reachable by prefix splitting (1, 2, 4, 8, ...). *)
 
 val of_topo :
   engine:Engine.t ->

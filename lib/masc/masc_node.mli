@@ -143,8 +143,6 @@ val all_claims : t -> own_claim list
 val iter_claims : t -> (own_claim -> unit) -> unit
 (** Visit {!all_claims} in order without building the list. *)
 
-val assigned_in : t -> Prefix.t -> int
-
 val space_view : t -> Address_space.t
 (** The node's view of the arena it claims from (covers = parent space;
     claims = heard sibling claims plus its own). *)

@@ -1,11 +1,5 @@
 type style = Dvmrp | Pim_dm | Pim_sm | Cbt
 
-let style_name = function
-  | Dvmrp -> "DVMRP"
-  | Pim_dm -> "PIM-DM"
-  | Pim_sm -> "PIM-SM"
-  | Cbt -> "CBT"
-
 let floods_data = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
 
 let strict_rpf = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
@@ -19,14 +13,12 @@ type t = {
   mutable on_group_active : group:Ipv4.t -> active:bool -> unit;
   mutable floods : int;
   mutable encaps : int;
-  mutable prunes : int;
 }
 
 let reset t =
   Hashtbl.reset t.membership;
   t.floods <- 0;
-  t.encaps <- 0;
-  t.prunes <- 0
+  t.encaps <- 0
 
 let create style ~domain =
   let t =
@@ -37,7 +29,6 @@ let create style ~domain =
       on_group_active = (fun ~group:_ ~active:_ -> ());
       floods = 0;
       encaps = 0;
-      prunes = 0;
     }
   in
   reset t;
@@ -76,18 +67,12 @@ let members t ~group =
 
 let has_members t ~group = Hashtbl.mem t.membership group
 
-let groups t = Hashtbl.fold (fun g _ acc -> g :: acc) t.membership []
-
 let iter_groups t f = Hashtbl.iter f t.membership
 
 let note_flood_delivery t n = t.floods <- t.floods + n
 
 let note_encapsulation t = t.encaps <- t.encaps + 1
 
-let note_internal_prune t = t.prunes <- t.prunes + 1
-
 let flood_deliveries t = t.floods
 
 let encapsulations t = t.encaps
-
-let internal_prunes t = t.prunes

@@ -23,8 +23,6 @@
 
 type style = Dvmrp | Pim_dm | Pim_sm | Cbt
 
-val style_name : style -> string
-
 val floods_data : style -> bool
 (** DVMRP, PIM-DM: broadcast-and-prune inside the domain. *)
 
@@ -57,9 +55,6 @@ val members : t -> group:Ipv4.t -> Host_ref.t list
 
 val has_members : t -> group:Ipv4.t -> bool
 
-val groups : t -> Ipv4.t list
-(** Groups with at least one local member. *)
-
 type members
 (** One group's local member cell, opaque. *)
 
@@ -74,11 +69,6 @@ val note_flood_delivery : t -> int -> unit
 
 val note_encapsulation : t -> unit
 
-val note_internal_prune : t -> unit
-(** A border router pruned itself off the internal broadcast. *)
-
 val flood_deliveries : t -> int
 
 val encapsulations : t -> int
-
-val internal_prunes : t -> int

@@ -276,30 +276,6 @@ let view_of_histogram h =
           (bound, h.buckets.(i)));
   }
 
-(* Prometheus-style bucket interpolation: find the bucket where the
-   cumulative count reaches rank p% of the total, then interpolate
-   linearly between its lower and upper bound.  The first bucket's lower
-   bound is the histogram's observed minimum and the overflow bucket's
-   upper bound its observed maximum, so the estimate never leaves the
-   observed range. *)
-let percentile_of_view v p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Metrics.percentile_of_view: p outside [0, 100]";
-  if v.hcount = 0 then invalid_arg "Metrics.percentile_of_view: empty histogram";
-  let rank = p /. 100.0 *. float_of_int v.hcount in
-  let rec walk lower cum = function
-    | [] -> v.hmax
-    | (bound, c) :: rest ->
-        let cum' = cum +. float_of_int c in
-        if c > 0 && cum' >= rank then begin
-          let hi = if bound = infinity then v.hmax else Float.min bound v.hmax in
-          let lo = Float.max lower v.hmin in
-          if hi <= lo then hi
-          else lo +. ((hi -. lo) *. (Float.max 0.0 (rank -. cum) /. float_of_int c))
-        end
-        else walk bound cum' rest
-  in
-  walk neg_infinity 0.0 v.hbuckets
-
 let snapshot registry =
   Array.fold_left
     (fun acc -> function

@@ -110,14 +110,6 @@ type hist_view = {
           bound is [infinity] *)
 }
 
-val percentile_of_view : hist_view -> float -> float
-(** [percentile_of_view v p] with [p] in [\[0, 100\]]: the classic
-    bucket-interpolated percentile estimate — walk the cumulative bucket
-    counts to the bucket holding rank [p], then interpolate linearly
-    inside it, clamped to the observed min/max (so p0 is [hmin] and p100
-    is [hmax] exactly).  @raise Invalid_argument on an empty view or
-    [p] outside the range. *)
-
 type value = Counter_v of int | Gauge_v of float | Histogram_v of hist_view
 
 type snapshot = (string * value) list

@@ -8,11 +8,11 @@ type shard = {
 }
 
 (* What a capture gets while the profiler or the recorder is off: one
-   root and one buffer shared by every such capture.  Nothing writes to
-   them while the flags are off. *)
+   root and one buffer ([Obs_ctx.idle_recorder]) shared by every such
+   capture.  Nothing writes to them: while the flags are off nothing is
+   recorded, and enabling either inside a capture installs a fresh
+   root or buffer in the capture's context. *)
 let idle_root = Obs_ctx.node ""
-
-let idle_recorder = Obs_ctx.recorder ~ring:0
 
 (* A capture allocates its context, an empty registry and the shard; the
    registry's table and the minter come with their first use.  No
@@ -25,7 +25,7 @@ let capture f =
       Obs_ctx.metrics = Obs_ctx.registry ();
       prof_root = root;
       prof_cur = root;
-      recorder = (if Recorder.is_enabled () then Obs_ctx.recorder ~ring:0 else idle_recorder);
+      recorder = (if Recorder.is_enabled () then Obs_ctx.recorder ~ring:0 else Obs_ctx.idle_recorder);
       minter = None;
     }
   in

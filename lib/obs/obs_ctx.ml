@@ -112,6 +112,11 @@ let recorder ~ring =
     prefix_memo = Hashtbl.create 64;
   }
 
+(* The buffer every capture made while the recorder is off shares.  It
+   is never written: [Recorder.enable] replaces it in the context
+   instead of resetting and reusing it. *)
+let idle_recorder = recorder ~ring:0
+
 (* --- Span -------------------------------------------------------------- *)
 
 (* Span ids are allocated per trace id from a minter: a plain counter

@@ -140,8 +140,6 @@ let row_of_value v =
   let* self_bytes = field "self_bytes" to_float v in
   Some { path = String.split_on_char ';' path; count; total_s; self_s; total_bytes; self_bytes }
 
-let row_of_json line = Option.bind (Jsonl.parse line) row_of_value
-
 let to_jsonl () =
   let b = Buffer.create 1024 in
   List.iter

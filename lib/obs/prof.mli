@@ -28,8 +28,6 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Stops collection; the tree collected so far remains readable. *)
 
-val reset : unit -> unit
-
 val span : string -> (unit -> 'a) -> 'a
 (** Run the thunk under a named section.  Sections nest: the same name
     under different parents is a different node.  Exceptions propagate;
@@ -51,8 +49,6 @@ val rows : unit -> row list
 
 val pp_rows : Format.formatter -> row list -> unit
 (** Indented table: count, total/self wall-clock, total/self allocation. *)
-
-val row_of_json : string -> row option
 
 val write_jsonl : string -> unit
 (** Write the live tree to [file], one row per line. *)

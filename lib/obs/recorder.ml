@@ -129,13 +129,11 @@ let record_of_value v =
   let* r_time = field "time" to_float v in
   let* r_label = field "label" to_string v in
   let* r_subject = field "subject" to_string v in
-  let* r_detail = opt_field "detail" to_string v in
-  let* r_trace_id = opt_field "trace_id" to_string v in
-  let* r_span = opt_field "span" to_int v in
-  let* r_parent = opt_field "parent" to_int v in
+  let* r_detail = Jsonl.opt_field "detail" to_string v in
+  let* r_trace_id = Jsonl.opt_field "trace_id" to_string v in
+  let* r_span = Jsonl.opt_field "span" to_int v in
+  let* r_parent = Jsonl.opt_field "parent" to_int v in
   Some { seq; r_time; r_label; r_subject; r_detail; r_trace_id; r_span; r_parent }
-
-let record_of_json line = Option.bind (Jsonl.parse line) record_of_value
 
 let load_jsonl path = Jsonl.load_counted path record_of_value
 
@@ -192,9 +190,13 @@ let reset_instance t ?sink () =
   Hashtbl.reset t.prefixes
 
 let enable ?(retain = Ring 256) ?sink () =
-  (* A different retention needs a fresh instance; the common path reuses
-     the domain's existing one so repeated enable/disable is cheap. *)
-  if retain <> retention (current ()) then (Obs_ctx.get ()).recorder <- create retain;
+  (* A different retention needs a fresh instance, and so does the idle
+     buffer that captures share while recording is off; the common path
+     reuses the domain's existing one so repeated enable/disable is
+     cheap. *)
+  let cur = current () in
+  if cur == Obs_ctx.idle_recorder || retain <> retention cur then
+    (Obs_ctx.get ()).recorder <- create retain;
   reset_instance (current ()) ?sink ();
   on := true
 
@@ -218,8 +220,6 @@ let recent () =
     done;
     !acc
   end
-
-let records () = (current ()).rcount
 
 (* --- fingerprints ------------------------------------------------------ *)
 

@@ -92,9 +92,6 @@ val recent : unit -> record list
 (** The retained records, oldest first: the ring's window, or every
     record since {!enable} under [Keep_all]. *)
 
-val records : unit -> int
-(** Records accepted since {!enable}, independent of retention. *)
-
 (** {1 Fingerprints} *)
 
 type fingerprint = {
@@ -115,11 +112,6 @@ val pp_fingerprint : Format.formatter -> fingerprint -> unit
     hex. *)
 
 (** {1 JSONL} *)
-
-val record_to_json : record -> string
-(** One JSON object, no trailing newline. *)
-
-val record_of_json : string -> record option
 
 val load_jsonl : string -> record list * int
 (** Records (file order) plus the count of malformed non-blank lines

@@ -32,10 +32,3 @@ let child p = { trace_id = p.trace_id; span = alloc p.trace_id; parent = Some p.
 let claim_id ~owner prefix = Printf.sprintf "claim:%d:%s" owner prefix
 
 let group_id group = "group:" ^ group
-
-let join_id ~group ~member = Printf.sprintf "join:%s:%s" group member
-
-let kind t =
-  match String.index_opt t.trace_id ':' with
-  | Some i -> String.sub t.trace_id 0 i
-  | None -> t.trace_id

@@ -35,9 +35,3 @@ val claim_id : owner:int -> string -> string
 val group_id : string -> string
 (** ["group:<addr>"] — a group's chain when no claim chain covers it
     (standalone BGMP fabrics with static routes). *)
-
-val join_id : group:string -> member:string -> string
-(** ["join:<addr>:<member>"] — an individual join identity. *)
-
-val kind : t -> string
-(** The trace-id prefix before the first [':'] ("claim", "group", ...). *)

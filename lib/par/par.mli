@@ -30,9 +30,6 @@ val set_jobs : int -> unit
     before any parallel work; raising the count grows the pool on the
     next batch, lowering it just idles extra workers. *)
 
-val jobs : unit -> int
-(** The resolved default job count (never 0). *)
-
 val workers_running : unit -> bool
 (** Whether a batch is running on worker domains: set from just before
     the main domain publishes one until every one of its tasks has

@@ -31,24 +31,15 @@ val run_trace : Format.formatter -> string -> string option -> unit
     otherwise every chain's timeline plus per-kind latency summaries.
     Only narrative records are shown. *)
 
-val run_diff :
-  ?cut:bool * bool ->
-  Format.formatter ->
-  string * Recorder.record list ->
-  string * Recorder.record list ->
-  int
-(** [run_diff ppf (name_a, a) (name_b, b)] locates the first record
-    where the streams differ in anything but the seq, and prints an
-    aligned context window and, for each side, the narrative causal
-    chain of the record nearest the divergence that carries a trace id.
-    Returns 0 when the streams are identical, 1 when they diverge (a
-    strict prefix diverges at the longer stream's first extra
-    record).  [cut] (default [(false, false)]) says which recordings
-    were cut off mid-record; the header and a strict-prefix verdict name
-    that side. *)
-
 val run_diff_files : Format.formatter -> string -> string -> int
-(** {!run_diff} over two recording files. *)
+(** [run_diff_files ppf a b] loads two recording files and locates the
+    first record where they differ in anything but the seq, and prints
+    an aligned context window and, for each side, the narrative causal
+    chain of the record nearest the divergence that carries a trace id.
+    Returns 0 when the recordings are identical, 1 when they diverge (a
+    strict prefix diverges at the longer one's first extra record).  The
+    header and a strict-prefix verdict name a recording whose last line
+    was cut off mid-record. *)
 
 (** {1 Run artifacts} *)
 

@@ -16,22 +16,13 @@ val pp_entry : Format.formatter -> Recorder.record -> unit
 val chain_ids : Recorder.record list -> string list
 (** Distinct trace ids of narrative records, in first-appearance order. *)
 
-val chain : Recorder.record list -> id:string -> Recorder.record list
-(** Narrative records belonging to one chain, time-ordered (stable). *)
-
-val kind_of_id : string -> string
-(** ["claim:3:224/24"] → ["claim"]. *)
-
 val pp_chain_for : Format.formatter -> Recorder.record list -> id:string -> unit
 (** Select [id]'s chain and render it with a header. *)
 
 val pp_timelines : Format.formatter -> Recorder.record list -> unit
 (** Flat per-chain (per-group / per-prefix) timelines, every chain. *)
 
-type latency = { kind : string; chains : int; min_s : float; mean_s : float; max_s : float }
-
-val latencies : Recorder.record list -> latency list
-(** End-to-end (first record to last record) chain durations,
-    aggregated by chain kind, in first-appearance order. *)
-
 val pp_latencies : Format.formatter -> Recorder.record list -> unit
+(** End-to-end (first record to last record) chain durations,
+    aggregated by chain kind (the trace id before its first [':']), in
+    first-appearance order: chain count, min, mean and max. *)

@@ -164,25 +164,3 @@ let figure3 () =
   (* F's second border router F2 peers directly with A in Figure 3(b). *)
   Topo.add_link topo a f Topo.Peer;
   topo
-
-let line ~n =
-  let topo = Topo.create () in
-  let ids =
-    Array.init n (fun i ->
-        Topo.add_domain topo ~name:(Printf.sprintf "n%d" i)
-          ~kind:(if i = 0 then Domain.Backbone else Domain.Stub))
-  in
-  for i = 0 to n - 2 do
-    Topo.add_link topo ids.(i) ids.(i + 1) Topo.Provider_customer
-  done;
-  topo
-
-let star ~n =
-  if n < 1 then invalid_arg "Gen.star: need n >= 1";
-  let topo = Topo.create () in
-  let hub = Topo.add_domain topo ~name:"hub" ~kind:Domain.Backbone in
-  for i = 1 to n - 1 do
-    let leaf = Topo.add_domain topo ~name:(Printf.sprintf "leaf%d" i) ~kind:Domain.Stub in
-    Topo.add_link topo hub leaf Topo.Provider_customer
-  done;
-  topo

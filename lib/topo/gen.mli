@@ -42,9 +42,3 @@ val figure3 : unit -> Topo.t
 (** The eight-domain topology of Figure 3: as Figure 1 plus domain H
     under C, a peer link F–A (via border router F2 in the paper), and
     the D–A / E–A links used by the walkthrough. *)
-
-val line : n:int -> Topo.t
-(** A path graph, for tests. *)
-
-val star : n:int -> Topo.t
-(** A hub (id 0, provider) with [n-1] leaf customers, for tests. *)

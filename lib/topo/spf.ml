@@ -320,13 +320,6 @@ let bfs topo src =
 
 let dist p id = p.dist.(id)
 
-let path p dst =
-  if p.dist.(dst) = max_int then []
-  else begin
-    let rec walk node acc = if node = p.src then node :: acc else walk p.via.(node) (node :: acc) in
-    walk dst []
-  end
-
 let next_hop_toward _topo p node =
   if node = p.src || p.dist.(node) = max_int then None else Some p.via.(node)
 
@@ -358,8 +351,6 @@ type cache = {
   mutable alive : bool array;  (* by link id; [||] means all alive *)
   mutable ring : int array;  (* repair FIFO over nodes, n *)
   mutable mark : bool array;  (* repair flags, n; all-false at rest *)
-  mutable hits : int;
-  mutable misses : int;
   mutable repairs : int;  (* link transitions that repaired >= 1 tree *)
   mutable touched : int;  (* labels rewritten across all repairs *)
 }
@@ -378,8 +369,6 @@ let make_cache_csr ?ws csr =
     alive = [||];
     ring = [||];
     mark = [||];
-    hits = 0;
-    misses = 0;
     repairs = 0;
     touched = 0;
   }
@@ -602,11 +591,9 @@ let bfs_cached c src =
   if Array.length c.slots = 0 then c.slots <- Array.make (max 1 c.ccsr.Topo.csr_nodes) None;
   match c.slots.(src) with
   | Some p ->
-      c.hits <- c.hits + 1;
       Metrics.incr m_cache_hit;
       p
   | None ->
-      c.misses <- c.misses + 1;
       Metrics.incr m_cache_miss;
       let p =
         match c.spare with
@@ -627,11 +614,7 @@ let cache_reset c =
   done;
   c.nfilled <- 0;
   Array.fill c.alive 0 (Array.length c.alive) true;
-  c.hits <- 0;
-  c.misses <- 0;
   c.repairs <- 0;
   c.touched <- 0
-
-let cache_stats c = (c.hits, c.misses)
 
 let cache_repair_stats c = (c.repairs, c.touched)

@@ -25,10 +25,6 @@ val bfs : Topo.t -> Domain.id -> paths
 
 val dist : paths -> Domain.id -> int
 
-val path : paths -> Domain.id -> Domain.id list
-(** The node sequence from [src] to the argument, inclusive; [\[\]] when
-    unreachable. *)
-
 val next_hop_toward : Topo.t -> paths -> Domain.id -> Domain.id option
 (** First hop on the shortest path from the given node back toward
     [paths.src]; [None] at the source or when unreachable.  (This is the
@@ -166,16 +162,13 @@ val cache_note_link : cache -> a:Domain.id -> b:Domain.id -> up:bool -> unit
 
 val cache_reset : cache -> unit
 (** Return the cache to the state {!make_cache_csr} left it in: every
-    link alive again, no tree filled, and {!cache_stats} and
-    {!cache_repair_stats} at zero.  The filled trees' [dist]/[via]
+    link alive again, no tree filled, and {!cache_repair_stats} at
+    zero.  The filled trees' [dist]/[via]
     arrays are kept, and later {!bfs_cached} misses recompute into them
     with {!bfs_into} before allocating new ones — so every answer,
-    hit/miss count and [spf.bfs_runs] tick matches a fresh cache, minus
+    [spf.cache_*] count and [spf.bfs_runs] tick matches a fresh cache, minus
     the n-sized allocations.  A [paths] handed out before the reset is
     no longer maintained, and a later miss may overwrite it. *)
-
-val cache_stats : cache -> int * int
-(** [(hits, misses)] so far. *)
 
 val cache_repair_stats : cache -> int * int
 (** [(repairs, touched)]: link transitions that repaired at least one

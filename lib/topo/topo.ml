@@ -83,12 +83,12 @@ let link_between t x y =
   check_id t y;
   List.assoc_opt y t.adj.(x)
 
-let add_link ?(delay = Time.seconds 0.010) t a b rel =
+let add_link t a b rel =
   check_id t a;
   check_id t b;
   if a = b then invalid_arg "Topo.add_link: self-link";
   if link_between t a b <> None then invalid_arg "Topo.add_link: duplicate link";
-  let l = { a; b; rel; delay } in
+  let l = { a; b; rel; delay = Time.seconds 0.010 } in
   t.adj.(a) <- (b, l) :: t.adj.(a);
   t.adj.(b) <- (a, l) :: t.adj.(b);
   let cap = Array.length t.linkv_dyn in
@@ -101,14 +101,6 @@ let add_link ?(delay = Time.seconds 0.010) t a b rel =
   t.link_n <- t.link_n + 1;
   t.frozen <- None
 
-let adjacency t id =
-  check_id t id;
-  List.rev t.adj.(id)
-
-let neighbors t id =
-  check_id t id;
-  List.rev_map fst t.adj.(id)
-
 let degree t id =
   check_id t id;
   List.length t.adj.(id)
@@ -120,24 +112,6 @@ let providers_of t id =
       match l.rel with
       | Provider_customer when l.a = nbr -> Some nbr
       | Provider_customer | Peer -> None)
-    (List.rev t.adj.(id))
-
-let customers_of t id =
-  check_id t id;
-  List.filter_map
-    (fun (nbr, l) ->
-      match l.rel with
-      | Provider_customer when l.a = id -> Some nbr
-      | Provider_customer | Peer -> None)
-    (List.rev t.adj.(id))
-
-let peers_of t id =
-  check_id t id;
-  List.filter_map
-    (fun (nbr, l) ->
-      match l.rel with
-      | Peer -> Some nbr
-      | Provider_customer -> None)
     (List.rev t.adj.(id))
 
 let links t = Array.to_list (Array.sub t.linkv_dyn 0 t.link_n)
@@ -179,28 +153,6 @@ let freeze t =
       let c = { csr_nodes = n; row; nbr; eid; linkv } in
       t.frozen <- Some c;
       c
-
-let is_connected t =
-  if t.n = 0 then true
-  else begin
-    let seen = Array.make t.n false in
-    let queue = Queue.create () in
-    Queue.add 0 queue;
-    seen.(0) <- true;
-    let visited = ref 1 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
-        (fun (v, _) ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            incr visited;
-            Queue.add v queue
-          end)
-        t.adj.(u)
-    done;
-    !visited = t.n
-  end
 
 let pp_summary ppf t =
   let count kind = List.length (List.filter (fun d -> d.Domain.kind = kind) (domains t)) in

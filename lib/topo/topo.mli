@@ -34,9 +34,9 @@ val create : unit -> t
 val add_domain : t -> name:string -> kind:Domain.kind -> Domain.id
 (** Ids are assigned densely in creation order. *)
 
-val add_link : ?delay:Time.t -> t -> Domain.id -> Domain.id -> relationship -> unit
-(** [add_link t a b Provider_customer] makes [a] a provider of [b].
-    Default delay 10 ms.  Self-links and duplicate links are rejected
+val add_link : t -> Domain.id -> Domain.id -> relationship -> unit
+(** [add_link t a b Provider_customer] makes [a] a provider of [b], with
+    a 10 ms delay.  Self-links and duplicate links are rejected
     with [Invalid_argument]. *)
 
 val domain_count : t -> int
@@ -49,13 +49,6 @@ val domain : t -> Domain.id -> Domain.t
 val domains : t -> Domain.t list
 
 val find_by_name : t -> string -> Domain.id option
-
-val neighbors : t -> Domain.id -> Domain.id list
-(** Adjacent domains, in link-insertion order. *)
-
-val adjacency : t -> Domain.id -> (Domain.id * link) list
-(** [(neighbor, link)] pairs, in link-insertion order.  Lets path kernels
-    see each edge's link without a per-neighbor {!link_between} lookup. *)
 
 val freeze : t -> csr
 (** The current graph as a CSR snapshot.  Memoized: repeated calls on an
@@ -71,13 +64,6 @@ val link_between : t -> Domain.id -> Domain.id -> link option
 
 val providers_of : t -> Domain.id -> Domain.id list
 
-val customers_of : t -> Domain.id -> Domain.id list
-
-val peers_of : t -> Domain.id -> Domain.id list
-
 val links : t -> link list
-
-val is_connected : t -> bool
-(** Is the graph connected (true for the empty graph)? *)
 
 val pp_summary : Format.formatter -> t -> unit

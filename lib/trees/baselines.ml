@@ -1,12 +1,7 @@
-let hpim_paths ?spf ?rps topo ~rng ~levels ~source ~receivers =
+let hpim_paths spf topo ~rps ~source ~receivers =
+  let levels = Array.length rps in
   if levels < 1 then invalid_arg "Baselines.hpim_paths: need at least one RP level";
-  let bfs src = match spf with Some c -> Spf.bfs_cached c src | None -> Spf.bfs topo src in
-  let n = Topo.domain_count topo in
-  (* Hash-placed RPs: no locality by construction (the paper's point). *)
-  let rps =
-    match rps with Some a -> a | None -> Array.init levels (fun _ -> Rng.int rng n)
-  in
-  if Array.length rps <> levels then invalid_arg "Baselines.hpim_paths: wrong RP count";
+  let bfs = Spf.bfs_cached spf in
   (* The joined structure: a shared tree rooted at the top RP; the lower
      RPs join it in order, then the receivers join toward the LOWEST RP.
      A receiver's join walks toward RP1 and grafts where it meets the
@@ -82,14 +77,14 @@ type comparison_point = {
    job count — and to the sequential runs predating the Par layer. *)
 type hpim_spec = { hs_source : Domain.id; hs_receivers : Domain.id array; hs_rps : int array }
 
-let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 100; 500 ])
-    ?jobs ~seed () =
+let compare_hpim ?(nodes = 1000) ?(trials = 15) ~seed () =
+  let levels = 3 in
   let rng = Rng.create seed in
   let topo = Gen.power_law ~rng ~n:nodes ~m:2 in
   let csr = Topo.freeze topo in
   (* A trial draws a source plus [size] receivers: skip sizes that do
      not fit the topology. *)
-  let sizes = List.filter (fun s -> s < nodes) sizes in
+  let sizes = List.filter (fun s -> s < nodes) [ 10; 100; 500 ] in
   let specs = ref [] in
   List.iter
     (fun size ->
@@ -107,7 +102,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
     let spf = Spf.make_cache_csr ~ws csr in
     let spt = Spf.bfs_cached spf source in
     let baseline = Array.map (fun r -> Spf.dist spt r) receivers in
-    let hpim = hpim_paths ~spf ~rps topo ~rng ~levels ~source ~receivers in
+    let hpim = hpim_paths spf topo ~rps ~source ~receivers in
     let bgmp =
       (Path_eval.evaluate ~from_source:spt
          ~from_root:(Spf.bfs_cached spf receivers.(0))
@@ -124,7 +119,7 @@ let compare_hpim ?(nodes = 1000) ?(levels = 3) ?(trials = 15) ?(sizes = [ 10; 10
     (summarize hpim, summarize bgmp)
   in
   let outs =
-    Par.map_with ?jobs
+    Par.map_with
       ~init:(fun () -> Spf.make_workspace csr)
       (fun ws spec -> Obs.capture (fun () -> run_trial ws spec))
       specs

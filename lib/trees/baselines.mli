@@ -19,23 +19,14 @@
     BGMP's, which grow only with the tree. *)
 
 val hpim_paths :
-  ?spf:Spf.cache ->
-  ?rps:int array ->
-  Topo.t ->
-  rng:Rng.t ->
-  levels:int ->
-  source:Domain.id ->
-  receivers:Domain.id array ->
-  int array
+  Spf.cache -> Topo.t -> rps:int array -> source:Domain.id -> receivers:Domain.id array -> int array
 (** Sender→receiver path lengths (inter-domain hops) on an HPIM tree
-    with [levels] hash-placed RPs: receivers join RP1; RP1 joins RP2;
-    …; the sender forwards to RP1 and data flows along the joined
-    structure bidirectionally.  [?spf] supplies a shared SPF cache so
-    repeated trials on one topology reuse BFS results.  [?rps] supplies
-    the RP chain (length [levels], lowest level first) instead of
-    drawing it from [rng] — used when draws are hoisted out of a
-    parallel task.
-    @raise Invalid_argument if [Array.length rps <> levels]. *)
+    over the RP chain [rps] (lowest level first; hash-placed, so drawn
+    at random by the caller): receivers join RP1; RP1 joins RP2; …; the
+    sender forwards to RP1 and data flows along the joined structure
+    bidirectionally.  BFS results come from the SPF cache over the
+    topology, shared by repeated trials.
+    @raise Invalid_argument if [rps] is empty. *)
 
 type hdvmrp_cost = {
   flood_deliveries : int;
@@ -60,18 +51,10 @@ type comparison_point = {
   bgmp_hybrid_max : float;
 }
 
-val compare_hpim :
-  ?nodes:int ->
-  ?levels:int ->
-  ?trials:int ->
-  ?sizes:int list ->
-  ?jobs:int ->
-  seed:int ->
-  unit ->
-  comparison_point list
-(** Path-quality comparison of HPIM vs BGMP hybrid trees on the same
-    groups over the same power-law topology; group sizes of [nodes] or
-    more do not fit it and are skipped.  [?jobs] fans the trials
-    out over the {!Par} pool (default: the pool's job count); all
-    randomness is drawn up front and Obs shards fold back in trial
-    order, so output is byte-identical at any job count. *)
+val compare_hpim : ?nodes:int -> ?trials:int -> seed:int -> unit -> comparison_point list
+(** Path-quality comparison of HPIM (three RP levels) vs BGMP hybrid
+    trees on the same groups over the same power-law topology, for
+    groups of 10, 100 and 500 receivers; sizes of [nodes] or more do
+    not fit it and are skipped.  The trials fan out over the {!Par}
+    pool; all randomness is drawn up front and Obs shards fold back in
+    trial order, so output is byte-identical at any job count. *)

@@ -113,8 +113,6 @@ let root t = t.tree_root
 
 let on_tree t id = t.marked.(id)
 
-let node_count t = t.count
-
 let parent t id =
   if t.marked.(id) && t.tree_parent.(id) >= 0 then Some t.tree_parent.(id) else None
 

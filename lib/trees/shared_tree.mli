@@ -42,9 +42,6 @@ val root : t -> Domain.id
 
 val on_tree : t -> Domain.id -> bool
 
-val node_count : t -> int
-(** Number of on-tree domains (members plus transit). *)
-
 val parent : t -> Domain.id -> Domain.id option
 (** Next hop toward the root along the tree; [None] at the root (or for
     off-tree nodes). *)

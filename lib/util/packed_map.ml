@@ -20,8 +20,6 @@ let create () =
   let cap = 16 in
   { slots = Array.make (2 * cap) (-1); len = 0; mask = cap - 1; shift = 62 - log2 cap }
 
-let length t = t.len
-
 (* The one probe loop: the slot holding the nonnegative key [k], or the
    empty slot that ends its probe run (the load factor keeps one). *)
 let locate t k =
@@ -41,10 +39,8 @@ let find t k =
     let i = locate t k in
     if t.slots.(2 * i) = k then t.slots.((2 * i) + 1) else -1
 
-let mem t k = k >= 0 && t.slots.(2 * locate t k) = k
-
 (* Doubling re-inserts the old slots in slot order, so the layout is a
-   function of the insertion/removal history alone. *)
+   function of the insertion history alone. *)
 let grow t =
   let old = t.slots in
   let cap = 2 * (t.mask + 1) in
@@ -69,44 +65,6 @@ let set t k v =
     t.len <- t.len + 1
   end;
   t.slots.((2 * i) + 1) <- v
-
-(* Backward-shift deletion of the entry at slot [i]: walk the probe
-   cluster after the hole; any entry whose home position lies at or
-   before the hole (cyclically) is moved into it, re-opening the hole
-   further down. *)
-let delete_at t i =
-  let s = t.slots in
-  t.len <- t.len - 1;
-  let hole = ref i in
-  let j = ref ((i + 1) land t.mask) in
-  let scanning = ref true in
-  while !scanning do
-    let kk = s.(2 * !j) in
-    if kk = -1 then scanning := false
-    else begin
-      let h = home t kk in
-      if (!j - h) land t.mask >= (!j - !hole) land t.mask then begin
-        s.(2 * !hole) <- kk;
-        s.((2 * !hole) + 1) <- s.((2 * !j) + 1);
-        hole := !j
-      end;
-      j := (!j + 1) land t.mask
-    end
-  done;
-  s.(2 * !hole) <- -1
-
-let remove t k =
-  if k >= 0 then begin
-    let i = locate t k in
-    if t.slots.(2 * i) = k then delete_at t i
-  end
-
-let iter f t =
-  let s = t.slots in
-  for i = 0 to (Array.length s / 2) - 1 do
-    let k = s.(2 * i) in
-    if k >= 0 then f k s.((2 * i) + 1)
-  done
 
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) (-1);

@@ -61,8 +61,6 @@ let[@inline] float t bound =
 
 let[@inline] float_in t lo hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))

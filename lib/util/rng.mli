@@ -39,9 +39,6 @@ val split_into : t -> t -> unit
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits : t -> int
-(** 30 uniform bits, in [\[0, 2^30)]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -55,9 +52,6 @@ val float : t -> float -> float
 
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform in [\[lo, hi)]. *)
-
-val bool : t -> bool
-(** A fair coin. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

@@ -51,20 +51,6 @@ let mean_of a =
   if Array.length a = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let percentile a p =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
-
 type series = { label : string; points : (float * float) array }
 
 let pp_series ppf s =

@@ -14,10 +14,9 @@ val count : t -> int
 val mean : t -> float
 (** 0. when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; 0. with fewer than two observations. *)
-
 val stddev : t -> float
+(** Square root of the unbiased sample variance; 0. with fewer than two
+    observations. *)
 
 val min : t -> float
 (** @raise Invalid_argument when empty. *)
@@ -31,9 +30,6 @@ val merge : t -> t -> t
 (** Batch helpers over float arrays. *)
 
 val mean_of : float array -> float
-val percentile : float array -> float -> float
-(** [percentile a p] with [p] in [\[0, 100\]]; sorts a copy; linear
-    interpolation between ranks.  @raise Invalid_argument on empty input. *)
 
 type series = { label : string; points : (float * float) array }
 (** A named sequence of (x, y) points, as printed by the figure

@@ -13,9 +13,19 @@ type out =
   | To_internal of int * Bgmp_msg.t
   | Migp_data of { group : Ipv4.t; source : Host_ref.t; payload : int; hops : int }
 
+let pp_msg ppf = function
+  | Bgmp_msg.Join { group; span = _ } -> Format.fprintf ppf "join %a" Ipv4.pp group
+  | Prune g -> Format.fprintf ppf "prune %a" Ipv4.pp g
+  | Join_sg { source; group } -> Format.fprintf ppf "join (%a,%a)" Host_ref.pp source Ipv4.pp group
+  | Prune_sg { source; group } ->
+      Format.fprintf ppf "prune (%a,%a)" Host_ref.pp source Ipv4.pp group
+  | Data { group; source; payload; hops } ->
+      Format.fprintf ppf "data %a from %a #%d (%d hops)" Ipv4.pp group Host_ref.pp source payload
+        hops
+
 let pp_out ppf = function
-  | To_peer (p, m) -> Format.fprintf ppf "peer-%d %a" p Bgmp_msg.pp m
-  | To_internal (r, m) -> Format.fprintf ppf "internal-%d %a" r Bgmp_msg.pp m
+  | To_peer (p, m) -> Format.fprintf ppf "peer-%d %a" p pp_msg m
+  | To_internal (r, m) -> Format.fprintf ppf "internal-%d %a" r pp_msg m
   | Migp_data { payload; hops; _ } -> Format.fprintf ppf "migp payload %d hops %d" payload hops
 
 (* One copy of a packet toward a target.  [msg] is the packet as a peer

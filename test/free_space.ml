@@ -7,6 +7,10 @@
    the free spaces of its two halves.  Claims are pre-filtered at each
    level, so the cost is O(claims * depth) per path. *)
 
+let halves p =
+  let l = Prefix.len p + 1 in
+  (Prefix.nth_subprefix p l 0, Prefix.nth_subprefix p l 1)
+
 let free_blocks ~parent ~allocated =
   let rec walk block claims acc =
     match claims with
@@ -14,7 +18,7 @@ let free_blocks ~parent ~allocated =
     | _ :: _ ->
         if List.exists (fun c -> Prefix.subsumes c block) claims then acc
         else begin
-          let lo, hi = Prefix.split block in
+          let lo, hi = halves block in
           let lo_claims = List.filter (Prefix.overlaps lo) claims in
           let hi_claims = List.filter (Prefix.overlaps hi) claims in
           walk lo lo_claims (walk hi hi_claims acc)

@@ -11,6 +11,10 @@
     [Prefix_trie.fold_free], which answers (a) straight off the claim
     trie. *)
 
+val halves : Prefix.t -> Prefix.t * Prefix.t
+(** The two halves of a prefix: its first and second sub-prefix one bit
+    longer.  @raise Invalid_argument on a /32. *)
+
 val free_blocks : parent:Prefix.t -> allocated:Prefix.t list -> Prefix.t list
 (** The maximal free sub-prefixes of [parent] once every prefix of
     [allocated] that overlaps [parent] is removed; sorted by base

@@ -23,9 +23,8 @@ let active_groups fabric ~topo =
       List.iter
         (fun r -> Bgmp_router.iter_star r (fun g _ -> Hashtbl.replace acc g ()))
         (Bgmp_fabric.routers_of fabric d.Domain.id);
-      List.iter
-        (fun g -> Hashtbl.replace acc g ())
-        (Migp.groups (Bgmp_fabric.migp_of fabric d.Domain.id)))
+      Migp.iter_groups (Bgmp_fabric.migp_of fabric d.Domain.id) (fun g _ ->
+          Hashtbl.replace acc g ()))
     (Topo.domains topo);
   List.sort compare (Hashtbl.fold (fun g () l -> g :: l) acc [])
 

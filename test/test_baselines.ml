@@ -7,11 +7,19 @@ let check = Alcotest.check
 
 let blk s = Kampai.block_of_prefix (Prefix.of_string s)
 
+(* The addresses a block covers, read off its mask: [2^(free bits)] of
+   them, every [a] with [a land mask = value]. *)
+let size (b : Kampai.block) =
+  let rec fixed x acc = if x = 0 then acc else fixed (x lsr 1) (acc + (x land 1)) in
+  1 lsl (32 - fixed b.Kampai.mask 0)
+
+let mem a (b : Kampai.block) = a land b.Kampai.mask = b.Kampai.value
+
 let test_kampai_block_of_prefix () =
   let b = blk "224.1.0.0/24" in
-  check Alcotest.int "size" 256 (Kampai.size b);
-  check Alcotest.bool "member" true (Kampai.mem (Ipv4.of_string "224.1.0.77") b);
-  check Alcotest.bool "non member" false (Kampai.mem (Ipv4.of_string "224.1.1.0") b);
+  check Alcotest.int "size" 256 (size b);
+  check Alcotest.bool "member" true (mem (Ipv4.of_string "224.1.0.77") b);
+  check Alcotest.bool "non member" false (mem (Ipv4.of_string "224.1.1.0") b);
   Alcotest.check_raises "outside 224/4" (Invalid_argument "Kampai.block_of_prefix: outside 224/4")
     (fun () -> ignore (Kampai.block_of_prefix (Prefix.of_string "10.0.0.0/24")))
 
@@ -31,11 +39,11 @@ let test_kampai_grow_noncontiguous () =
   match Kampai.grow mine ~others:[ buddy ] with
   | None -> Alcotest.fail "expected non-contiguous growth"
   | Some grown ->
-      check Alcotest.int "doubled" 512 (Kampai.size grown);
+      check Alcotest.int "doubled" 512 (size grown);
       check Alcotest.bool "still disjoint from the buddy owner" true
         (Kampai.disjoint grown buddy);
       check Alcotest.bool "covers the original space" true
-        (Kampai.mem (Ipv4.of_string "224.1.0.5") grown)
+        (mem (Ipv4.of_string "224.1.0.5") grown)
 
 let test_kampai_grow_exhaustion () =
   (* With every flip of every free bit colliding, growth fails:
@@ -56,7 +64,7 @@ let test_kampai_grow_exhaustion () =
          are already free) — those are already free bits, not in mask.
          The first 8 bits are free already; mask bits start at 8, all of
          which collide, so growth must fail. *)
-      Alcotest.failf "unexpected growth to %d" (Kampai.size g)
+      Alcotest.failf "unexpected growth to %d" (size g)
   | None -> ()
 
 let test_kampai_shrink_roundtrip () =
@@ -67,9 +75,9 @@ let test_kampai_shrink_roundtrip () =
       match Kampai.shrink g with
       | None -> Alcotest.fail "shrink failed"
       | Some s ->
-          check Alcotest.int "back to original size" (Kampai.size b) (Kampai.size s);
+          check Alcotest.int "back to original size" (size b) (size s);
           check Alcotest.bool "covers the base address" true
-            (Kampai.mem (Ipv4.of_string "224.1.0.0") s))
+            (mem (Ipv4.of_string "224.1.0.0") s))
 
 let test_kampai_sim_comparison () =
   let p =
@@ -124,7 +132,8 @@ let test_hpim_paths_at_least_spt () =
   let source = 5 in
   let receivers = [| 20; 40; 60; 80 |] in
   let spt = Spf.bfs topo source in
-  let paths = Baselines.hpim_paths topo ~rng ~levels:3 ~source ~receivers in
+  let rps = Array.init 3 (fun _ -> Rng.int rng (Topo.domain_count topo)) in
+  let paths = Baselines.hpim_paths (Spf.make_cache topo) topo ~rps ~source ~receivers in
   Array.iteri
     (fun i r ->
       check Alcotest.bool "hpim no shorter than spt" true (paths.(i) >= Spf.dist spt r))
@@ -136,18 +145,18 @@ let test_hpim_single_level_is_unidirectionalish () =
   let rng = Rng.create 9 in
   let topo = Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:2 ~stubs_per_regional:3 in
   let receivers = [| 3; 7; 11 |] in
-  let paths = Baselines.hpim_paths topo ~rng ~levels:1 ~source:1 ~receivers in
+  let rps = [| Rng.int rng (Topo.domain_count topo) |] in
+  let paths = Baselines.hpim_paths (Spf.make_cache topo) topo ~rps ~source:1 ~receivers in
   Array.iter (fun p -> check Alcotest.bool "finite path" true (p >= 0 && p < 100)) paths
 
 let test_hpim_rejects_zero_levels () =
-  let rng = Rng.create 1 in
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   Alcotest.check_raises "zero levels"
     (Invalid_argument "Baselines.hpim_paths: need at least one RP level") (fun () ->
-      ignore (Baselines.hpim_paths topo ~rng ~levels:0 ~source:0 ~receivers:[| 1 |]))
+      ignore (Baselines.hpim_paths (Spf.make_cache topo) topo ~rps:[||] ~source:0 ~receivers:[| 1 |]))
 
 let test_hdvmrp_costs () =
-  let topo = Gen.line ~n:50 in
+  let topo = Topo_fixtures.line ~n:50 in
   let c = Baselines.hdvmrp_costs topo ~senders:2 ~groups:10 ~members:5 in
   check Alcotest.int "floods touch every domain" (2 * 10 * 50) c.Baselines.flood_deliveries;
   check Alcotest.int "prunes from non-members" (2 * 10 * 45) c.Baselines.prune_messages;
@@ -157,7 +166,7 @@ let test_hdvmrp_costs () =
       ignore (Baselines.hdvmrp_costs topo ~senders:1 ~groups:1 ~members:51))
 
 let test_compare_hpim_shape () =
-  let points = Baselines.compare_hpim ~nodes:300 ~trials:5 ~sizes:[ 10; 50 ] ~seed:21 () in
+  let points = Baselines.compare_hpim ~nodes:300 ~trials:5 ~seed:21 () in
   check Alcotest.int "two points" 2 (List.length points);
   List.iter
     (fun (pt : Baselines.comparison_point) ->

@@ -83,7 +83,7 @@ let probes s =
   let around q =
     q
     :: (if Prefix.len q < 32 then
-          let lo, hi = Prefix.split q in
+          let lo, hi = Free_space.halves q in
           [ lo; hi ]
         else [])
     @ if Prefix.len q > 0 then [ Prefix.buddy q; Prefix.parent q ] else []
@@ -111,7 +111,7 @@ let prop_choose_claim =
           let want =
             Claim_reference.choose_claim_placed space ~rng:r2 ~want_len:s.want_len ~placement
           in
-          Option.equal Prefix.equal got want && Rng.bits r1 = Rng.bits r2)
+          Option.equal Prefix.equal got want && Rng.int r1 (1 lsl 30) = Rng.int r2 (1 lsl 30))
         [ `First; `Random ])
 
 let prop_space_queries =
@@ -225,7 +225,7 @@ let test_remove_merged_cover () =
   check (Alcotest.list prefix_testable) "buddies merged" [ Prefix.parent a ]
     (Address_space.covers space);
   Address_space.remove_cover space a;
-  check Alcotest.bool "removed range no longer covered" false (Address_space.in_some_cover space a);
+  check Alcotest.bool "removed range no longer covered" false (List.exists (fun c -> Prefix.subsumes c a) (Address_space.covers space));
   check (Alcotest.list prefix_testable) "the buddy stays" [ Prefix.buddy a ]
     (Address_space.covers space);
   Address_space.remove_cover space (p "224.1.2.0/24");

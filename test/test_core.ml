@@ -2,24 +2,19 @@
 
 let check = Alcotest.check
 
-let setup ?config ?migp_style topo =
+let setup ?config topo =
   let config = Option.value ~default:Internet.quick_config config in
-  let inet = Internet.create ~config ?migp_style topo in
+  let inet = Internet.create ~config topo in
   Internet.start inet;
   Internet.run_for inet (Time.hours 2.0);
   inet
 
 let dom topo name = Option.get (Topo.find_by_name topo name)
 
-let rec get_address ?(tries = 30) inet d =
-  match Internet.request_address inet d with
+let get_address inet d =
+  match Internet.request_address_retry inet d ~every:(Time.hours 1.0) ~attempts:31 with
   | Some a -> a
-  | None ->
-      if tries = 0 then Alcotest.fail "address allocation never succeeded"
-      else begin
-        Internet.run_for inet (Time.hours 1.0);
-        get_address ~tries:(tries - 1) inet d
-      end
+  | None -> Alcotest.fail "address allocation never succeeded"
 
 let deliveries_names inet topo payload =
   List.sort compare
@@ -32,7 +27,7 @@ let test_root_at_initiator_domain () =
   let inet = setup topo in
   let b = dom topo "B" in
   let alloc = get_address inet b in
-  check Alcotest.bool "address is multicast" true (Ipv4.is_multicast alloc.Maas.address);
+  check Alcotest.bool "address is multicast" true (Prefix.mem alloc.Maas.address Prefix.class_d);
   check (Alcotest.option Alcotest.int) "root domain is the initiator's" (Some b)
     (Internet.root_domain_of inet alloc.Maas.address)
 
@@ -82,7 +77,7 @@ let test_aggregation_visible_in_gribs () =
   let b = dom topo "B" in
   ignore (get_address inet b);
   Internet.run_for inet (Time.hours 1.0);
-  let b_specifics = Speaker.originated (Internet.speaker inet b) in
+  let b_specifics = Views.originated (Internet.speaker inet b) in
   check Alcotest.bool "B originates a range" true (b_specifics <> []);
   let d_routes = Speaker.best_routes (Internet.speaker inet (dom topo "D")) in
   List.iter
@@ -290,8 +285,8 @@ let test_invariants_clean_and_converged () =
   (* The full Figure-1 session with the live monitor installed (the
      scenario default): no predicate may fire, and every subsystem must
      have reported a convergence watermark. *)
-  let s = Scenario.figure1 () in
-  let inet = s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 () in
+  let inet = s.Scenario_fixtures.inet in
   check Alcotest.int "no violations across the whole run" 0
     (List.length (Internet.invariant_violations inet));
   check (Alcotest.list Alcotest.string) "all five predicates installed"
@@ -350,8 +345,8 @@ let assert_valley_free_clean what inet =
    stubs): group churn, random senders and stub-link failures, healed
    before the end.  Every route the speakers install is valley-free. *)
 let test_grib_valley_free_clean () =
-  let s = Scenario.figure1 () in
-  assert_valley_free_clean "figure 1" s.Scenario.inet;
+  let s = Scenario_fixtures.figure1 () in
+  assert_valley_free_clean "figure 1" s.Scenario_fixtures.inet;
   let rng = Rng.create 1998 in
   let topo = Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:3 ~stubs_per_regional:8 in
   check Alcotest.int "56 domains" 56 (Topo.domain_count topo);
@@ -437,12 +432,12 @@ let test_grib_valley_route_detected () =
     (valley_free_of (Internet.check_invariants inet))
 
 let test_seeded_overlap_violation_detected () =
-  let s = Scenario.figure1 ~check_invariants:false () in
-  let inet = s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 ~check_invariants:false () in
+  let inet = s.Scenario_fixtures.inet in
   (* The root domain holds an acquired range; forge an overlapping
      sibling claim in the node's own registry — exactly the state
      collision resolution exists to prevent. *)
-  let node = Internet.masc_node inet s.Scenario.root in
+  let node = Internet.masc_node inet s.Scenario_fixtures.root in
   let claim =
     match
       List.filter
@@ -490,13 +485,13 @@ let test_seeded_overlap_violation_detected () =
    instead of its G-RIB next hop, and state for a group no G-RIB
    covers.  Each report names the group and carries a trace id. *)
 let test_grib_nexthop_violations_detailed () =
-  let s = Scenario.figure1 ~check_invariants:false () in
-  let inet = s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 ~check_invariants:false () in
+  let inet = s.Scenario_fixtures.inet in
   let fabric = Internet.fabric inet in
-  let group = s.Scenario.group in
-  let member = List.find (fun d -> d <> s.Scenario.root) s.Scenario.members in
+  let group = s.Scenario_fixtures.group in
+  let member = List.find (fun d -> d <> s.Scenario_fixtures.root) s.Scenario_fixtures.members in
   let nh =
-    match Speaker.next_hop_to_root (Internet.speaker inet member) group with
+    match Views.next_hop_to_root (Internet.speaker inet member) group with
     | Some nh -> nh
     | None -> Alcotest.fail "member has no G-RIB next hop"
   in
@@ -506,7 +501,7 @@ let test_grib_nexthop_violations_detailed () =
     Bgmp_router.set_classify_root r (fun _ -> Bgmp_router.External upstream);
     ignore (Bgmp_router.handle_join r ~group ~from:Bgmp_router.Migp_target)
   in
-  let root_r = first_router s.Scenario.root and member_r = first_router member in
+  let root_r = first_router s.Scenario_fixtures.root and member_r = first_router member in
   let sibling = Bgmp_router.id member_r in
   let bogus = Ipv4.of_string "239.255.0.1" in
   rejoin root_r ~group ~upstream:(Bgmp_router.id member_r);
@@ -522,7 +517,7 @@ let test_grib_nexthop_violations_detailed () =
     (List.sort compare
        [
          Printf.sprintf "group %s: root domain %d still has an upstream peer (router %d)" g
-           s.Scenario.root (Bgmp_router.id member_r);
+           s.Scenario_fixtures.root (Bgmp_router.id member_r);
          Printf.sprintf
            "group %s: domain %d joins upstream via domain %d but its G-RIB next hop is %d" g
            member member nh;
@@ -602,8 +597,7 @@ let test_partition_collision_resolves_with_full_chain () =
     | None -> Alcotest.fail "no covering route for the group"
   in
   let records = Recorder.recent () in
-  let chain = Trace_report.chain records ~id in
-  let tags = List.map (fun r -> r.Recorder.r_label) chain in
+  let tags = Views.chain_labels records ~id in
   List.iter
     (fun t -> check Alcotest.bool (t ^ " on the chain") true (List.mem t tags))
     [ "claim"; "acquired"; "collision-sent"; "grib-update"; "join" ];

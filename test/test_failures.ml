@@ -32,11 +32,11 @@ let test_bgp_reroutes_around_failed_link () =
   Bgp_network.converge net;
   let g = Ipv4.of_string "224.0.0.1" in
   check (Alcotest.option Alcotest.int) "initially via left (lower id tie-break)" (Some left)
-    (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
+    (Views.next_hop_to_root (Bgp_network.speaker net bottom) g);
   Net.fail_link transport top left;
   Bgp_network.converge net;
   check (Alcotest.option Alcotest.int) "fails over via right" (Some right)
-    (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
+    (Views.next_hop_to_root (Bgp_network.speaker net bottom) g);
   (* left itself now reaches the root through bottom?  No: valley-free
      export means bottom (a customer) does not give left transit; left
      reaches the root via nothing... left learned the route from top
@@ -46,7 +46,7 @@ let test_bgp_reroutes_around_failed_link () =
   Net.restore_link transport top left;
   Bgp_network.converge net;
   check (Alcotest.option Alcotest.int) "recovers to left after restore" (Some left)
-    (Speaker.next_hop_to_root (Bgp_network.speaker net bottom) g);
+    (Views.next_hop_to_root (Bgp_network.speaker net bottom) g);
   check Alcotest.bool "left relearns the route" true
     (Speaker.lookup (Bgp_network.speaker net left) g <> None)
 
@@ -64,18 +64,9 @@ let integrated_diamond () =
   let inet = Internet.create ~config:Internet.quick_config topo in
   Internet.start inet;
   Internet.run_for inet (Time.hours 2.0);
-  let rec get tries =
-    match Internet.request_address inet bottom with
-    | Some a -> a
-    | None ->
-        if tries > 30 then Alcotest.fail "allocation did not settle"
-        else begin
-          Internet.run_for inet (Time.hours 1.0);
-          get (tries + 1)
-        end
-  in
-  let alloc = get 0 in
-  (inet, top, left, right, bottom, alloc.Maas.address)
+  match Internet.request_address_retry inet bottom ~every:(Time.hours 1.0) ~attempts:32 with
+  | Some alloc -> (inet, top, left, right, bottom, alloc.Maas.address)
+  | None -> Alcotest.fail "allocation did not settle"
 
 let test_integrated_failover_and_recovery () =
   let inet, top, left, _right, bottom, group = integrated_diamond () in

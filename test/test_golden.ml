@@ -579,13 +579,9 @@ let check_data_loop_exit ~steps ~seed ~line () =
       let text = read_file recording in
       check Alcotest.bool "recording ends at a line end" true
         (text <> "" && text.[String.length text - 1] = '\n');
-      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
-      List.iteri
-        (fun i line ->
-          if Recorder.record_of_json line = None then
-            Alcotest.failf "recording line %d does not parse: %s" (i + 1) line)
-        lines;
-      check Alcotest.bool "recording is not empty" true (lines <> []))
+      let records, bad = Recorder.load_jsonl recording in
+      check Alcotest.int "every recording line parses" 0 bad;
+      check Alcotest.bool "recording is not empty" true (records <> []))
 
 (* Unreadable inputs end the command with a message and exit code 2,
    never an uncaught exception. *)

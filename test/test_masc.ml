@@ -16,13 +16,13 @@ let test_space_cover_and_claims () =
   check Alcotest.int "total" 65536 (Address_space.total_addresses s);
   Address_space.register s ~owner:1 (p "224.0.0.0/24");
   Address_space.register s ~owner:2 (p "224.0.1.0/24");
-  check Alcotest.int "claims" 2 (Address_space.claim_count s);
+  check Alcotest.int "claims" 2 (List.length (Address_space.claims s));
   check (Alcotest.option Alcotest.int) "owner" (Some 1) (Address_space.owner_of s (p "224.0.0.0/24"));
   check Alcotest.int "free" (65536 - 512) (Address_space.free_addresses s);
   check (Alcotest.list prefix_testable) "claims of 1" [ p "224.0.0.0/24" ]
-    (Address_space.claims_of s ~owner:1);
+    (List.filter_map (fun (q, o) -> if o = 1 then Some q else None) (Address_space.claims s));
   Address_space.unregister s (p "224.0.0.0/24");
-  check Alcotest.int "after unregister" 1 (Address_space.claim_count s)
+  check Alcotest.int "after unregister" 1 (List.length (Address_space.claims s))
 
 let test_space_register_duplicate_rejected () =
   let s = Address_space.create () in
@@ -91,7 +91,7 @@ let test_policy_assign_when_room () =
   match Claim_policy.decide ~params ~space:s ~claims ~need:100 with
   | Claim_policy.Assign c ->
       check prefix_testable "assign in place" (p "224.0.0.0/24") c.Claim_policy.prefix
-  | d -> Alcotest.failf "expected Assign, got %a" Claim_policy.pp_decision d
+  | _ -> Alcotest.fail "expected Assign"
 
 let test_policy_double_when_dense () =
   (* Full /24, demand for one more block: doubling keeps util at 100%. *)
@@ -100,7 +100,7 @@ let test_policy_double_when_dense () =
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
   | Claim_policy.Double c ->
       check prefix_testable "double the /24" (p "224.0.0.0/24") c.Claim_policy.prefix
-  | d -> Alcotest.failf "expected Double, got %a" Claim_policy.pp_decision d
+  | _ -> Alcotest.fail "expected Double"
 
 let test_policy_claim_new_when_doubling_too_wasteful () =
   (* A /22 with little usage: doubling it would leave utilization under
@@ -110,7 +110,7 @@ let test_policy_claim_new_when_doubling_too_wasteful () =
   (* used = full 1024; doubling gives util (1024+256)/2048 = 0.625 < 0.75 *)
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
   | Claim_policy.Claim_new len -> check Alcotest.int "just-sufficient /24" 24 len
-  | d -> Alcotest.failf "expected Claim_new, got %a" Claim_policy.pp_decision d
+  | _ -> Alcotest.fail "expected Claim_new"
 
 let test_policy_double_at_limit_even_below_threshold () =
   (* At the two-prefix limit with a free buddy: double anyway. *)
@@ -124,7 +124,7 @@ let test_policy_double_at_limit_even_below_threshold () =
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
   | Claim_policy.Double c ->
       check prefix_testable "double smallest" (p "224.0.16.0/24") c.Claim_policy.prefix
-  | d -> Alcotest.failf "expected Double, got %a" Claim_policy.pp_decision d
+  | _ -> Alcotest.fail "expected Double"
 
 let test_policy_consolidate_when_stuck () =
   (* Two active prefixes, both with occupied buddies: consolidate. *)
@@ -146,7 +146,7 @@ let test_policy_consolidate_when_stuck () =
   match Claim_policy.decide ~params ~space:s ~claims ~need:256 with
   | Claim_policy.Consolidate len ->
       check Alcotest.int "sized for total usage" (Prefix.mask_for_count (256 + 256 + 256)) len
-  | d -> Alcotest.failf "expected Consolidate, got %a" Claim_policy.pp_decision d
+  | _ -> Alcotest.fail "expected Consolidate"
 
 let test_policy_blocked () =
   (* Space too small for the consolidation target. *)
@@ -164,7 +164,7 @@ let test_policy_blocked () =
   in
   (match d with
   | Claim_policy.Blocked -> ()
-  | _ -> Alcotest.failf "expected Blocked, got %a" Claim_policy.pp_decision d)
+  | _ -> Alcotest.fail "expected Blocked")
 
 let test_policy_rejects_bad_need () =
   let s = space_16 [] in

@@ -51,7 +51,7 @@ let test_fabric_rebuild_preserves_members_and_branches () =
   (* Rebuild on the Figure-3 group: same members, fresh tree; the (S,G)
      branches are dropped and re-form on the next packets. *)
   let w = Scenario.figure3 () in
-  let before = Scenario.deliveries_by_domain w in
+  let before = Scenario_fixtures.deliveries_by_domain w in
   ignore before;
   Bgmp_fabric.rebuild_group w.Scenario.fabric ~group:w.Scenario.walkthrough_group;
   Engine.run_until_idle w.Scenario.engine;
@@ -62,10 +62,10 @@ let test_fabric_rebuild_preserves_members_and_branches () =
   in
   Engine.run_until_idle w.Scenario.engine;
   check Alcotest.int "all five members after rebuild" 5
-    (List.length (Scenario.deliveries_by_domain w ~payload:p));
+    (List.length (Scenario_fixtures.deliveries_by_domain w ~payload:p));
   (* Branch behaviour re-establishes exactly as before. *)
   check Alcotest.bool "branch re-forms after rebuild" true
-    (Scenario.figure3_branch_demo w ~before:[ 3 ] ~after:[ 2 ])
+    (Scenario_fixtures.figure3_branch_demo w ~before:[ 3 ] ~after:[ 2 ])
 
 let test_active_groups_listing () =
   let w = Scenario.figure3 () in
@@ -80,22 +80,22 @@ let test_integrated_root_migration_on_withdraw () =
      withdrawal, as after a MASC renumbering), longest-match falls back
      to the parent's aggregate — the tree re-roots at the parent and
      delivery continues. *)
-  let s = Scenario.figure1 () in
-  let inet = s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 () in
+  let inet = s.Scenario_fixtures.inet in
   let topo = Internet.topo inet in
   let dom name = Option.get (Topo.find_by_name topo name) in
-  check Alcotest.int "initially rooted at B" (dom "B") s.Scenario.root;
+  check Alcotest.int "initially rooted at B" (dom "B") s.Scenario_fixtures.root;
   (* Sanity: delivery works before. *)
-  let d1 = Scenario.send s ~source:(Host_ref.make (dom "E") 0) in
+  let d1 = Scenario_fixtures.send s ~source:(Host_ref.make (dom "E") 0) in
   check Alcotest.int "four deliveries before" 4 (List.length d1);
   (* Withdraw every specific B originates; the aggregate at A remains. *)
   List.iter
     (fun p -> Bgp_network.withdraw (Internet.bgp inet) (dom "B") p)
-    (Speaker.originated (Internet.speaker inet (dom "B")));
+    (Views.originated (Internet.speaker inet (dom "B")));
   Internet.run_for inet (Time.minutes 30.0);
   check (Alcotest.option Alcotest.int) "root migrated to A" (Some (dom "A"))
-    (Internet.root_domain_of inet s.Scenario.group);
-  let d2 = Scenario.send s ~source:(Host_ref.make (dom "E") 0) in
+    (Internet.root_domain_of inet s.Scenario_fixtures.group);
+  let d2 = Scenario_fixtures.send s ~source:(Host_ref.make (dom "E") 0) in
   check Alcotest.int "four deliveries after migration" 4 (List.length d2);
   check Alcotest.int "no duplicates" 0
     (Bgmp_fabric.duplicate_deliveries (Internet.fabric inet))
@@ -104,8 +104,8 @@ let test_integrated_repair_traced_by_doubling () =
   (* MASC doubling replaces B's /24 with a /23 (withdraw + originate):
      the change notification fires and the group keeps working without
      manual intervention. *)
-  let s = Scenario.figure1 () in
-  let inet = s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 () in
+  let inet = s.Scenario_fixtures.inet in
   let topo = Internet.topo inet in
   let dom name = Option.get (Topo.find_by_name topo name) in
   (* Exhaust B's first range so its claim doubles (256 addresses per
@@ -113,18 +113,18 @@ let test_integrated_repair_traced_by_doubling () =
   let got = ref 1 (* the scenario already allocated one *) in
   (try
      for _ = 1 to 400 do
-       match Internet.request_address inet (dom "B") with
+       match Internet.request_address_retry inet (dom "B") ~every:(Time.hours 1.0) ~attempts:1 with
        | Some _ -> incr got
        | None -> raise Exit
      done
    with Exit -> ());
   Internet.run_for inet (Time.hours 2.0);
   (* More allocations must now succeed from the doubled range. *)
-  (match Internet.request_address inet (dom "B") with
+  (match Internet.request_address_retry inet (dom "B") ~every:(Time.hours 1.0) ~attempts:1 with
   | Some _ -> ()
   | None -> Alcotest.fail "doubling did not unblock allocation");
   (* And the original group still delivers. *)
-  let d = Scenario.send s ~source:(Host_ref.make (dom "E") 0) in
+  let d = Scenario_fixtures.send s ~source:(Host_ref.make (dom "E") 0) in
   check Alcotest.int "group survives the renumber-free doubling" 4 (List.length d)
 
 let suite =

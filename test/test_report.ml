@@ -1,5 +1,5 @@
-(* The offline views ([Report]) over in-memory records, and the shared
-   JSONL reader every artifact loader uses. *)
+(* The offline views ([Report]) over recordings written from in-memory
+   records, and the shared JSONL reader every artifact loader uses. *)
 
 let check = Alcotest.check
 
@@ -29,38 +29,62 @@ let stream =
     rec_ 2 3.0 "net.recv.masc" ~trace_id:"claim:1:224.0.0.0/24" ~span:0;
   ]
 
+(* One recording line in the recorder's JSONL shape (the test records
+   hold no character JSON would escape differently). *)
+let jsonl_line (r : Recorder.record) =
+  let opt key show = function Some v -> Printf.sprintf ", \"%s\": %s" key (show v) | None -> "" in
+  Printf.sprintf "{\"seq\": %d, \"time\": %.17g, \"label\": %S, \"subject\": %S%s%s%s}"
+    r.Recorder.seq r.Recorder.r_time r.Recorder.r_label r.Recorder.r_subject
+    (opt "detail" (Printf.sprintf "%S") r.Recorder.r_detail)
+    (opt "trace_id" (Printf.sprintf "%S") r.Recorder.r_trace_id)
+    (opt "span" string_of_int r.Recorder.r_span)
+
+(* [report --diff] over recordings A and B of the two streams: the exit
+   code, the output, and the two file names it prints. *)
 let diff a b =
+  let dir = Filename.temp_dir "diff" "" in
+  let write name records =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun r -> output_string oc (jsonl_line r ^ "\n")) records);
+    path
+  in
+  let pa = write "A" a and pb = write "B" b in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  let code = Report.run_diff ppf ("A", a) ("B", b) in
+  let code = Report.run_diff_files ppf pa pb in
   Format.pp_print_flush ppf ();
-  (code, Buffer.contents buf)
+  List.iter Sys.remove [ pa; pb ];
+  Sys.rmdir dir;
+  (code, Buffer.contents buf, pa, pb)
 
 let test_diff_identical () =
   (* seq numbers are per stream: renumbered copies are still identical. *)
   let renumbered = List.map (fun r -> { r with Recorder.seq = r.Recorder.seq + 10 }) stream in
-  let code, out = diff stream renumbered in
+  let code, out, _, _ = diff stream renumbered in
   check Alcotest.int "exit 0" 0 code;
   check Alcotest.bool "reported identical" true (contains "recordings identical (3 records)" out)
 
 let test_diff_strict_prefix () =
   let extra = rec_ 3 4.0 "net.drop.masc" ~detail:"loss" ~trace_id:"claim:1:224.0.0.0/24" in
-  let code, out = diff stream (stream @ [ extra ]) in
+  let code, out, _, b = diff stream (stream @ [ extra ]) in
   check Alcotest.int "exit 1" 1 code;
-  check Alcotest.bool "names the longer stream" true (contains "B has 1 extra record(s), first:" out);
+  check Alcotest.bool "names the longer stream" true
+    (contains (b ^ " has 1 extra record(s), first:") out);
   check Alcotest.bool "prints the first extra record" true (contains "net.drop.masc" out);
-  check Alcotest.bool "chain of the extra record" true (contains "--- causal chain, B ---" out)
+  check Alcotest.bool "chain of the extra record" true
+    (contains ("--- causal chain, " ^ b ^ " ---") out)
 
 let test_diff_divergence_anchors_on_spanned_record () =
   (* The records diverge at the engine record (no trace id); the chain is
      anchored on the nearest spanned record, and renders its narrative. *)
   let b = List.mapi (fun i r -> if i = 1 then { r with Recorder.r_time = 2.5 } else r) stream in
-  let code, out = diff stream b in
+  let code, out, a, _ = diff stream b in
   check Alcotest.int "exit 1" 1 code;
   check Alcotest.bool "locates the divergence" true (contains "first divergence at record 1" out);
   check Alcotest.bool "both sides shown" true (contains "  A > #1" out && contains "  B > #1" out);
   check Alcotest.bool "anchored on the nearest spanned record" true
-    (contains "--- causal chain, A = A (anchored on nearest spanned record, 0) ---" out);
+    (contains ("--- causal chain, A = " ^ a ^ " (anchored on nearest spanned record, 0) ---") out);
   check Alcotest.bool "chain renders the protocol detail" true (contains "224.0.0.0/24 (new)" out);
   check Alcotest.bool "engine records stay out of the chain" false
     (contains "(2 entries)" out)
@@ -171,7 +195,7 @@ let artifacts () =
                 Prof.disable ())
               (fun () -> ignore (Scenario.figure3 ()));
             Prof.write_jsonl prof_file;
-            Prof.reset ();
+            Test_obs.prof_clear ();
             (read rec_file, read prof_file)))
   in
   let telemetry =

@@ -23,6 +23,7 @@ let int_array = Alcotest.array Alcotest.int
    results — including tie-breaks — match exactly. *)
 
 let bfs_list topo src =
+  let adj = Topo_fixtures.adjacency topo in
   let n = Topo.domain_count topo in
   let dist = Array.make n max_int in
   let via = Array.make n (-1) in
@@ -38,7 +39,7 @@ let bfs_list topo src =
           via.(v) <- u;
           Queue.add v queue
         end)
-      (Topo.adjacency topo u)
+      adj.(u)
   done;
   { Spf.src; dist; via }
 
@@ -120,7 +121,7 @@ let test_bfs_into_allocation () =
     (w1 -. w0 <= 4.0)
 
 let test_freeze_memoized_and_invalidated () =
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   let c1 = Topo.freeze topo in
   let c2 = Topo.freeze topo in
   check Alcotest.bool "freeze memoized" true (c1 == c2);
@@ -133,17 +134,28 @@ let test_freeze_memoized_and_invalidated () =
   let p = Spf.bfs topo 0 in
   check Alcotest.int "bfs over refrozen graph" 4 (Spf.dist p d)
 
+(* The cache hits and misses that [f ()] counted. *)
+let cache_counts f =
+  let counts, _shard =
+    Obs.capture (fun () ->
+        f ();
+        let count name = Metrics.count (Metrics.counter name) in
+        (count "spf.cache_hits", count "spf.cache_misses"))
+  in
+  counts
+
 let test_cache_transparent () =
   let topo = Gen.power_law ~rng:(Rng.create 21) ~n:180 ~m:2 in
   let cache = Spf.make_cache topo in
+  let hits, misses = cache_counts @@ fun () ->
   List.iter
     (fun src ->
       let cached = Spf.bfs_cached cache src in
       let plain = Spf.bfs topo src in
       check int_array "cached dist" plain.Spf.dist cached.Spf.dist;
       check int_array "cached via" plain.Spf.via cached.Spf.via)
-    [ 3; 3; 99; 3; 99; 0 ];
-  let hits, misses = Spf.cache_stats cache in
+    [ 3; 3; 99; 3; 99; 0 ]
+  in
   check Alcotest.int "misses = distinct sources" 3 misses;
   check Alcotest.int "hits = repeats" 3 hits;
   check Alcotest.bool "repeat is the same array" true
@@ -177,7 +189,7 @@ let test_precomputed_paths_do_not_change_results () =
     let members = Array.to_list receivers in
     let t1 = Shared_tree.build topo ~root ~members in
     let t2 = Shared_tree.build ~to_root:(Spf.bfs_cached cache root) topo ~root ~members in
-    check Alcotest.int "tree node count" (Shared_tree.node_count t1) (Shared_tree.node_count t2);
+    check Alcotest.int "tree node count" (Views.tree_nodes t1 ~n) (Views.tree_nodes t2 ~n);
     List.iter
       (fun m ->
         check Alcotest.int "member depth" (Shared_tree.depth t1 m) (Shared_tree.depth t2 m);
@@ -187,7 +199,7 @@ let test_precomputed_paths_do_not_change_results () =
   done
 
 let test_mismatched_precomputed_paths_rejected () =
-  let topo = Gen.line ~n:5 in
+  let topo = Topo_fixtures.line ~n:5 in
   let wrong = Spf.bfs topo 2 in
   Alcotest.check_raises "shared tree rejects wrong root"
     (Invalid_argument "Shared_tree.build: to_root paths not rooted at root") (fun () ->

@@ -13,12 +13,12 @@ let test_build_and_accessors () =
   check Alcotest.int "link count" 2 (Topo.link_count t);
   check Alcotest.string "name" "B" (Topo.domain t b).Domain.name;
   check (Alcotest.option Alcotest.int) "find by name" (Some b) (Topo.find_by_name t "B");
-  check (Alcotest.list Alcotest.int) "neighbors of b" [ a; c ] (Topo.neighbors t b);
+  check (Alcotest.list Alcotest.int) "neighbors of b" [ a; c ] (Topo_fixtures.neighbors t b);
   check Alcotest.int "degree" 2 (Topo.degree t b);
   check (Alcotest.list Alcotest.int) "providers of b" [ a ] (Topo.providers_of t b);
-  check (Alcotest.list Alcotest.int) "customers of b" [ c ] (Topo.customers_of t b);
-  check (Alcotest.list Alcotest.int) "peers of b" [] (Topo.peers_of t b);
-  check Alcotest.bool "connected" true (Topo.is_connected t)
+  check (Alcotest.list Alcotest.int) "customers of b" [ c ] (Topo_fixtures.customers_of t b);
+  check (Alcotest.list Alcotest.int) "peers of b" [] (Topo_fixtures.peers_of t b);
+  check Alcotest.bool "connected" true (Topo_fixtures.is_connected t)
 
 let test_rejects_bad_links () =
   let t = Topo.create () in
@@ -34,15 +34,15 @@ let test_disconnected_detected () =
   let t = Topo.create () in
   ignore (Topo.add_domain t ~name:"A" ~kind:Domain.Stub);
   ignore (Topo.add_domain t ~name:"B" ~kind:Domain.Stub);
-  check Alcotest.bool "disconnected" false (Topo.is_connected t)
+  check Alcotest.bool "disconnected" false (Topo_fixtures.is_connected t)
 
 (* --- Spf ------------------------------------------------------------- *)
 
 let test_bfs_line () =
-  let t = Gen.line ~n:5 in
+  let t = Topo_fixtures.line ~n:5 in
   let paths = Spf.bfs t 0 in
   check Alcotest.int "dist to end" 4 (Spf.dist paths 4);
-  check (Alcotest.list Alcotest.int) "path" [ 0; 1; 2; 3; 4 ] (Spf.path paths 4);
+  check (Alcotest.list Alcotest.int) "path" [ 0; 1; 2; 3; 4 ] (Topo_fixtures.path paths 4);
   check (Alcotest.option Alcotest.int) "next hop toward src" (Some 1) (Spf.next_hop_toward t paths 2);
   check (Alcotest.option Alcotest.int) "next hop at src" None (Spf.next_hop_toward t paths 0)
 
@@ -52,7 +52,7 @@ let test_bfs_unreachable () =
   let b = Topo.add_domain t ~name:"B" ~kind:Domain.Stub in
   let paths = Spf.bfs t a in
   check Alcotest.int "unreachable" max_int (Spf.dist paths b);
-  check (Alcotest.list Alcotest.int) "empty path" [] (Spf.path paths b)
+  check (Alcotest.list Alcotest.int) "empty path" [] (Topo_fixtures.path paths b)
 
 (* --- Generators ------------------------------------------------------ *)
 
@@ -60,7 +60,7 @@ let test_power_law_shape () =
   let rng = Rng.create 1 in
   let t = Gen.power_law ~rng ~n:500 ~m:2 in
   check Alcotest.int "node count" 500 (Topo.domain_count t);
-  check Alcotest.bool "connected" true (Topo.is_connected t);
+  check Alcotest.bool "connected" true (Topo_fixtures.is_connected t);
   (* Preferential attachment: expect a heavy tail — some node much
      better connected than the median. *)
   let degrees = List.map (fun d -> Topo.degree t d.Domain.id) (Topo.domains t) in
@@ -77,7 +77,7 @@ let test_transit_stub_shape () =
   let rng = Rng.create 2 in
   let t = Gen.transit_stub ~rng ~backbones:3 ~regionals_per_backbone:4 ~stubs_per_regional:5 in
   check Alcotest.int "node count" (3 + (3 * 4) + (3 * 4 * 5)) (Topo.domain_count t);
-  check Alcotest.bool "connected" true (Topo.is_connected t);
+  check Alcotest.bool "connected" true (Topo_fixtures.is_connected t);
   let backbones = List.filter (fun d -> d.Domain.kind = Domain.Backbone) (Topo.domains t) in
   check Alcotest.int "backbones" 3 (List.length backbones)
 
@@ -88,25 +88,25 @@ let test_masc_hierarchy_shape () =
   check Alcotest.int "links" (6 + 12) (Topo.link_count t);
   let tops = List.filter (fun d -> d.Domain.kind = Domain.Backbone) (Topo.domains t) in
   List.iter
-    (fun d -> check Alcotest.int "3 customers each" 3 (List.length (Topo.customers_of t d.Domain.id)))
+    (fun d -> check Alcotest.int "3 customers each" 3 (List.length (Topo_fixtures.customers_of t d.Domain.id)))
     tops
 
 let test_figure1_figure3 () =
   let f1 = Gen.figure1 () in
   check Alcotest.int "figure1 domains" 7 (Topo.domain_count f1);
-  check Alcotest.bool "figure1 connected" true (Topo.is_connected f1);
+  check Alcotest.bool "figure1 connected" true (Topo_fixtures.is_connected f1);
   let f3 = Gen.figure3 () in
   check Alcotest.int "figure3 domains" 8 (Topo.domain_count f3);
   check (Alcotest.option Alcotest.int) "H exists" (Some 7) (Topo.find_by_name f3 "H");
   (* B is a customer of A in both. *)
   let a = Option.get (Topo.find_by_name f1 "A") and b = Option.get (Topo.find_by_name f1 "B") in
-  check Alcotest.bool "A provides B" true (List.mem b (Topo.customers_of f1 a))
+  check Alcotest.bool "A provides B" true (List.mem b (Topo_fixtures.customers_of f1 a))
 
 let test_star () =
-  let t = Gen.star ~n:6 in
+  let t = Topo_fixtures.star ~n:6 in
   check Alcotest.int "nodes" 6 (Topo.domain_count t);
   check Alcotest.int "hub degree" 5 (Topo.degree t 0);
-  check Alcotest.int "customers of hub" 5 (List.length (Topo.customers_of t 0))
+  check Alcotest.int "customers of hub" 5 (List.length (Topo_fixtures.customers_of t 0))
 
 (* --- Host_ref --------------------------------------------------------- *)
 
@@ -136,7 +136,7 @@ let prop_path_endpoints_and_length =
       let rng = Rng.create seed in
       let t = Gen.power_law ~rng ~n:60 ~m:2 in
       let paths = Spf.bfs t 0 in
-      match Spf.path paths dst with
+      match Topo_fixtures.path paths dst with
       | [] -> dst <> 0 && Spf.dist paths dst = max_int
       | path ->
           List.hd path = 0

@@ -6,13 +6,13 @@ let check = Alcotest.check
 (* --- Shared_tree ------------------------------------------------------- *)
 
 let test_tree_root_always_on_tree () =
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   let tree = Shared_tree.build topo ~root:0 ~members:[] in
   check Alcotest.bool "root on tree" true (Shared_tree.on_tree tree 0);
-  check Alcotest.int "only the root" 1 (Shared_tree.node_count tree)
+  check Alcotest.int "only the root" 1 (Views.tree_nodes tree ~n:4)
 
 let test_tree_join_grafts_path () =
-  let topo = Gen.line ~n:5 in
+  let topo = Topo_fixtures.line ~n:5 in
   let tree = Shared_tree.build topo ~root:0 ~members:[ 4 ] in
   for i = 0 to 4 do
     check Alcotest.bool (Printf.sprintf "node %d on tree" i) true (Shared_tree.on_tree tree i)
@@ -24,28 +24,28 @@ let test_tree_join_grafts_path () =
 let test_tree_join_stops_at_tree () =
   (* Star: hub 0 with leaves.  The second leaf's join stops at the hub,
      not the root leaf. *)
-  let topo = Gen.star ~n:5 in
+  let topo = Topo_fixtures.star ~n:5 in
   let tree = Shared_tree.build topo ~root:1 ~members:[ 2; 3 ] in
-  check Alcotest.int "nodes: root, hub, two leaves" 4 (Shared_tree.node_count tree);
+  check Alcotest.int "nodes: root, hub, two leaves" 4 (Views.tree_nodes tree ~n:5);
   check Alcotest.int "tree distance leaf-leaf" 2 (Shared_tree.tree_distance tree 2 3);
   check Alcotest.int "tree distance leaf-root" 2 (Shared_tree.tree_distance tree 2 1);
   check Alcotest.int "distance to self" 0 (Shared_tree.tree_distance tree 2 2)
 
 let test_tree_duplicate_join_harmless () =
-  let topo = Gen.line ~n:3 in
+  let topo = Topo_fixtures.line ~n:3 in
   let tree = Shared_tree.build topo ~root:0 ~members:[ 2; 2; 2 ] in
-  check Alcotest.int "no duplicate nodes" 3 (Shared_tree.node_count tree);
+  check Alcotest.int "no duplicate nodes" 3 (Views.tree_nodes tree ~n:3);
   check Alcotest.int "members recorded" 3 (List.length (Shared_tree.members tree))
 
 let test_tree_distance_off_tree_raises () =
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   let tree = Shared_tree.build topo ~root:0 ~members:[ 1 ] in
   Alcotest.check_raises "off-tree endpoint"
     (Invalid_argument "Shared_tree.tree_distance: endpoint off tree") (fun () ->
       ignore (Shared_tree.tree_distance tree 1 3))
 
 let test_tree_entry_point () =
-  let topo = Gen.star ~n:6 in
+  let topo = Topo_fixtures.star ~n:6 in
   let tree = Shared_tree.build topo ~root:1 ~members:[ 2 ] in
   (* Leaf 5 is off-tree; its data walks to the hub, which is on-tree. *)
   check (Alcotest.option Alcotest.int) "entry at hub" (Some 0) (Shared_tree.entry_point tree 5);
@@ -56,7 +56,7 @@ let test_tree_entry_point () =
 
 let test_path_eval_line_root_at_source () =
   (* Root co-located with the source: bidirectional = SPT exactly. *)
-  let topo = Gen.line ~n:6 in
+  let topo = Topo_fixtures.line ~n:6 in
   let group = { Path_eval.source = 0; root = 0; receivers = [| 2; 4; 5 |] } in
   let paths = Path_eval.evaluate topo group in
   check (Alcotest.array Alcotest.int) "spt" [| 2; 4; 5 |] paths.Path_eval.spt;
@@ -70,7 +70,7 @@ let test_path_eval_unidirectional_detour () =
   (* Line 0-1-2-3-4: source at 4, root/RP at 0, receiver at 3.
      SPT: 1 hop.  Unidirectional: 4 (to RP) + 3 (down) = 7.
      Bidirectional: data meets the tree at 3 itself: 1 hop. *)
-  let topo = Gen.line ~n:5 in
+  let topo = Topo_fixtures.line ~n:5 in
   let group = { Path_eval.source = 4; root = 0; receivers = [| 3 |] } in
   let paths = Path_eval.evaluate topo group in
   check (Alcotest.array Alcotest.int) "spt" [| 1 |] paths.Path_eval.spt;
@@ -169,21 +169,21 @@ let prop_paths_finite =
 
 (* --- Paths from a topology of another size ------------------------------- *)
 
-let foreign_paths () = Spf.bfs (Gen.line ~n:7) 0
+let foreign_paths () = Spf.bfs (Topo_fixtures.line ~n:7) 0
 
 let test_tree_build_rejects_foreign_paths () =
   Alcotest.check_raises "build"
     (Invalid_argument "Shared_tree.build: to_root paths sized for another topology") (fun () ->
-      ignore (Shared_tree.build ~to_root:(foreign_paths ()) (Gen.line ~n:4) ~root:0 ~members:[ 3 ]))
+      ignore (Shared_tree.build ~to_root:(foreign_paths ()) (Topo_fixtures.line ~n:4) ~root:0 ~members:[ 3 ]))
 
 let test_tree_reset_rejects_foreign_paths () =
-  let tree = Shared_tree.create (Gen.line ~n:4) in
+  let tree = Shared_tree.create (Topo_fixtures.line ~n:4) in
   Alcotest.check_raises "reset"
     (Invalid_argument "Shared_tree.reset: to_root paths sized for another topology") (fun () ->
       Shared_tree.reset tree ~to_root:(foreign_paths ()) ~root:0)
 
 let test_path_eval_rejects_foreign_paths () =
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   let group = { Path_eval.source = 0; root = 0; receivers = [| 3 |] } in
   Alcotest.check_raises "from_source"
     (Invalid_argument "Path_eval.evaluate: from_source paths sized for another topology")
@@ -193,19 +193,19 @@ let test_path_eval_rejects_foreign_paths () =
     (fun () -> ignore (Path_eval.evaluate ~from_root:(foreign_paths ()) topo group))
 
 let test_path_eval_workspace_rejects_other_topology () =
-  let ws = Path_eval.make_workspace (Gen.line ~n:4) in
+  let ws = Path_eval.make_workspace (Topo_fixtures.line ~n:4) in
   let group = { Path_eval.source = 0; root = 0; receivers = [| 3 |] } in
   List.iter
     (fun other ->
       Alcotest.check_raises "evaluate_with"
         (Invalid_argument "Path_eval.evaluate_with: workspace built for another topology")
         (fun () -> ignore (Path_eval.evaluate_with ws other group)))
-    [ Gen.line ~n:7; Gen.line ~n:4 ]
+    [ Topo_fixtures.line ~n:7; Topo_fixtures.line ~n:4 ]
 
 (* An empty BFS slot must not pass for a negative node's tree: unknown
    endpoints reach [Spf.start], which rejects them. *)
 let test_path_eval_workspace_rejects_unknown_endpoints () =
-  let topo = Gen.line ~n:4 in
+  let topo = Topo_fixtures.line ~n:4 in
   let ws = Path_eval.make_workspace topo in
   List.iter
     (fun (source, root) ->
@@ -269,7 +269,7 @@ let random_group rng n =
 
 let same_tree n reused fresh =
   let anchors = [ Shared_tree.root fresh ] @ Shared_tree.members fresh in
-  Shared_tree.node_count reused = Shared_tree.node_count fresh
+  Views.tree_nodes reused ~n = Views.tree_nodes fresh ~n
   && Shared_tree.members reused = Shared_tree.members fresh
   && List.for_all
        (fun v ->
@@ -700,7 +700,7 @@ let test_schedule_walks_a_path_whole () =
     Array.map
       (fun i ->
         let a = route.(i) and b = route.(i + 1) in
-        if Rng.bool rng then (a, b) else (b, a))
+        if Test_util.coin rng then (a, b) else (b, a))
       (Rng.sample_without_replacement rng (nodes - 1) (nodes - 1))
   in
   check Alcotest.int "one chunk" 1 (List.length (Tree_experiment.schedule ~nodes ends))

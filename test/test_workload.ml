@@ -32,33 +32,39 @@ let test_membership_beacon_plan () =
 (* --- Scenario ----------------------------------------------------------- *)
 
 let test_scenario_figure1 () =
-  let s = Scenario.figure1 () in
-  let topo = Internet.topo s.Scenario.inet in
+  let s = Scenario_fixtures.figure1 () in
+  let topo = Internet.topo s.Scenario_fixtures.inet in
   let b = Option.get (Topo.find_by_name topo "B") in
-  check Alcotest.int "rooted at B" b s.Scenario.root;
-  check Alcotest.int "four members" 4 (List.length s.Scenario.members);
+  check Alcotest.int "rooted at B" b s.Scenario_fixtures.root;
+  check Alcotest.int "four members" 4 (List.length s.Scenario_fixtures.members);
   let e = Option.get (Topo.find_by_name topo "E") in
-  let deliveries = Scenario.send s ~source:(Host_ref.make e 0) in
+  let deliveries = Scenario_fixtures.send s ~source:(Host_ref.make e 0) in
   check Alcotest.int "all members received" 4 (List.length deliveries)
 
 let test_scenario_figure3_branch () =
   let w = Scenario.figure3 () in
   check Alcotest.bool "branch shortens F's path from 3 to 2 hops" true
-    (Scenario.figure3_branch_demo w ~before:[ 3 ] ~after:[ 2 ]);
+    (Scenario_fixtures.figure3_branch_demo w ~before:[ 3 ] ~after:[ 2 ]);
   (* All five member domains appear in the deliveries of the second
      packet. *)
   let p = Bgmp_fabric.send w.Scenario.fabric ~source:(Host_ref.make 4 (* E *) 0)
       ~group:w.Scenario.walkthrough_group in
   Engine.run_until_idle w.Scenario.engine;
   check Alcotest.int "five member domains" 5
-    (List.length (Scenario.deliveries_by_domain w ~payload:p))
+    (List.length (Scenario_fixtures.deliveries_by_domain w ~payload:p))
 
 let test_scenario_figure3_pim_sm () =
   (* With a non-strict-RPF MIGP everywhere, no branch forms and F stays
      at 3 hops on both packets. *)
-  let w = Scenario.figure3 ~migp_style:(fun _ -> Migp.Pim_sm) () in
+  let walkthrough_topo = Gen.figure3 () in
+  let engine, fabric =
+    Test_bgmp.make_fabric ~migp_style:(fun _ -> Migp.Pim_sm) ~root_name:"B" walkthrough_topo
+  in
+  Test_bgmp.join_all walkthrough_topo fabric [ "B"; "C"; "D"; "F"; "H" ];
+  Engine.run_until_idle engine;
+  let w = { Scenario.engine; walkthrough_topo; fabric; walkthrough_group = Test_bgmp.g } in
   check Alcotest.bool "no branch under PIM-SM" true
-    (Scenario.figure3_branch_demo w ~before:[ 3 ] ~after:[ 3 ])
+    (Scenario_fixtures.figure3_branch_demo w ~before:[ 3 ] ~after:[ 3 ])
 
 (* The churn stream's array form, for the tests only: one record per
    event, collected from [Membership.iter_group_churn].  Each join's

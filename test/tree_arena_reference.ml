@@ -1,7 +1,7 @@
 (* [Tree_arena] in its global-table form, kept as the differential
    oracle for the per-group tables: every (group, node) refcount lives
-   in one [Packed_map] keyed [group * n + node], and a refcount change
-   is a [find] followed by a [set] (or a [remove] at zero).  The path
+   in one hash table keyed [group * n + node], and a refcount change
+   is a lookup followed by a [replace] (or a [remove] at zero).  The path
    pool, its free lists and the handle encoding are the arena's own,
    so handles, errors and answers must agree exactly. *)
 
@@ -21,7 +21,7 @@ let free_tag = min_int lor (gen_mask + 1)
 
 type t = {
   n : int;
-  refs : Packed_map.t;  (* (group * n + node) -> refcount *)
+  refs : (int, int) Hashtbl.t;  (* (group * n + node) -> refcount *)
   counts : int array;  (* per-router live entry count *)
   mutable pool : int array;
       (* path blocks [header; group; len; nodes...]; a free block keeps
@@ -36,7 +36,7 @@ let create ~domains () =
   if domains < 1 then invalid_arg "Tree_arena.create: need at least one domain";
   {
     n = domains;
-    refs = Packed_map.create ();
+    refs = Hashtbl.create 64;
     counts = Array.make domains 0;
     pool = Array.make 1024 0;
     pool_len = 0;
@@ -87,19 +87,19 @@ let free_block t b len =
 
 let incr_ref t group node =
   let k = key t group node in
-  match Packed_map.find t.refs k with
-  | -1 ->
-      Packed_map.set t.refs k 1;
+  match Hashtbl.find_opt t.refs k with
+  | None ->
+      Hashtbl.replace t.refs k 1;
       t.counts.(node) <- t.counts.(node) + 1
-  | r -> Packed_map.set t.refs k (r + 1)
+  | Some r -> Hashtbl.replace t.refs k (r + 1)
 
 let decr_ref t group node =
   let k = key t group node in
-  match Packed_map.find t.refs k with
+  match Hashtbl.find t.refs k with
   | 1 ->
-      Packed_map.remove t.refs k;
+      Hashtbl.remove t.refs k;
       t.counts.(node) <- t.counts.(node) - 1
-  | r -> Packed_map.set t.refs k (r - 1)
+  | r -> Hashtbl.replace t.refs k (r - 1)
 
 let join t ~group ~path ~len =
   if group < 0 then invalid_arg "Tree_arena.join: negative group";
@@ -131,13 +131,13 @@ let leave t ~group (h : handle) =
   t.live <- t.live - 1
 
 let clear t =
-  Packed_map.clear t.refs;
+  Hashtbl.reset t.refs;
   Array.fill t.counts 0 t.n 0;
   t.pool_len <- 0;
   Array.fill t.free 0 (Array.length t.free) (-1);
   t.live <- 0
 
-let entries t = Packed_map.length t.refs
+let entries t = Hashtbl.length t.refs
 
 let live_paths t = t.live
 
@@ -148,4 +148,4 @@ let node_entries t node =
 let refs t ~group ~node =
   if group < 0 then invalid_arg "Tree_arena.refs: negative group";
   if node < 0 || node >= t.n then invalid_arg "Tree_arena: unknown node id";
-  match Packed_map.find t.refs (key t group node) with -1 -> 0 | r -> r
+  Option.value (Hashtbl.find_opt t.refs (key t group node)) ~default:0

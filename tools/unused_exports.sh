@@ -8,9 +8,33 @@
 # Comments (doc comments and their {!Module.name} links included) are
 # not uses: they are blanked before anything is collected.
 #
+# With --programs, a use from test/ does not count: the interfaces are
+# what the programs (bin/, examples/, bench/, perfbench/ and the other
+# lib/ modules) use.  The only exports allowed to serve tests alone are
+# the seams listed in tools/test_seams.txt, one `Module.name  reason`
+# line each (blank lines and `#` comments are skipped).  The mode prints
+# every test-only export not listed, every line without a reason, and
+# every stale line: a name that is no longer exported, or one a program
+# now uses.
+#
 #   bash tools/unused_exports.sh
+#   bash tools/unused_exports.sh --programs
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+users="lib bin test examples bench perfbench"
+seams=""
+case "${1:-}" in
+  "") ;;
+  --programs)
+    users="lib bin examples bench perfbench"
+    seams=tools/test_seams.txt
+    ;;
+  *)
+    echo "usage: $0 [--programs]" >&2
+    exit 2
+    ;;
+esac
 
 src=$(mktemp -d)
 trap 'rm -rf "$src"' EXIT
@@ -51,7 +75,7 @@ find lib bin test examples bench perfbench \( -name '*.ml' -o -name '*.mli' \) -
 # "file Module.name" for every qualified lower-case name in every source.
 refs=$(cd "$src" && grep -rnoE --include='*.ml' --include='*.mli' \
   "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" \
-  lib bin test examples bench perfbench |
+  $users |
   awk -F: '{ print $1, $3 }' | sort -u)
 
 # "file Module.name" for every top-level val of every lib interface.
@@ -71,6 +95,26 @@ unused=$(awk '
       if (files[i] != $1 && files[i] != own_ml) { found = 1; break }
     if (!found) print $1 ": " $2
   }' <(printf '%s\n' "$refs") <(printf '%s\n' "$vals"))
+
+if [ -n "$seams" ]; then
+  listed=$(sed -e 's/#.*//' "$seams" | awk 'NF { print $1 }' | sort)
+  exported=$(printf '%s\n' "$vals" | awk 'NF { print $2 }' | sort -u)
+  unused=$(
+    # A test-only export the list does not name.
+    printf '%s\n' "$unused" | awk -v listed="$listed" '
+      BEGIN { n = split(listed, l, "\n"); for (i = 1; i <= n; i++) ok[l[i]] = 1 }
+      NF && !($2 in ok)'
+    # A listed name with no reason, one that is not exported, or one
+    # that a program uses.
+    sed -e 's/#.*//' "$seams" | awk -v exported="$exported" -v unused="$unused" -v file="$seams" '
+      BEGIN {
+        n = split(exported, e, "\n"); for (i = 1; i <= n; i++) is_val[e[i]] = 1
+        n = split(unused, u, "\n"); for (i = 1; i <= n; i++) { split(u[i], f, " "); test_only[f[2]] = 1 }
+      }
+      NF == 1 { print file ": " $1 ": no reason given" }
+      NF && !($1 in is_val) { print file ": " $1 ": stale, not an exported val"; next }
+      NF && !($1 in test_only) { print file ": " $1 ": stale, a program uses it" }')
+fi
 
 if [ -n "$unused" ]; then
   printf '%s\n' "$unused"
