@@ -403,15 +403,16 @@ let[@inline] forward_at t rid ~from ~group ~source ~level =
   if prune >= 0 then exec_action t rid (t.internal.(prune), Bgmp_msg.Prune_sg { source; group })
 
 (* Push, last to first, the interior's hand-offs to the routers in
-   [rids] bar [entry]: all of them when [all] (a flooding MIGP), else
-   those taking a copy.  Those are the routers
-   with state for the packet and the one whose link is the domain's next
-   hop toward the group's root, looked up once ([root_via]) and only
-   when some router has no state. *)
-let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level = function
+   [rids] bar [entry] that take a copy: those with state for the packet
+   and the one whose link is the domain's next hop toward the group's
+   root, looked up once ([root_via]) and only when some router has no
+   state.  A flooding MIGP reaches the others too, but a border router
+   without state off the root link forwards nothing ([default_target]
+   from the interior), so no hand-off is pushed for them. *)
+let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~level = function
   | [] -> ()
   | rid :: rest when rid = entry ->
-      hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest
+      hand_offs t ~dom ~group ~source ~entry ~root_via ~level rest
   | rid :: rest ->
       let r = t.routers.(rid) in
       let stateful = Bgmp_router.on_tree r group || Bgmp_router.has_sg r source group in
@@ -419,8 +420,8 @@ let rec hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level = function
         if stateful || root_via <> via_unknown then root_via else root_hop t dom group
       in
       let takes = stateful || t.router_neighbor.(rid) = root_via in
-      hand_offs t ~dom ~group ~source ~entry ~root_via ~all ~level rest;
-      if all || takes then Bgmp_router.push t.work interior t.internal.(rid) ~level
+      hand_offs t ~dom ~group ~source ~entry ~root_via ~level rest;
+      if takes then Bgmp_router.push t.work interior t.internal.(rid) ~level
 
 (* Distribute a packet inside domain [dom]: deliver to local members,
    apply the MIGP's RPF/encapsulation behaviour, and push the hand-offs
@@ -460,15 +461,8 @@ let distribute t ~dom ~entry ~group ~source ~payload ~hops ~level =
     deliver_members t ~group ~source ~payload ~hops members;
     (* The routers taking a copy are fixed before the first hand-off:
        a hand-off can change another router's (S,G) state. *)
-    let rids = t.domain_routers.(dom) in
-    let floods = Migp.floods_data style in
-    hand_offs t ~dom ~group ~source ~entry ~root_via:via_unknown ~all:floods ~level:(level + 1)
-      rids;
-    if floods then begin
-      (* The flood reaches every border router. *)
-      let all = if entry >= 0 then List.length rids - 1 else List.length rids in
-      Migp.note_flood_delivery migp all
-    end
+    hand_offs t ~dom ~group ~source ~entry ~root_via:via_unknown ~level:(level + 1)
+      t.domain_routers.(dom)
   end
 
 (* Run the items above [base], one packet's, until none is left. *)

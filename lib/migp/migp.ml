@@ -1,7 +1,5 @@
 type style = Dvmrp | Pim_dm | Pim_sm | Cbt
 
-let floods_data = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
-
 let strict_rpf = function Dvmrp | Pim_dm -> true | Pim_sm | Cbt -> false
 
 type members = Host_ref.t list ref
@@ -11,13 +9,11 @@ type t = {
   migp_domain : Domain.id;
   membership : (Ipv4.t, members) Hashtbl.t;
   mutable on_group_active : group:Ipv4.t -> active:bool -> unit;
-  mutable floods : int;
   mutable encaps : int;
 }
 
 let reset t =
   Hashtbl.reset t.membership;
-  t.floods <- 0;
   t.encaps <- 0
 
 let create style ~domain =
@@ -27,7 +23,6 @@ let create style ~domain =
       migp_domain = domain;
       membership = Hashtbl.create 8;
       on_group_active = (fun ~group:_ ~active:_ -> ());
-      floods = 0;
       encaps = 0;
     }
   in
@@ -69,10 +64,6 @@ let has_members t ~group = Hashtbl.mem t.membership group
 
 let iter_groups t f = Hashtbl.iter f t.membership
 
-let note_flood_delivery t n = t.floods <- t.floods + n
-
 let note_encapsulation t = t.encaps <- t.encaps + 1
-
-let flood_deliveries t = t.floods
 
 let encapsulations t = t.encaps

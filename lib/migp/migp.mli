@@ -11,20 +11,20 @@
       first member or loses its last one;
     - {b data distribution style}: DVMRP and PIM-DM {e flood} incoming
       data to every border router (which then prune), while PIM-SM and
-      CBT deliver only along explicitly joined state;
+      CBT deliver only along explicitly joined state.  BGMP cannot tell
+      the two apart: a border router with no state for the packet and
+      not on the link toward the root forwards nothing, so the fabric
+      hands the packet only to the routers that take it;
     - {b RPF strictness}: DVMRP and PIM-DM accept a source's packets
       only from the border router on the unicast shortest path back to
       the source, forcing encapsulation (and motivating BGMP's
       source-specific branches, §5.3); PIM-SM and CBT forward on their
       internal shared tree regardless of entry router.
 
-    Counters expose the overhead differences (flood deliveries,
-    encapsulations) that the paper discusses qualitatively. *)
+    A counter exposes the encapsulation overhead that the paper
+    discusses qualitatively. *)
 
 type style = Dvmrp | Pim_dm | Pim_sm | Cbt
-
-val floods_data : style -> bool
-(** DVMRP, PIM-DM: broadcast-and-prune inside the domain. *)
 
 val strict_rpf : style -> bool
 (** DVMRP, PIM-DM: source packets must enter at the RPF border router. *)
@@ -34,7 +34,7 @@ type t
 val create : style -> domain:Domain.id -> t
 
 val reset : t -> unit
-(** Drop every membership and zero the overhead counters, in place; the
+(** Drop every membership and zero the encapsulation counter, in place; the
     {!set_on_group_active} hook stays. *)
 
 val style : t -> style
@@ -62,13 +62,8 @@ val iter_groups : t -> (Ipv4.t -> members -> unit) -> unit
 (** Every group with at least one local member, in no particular order;
     a callback built once makes the walk allocation-free. *)
 
-(** {1 Overhead counters} *)
-
-val note_flood_delivery : t -> int -> unit
-(** [n] border routers received a flooded copy. *)
+(** {1 Overhead counter} *)
 
 val note_encapsulation : t -> unit
-
-val flood_deliveries : t -> int
 
 val encapsulations : t -> int

@@ -2,13 +2,22 @@
    byte-for-byte.  The copies under [golden/] were captured before the
    transport substrate landed, so these tests prove the refactor is
    output-identical at loss zero — any change to scheduling order, RNG
-   consumption, or delivery timing shows up here as a diff. *)
+   consumption, or delivery timing shows up here as a diff.
+
+   The check helpers serve two tiers: [suite] below, which [dune
+   runtest] runs, and the full-scale rows of [ci_full.ml], which [dune
+   build @ci-full] runs. *)
 
 let check = Alcotest.check
 
-(* The test runs with cwd [_build/default/test]; the binary and the
-   golden copies are declared as deps in [test/dune]. *)
-let exe = Filename.concat ".." (Filename.concat "bin" "main.exe")
+(* Both tiers start in [_build/<context>/test], where [test/dune]
+   declares the binaries and the golden copies as deps; the paths are
+   absolute, so a check may run the CLI from another directory. *)
+let here = Sys.getcwd ()
+
+let built dir exe = Filename.concat here (Filename.concat ".." (Filename.concat dir exe))
+
+let exe = built "bin" "main.exe"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -16,160 +25,61 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Run [cmd] (a quoted executable and its arguments) with stdout and
-   stderr captured together, and compare against [golden/<golden>]. *)
-let check_output ~cmd ~golden () =
-  let out = Filename.temp_file "golden" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rc = Sys.command (Printf.sprintf "%s > %s 2>&1" cmd (Filename.quote out)) in
-      check Alcotest.int (cmd ^ ": exit code") 0 rc;
-      check Alcotest.string
-        (cmd ^ ": output identical to golden/" ^ golden)
-        (read_file (Filename.concat "golden" golden))
-        (read_file out))
+let read_golden name = read_file (Filename.concat here (Filename.concat "golden" name))
 
-let check_figure ~args ~golden = check_output ~cmd:(Filename.quote exe ^ " " ^ args) ~golden
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
-(* The examples take no arguments; each one's stdout is pinned. *)
-let check_example name =
-  check_output
-    ~cmd:(Filename.quote (Filename.concat ".." (Filename.concat "examples" (name ^ ".exe"))))
-    ~golden:("example_" ^ name ^ ".txt")
+(* A file, a symbolic link (even a dangling one) or a directory tree. *)
+let rec remove_tree path =
+  try Sys.remove path
+  with Sys_error _ -> (
+    try
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    with Sys_error _ -> ())
 
-(* The --metrics key set: which instruments a figure run registers is
-   part of the observable contract.  Pinning the (sorted) names — not
-   the timing-dependent values — catches a renamed or lost instrument
-   without making the test flaky. *)
-let check_metric_keys ~args ~golden () =
-  let json = Filename.temp_file "metrics" ".json" in
-  let out = Filename.temp_file "golden" ".out" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ json; out ])
-    (fun () ->
-      let cmd =
-        Printf.sprintf "%s %s --metrics=%s > %s 2>&1" (Filename.quote exe) args
-          (Filename.quote json) (Filename.quote out)
-      in
-      let rc = Sys.command cmd in
-      check Alcotest.int (args ^ ": exit code") 0 rc;
-      let re = Str.regexp "\"name\": \"\\([^\"]+\\)\"" in
-      let keys = ref [] in
-      let ic = open_in json in
-      (try
-         while true do
-           let line = input_line ic in
-           try
-             ignore (Str.search_forward re line 0);
-             keys := Str.matched_group 1 line :: !keys
-           with Not_found -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let got = String.concat "\n" (List.rev !keys) ^ "\n" in
-      check Alcotest.string
-        (args ^ ": metric key set identical to golden/" ^ golden)
-        (read_file (Filename.concat "golden" golden))
-        got)
+(* When set, checks keep their output files in the working directory
+   (the full-scale tier's artifact directory) instead of removing
+   them. *)
+let keep_files = ref false
 
-(* Cross-jobs determinism: the same goldens must hold at any --jobs.
-   All randomness is drawn on the submitting domain and Obs shards fold
-   back in task order, so the worker count is unobservable. *)
-
-(* The --metrics export must also be byte-identical across job counts;
-   only the harness.wall_seconds gauge (real elapsed time) may differ. *)
-let check_metrics_jobs_invariant ~args () =
-  let run jobs =
-    let json = Filename.temp_file "metrics" ".json" in
-    let out = Filename.temp_file "golden" ".out" in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ json; out ])
-      (fun () ->
-        let cmd =
-          Printf.sprintf "%s %s --jobs %d --metrics=%s > %s 2>&1" (Filename.quote exe) args jobs
-            (Filename.quote json) (Filename.quote out)
-        in
-        let rc = Sys.command cmd in
-        check Alcotest.int (Printf.sprintf "%s --jobs %d: exit code" args jobs) 0 rc;
-        String.concat "\n"
-          (List.filter
-             (fun line ->
-               try
-                 ignore (Str.search_forward (Str.regexp_string "harness.wall_seconds") line 0);
-                 false
-               with Not_found -> true)
-             (String.split_on_char '\n' (read_file json))))
+(* [with_files f] gives [f] a namer of output files: [file name] is a
+   temporary path (the same one for the same name), removed once [f]
+   returns, or, under [keep_files], [name] made safe for a file name.
+   Names start with the command line that writes the file, so a kept
+   file says where it came from. *)
+let with_files f =
+  let made = Hashtbl.create 8 in
+  let file name =
+    if !keep_files then String.map (function ' ' | '/' | '=' -> '_' | c -> c) name
+    else
+      match Hashtbl.find_opt made name with
+      | Some path -> path
+      | None ->
+          let path = Filename.temp_file "golden" "" in
+          Hashtbl.add made name path;
+          path
   in
-  check Alcotest.string
-    (args ^ ": metrics identical at --jobs 1 and --jobs 4")
-    (run 1) (run 4)
+  Fun.protect ~finally:(fun () -> Hashtbl.iter (fun _ path -> remove_tree path) made) (fun () ->
+      f file)
 
-(* Byte-identical stdout across job counts, without a golden copy —
-   for runs whose exact numbers are pinned elsewhere. *)
-let check_stdout_jobs_invariant ~args ~jobs () =
-  let run jobs =
-    let out = Filename.temp_file "golden" ".out" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-      (fun () ->
-        let cmd =
-          Printf.sprintf "%s %s --jobs %d > %s 2>&1" (Filename.quote exe) args jobs
-            (Filename.quote out)
-        in
-        let rc = Sys.command cmd in
-        check Alcotest.int (Printf.sprintf "%s --jobs %d: exit code" args jobs) 0 rc;
-        read_file out)
-  in
-  match List.map run jobs with
-  | [] -> ()
-  | first :: rest ->
-      List.iteri
-        (fun i got ->
-          check Alcotest.string
-            (Printf.sprintf "%s: output identical at --jobs %d and %d" args (List.hd jobs)
-               (List.nth jobs (i + 1)))
-            first got)
-        rest
+(* [file name] as an empty directory. *)
+let fresh_dir file name =
+  let dir = file name in
+  remove_tree dir;
+  Sys.mkdir dir 0o755;
+  dir
 
-(* Flight-recorder fingerprint on stderr must be byte-identical across
-   job counts: shard records fold back in task order and each task
-   mints spans from a fresh minter, so --jobs is unobservable in the
-   event stream too. *)
-let check_fingerprint_jobs_invariant ~args ~jobs () =
-  let run jobs =
-    let err = Filename.temp_file "fp" ".err" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
-      (fun () ->
-        let cmd =
-          Printf.sprintf "%s %s --fingerprint --jobs %d > /dev/null 2> %s" (Filename.quote exe)
-            args jobs (Filename.quote err)
-        in
-        let rc = Sys.command cmd in
-        check Alcotest.int (Printf.sprintf "%s --jobs %d: exit code" args jobs) 0 rc;
-        let out = read_file err in
-        check Alcotest.bool
-          (Printf.sprintf "%s --jobs %d: stderr carries a fingerprint" args jobs)
-          true
-          (try
-             ignore (Str.search_forward (Str.regexp_string "fingerprint ") out 0);
-             true
-           with Not_found -> false);
-        out)
-  in
-  match List.map run jobs with
-  | [] -> ()
-  | first :: rest ->
-      List.iteri
-        (fun i got ->
-          check Alcotest.string
-            (Printf.sprintf "%s: fingerprint identical at --jobs %d and %d" args (List.hd jobs)
-               (List.nth jobs (i + 1)))
-            first got)
-        rest
+(* Run [cmd] (the CLI's arguments, or with [~program] another
+   executable's) with stdout to [out] and stderr to [err] (both to one
+   file when [err = out]), killed after [timeout] seconds (exit 124);
+   its exit code. *)
+let run_cli ?timeout ?(program = exe) cmd ~out ~err =
+  Sys.command
+    (Printf.sprintf "%s%s %s > %s %s"
+       (match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> "")
+       (Filename.quote program) cmd (Filename.quote out)
+       (if err = out then "2>&1" else "2> " ^ Filename.quote err))
 
 let contains needle hay =
   try
@@ -177,69 +87,202 @@ let contains needle hay =
     true
   with Not_found -> false
 
+(* Run [args ^ flags] with --metrics, each output named [file (args ^
+   ext)]; the exit code must be 0.  The snapshot: every metric's name
+   and JSON object, in file order. *)
+let metrics_of_run file ?(flags = "") args =
+  let json = file (args ^ ".metrics.json") in
+  let rc =
+    run_cli
+      (Printf.sprintf "%s%s --metrics=%s" args flags (Filename.quote json))
+      ~out:(file (args ^ ".out")) ~err:(file (args ^ ".err"))
+  in
+  check Alcotest.int (args ^ ": exit code") 0 rc;
+  let metric m = Option.map (fun name -> (name, m)) (Jsonl.field "name" Jsonl.to_string m) in
+  let snapshot = Jsonl.parse (read_file json) in
+  match Option.bind snapshot (Jsonl.field "metrics" (Jsonl.to_list metric)) with
+  | Some metrics -> metrics
+  | None -> Alcotest.failf "%s: not a metrics snapshot" json
+
+(* A counter's or a gauge's value in a snapshot. *)
+let metric_value metrics name =
+  match Option.bind (List.assoc_opt name metrics) (Jsonl.field "value" Jsonl.to_float) with
+  | Some v -> v
+  | None -> Alcotest.failf "metric %s: not in the snapshot" name
+
+(* A JSON value as text, so a failed comparison shows a readable diff. *)
+let rec show_json = function
+  | Jsonl.Null -> "null"
+  | Jsonl.Number f -> Printf.sprintf "%.17g" f
+  | Jsonl.String s -> "\"" ^ Jsonl.json_escape s ^ "\""
+  | Jsonl.Array vs -> "[" ^ String.concat ", " (List.map show_json vs) ^ "]"
+  | Jsonl.Object kvs ->
+      "{"
+      ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (show_json v)) kvs)
+      ^ "}"
+
+(* Run [program] on [cmd] with stdout and stderr captured together, and
+   compare against [golden/<golden>]. *)
+let check_output ~program ~cmd ~golden () =
+  with_files (fun file ->
+      let what = String.trim (Filename.basename program ^ " " ^ cmd) in
+      let out = file (what ^ ".out") in
+      check Alcotest.int (what ^ ": exit code") 0 (run_cli ~program cmd ~out ~err:out);
+      check Alcotest.string
+        (what ^ ": output identical to golden/" ^ golden)
+        (read_golden golden) (read_file out))
+
+let check_figure ~args ~golden = check_output ~program:exe ~cmd:args ~golden
+
+(* The examples take no arguments; each one's stdout is pinned. *)
+let check_example name =
+  check_output
+    ~program:(built "examples" (name ^ ".exe"))
+    ~cmd:"" ~golden:("example_" ^ name ^ ".txt")
+
+(* The --metrics key set: which instruments a figure run registers is
+   part of the observable contract.  Pinning the (sorted) names — not
+   the timing-dependent values — catches a renamed or lost instrument
+   without making the test flaky. *)
+let check_metric_keys ~args ~golden () =
+  with_files (fun file ->
+      check Alcotest.string
+        (args ^ ": metric key set identical to golden/" ^ golden)
+        (read_golden golden)
+        (String.concat "" (List.map (fun (name, _) -> name ^ "\n") (metrics_of_run file args))))
+
+(* Cross-jobs determinism: the same goldens must hold at any --jobs.
+   All randomness is drawn on the submitting domain and Obs shards fold
+   back in task order, so the worker count is unobservable.
+
+   [run j] returns named views of one run at [--jobs j]; each view must
+   be the same at every count in [jobs] as at the first. *)
+let check_same_at_jobs ~args ~jobs run =
+  match jobs with
+  | [] -> ()
+  | first :: rest ->
+      let want = run first in
+      List.iter
+        (fun j ->
+          List.iter2
+            (fun (what, a) (_, b) ->
+              check Alcotest.string
+                (Printf.sprintf "%s: %s identical at --jobs %d and %d" args what first j)
+                a b)
+            want (run j))
+        rest
+
+(* [args] (which may ask for --fingerprint) with --metrics and
+   --profile: stdout, stderr, the metrics (less the
+   harness.wall_seconds gauge, real elapsed time) and the profile's
+   (path, count) pairs. *)
+let check_metrics_jobs_invariant ~args ~jobs () =
+  with_files (fun file ->
+      check_same_at_jobs ~args ~jobs (fun j ->
+             let cmd = Printf.sprintf "%s --jobs %d" args j in
+             let profile = file (cmd ^ ".profile.jsonl") in
+             let metrics =
+               metrics_of_run file ~flags:(" --profile=" ^ Filename.quote profile) cmd
+             in
+             let pairs, bad =
+               Jsonl.load_counted profile (fun span ->
+                   let path = Jsonl.field "path" Jsonl.to_string span in
+                   match (path, Jsonl.field "count" Jsonl.to_int span) with
+                   | Some path, Some count -> Some (Printf.sprintf "%s %d\n" path count)
+                   | _ -> None)
+             in
+             check Alcotest.int (cmd ^ ": every profile line parses") 0 bad;
+             [
+               ("stdout", read_file (file (cmd ^ ".out")));
+               ("stderr", read_file (file (cmd ^ ".err")));
+               ( "metrics",
+                 String.concat ""
+                   (List.filter_map
+                      (fun (name, m) ->
+                        if name = "harness.wall_seconds" then None else Some (show_json m ^ "\n"))
+                      metrics) );
+               ("profile (path, count) pairs", String.concat "" pairs);
+             ]))
+
+(* Byte-identical stdout across job counts, without a golden copy —
+   for runs whose exact numbers are pinned elsewhere. *)
+let check_stdout_jobs_invariant ~args ~jobs () =
+  with_files (fun file ->
+      check_same_at_jobs ~args ~jobs (fun j ->
+             let cmd = Printf.sprintf "%s --jobs %d" args j in
+             let out = file (cmd ^ ".out") in
+             check Alcotest.int (cmd ^ ": exit code") 0 (run_cli cmd ~out ~err:out);
+             [ ("output", read_file out) ]))
+
+(* Flight-recorder fingerprint on stderr must be byte-identical across
+   job counts: shard records fold back in task order and each task
+   mints spans from a fresh minter, so --jobs is unobservable in the
+   event stream too. *)
+let check_fingerprint_jobs_invariant ~args ~jobs () =
+  with_files (fun file ->
+      check_same_at_jobs ~args ~jobs (fun j ->
+             let cmd = Printf.sprintf "%s --fingerprint --jobs %d" args j in
+             let err = file (cmd ^ ".err") in
+             check Alcotest.int (cmd ^ ": exit code") 0 (run_cli cmd ~out:"/dev/null" ~err);
+             let fingerprint = read_file err in
+             check Alcotest.bool (cmd ^ ": stderr carries a fingerprint") true
+               (contains "fingerprint " fingerprint);
+             [ ("fingerprint", fingerprint) ]))
+
 (* A run's fingerprint hashes every fired event's time and label, in
    order, so pinning it pins the event stream itself: a change that
    reorders or renames events fails here even when the figure output
    does not move.  [runs] are the CLI arguments; the golden holds each
    one's stderr under a ["$ args"] header. *)
 let check_fingerprints ~runs ~golden () =
-  let err = Filename.temp_file "fp" ".err" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
-    (fun () ->
+  with_files (fun file ->
       let got =
         List.map
           (fun args ->
-            let cmd =
-              Printf.sprintf "%s %s --fingerprint > /dev/null 2> %s" (Filename.quote exe) args
-                (Filename.quote err)
-            in
-            check Alcotest.int (args ^ ": exit code") 0 (Sys.command cmd);
+            let cmd = args ^ " --fingerprint" in
+            let err = file (cmd ^ ".err") in
+            check Alcotest.int (args ^ ": exit code") 0 (run_cli cmd ~out:"/dev/null" ~err);
             "$ " ^ args ^ "\n" ^ read_file err)
           runs
       in
       check Alcotest.string
         ("fingerprints identical to golden/" ^ golden)
-        (read_file (Filename.concat "golden" golden))
-        (String.concat "" got))
+        (read_golden golden) (String.concat "" got))
 
 (* --sample writes its series to timeseries.jsonl in the working
-   directory, so the run happens in a fresh temp dir and the file's
-   bytes are compared against [golden/<golden>]. *)
-let check_timeseries ~args ~golden () =
-  let dir = Filename.temp_dir "timeseries" "" in
-  let file = Filename.concat dir "timeseries.jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove file with Sys_error _ -> ());
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
-      let cmd =
-        Printf.sprintf "cd %s && %s %s > /dev/null 2>&1" (Filename.quote dir)
-          (Filename.quote (Filename.concat (Sys.getcwd ()) exe))
-          args
+   directory, so each run happens in a directory of its own.  The
+   series must equal [golden/<g>] ([`Golden g]), or be the same at
+   every count in [`Jobs counts]. *)
+let check_timeseries ~args ~expect () =
+  with_files (fun file ->
+      let series cmd =
+        let dir = fresh_dir file (cmd ^ ".sample") in
+        let rc =
+          Sys.command
+            (Printf.sprintf "cd %s && %s %s > /dev/null 2>&1" (Filename.quote dir)
+               (Filename.quote exe) cmd)
+        in
+        check Alcotest.int (cmd ^ ": exit code") 0 rc;
+        read_file (Filename.concat dir "timeseries.jsonl")
       in
-      check Alcotest.int (args ^ ": exit code") 0 (Sys.command cmd);
-      check Alcotest.string
-        (args ^ ": timeseries.jsonl identical to golden/" ^ golden)
-        (read_file (Filename.concat "golden" golden))
-        (read_file file))
+      match expect with
+      | `Golden golden ->
+          check Alcotest.string
+            (args ^ ": timeseries.jsonl identical to golden/" ^ golden)
+            (read_golden golden) (series args)
+      | `Jobs jobs ->
+          check_same_at_jobs ~args ~jobs (fun j ->
+              [ ("timeseries.jsonl", series (Printf.sprintf "%s --jobs %d" args j)) ]))
 
 (* Malformed arguments are command-line errors: a message and a
    non-zero exit from the argument parser, never an uncaught exception
    from inside a run, and never a silent fallback. *)
 let check_malformed_arguments () =
-  let err = Filename.temp_file "malformed" ".err" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
-    (fun () ->
+  with_files (fun file ->
       List.iter
         (fun args ->
-          let rc =
-            Sys.command
-              (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
-                 (Filename.quote err))
-          in
+          let err = file (args ^ ".err") in
+          let rc = run_cli args ~out:"/dev/null" ~err in
           let msg = read_file err in
           check Alcotest.bool (args ^ ": exit code non-zero") true (rc <> 0);
           check Alcotest.bool (args ^ ": no uncaught exception") false
@@ -279,16 +322,10 @@ let check_malformed_arguments () =
 
 (* Group sizes that do not fit a small topology are skipped, not fatal. *)
 let check_baselines_small_topology () =
-  let out = Filename.temp_file "baselines" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-    (fun () ->
-      let rc =
-        Sys.command
-          (Printf.sprintf "%s baselines --nodes 300 --trials 1 > %s 2>&1" (Filename.quote exe)
-             (Filename.quote out))
-      in
-      check Alcotest.int "baselines --nodes 300: exit code" 0 rc;
+  with_files (fun file ->
+      let cmd = "baselines --nodes 300 --trials 1" in
+      let out = file (cmd ^ ".out") in
+      check Alcotest.int "baselines --nodes 300: exit code" 0 (run_cli cmd ~out ~err:out);
       let got = read_file out in
       List.iter
         (fun (row, present) ->
@@ -304,73 +341,57 @@ let check_baselines_small_topology () =
         ])
 
 (* --check-invariants must leave stdout byte-identical: the verdict is
-   stderr-only, per the CLI header contract. *)
+   stderr-only, per the CLI header contract, and a clean run reports
+   "<subcommand>: invariants clean". *)
 let check_invariants_stdout_invariant ~args () =
-  let run extra =
-    let out = Filename.temp_file "ck" ".out" and err = Filename.temp_file "ck" ".err" in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
-      (fun () ->
-        let cmd =
-          Printf.sprintf "%s %s%s > %s 2> %s" (Filename.quote exe) args extra
-            (Filename.quote out) (Filename.quote err)
-        in
-        let rc = Sys.command cmd in
-        check Alcotest.int (args ^ extra ^ ": exit code") 0 rc;
-        (read_file out, read_file err))
-  in
-  let plain, _ = run "" in
-  let checked, err = run " --check-invariants" in
-  check Alcotest.string (args ^ ": stdout unchanged by --check-invariants") plain checked;
-  check Alcotest.bool (args ^ ": stderr reports the verdict") true
-    (contains "invariants clean" err)
+  with_files (fun file ->
+      let run cmd =
+        let out = file (cmd ^ ".out") and err = file (cmd ^ ".err") in
+        check Alcotest.int (cmd ^ ": exit code") 0 (run_cli cmd ~out ~err);
+        (read_file out, read_file err)
+      in
+      let verdict = List.hd (String.split_on_char ' ' args) ^ ": invariants clean" in
+      let plain, _ = run args in
+      let checked, err = run (args ^ " --check-invariants") in
+      check Alcotest.string (args ^ ": stdout unchanged by --check-invariants") plain checked;
+      check Alcotest.bool
+        (Printf.sprintf "%s: stderr reports %S" args verdict)
+        true (contains verdict err))
 
-(* End-to-end explorer: the campaign must find the seeded partition
-   canary, shrink it to one fault, write a replayable recording naming
-   the violated invariant, and produce a byte-identical ledger and
-   stdout at any --jobs; triage must render the blamed causal chain. *)
-let check_explore_cli () =
-  let ledger j = Printf.sprintf "explore_test_j%d.jsonl" j in
-  let repro_dir = "explore_test_repro" in
-  let out j = Printf.sprintf "explore_test_j%d.out" j in
-  let triage_out = "explore_test_triage.out" in
-  let jobs = [ 1; 4; 8 ] in
-  let cleanup () =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      (triage_out :: List.concat_map (fun j -> [ ledger j; out j ]) jobs);
-    if Sys.file_exists repro_dir then begin
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat repro_dir f) with Sys_error _ -> ())
-        (Sys.readdir repro_dir);
-      try Sys.rmdir repro_dir with Sys_error _ -> ()
-    end
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      List.iter
-        (fun j ->
-          let cmd =
-            Printf.sprintf "%s explore --budget 10 --seed 7 --jobs %d --ledger %s --repro-dir %s > %s 2>&1"
-              (Filename.quote exe) j (ledger j) repro_dir (out j)
+(* End-to-end explorer: a [budget]-schedule campaign must find the
+   seeded partition canary, shrink it to one fault, write a replayable
+   recording naming the violated invariant, skip predicates whose state
+   did not move, and produce a byte-identical ledger and stdout at
+   every count in [jobs]; triage must render the blamed causal
+   chain. *)
+let check_explore_cli ~budget ~jobs () =
+  with_files (fun file ->
+      let campaign = Printf.sprintf "explore --budget %d --seed 7" budget in
+      (* The ledger names the repro files, so every run writes them to
+         one directory. *)
+      let repro_dir = file (campaign ^ ".repro") in
+      let ledger = file (campaign ^ ".ledger.jsonl") in
+      let at j = Printf.sprintf "%s --jobs %d" campaign j in
+      check_same_at_jobs ~args:campaign ~jobs (fun j ->
+          let args = at j in
+          let metrics =
+            metrics_of_run file
+              ~flags:
+                (Printf.sprintf " --ledger %s --repro-dir %s" (Filename.quote ledger)
+                   (Filename.quote (fresh_dir file (campaign ^ ".repro"))))
+              args
           in
-          check Alcotest.int (Printf.sprintf "explore --jobs %d: exit code" j) 0 (Sys.command cmd))
-        jobs;
-      let l1 = read_file (ledger 1) in
-      List.iter
-        (fun j ->
-          check Alcotest.string
-            (Printf.sprintf "ledger identical at --jobs 1 and --jobs %d" j)
-            l1
-            (read_file (ledger j));
-          check Alcotest.string
-            (Printf.sprintf "stdout identical at --jobs 1 and --jobs %d" j)
-            (read_file (out 1)) (read_file (out j)))
-        [ 4; 8 ];
+          check Alcotest.bool (args ^ ": the cadence monitor skipped unmoved predicates") true
+            (metric_value metrics "invariant.skipped" > 0.0);
+          [ ("ledger", read_file ledger); ("stdout", read_file (file (args ^ ".out"))) ]);
+      (* The runs agree, so one run's files stand for all. *)
+      let stdout = read_file (file (at (List.hd jobs) ^ ".out")) in
+      check Alcotest.bool "summary names the canary violation" true
+        (contains "masc-sibling-overlap" stdout);
+      let l1 = read_file ledger in
       check Alcotest.bool "ledger records the canary violation" true
         (contains "masc-sibling-overlap" l1);
-      check Alcotest.bool "canary shrinks to a single fault" true
-        (contains "\"min_faults\": 1" l1);
+      check Alcotest.bool "canary shrinks to a single fault" true (contains "\"min_faults\": 1" l1);
       check Alcotest.bool "ledger points at the repro recording" true
         (contains "cex-0.recording.jsonl" l1);
       let recording = read_file (Filename.concat repro_dir "cex-0.recording.jsonl") in
@@ -378,55 +399,41 @@ let check_explore_cli () =
         (contains "explore.violation" recording && contains "masc-sibling-overlap" recording);
       check Alcotest.bool "recording carries the blamed trace id" true
         (contains "claim:" recording);
-      let cmd =
-        Printf.sprintf "%s report --triage %s > %s 2>&1" (Filename.quote exe) (ledger 1)
-          triage_out
-      in
-      check Alcotest.int "report --triage: exit code" 0 (Sys.command cmd);
+      let triage_out = file (campaign ^ ".triage.txt") in
+      check Alcotest.int "report --triage: exit code" 0
+        (run_cli ("report --triage " ^ Filename.quote ledger) ~out:triage_out ~err:triage_out);
       let triage = read_file triage_out in
       check Alcotest.bool "triage buckets by invariant" true
         (contains "masc-sibling-overlap" triage);
       check Alcotest.bool "triage blames the claim chain" true (contains "blames claim:" triage);
-      check Alcotest.bool "triage renders the causal chain" true
-        (contains "causal chain" triage))
+      check Alcotest.bool "triage renders the causal chain" true (contains "causal chain" triage))
 
 (* End-to-end diff: two demo recordings that differ only in --loss must
    diverge, and the report must say where. *)
 let check_record_diff () =
-  let rec_a = Filename.temp_file "rec_a" ".jsonl" in
-  let rec_b = Filename.temp_file "rec_b" ".jsonl" in
-  let out = Filename.temp_file "diff" ".out" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ rec_a; rec_b; out ])
-    (fun () ->
-      let record loss file =
-        let cmd =
-          Printf.sprintf "%s demo --loss %s --record=%s > /dev/null 2>&1" (Filename.quote exe)
-            loss (Filename.quote file)
-        in
-        check Alcotest.int ("demo --loss " ^ loss ^ ": exit code") 0 (Sys.command cmd)
+  with_files (fun file ->
+      let record loss =
+        let recording = file ("demo --loss " ^ loss ^ ".recording.jsonl") in
+        check Alcotest.int ("demo --loss " ^ loss ^ ": exit code") 0
+          (run_cli
+             (Printf.sprintf "demo --loss %s --record=%s" loss (Filename.quote recording))
+             ~out:"/dev/null" ~err:"/dev/null");
+        recording
       in
-      record "0.0" rec_a;
-      record "0.02" rec_b;
+      let rec_a = record "0.0" and rec_b = record "0.02" in
+      let out = file "report --diff.out" in
       let diff a b =
-        Sys.command
-          (Printf.sprintf "%s report --diff %s %s > %s 2>&1" (Filename.quote exe)
-             (Filename.quote a) (Filename.quote b) (Filename.quote out))
+        run_cli
+          (Printf.sprintf "report --diff %s %s" (Filename.quote a) (Filename.quote b))
+          ~out ~err:out
       in
       check Alcotest.int "identical recordings: exit 0" 0 (diff rec_a rec_a);
-      let has needle hay =
-        try
-          ignore (Str.search_forward (Str.regexp_string needle) hay 0);
-          true
-        with Not_found -> false
-      in
       check Alcotest.bool "identical recordings reported as such" true
-        (has "identical" (read_file out));
+        (contains "identical" (read_file out));
       check Alcotest.int "divergent recordings: exit 1" 1 (diff rec_a rec_b);
       let report = read_file out in
-      check Alcotest.bool "first divergence located" true (has "first divergence" report);
-      check Alcotest.bool "loss shows up as a drop record" true (has "net.drop." report);
+      check Alcotest.bool "first divergence located" true (contains "first divergence" report);
+      check Alcotest.bool "loss shows up as a drop record" true (contains "net.drop." report);
       (* Protocol records share the stream, so the causal-chain section
          explains the divergence in protocol terms. *)
       let chains =
@@ -435,28 +442,20 @@ let check_record_diff () =
       in
       check Alcotest.bool "causal chain shows protocol detail" true
         (List.exists
-           (fun tag -> has (" " ^ tag ^ " ") chains)
+           (fun tag -> contains (" " ^ tag ^ " ") chains)
            [ "claim"; "grib-update"; "join-hop" ]))
 
 (* [trace] over a demo recording renders the protocol narrative the
    pre-recorder trace sink produced, byte for byte. *)
 let check_recording_trace () =
-  let recording = Filename.temp_file "demo" ".jsonl" in
-  let out = Filename.temp_file "trace" ".out" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ recording; out ])
-    (fun () ->
-      let run args =
-        Sys.command
-          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe) args (Filename.quote out))
-      in
+  with_files (fun file ->
+      let recording = file "demo.recording.jsonl" and out = file "trace.out" in
+      let run args = run_cli args ~out ~err:out in
       check Alcotest.int "demo --record: exit code" 0
         (run ("demo --record=" ^ Filename.quote recording));
       check Alcotest.int "trace: exit code" 0 (run ("trace " ^ Filename.quote recording));
       check Alcotest.string "trace output identical to golden/fig1_trace.txt"
-        (read_file (Filename.concat "golden" "fig1_trace.txt"))
-        (read_file out);
+        (read_golden "fig1_trace.txt") (read_file out);
       check Alcotest.int "trace --id: exit code" 0
         (run ("trace --id claim:0:224.0.0.0/24 " ^ Filename.quote recording));
       check Alcotest.bool "claim chain has its nine records" true
@@ -468,24 +467,17 @@ let check_recording_trace () =
    header and in its prefix verdict; exit codes are those of a whole
    file (0 for trace, 1 for a diff of unequal streams). *)
 let check_cut_recording () =
-  let whole = Filename.temp_file "whole" ".jsonl" and cut = Filename.temp_file "cut" ".jsonl" in
-  let out = Filename.temp_file "cut" ".out" and err = Filename.temp_file "cut" ".err" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ whole; cut; out; err ])
-    (fun () ->
-      let run args =
-        Sys.command
-          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args (Filename.quote out)
-             (Filename.quote err))
-      in
+  with_files (fun file ->
+      let whole = file "whole.recording.jsonl" and cut = file "cut.recording.jsonl" in
+      let out = file "cut.out" and err = file "cut.err" in
+      let run args = run_cli args ~out ~err in
       check Alcotest.int "demo --record: exit code" 0 (run ("demo --record=" ^ Filename.quote whole));
       let text = read_file whole in
       (* Drop the final newline and the second half of the last record. *)
       let body = String.sub text 0 (String.length text - 1) in
       let last = String.rindex body '\n' + 1 in
       let keep = last + ((String.length body - last) / 2) in
-      Out_channel.with_open_bin cut (fun oc -> output_string oc (String.sub body 0 keep));
+      write_file cut (String.sub body 0 keep);
       let whole_records = List.length (String.split_on_char '\n' body) in
       check Alcotest.int "trace of the cut file: exit code" 0 (run ("trace " ^ Filename.quote cut));
       check Alcotest.string "trace names the cut"
@@ -534,48 +526,38 @@ let ledger_line ?(trace_ids = [ "claim:0:224.0.0.0/24" ]) trial =
    third.  [report --triage] names the cut on stderr instead of
    counting a malformed line, and triages the whole lines. *)
 let check_cut_ledger () =
-  let cut = Filename.temp_file "cut" ".jsonl" in
-  let out = Filename.temp_file "cut" ".out" and err = Filename.temp_file "cut" ".err" in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ cut; out; err ])
-    (fun () ->
+  with_files (fun file ->
+      let cut = file "cut.ledger.jsonl" and out = file "cut.out" and err = file "cut.err" in
       let last = ledger_line 2 in
-      Out_channel.with_open_bin cut (fun oc ->
-          output_string oc (ledger_line 0 ^ "\n" ^ ledger_line 1 ^ "\n");
-          output_string oc (String.sub last 0 (String.length last / 2)));
-      let rc =
-        Sys.command
-          (Printf.sprintf "%s report --triage %s > %s 2> %s" (Filename.quote exe)
-             (Filename.quote cut) (Filename.quote out) (Filename.quote err))
-      in
-      check Alcotest.int "report --triage of the cut ledger: exit code" 0 rc;
+      write_file cut
+        (ledger_line 0 ^ "\n" ^ ledger_line 1 ^ "\n" ^ String.sub last 0 (String.length last / 2));
+      check Alcotest.int "report --triage of the cut ledger: exit code" 0
+        (run_cli ("report --triage " ^ Filename.quote cut) ~out ~err);
       check Alcotest.string "stderr names the cut, not a malformed count"
         (Printf.sprintf "ledger %s: last line cut off mid-record\n" cut)
         (read_file err);
       check Alcotest.bool "the whole lines are triaged" true (contains "2 outcomes" (read_file out)))
 
-(* A BGMP data loop stops the run: the soak at seed 2 reaches one at
-   step 24 (a flooding MIGP re-floods a foreign source's packet that
-   re-enters through another border router), and seeds 35 and 43 reach
-   one within 300 steps.  The run must exit 3 within 10 s with exactly
-   [line] on stderr, which pins where the loop is caught, and its
-   recording must end at a whole record. *)
-let check_data_loop_exit ~steps ~seed ~line () =
-  let recording = Filename.temp_file "loop" ".jsonl" in
-  let err = Filename.temp_file "loop" ".err" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ recording; err ])
-    (fun () ->
+(* A soak run must stop with exit [code] within [timeout] seconds,
+   with exactly the [stderr] lines on stderr and a recording that ends
+   at a whole record.  A BGMP data loop stops the run with exit 3 and
+   one line that pins where the loop is caught: the soak at seed 2
+   reaches one at step 24 (a flooding MIGP re-floods a foreign source's
+   packet that re-enters through another border router), and seeds 35
+   and 43 reach one within 300 steps. *)
+let check_soak_exit ~timeout ~steps ~seed ~code ~stderr () =
+  with_files (fun file ->
+      let args = Printf.sprintf "soak --steps %d --seed %d" steps seed in
+      let recording = file (args ^ ".recording.jsonl") and err = file (args ^ ".err") in
       let rc =
-        Sys.command
-          (Printf.sprintf "timeout 10 %s soak --steps %d --seed %d --record=%s > /dev/null 2> %s"
-             (Filename.quote exe) steps seed (Filename.quote recording) (Filename.quote err))
+        run_cli ~timeout
+          (Printf.sprintf "%s --record=%s" args (Filename.quote recording))
+          ~out:"/dev/null" ~err
       in
-      check Alcotest.int
-        (Printf.sprintf "soak --steps %d --seed %d: exit 3 within 10 s" steps seed)
-        3 rc;
-      check Alcotest.string "stderr is the one loop line" (line ^ "\n") (read_file err);
+      check Alcotest.int (Printf.sprintf "%s: exit %d within %d s" args code timeout) code rc;
+      check Alcotest.string (args ^ ": stderr")
+        (String.concat "" (List.map (fun line -> line ^ "\n") stderr))
+        (read_file err);
       let text = read_file recording in
       check Alcotest.bool "recording ends at a line end" true
         (text <> "" && text.[String.length text - 1] = '\n');
@@ -586,36 +568,28 @@ let check_data_loop_exit ~steps ~seed ~line () =
 (* Unreadable inputs end the command with a message and exit code 2,
    never an uncaught exception. *)
 let check_unreadable_inputs () =
-  let dir = Filename.get_temp_dir_name () in
-  let err = Filename.temp_file "unreadable" ".err" in
-  (* Files that open but hold no valid line: two lines of text, and 300
-     seeded random bytes with no newline (one malformed line). *)
-  let text = Filename.temp_file "text" ".jsonl" and binary = Filename.temp_file "binary" ".jsonl" in
-  Out_channel.with_open_bin text (fun oc -> output_string oc "hello world\nnot json either\n");
-  let rng = Rng.create 300 in
-  Out_channel.with_open_bin binary (fun oc ->
-      for _ = 1 to 300 do
-        let b = Rng.int rng 255 in
-        output_char oc (Char.chr (if b >= Char.code '\n' then b + 1 else b))
-      done);
-  (* A ledger line whose blamed trace ids do not line up with its
-     violated invariants. *)
-  let mismatched = Filename.temp_file "mismatched" ".jsonl" in
-  Out_channel.with_open_bin mismatched (fun oc ->
-      output_string oc (ledger_line ~trace_ids:[] 0 ^ "\n"));
-  let no_valid what file n = Printf.sprintf "%s %s: no valid line, %d malformed\n" what file n in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ err; text; binary; mismatched ])
-    (fun () ->
+  with_files (fun file ->
+      let dir = Filename.get_temp_dir_name () in
+      (* Files that open but hold no valid line: two lines of text, and
+         300 seeded random bytes with no newline (one malformed line). *)
+      let text = file "text.jsonl" and binary = file "binary.jsonl" in
+      write_file text "hello world\nnot json either\n";
+      let rng = Rng.create 300 in
+      write_file binary
+        (String.init 300 (fun _ ->
+             let b = Rng.int rng 255 in
+             Char.chr (if b >= Char.code '\n' then b + 1 else b)));
+      (* A ledger line whose blamed trace ids do not line up with its
+         violated invariants. *)
+      let mismatched = file "mismatched.jsonl" in
+      write_file mismatched (ledger_line ~trace_ids:[] 0 ^ "\n");
+      let no_valid what file n =
+        Printf.sprintf "%s %s: no valid line, %d malformed\n" what file n
+      in
       List.iter
         (fun (args, message) ->
-          let rc =
-            Sys.command
-              (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
-                 (Filename.quote err))
-          in
-          check Alcotest.int (args ^ ": exit code") 2 rc;
+          let err = file (args ^ ".err") in
+          check Alcotest.int (args ^ ": exit code") 2 (run_cli args ~out:"/dev/null" ~err);
           check Alcotest.string (args ^ ": message") message (read_file err))
         [
           ("trace " ^ Filename.quote dir, Printf.sprintf "trace %s: Is a directory\n" dir);
@@ -656,7 +630,7 @@ let suite =
         ~golden:"fig4_summary.txt" );
     ( "fig4 metrics identical across jobs",
       `Quick,
-      check_metrics_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 3" );
+      check_metrics_jobs_invariant ~args:"fig4 --summary --nodes 200 --trials 3" ~jobs:[ 1; 4 ] );
     ( "beacon summary",
       `Quick,
       check_figure
@@ -685,7 +659,8 @@ let suite =
     ( "fig4-modern metrics identical across jobs",
       `Quick,
       check_metrics_jobs_invariant
-        ~args:"fig4-modern --summary --domains 600 --groups 50 --events 1500 --trials 2" );
+        ~args:"fig4-modern --summary --domains 600 --groups 50 --events 1500 --trials 2"
+        ~jobs:[ 1; 4 ] );
     ( "fig4-modern fingerprint identical across jobs",
       `Quick,
       check_fingerprint_jobs_invariant
@@ -736,14 +711,15 @@ let suite =
     ("unreadable inputs exit 2", `Quick, check_unreadable_inputs);
     ( "data loop exits 3 with a whole recording",
       `Quick,
-      check_data_loop_exit ~steps:24 ~seed:2
-        ~line:"soak: data loop: payload 23 to 224.0.0.0 from h21.42 still circling at domain 18" );
+      check_soak_exit ~timeout:10 ~steps:24 ~seed:2 ~code:3
+        ~stderr:
+          [ "soak: data loop: payload 23 to 224.0.0.0 from h21.42 still circling at domain 18" ] );
     ( "demo telemetry",
       `Quick,
-      check_timeseries ~args:"demo --sample 600" ~golden:"demo_timeseries.txt" );
+      check_timeseries ~args:"demo --sample 600" ~expect:(`Golden "demo_timeseries.txt") );
     ( "fig2 telemetry",
       `Quick,
-      check_timeseries ~args:"fig2 --days 30 --sample 1" ~golden:"fig2_timeseries.txt" );
+      check_timeseries ~args:"fig2 --days 30 --sample 1" ~expect:(`Golden "fig2_timeseries.txt") );
     ( "fig4-modern --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant
@@ -754,7 +730,9 @@ let suite =
     ( "soak --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant ~args:"soak --steps 40" );
-    ("explore finds, shrinks, reproduces; ledger jobs-invariant", `Quick, check_explore_cli);
+    ( "explore finds, shrinks, reproduces; ledger jobs-invariant",
+      `Quick,
+      check_explore_cli ~budget:10 ~jobs:[ 1; 4; 8 ] );
     ( "ablate-placement",
       `Quick,
       check_figure ~args:"ablate-placement --days 10" ~golden:"ablate_placement.txt" );
@@ -790,12 +768,14 @@ let suite =
   @ [
       ( "data loop at seed 35 exits 3",
         `Quick,
-        check_data_loop_exit ~steps:300 ~seed:35
-          ~line:"soak: data loop: payload 68 to 224.0.0.0 from h16.42 still circling at domain 14"
+        check_soak_exit ~timeout:10 ~steps:300 ~seed:35 ~code:3
+          ~stderr:
+            [ "soak: data loop: payload 68 to 224.0.0.0 from h16.42 still circling at domain 14" ]
       );
       ( "data loop at seed 43 exits 3",
         `Quick,
-        check_data_loop_exit ~steps:300 ~seed:43
-          ~line:"soak: data loop: payload 261 to 224.0.0.0 from h25.42 still circling at domain 22"
+        check_soak_exit ~timeout:10 ~steps:300 ~seed:43 ~code:3
+          ~stderr:
+            [ "soak: data loop: payload 261 to 224.0.0.0 from h25.42 still circling at domain 22" ]
       );
     ]

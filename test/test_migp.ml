@@ -7,12 +7,10 @@ let g = Ipv4.of_string "224.1.2.3"
 let g2 = Ipv4.of_string "225.0.0.1"
 
 let test_styles () =
-  check Alcotest.bool "dvmrp floods" true (Migp.floods_data Migp.Dvmrp);
-  check Alcotest.bool "pim-dm floods" true (Migp.floods_data Migp.Pim_dm);
-  check Alcotest.bool "pim-sm does not flood" false (Migp.floods_data Migp.Pim_sm);
-  check Alcotest.bool "cbt does not flood" false (Migp.floods_data Migp.Cbt);
   check Alcotest.bool "dvmrp strict rpf" true (Migp.strict_rpf Migp.Dvmrp);
-  check Alcotest.bool "pim-sm relaxed rpf" false (Migp.strict_rpf Migp.Pim_sm)
+  check Alcotest.bool "pim-dm strict rpf" true (Migp.strict_rpf Migp.Pim_dm);
+  check Alcotest.bool "pim-sm relaxed rpf" false (Migp.strict_rpf Migp.Pim_sm);
+  check Alcotest.bool "cbt relaxed rpf" false (Migp.strict_rpf Migp.Cbt)
 
 let test_membership_and_dwr () =
   let m = Migp.create Migp.Dvmrp ~domain:3 in
@@ -54,10 +52,7 @@ let test_groups_listing () =
 
 let test_counters () =
   let m = Migp.create Migp.Dvmrp ~domain:0 in
-  Migp.note_flood_delivery m 4;
-  Migp.note_flood_delivery m 3;
   Migp.note_encapsulation m;
-  check Alcotest.int "floods" 7 (Migp.flood_deliveries m);
   check Alcotest.int "encaps" 1 (Migp.encapsulations m)
 
 let test_member_join_order () =
