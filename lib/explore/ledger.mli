@@ -27,7 +27,9 @@ type entry = {
   deadline : float;
   min_schedule : string option;  (** shrunk counterexample (failures only) *)
   min_faults : int option;
-  shrink_steps : int option;  (** oracle re-runs the shrinker spent *)
+  shrink_steps : int option;
+      (** candidates the shrinker judged ({!Shrinker.result}); a
+          repeated candidate counts, though it reuses its verdict *)
   repro_recording : string option;
       (** flight-recorder JSONL, when written; it carries the protocol
           narrative [report --triage] renders *)

@@ -10,10 +10,18 @@ let snap_down at q =
   Time.seconds (Float.of_int (int_of_float (s /. q)) *. q)
 
 let shrink ~still_fails schedule =
+  (* Verdicts keyed by the schedule itself, not its codec, whose
+     rounded times could merge distinct schedules. *)
   let steps = ref 0 in
-  let fails s =
+  let verdicts = Hashtbl.create 64 in
+  let fails (s : Schedule.t) =
     incr steps;
-    still_fails s
+    match Hashtbl.find_opt verdicts s with
+    | Some verdict -> verdict
+    | None ->
+        let verdict = still_fails s in
+        Hashtbl.add verdicts s verdict;
+        verdict
   in
   (* Pass 1: greedy removal, restarting after every success. *)
   let rec drop (sched : Schedule.t) n =

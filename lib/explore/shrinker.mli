@@ -14,13 +14,21 @@
        largest round quantum (1 d, 6 h, 1 h, 1 min) that preserves the
        failure, making the minimal counterexample's timing readable.}}
 
+    Within one [shrink] each distinct candidate runs [still_fails]
+    once: a candidate already judged (the final fixpoint pass re-tries
+    what the previous pass kept) reuses its verdict.  The predicate
+    must therefore be a function of the schedule alone.
+
     Both passes are deterministic: no randomness, order fixed by the
     schedule itself, so the same failing schedule always shrinks to the
     same minimal counterexample regardless of seed order or [--jobs]. *)
 
 type result = {
   shrunk : Schedule.t;  (** still fails; no single-step removal or coarsening does *)
-  steps : int;  (** oracle re-runs spent shrinking *)
+  steps : int;
+      (** candidates judged while shrinking, a repeated candidate
+          included although it reuses its verdict instead of re-running
+          the oracle *)
 }
 
 val shrink : still_fails:(Schedule.t -> bool) -> Schedule.t -> result

@@ -295,6 +295,160 @@ let prop_trie_queries_match_naive_filter =
       && Prefix_trie.longest_match t addr = naive_longest
       && Prefix_trie.find_longest t addr = Option.map snd naive_longest)
 
+(* The flat trie against [Prefix_trie_reference], the boxed one it
+   replaced, over seeded add/remove/reset sequences.  Each seed draws a
+   pool of prefixes in 224/4 with lengths 4-32 around two anchor
+   addresses one bit apart, half of them one more bit off an anchor, so
+   paths share nodes; every operation picks from the pool, so removes
+   hit bindings and prune.  After every step every query must agree,
+   and [find_longest] must hand back the stored binding itself. *)
+
+type trie_op = Add of Prefix.t * int | Remove of Prefix.t | Reset
+
+let trie_op_to_string = function
+  | Add (q, v) -> Printf.sprintf "add %s %d" (Prefix.to_string q) v
+  | Remove q -> "remove " ^ Prefix.to_string q
+  | Reset -> "reset"
+
+let trie_pool rng =
+  let a0 = 0xE0000000 lor Rng.int rng 0x10000000 in
+  let a1 = a0 lxor (1 lsl Rng.int rng 28) in
+  Array.init 10 (fun _ ->
+      let a = if Rng.int rng 2 = 0 then a0 else a1 in
+      let a = if Rng.int rng 2 = 0 then a else a lxor (1 lsl Rng.int rng 28) in
+      Prefix.make a (Rng.int_in rng 4 32))
+
+let trie_queries_agree flat reference pool =
+  let module R = Prefix_trie_reference in
+  let cons_pv q v acc = (q, v) :: acc in
+  let cons_block base len acc = (base, len) :: acc in
+  let covers = Array.append pool [| p "224.0.0.0/4"; p "0.0.0.0/0" |] in
+  let addrs =
+    Array.concat
+      [ Array.map Prefix.base pool; Array.map Prefix.last pool; [| 0xE0000000; 0xEFFFFFFF |] ]
+  in
+  let third v r = v mod 3 = r in
+  let values_of iter t =
+    let l = ref [] in
+    iter t (fun v -> l := v :: !l);
+    !l
+  in
+  Prefix_trie.cardinal flat = R.cardinal reference
+  && Prefix_trie.to_list flat = R.to_list reference
+  && Prefix_trie.fold flat ~init:[] ~f:cons_pv = R.fold reference ~init:[] ~f:cons_pv
+  && values_of Prefix_trie.iter_values flat = values_of R.iter_values reference
+  && Array.for_all
+       (fun q ->
+         Prefix_trie.find_exact flat q = R.find_exact reference q
+         && Prefix_trie.overlapping flat q = R.overlapping reference q
+         && Prefix_trie.fold_covered_by flat q ~init:[] ~f:cons_pv
+            = R.fold_covered_by reference q ~init:[] ~f:cons_pv
+         && Prefix_trie.fold_free flat q ~init:[] ~f:cons_block
+            = R.fold_free reference q ~init:[] ~f:cons_block
+         && List.for_all
+              (fun r ->
+                Prefix_trie.exists_overlapping flat q third r
+                = R.exists_overlapping reference q third r)
+              [ 0; 1; 2 ])
+       covers
+  && Array.for_all
+       (fun a ->
+         let found = Prefix_trie.find_longest flat a in
+         Prefix_trie.longest_match flat a = R.longest_match reference a
+         && found = R.find_longest reference a
+         &&
+         match Prefix_trie.longest_match flat a with
+         | Some (q, _) -> found == Prefix_trie.find_exact flat q
+         | None -> found = None)
+       addrs
+
+let test_trie_matches_reference () =
+  for seed = 1 to 200 do
+    let rng = Rng.create seed in
+    let pool = trie_pool rng in
+    let flat = Prefix_trie.create () and reference = Prefix_trie_reference.create () in
+    for step = 1 to 60 do
+      let q = Rng.pick rng pool in
+      let op =
+        match Rng.int rng 20 with
+        | 0 -> Reset
+        | k when k < 11 -> Add (q, step)
+        | _ -> Remove q
+      in
+      (match op with
+      | Add (q, v) ->
+          Prefix_trie.add flat q v;
+          Prefix_trie_reference.add reference q v
+      | Remove q ->
+          Prefix_trie.remove flat q;
+          Prefix_trie_reference.remove reference q
+      | Reset ->
+          Prefix_trie.reset flat;
+          Prefix_trie_reference.reset reference);
+      if not (trie_queries_agree flat reference pool) then
+        Alcotest.failf "seed %d, step %d (%s): the flat trie disagrees with the reference" seed
+          step (trie_op_to_string op)
+    done
+  done
+
+(* The flat trie's allocation contract.  A trie rewound by [reset]
+   keeps its capacity, so refilling it with the same bindings allocates
+   only each binding's [Some] box (2 words); removes, exact and longest
+   lookups, and a free-block fold with a constant closure allocate
+   nothing.  The bindings share paths, so removes prune and the next
+   adds take nodes off the free list. *)
+let trie_alloc_prefixes =
+  Array.init 256 (fun i ->
+      Prefix.make (0xE0000000 lor ((i * 0x9E3779) land 0x0FFFFFFF)) (12 + (i mod 21)))
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let count_len _ len acc = acc + len
+
+let test_trie_allocation () =
+  let t = Prefix_trie.create () in
+  let prefixes = trie_alloc_prefixes in
+  let n = Array.length prefixes in
+  let fill () =
+    for i = 0 to n - 1 do
+      Prefix_trie.add t prefixes.(i) i
+    done
+  in
+  fill ();
+  Prefix_trie.reset t;
+  let refill = minor_words_of fill in
+  check Alcotest.bool
+    (Printf.sprintf "re-adding %d bindings after reset allocates %.0f words <= %d" n refill
+       (2 * n))
+    true
+    (refill <= float_of_int (2 * n));
+  let lookups =
+    minor_words_of (fun () ->
+        for i = 0 to n - 1 do
+          let q = prefixes.(i) in
+          ignore (Prefix_trie.find_exact t q);
+          ignore (Prefix_trie.find_longest t (Prefix.last q));
+          ignore (Prefix_trie.fold_free t q ~init:0 ~f:count_len)
+        done)
+  in
+  check (Alcotest.float 0.0) "find_exact, find_longest and fold_free allocate nothing" 0.0 lookups;
+  let removes =
+    minor_words_of (fun () ->
+        for i = 0 to n - 1 do
+          Prefix_trie.remove t prefixes.(i)
+        done)
+  in
+  check (Alcotest.float 0.0) "remove allocates nothing" 0.0 removes;
+  check Alcotest.int "all removed" 0 (Prefix_trie.cardinal t);
+  let readd = minor_words_of fill in
+  check Alcotest.bool
+    (Printf.sprintf "re-adding over the free list allocates %.0f words <= %d" readd (2 * n))
+    true
+    (readd <= float_of_int (2 * n))
+
 (* --- Free_space ------------------------------------------------------ *)
 
 let test_free_blocks_paper_example () =
@@ -410,6 +564,8 @@ let suite =
     ("trie covered_by", `Quick, test_trie_covered_by);
     QCheck_alcotest.to_alcotest prop_trie_matches_naive_longest_match;
     QCheck_alcotest.to_alcotest prop_trie_queries_match_naive_filter;
+    ("trie matches the boxed reference", `Quick, test_trie_matches_reference);
+    ("trie allocation", `Quick, test_trie_allocation);
     ("free blocks paper example", `Quick, test_free_blocks_paper_example);
     ("free blocks empty/full", `Quick, test_free_blocks_empty_and_full);
     ("free blocks ignores outside", `Quick, test_free_blocks_ignores_outside);

@@ -165,11 +165,20 @@ let test_shrinker_essential_among_decoys () =
   let full = Schedule.make (essential :: decoys) in
   (* The predicate is the ground truth "fails iff the essential fault
      survives": the shrinker must converge on exactly that fault. *)
+  let calls = ref 0 and judged = Hashtbl.create 16 in
   let still_fails s =
+    incr calls;
+    Hashtbl.replace judged s ();
     List.exists (fun st -> st.Schedule.fault = Schedule.Partition (0, 1)) s
   in
   let r = Shrinker.shrink ~still_fails full in
   check Alcotest.int "exactly the essential fault" 1 (Schedule.faults r.Shrinker.shrunk);
+  (* [steps] counts every candidate judged; a repeated candidate
+     reuses its verdict, so the predicate runs once per distinct
+     candidate. *)
+  check Alcotest.int "candidates judged" 15 r.Shrinker.steps;
+  check Alcotest.int "one predicate call per distinct candidate" (Hashtbl.length judged) !calls;
+  check Alcotest.bool "a repeated candidate skips the predicate" true (!calls < r.Shrinker.steps);
   (match r.Shrinker.shrunk with
   | [ { Schedule.fault = Schedule.Partition (0, 1); at } ] ->
       (* The predicate is time-blind, so coarsening runs all the way to
