@@ -894,7 +894,10 @@ let check_arg =
    a telemetry sink ([sample]: takes --sample) and has live invariants
    ([check]: takes --check-invariants, whose verdict goes to stderr,
    exit 1 on violations).  A BGMP data loop stops any run with one
-   stderr line and exit 3, after [with_obs] has closed its outputs. *)
+   stderr line and exit 3, after [with_obs] has closed its outputs; an
+   output file that cannot be written (--metrics, --profile, --record,
+   --ledger, --repro-dir, --matrix-out) ends it with one line and exit
+   2, as an unreadable input does. *)
 let experiment ?(jobs = false) ?(sample = false) ?(check = false) name ~doc run =
   let main obs jobs check run =
     Par.set_jobs jobs;
@@ -907,10 +910,14 @@ let experiment ?(jobs = false) ?(sample = false) ?(check = false) name ~doc run 
               exit 1
             end
             else Format.eprintf "%s: invariants clean@." name)
-    with Bgmp_fabric.Data_loop { payload; group; source; domain } ->
-      Format.eprintf "%s: data loop: payload %d to %a from %a still circling at domain %d@." name
-        payload Ipv4.pp group Host_ref.pp source domain;
-      exit 3
+    with
+    | Bgmp_fabric.Data_loop { payload; group; source; domain } ->
+        Format.eprintf "%s: data loop: payload %d to %a from %a still circling at domain %d@."
+          name payload Ipv4.pp group Host_ref.pp source domain;
+        exit 3
+    | Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+        Format.eprintf "%s: %s@." name msg;
+        exit 2
   in
   let flag on arg off = if on then arg else Term.const off in
   Cmd.v (Cmd.info name ~doc)

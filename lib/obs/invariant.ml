@@ -5,8 +5,9 @@ type check = unit -> (string * string option) list
 (* A predicate registered with [~depends]. *)
 type gate = {
   depends : unit -> int;
-  mutable clean : bool;  (** the last run returned no violation *)
-  mutable clean_at : int;  (** [depends ()] read before that run *)
+  mutable cached : bool;  (** [last] holds the verdict of a run *)
+  mutable last_at : int;  (** [depends ()] read before that run *)
+  mutable last : violation list;  (** that run's violations *)
 }
 
 (* Counter handles are made on first use, so no key is in a snapshot
@@ -33,8 +34,9 @@ let reset t =
     (fun p ->
       match p.gate with
       | Some g ->
-          g.clean <- false;
-          g.clean_at <- 0
+          g.cached <- false;
+          g.last_at <- 0;
+          g.last <- []
       | None -> ())
     t.preds
 
@@ -49,49 +51,55 @@ let create () =
 let register ?(quiescent_only = false) ?depends t ~name run =
   if List.exists (fun p -> p.name = name) t.preds then
     invalid_arg (Printf.sprintf "Invariant.register: duplicate %S" name);
-  let gate = Option.map (fun depends -> { depends; clean = false; clean_at = 0 }) depends in
+  let gate =
+    Option.map (fun depends -> { depends; cached = false; last_at = 0; last = [] }) depends
+  in
   let violations_of = lazy (Metrics.counter ("invariant.violations." ^ name)) in
   t.preds <- t.preds @ [ { name; violations_of; quiescent_only; run; gate } ]
 
 let names t = List.map (fun p -> p.name) t.preds
 
-(* Whether a check runs a predicate that applies.  A gated one is
-   skipped when its dependency reads what it read before its last run
-   and that run was clean: its state has not moved, so neither has its
-   verdict.  Otherwise the value is kept for the run about to happen. *)
-let due t p =
+(* One run of [p]'s predicate, its pairs made violations of [p]. *)
+let evaluate p =
+  match p.run () with
+  | [] -> []
+  | vs -> List.map (fun (detail, trace_id) -> { inv = p.name; detail; trace_id }) vs
+
+(* A predicate's violations at this check.  A gated one is skipped when
+   its dependency reads what it read before its last run: its state has
+   not moved, so neither has its verdict, and that run's violations are
+   returned again.  Otherwise the predicate runs and its verdict is kept
+   with the value read. *)
+let verdict t p =
   match p.gate with
-  | None -> true
+  | None -> evaluate p
   | Some g ->
       let version = g.depends () in
-      if g.clean && version = g.clean_at then begin
+      if g.cached && version = g.last_at then begin
         Metrics.incr (Lazy.force t.skipped);
-        false
+        g.last
       end
       else begin
-        g.clean_at <- version;
-        true
+        let vs = evaluate p in
+        g.cached <- true;
+        g.last_at <- version;
+        g.last <- vs;
+        vs
       end
-
-let set_clean p clean = match p.gate with Some g -> g.clean <- clean | None -> ()
 
 (* Top-level recursions rather than closures, so a check whose
    predicates all hold allocates nothing here. *)
 let rec run_preds t ~quiescent = function
   | [] -> []
   | p :: rest -> (
-      if (p.quiescent_only && not quiescent) || not (due t p) then run_preds t ~quiescent rest
+      if p.quiescent_only && not quiescent then run_preds t ~quiescent rest
       else
-        match p.run () with
-        | [] ->
-            set_clean p true;
-            run_preds t ~quiescent rest
-        | vs ->
-            set_clean p false;
-            let n = List.length vs in
+        match verdict t p with
+        | [] -> run_preds t ~quiescent rest
+        | mine ->
+            let n = List.length mine in
             Metrics.add (Lazy.force t.violations) n;
             Metrics.add (Lazy.force p.violations_of) n;
-            let mine = List.map (fun (detail, trace_id) -> { inv = p.name; detail; trace_id }) vs in
             mine @ run_preds t ~quiescent rest)
 
 let check ?(quiescent = true) ?only t =

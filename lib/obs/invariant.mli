@@ -19,8 +19,8 @@
     violate.
 
     Predicates registered with [~depends] are {e gated}: a check skips
-    one whose dependency reads the same as before its last run when
-    that run was clean (see {!register}). *)
+    one whose dependency reads the same as before its last run, and
+    reports that run's violations again (see {!register}). *)
 
 type violation = { inv : string; detail : string; trace_id : string option }
 
@@ -32,7 +32,7 @@ val create : unit -> t
 
 val reset : t -> unit
 (** Rewind to a freshly created monitor that keeps its predicates: the
-    gates forget their cached clean runs. *)
+    gates forget their cached verdicts. *)
 
 val register :
   ?quiescent_only:bool -> ?depends:(unit -> int) -> t -> name:string -> check -> unit
@@ -40,19 +40,16 @@ val register :
 
     [depends] gates the predicate on a version of the state it reads.
     Each check reads [depends ()] before it would run the predicate; if
-    the value equals the one read before the predicate's last run, and
-    that run returned no violation, the predicate is skipped and
-    reports nothing.  Only clean results are cached: a predicate that
-    reported violations runs again at the next check, so the violations
-    (and their counters) are exactly those of an ungated predicate.
-    Skips count in [invariant.skipped], a counter created by the first
-    skip.
+    the value equals the one read before the predicate's last run, the
+    predicate is skipped and that run's violations, clean or not, are
+    reported and counted again, so the violations (and their counters)
+    are exactly those of an ungated predicate.  Skips count in
+    [invariant.skipped], a counter created by the first skip.
 
     The contract on [depends]: it must move whenever anything the
     predicate reads changes, and it must be non-decreasing, so that it
-    can never come back to a value it had at some earlier clean run.
-    A sum of per-structure mutation counters that only grow meets
-    both. *)
+    can never come back to a value it had at some earlier run.  A sum
+    of per-structure mutation counters that only grow meets both. *)
 
 val names : t -> string list
 (** Registered predicate names, in registration order. *)

@@ -43,6 +43,104 @@ let obs_experiments =
     "baselines --nodes 300 --fingerprint";
   ]
 
+(* The allocation gate: CI-sized runs of five public entry points at
+   jobs 1, each with its budget in bytes (1.25x the bytes measured in
+   the release profile; a dev build compiles the libraries -opaque and
+   allocates more, beacon-smoke 38% more, so these rows fail there).
+   Allocated bytes are a function of the input, so unlike a wall-clock
+   budget the gate does not flake on a busy host, and it trips on what
+   multiplies bytes: an arena reverting to per-entry boxing,
+   per-delivery accounting turning quadratic, the flight recorder
+   working while it is off.  Timing is the workload benchmark's job
+   (perfbench/). *)
+let allocation_budgets =
+  [
+    ( "fig2-smoke",
+      2_296_212,
+      fun () ->
+        ignore
+          (Allocation_sim.run
+             {
+               Allocation_sim.default_params with
+               Allocation_sim.tops = 10;
+               children_per_top = 10;
+               horizon = Time.days 120.0;
+             }) );
+    ( "fig4-smoke",
+      2_935_622,
+      fun () ->
+        ignore
+          (Tree_experiment.run
+             {
+               Tree_experiment.default_params with
+               Tree_experiment.nodes = 1000;
+               trials = 5;
+               jobs = 1;
+             }) );
+    ( "fig4-modern-smoke",
+      3_475_262,
+      fun () ->
+        ignore
+          (Modern_experiment.run
+             { Modern_experiment.default_params with Modern_experiment.jobs = 1 }) );
+    ( "beacon-smoke",
+      4_497_332,
+      fun () ->
+        ignore
+          (Beacon_campaign.run ~jobs:1
+             {
+               Beacon_campaign.default_params with
+               Beacon_campaign.domains = 56;
+               per_domain = 2;
+               probes = 5;
+               loss = 0.05;
+               churn = true;
+             }) );
+    ( "explore-smoke",
+      4_555_750,
+      fun () ->
+        let ledger = Filename.temp_file "explore-smoke" ".jsonl" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove ledger)
+          (fun () ->
+            ignore
+              (Explore.run_campaign
+                 {
+                   Explore.default_config with
+                   Explore.budget = 25;
+                   seed = 7;
+                   jobs = Some 1;
+                   ledger;
+                 })) );
+  ]
+
+(* The bytes [run] allocates, counted over a second run after a
+   warm-up run has built any lazily initialised state.  A minor
+   collection on either side brings the GC's counters up to date, so
+   the count is exact: the same in every process, whatever ran before.
+   Then one more run under the profiler, in a smoke.<name> span, leaves
+   <name>.profile.jsonl to say where the bytes went (read it with
+   [main.exe report --profile]). *)
+let check_allocation ~name ~budget run () =
+  with_files (fun file ->
+      run ();
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
+      run ();
+      Gc.minor ();
+      let bytes = Gc.allocated_bytes () -. b0 in
+      Printf.printf "%s: %.0f bytes, budget %d (%.2fx)\n" name bytes budget
+        (bytes /. float_of_int budget);
+      Prof.enable ();
+      Fun.protect ~finally:Prof.disable (fun () ->
+          Prof.span ("smoke." ^ name) run;
+          Prof.write_jsonl (file (name ^ ".profile.jsonl")));
+      if bytes > float_of_int budget then
+        Alcotest.failf
+          "%s: %.0f bytes, over the budget of %d; after a deliberate change, set the budget to \
+           %.0f (1.25x the measured bytes)"
+          name bytes budget (1.25 *. bytes))
+
 let transit_stub = "fig4 --summary --topology transit-stub --nodes 2000 --trials 60"
 
 let fig4_modern = "fig4-modern --summary --domains 5000 --groups 2000 --events 100000"
@@ -118,6 +216,9 @@ let rows =
           check_soak_exit ~timeout:120 ~steps:100 ~seed ~code ~stderr ))
       soak_seeds
   @ [ ("explore canary and triage", check_explore_cli ~budget:25 ~jobs:[ 4 ]) ]
+  @ List.map
+      (fun (name, budget, run) -> ("allocation: " ^ name, check_allocation ~name ~budget run))
+      allocation_budgets
 
 (* The artifact directory sits outside the build context, where a later
    dune build does not remove it. *)

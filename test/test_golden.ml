@@ -565,8 +565,8 @@ let check_soak_exit ~timeout ~steps ~seed ~code ~stderr () =
       check Alcotest.int "every recording line parses" 0 bad;
       check Alcotest.bool "recording is not empty" true (records <> []))
 
-(* Unreadable inputs end the command with a message and exit code 2,
-   never an uncaught exception. *)
+(* Unreadable inputs and unwritable outputs end the command with a
+   message and exit code 2, never an uncaught exception. *)
 let check_unreadable_inputs () =
   with_files (fun file ->
       let dir = Filename.get_temp_dir_name () in
@@ -586,6 +586,17 @@ let check_unreadable_inputs () =
       let no_valid what file n =
         Printf.sprintf "%s %s: no valid line, %d malformed\n" what file n
       in
+      (* [cmd] given the output path [name] under a regular file,
+         unwritable on any host; the message names the file it could
+         not open, [name] or [written] below it. *)
+      let unwritable ?written cmd name =
+        let path = Filename.concat text name in
+        ( cmd ^ Filename.quote path,
+          Printf.sprintf "%s: %s: Not a directory\n"
+            (List.hd (String.split_on_char ' ' cmd))
+            (match written with Some w -> Filename.concat path w | None -> path) )
+      in
+      let explore = "explore --budget 1 --ledger " ^ Filename.quote (file "ledger.jsonl") in
       List.iter
         (fun (args, message) ->
           let err = file (args ^ ".err") in
@@ -608,6 +619,12 @@ let check_unreadable_inputs () =
           ("trace " ^ Filename.quote binary, no_valid "trace" binary 1);
           ("report --profile " ^ Filename.quote text, no_valid "profile" text 2);
           ("report --matrix " ^ Filename.quote binary, no_valid "matrix" binary 1);
+          unwritable "demo --metrics=" "m.json";
+          unwritable "demo --profile=" "p.jsonl";
+          unwritable "demo --record=" "r.jsonl";
+          unwritable "explore --budget 1 --ledger " "l.jsonl";
+          unwritable (explore ^ " --repro-dir ") "cex" ~written:"cex-0.recording.jsonl";
+          unwritable "beacon --domains 8 --per-domain 1 --probes 2 --matrix-out " "m.jsonl";
         ])
 
 let suite =

@@ -615,8 +615,8 @@ let test_allocation_sim_invariants_hold placement () =
    included.  A request re-arms its child's one request event and a
    grant arms the child's one block-expiry event, so what a request
    allocates is mostly the policy's answer and the claim churn it
-   causes.  Counted like the allocation gate: a minor collection on
-   each side makes the count exact. *)
+   causes.  Counted like the allocation rows of ci_full.ml: a minor
+   collection on each side makes the count exact. *)
 let test_allocation_sim_bytes_per_request () =
   let p =
     {

@@ -2,14 +2,14 @@
 # Prints every top-level `val` of a lib/**/*.mli that no source file other
 # than its own module's .ml/.mli names as `Module.name`, one per line, and
 # exits 1 when it prints anything.  Source files are the .ml/.mli under
-# lib/, bin/, test/, examples/, bench/ and perfbench/.  Every library is
+# lib/, bin/, test/, examples/ and perfbench/.  Every library is
 # unwrapped, so a module is named after its file.  A reference through
 # `open` or a module alias is not seen: write the full name instead.
 # Comments (doc comments and their {!Module.name} links included) are
 # not uses: they are blanked before anything is collected.
 #
 # With --programs, a use from test/ does not count: the interfaces are
-# what the programs (bin/, examples/, bench/, perfbench/ and the other
+# what the programs (bin/, examples/, perfbench/ and the other
 # lib/ modules) use.  The only exports allowed to serve tests alone are
 # the seams listed in tools/test_seams.txt, one `Module.name  reason`
 # line each (blank lines and `#` comments are skipped).  The mode prints
@@ -22,12 +22,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-users="lib bin test examples bench perfbench"
+users="lib bin test examples perfbench"
 seams=""
 case "${1:-}" in
   "") ;;
   --programs)
-    users="lib bin examples bench perfbench"
+    users="lib bin examples perfbench"
     seams=tools/test_seams.txt
     ;;
   *)
@@ -43,7 +43,7 @@ trap 'rm -rf "$src"' EXIT
 # kept).  Comments nest, and as in the OCaml lexer a string, quoted
 # string or character literal is one token, inside a comment or out, so
 # a "(*" or "*)" in one delimits nothing.
-find lib bin test examples bench perfbench \( -name '*.ml' -o -name '*.mli' \) -print0 |
+find lib bin test examples perfbench \( -name '*.ml' -o -name '*.mli' \) -print0 |
   xargs -0 perl -MFile::Path=make_path -MFile::Basename=dirname -e '
     my $dst = shift @ARGV;
     local $/;
